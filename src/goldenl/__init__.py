@@ -28,13 +28,9 @@ from .field import (
     ZERO,
 )
 from .flow import (
-    ConeHit,
-    Crossing,
     Outcome,
     Trajectory,
-    advance,
     canonicalize,
-    is_cone_point,
     oracle_classify,
     oracle_classify_direction,
     oracle_report,
@@ -84,8 +80,6 @@ __all__ = [
     "CapExceededError",
     "Classification",
     "ClassificationReport",
-    "ConeHit",
-    "Crossing",
     "EMPTY_WORD",
     "GOLDEN_L",
     "GoldenL",
@@ -108,7 +102,6 @@ __all__ = [
     "VERTICAL_RELABELING",
     "VerticalDirectionError",
     "ZERO",
-    "advance",
     "billiard_path",
     "brute_force_profile",
     "canonicalize",
@@ -121,7 +114,6 @@ __all__ = [
     "exact_profile",
     "format_word",
     "is_base_word",
-    "is_cone_point",
     "monte_carlo_empty_rate",
     "oracle_classify",
     "oracle_classify_direction",

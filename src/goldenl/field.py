@@ -30,6 +30,32 @@ def _fraction_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+# Coefficient-level arithmetic on pairs (a, b) meaning a + b*phi. Exact on
+# int and on Fraction coefficients alike; GoldenNumber and the integer flow
+# kernel share it.
+
+
+def golden_sign(a: Rational, b: Rational) -> int:
+    """Exact sign of a + b*phi, in {-1, 0, 1}.
+
+    Writes 2*(a + b*phi) = p + b*sqrt(5) with p = 2a + b. Same-sign p, b
+    settle it at once; mixed signs compare p**2 against 5*b**2. The mixed
+    case cannot tie: p**2 = 5*b**2 with rational p, b forces b = 0.
+    """
+    p = 2 * a + b
+    if p >= 0 and b >= 0:
+        return 1 if p or b else 0
+    if p <= 0 and b <= 0:
+        return -1
+    return 1 if (p * p > 5 * b * b) == (p > 0) else -1
+
+
+def golden_mul(a: Rational, b: Rational, c: Rational, d: Rational) -> tuple[Rational, Rational]:
+    """Coefficients of (a + b*phi)(c + d*phi) = ac + bd + (ad + bc + bd)*phi."""
+    bd = b * d
+    return a * c + bd, a * d + b * c + bd
+
+
 @total_ordering
 @dataclass(frozen=True, eq=False)
 class GoldenNumber:
@@ -79,11 +105,7 @@ class GoldenNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        # (a + b phi)(c + d phi) = ac + bd + (ad + bc + bd) phi
-        return GoldenNumber(
-            self.a * o.a + self.b * o.b,
-            self.a * o.b + self.b * o.a + self.b * o.b,
-        )
+        return GoldenNumber(*golden_mul(self.a, self.b, o.a, o.b))
 
     __rmul__ = __mul__
 
@@ -116,21 +138,8 @@ class GoldenNumber:
     # exact order structure
 
     def sign(self) -> int:
-        """Exact sign in {-1, 0, 1}.
-
-        Writes 2*(a + b*phi) = p + q*sqrt(5) with p = 2a + b, q = b. Same-sign
-        p, q settle it at once; mixed signs compare p**2 against 5*q**2. The
-        mixed case cannot tie: p**2 = 5*q**2 with rational p, q forces q = 0.
-        """
-        p = 2 * self.a + self.b
-        q = self.b
-        if p >= 0 and q >= 0:
-            return 1 if (p != 0 or q != 0) else 0
-        if p <= 0 and q <= 0:
-            return -1
-        if p > 0:  # q < 0
-            return 1 if p * p > 5 * q * q else -1
-        return -1 if p * p > 5 * q * q else 1
+        """Exact sign in {-1, 0, 1}; see golden_sign."""
+        return golden_sign(self.a, self.b)
 
     @property
     def is_zero(self) -> bool:

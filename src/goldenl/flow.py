@@ -21,41 +21,13 @@ from enum import Enum
 from fractions import Fraction
 from math import lcm
 
-from .classify import Classification, HORIZONTAL_VERDICTS
+from .classify import Classification
 from .errors import CapExceededError, StructuralViolationError
-from .field import GoldenNumber, GoldenVector, PHI, PHI_SQUARED
+from .field import GoldenNumber, GoldenVector, PHI, PHI_SQUARED, golden_mul, golden_sign
 from .surface import CONE_POINTS, GOLDEN_L, WEIERSTRASS_LABELS, weierstrass_point
 from .words import Word, format_word, word_to_vector
 
 DEFAULT_STEP_CAP = 1_000_000
-
-
-@dataclass(frozen=True)
-class Wall:
-    """An exit edge (right or top) with the translation back to its glued twin."""
-
-    name: str
-    vertical: bool
-    coord: GoldenNumber
-    lo: GoldenNumber
-    hi: GoldenNumber
-    back: GoldenVector
-
-
-def _build_walls() -> tuple[Wall, ...]:
-    walls = []
-    for ident in GOLDEN_L.identifications:
-        p, q = ident.target
-        vertical = p.x == q.x
-        if vertical:
-            coord, lo, hi = p.x, p.y, q.y
-        else:
-            coord, lo, hi = p.y, p.x, q.x
-        walls.append(Wall(ident.name, vertical, coord, lo, hi, -ident.translation))
-    return tuple(walls)
-
-
-WALLS = _build_walls()
 
 
 def point_in_surface(p: GoldenVector) -> bool:
@@ -67,48 +39,27 @@ def point_in_surface(p: GoldenVector) -> bool:
     return in_wide or in_tall
 
 
-def is_cone_point(p: GoldenVector) -> bool:
-    return p in CONE_POINTS
-
-
 def canonicalize(p: GoldenVector) -> GoldenVector:
     """Canonical representative of a surface point.
 
     Points on a glued right/top edge map to their left/bottom twin; all cone
-    point representatives map to the origin, the distinguished one.
+    point representatives map to the origin, the distinguished one. Target
+    edges are axis-aligned with lo <= hi in both coordinates, so lying on one
+    is lying in its bounding box.
     """
     if not point_in_surface(p):
         raise ValueError(f"point lies outside the golden L: {p}")
     if p in CONE_POINTS:
         return GOLDEN_L.vertices[0]
-    for wall in WALLS:
-        if wall.vertical:
-            on_wall = p.x == wall.coord and wall.lo <= p.y <= wall.hi
-        else:
-            on_wall = p.y == wall.coord and wall.lo <= p.x <= wall.hi
-        if on_wall:
-            return p + wall.back
+    for ident in GOLDEN_L.identifications:
+        lo, hi = ident.target
+        if lo.x <= p.x <= hi.x and lo.y <= p.y <= hi.y:
+            return p - ident.translation
     return p
 
 
 def is_canonical(p: GoldenVector) -> bool:
     return canonicalize(p) == p
-
-
-@dataclass(frozen=True)
-class Crossing:
-    """One flow step: exit through a wall, re-enter at the glued twin."""
-
-    wall: str
-    exit_point: GoldenVector
-    reentry_point: GoldenVector
-
-
-@dataclass(frozen=True)
-class ConeHit:
-    """The flow ran into the cone point."""
-
-    point: GoldenVector
 
 
 def _check_direction(v: GoldenVector) -> None:
@@ -121,21 +72,6 @@ def _check_direction(v: GoldenVector) -> None:
 # Integer kernel. Pairs (a, b) are a + b*phi; points are 4-tuples
 # (xa, xb, ya, yb). All kernel lengths carry one fixed scale factor, chosen
 # in _kernel_setup so that every wall hit is integral.
-
-
-def _int_sign(a: int, b: int) -> int:
-    """Sign of a + b*phi, via 2*(a + b*phi) = (2a + b) + b*sqrt(5)."""
-    p = 2 * a + b
-    if p >= 0 and b >= 0:
-        return 1 if p or b else 0
-    if p <= 0 and b <= 0:
-        return -1
-    return 1 if (p * p > 5 * b * b) == (p > 0) else -1
-
-
-def _int_mul(a: int, b: int, c: int, d: int) -> tuple[int, int]:
-    bd = b * d
-    return a * c + bd, a * d + b * c + bd
 
 
 def _int_pair(x: GoldenNumber, scale: int) -> tuple[int, int]:
@@ -159,41 +95,38 @@ def _from_point(point: tuple[int, int, int, int], scale: int) -> GoldenVector:
     return GoldenVector(_from_pair(xa, xb, scale), _from_pair(ya, yb, scale))
 
 
-# Wall and cone tables at scale 2, the denominator of the start points.
-_WALLS2 = tuple(
-    (
-        wall.vertical,
-        _int_pair(wall.coord, 2),
-        _int_pair(wall.lo, 2),
-        _int_pair(wall.hi, 2),
-        _int_pair(wall.back.x, 2),
-        _int_pair(wall.back.y, 2),
-        wall.name,
-    )
-    for wall in WALLS
-)
-_CONES2 = tuple(_int_point(p, 2) for p in CONE_POINTS)
+def _wall_row(ident) -> tuple:
+    """An exit edge (the right or top target of a gluing) at scale 2, the
+    denominator of the start points: (vertical, coord, lo, hi, back_x, back_y)
+    with the translation back to the glued left or bottom twin."""
+    p, q = ident.target
+    vertical = p.x == q.x
+    coord, lo, hi = (p.x, p.y, q.y) if vertical else (p.y, p.x, q.x)
+    back = -ident.translation
+    return (vertical, *(_int_pair(x, 2) for x in (coord, lo, hi, back.x, back.y)))
 
 
-def _kernel_setup(p_scale: int, v: GoldenVector):
-    """Scale tables for a trace: point scale, direction pairs, wall rows, cones.
+_EXITS2 = tuple(_wall_row(ident) for ident in GOLDEN_L.identifications)
+_CORNERS2 = tuple(_int_point(p, 2) for p in CONE_POINTS)
 
-    The direction is cleared to integer pairs; points, walls, and cones are
-    scaled by p_scale times the lcm of the direction coordinate norms, which
-    makes every wall-hit division below come out exact. Wall rows carry their
-    span bounds premultiplied by the direction coordinate the span test
-    scales by.
+
+def _kernel_setup(v: GoldenVector):
+    """Scale tables for a trace: point scale, direction pairs, wall rows, corners.
+
+    The direction is cleared to integer pairs; points, walls, and corners are
+    scaled by 2 times the lcm of the direction coordinate norms, which makes
+    every wall-hit division below come out exact. The wall rows carry their span
+    bounds premultiplied by the direction coordinate the span test scales by.
     """
     den = lcm(v.x.a.denominator, v.x.b.denominator, v.y.a.denominator, v.y.b.denominator)
     vxa, vxb = int(v.x.a * den), int(v.x.b * den)
     vya, vyb = int(v.y.a * den), int(v.y.b * den)
     norm_x = vxa * vxa + vxa * vxb - vxb * vxb
     norm_y = vya * vya + vya * vyb - vyb * vyb
-    factor = p_scale * lcm(abs(norm_x) or 1, abs(norm_y) or 1) // 2
-    scale = 2 * factor
+    factor = lcm(abs(norm_x) or 1, abs(norm_y) or 1)
     has_x = bool(vxa or vxb)
     walls = []
-    for vertical, coord, lo, hi, back_x, back_y, name in _WALLS2:
+    for vertical, coord, lo, hi, back_x, back_y in _EXITS2:
         if vertical:
             if not has_x:
                 continue
@@ -206,17 +139,16 @@ def _kernel_setup(p_scale: int, v: GoldenVector):
             (
                 vertical,
                 (coord[0] * factor, coord[1] * factor),
-                _int_mul(lo[0] * factor, lo[1] * factor, span_va, span_vb),
-                _int_mul(hi[0] * factor, hi[1] * factor, span_va, span_vb),
+                golden_mul(lo[0] * factor, lo[1] * factor, span_va, span_vb),
+                golden_mul(hi[0] * factor, hi[1] * factor, span_va, span_vb),
                 (back_x[0] * factor, back_x[1] * factor),
                 (back_y[0] * factor, back_y[1] * factor),
-                name,
             )
         )
-    cones = tuple(
-        (xa * factor, xb * factor, ya * factor, yb * factor) for xa, xb, ya, yb in _CONES2
+    corners = frozenset(
+        (xa * factor, xb * factor, ya * factor, yb * factor) for xa, xb, ya, yb in _CORNERS2
     )
-    return scale, (vxa, vxb, vya, vyb), tuple(walls), cones, norm_x, norm_y, has_x
+    return 2 * factor, (vxa, vxb, vya, vyb), tuple(walls), corners, norm_x, norm_y, has_x
 
 
 def _exact_div(pair: tuple[int, int], n: int) -> tuple[int, int]:
@@ -227,59 +159,56 @@ def _exact_div(pair: tuple[int, int], n: int) -> tuple[int, int]:
     return qa, qb
 
 
-def _kernel_next(point, direction, walls, cones, norm_x, norm_y, has_x):
+def _kernel_next(point, direction, walls, norm_x, norm_y):
     """One flow step on integer coordinates.
 
-    Returns (hit, reentry, wall_name, cone): the first wall hit ahead, the
-    glued re-entry point, and the nearest cone representative on the half-open
-    segment (point, hit], or None. Wall corners are all cone representatives,
-    so a corner exit is caught by the cone scan; so are the flat vertices that
-    edge-collinear flow runs over.
+    Returns (hit, reentry): the first wall hit ahead and the glued re-entry
+    point.
     """
     pxa, pxb, pya, pyb = point
     vxa, vxb, vya, vyb = direction
     best = None
-    for vertical, coord, span_lo, span_hi, back_x, back_y, name in walls:
+    for vertical, coord, span_lo, span_hi, back_x, back_y in walls:
         if vertical:
             ra, rb = coord[0] - pxa, coord[1] - pxb
-            if _int_sign(ra, rb) <= 0:
+            if golden_sign(ra, rb) <= 0:
                 continue
             # Coordinate along the wall, scaled by v.x: p.y*v.x + reach*v.y.
-            sa, sb = _int_mul(pya, pyb, vxa, vxb)
-            ta, tb = _int_mul(ra, rb, vya, vyb)
+            sa, sb = golden_mul(pya, pyb, vxa, vxb)
+            ta, tb = golden_mul(ra, rb, vya, vyb)
             oa, ob = sa + ta, sb + tb
         else:
             ra, rb = coord[0] - pya, coord[1] - pyb
-            if _int_sign(ra, rb) <= 0:
+            if golden_sign(ra, rb) <= 0:
                 continue
-            sa, sb = _int_mul(pxa, pxb, vya, vyb)
-            ta, tb = _int_mul(ra, rb, vxa, vxb)
+            sa, sb = golden_mul(pxa, pxb, vya, vyb)
+            ta, tb = golden_mul(ra, rb, vxa, vxb)
             oa, ob = sa + ta, sb + tb
-        if _int_sign(oa - span_lo[0], ob - span_lo[1]) < 0:
+        if golden_sign(oa - span_lo[0], ob - span_lo[1]) < 0:
             continue
-        if _int_sign(span_hi[0] - oa, span_hi[1] - ob) < 0:
+        if golden_sign(span_hi[0] - oa, span_hi[1] - ob) < 0:
             continue
         if best is not None:
             # Compare hit times (reach / v-coordinate) across axes by
             # cross-multiplying; both denominators are positive.
             bra, brb, b_vertical = best[0], best[1], best[2]
             if vertical == b_vertical:
-                closer = _int_sign(bra - ra, brb - rb) > 0
+                closer = golden_sign(bra - ra, brb - rb) > 0
             else:
-                la, lb = _int_mul(ra, rb, *( (vya, vyb) if vertical else (vxa, vxb) ))
-                ma, mb = _int_mul(bra, brb, *( (vya, vyb) if b_vertical else (vxa, vxb) ))
-                closer = _int_sign(ma - la, mb - lb) > 0
+                la, lb = golden_mul(ra, rb, *( (vya, vyb) if vertical else (vxa, vxb) ))
+                ma, mb = golden_mul(bra, brb, *( (vya, vyb) if b_vertical else (vxa, vxb) ))
+                closer = golden_sign(ma - la, mb - lb) > 0
             if not closer:
                 continue
-        best = (ra, rb, vertical, coord, (oa, ob), back_x, back_y, name)
+        best = (ra, rb, vertical, coord, (oa, ob), back_x, back_y)
     if best is None:
         raise StructuralViolationError("no exit wall ahead of the flow")
-    _, _, vertical, coord, other, back_x, back_y, name = best
+    _, _, vertical, coord, other, back_x, back_y = best
     if vertical:
-        hit_y = _exact_div(_int_mul(other[0], other[1], vxa + vxb, -vxb), norm_x)
+        hit_y = _exact_div(golden_mul(other[0], other[1], vxa + vxb, -vxb), norm_x)
         hit = (coord[0], coord[1], hit_y[0], hit_y[1])
     else:
-        hit_x = _exact_div(_int_mul(other[0], other[1], vya + vyb, -vyb), norm_y)
+        hit_x = _exact_div(golden_mul(other[0], other[1], vya + vyb, -vyb), norm_y)
         hit = (hit_x[0], hit_x[1], coord[0], coord[1])
     reentry = (
         hit[0] + back_x[0],
@@ -287,60 +216,24 @@ def _kernel_next(point, direction, walls, cones, norm_x, norm_y, has_x):
         hit[2] + back_y[0],
         hit[3] + back_y[1],
     )
-    cone = _first_cone_on_segment(point, direction, hit, cones, has_x)
-    return hit, reentry, name, cone
+    return hit, reentry
 
 
-def _on_open_ray_before(point, direction, target, endpoint, has_x):
-    """Progress of target along the ray, if strictly after point and not past
-    endpoint; None otherwise. Progress is measured on the dominant axis."""
+def _strictly_inside(point, direction, target, endpoint, has_x) -> bool:
+    """Whether target lies on the ray strictly after point and not past
+    endpoint. Progress is measured on the dominant axis."""
     dxa, dxb = target[0] - point[0], target[1] - point[1]
     dya, dyb = target[2] - point[2], target[3] - point[3]
     vxa, vxb, vya, vyb = direction
-    ca, cb = _int_mul(dxa, dxb, vya, vyb)
-    ea, eb = _int_mul(dya, dyb, vxa, vxb)
-    if ca != ea or cb != eb:
-        return None
+    if golden_mul(dxa, dxb, vya, vyb) != golden_mul(dya, dyb, vxa, vxb):
+        return False
     if has_x:
         prog = (dxa, dxb)
         limit = (endpoint[0] - point[0], endpoint[1] - point[1])
     else:
         prog = (dya, dyb)
         limit = (endpoint[2] - point[2], endpoint[3] - point[3])
-    if _int_sign(prog[0], prog[1]) <= 0:
-        return None
-    if _int_sign(limit[0] - prog[0], limit[1] - prog[1]) < 0:
-        return None
-    return prog
-
-
-def _first_cone_on_segment(point, direction, endpoint, cones, has_x):
-    best = None
-    best_prog = None
-    for cone in cones:
-        prog = _on_open_ray_before(point, direction, cone, endpoint, has_x)
-        if prog is None:
-            continue
-        if best_prog is None or _int_sign(best_prog[0] - prog[0], best_prog[1] - prog[1]) > 0:
-            best, best_prog = cone, prog
-    return best
-
-
-def advance(p: GoldenVector, v: GoldenVector) -> Crossing | ConeHit:
-    """Flow from a canonical point to the next boundary crossing or cone hit."""
-    _check_direction(v)
-    if not point_in_surface(p):
-        raise ValueError(f"point lies outside the golden L: {p}")
-    if p in CONE_POINTS:
-        raise ValueError("flow cannot start at the cone point")
-    p_scale = lcm(2, p.x.a.denominator, p.x.b.denominator, p.y.a.denominator, p.y.b.denominator)
-    scale, direction, walls, cones, norm_x, norm_y, has_x = _kernel_setup(p_scale, v)
-    hit, reentry, name, cone = _kernel_next(
-        _int_point(p, scale), direction, walls, cones, norm_x, norm_y, has_x
-    )
-    if cone is not None:
-        return ConeHit(_from_point(cone, scale))
-    return Crossing(name, _from_point(hit, scale), _from_point(reentry, scale))
+    return golden_sign(*prog) > 0 and golden_sign(limit[0] - prog[0], limit[1] - prog[1]) >= 0
 
 
 class Outcome(Enum):
@@ -392,31 +285,29 @@ def trace_direction(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP) ->
     """
     _check_direction(v)
     start = weierstrass_point(label)
-    scale, direction, walls, cones, norm_x, norm_y, has_x = _kernel_setup(2, v)
+    scale, direction, walls, corners, norm_x, norm_y, has_x = _kernel_setup(v)
     start_point = _int_point(start, scale)
 
+    # The corner lookup of each wall hit is the whole cone test. A segment in
+    # an open first-quadrant direction has x and y strictly increasing, so it
+    # meets the boundary only at its wall hit; that holds at the reflex corner
+    # (phi, phi) too, where both adjacent walls report the same hit. Axis
+    # directions from the five midpoints run along an edge only for horizontal
+    # from 5 and vertical from 1, and both of those runs end at a corner.
     raw_segments: list[tuple[tuple[int, int, int, int], tuple[int, int, int, int]]] = []
     current = start_point
     outcome: Outcome | None = None
-    cone_end: tuple[int, int, int, int] | None = None
     for _ in range(cap):
-        hit, reentry, _, cone = _kernel_next(
-            current, direction, walls, cones, norm_x, norm_y, has_x
-        )
-        endpoint = hit if cone is None else cone
-        if raw_segments and _on_open_ray_before(
-            current, direction, start_point, endpoint, has_x
-        ) is not None:
+        hit, reentry = _kernel_next(current, direction, walls, norm_x, norm_y)
+        if raw_segments and _strictly_inside(current, direction, start_point, hit, has_x):
             # The orbit returned to its start strictly inside this segment.
             raw_segments.append((current, start_point))
             outcome = Outcome.CLOSED
             break
-        if cone is not None:
-            raw_segments.append((current, cone))
-            outcome = Outcome.HIT_CONE_POINT
-            cone_end = cone
-            break
         raw_segments.append((current, hit))
+        if hit in corners:
+            outcome = Outcome.HIT_CONE_POINT
+            break
         if reentry == start_point:
             outcome = Outcome.CLOSED
             break
@@ -442,7 +333,7 @@ def trace_direction(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP) ->
         segments=segments,
         outcome=outcome,
         holonomy=_from_point(h, scale),
-        cone_point=None if cone_end is None else _from_point(cone_end, scale),
+        cone_point=segments[-1][1] if outcome is Outcome.HIT_CONE_POINT else None,
     )
 
 

@@ -11,10 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import CapExceededError
 from .field import GoldenVector
 from .flow import Outcome, Trajectory
 from .surface import GOLDEN_L, pentagon_transfer, weierstrass_point
-from .words import Word, word_to_vector
+from .words import Word, format_word, word_to_vector
 
 GOLDEN_L_FRAME = "goldenl"
 PENTAGON_FRAME = "pentagon"
@@ -110,7 +111,7 @@ def transported_side_events(trajectory: Trajectory) -> int:
             w = a - begin
             t = w.cross(cut) * inv
             s = w.cross(seg) * inv
-            # Crossing strictly inside both segments: t(1-t) > 0 and s(1-s) > 0.
+            # Intersection strictly inside both segments: t(1-t) > 0 and s(1-s) > 0.
             if (t - t * t).sign() > 0 and (s - s * s).sign() > 0:
                 events += 1
     side_translations = {
@@ -327,8 +328,17 @@ def pentagon_svg(
     stroke: float = DEFAULT_STROKE,
     max_bounces: int = DEFAULT_MAX_BOUNCES,
 ) -> str:
-    """Draw the pentagon billiard orbit for a word from one labeled midpoint."""
+    """Draw the pentagon billiard orbit for a word from one labeled midpoint.
+
+    A float billiard that neither closes nor meets a corner within
+    `max_bounces` is refused with CapExceededError rather than drawn.
+    """
     path = billiard_path(label, pentagon_direction(word), max_bounces)
+    if path.outcome == "capped":
+        raise CapExceededError(
+            f"pentagon billiard for word {format_word(word)} from midpoint {label} "
+            f"did not close within {max_bounces} bounces"
+        )
     margin = 0.06 * size
     scale = (size - 2.0 * margin) / (2.0 * _CIRCUMRADIUS)
 

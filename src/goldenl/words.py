@@ -55,11 +55,11 @@ def vector_to_word(v: GoldenVector, cap: int = DEFAULT_INVERSION_CAP) -> Word:
     Greedy cone peeling: while the direction is not horizontal, find its sector
     k and pull back by sigma_k inverse. Letters come out last-first, so the
     collected sequence is reversed at the end. Vertical input has no word and
-    raises VerticalDirectionError; the cap guards against a non-terminating
-    peel, which no valid Q[phi] input produces.
+    raises VerticalDirectionError. The cap is the largest number of letters
+    allowed; a direction that needs more raises CapExceededError.
     """
     reversed_letters: list[int] = []
-    for _ in range(cap):
+    while True:
         k = sector_of(v)
         if k is Axis.HORIZONTAL:
             return tuple(reversed(reversed_letters))
@@ -67,9 +67,10 @@ def vector_to_word(v: GoldenVector, cap: int = DEFAULT_INVERSION_CAP) -> Word:
             raise VerticalDirectionError(
                 "vertical direction has no word; classify it via the y = x relabeling"
             )
+        if len(reversed_letters) >= cap:
+            raise CapExceededError(f"direction needs a word longer than {cap} letters")
         reversed_letters.append(k)
         v = SIGMA_INVERSE[k].apply(v)
-    raise CapExceededError(f"direction did not reduce to horizontal within {cap} steps")
 
 
 def derive_once(word: Word) -> Word:

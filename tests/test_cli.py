@@ -88,6 +88,13 @@ def test_vec2word(capsys):
     assert (code, out.strip()) == (0, "e")
     payload = run_json(capsys, "vec2word", "3", "2", "2", "4", "--format", "json")
     assert payload["word"] == "132"
+    # The cap is the largest number of letters allowed.
+    code, out, _ = run_cli(capsys, "vec2word", "3", "2", "2", "4", "--cap", "3")
+    assert (code, out.strip()) == (0, "132")
+    code, _, err = run_cli(capsys, "vec2word", "3", "2", "2", "4", "--cap", "2")
+    assert code == 3 and "2 letters" in err
+    code, out, _ = run_cli(capsys, "vec2word", "1", "0", "0", "0", "--cap", "0")
+    assert (code, out.strip()) == (0, "e")
 
 
 def test_vec2word_errors(capsys):
@@ -144,6 +151,18 @@ def test_render(capsys, tmp_path):
         svg = out_path.read_text()
         assert payload["segments"] == svg.count('<line class="trajectory"')
         assert payload["frame"] == frame
+
+
+def test_render_pentagon_capped(capsys, tmp_path):
+    # The exact orbit closes after 2,356 segments; the float billiard drifts
+    # past the bounce cap, so the picture is refused rather than drawn wrong.
+    out_path = tmp_path / "capped.svg"
+    code, _, err = run_cli(
+        capsys, "render", "02211112", "1", "--frame", "pentagon", "--out", str(out_path)
+    )
+    assert code == 3
+    assert "02211112" in err and "midpoint 1" in err and "20000" in err
+    assert not out_path.exists()
 
 
 def test_render_bad_path(capsys, tmp_path):

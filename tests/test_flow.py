@@ -20,12 +20,10 @@ from goldenl import (
     weierstrass_point,
     word_to_vector,
 )
+from goldenl.surface import CONE_POINTS, GOLDEN_L, WEIERSTRASS_LABELS
 from goldenl.classify import Classification
 from goldenl.field import PHI
 from goldenl.flow import (
-    ConeHit,
-    Crossing,
-    advance,
     canonicalize,
     is_canonical,
     oracle_classify_direction,
@@ -55,35 +53,42 @@ def test_canonicalize():
 
 
 def test_advance_hits_cone():
-    step = advance(weierstrass_point(5), HORIZONTAL)
-    assert isinstance(step, ConeHit)
-    assert step.point == gv(1, 1, 0, 0)
+    # The first step from midpoint 5 runs along the bottom edge into a corner.
+    t = trace_direction(5, HORIZONTAL)
+    assert t.outcome is Outcome.HIT_CONE_POINT
+    assert t.segments == ((weierstrass_point(5), gv(1, 1, 0, 0)),)
+    assert t.cone_point == gv(1, 1, 0, 0)
 
 
 def test_advance_crosses_wall():
-    step = advance(weierstrass_point(3), HORIZONTAL)
-    assert isinstance(step, Crossing)
-    assert step.wall == "b"
-    assert step.exit_point == gv(1, 1, 0, Fraction(1, 2))
-    assert step.reentry_point == gv(0, 0, 0, Fraction(1, 2))
+    # The first step from midpoint 3 exits through wall b and re-enters at its twin.
+    t = trace_direction(3, HORIZONTAL)
+    (first_begin, exit_point), (reentry_point, _) = t.segments[:2]
+    assert first_begin == weierstrass_point(3)
+    assert exit_point == gv(1, 1, 0, Fraction(1, 2))
+    assert reentry_point == gv(0, 0, 0, Fraction(1, 2))
+    wall_b = {ident.name: ident for ident in GOLDEN_L.identifications}["b"]
+    assert exit_point - reentry_point == wall_b.translation
 
 
 def test_advance_closes_immediately():
+    # From midpoint 1 the first exit re-enters at the start itself.
     start = weierstrass_point(1)
-    step = advance(start, HORIZONTAL)
-    assert isinstance(step, Crossing)
-    assert step.reentry_point == start
+    t = trace_direction(1, HORIZONTAL)
+    assert t.outcome is Outcome.CLOSED
+    assert t.segment_count == 1
+    assert canonicalize(t.segments[0][1]) == start
 
 
 def test_advance_rejects_bad_input():
     with pytest.raises(ValueError):
-        advance(weierstrass_point(1), GoldenVector(GoldenNumber(0), GoldenNumber(0)))
+        trace_direction(1, GoldenVector(GoldenNumber(0), GoldenNumber(0)))
     with pytest.raises(ValueError):
-        advance(weierstrass_point(1), GoldenVector(GoldenNumber(-1), GoldenNumber(1)))
+        trace_direction(1, GoldenVector(GoldenNumber(-1), GoldenNumber(1)))
     with pytest.raises(ValueError):
-        advance(gv(0, 1, 0, 0), HORIZONTAL)  # cone point
+        trace_direction(0, HORIZONTAL)  # no such midpoint
     with pytest.raises(ValueError):
-        advance(gv(5, 5, 5, 5), HORIZONTAL)  # outside
+        trace(6, (2, 1))
 
 
 def test_horizontal_traces():
@@ -209,3 +214,31 @@ def test_trace_direction_scales_with_input():
     b = trace_direction(4, doubled)
     assert a.segments == b.segments
     assert a.holonomy == b.holonomy
+
+
+def _cone_on_segment_before_end(begin, end):
+    """The exhaustive cone rule, in exact vector arithmetic: whether any cone
+    representative lies on the segment from begin up to, not including, end."""
+    step = end - begin
+    length = step.dot(step)
+    for cone in CONE_POINTS:
+        offset = cone - begin
+        if not offset.cross(step).is_zero:
+            continue
+        along = offset.dot(step)
+        if along.sign() >= 0 and (length - along).sign() > 0:
+            return True
+    return False
+
+
+def test_corner_lookup_matches_exhaustive_cone_scan():
+    directions = [word_to_vector(word) for n in range(1, 4) for word in product((0, 1, 2, 3), repeat=n)]
+    directions += [HORIZONTAL, VERTICAL]
+    for v in directions:
+        for label in WEIERSTRASS_LABELS:
+            t = trace_direction(label, v)
+            for begin, end in t.segments:
+                assert not _cone_on_segment_before_end(begin, end), (label, v, begin, end)
+            final = t.segments[-1][1]
+            assert (final in CONE_POINTS) == (t.outcome is Outcome.HIT_CONE_POINT), (label, v)
+            assert t.cone_point == (final if t.outcome is Outcome.HIT_CONE_POINT else None)

@@ -98,6 +98,13 @@ def test_inversion_cap():
     v = word_to_vector((1, 2, 3))
     with pytest.raises(CapExceededError):
         vector_to_word(v, cap=2)
+    # The cap is the largest number of letters allowed.
+    assert vector_to_word(word_to_vector(()), cap=0) == ()
+    for word in ((1, 3, 2), (2, 1), (3,), (1, 2, 3), (2, 0, 3, 1, 1, 2)):
+        v = word_to_vector(word)
+        assert vector_to_word(v, cap=len(word)) == word
+        with pytest.raises(CapExceededError):
+            vector_to_word(v, cap=len(word) - 1)
 
 
 def test_reduce_worked_example():
