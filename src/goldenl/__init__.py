@@ -32,7 +32,6 @@ from .flow import (
     Trajectory,
     canonicalize,
     oracle_classify,
-    oracle_classify_direction,
     oracle_report,
     trace,
     trace_direction,
@@ -116,7 +115,6 @@ __all__ = [
     "is_base_word",
     "monte_carlo_empty_rate",
     "oracle_classify",
-    "oracle_classify_direction",
     "oracle_report",
     "parse_word",
     "pentagon_direction",

@@ -46,27 +46,24 @@ def _env_format() -> str:
     return value
 
 
-def _env_cap() -> int | None:
-    value = os.environ.get("GOLDENL_CAP")
-    if value is None:
-        return None
-    return int(value)
-
-
-def _cap_or(args: argparse.Namespace, default: int) -> int:
-    if args.cap is not None:
-        return args.cap
-    env = _env_cap()
-    if env is not None:
-        return env
-    return default
+def _cap_or(args: argparse.Namespace, default: int | None) -> int | None:
+    """The --cap flag, else GOLDENL_CAP, else default; a negative cap is an input error."""
+    cap = args.cap
+    if cap is None:
+        value = os.environ.get("GOLDENL_CAP")
+        if value is None:
+            return default
+        cap = int(value)
+    if cap < 0:
+        raise ValueError(f"cap must be nonnegative, got {cap}")
+    return cap
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default=None, help="output format")
-    common.add_argument("--cap", type=int, default=None, help="iteration/step cap override")
-    common.add_argument("--seed", type=int, default=0, help="RNG seed for sampling commands")
+    capped = argparse.ArgumentParser(add_help=False, parents=[common])
+    capped.add_argument("--cap", type=int, default=None, help="iteration/step cap override")
 
     parser = argparse.ArgumentParser(
         prog="goldenl",
@@ -81,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("word2vec", parents=[common], help="direction vector of a word")
     p.add_argument("word")
 
-    p = sub.add_parser("vec2word", parents=[common], help="word of an exact direction vector")
+    p = sub.add_parser("vec2word", parents=[capped], help="word of an exact direction vector")
     p.add_argument("xa", help="rational part of x")
     p.add_argument("xb", help="phi coefficient of x")
     p.add_argument("ya", help="rational part of y")
@@ -90,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", parents=[common], help="base word of a word")
     p.add_argument("word")
 
-    p = sub.add_parser("simulate", parents=[common], help="exact flow from a midpoint")
+    p = sub.add_parser("simulate", parents=[capped], help="exact flow from a midpoint")
     p.add_argument("word")
     p.add_argument("midpoint", nargs="?", type=int, default=None)
     p.add_argument(
@@ -99,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="flow all five midpoints and report verdicts instead of one trajectory",
     )
 
-    p = sub.add_parser("render", parents=[common], help="write an SVG of a trajectory")
+    p = sub.add_parser("render", parents=[capped], help="write an SVG of a trajectory")
     p.add_argument("word")
     p.add_argument("midpoint", type=int)
     p.add_argument("--frame", choices=render.FRAMES, default=render.GOLDEN_L_FRAME)
@@ -107,10 +104,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=render.DEFAULT_SIZE)
     p.add_argument("--stroke", type=float, default=render.DEFAULT_STROKE)
 
-    p = sub.add_parser("stats", parents=[common], help="base-word reduction statistics")
+    p = sub.add_parser("stats", parents=[capped], help="base-word reduction statistics")
     p.add_argument("--max-n", type=int, required=True, help="table covers lengths m = 0, 2, ..., 2n")
     p.add_argument("--mode", choices=("exact", "brute", "mc"), default="exact")
     p.add_argument("--samples", type=int, default=100_000, help="Monte Carlo sample count per row")
+    p.add_argument("--seed", type=int, default=0, help="Monte Carlo RNG seed")
 
     sub.add_parser("surface", parents=[common], help="JSON description of the golden L")
 
@@ -261,7 +259,7 @@ def _cmd_render(args: argparse.Namespace, fmt: str) -> int:
         frame=args.frame,
         size=args.size,
         stroke=args.stroke,
-        cap=args.cap if args.cap is not None else _env_cap(),
+        cap=_cap_or(args, None),
     )
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(svg)
@@ -285,6 +283,7 @@ def _cmd_render(args: argparse.Namespace, fmt: str) -> int:
 def _cmd_stats(args: argparse.Namespace, fmt: str) -> int:
     if args.max_n < 0:
         raise ValueError(f"--max-n must be nonnegative, got {args.max_n}")
+    limit = _cap_or(args, stats.DEFAULT_ENUMERATION_LIMIT)
     lengths = [2 * n for n in range(args.max_n + 1)]
     rows: list[dict] = []
     if args.mode == "mc":
@@ -303,7 +302,6 @@ def _cmd_stats(args: argparse.Namespace, fmt: str) -> int:
         to_csv = lambda r: f"{r['m']},{r['samples']},{r['estimate']:.8f},{r['stderr']:.8f},{r['seed']}"
         to_text = lambda r: f"m={r['m']:>3}  estimate={r['estimate']:.6f}  stderr={r['stderr']:.6f}"
     else:
-        limit = _cap_or(args, stats.DEFAULT_ENUMERATION_LIMIT)
         for m in lengths:
             profile = (
                 stats.exact_profile(m)

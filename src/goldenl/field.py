@@ -290,9 +290,3 @@ class GoldenMatrix:
 
     def rows(self) -> tuple[tuple[GoldenNumber, GoldenNumber], tuple[GoldenNumber, GoldenNumber]]:
         return ((self.a, self.b), (self.c, self.d))
-
-    def to_float_rows(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        return (
-            (self.a.to_float(), self.b.to_float()),
-            (self.c.to_float(), self.d.to_float()),
-        )

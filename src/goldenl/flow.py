@@ -6,6 +6,12 @@ glued left or bottom edge. All intersections, comparisons, and closure checks
 are exact; a trajectory ends either by returning to its start point or by
 running into the cone point.
 
+Each step is decided by rule, not by search. The exit is the first wall
+ahead whose span holds the crossing. The orbit closes strictly inside a
+segment exactly when a later step hits the first wall hit again; a start on a
+glued edge comes back as a re-entry point one step earlier. _kernel_next and
+trace_direction give the reasons.
+
 The only divisions the flow ever performs are by the direction coordinates,
 so once the start point is scaled to integer Z[phi] coordinates every wall
 hit stays integral after a further scaling by the coordinate norms. The
@@ -56,10 +62,6 @@ def canonicalize(p: GoldenVector) -> GoldenVector:
         if lo.x <= p.x <= hi.x and lo.y <= p.y <= hi.y:
             return p - ident.translation
     return p
-
-
-def is_canonical(p: GoldenVector) -> bool:
-    return canonicalize(p) == p
 
 
 def _check_direction(v: GoldenVector) -> None:
@@ -124,17 +126,11 @@ def _kernel_setup(v: GoldenVector):
     norm_x = vxa * vxa + vxa * vxb - vxb * vxb
     norm_y = vya * vya + vya * vyb - vyb * vyb
     factor = lcm(abs(norm_x) or 1, abs(norm_y) or 1)
-    has_x = bool(vxa or vxb)
     walls = []
     for vertical, coord, lo, hi, back_x, back_y in _EXITS2:
-        if vertical:
-            if not has_x:
-                continue
-            span_va, span_vb = vxa, vxb
-        else:
-            if not (vya or vyb):
-                continue
-            span_va, span_vb = vya, vyb
+        span_va, span_vb = (vxa, vxb) if vertical else (vya, vyb)
+        if not (span_va or span_vb):
+            continue
         walls.append(
             (
                 vertical,
@@ -148,7 +144,7 @@ def _kernel_setup(v: GoldenVector):
     corners = frozenset(
         (xa * factor, xb * factor, ya * factor, yb * factor) for xa, xb, ya, yb in _CORNERS2
     )
-    return 2 * factor, (vxa, vxb, vya, vyb), tuple(walls), corners, norm_x, norm_y, has_x
+    return 2 * factor, (vxa, vxb, vya, vyb), tuple(walls), corners, norm_x, norm_y
 
 
 def _exact_div(pair: tuple[int, int], n: int) -> tuple[int, int]:
@@ -164,10 +160,21 @@ def _kernel_next(point, direction, walls, norm_x, norm_y):
 
     Returns (hit, reentry): the first wall hit ahead and the glued re-entry
     point.
+
+    The first wall that lies ahead and whose span holds the crossing is the
+    exit; no hit times are compared. The L is a closed staircase, a down-set of
+    the first quadrant, so the segment from a point of the L to any hit on a
+    right or top edge stays in the L, and a ray whose coordinates never
+    decrease cannot come back once it has left through such an edge. Two walls
+    can therefore both hold the crossing only at a shared endpoint, (phi, phi),
+    (phi^2, phi) or (phi, phi^2); all three are cone points, both walls give
+    the same hit there, and the trace ends. The one exception would be an axis
+    ray along the line x = phi or y = phi, which spans two walls of its axis;
+    no trace runs there, because an axis flow keeps its cross coordinate and
+    the midpoints' coordinates are 0, phi/2 and phi + 1/2.
     """
     pxa, pxb, pya, pyb = point
     vxa, vxb, vya, vyb = direction
-    best = None
     for vertical, coord, span_lo, span_hi, back_x, back_y in walls:
         if vertical:
             ra, rb = coord[0] - pxa, coord[1] - pxb
@@ -176,64 +183,31 @@ def _kernel_next(point, direction, walls, norm_x, norm_y):
             # Coordinate along the wall, scaled by v.x: p.y*v.x + reach*v.y.
             sa, sb = golden_mul(pya, pyb, vxa, vxb)
             ta, tb = golden_mul(ra, rb, vya, vyb)
-            oa, ob = sa + ta, sb + tb
         else:
             ra, rb = coord[0] - pya, coord[1] - pyb
             if golden_sign(ra, rb) <= 0:
                 continue
             sa, sb = golden_mul(pxa, pxb, vya, vyb)
             ta, tb = golden_mul(ra, rb, vxa, vxb)
-            oa, ob = sa + ta, sb + tb
+        oa, ob = sa + ta, sb + tb
         if golden_sign(oa - span_lo[0], ob - span_lo[1]) < 0:
             continue
         if golden_sign(span_hi[0] - oa, span_hi[1] - ob) < 0:
             continue
-        if best is not None:
-            # Compare hit times (reach / v-coordinate) across axes by
-            # cross-multiplying; both denominators are positive.
-            bra, brb, b_vertical = best[0], best[1], best[2]
-            if vertical == b_vertical:
-                closer = golden_sign(bra - ra, brb - rb) > 0
-            else:
-                la, lb = golden_mul(ra, rb, *( (vya, vyb) if vertical else (vxa, vxb) ))
-                ma, mb = golden_mul(bra, brb, *( (vya, vyb) if b_vertical else (vxa, vxb) ))
-                closer = golden_sign(ma - la, mb - lb) > 0
-            if not closer:
-                continue
-        best = (ra, rb, vertical, coord, (oa, ob), back_x, back_y)
-    if best is None:
-        raise StructuralViolationError("no exit wall ahead of the flow")
-    _, _, vertical, coord, other, back_x, back_y = best
-    if vertical:
-        hit_y = _exact_div(golden_mul(other[0], other[1], vxa + vxb, -vxb), norm_x)
-        hit = (coord[0], coord[1], hit_y[0], hit_y[1])
-    else:
-        hit_x = _exact_div(golden_mul(other[0], other[1], vya + vyb, -vyb), norm_y)
-        hit = (hit_x[0], hit_x[1], coord[0], coord[1])
-    reentry = (
-        hit[0] + back_x[0],
-        hit[1] + back_x[1],
-        hit[2] + back_y[0],
-        hit[3] + back_y[1],
-    )
-    return hit, reentry
-
-
-def _strictly_inside(point, direction, target, endpoint, has_x) -> bool:
-    """Whether target lies on the ray strictly after point and not past
-    endpoint. Progress is measured on the dominant axis."""
-    dxa, dxb = target[0] - point[0], target[1] - point[1]
-    dya, dyb = target[2] - point[2], target[3] - point[3]
-    vxa, vxb, vya, vyb = direction
-    if golden_mul(dxa, dxb, vya, vyb) != golden_mul(dya, dyb, vxa, vxb):
-        return False
-    if has_x:
-        prog = (dxa, dxb)
-        limit = (endpoint[0] - point[0], endpoint[1] - point[1])
-    else:
-        prog = (dya, dyb)
-        limit = (endpoint[2] - point[2], endpoint[3] - point[3])
-    return golden_sign(*prog) > 0 and golden_sign(limit[0] - prog[0], limit[1] - prog[1]) >= 0
+        if vertical:
+            hit_y = _exact_div(golden_mul(oa, ob, vxa + vxb, -vxb), norm_x)
+            hit = (coord[0], coord[1], hit_y[0], hit_y[1])
+        else:
+            hit_x = _exact_div(golden_mul(oa, ob, vya + vyb, -vyb), norm_y)
+            hit = (hit_x[0], hit_x[1], coord[0], coord[1])
+        reentry = (
+            hit[0] + back_x[0],
+            hit[1] + back_x[1],
+            hit[2] + back_y[0],
+            hit[3] + back_y[1],
+        )
+        return hit, reentry
+    raise StructuralViolationError("no exit wall ahead of the flow")
 
 
 class Outcome(Enum):
@@ -285,7 +259,7 @@ def trace_direction(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP) ->
     """
     _check_direction(v)
     start = weierstrass_point(label)
-    scale, direction, walls, corners, norm_x, norm_y, has_x = _kernel_setup(v)
+    scale, direction, walls, corners, norm_x, norm_y = _kernel_setup(v)
     start_point = _int_point(start, scale)
 
     # The corner lookup of each wall hit is the whole cone test. A segment in
@@ -299,8 +273,12 @@ def trace_direction(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP) ->
     outcome: Outcome | None = None
     for _ in range(cap):
         hit, reentry = _kernel_next(current, direction, walls, norm_x, norm_y)
-        if raw_segments and _strictly_inside(current, direction, start_point, hit, has_x):
-            # The orbit returned to its start strictly inside this segment.
+        if raw_segments and hit == raw_segments[0][1]:
+            # The flow is invertible off the cone point, and the run from the
+            # start to its first hit crosses no wall, so a later step reaches
+            # that hit again exactly when it passes through the start strictly
+            # inside. A start on a glued edge is met one step earlier, as the
+            # re-entry point below.
             raw_segments.append((current, start_point))
             outcome = Outcome.CLOSED
             break
@@ -353,11 +331,6 @@ class OracleReport:
     saddle_label: int
 
 
-def _holonomy_magnitude(trajectory: Trajectory, vertical: bool) -> GoldenNumber:
-    h = trajectory.holonomy
-    return h.y if vertical else h.x
-
-
 def oracle_report_direction(v: GoldenVector, cap: int = DEFAULT_STEP_CAP) -> OracleReport:
     """Classify every midpoint by flowing it, checking the cylinder structure.
 
@@ -366,41 +339,38 @@ def oracle_report_direction(v: GoldenVector, cap: int = DEFAULT_STEP_CAP) -> Ora
     exactly two magnitudes with ratio phi. Anything else is a structural
     violation of the simulator or the geometry tables, never bad input.
     """
-    _check_direction(v)
     trajectories = {label: trace_direction(label, v, cap) for label in WEIERSTRASS_LABELS}
     saddles = [l for l, t in trajectories.items() if t.outcome is Outcome.HIT_CONE_POINT]
-    closed = [l for l, t in trajectories.items() if t.outcome is Outcome.CLOSED]
-    if len(saddles) != 1 or len(closed) != 4:
+    holonomies = {l: t.holonomy for l, t in trajectories.items() if t.outcome is Outcome.CLOSED}
+    if len(saddles) != 1 or len(holonomies) != 4:
         raise StructuralViolationError(
-            f"expected 4 closed orbits and 1 cone hit, got {len(closed)} and {len(saddles)}"
+            f"expected 4 closed orbits and 1 cone hit, got {len(holonomies)} and {len(saddles)}"
         )
     vertical = v.x.is_zero
-    for label in closed:
-        if not trajectories[label].holonomy.cross(v).is_zero:
+    sizes = {}
+    for label, h in holonomies.items():
+        if not h.cross(v).is_zero:
             raise StructuralViolationError(f"holonomy of midpoint {label} is not parallel to {v}")
-    magnitudes = sorted({_holonomy_magnitude(trajectories[l], vertical) for l in closed})
+        sizes[label] = h.y if vertical else h.x
+    magnitudes = sorted(set(sizes.values()))
     if len(magnitudes) != 2:
         raise StructuralViolationError(f"expected exactly 2 holonomy magnitudes, got {magnitudes}")
     small, large = magnitudes
     if large != small * PHI:
         raise StructuralViolationError(f"cylinder holonomies {small}, {large} are not in ratio phi")
-    verdicts: dict[int, Classification] = {saddles[0]: Classification.SADDLE_CONNECTION}
-    short_labels = [l for l in closed if _holonomy_magnitude(trajectories[l], vertical) == small]
+    short_labels = [l for l, size in sizes.items() if size == small]
     if len(short_labels) != 2:
         raise StructuralViolationError("holonomy magnitudes do not split two and two")
-    for label in closed:
-        is_short = label in short_labels
-        verdicts[label] = Classification.SHORT if is_short else Classification.LONG
-    short_example = trajectories[short_labels[0]].holonomy
-    long_example = next(
-        trajectories[l].holonomy for l in closed if l not in short_labels
-    )
+    verdicts: dict[int, Classification] = {saddles[0]: Classification.SADDLE_CONNECTION}
+    for label in holonomies:
+        verdicts[label] = Classification.SHORT if label in short_labels else Classification.LONG
+    long_label = next(l for l in holonomies if l not in short_labels)
     return OracleReport(
         direction=v,
         trajectories=trajectories,
         verdicts=verdicts,
-        short_holonomy=short_example,
-        long_holonomy=long_example,
+        short_holonomy=holonomies[short_labels[0]],
+        long_holonomy=holonomies[long_label],
         saddle_label=saddles[0],
     )
 
@@ -414,8 +384,11 @@ def oracle_classify(word: Word, cap: int = DEFAULT_STEP_CAP) -> dict[int, Classi
     return oracle_report(word, cap).verdicts
 
 
-def oracle_classify_direction(v: GoldenVector, cap: int = DEFAULT_STEP_CAP) -> dict[int, Classification]:
-    return oracle_report_direction(v, cap).verdicts
+_GLUING_JUMPS = frozenset(
+    jump
+    for ident in GOLDEN_L.identifications
+    for jump in ((ident.translation.x, ident.translation.y), (-ident.translation.x, -ident.translation.y))
+)
 
 
 def validate_trajectory_structure(trajectory: Trajectory) -> None:
@@ -427,10 +400,6 @@ def validate_trajectory_structure(trajectory: Trajectory) -> None:
     (reversed segment order and orientation, negated translations).
     """
     v = trajectory.direction
-    allowed = set()
-    for ident in GOLDEN_L.identifications:
-        allowed.add((ident.translation.x, ident.translation.y))
-        allowed.add((-ident.translation.x, -ident.translation.y))
     for begin, end in trajectory.segments:
         step = end - begin
         if step.is_zero or not step.cross(v).is_zero:
@@ -439,7 +408,7 @@ def validate_trajectory_structure(trajectory: Trajectory) -> None:
             raise StructuralViolationError(f"segment {begin} -> {end} runs against {v}")
     for (_, end), (next_begin, _) in zip(trajectory.segments, trajectory.segments[1:]):
         jump = next_begin - end
-        if (jump.x, jump.y) not in allowed:
+        if (jump.x, jump.y) not in _GLUING_JUMPS:
             raise StructuralViolationError(f"segments jump by {jump}, not a gluing translation")
     final = trajectory.segments[-1][1]
     if trajectory.outcome is Outcome.CLOSED:

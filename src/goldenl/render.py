@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import CapExceededError
 from .field import GoldenVector
-from .flow import Outcome, Trajectory
+from .flow import DEFAULT_STEP_CAP, Outcome, Trajectory, trace
 from .surface import GOLDEN_L, pentagon_transfer, weierstrass_point
 from .words import Word, format_word, word_to_vector
 
@@ -67,8 +67,8 @@ def pentagon_length(h: GoldenVector) -> float:
 
 
 def _split_inscribed_edges():
-    """Inscribed pentagon edges: interior cuts, and the wall translations of
-    the two edges that lie on the golden L boundary."""
+    """Inscribed pentagon edges: interior cuts, and the jumps, either way, across
+    the gluing walls of the two edges that lie on the golden L boundary."""
     ring = GOLDEN_L.inscribed_pentagon
     cuts = []
     boundary_edges = []
@@ -78,15 +78,16 @@ def _split_inscribed_edges():
             boundary_edges.append({a, b})
         else:
             cuts.append((a, b))
-    translations = tuple(
-        ident.translation
+    jumps = frozenset(
+        jump
         for ident in GOLDEN_L.identifications
         if {ident.source[0], ident.source[1]} in boundary_edges
+        for jump in ((ident.translation.x, ident.translation.y), (-ident.translation.x, -ident.translation.y))
     )
-    return tuple(cuts), translations
+    return tuple(cuts), jumps
 
 
-_INTERIOR_CUTS, _SIDE_WALL_TRANSLATIONS = _split_inscribed_edges()
+_INTERIOR_CUTS, _SIDE_JUMPS = _split_inscribed_edges()
 
 
 def transported_side_events(trajectory: Trajectory) -> int:
@@ -103,20 +104,13 @@ def transported_side_events(trajectory: Trajectory) -> int:
     for begin, end in trajectory.segments:
         seg = end - begin
         for a, b in _INTERIOR_CUTS:
-            cut = b - a
-            denom = seg.cross(cut)
-            if denom.is_zero:
+            # A proper crossing strictly inside both segments: each segment's
+            # endpoints lie strictly on opposite sides of the other's line.
+            if seg.cross(a - begin).sign() * seg.cross(b - begin).sign() >= 0:
                 continue
-            inv = denom.inverse()
-            w = a - begin
-            t = w.cross(cut) * inv
-            s = w.cross(seg) * inv
-            # Intersection strictly inside both segments: t(1-t) > 0 and s(1-s) > 0.
-            if (t - t * t).sign() > 0 and (s - s * s).sign() > 0:
+            cut = b - a
+            if cut.cross(begin - a).sign() * cut.cross(end - a).sign() < 0:
                 events += 1
-    side_translations = {
-        (tr.x, tr.y) for tr in _SIDE_WALL_TRANSLATIONS
-    } | {(-tr.x, -tr.y) for tr in _SIDE_WALL_TRANSLATIONS}
     segments = trajectory.segments
     joints = list(zip(segments, segments[1:]))
     closes_mid = segments[-1][1] == trajectory.start
@@ -127,7 +121,7 @@ def transported_side_events(trajectory: Trajectory) -> int:
         joints.append((segments[-1], segments[0]))
     for (_, end), (next_begin, _) in joints:
         jump = next_begin - end
-        if (jump.x, jump.y) in side_translations:
+        if (jump.x, jump.y) in _SIDE_JUMPS:
             events += 1
     return events
 
@@ -157,13 +151,11 @@ def billiard_path(
     label: int,
     direction: tuple[float, float],
     max_bounces: int = DEFAULT_MAX_BOUNCES,
-    corner_tolerance: float = CORNER_TOLERANCE,
-    close_tolerance: float = CLOSE_TOLERANCE,
 ) -> BilliardPath:
     """Reflect a ray around the pentagon until it closes or meets a corner.
 
     Closure means passing through the start point with the starting direction,
-    either inside a segment or at a bounce; corners within `corner_tolerance`
+    either inside a segment or at a bounce; corners within CORNER_TOLERANCE
     end the path as a saddle hit.
     """
     if label not in PENTAGON_MIDPOINTS:
@@ -188,24 +180,24 @@ def billiard_path(
         q = (p[0] + t * d[0], p[1] + t * d[1])
         # Closure strictly inside the segment, with the original direction.
         along = (start[0] - p[0]) * d[0] + (start[1] - p[1]) * d[1]
-        if close_tolerance < along < t - close_tolerance and _close(d, d0, close_tolerance):
+        if CLOSE_TOLERANCE < along < t - CLOSE_TOLERANCE and _close(d, d0, CLOSE_TOLERANCE):
             off = math.hypot(
                 start[0] - (p[0] + along * d[0]), start[1] - (p[1] + along * d[1])
             )
-            if off < close_tolerance:
+            if off < CLOSE_TOLERANCE:
                 points.append(start)
                 total += along
                 return BilliardPath(label, tuple(points), "closed", total)
         points.append(q)
         total += t
-        if _near_corner(q, corner_tolerance):
+        if _near_corner(q, CORNER_TOLERANCE):
             return BilliardPath(label, tuple(points), "corner", total)
         d = _reflect(d, edge_index)
         # Closure at a bounce point: back at the start midpoint, same outgoing ray.
         if (
             edge_index == label_edge
-            and math.hypot(q[0] - start[0], q[1] - start[1]) < close_tolerance
-            and _close(d, d0, close_tolerance)
+            and math.hypot(q[0] - start[0], q[1] - start[1]) < CLOSE_TOLERANCE
+            and _close(d, d0, CLOSE_TOLERANCE)
         ):
             return BilliardPath(label, tuple(points), "closed", total)
         p = q
@@ -368,8 +360,6 @@ def render_trajectory(
 ) -> str:
     """SVG for a word and midpoint in the requested frame."""
     if frame == GOLDEN_L_FRAME:
-        from .flow import DEFAULT_STEP_CAP, trace
-
         trajectory = trace(label, word, cap if cap is not None else DEFAULT_STEP_CAP)
         return golden_l_svg(trajectory, size, stroke)
     if frame == PENTAGON_FRAME:

@@ -237,6 +237,36 @@ def test_env_cap_and_flag_precedence(capsys, monkeypatch):
     assert (code, out.strip()) == (0, "21")
 
 
+def test_negative_cap_is_an_input_error(capsys, monkeypatch, tmp_path):
+    out_path = tmp_path / "neg.svg"
+    for argv in (
+        ("vec2word", "1", "0", "0", "0"),
+        ("simulate", "21", "4"),
+        ("render", "21", "4", "--out", str(out_path)),
+        ("stats", "--max-n", "2", "--mode", "brute"),
+    ):
+        code, _, err = run_cli(capsys, *argv, "--cap", "-1")
+        assert code == 2 and "nonnegative" in err, argv
+    assert not out_path.exists()
+    monkeypatch.setenv("GOLDENL_CAP", "-1")
+    code, _, err = run_cli(capsys, "simulate", "21", "4")
+    assert code == 2 and "nonnegative" in err
+
+
+def test_cap_and_seed_only_where_used():
+    for argv in (
+        ("classify", "21", "--seed", "3"),
+        ("classify", "21", "--cap", "3"),
+        ("word2vec", "21", "--cap", "3"),
+        ("reduce", "21", "--seed", "3"),
+        ("surface", "--cap", "3"),
+        ("simulate", "21", "4", "--seed", "3"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == 2, argv
+
+
 def test_invalid_inputs(capsys):
     code, _, err = run_cli(capsys, "classify", "47")
     assert code == 2

@@ -25,8 +25,7 @@ from goldenl.classify import Classification
 from goldenl.field import PHI
 from goldenl.flow import (
     canonicalize,
-    is_canonical,
-    oracle_classify_direction,
+    oracle_report_direction,
     point_in_surface,
     trace_direction,
     validate_trajectory_structure,
@@ -45,8 +44,7 @@ def test_canonicalize():
     assert canonicalize(gv(0, 1, 0, 0)) == gv(0, 0, 0, 0)  # cone points collapse
     interior = gv(Fraction(1, 3), 0, Fraction(1, 3), 0)
     assert canonicalize(interior) == interior
-    assert is_canonical(interior)
-    assert not is_canonical(gv(1, 1, Fraction(1, 2), 0))
+    assert canonicalize(gv(1, 1, Fraction(1, 2), 0)) != gv(1, 1, Fraction(1, 2), 0)
     with pytest.raises(ValueError):
         canonicalize(gv(5, 5, 0, 0))
     assert not point_in_surface(gv(5, 5, 0, 0))
@@ -148,7 +146,7 @@ def test_oracle_matches_permutation_classification_sampled():
 
 
 def test_oracle_vertical_direction():
-    assert oracle_classify_direction(VERTICAL) == {
+    assert oracle_report_direction(VERTICAL).verdicts == {
         1: Classification.SADDLE_CONNECTION,
         2: Classification.LONG,
         3: Classification.LONG,
@@ -242,3 +240,73 @@ def test_corner_lookup_matches_exhaustive_cone_scan():
             final = t.segments[-1][1]
             assert (final in CONE_POINTS) == (t.outcome is Outcome.HIT_CONE_POINT), (label, v)
             assert t.cone_point == (final if t.outcome is Outcome.HIT_CONE_POINT else None)
+
+
+def _reference_directions():
+    """Every word of length 1-3, its mirror image in y = x, and both axes."""
+    words = [word_to_vector(word) for n in range(1, 4) for word in product((0, 1, 2, 3), repeat=n)]
+    return words + [GoldenVector(v.y, v.x) for v in words] + [HORIZONTAL, VERTICAL]
+
+
+def _meets_before_end(begin, end, p, q):
+    """Whether the closed edge p-q meets the segment from begin up to, not
+    including, end; exact parametric intersection."""
+    for axis in ("x", "y"):
+        seg_lo, seg_hi = sorted((getattr(begin, axis), getattr(end, axis)))
+        edge_lo, edge_hi = sorted((getattr(p, axis), getattr(q, axis)))
+        if seg_hi < edge_lo or edge_hi < seg_lo:
+            return False  # bounding boxes apart
+    step = end - begin
+    edge = q - p
+    w = p - begin
+    denom = step.cross(edge)
+    if denom.is_zero:
+        if not w.cross(step).is_zero:
+            return False
+        length = step.dot(step)
+        lo, hi = sorted((w.dot(step), (q - begin).dot(step)))
+        return hi.sign() >= 0 and (length - lo).sign() > 0
+    inv = denom.inverse()
+    t = w.cross(edge) * inv
+    s = w.cross(step) * inv
+    return t.sign() >= 0 and (1 - t).sign() > 0 and s.sign() >= 0 and (1 - s).sign() >= 0
+
+
+def _on_segment(point, begin, end):
+    offset = point - begin
+    step = end - begin
+    if not offset.cross(step).is_zero:
+        return False
+    along = offset.dot(step)
+    return along.sign() >= 0 and (step.dot(step) - along).sign() >= 0
+
+
+def test_exit_wall_is_the_first_edge_met():
+    # No exit edge meets a segment before its end, so the first spanning wall
+    # the kernel takes is the nearest one.
+    exits = [ident.target for ident in GOLDEN_L.identifications]
+    for v in _reference_directions():
+        for label in WEIERSTRASS_LABELS:
+            for begin, end in trace_direction(label, v).segments:
+                for p, q in exits:
+                    assert not _meets_before_end(begin, end, p, q), (label, v, begin, end, p, q)
+
+
+def test_closure_is_the_first_return_to_the_start():
+    # The start, or a glued twin of it, lies on no segment except as the first
+    # begin point and the last end point; a closed orbit ends there.
+    for label in WEIERSTRASS_LABELS:
+        start = weierstrass_point(label)
+        shifted = [start + ident.translation for ident in GOLDEN_L.identifications]
+        twins = [start] + [p for p in shifted if point_in_surface(p) and canonicalize(p) == start]
+        for v in _reference_directions():
+            t = trace_direction(label, v)
+            last = len(t.segments) - 1
+            for index, (begin, end) in enumerate(t.segments):
+                for point in twins:
+                    if (index == 0 and point == begin) or (index == last and point == end):
+                        continue
+                    assert not _on_segment(point, begin, end), (label, v, index, point)
+            if t.outcome is Outcome.CLOSED:
+                end = t.segments[-1][1]
+                assert end == t.start or canonicalize(end) == t.start, (label, v)

@@ -1,11 +1,14 @@
 """Float pentagon billiard and SVG output, checked against the exact flow."""
 
 import math
+from itertools import product
 
 import pytest
 
 from goldenl import Outcome, trace
 from goldenl.render import (
+    _INTERIOR_CUTS,
+    _SIDE_JUMPS,
     PENTAGON_MIDPOINTS,
     PENTAGON_VERTICES,
     billiard_path,
@@ -114,3 +117,42 @@ def test_render_trajectory_frames():
     assert render_trajectory((2, 1), 4, frame="pentagon").count("<polygon") == 1
     with pytest.raises(ValueError):
         render_trajectory((2, 1), 4, frame="sphere")
+
+
+def _parametric_side_events(trajectory):
+    """The side-event count with cut crossings found by solving for both
+    intersection parameters in Q[phi], the reference for the orientation rule."""
+    events = 0
+    for begin, end in trajectory.segments:
+        seg = end - begin
+        for a, b in _INTERIOR_CUTS:
+            cut = b - a
+            denom = seg.cross(cut)
+            if denom.is_zero:
+                continue
+            inv = denom.inverse()
+            w = a - begin
+            t = w.cross(cut) * inv
+            s = w.cross(seg) * inv
+            # Intersection strictly inside both segments: t(1-t) > 0 and s(1-s) > 0.
+            if (t - t * t).sign() > 0 and (s - s * s).sign() > 0:
+                events += 1
+    segments = trajectory.segments
+    joints = list(zip(segments, segments[1:]))
+    if segments[-1][1] == trajectory.start:
+        events += 1
+    else:
+        joints.append((segments[-1], segments[0]))
+    for (_, end), (next_begin, _) in joints:
+        jump = next_begin - end
+        if (jump.x, jump.y) in _SIDE_JUMPS:
+            events += 1
+    return events
+
+
+def test_side_events_match_parametric_rule():
+    for word in (w for n in range(4) for w in product((0, 1, 2, 3), repeat=n)):
+        for label in PENTAGON_MIDPOINTS:
+            t = trace(label, word)
+            if t.outcome is Outcome.CLOSED:
+                assert transported_side_events(t) == _parametric_side_events(t), (word, label)
