@@ -53,7 +53,10 @@ def _cap_or(args: argparse.Namespace, default: int | None) -> int | None:
         value = os.environ.get("GOLDENL_CAP")
         if value is None:
             return default
-        cap = int(value)
+        try:
+            cap = int(value)
+        except ValueError:
+            raise ValueError(f"GOLDENL_CAP must be a nonnegative integer, got {value!r}") from None
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
     return cap
@@ -283,7 +286,9 @@ def _cmd_render(args: argparse.Namespace, fmt: str) -> int:
 def _cmd_stats(args: argparse.Namespace, fmt: str) -> int:
     if args.max_n < 0:
         raise ValueError(f"--max-n must be nonnegative, got {args.max_n}")
-    limit = _cap_or(args, stats.DEFAULT_ENUMERATION_LIMIT)
+    if args.cap is not None and args.mode != "brute":
+        raise ValueError(f"--cap applies only to --mode brute, not --mode {args.mode}")
+    limit = _cap_or(args, stats.DEFAULT_ENUMERATION_LIMIT) if args.mode == "brute" else None
     lengths = [2 * n for n in range(args.max_n + 1)]
     rows: list[dict] = []
     if args.mode == "mc":

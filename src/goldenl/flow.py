@@ -16,8 +16,8 @@ The only divisions the flow ever performs are by the direction coordinates,
 so once the start point is scaled to integer Z[phi] coordinates every wall
 hit stays integral after a further scaling by the coordinate norms. The
 tracer exploits that: it runs entirely on machine-integer pairs (a, b)
-meaning a + b*phi and converts to fractions once, when the trajectory is
-assembled.
+meaning a + b*phi. A trajectory keeps those integer points and builds its
+fraction segments only when a caller first reads them; the oracle never does.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .classify import Classification
@@ -75,6 +76,8 @@ def _check_direction(v: GoldenVector) -> None:
 # (xa, xb, ya, yb). All kernel lengths carry one fixed scale factor, chosen
 # in _kernel_setup so that every wall hit is integral.
 
+Point = tuple[int, int, int, int]
+
 
 def _int_pair(x: GoldenNumber, scale: int) -> tuple[int, int]:
     a = x.a * scale
@@ -84,7 +87,7 @@ def _int_pair(x: GoldenNumber, scale: int) -> tuple[int, int]:
     return int(a), int(b)
 
 
-def _int_point(p: GoldenVector, scale: int) -> tuple[int, int, int, int]:
+def _int_point(p: GoldenVector, scale: int) -> Point:
     return _int_pair(p.x, scale) + _int_pair(p.y, scale)
 
 
@@ -92,7 +95,7 @@ def _from_pair(a: int, b: int, scale: int) -> GoldenNumber:
     return GoldenNumber(Fraction(a, scale), Fraction(b, scale))
 
 
-def _from_point(point: tuple[int, int, int, int], scale: int) -> GoldenVector:
+def _from_point(point: Point, scale: int) -> GoldenVector:
     xa, xb, ya, yb = point
     return GoldenVector(_from_pair(xa, xb, scale), _from_pair(ya, yb, scale))
 
@@ -220,19 +223,30 @@ Segment = tuple[GoldenVector, GoldenVector]
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A maximal flow orbit from a Weierstrass point in one direction."""
+    """A maximal flow orbit from a Weierstrass point in one direction.
+
+    `points` holds the kernel's (begin, end) integer points (xa, xb, ya, yb),
+    each integer divided by the shared `scale`; `segments` converts them to
+    fractions on first access and caches the result in the instance dict.
+    """
 
     start_label: int
     start: GoldenVector
     direction: GoldenVector
-    segments: tuple[Segment, ...]
+    points: tuple[tuple[Point, Point], ...]
+    scale: int
     outcome: Outcome
     holonomy: GoldenVector
     cone_point: GoldenVector | None
 
+    @cached_property
+    def segments(self) -> tuple[Segment, ...]:
+        scale = self.scale
+        return tuple((_from_point(b, scale), _from_point(e, scale)) for b, e in self.points)
+
     @property
     def segment_count(self) -> int:
-        return len(self.segments)
+        return len(self.points)
 
     def to_json_dict(self, word: Word | None = None) -> dict:
         return {
@@ -268,7 +282,7 @@ def trace_direction(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP) ->
     # (phi, phi) too, where both adjacent walls report the same hit. Axis
     # directions from the five midpoints run along an edge only for horizontal
     # from 5 and vertical from 1, and both of those runs end at a corner.
-    raw_segments: list[tuple[tuple[int, int, int, int], tuple[int, int, int, int]]] = []
+    raw_segments: list[tuple[Point, Point]] = []
     current = start_point
     outcome: Outcome | None = None
     for _ in range(cap):
@@ -293,25 +307,16 @@ def trace_direction(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP) ->
     if outcome is None:
         raise CapExceededError(f"trajectory did not terminate within {cap} steps")
 
-    segments = tuple(
-        (_from_point(begin, scale), _from_point(end, scale)) for begin, end in raw_segments
-    )
-    h = (0, 0, 0, 0)
-    for begin, end in raw_segments:
-        h = (
-            h[0] + end[0] - begin[0],
-            h[1] + end[1] - begin[1],
-            h[2] + end[2] - begin[2],
-            h[3] + end[3] - begin[3],
-        )
+    h = tuple(sum(end[i] - begin[i] for begin, end in raw_segments) for i in range(4))
     return Trajectory(
         start_label=label,
         start=start,
         direction=v,
-        segments=segments,
+        points=tuple(raw_segments),
+        scale=scale,
         outcome=outcome,
         holonomy=_from_point(h, scale),
-        cone_point=segments[-1][1] if outcome is Outcome.HIT_CONE_POINT else None,
+        cone_point=_from_point(hit, scale) if outcome is Outcome.HIT_CONE_POINT else None,
     )
 
 

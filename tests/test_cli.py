@@ -251,6 +251,21 @@ def test_negative_cap_is_an_input_error(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("GOLDENL_CAP", "-1")
     code, _, err = run_cli(capsys, "simulate", "21", "4")
     assert code == 2 and "nonnegative" in err
+    monkeypatch.setenv("GOLDENL_CAP", "abc")
+    code, _, err = run_cli(capsys, "simulate", "21", "4")
+    assert code == 2 and "GOLDENL_CAP must be a nonnegative integer, got 'abc'" in err
+
+
+def test_stats_cap_only_in_brute_mode(capsys, monkeypatch):
+    for mode in ("exact", "mc"):
+        code, out, err = run_cli(capsys, "stats", "--max-n", "2", "--mode", mode, "--cap", "0")
+        assert code == 2 and out == "", mode
+        assert "--cap" in err and "--mode brute" in err, mode
+    code, _, err = run_cli(capsys, "stats", "--max-n", "2", "--mode", "brute", "--cap", "0")
+    assert code == 3 and "limit" in err
+    monkeypatch.setenv("GOLDENL_CAP", "5")
+    code, out, _ = run_cli(capsys, "stats", "--max-n", "2")
+    assert code == 0 and out.count("m=") == 3
 
 
 def test_cap_and_seed_only_where_used():

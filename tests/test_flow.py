@@ -145,6 +145,35 @@ def test_oracle_matches_permutation_classification_sampled():
         assert oracle_classify(word) == classify_all(word).verdicts
 
 
+def test_oracle_matches_permutation_classification_letter_shift_quads():
+    # 16 letter-shift quads (a word w and the words (w + s) mod 4 letterwise)
+    # at each of lengths 6, 7 and 8: every letter sits at every position once
+    # per quad, so each length is covered evenly.
+    rng = random.Random(20261018)
+    for length in (6, 7, 8):
+        for _ in range(16):
+            base = [rng.randrange(4) for _ in range(length)]
+            for shift in range(4):
+                word = tuple((k + shift) % 4 for k in base)
+                verdicts = oracle_classify(word)
+                assert verdicts == classify_all(word).verdicts, word
+                values = list(verdicts.values())
+                assert sorted(verdicts) == [1, 2, 3, 4, 5]
+                assert values.count(Classification.SHORT) == 2, word
+                assert values.count(Classification.LONG) == 2, word
+                assert values.count(Classification.SADDLE_CONNECTION) == 1, word
+
+
+def test_oracle_leaves_segments_unbuilt():
+    for word in ((2, 1), (1, 3, 2), (0, 3, 1, 2), (3, 2, 2, 0, 1)):
+        report = oracle_report(word)
+        for label, t in report.trajectories.items():
+            assert "segments" not in vars(t), (word, label)
+        for label, t in report.trajectories.items():
+            assert t.to_json_dict(word) == trace(label, word).to_json_dict(word)
+            assert "segments" in vars(t)
+
+
 def test_oracle_vertical_direction():
     assert oracle_report_direction(VERTICAL).verdicts == {
         1: Classification.SADDLE_CONNECTION,
@@ -170,7 +199,8 @@ def test_trajectory_structure_forward_and_reversed():
             start_label=t.start_label,
             start=canonicalize(t.segments[-1][1]),
             direction=-t.direction,
-            segments=tuple((end, begin) for begin, end in reversed(t.segments)),
+            points=tuple((end, begin) for begin, end in reversed(t.points)),
+            scale=t.scale,
             outcome=Outcome.CLOSED,
             holonomy=-t.holonomy,
             cone_point=None,
@@ -190,7 +220,8 @@ def test_trajectory_structure_rejects_corruption():
         start_label=t.start_label,
         start=t.start,
         direction=t.direction,
-        segments=t.segments[:-1],
+        points=t.points[:-1],
+        scale=t.scale,
         outcome=Outcome.CLOSED,
         holonomy=t.holonomy,
         cone_point=None,
