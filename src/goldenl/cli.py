@@ -224,15 +224,15 @@ def _cmd_reduce(args: argparse.Namespace, fmt: str) -> int:
 
 def _cmd_simulate(args: argparse.Namespace, fmt: str) -> int:
     word = parse_word(args.word)
+    label = None if args.midpoint is None else _check_midpoint(args.midpoint)
     cap = _cap_or(args, flow.DEFAULT_STEP_CAP)
     if args.classify:
         verdicts = flow.oracle_classify(word, cap=cap)
-        payload = _classification_payload(word, verdicts, None, "flow-oracle")
+        payload = _classification_payload(word, verdicts, None, "flow-oracle", label)
         _print_classification(payload, fmt, None)
         return 0
-    if args.midpoint is None:
+    if label is None:
         raise ValueError("simulate needs a midpoint label unless --classify is given")
-    label = _check_midpoint(args.midpoint)
     trajectory = flow.trace(label, word, cap=cap)
     if fmt == "json":
         payload = trajectory.to_json_dict(word)

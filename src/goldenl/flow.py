@@ -305,7 +305,13 @@ def trace_direction(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP) ->
             break
         current = reentry
     if outcome is None:
-        raise CapExceededError(f"trajectory did not terminate within {cap} steps")
+        # Checked once the cap runs out, not per step: a kernel that picks a
+        # wrong wall leaves the L and would otherwise pass for a cap overrun.
+        last = _from_point(current, scale)
+        where = f"midpoint {label}, direction {v}, after {cap} steps at {last}"
+        if not point_in_surface(last):
+            raise StructuralViolationError(f"trajectory left the golden L: {where}")
+        raise CapExceededError(f"trajectory did not terminate: {where}")
 
     h = tuple(sum(end[i] - begin[i] for begin, end in raw_segments) for i in range(4))
     return Trajectory(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import CapExceededError
 from .field import GoldenVector
 from .flow import DEFAULT_STEP_CAP, Outcome, Trajectory, trace
-from .surface import GOLDEN_L, pentagon_transfer, weierstrass_point
+from .surface import GOLDEN_L, pentagon_transfer
 from .words import Word, format_word, word_to_vector
 
 GOLDEN_L_FRAME = "goldenl"
@@ -66,64 +66,33 @@ def pentagon_length(h: GoldenVector) -> float:
     return math.hypot(p00 * x + p01 * y, p10 * x + p11 * y)
 
 
-def _split_inscribed_edges():
-    """Inscribed pentagon edges: interior cuts, and the jumps, either way, across
-    the gluing walls of the two edges that lie on the golden L boundary."""
-    ring = GOLDEN_L.inscribed_pentagon
-    cuts = []
-    boundary_edges = []
-    for i in range(5):
-        a, b = ring[i], ring[(i + 1) % 5]
-        if (a.x.is_zero and b.x.is_zero) or (a.y.is_zero and b.y.is_zero):
-            boundary_edges.append({a, b})
-        else:
-            cuts.append((a, b))
-    jumps = frozenset(
-        jump
-        for ident in GOLDEN_L.identifications
-        if {ident.source[0], ident.source[1]} in boundary_edges
-        for jump in ((ident.translation.x, ident.translation.y), (-ident.translation.x, -ident.translation.y))
-    )
-    return tuple(cuts), jumps
-
-
-_INTERIOR_CUTS, _SIDE_JUMPS = _split_inscribed_edges()
-
-
 def transported_side_events(trajectory: Trajectory) -> int:
     """Pentagon-side crossings of one period of a closed trajectory.
 
-    The inscribed pentagon's sides, doubled across the two gluing walls they
-    lie on, are the billiard table sides after the frame change; each crossing
-    is one billiard bounce, so this count transports the exact segment
-    structure to a predicted bounce count per holonomy period.
+    After the frame change the inscribed pentagon's sides, the boundary two
+    doubled across their gluing walls, are the billiard table's sides, so
+    this is the predicted bounce count per holonomy period. By rule, not
+    search, it is two per wall crossing.
+
+    Two sides lie on the boundary, the sources of gluings a (x = 0,
+    phi <= y <= phi^2) and d (y = 0, phi <= x <= phi^2); three are interior
+    cuts: C3 from (0, phi) to (phi, 0), C1 from (phi^2, 0) to (phi, phi), and
+    C2 from (phi, phi) to (0, phi^2). Every cut has negative slope, so a
+    closed-first-quadrant flow crosses each one transversally. Outside the
+    pentagon the L is three triangles: T3 below C3, T1 beyond C1, T2 beyond
+    C2. Every exit wall bounds T1 (targets of b and d) or T2 (targets of a
+    and c), so each run crosses C1 or C2 once before its wall hit. Every
+    re-entry lands on a boundary side (a, d) or strictly inside T3 (b, c),
+    and then the next run crosses C3 once. The start is a side midpoint, and
+    passing it is one of those crossings. A trace that closes by re-entry has
+    one wall crossing per segment; one that closes strictly inside a segment,
+    at its start point, has one fewer.
     """
     if trajectory.outcome is not Outcome.CLOSED:
         raise ValueError("side events are defined for closed trajectories only")
-    events = 0
-    for begin, end in trajectory.segments:
-        seg = end - begin
-        for a, b in _INTERIOR_CUTS:
-            # A proper crossing strictly inside both segments: each segment's
-            # endpoints lie strictly on opposite sides of the other's line.
-            if seg.cross(a - begin).sign() * seg.cross(b - begin).sign() >= 0:
-                continue
-            cut = b - a
-            if cut.cross(begin - a).sign() * cut.cross(end - a).sign() < 0:
-                events += 1
-    segments = trajectory.segments
-    joints = list(zip(segments, segments[1:]))
-    closes_mid = segments[-1][1] == trajectory.start
-    if closes_mid:
-        # The start sits strictly inside a segment, on its own pentagon side.
-        events += 1
-    else:
-        joints.append((segments[-1], segments[0]))
-    for (_, end), (next_begin, _) in joints:
-        jump = next_begin - end
-        if (jump.x, jump.y) in _SIDE_JUMPS:
-            events += 1
-    return events
+    points = trajectory.points
+    closes_mid = points[-1][1] == points[0][0]
+    return 2 * (len(points) - closes_mid)
 
 
 @dataclass(frozen=True)
@@ -206,16 +175,9 @@ def billiard_path(
 
 
 def _edge_of_midpoint(label: int) -> int:
-    mid = PENTAGON_MIDPOINTS[label]
-    best, best_dist = 0, float("inf")
-    for i in range(5):
-        a = PENTAGON_VERTICES[i]
-        b = PENTAGON_VERTICES[(i + 1) % 5]
-        center = ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
-        dist = math.hypot(center[0] - mid[0], center[1] - mid[1])
-        if dist < best_dist:
-            best, best_dist = i, dist
-    return best
+    # Edge i joins the vertices at 90 + 72i and 162 + 72i degrees, so its
+    # midpoint sits at 126 + 72i.
+    return round((_MIDPOINT_ANGLES[label] - 126.0) / 72.0) % 5
 
 
 def _next_edge_hit(
@@ -359,6 +321,8 @@ def render_trajectory(
     cap: int | None = None,
 ) -> str:
     """SVG for a word and midpoint in the requested frame."""
+    if size < 1 or stroke <= 0:
+        raise ValueError(f"size must be at least 1 and stroke positive, got {size} and {stroke}")
     if frame == GOLDEN_L_FRAME:
         trajectory = trace(label, word, cap if cap is not None else DEFAULT_STEP_CAP)
         return golden_l_svg(trajectory, size, stroke)

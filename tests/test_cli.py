@@ -133,6 +133,14 @@ def test_simulate_classify_matches_algorithm(capsys):
     assert flowed["tau"] is None
 
 
+def test_simulate_classify_one_midpoint(capsys):
+    code, _, err = run_cli(capsys, "simulate", "21", "9", "--classify")
+    assert code == 2 and "midpoint" in err
+    payload = run_json(capsys, "simulate", "21", "4", "--classify", "--format", "json")
+    assert payload["midpoint"] == 4
+    assert payload["verdicts"] == {"4": "short"}
+
+
 def test_simulate_needs_midpoint_or_classify(capsys):
     code, _, err = run_cli(capsys, "simulate", "21")
     assert code == 2 and "midpoint" in err
@@ -163,6 +171,18 @@ def test_render_pentagon_capped(capsys, tmp_path):
     assert code == 3
     assert "02211112" in err and "midpoint 1" in err and "20000" in err
     assert not out_path.exists()
+
+
+def test_render_rejects_bad_size_and_stroke(capsys, tmp_path):
+    out_path = tmp_path / "bad.svg"
+    for frame in ("goldenl", "pentagon"):
+        for option, value in (("--size", "-5"), ("--size", "0"), ("--stroke", "0"), ("--stroke", "-1")):
+            code, _, err = run_cli(
+                capsys, "render", "21", "4", "--frame", frame, option, value, "--out", str(out_path)
+            )
+            assert code == 2, (frame, option, value)
+            assert "size" in err
+            assert not out_path.exists()
 
 
 def test_render_bad_path(capsys, tmp_path):

@@ -23,6 +23,7 @@ from goldenl import (
 from goldenl.surface import CONE_POINTS, GOLDEN_L, WEIERSTRASS_LABELS
 from goldenl.classify import Classification
 from goldenl.field import PHI
+from goldenl import flow as flow_module
 from goldenl.flow import (
     canonicalize,
     oracle_report_direction,
@@ -231,8 +232,23 @@ def test_trajectory_structure_rejects_corruption():
 
 
 def test_trace_cap():
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError) as excinfo:
         trace(4, (2, 1), cap=2)
+    message = str(excinfo.value)
+    assert "midpoint 4" in message and "2 steps" in message
+    assert str(word_to_vector((2, 1))) in message
+
+
+def test_trace_that_leaves_the_l_is_a_structural_violation(monkeypatch):
+    # Spans that reach far past every wall drop the span test, so the kernel
+    # takes a wrong wall and the trace leaves the L after its first step.
+    rows = [row[:3] + ((10**6, 0),) + row[4:] for row in flow_module._EXITS2]
+    monkeypatch.setattr(flow_module, "_EXITS2", tuple(rows))
+    with pytest.raises(StructuralViolationError) as excinfo:
+        trace_direction(1, word_to_vector((1,)), cap=1000)
+    message = str(excinfo.value)
+    assert "midpoint 1" in message and "1000 steps" in message
+    assert str(word_to_vector((1,))) in message
 
 
 def test_trace_direction_scales_with_input():

@@ -5,10 +5,9 @@ from itertools import product
 
 import pytest
 
-from goldenl import Outcome, trace
+from goldenl import GoldenNumber, GoldenVector, Outcome, trace, word_to_vector
+from goldenl.flow import trace_direction
 from goldenl.render import (
-    _INTERIOR_CUTS,
-    _SIDE_JUMPS,
     PENTAGON_MIDPOINTS,
     PENTAGON_VERTICES,
     billiard_path,
@@ -19,6 +18,7 @@ from goldenl.render import (
     render_trajectory,
     transported_side_events,
 )
+from goldenl.surface import GOLDEN_L
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -119,6 +119,30 @@ def test_render_trajectory_frames():
         render_trajectory((2, 1), 4, frame="sphere")
 
 
+def _split_inscribed_edges():
+    """Inscribed pentagon edges: interior cuts, and the jumps, either way, across
+    the gluing walls of the two edges that lie on the golden L boundary."""
+    ring = GOLDEN_L.inscribed_pentagon
+    cuts = []
+    boundary_edges = []
+    for i in range(5):
+        a, b = ring[i], ring[(i + 1) % 5]
+        if (a.x.is_zero and b.x.is_zero) or (a.y.is_zero and b.y.is_zero):
+            boundary_edges.append({a, b})
+        else:
+            cuts.append((a, b))
+    jumps = frozenset(
+        jump
+        for ident in GOLDEN_L.identifications
+        if {ident.source[0], ident.source[1]} in boundary_edges
+        for jump in ((ident.translation.x, ident.translation.y), (-ident.translation.x, -ident.translation.y))
+    )
+    return tuple(cuts), jumps
+
+
+_INTERIOR_CUTS, _SIDE_JUMPS = _split_inscribed_edges()
+
+
 def _parametric_side_events(trajectory):
     """The side-event count with cut crossings found by solving for both
     intersection parameters in Q[phi], the reference for the orientation rule."""
@@ -151,8 +175,17 @@ def _parametric_side_events(trajectory):
 
 
 def test_side_events_match_parametric_rule():
-    for word in (w for n in range(4) for w in product((0, 1, 2, 3), repeat=n)):
+    # Every word of length <= 3, the y = x mirrors of those of length 1-2, and
+    # the vertical axis (the mirror of the empty word): the mirrors and the
+    # axis are where "x and y increase" is thinnest.
+    words = [w for n in range(4) for w in product((0, 1, 2, 3), repeat=n)]
+    directions = [word_to_vector(w) for w in words]
+    directions += [GoldenVector(v.y, v.x) for w, v in zip(words, directions) if 1 <= len(w) <= 2]
+    directions.append(GoldenVector(GoldenNumber(0), GoldenNumber(1)))
+    for v in directions:
         for label in PENTAGON_MIDPOINTS:
-            t = trace(label, word)
+            t = trace_direction(label, v)
             if t.outcome is Outcome.CLOSED:
-                assert transported_side_events(t) == _parametric_side_events(t), (word, label)
+                events = transported_side_events(t)
+                assert "segments" not in vars(t), (v, label)
+                assert events == _parametric_side_events(t), (v, label)
