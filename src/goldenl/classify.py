@@ -21,7 +21,7 @@ from .surface import (
     WEIERSTRASS_LABELS,
     sector_of,
 )
-from .words import Word, format_word, vector_to_word
+from .words import Word, _check_letters, format_word, vector_to_word
 
 
 class Classification(Enum):
@@ -40,16 +40,11 @@ HORIZONTAL_VERDICTS: dict[int, Classification] = {
 }
 
 
-def _bucket(label: int) -> Classification:
-    return HORIZONTAL_VERDICTS[label]
-
-
 def word_permutation(word: Word) -> Permutation5:
     """tau_{k_1} * tau_{k_2} * ... * tau_{k_n}, identity for the empty word."""
+    _check_letters(word)
     acc = Permutation5.identity()
     for k in word:
-        if k not in (0, 1, 2, 3):
-            raise ValueError(f"word letter out of range 0-3: {k}")
         acc = acc * TAU[k]
     return acc
 
@@ -61,11 +56,6 @@ class ClassificationReport:
     word: Word | None
     tau: Permutation5 | None
     verdicts: dict[int, Classification]
-
-    def verdict(self, label: int) -> Classification:
-        if label not in self.verdicts:
-            raise ValueError(f"midpoint label must be 1..5, got {label}")
-        return self.verdicts[label]
 
     def counts(self) -> dict[Classification, int]:
         out = {kind: 0 for kind in Classification}
@@ -83,14 +73,14 @@ class ClassificationReport:
 
 def classify_all(word: Word) -> ClassificationReport:
     perm = word_permutation(word)
-    verdicts = {label: _bucket(perm(label)) for label in WEIERSTRASS_LABELS}
+    verdicts = {label: HORIZONTAL_VERDICTS[perm(label)] for label in WEIERSTRASS_LABELS}
     return ClassificationReport(word=tuple(word), tau=perm, verdicts=verdicts)
 
 
 def classify(word: Word, label: int) -> Classification:
     if label not in HORIZONTAL_VERDICTS:
         raise ValueError(f"midpoint label must be 1..5, got {label}")
-    return _bucket(word_permutation(word)(label))
+    return HORIZONTAL_VERDICTS[word_permutation(word)(label)]
 
 
 def classify_vector(v: GoldenVector) -> ClassificationReport:

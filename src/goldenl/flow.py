@@ -16,8 +16,8 @@ The only divisions the flow ever performs are by the direction coordinates,
 so once the start point is scaled to integer Z[phi] coordinates every wall
 hit stays integral after a further scaling by the coordinate norms. The
 tracer exploits that: it runs entirely on machine-integer pairs (a, b)
-meaning a + b*phi. A trajectory keeps those integer points and builds its
-fraction segments only when a caller first reads them; the oracle never does.
+meaning a + b*phi. A trajectory keeps those integer points; neither the
+oracle nor the render path ever converts them to fraction segments.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
-from math import lcm
+from functools import cached_property, lru_cache
+from math import gcd, lcm
 
 from .classify import Classification
 from .errors import CapExceededError, StructuralViolationError
@@ -91,13 +91,9 @@ def _int_point(p: GoldenVector, scale: int) -> Point:
     return _int_pair(p.x, scale) + _int_pair(p.y, scale)
 
 
-def _from_pair(a: int, b: int, scale: int) -> GoldenNumber:
-    return GoldenNumber(Fraction(a, scale), Fraction(b, scale))
-
-
 def _from_point(point: Point, scale: int) -> GoldenVector:
-    xa, xb, ya, yb = point
-    return GoldenVector(_from_pair(xa, xb, scale), _from_pair(ya, yb, scale))
+    xa, xb, ya, yb = (Fraction(c, scale) for c in point)
+    return GoldenVector(GoldenNumber(xa, xb), GoldenNumber(ya, yb))
 
 
 def _wall_row(ident) -> tuple:
@@ -115,6 +111,12 @@ _EXITS2 = tuple(_wall_row(ident) for ident in GOLDEN_L.identifications)
 _CORNERS2 = tuple(_int_point(p, 2) for p in CONE_POINTS)
 
 
+def _cleared(v: GoldenVector) -> Point:
+    """The same ray as integer pairs: v times its coefficient denominators' lcm."""
+    den = lcm(v.x.a.denominator, v.x.b.denominator, v.y.a.denominator, v.y.b.denominator)
+    return int(v.x.a * den), int(v.x.b * den), int(v.y.a * den), int(v.y.b * den)
+
+
 def _kernel_setup(v: GoldenVector):
     """Scale tables for a trace: point scale, direction pairs, wall rows, corners.
 
@@ -123,9 +125,7 @@ def _kernel_setup(v: GoldenVector):
     every wall-hit division below come out exact. The wall rows carry their span
     bounds premultiplied by the direction coordinate the span test scales by.
     """
-    den = lcm(v.x.a.denominator, v.x.b.denominator, v.y.a.denominator, v.y.b.denominator)
-    vxa, vxb = int(v.x.a * den), int(v.x.b * den)
-    vya, vyb = int(v.y.a * den), int(v.y.b * den)
+    vxa, vxb, vya, vyb = _cleared(v)
     norm_x = vxa * vxa + vxa * vxb - vxb * vxb
     norm_y = vya * vya + vya * vyb - vyb * vyb
     factor = lcm(abs(norm_x) or 1, abs(norm_y) or 1)
@@ -218,16 +218,14 @@ class Outcome(Enum):
     HIT_CONE_POINT = "cone_point"
 
 
-Segment = tuple[GoldenVector, GoldenVector]
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """A maximal flow orbit from a Weierstrass point in one direction.
 
     `points` holds the kernel's (begin, end) integer points (xa, xb, ya, yb),
-    each integer divided by the shared `scale`; `segments` converts them to
-    fractions on first access and caches the result in the instance dict.
+    each integer divided by the shared `scale`; every library path reads them.
+    `segments`, for callers who want GoldenVector pairs, is built and cached
+    on first access.
     """
 
     start_label: int
@@ -240,24 +238,23 @@ class Trajectory:
     cone_point: GoldenVector | None
 
     @cached_property
-    def segments(self) -> tuple[Segment, ...]:
-        scale = self.scale
-        return tuple((_from_point(b, scale), _from_point(e, scale)) for b, e in self.points)
+    def segments(self) -> tuple[tuple[GoldenVector, GoldenVector], ...]:
+        return tuple((_from_point(b, self.scale), _from_point(e, self.scale)) for b, e in self.points)
 
     @property
     def segment_count(self) -> int:
         return len(self.points)
 
     def to_json_dict(self, word: Word | None = None) -> dict:
+        # Coordinates print as Fraction(a, scale) does; each distinct one is printed once.
+        s = self.scale
+        text = {a: f"{a // (g := gcd(a, s))}/{s // g}" for a in {a for b, e in self.points for a in b + e}}
         return {
             "word": None if word is None else format_word(word),
             "midpoint": self.start_label,
             "direction": self.direction.quadruple(),
             "outcome": self.outcome.value,
-            "segments": [
-                {"from": begin.quadruple(), "to": end.quadruple()}
-                for begin, end in self.segments
-            ],
+            "segments": [{"from": [text[a] for a in b], "to": [text[a] for a in e]} for b, e in self.points],
             "segment_count": self.segment_count,
             "holonomy": self.holonomy.quadruple(),
             "cone_point": None if self.cone_point is None else self.cone_point.quadruple(),
@@ -395,37 +392,48 @@ def oracle_classify(word: Word, cap: int = DEFAULT_STEP_CAP) -> dict[int, Classi
     return oracle_report(word, cap).verdicts
 
 
-_GLUING_JUMPS = frozenset(
-    jump
-    for ident in GOLDEN_L.identifications
-    for jump in ((ident.translation.x, ident.translation.y), (-ident.translation.x, -ident.translation.y))
+_GLUING_JUMPS = tuple(
+    _int_point(t, 1) for ident in GOLDEN_L.identifications for t in (ident.translation, -ident.translation)
 )
 
 
-def validate_trajectory_structure(trajectory: Trajectory) -> None:
-    """Check the wall-crossing bookkeeping of a finished trajectory.
+@lru_cache(maxsize=16)
+def _start_twins(start: GoldenVector) -> frozenset[GoldenVector]:
+    """A midpoint start and its glued twins, the points of the L that canonicalise to it."""
+    shifted = (start + ident.translation for ident in GOLDEN_L.identifications)
+    return frozenset([start, *(p for p in shifted if point_in_surface(p) and canonicalize(p) == start)])
 
-    Consecutive segments must connect by one of the four gluing translations,
-    every segment must point along the direction, and a closed orbit must end
-    exactly where it started. Holds for the trajectory and for its reversal
-    (reversed segment order and orientation, negated translations).
+
+def validate_trajectory_structure(trajectory: Trajectory) -> None:
+    """Check the wall-crossing bookkeeping of a finished trajectory's points.
+
+    The orbit begins at its start or a glued twin; each segment runs forward
+    along the direction; consecutive segments connect by a gluing translation;
+    a closed orbit ends at its start or a glued twin, a cone-hit orbit at a
+    cone point. Holds for the reversal too (reversed segments, negated direction).
     """
-    v = trajectory.direction
-    for begin, end in trajectory.segments:
-        step = end - begin
-        if step.is_zero or not step.cross(v).is_zero:
-            raise StructuralViolationError(f"segment {begin} -> {end} is not along {v}")
-        if step.dot(v).sign() <= 0:
-            raise StructuralViolationError(f"segment {begin} -> {end} runs against {v}")
-    for (_, end), (next_begin, _) in zip(trajectory.segments, trajectory.segments[1:]):
-        jump = next_begin - end
-        if (jump.x, jump.y) not in _GLUING_JUMPS:
-            raise StructuralViolationError(f"segments jump by {jump}, not a gluing translation")
-    final = trajectory.segments[-1][1]
-    if trajectory.outcome is Outcome.CLOSED:
-        closes_at_start = final == trajectory.start or canonicalize(final) == trajectory.start
-        if not closes_at_start:
-            raise StructuralViolationError(f"closed orbit ends at {final}, not at its start")
-    else:
-        if final not in CONE_POINTS:
-            raise StructuralViolationError(f"cone-hit orbit ends at {final}, not a cone point")
+    points, scale, v, start = trajectory.points, trajectory.scale, trajectory.direction, trajectory.start
+    if not points:
+        raise StructuralViolationError("trajectory has no segments")
+    vxa, vxb, vya, vyb = _cleared(v)
+    for begin, end in points:
+        dxa, dxb, dya, dyb = end[0] - begin[0], end[1] - begin[1], end[2] - begin[2], end[3] - begin[3]
+        # Parallel: step.x * v.y == step.y * v.x. Forward, hence nonzero: step . v > 0.
+        parallel = golden_mul(dxa, dxb, vya, vyb) == golden_mul(dya, dyb, vxa, vxb)
+        (xa, xb), (ya, yb) = golden_mul(dxa, dxb, vxa, vxb), golden_mul(dya, dyb, vya, vyb)
+        if not parallel or golden_sign(xa + ya, xb + yb) <= 0:
+            where = f"{_from_point(begin, scale)} -> {_from_point(end, scale)}"
+            raise StructuralViolationError(f"segment {where} does not run forward along {v}")
+    jumps = {tuple(c * scale for c in jump) for jump in _GLUING_JUMPS}
+    for (_, (exa, exb, eya, eyb)), ((nxa, nxb, nya, nyb), _) in zip(points, points[1:]):
+        jump = (nxa - exa, nxb - exb, nya - eya, nyb - eyb)
+        if jump not in jumps:
+            where = _from_point(jump, scale)
+            raise StructuralViolationError(f"segments jump by {where}, not a gluing translation")
+    first, final = _from_point(points[0][0], scale), _from_point(points[-1][1], scale)
+    if first not in _start_twins(start):
+        raise StructuralViolationError(f"orbit begins at {first}, not at its start")
+    if trajectory.outcome is Outcome.CLOSED and final not in _start_twins(start):
+        raise StructuralViolationError(f"closed orbit ends at {final}, not at its start")
+    if trajectory.outcome is Outcome.HIT_CONE_POINT and final not in CONE_POINTS:
+        raise StructuralViolationError(f"cone-hit orbit ends at {final}, not a cone point")

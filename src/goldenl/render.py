@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CapExceededError
-from .field import GoldenVector
+from .field import PHI_FLOAT, GoldenVector
 from .flow import DEFAULT_STEP_CAP, Outcome, Trajectory, trace
 from .surface import GOLDEN_L, pentagon_transfer
 from .words import Word, format_word, word_to_vector
@@ -258,19 +258,21 @@ def golden_l_svg(trajectory: Trajectory, size: int = DEFAULT_SIZE, stroke: float
     margin = 0.06 * size
     scale = (size - 2.0 * margin) / raw_extent
 
-    def place(p: GoldenVector) -> tuple[float, float]:
-        x, y = p.to_floats()
+    def place(x: float, y: float) -> tuple[float, float]:
         return (margin + x * scale, margin + (raw_extent - y) * scale)
 
     parts = [_svg_header(size, size)]
-    parts.append(_polygon([place(v) for v in GOLDEN_L.vertices], "surface-outline", stroke))
-    parts.append(
-        _polygon([place(v) for v in GOLDEN_L.inscribed_pentagon], "inscribed-pentagon", stroke / 2.0)
-    )
-    for begin, end in trajectory.segments:
-        parts.append(_line(place(begin), place(end), stroke))
+    parts.append(_polygon([place(*v.to_floats()) for v in GOLDEN_L.vertices], "surface-outline", stroke))
+    pentagon = [place(*v.to_floats()) for v in GOLDEN_L.inscribed_pentagon]
+    parts.append(_polygon(pentagon, "inscribed-pentagon", stroke / 2.0))
+    # Kernel points: a / s is correctly rounded like float(Fraction(a, s)), so floats match to_floats.
+    s = trajectory.scale
+    for (bxa, bxb, bya, byb), (exa, exb, eya, eyb) in trajectory.points:
+        begin = place(bxa / s + bxb / s * PHI_FLOAT, bya / s + byb / s * PHI_FLOAT)
+        end = place(exa / s + exb / s * PHI_FLOAT, eya / s + eyb / s * PHI_FLOAT)
+        parts.append(_line(begin, end, stroke))
     for label, point in GOLDEN_L.weierstrass.items():
-        parts.append(_dot(place(point), 2.0 * stroke, f"marked-point marked-point-{label}"))
+        parts.append(_dot(place(*point.to_floats()), 2.0 * stroke, f"marked-point marked-point-{label}"))
     parts.append("</svg>\n")
     return "".join(parts)
 

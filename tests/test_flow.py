@@ -1,6 +1,7 @@
 """Exact geodesic flow: stepping, tracing, and the flow oracle."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -171,7 +172,9 @@ def test_oracle_leaves_segments_unbuilt():
         for label, t in report.trajectories.items():
             assert "segments" not in vars(t), (word, label)
         for label, t in report.trajectories.items():
-            assert t.to_json_dict(word) == trace(label, word).to_json_dict(word)
+            fresh = trace(label, word)
+            assert t.to_json_dict(word) == fresh.to_json_dict(word)
+            assert t.segments == fresh.segments
             assert "segments" in vars(t)
 
 
@@ -229,6 +232,71 @@ def test_trajectory_structure_rejects_corruption():
     )
     with pytest.raises(StructuralViolationError):
         validate_trajectory_structure(broken)
+
+
+def _stretched_past_end(t):
+    # One segment from the start along the direction, 100 times its first run.
+    begin, end = t.points[0]
+    return replace(t, points=((begin, tuple(b + 100 * (e - b) for b, e in zip(begin, end))),))
+
+
+def _shifted_end(t):
+    # The first segment's end moved by 1 in x: still forward, no longer parallel.
+    begin, end = t.points[0]
+    return replace(t, points=((begin, (end[0] + t.scale,) + end[1:]),) + t.points[1:])
+
+
+def _extended_back(t):
+    # The first segment starts one run earlier along the direction.
+    begin, end = t.points[0]
+    return replace(t, points=((tuple(2 * b - e for b, e in zip(begin, end)), end),) + t.points[1:])
+
+
+def _translated_start(t):
+    # Midpoint 3 lies inside the L, so it has no glued twin, yet its translate by
+    # gluing a's (phi, 0) lies in the L. The first segment alone, moved there.
+    shift = (0, t.scale, 0, 0)
+    begin, end = (tuple(c + d for c, d in zip(p, shift)) for p in t.points[0])
+    return replace(t, points=((begin, end),))
+
+
+_CORRUPTIONS = {
+    "zero-length segment": (
+        (4, (2, 1)),
+        lambda t: replace(t, points=((t.points[0][0],) * 2,) + t.points[1:]),
+        "does not run forward",
+    ),
+    "non-parallel segment": ((4, (2, 1)), _shifted_end, "does not run forward"),
+    "reversed segment": (
+        (4, (2, 1)),
+        lambda t: replace(t, points=(t.points[0][::-1],) + t.points[1:]),
+        "does not run forward",
+    ),
+    "jump not a gluing": (
+        (4, (2, 1)),
+        lambda t: replace(t, points=t.points[:3] + t.points[4:]),
+        "not a gluing translation",
+    ),
+    "wrong closure end": ((4, (2, 1)), lambda t: replace(t, points=t.points[:-1]), "closed orbit ends at"),
+    "cone outcome off the cone point": (
+        (4, (2, 1)),
+        lambda t: replace(t, outcome=Outcome.HIT_CONE_POINT),
+        "cone-hit orbit ends at",
+    ),
+    "empty points": ((4, (2, 1)), lambda t: replace(t, points=()), "no segments"),
+    "closed orbit ending off the L": ((4, (2, 1)), _stretched_past_end, "closed orbit ends at"),
+    "wrong first begin": ((1, (2, 1)), _extended_back, "orbit begins at"),
+    "first begin at a translate, not a twin": ((3, (2, 1)), _translated_start, "orbit begins at"),
+}
+
+
+@pytest.mark.parametrize("case", list(_CORRUPTIONS))
+def test_trajectory_structure_rejects_each_corruption(case):
+    (label, word), corrupt, message = _CORRUPTIONS[case]
+    t = trace(label, word)
+    validate_trajectory_structure(t)
+    with pytest.raises(StructuralViolationError, match=message):
+        validate_trajectory_structure(corrupt(t))
 
 
 def test_trace_cap():

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from goldenl import GoldenNumber, GoldenVector, Outcome, trace, word_to_vector
-from goldenl.flow import trace_direction
+from goldenl.flow import trace_direction, validate_trajectory_structure
 from goldenl.render import (
     PENTAGON_MIDPOINTS,
     PENTAGON_VERTICES,
@@ -102,6 +102,22 @@ def test_golden_l_svg_contents():
     assert svg.count('<line class="trajectory"') == t.segment_count
     assert svg.count('class="marked-point') == 5
     assert svg.startswith("<?xml") and svg.rstrip().endswith("</svg>")
+
+
+def test_render_path_leaves_segments_unbuilt():
+    # Validation, JSON and the golden L frame read the integer points; the
+    # JSON still matches the GoldenVector segments once they are built.
+    for word in ((2, 1), (1, 3, 2), (0, 3, 1, 2)):
+        for label in PENTAGON_MIDPOINTS:
+            t = trace(label, word)
+            validate_trajectory_structure(t)
+            payload = t.to_json_dict(word)
+            golden_l_svg(t)
+            if t.outcome is Outcome.CLOSED:
+                transported_side_events(t)
+            assert "segments" not in vars(t), (word, label)
+            expected = [{"from": b.quadruple(), "to": e.quadruple()} for b, e in t.segments]
+            assert payload["segments"] == expected, (word, label)
 
 
 def test_pentagon_svg_contents():

@@ -1,0 +1,55 @@
+"""Golden L frame output: one sha256 over the SVGs of many exact trajectories.
+
+The digest covers `render.golden_l_svg` for the traces of
+`tests/test_trajectory_golden.py`: every word of length <= 4 and both axis
+directions, from all five midpoints. A change to how the golden L frame
+places points or formats floats shows up here byte for byte. The expected
+values live in `tests/data/svg_golden.json`. A change that alters these
+drawings on purpose re-records the file with
+
+    PYTHONPATH=src python tests/test_svg_golden.py
+
+and says why in its change notes.
+"""
+
+import hashlib
+import json
+import sys
+from itertools import product
+from pathlib import Path
+
+from goldenl import GoldenNumber, GoldenVector, trace_direction, word_to_vector
+from goldenl.render import golden_l_svg
+from goldenl.surface import WEIERSTRASS_LABELS
+
+DATA = Path(__file__).parent / "data" / "svg_golden.json"
+
+AXES = (
+    GoldenVector(GoldenNumber(1), GoldenNumber(0)),
+    GoldenVector(GoldenNumber(0), GoldenNumber(1)),
+)
+
+
+def digest() -> dict:
+    """sha256 of the golden L SVGs, in trace order, and the line total."""
+    directions = [word_to_vector(w) for n in range(5) for w in product((0, 1, 2, 3), repeat=n)]
+    directions += AXES
+    h = hashlib.sha256()
+    lines = 0
+    for v in directions:
+        for label in WEIERSTRASS_LABELS:
+            svg = golden_l_svg(trace_direction(label, v))
+            lines += svg.count('<line class="trajectory"')
+            h.update(svg.encode())
+    return {"traces": len(directions) * len(WEIERSTRASS_LABELS), "lines": lines, "sha256": h.hexdigest()}
+
+
+def test_svg_digest_matches_recording():
+    assert digest() == json.loads(DATA.read_text())
+
+
+if __name__ == "__main__":
+    DATA.parent.mkdir(exist_ok=True)
+    recorded = digest()
+    DATA.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
+    print(f"recorded {recorded['traces']} traces in {DATA}", file=sys.stderr)
