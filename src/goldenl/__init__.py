@@ -18,7 +18,6 @@ from .classify import (
 )
 from .errors import CapExceededError, StructuralViolationError, VerticalDirectionError
 from .field import (
-    GoldenMatrix,
     GoldenNumber,
     GoldenVector,
     ONE,
@@ -82,7 +81,6 @@ __all__ = [
     "EMPTY_WORD",
     "GOLDEN_L",
     "GoldenL",
-    "GoldenMatrix",
     "GoldenNumber",
     "GoldenVector",
     "HORIZONTAL_VERDICTS",

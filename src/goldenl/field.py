@@ -31,8 +31,8 @@ def _fraction_str(value: Fraction) -> str:
 
 
 # Coefficient-level arithmetic on pairs (a, b) meaning a + b*phi. Exact on
-# int and on Fraction coefficients alike; GoldenNumber and the integer flow
-# kernel share it.
+# int and on Fraction coefficients alike; GoldenNumber, the direction algebra
+# and the integer flow kernel share it.
 
 
 def golden_sign(a: Rational, b: Rational) -> int:
@@ -251,42 +251,7 @@ class GoldenVector:
         return f"({self.x}, {self.y})"
 
 
-@dataclass(frozen=True)
-class GoldenMatrix:
-    """A 2x2 matrix ((a, b), (c, d)) with GoldenNumber entries."""
-
-    a: GoldenNumber
-    b: GoldenNumber
-    c: GoldenNumber
-    d: GoldenNumber
-
-    @classmethod
-    def identity(cls) -> GoldenMatrix:
-        return cls(ONE, ZERO, ZERO, ONE)
-
-    def __matmul__(self, other: GoldenMatrix) -> GoldenMatrix:
-        return GoldenMatrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def apply(self, v: GoldenVector) -> GoldenVector:
-        return GoldenVector(self.a * v.x + self.b * v.y, self.c * v.x + self.d * v.y)
-
-    def det(self) -> GoldenNumber:
-        return self.a * self.d - self.b * self.c
-
-    def inverse(self) -> GoldenMatrix:
-        determinant = self.det()
-        if determinant.is_zero:
-            raise ValueError("matrix is singular")
-        inv = determinant.inverse()
-        return GoldenMatrix(self.d * inv, -self.b * inv, -self.c * inv, self.a * inv)
-
-    def columns(self) -> tuple[GoldenVector, GoldenVector]:
-        return (GoldenVector(self.a, self.c), GoldenVector(self.b, self.d))
-
-    def rows(self) -> tuple[tuple[GoldenNumber, GoldenNumber], tuple[GoldenNumber, GoldenNumber]]:
-        return ((self.a, self.b), (self.c, self.d))
+def cleared(v: GoldenVector) -> tuple[int, int, int, int]:
+    """The same ray as integer pairs: v times its coefficient denominators' lcm."""
+    den = math.lcm(v.x.a.denominator, v.x.b.denominator, v.y.a.denominator, v.y.b.denominator)
+    return int(v.x.a * den), int(v.x.b * den), int(v.y.a * den), int(v.y.b * den)

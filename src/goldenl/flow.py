@@ -30,7 +30,7 @@ from math import gcd, lcm
 
 from .classify import Classification
 from .errors import CapExceededError, StructuralViolationError
-from .field import GoldenNumber, GoldenVector, PHI, PHI_SQUARED, golden_mul, golden_sign
+from .field import GoldenNumber, GoldenVector, PHI, PHI_SQUARED, cleared, golden_mul, golden_sign
 from .surface import CONE_POINTS, GOLDEN_L, WEIERSTRASS_LABELS, weierstrass_point
 from .words import Word, format_word, word_to_vector
 
@@ -111,12 +111,6 @@ _EXITS2 = tuple(_wall_row(ident) for ident in GOLDEN_L.identifications)
 _CORNERS2 = tuple(_int_point(p, 2) for p in CONE_POINTS)
 
 
-def _cleared(v: GoldenVector) -> Point:
-    """The same ray as integer pairs: v times its coefficient denominators' lcm."""
-    den = lcm(v.x.a.denominator, v.x.b.denominator, v.y.a.denominator, v.y.b.denominator)
-    return int(v.x.a * den), int(v.x.b * den), int(v.y.a * den), int(v.y.b * den)
-
-
 def _kernel_setup(v: GoldenVector):
     """Scale tables for a trace: point scale, direction pairs, wall rows, corners.
 
@@ -125,7 +119,7 @@ def _kernel_setup(v: GoldenVector):
     every wall-hit division below come out exact. The wall rows carry their span
     bounds premultiplied by the direction coordinate the span test scales by.
     """
-    vxa, vxb, vya, vyb = _cleared(v)
+    vxa, vxb, vya, vyb = cleared(v)
     norm_x = vxa * vxa + vxa * vxb - vxb * vxb
     norm_y = vya * vya + vya * vyb - vyb * vyb
     factor = lcm(abs(norm_x) or 1, abs(norm_y) or 1)
@@ -415,7 +409,7 @@ def validate_trajectory_structure(trajectory: Trajectory) -> None:
     points, scale, v, start = trajectory.points, trajectory.scale, trajectory.direction, trajectory.start
     if not points:
         raise StructuralViolationError("trajectory has no segments")
-    vxa, vxb, vya, vyb = _cleared(v)
+    vxa, vxb, vya, vyb = cleared(v)
     for begin, end in points:
         dxa, dxb, dya, dyb = end[0] - begin[0], end[1] - begin[1], end[2] - begin[2], end[3] - begin[3]
         # Parallel: step.x * v.y == step.y * v.x. Forward, hence nonzero: step . v > 0.

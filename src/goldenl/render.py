@@ -123,9 +123,11 @@ def billiard_path(
 ) -> BilliardPath:
     """Reflect a ray around the pentagon until it closes or meets a corner.
 
-    Closure means passing through the start point with the starting direction,
-    either inside a segment or at a bounce; corners within CORNER_TOLERANCE
-    end the path as a saddle hit.
+    Closure means bouncing off the start midpoint with the starting outgoing
+    direction. It can only happen at a bounce: the midpoint lies on the
+    boundary, and the open chord between two boundary hits of a strictly
+    convex pentagon lies inside it. Corners within CORNER_TOLERANCE end the
+    path as a saddle hit.
     """
     if label not in PENTAGON_MIDPOINTS:
         raise ValueError(f"midpoint label must be 1..5, got {label}")
@@ -147,16 +149,6 @@ def billiard_path(
             raise ValueError(f"billiard ray escaped the pentagon at {p} along {d}")
         t, edge_index, _u = hit
         q = (p[0] + t * d[0], p[1] + t * d[1])
-        # Closure strictly inside the segment, with the original direction.
-        along = (start[0] - p[0]) * d[0] + (start[1] - p[1]) * d[1]
-        if CLOSE_TOLERANCE < along < t - CLOSE_TOLERANCE and _close(d, d0, CLOSE_TOLERANCE):
-            off = math.hypot(
-                start[0] - (p[0] + along * d[0]), start[1] - (p[1] + along * d[1])
-            )
-            if off < CLOSE_TOLERANCE:
-                points.append(start)
-                total += along
-                return BilliardPath(label, tuple(points), "closed", total)
         points.append(q)
         total += t
         if _near_corner(q, CORNER_TOLERANCE):

@@ -14,16 +14,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .field import (
-    GoldenMatrix,
-    GoldenNumber,
-    GoldenVector,
-    ONE,
-    PHI,
-    PHI_INVERSE,
-    PHI_SQUARED,
-    ZERO,
-)
+from .field import GoldenNumber, GoldenVector, cleared, golden_mul, golden_sign
 
 HALF = Fraction(1, 2)
 
@@ -149,19 +140,26 @@ def weierstrass_point(label: int) -> GoldenVector:
     return _WEIERSTRASS[label]
 
 
-# The four parabolic shear generators, row-major.
+# A 2x2 matrix over Z[phi] as integer rows ((a, b), (c, d)), each entry a
+# pair (p, q) meaning p + q*phi.
+Pair = tuple[int, int]
+Rows = tuple[tuple[Pair, Pair], tuple[Pair, Pair]]
 
-SIGMA = (
-    GoldenMatrix(ONE, PHI, ZERO, ONE),
-    GoldenMatrix(PHI, PHI, ONE, PHI),
-    GoldenMatrix(PHI, ONE, PHI, PHI),
-    GoldenMatrix(ONE, ZERO, PHI, ONE),
+# The four parabolic shear generators.
+SIGMA: tuple[Rows, ...] = (
+    (((1, 0), (0, 1)), ((0, 0), (1, 0))),  # ((1, phi), (0, 1))
+    (((0, 1), (0, 1)), ((1, 0), (0, 1))),  # ((phi, phi), (1, phi))
+    (((0, 1), (1, 0)), ((0, 1), (0, 1))),  # ((phi, 1), (phi, phi))
+    (((1, 0), (0, 0)), ((0, 1), (1, 0))),  # ((1, 0), (phi, 1))
 )
 
-SIGMA_INVERSE = tuple(m.inverse() for m in SIGMA)
+# Every sigma_k has determinant 1, so its inverse is the adjugate ((d, -b), (-c, a)).
+SIGMA_INVERSE: tuple[Rows, ...] = tuple(
+    ((d, (-b[0], -b[1])), ((-c[0], -c[1]), a)) for (a, b), (c, d) in SIGMA
+)
 
 
-def sigma(k: int) -> GoldenMatrix:
+def sigma(k: int) -> Rows:
     if not 0 <= k <= 3:
         raise ValueError(f"generator index must be 0..3, got {k}")
     return SIGMA[k]
@@ -245,8 +243,8 @@ class Axis(Enum):
 
 Sector = Union[int, Axis]
 
-# Lower slope bounds of the four sector cones: 0, 1/phi, 1, phi.
-_SECTOR_BOUNDS = (ZERO, PHI_INVERSE, ONE, PHI)
+# Lower slope bounds of the four sector cones: 0, 1/phi = phi - 1, 1, phi.
+_SECTOR_BOUNDS = ((0, 0), (-1, 1), (1, 0), (0, 1))
 
 
 def sector_of(v: GoldenVector) -> Sector:
@@ -255,19 +253,31 @@ def sector_of(v: GoldenVector) -> Sector:
     Cone k is spanned by the columns of sigma_k; slopes on a shared boundary
     belong to the higher sector. Horizontal directions are terminal (they lie
     in no cone) and vertical ones are reported as Axis.VERTICAL for the caller
-    to handle by the y = x relabeling.
+    to handle by the y = x relabeling. The cone is decided on v cleared to
+    integer pairs, the same ray.
     """
-    if v.is_zero:
+    xa, xb, ya, yb = cleared(v)
+    if not (xa or xb or ya or yb):
         raise ValueError("zero vector has no direction")
-    if v.x.sign() < 0 or v.y.sign() < 0:
+    if golden_sign(xa, xb) < 0 or golden_sign(ya, yb) < 0:
         raise ValueError(f"direction must lie in the closed first quadrant: {v}")
-    if v.y.is_zero:
+    return pair_sector((xa, xb, ya, yb))
+
+
+def pair_sector(v: tuple[int, int, int, int]) -> Sector:
+    """sector_of on integer pairs (xa, xb, ya, yb), without its input checks.
+
+    The caller guarantees a nonzero direction in the closed first quadrant.
+    """
+    xa, xb, ya, yb = v
+    if not (ya or yb):
         return Axis.HORIZONTAL
-    if v.x.is_zero:
+    if not (xa or xb):
         return Axis.VERTICAL
     for k in (3, 2, 1):
         # slope >= bound, compared as y >= bound * x with x > 0
-        if (v.y - _SECTOR_BOUNDS[k] * v.x).sign() >= 0:
+        ba, bb = golden_mul(*_SECTOR_BOUNDS[k], xa, xb)
+        if golden_sign(ya - ba, yb - bb) >= 0:
             return k
     return 0
 

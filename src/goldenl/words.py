@@ -1,15 +1,17 @@
 """Tree words over the alphabet {0, 1, 2, 3} and their direction vectors.
 
 A word k_1 k_2 ... k_n names the direction sigma_{k_n} ... sigma_{k_1} (1, 0).
-Reduction deletes adjacent equal letters until none remain; the result is the
-base word, and classification only depends on it.
+Both ways between words and directions run on integer pairs (a, b) meaning
+a + b*phi, the integer rows of sigma_k; a GoldenVector appears only at the
+ends. Reduction deletes adjacent equal letters until none remain; the result
+is the base word, and classification only depends on it.
 """
 
 from __future__ import annotations
 
 from .errors import CapExceededError, VerticalDirectionError
-from .field import GoldenVector, ONE, ZERO
-from .surface import Axis, SIGMA, SIGMA_INVERSE, sector_of
+from .field import GoldenVector, cleared, golden_mul
+from .surface import Axis, SIGMA, SIGMA_INVERSE, Rows, pair_sector, sector_of
 
 Word = tuple[int, ...]
 
@@ -40,13 +42,22 @@ def _check_letters(word: Word) -> None:
             raise ValueError(f"word letter out of range 0-3: {k}")
 
 
+def _apply(m: Rows, v: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """The matrix m applied to the integer-pair vector v = (xa, xb, ya, yb)."""
+    ((aa, ab), (ba, bb)), ((ca, cb), (da, db)) = m
+    xa, xb, ya, yb = v
+    (p, q), (r, s) = golden_mul(aa, ab, xa, xb), golden_mul(ba, bb, ya, yb)
+    (t, u), (w, z) = golden_mul(ca, cb, xa, xb), golden_mul(da, db, ya, yb)
+    return p + r, q + s, t + w, u + z
+
+
 def word_to_vector(word: Word) -> GoldenVector:
     """Direction vector of a word: apply sigma_k to (1, 0) for each letter in order."""
     _check_letters(word)
-    v = GoldenVector(ONE, ZERO)
+    v = (1, 0, 0, 0)
     for k in word:
-        v = SIGMA[k].apply(v)
-    return v
+        v = _apply(SIGMA[k], v)
+    return GoldenVector.from_rationals(*v)
 
 
 def vector_to_word(v: GoldenVector, cap: int = DEFAULT_INVERSION_CAP) -> Word:
@@ -56,13 +67,14 @@ def vector_to_word(v: GoldenVector, cap: int = DEFAULT_INVERSION_CAP) -> Word:
     k and pull back by sigma_k inverse. Letters come out last-first, so the
     collected sequence is reversed at the end. Vertical input has no word and
     raises VerticalDirectionError. The cap is the largest number of letters
-    allowed; a direction that needs more raises CapExceededError.
+    allowed; a direction that needs more raises CapExceededError. The input is
+    checked once by sector_of; the peeling runs on v cleared to integer pairs,
+    which sigma_k inverse keeps in the closed first quadrant.
     """
+    k = sector_of(v)
+    point = cleared(v)
     reversed_letters: list[int] = []
-    while True:
-        k = sector_of(v)
-        if k is Axis.HORIZONTAL:
-            return tuple(reversed(reversed_letters))
+    while k is not Axis.HORIZONTAL:
         if k is Axis.VERTICAL:
             raise VerticalDirectionError(
                 "vertical direction has no word; classify it via the y = x relabeling"
@@ -70,7 +82,9 @@ def vector_to_word(v: GoldenVector, cap: int = DEFAULT_INVERSION_CAP) -> Word:
         if len(reversed_letters) >= cap:
             raise CapExceededError(f"direction needs a word longer than {cap} letters")
         reversed_letters.append(k)
-        v = SIGMA_INVERSE[k].apply(v)
+        point = _apply(SIGMA_INVERSE[k], point)
+        k = pair_sector(point)
+    return tuple(reversed(reversed_letters))
 
 
 def derive_once(word: Word) -> Word:

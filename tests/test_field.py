@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from goldenl import (
-    GoldenMatrix,
     GoldenNumber,
     GoldenVector,
     ONE,
@@ -17,6 +16,8 @@ from goldenl import (
     SIGMA,
     ZERO,
 )
+from goldenl.field import golden_mul
+from goldenl.surface import SIGMA_INVERSE
 
 
 def test_phi_squared_identity():
@@ -174,32 +175,24 @@ def test_vector_quadruple():
     assert v.quadruple() == ["3/1", "2/1", "2/1", "4/1"]
 
 
+def row_product(m, n):
+    """Product of two 2x2 matrices given as integer Z[phi] rows."""
+    return tuple(
+        tuple(
+            tuple(u + w for u, w in zip(golden_mul(*row[0], *col[0]), golden_mul(*row[1], *col[1])))
+            for col in zip(*n)
+        )
+        for row in m
+    )
+
+
 def test_matrix_determinants_and_inverse():
-    for m in SIGMA:
-        assert m.det() == ONE
-        assert m @ m.inverse() == GoldenMatrix.identity()
+    identity = (((1, 0), (0, 0)), ((0, 0), (1, 0)))
+    for m, m_inv in zip(SIGMA, SIGMA_INVERSE):
+        (a, b), (c, d) = m
+        ad, bc = golden_mul(*a, *d), golden_mul(*b, *c)
+        assert (ad[0] - bc[0], ad[1] - bc[1]) == (1, 0)
+        assert row_product(m, m_inv) == identity
+        assert row_product(m_inv, m) == identity
     # sigma_1 = ((phi, phi), (1, phi)) has inverse ((phi, -phi), (-1, phi)).
-    assert SIGMA[1].inverse() == GoldenMatrix(PHI, -PHI, -ONE, PHI)
-
-
-def test_matrix_apply_matches_columns():
-    m = SIGMA[2]
-    e1 = GoldenVector(ONE, ZERO)
-    e2 = GoldenVector(ZERO, ONE)
-    c1, c2 = m.columns()
-    assert m.apply(e1) == c1
-    assert m.apply(e2) == c2
-
-
-def test_matmul_is_composition():
-    rng = random.Random(3)
-    for _ in range(20):
-        a = SIGMA[rng.randrange(4)]
-        b = SIGMA[rng.randrange(4)]
-        v = GoldenVector(GoldenNumber(rng.randint(-5, 5)), GoldenNumber(rng.randint(-5, 5)))
-        assert (a @ b).apply(v) == a.apply(b.apply(v))
-
-
-def test_singular_matrix_inverse_raises():
-    with pytest.raises(ValueError):
-        GoldenMatrix(ONE, ONE, ONE, ONE).inverse()
+    assert SIGMA_INVERSE[1] == (((0, 1), (0, -1)), ((-1, 0), (0, 1)))

@@ -7,7 +7,6 @@ import pytest
 from goldenl import (
     Axis,
     GOLDEN_L,
-    GoldenMatrix,
     GoldenNumber,
     GoldenVector,
     ONE,
@@ -77,14 +76,21 @@ def test_weierstrass_lookup():
         weierstrass_point(6)
 
 
+def golden_rows(m):
+    """An integer-row matrix with each (p, q) entry as the GoldenNumber p + q*phi."""
+    return tuple(tuple(GoldenNumber(*entry) for entry in row) for row in m)
+
+
 def test_sigma_tables():
-    assert sigma(0).rows() == ((ONE, PHI), (ZERO, ONE))
-    assert sigma(1).rows() == ((PHI, PHI), (ONE, PHI))
-    assert sigma(2).rows() == ((PHI, ONE), (PHI, PHI))
-    assert sigma(3).rows() == ((ONE, ZERO), (PHI, ONE))
+    assert golden_rows(sigma(0)) == ((ONE, PHI), (ZERO, ONE))
+    assert golden_rows(sigma(1)) == ((PHI, PHI), (ONE, PHI))
+    assert golden_rows(sigma(2)) == ((PHI, ONE), (PHI, PHI))
+    assert golden_rows(sigma(3)) == ((ONE, ZERO), (PHI, ONE))
     for k in range(4):
-        assert SIGMA[k].det() == ONE
-        assert SIGMA[k] @ SIGMA_INVERSE[k] == GoldenMatrix.identity()
+        (a, b), (c, d) = golden_rows(SIGMA[k])
+        (ia, ib), (ic, id_) = golden_rows(SIGMA_INVERSE[k])
+        assert a * d - b * c == ONE
+        assert (a * ia + b * ic, a * ib + b * id_, c * ia + d * ic, c * ib + d * id_) == (ONE, ZERO, ZERO, ONE)
     with pytest.raises(ValueError):
         sigma(4)
 
@@ -93,9 +99,9 @@ def test_sigma_columns_sit_on_their_sector_boundaries():
     # Column slopes of sigma_k are the two boundary slopes of cone k, and
     # boundaries belong to the higher sector.
     for k in range(4):
-        c1, c2 = SIGMA[k].columns()
-        assert sector_of(c1) == (Axis.HORIZONTAL if k == 0 else k)
-        assert sector_of(c2) == (Axis.VERTICAL if k == 3 else k + 1)
+        (a, b), (c, d) = golden_rows(SIGMA[k])
+        assert sector_of(GoldenVector(a, c)) == (Axis.HORIZONTAL if k == 0 else k)
+        assert sector_of(GoldenVector(b, d)) == (Axis.VERTICAL if k == 3 else k + 1)
 
 
 def test_tau_cycle_structure():

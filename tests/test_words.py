@@ -1,6 +1,7 @@
 """Word algebra: parsing, direction vectors, inversion, and reduction."""
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -71,6 +72,38 @@ def test_round_trip_sampled_long():
         length = rng.randint(7, 8)
         word = (rng.randint(1, 3),) + tuple(rng.randrange(4) for _ in range(length - 1))
         assert vector_to_word(word_to_vector(word)) == word
+
+
+# sigma_k row by row, each entry (p, q) meaning p + q*phi. Written out here,
+# apart from the library's table, so the reference fold below checks it.
+REFERENCE_SIGMA_ROWS = (
+    (((1, 0), (0, 1)), ((0, 0), (1, 0))),  # ((1, phi), (0, 1))
+    (((0, 1), (0, 1)), ((1, 0), (0, 1))),  # ((phi, phi), (1, phi))
+    (((0, 1), (1, 0)), ((0, 1), (0, 1))),  # ((phi, 1), (phi, phi))
+    (((1, 0), (0, 0)), ((0, 1), (1, 0))),  # ((1, 0), (phi, 1))
+)
+
+
+def reference_word_to_vector(word):
+    """The direction fold on Q[phi] numbers: sigma_k as GoldenNumber matrices applied to (1, 0)."""
+    x, y = GoldenNumber(1), GoldenNumber(0)
+    for k in word:
+        (a, b), (c, d) = ((GoldenNumber(*entry) for entry in row) for row in REFERENCE_SIGMA_ROWS[k])
+        x, y = a * x + b * y, c * x + d * y
+    return GoldenVector(x, y)
+
+
+def test_direction_algebra_matches_reference_fold():
+    rng = random.Random(20261018)
+    words = [w for n in range(6) for w in product((0, 1, 2, 3), repeat=n)]
+    words += [tuple(rng.randrange(4) for _ in range(rng.randint(16, 127))) for _ in range(64)]
+    for word in words:
+        v = word_to_vector(word)
+        assert v == reference_word_to_vector(word), word
+        # Non-integral multiples name the same direction, so the same word.
+        stripped = word[next((i for i, k in enumerate(word) if k), len(word)):]
+        assert vector_to_word(v.scaled(Fraction(7, 3))) == stripped, word
+        assert vector_to_word(v.scaled(Fraction(1, 2))) == stripped, word
 
 
 def test_leading_zeros_collapse():
