@@ -35,7 +35,7 @@ from .flow import (
     trace,
     trace_direction,
 )
-from .render import billiard_path, pentagon_direction, render_trajectory
+from .render import billiard_path, render_trajectory
 from .stats import (
     MonteCarloEstimate,
     ReductionProfile,
@@ -115,7 +115,6 @@ __all__ = [
     "oracle_classify",
     "oracle_report",
     "parse_word",
-    "pentagon_direction",
     "pentagon_transfer",
     "reduce_word",
     "render_trajectory",

@@ -256,14 +256,8 @@ def _cmd_simulate(args: argparse.Namespace, fmt: str) -> int:
 def _cmd_render(args: argparse.Namespace, fmt: str) -> int:
     word = parse_word(args.word)
     label = _check_midpoint(args.midpoint)
-    svg = render.render_trajectory(
-        word,
-        label,
-        frame=args.frame,
-        size=args.size,
-        stroke=args.stroke,
-        cap=_cap_or(args, None),
-    )
+    cap = _cap_or(args, flow.DEFAULT_STEP_CAP)
+    svg = render.render_trajectory(word, label, args.frame, args.size, args.stroke, cap)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(svg)
     segments = svg.count('<line class="trajectory"')
@@ -375,11 +369,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_word_of(args)}{exc}", file=sys.stderr)
         return 3
     except StructuralViolationError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(f"internal error: {_word_of(args)}{exc}", file=sys.stderr)
         return 4
+
+
+def _word_of(args: argparse.Namespace) -> str:
+    """Names the word a flow error came from; the flow itself sees only a direction."""
+    return f"word {args.word}: " if hasattr(args, "word") else ""
 
 
 def run() -> None:

@@ -1,9 +1,10 @@
 """SVG rendering of trajectories, in the golden L frame or the pentagon frame.
 
-The golden L frame draws the exact trajectory (coordinates only become floats
-at the last step). The pentagon frame replays the direction through the frame
-change P and follows the billiard in a regular pentagon with side 1 by float
-reflection; it is a visual aid and never feeds back into classification.
+Both frames draw one exact trajectory, and coordinates only become floats at
+the last step. The golden L frame draws its segments as they are. The
+pentagon frame folds them onto the billiard table, a regular pentagon with
+side 1 (see billiard_path); every bounce, corner and closure is decided on the
+trajectory's integer points.
 """
 
 from __future__ import annotations
@@ -11,11 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import CapExceededError
-from .field import PHI_FLOAT, GoldenVector
-from .flow import DEFAULT_STEP_CAP, Outcome, Trajectory, trace
-from .surface import GOLDEN_L, pentagon_transfer
-from .words import Word, format_word, word_to_vector
+from .errors import StructuralViolationError
+from .field import PHI_FLOAT, cleared, golden_mul
+from .flow import DEFAULT_STEP_CAP, Outcome, Trajectory, _int_point, trace, trace_direction
+from .surface import GOLDEN_L, Rows, pentagon_transfer, weierstrass_point
+from .words import Word, _apply, word_to_vector
 
 GOLDEN_L_FRAME = "goldenl"
 PENTAGON_FRAME = "pentagon"
@@ -23,9 +24,6 @@ FRAMES = (GOLDEN_L_FRAME, PENTAGON_FRAME)
 
 DEFAULT_SIZE = 480
 DEFAULT_STROKE = 2.0
-DEFAULT_MAX_BOUNCES = 20_000
-CORNER_TOLERANCE = 1e-9
-CLOSE_TOLERANCE = 1e-7
 
 # Regular pentagon with side 1, apex up, centered at the origin.
 _CIRCUMRADIUS = 1.0 / (2.0 * math.sin(math.pi / 5.0))
@@ -49,21 +47,6 @@ PENTAGON_MIDPOINTS = {
     )
     for label, angle in _MIDPOINT_ANGLES.items()
 }
-
-
-def pentagon_direction(word: Word) -> tuple[float, float]:
-    """The float pentagon-frame image P * v of a word's direction."""
-    v = word_to_vector(word)
-    (p00, p01), (p10, p11) = pentagon_transfer().matrix
-    x, y = v.to_floats()
-    return (p00 * x + p01 * y, p10 * x + p11 * y)
-
-
-def pentagon_length(h: GoldenVector) -> float:
-    """Euclidean length of P * h, the pentagon-frame image of a holonomy."""
-    (p00, p01), (p10, p11) = pentagon_transfer().matrix
-    x, y = h.to_floats()
-    return math.hypot(p00 * x + p01 * y, p10 * x + p11 * y)
 
 
 def transported_side_events(trajectory: Trajectory) -> int:
@@ -95,120 +78,141 @@ def transported_side_events(trajectory: Trajectory) -> int:
     return 2 * (len(points) - closes_mid)
 
 
-@dataclass(frozen=True)
-class BilliardPath:
-    """A float billiard orbit in the unit-side regular pentagon."""
-
-    start_label: int
-    points: tuple[tuple[float, float], ...]
-    outcome: str  # "closed" | "corner" | "capped"
-    length: float
-
-    @property
-    def segment_count(self) -> int:
-        return len(self.points) - 1
-
-
-def _normalize(v: tuple[float, float]) -> tuple[float, float]:
-    n = math.hypot(*v)
-    if n == 0.0:
-        raise ValueError("billiard direction must be nonzero")
-    return (v[0] / n, v[1] / n)
-
-
-def billiard_path(
-    label: int,
-    direction: tuple[float, float],
-    max_bounces: int = DEFAULT_MAX_BOUNCES,
-) -> BilliardPath:
-    """Reflect a ray around the pentagon until it closes or meets a corner.
-
-    Closure means bouncing off the start midpoint with the starting outgoing
-    direction. It can only happen at a bounce: the midpoint lies on the
-    boundary, and the open chord between two boundary hits of a strictly
-    convex pentagon lies inside it. Corners within CORNER_TOLERANCE end the
-    path as a saddle hit.
-    """
-    if label not in PENTAGON_MIDPOINTS:
-        raise ValueError(f"midpoint label must be 1..5, got {label}")
-    start = PENTAGON_MIDPOINTS[label]
-    d0 = _normalize(direction)
-    # The direction is defined up to sign; launch into the pentagon. The
-    # outward edge normal at a midpoint is the midpoint's own radial direction.
-    normal = _normalize(start)
-    if d0[0] * normal[0] + d0[1] * normal[1] > 0.0:
-        d0 = (-d0[0], -d0[1])
-    p = start
-    d = d0
-    points = [start]
-    total = 0.0
-    skip_edge = label_edge = _edge_of_midpoint(label)
-    for _ in range(max_bounces):
-        hit = _next_edge_hit(p, d, skip_edge)
-        if hit is None:
-            raise ValueError(f"billiard ray escaped the pentagon at {p} along {d}")
-        t, edge_index, _u = hit
-        q = (p[0] + t * d[0], p[1] + t * d[1])
-        points.append(q)
-        total += t
-        if _near_corner(q, CORNER_TOLERANCE):
-            return BilliardPath(label, tuple(points), "corner", total)
-        d = _reflect(d, edge_index)
-        # Closure at a bounce point: back at the start midpoint, same outgoing ray.
-        if (
-            edge_index == label_edge
-            and math.hypot(q[0] - start[0], q[1] - start[1]) < CLOSE_TOLERANCE
-            and _close(d, d0, CLOSE_TOLERANCE)
-        ):
-            return BilliardPath(label, tuple(points), "closed", total)
-        p = q
-        skip_edge = edge_index
-    return BilliardPath(label, tuple(points), "capped", total)
-
-
 def _edge_of_midpoint(label: int) -> int:
     # Edge i joins the vertices at 90 + 72i and 162 + 72i degrees, so its
     # midpoint sits at 126 + 72i.
     return round((_MIDPOINT_ANGLES[label] - 126.0) / 72.0) % 5
 
 
-def _next_edge_hit(
-    p: tuple[float, float], d: tuple[float, float], skip_edge: int
-) -> tuple[float, int, float] | None:
-    best: tuple[float, int, float] | None = None
-    for i in range(5):
-        if i == skip_edge:
-            continue
-        a = PENTAGON_VERTICES[i]
-        b = PENTAGON_VERTICES[(i + 1) % 5]
-        ex, ey = b[0] - a[0], b[1] - a[1]
-        denom = d[0] * ey - d[1] * ex
-        if abs(denom) < 1e-15:
-            continue
-        wx, wy = a[0] - p[0], a[1] - p[1]
-        t = (wx * ey - wy * ex) / denom
-        u = (wx * d[1] - wy * d[0]) / denom
-        if t <= 1e-12 or u < -1e-9 or u > 1.0 + 1e-9:
-            continue
-        if best is None or t < best[0]:
-            best = (t, i, u)
-    return best
+# The fold. Each side of the inscribed pentagon is named by the Weierstrass point
+# at its midpoint, as is the table side P maps it to: 1 and 5 are gluing sources
+# a and d, and 3, 4 and 2 are the cuts C3, C1 and C2 of transported_side_events.
+_EDGE = {label: _edge_of_midpoint(label) for label in _MIDPOINT_ANGLES}
+_MIDPOINTS2 = {label: _int_point(weierstrass_point(label), 2) for label in _MIDPOINT_ANGLES}
+_RING = [p.to_floats() for p in GOLDEN_L.inscribed_pentagon]
+_SIDE_ENDS = {side: (_RING[i], _RING[i - 4]) for i, side in enumerate((5, 4, 2, 1, 3))}
+# P carries <u, w> = u^T ((1, phi/2), (phi/2, 1)) w to the table's dot product.
+# Every side vector e has <e, e> = 1, so the mirror d -> 2<d, e>e - d has integer
+# rows over Z[phi]. Runs leave only by C1, e = (-1, phi), and C2, e = (-phi, 1).
+_MIRRORS: dict[int, Rows] = {
+    4: (((0, -1), (0, -1)), ((1, 0), (0, 1))),  # ((-phi, -phi), (1, phi))
+    2: (((0, 1), (1, 0)), ((0, -1), (0, -1))),  # ((phi, 1), (-phi, -phi))
+}
+# The table's turn by 72 degrees: the mirror in side 1, e = (0, 1), then in side 4.
+_TURN: Rows = (((-1, 0), (0, -1)), ((0, 1), (0, 1)))  # ((-1, -phi), (phi, phi))
+_ROTATIONS = tuple(complex(math.cos(0.4 * math.pi * k), math.sin(0.4 * math.pi * k)) for k in range(5))
+# The cone points (phi^2, phi) and (phi, phi^2), scaled to 1, lie beyond C1 and
+# C2; a run that ends there is drawn to their mirror images in those cuts.
+_BEYOND = {(1, 1, 0, 1): (0, 0, 1, 1), (0, 1, 1, 1): (1, 1, 0, 0)}
+(_, _P01), (_, _P11) = pentagon_transfer().matrix
+_CENTRE = (1.0 + 3.0 * PHI_FLOAT) / 5.0
 
 
-def _near_corner(q: tuple[float, float], tolerance: float) -> bool:
-    return any(math.hypot(q[0] - v[0], q[1] - v[1]) < tolerance for v in PENTAGON_VERTICES)
+def _on_table(x: float, y: float) -> complex:
+    """P(x - centre), for the inscribed pentagon's centre (c, c): the table point."""
+    x, y = x - _CENTRE, y - _CENTRE
+    return complex(x + _P01 * y, _P11 * y)
 
 
-def _reflect(d: tuple[float, float], edge_index: int) -> tuple[float, float]:
-    a = PENTAGON_VERTICES[edge_index]
-    b = PENTAGON_VERTICES[(edge_index + 1) % 5]
-    ex, ey = _normalize((b[0] - a[0], b[1] - a[1]))
-    along = d[0] * ex + d[1] * ey
-    return (2.0 * along * ex - d[0], 2.0 * along * ey - d[1])
+def _exit(hit: tuple, s: int) -> tuple[int, int]:
+    """(cut left, side re-entered) of a run ending on a wall at `hit`, at scale s:
+    the walls of a (x = phi) and c (y = phi^2) lie beyond C2, those of b (x = phi^2)
+    and d (y = phi) beyond C1. Gluings a and d re-enter on sides 1 and 5, b and c below C3."""
+    if hit[0] == 0 and hit[1] == s:
+        return 2, 1
+    if hit[2] == hit[3] == s:
+        return 2, 3
+    return (4, 3) if hit[0] == hit[1] == s else (4, 5)
 
 
-def _close(u: tuple[float, float], w: tuple[float, float], tolerance: float) -> bool:
-    return math.hypot(u[0] - w[0], u[1] - w[1]) < tolerance
+def _crossing(side, leaving, turn, begin, end, v, s) -> tuple:
+    """(side, leaving, turn, at the midpoint, table point) for a run crossing a side.
+    It is at the midpoint exactly when the run's line passes it; the point is only drawn."""
+    wxa, wxb, wya, wyb = (c * (s // 2) for c in _MIDPOINTS2[side])
+    at_midpoint = golden_mul(wxa - begin[0], wxb - begin[1], v[2], v[3]) == golden_mul(
+        wya - begin[2], wyb - begin[3], v[0], v[1]
+    )
+    bx, by = begin[0] / s + begin[1] / s * PHI_FLOAT, begin[2] / s + begin[3] / s * PHI_FLOAT
+    dx, dy = end[0] / s + end[1] / s * PHI_FLOAT - bx, end[2] / s + end[3] / s * PHI_FLOAT - by
+    (ax, ay), (cx, cy) = _SIDE_ENDS[side]
+    f = ((ax - bx) * (cy - ay) - (ay - by) * (cx - ax)) / (dx * (cy - ay) - dy * (cx - ax))
+    return side, leaving, turn, at_midpoint, _on_table(bx + f * dx, by + f * dy)
+
+
+def _outgoing(v, side: int, leaving: bool, k: int):
+    """The table direction leaving a bounce at turn k, pulled back by P to integer pairs."""
+    d = _apply(_MIRRORS[side], v) if leaving else v
+    for _ in range(k):
+        d = _apply(_TURN, d)
+    return d
+
+
+@dataclass(frozen=True)
+class BilliardPath:
+    """A billiard orbit in the unit-side regular pentagon, folded from an exact trajectory."""
+
+    start_label: int
+    points: tuple[tuple[float, float], ...]
+    outcome: str  # "closed" | "corner"
+
+    @property
+    def segment_count(self) -> int:
+        return len(self.points) - 1
+
+
+def billiard_path(trajectory: Trajectory) -> BilliardPath:
+    """Fold an exact golden L trajectory onto the pentagon billiard table.
+
+    The L is the double pentagon: the inscribed one, drawn by P, and one made
+    of T1, T2 and T3 that folds onto the table by a reflection. So a bounce is
+    a side crossing, and the table turns by 2 * (edge(s) - edge(s')) steps of
+    72 degrees from a run that leaves by side s to the next, which re-enters by
+    s'. Midpoints 2 and 4 start on C2 and C1 heading out; mirroring their
+    picture in the table axis through the start launches them inward. A closed
+    trajectory repeats, turned, until a bounce is back at the start midpoint
+    with the first outgoing direction, both tested exactly.
+    """
+    label, s, points = trajectory.start_label, trajectory.scale, trajectory.points
+    v = cleared(trajectory.direction)
+    outside = label in (2, 4)
+    closed = trajectory.outcome is Outcome.CLOSED
+    cone = tuple(c // s for c in points[-1][1])
+    runs = list(points)
+    if closed and points[-1][1] == points[0][0]:
+        # Closed strictly inside a segment: the last run ends at the start and
+        # the first leaves it, so together they are one run through the start.
+        runs[0] = (runs.pop()[0], runs[0][1])
+    # Each run re-enters after the previous wall and leaves before its own, so
+    # the start is crossing 0, or 1 from midpoints 2 and 4, of a closed orbit.
+    crossings = []
+    for i, (begin, end) in enumerate(runs):
+        if i or closed:
+            left, entered = _exit(runs[i - 1][1], s)
+            turn = 2 * (_EDGE[left] - _EDGE[entered]) % 5
+            crossings.append(_crossing(entered, False, turn, begin, end, v, s))
+        if closed or i < len(runs) - 1 or cone in _BEYOND:
+            crossings.append(_crossing(_exit(end, s)[0], True, 0, begin, end, v, s))
+
+    # One period or five close a closed orbit; the horizontal class takes two and a half.
+    first, n, k, drawn = _outgoing(v, label, outside, 0), len(crossings), 0, []
+    for step in range(outside + 1, outside + 5 * n + 1) if closed else range(outside, n):
+        side, leaving, turn, at_midpoint, q = crossings[step % n]
+        k = (k + turn) % 5
+        if closed and at_midpoint and (_EDGE[side] + k) % 5 == _EDGE[label]:
+            if _outgoing(v, side, leaving, k) == first:
+                break
+        drawn.append(q * _ROTATIONS[k])
+    else:
+        if closed:
+            raise StructuralViolationError(f"billiard from midpoint {label} did not close in five periods")
+        xa, xb, ya, yb = _BEYOND.get(cone, cone)
+        drawn.append(_on_table(xa + xb * PHI_FLOAT, ya + yb * PHI_FLOAT) * _ROTATIONS[k])
+    if outside:
+        axis = math.radians(2.0 * _MIDPOINT_ANGLES[label])
+        drawn = [complex(math.cos(axis), math.sin(axis)) * z.conjugate() for z in drawn]
+    start = PENTAGON_MIDPOINTS[label]
+    points = (start, *((z.real, z.imag) for z in drawn), *((start,) if closed else ()))
+    return BilliardPath(label, points, "closed" if closed else "corner")
 
 
 # SVG assembly
@@ -274,19 +278,14 @@ def pentagon_svg(
     label: int,
     size: int = DEFAULT_SIZE,
     stroke: float = DEFAULT_STROKE,
-    max_bounces: int = DEFAULT_MAX_BOUNCES,
+    cap: int = DEFAULT_STEP_CAP,
 ) -> str:
     """Draw the pentagon billiard orbit for a word from one labeled midpoint.
 
-    A float billiard that neither closes nor meets a corner within
-    `max_bounces` is refused with CapExceededError rather than drawn.
+    The word is traced once, with at most `cap` flow steps, and folded onto
+    the table.
     """
-    path = billiard_path(label, pentagon_direction(word), max_bounces)
-    if path.outcome == "capped":
-        raise CapExceededError(
-            f"pentagon billiard for word {format_word(word)} from midpoint {label} "
-            f"did not close within {max_bounces} bounces"
-        )
+    path = billiard_path(trace_direction(label, word_to_vector(word), cap))
     margin = 0.06 * size
     scale = (size - 2.0 * margin) / (2.0 * _CIRCUMRADIUS)
 
@@ -312,14 +311,13 @@ def render_trajectory(
     frame: str = GOLDEN_L_FRAME,
     size: int = DEFAULT_SIZE,
     stroke: float = DEFAULT_STROKE,
-    cap: int | None = None,
+    cap: int = DEFAULT_STEP_CAP,
 ) -> str:
-    """SVG for a word and midpoint in the requested frame."""
+    """SVG for a word and midpoint in the requested frame, tracing at most `cap` flow steps."""
     if size < 1 or stroke <= 0:
         raise ValueError(f"size must be at least 1 and stroke positive, got {size} and {stroke}")
     if frame == GOLDEN_L_FRAME:
-        trajectory = trace(label, word, cap if cap is not None else DEFAULT_STEP_CAP)
-        return golden_l_svg(trajectory, size, stroke)
+        return golden_l_svg(trace(label, word, cap), size, stroke)
     if frame == PENTAGON_FRAME:
-        return pentagon_svg(word, label, size, stroke, cap if cap is not None else DEFAULT_MAX_BOUNCES)
+        return pentagon_svg(word, label, size, stroke, cap)
     raise ValueError(f"frame must be one of {FRAMES}, got {frame!r}")

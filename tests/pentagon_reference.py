@@ -1,0 +1,147 @@
+"""Float reflection billiard in the regular pentagon: the tests' independent reference.
+
+The library draws the pentagon frame by folding the exact golden L trajectory
+onto the table (`goldenl.render.billiard_path`). This module reaches the same
+pictures another way, by reflecting a float ray off the table's sides until it
+comes back to its start or meets a corner within a tolerance. It shares no
+code with the fold beyond the table's vertices and midpoints.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+from goldenl.field import GoldenVector
+from goldenl.render import PENTAGON_MIDPOINTS, PENTAGON_VERTICES, _edge_of_midpoint
+from goldenl.surface import pentagon_transfer
+from goldenl.words import Word, word_to_vector
+
+DEFAULT_MAX_BOUNCES = 20_000
+CORNER_TOLERANCE = 1e-9
+CLOSE_TOLERANCE = 1e-7
+
+
+def pentagon_direction(word: Word) -> tuple[float, float]:
+    """The float pentagon-frame image P * v of a word's direction."""
+    v = word_to_vector(word)
+    (p00, p01), (p10, p11) = pentagon_transfer().matrix
+    x, y = v.to_floats()
+    return (p00 * x + p01 * y, p10 * x + p11 * y)
+
+
+def pentagon_length(h: GoldenVector) -> float:
+    """Euclidean length of P * h, the pentagon-frame image of a holonomy."""
+    (p00, p01), (p10, p11) = pentagon_transfer().matrix
+    x, y = h.to_floats()
+    return math.hypot(p00 * x + p01 * y, p10 * x + p11 * y)
+
+
+@dataclass(frozen=True)
+class BilliardPath:
+    """A float billiard orbit in the unit-side regular pentagon."""
+
+    start_label: int
+    points: tuple[tuple[float, float], ...]
+    outcome: str  # "closed" | "corner" | "capped"
+    length: float
+
+    @property
+    def segment_count(self) -> int:
+        return len(self.points) - 1
+
+
+def _normalize(v: tuple[float, float]) -> tuple[float, float]:
+    n = math.hypot(*v)
+    if n == 0.0:
+        raise ValueError("billiard direction must be nonzero")
+    return (v[0] / n, v[1] / n)
+
+
+def billiard_path(
+    label: int,
+    direction: tuple[float, float],
+    max_bounces: int = DEFAULT_MAX_BOUNCES,
+) -> BilliardPath:
+    """Reflect a ray around the pentagon until it closes or meets a corner.
+
+    Closure means bouncing off the start midpoint with the starting outgoing
+    direction. It can only happen at a bounce: the midpoint lies on the
+    boundary, and the open chord between two boundary hits of a strictly
+    convex pentagon lies inside it. Corners within CORNER_TOLERANCE end the
+    path as a saddle hit.
+    """
+    if label not in PENTAGON_MIDPOINTS:
+        raise ValueError(f"midpoint label must be 1..5, got {label}")
+    start = PENTAGON_MIDPOINTS[label]
+    d0 = _normalize(direction)
+    # The direction is defined up to sign; launch into the pentagon. The
+    # outward edge normal at a midpoint is the midpoint's own radial direction.
+    normal = _normalize(start)
+    if d0[0] * normal[0] + d0[1] * normal[1] > 0.0:
+        d0 = (-d0[0], -d0[1])
+    p = start
+    d = d0
+    points = [start]
+    total = 0.0
+    skip_edge = label_edge = _edge_of_midpoint(label)
+    for _ in range(max_bounces):
+        hit = _next_edge_hit(p, d, skip_edge)
+        if hit is None:
+            raise ValueError(f"billiard ray escaped the pentagon at {p} along {d}")
+        t, edge_index, _u = hit
+        q = (p[0] + t * d[0], p[1] + t * d[1])
+        points.append(q)
+        total += t
+        if _near_corner(q, CORNER_TOLERANCE):
+            return BilliardPath(label, tuple(points), "corner", total)
+        d = _reflect(d, edge_index)
+        # Closure at a bounce point: back at the start midpoint, same outgoing ray.
+        if (
+            edge_index == label_edge
+            and math.hypot(q[0] - start[0], q[1] - start[1]) < CLOSE_TOLERANCE
+            and _close(d, d0, CLOSE_TOLERANCE)
+        ):
+            return BilliardPath(label, tuple(points), "closed", total)
+        p = q
+        skip_edge = edge_index
+    return BilliardPath(label, tuple(points), "capped", total)
+
+
+def _next_edge_hit(
+    p: tuple[float, float], d: tuple[float, float], skip_edge: int
+) -> tuple[float, int, float] | None:
+    best: tuple[float, int, float] | None = None
+    for i in range(5):
+        if i == skip_edge:
+            continue
+        a = PENTAGON_VERTICES[i]
+        b = PENTAGON_VERTICES[(i + 1) % 5]
+        ex, ey = b[0] - a[0], b[1] - a[1]
+        denom = d[0] * ey - d[1] * ex
+        if abs(denom) < 1e-15:
+            continue
+        wx, wy = a[0] - p[0], a[1] - p[1]
+        t = (wx * ey - wy * ex) / denom
+        u = (wx * d[1] - wy * d[0]) / denom
+        if t <= 1e-12 or u < -1e-9 or u > 1.0 + 1e-9:
+            continue
+        if best is None or t < best[0]:
+            best = (t, i, u)
+    return best
+
+
+def _near_corner(q: tuple[float, float], tolerance: float) -> bool:
+    return any(math.hypot(q[0] - v[0], q[1] - v[1]) < tolerance for v in PENTAGON_VERTICES)
+
+
+def _reflect(d: tuple[float, float], edge_index: int) -> tuple[float, float]:
+    a = PENTAGON_VERTICES[edge_index]
+    b = PENTAGON_VERTICES[(edge_index + 1) % 5]
+    ex, ey = _normalize((b[0] - a[0], b[1] - a[1]))
+    along = d[0] * ex + d[1] * ey
+    return (2.0 * along * ex - d[0], 2.0 * along * ey - d[1])
+
+
+def _close(u: tuple[float, float], w: tuple[float, float], tolerance: float) -> bool:
+    return math.hypot(u[0] - w[0], u[1] - w[1]) < tolerance

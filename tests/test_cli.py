@@ -162,14 +162,35 @@ def test_render(capsys, tmp_path):
 
 
 def test_render_pentagon_capped(capsys, tmp_path):
-    # The exact orbit closes after 2,356 segments; the float billiard drifts
-    # past the bounce cap, so the picture is refused rather than drawn wrong.
-    out_path = tmp_path / "capped.svg"
-    code, _, err = run_cli(
+    # The exact orbit closes after 2,356 segments, and its picture closes
+    # after five turned periods of two bounces per segment. The cap counts
+    # flow steps, as in the golden L frame.
+    out_path = tmp_path / "long.svg"
+    code, _, _ = run_cli(
         capsys, "render", "02211112", "1", "--frame", "pentagon", "--out", str(out_path)
     )
+    assert code == 0
+    assert out_path.read_text().count('<line class="trajectory"') == 23_560 == 2 * 2_356 * 5
+    out_path = tmp_path / "capped.svg"
+    code, _, err = run_cli(
+        capsys, "render", "02211112", "1", "--frame", "pentagon", "--cap", "100", "--out", str(out_path)
+    )
     assert code == 3
-    assert "02211112" in err and "midpoint 1" in err and "20000" in err
+    assert "word 02211112" in err and "midpoint 1" in err and "100 steps" in err
+    assert not out_path.exists()
+
+
+def test_flow_errors_name_the_word(capsys, tmp_path):
+    out_path = tmp_path / "capped.svg"
+    for argv in (
+        ("simulate", "21", "4"),
+        ("render", "21", "4", "--frame", "goldenl", "--out", str(out_path)),
+        ("render", "21", "4", "--frame", "pentagon", "--out", str(out_path)),
+    ):
+        code, _, err = run_cli(capsys, *argv, "--cap", "1")
+        assert code == 3, argv
+        assert err.startswith("error: word 21: trajectory did not terminate: midpoint 4"), argv
+        assert "1 steps" in err, argv
     assert not out_path.exists()
 
 

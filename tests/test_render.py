@@ -1,24 +1,24 @@
-"""Float pentagon billiard and SVG output, checked against the exact flow."""
+"""Pentagon fold and SVG output, checked against the exact flow and the float reference billiard."""
 
 import math
+import random
 from itertools import product
 
 import pytest
 
-from goldenl import GoldenNumber, GoldenVector, Outcome, trace, word_to_vector
+import pentagon_reference as reference
+from goldenl import CapExceededError, GoldenNumber, GoldenVector, Outcome, trace, word_to_vector
 from goldenl.flow import trace_direction, validate_trajectory_structure
 from goldenl.render import (
     PENTAGON_MIDPOINTS,
     PENTAGON_VERTICES,
     billiard_path,
     golden_l_svg,
-    pentagon_direction,
-    pentagon_length,
     pentagon_svg,
     render_trajectory,
     transported_side_events,
 )
-from goldenl.surface import GOLDEN_L
+from goldenl.surface import GOLDEN_L, pentagon_transfer
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -45,48 +45,48 @@ def test_midpoints_bisect_the_sides():
 def test_word_21_corner_path_length_is_saddle_holonomy():
     t = trace(1, (2, 1))
     assert t.outcome is Outcome.HIT_CONE_POINT
-    path = billiard_path(1, pentagon_direction((2, 1)))
+    path = reference.billiard_path(1, reference.pentagon_direction((2, 1)))
     assert path.outcome == "corner"
-    assert path.length == pytest.approx(pentagon_length(t.holonomy), rel=1e-9)
+    assert path.length == pytest.approx(reference.pentagon_length(t.holonomy), rel=1e-9)
 
 
 def test_word_21_closed_paths_match_transported_flow():
-    direction = pentagon_direction((2, 1))
+    direction = reference.pentagon_direction((2, 1))
     for label in (4, 2):
         t = trace(label, (2, 1))
         assert t.outcome is Outcome.CLOSED
-        path = billiard_path(label, direction)
+        path = reference.billiard_path(label, direction)
         assert path.outcome == "closed"
-        period = pentagon_length(t.holonomy)
+        period = reference.pentagon_length(t.holonomy)
         multiplicity = round(path.length / period)
         assert path.length / period == pytest.approx(multiplicity, abs=1e-6)
         assert path.segment_count == transported_side_events(t) * multiplicity
 
 
 def test_word_21_billiard_lengths_in_golden_ratio():
-    direction = pentagon_direction((2, 1))
-    short = billiard_path(4, direction)
-    long = billiard_path(2, direction)
+    direction = reference.pentagon_direction((2, 1))
+    short = reference.billiard_path(4, direction)
+    long = reference.billiard_path(2, direction)
     assert long.length / short.length == pytest.approx(PHI, rel=1e-9)
 
 
 def test_horizontal_corner_path():
-    path = billiard_path(5, pentagon_direction(()))
+    path = reference.billiard_path(5, reference.pentagon_direction(()))
     assert path.outcome == "corner"
     assert path.length == pytest.approx(0.5, rel=1e-9)
 
 
 def test_billiard_cap():
-    path = billiard_path(4, pentagon_direction((2, 1)), max_bounces=3)
-    assert path.outcome == "capped"
-    assert path.segment_count == 3
+    # The pentagon frame's cap counts flow steps, as the golden L frame's does.
+    with pytest.raises(CapExceededError):
+        render_trajectory((2, 1), 4, frame="pentagon", cap=3)
 
 
 def test_billiard_rejects_bad_input():
     with pytest.raises(ValueError):
-        billiard_path(0, (1.0, 0.0))
+        reference.billiard_path(0, (1.0, 0.0))
     with pytest.raises(ValueError):
-        billiard_path(1, (0.0, 0.0))
+        reference.billiard_path(1, (0.0, 0.0))
 
 
 def test_side_events_need_a_closed_orbit():
@@ -105,14 +105,15 @@ def test_golden_l_svg_contents():
 
 
 def test_render_path_leaves_segments_unbuilt():
-    # Validation, JSON and the golden L frame read the integer points; the
-    # JSON still matches the GoldenVector segments once they are built.
+    # Validation, JSON and both frames read the integer points; the JSON
+    # still matches the GoldenVector segments once they are built.
     for word in ((2, 1), (1, 3, 2), (0, 3, 1, 2)):
         for label in PENTAGON_MIDPOINTS:
             t = trace(label, word)
             validate_trajectory_structure(t)
             payload = t.to_json_dict(word)
             golden_l_svg(t)
+            billiard_path(t)
             if t.outcome is Outcome.CLOSED:
                 transported_side_events(t)
             assert "segments" not in vars(t), (word, label)
@@ -121,7 +122,7 @@ def test_render_path_leaves_segments_unbuilt():
 
 
 def test_pentagon_svg_contents():
-    path = billiard_path(4, pentagon_direction((2, 1)))
+    path = billiard_path(trace(4, (2, 1)))
     svg = pentagon_svg((2, 1), 4)
     assert svg.count("<polygon") == 1
     assert svg.count('<line class="trajectory"') == path.segment_count
@@ -205,3 +206,70 @@ def test_side_events_match_parametric_rule():
                 events = transported_side_events(t)
                 assert "segments" not in vars(t), (v, label)
                 assert events == _parametric_side_events(t), (v, label)
+
+
+def _fold_directions():
+    """(word, direction): every word of length <= 4, then (None, v) for the
+    y = x mirrors of those of length 1-2 and for the vertical."""
+    words = [w for n in range(5) for w in product((0, 1, 2, 3), repeat=n)]
+    directions = [(w, word_to_vector(w)) for w in words]
+    directions += [(None, GoldenVector(v.y, v.x)) for w, v in directions if 1 <= len(w) <= 2]
+    directions.append((None, GoldenVector(GoldenNumber(0), GoldenNumber(1))))
+    return directions
+
+
+def _float_direction(v):
+    (p00, p01), (p10, p11) = pentagon_transfer().matrix
+    x, y = v.to_floats()
+    return (p00 * x + p01 * y, p10 * x + p11 * y)
+
+
+def test_fold_matches_float_reference():
+    # Same outcome, same bounce count and the same points as the float
+    # billiard. The vertical from midpoint 1 runs along side 1, and there the
+    # reference picks its way along the side by rounding a dot product that
+    # is exactly 0, so it is left out (the mirrors of 0 and 00 are vertical).
+    for word, v in _fold_directions():
+        for label in PENTAGON_MIDPOINTS:
+            if label == 1 and v.x.is_zero:
+                continue
+            path = billiard_path(trace_direction(label, v))
+            expected = reference.billiard_path(label, _float_direction(v))
+            assert path.outcome == expected.outcome, (word, v, label)
+            assert path.segment_count == expected.segment_count, (word, v, label)
+            for p, q in zip(path.points, expected.points):
+                assert math.hypot(p[0] - q[0], p[1] - q[1]) < 1e-9, (word, v, label)
+
+
+def test_fold_bounces_are_side_events_times_periods():
+    # A closed orbit closes after one period of side events or after five,
+    # turned. The axis directions, the horizontal class (words 0...0, such as
+    # the empty word, 0 and 00, from midpoints 1-4) and its vertical mirror,
+    # close after two and a half, at the orbit's second midpoint.
+    for word, v in _fold_directions():
+        for label in PENTAGON_MIDPOINTS:
+            t = trace_direction(label, v)
+            if t.outcome is not Outcome.CLOSED:
+                continue
+            periods = billiard_path(t).segment_count / transported_side_events(t)
+            if v.x.is_zero or v.y.is_zero:
+                assert periods == 2.5, (word, v, label)
+            else:
+                assert periods in (1, 5), (word, v, label)
+
+
+def test_fold_closes_length_10_orbits():
+    # Ten seeded words of length 10: every closed orbit closes when folded,
+    # 20 of them after more bounces than the float reference's cap allows.
+    rng = random.Random(7)
+    words = [tuple(rng.randrange(4) for _ in range(10)) for _ in range(10)]
+    traces = [trace(label, word) for word in words for label in PENTAGON_MIDPOINTS]
+    closed = [t for t in traces if t.outcome is Outcome.CLOSED]
+    assert len(closed) == 40
+    beyond_reference = 0
+    for t in closed:
+        path = billiard_path(t)
+        assert path.outcome == "closed"
+        assert path.segment_count / transported_side_events(t) in (1, 5)
+        beyond_reference += path.segment_count > reference.DEFAULT_MAX_BOUNCES
+    assert beyond_reference == 20

@@ -3,8 +3,8 @@
 The golden L digest covers `render.golden_l_svg` for the traces of
 `tests/test_trajectory_golden.py`: every word of length <= 4 and both axis
 directions, from all five midpoints. The pentagon digest covers
-`render.pentagon_svg`, the float billiard, for every word of length <= 3 from
-all five midpoints. A change to how either frame places points, bounces or
+`render.pentagon_svg`, the exact trajectory folded onto the table, for every
+word of length <= 3 from all five midpoints. A change to how either frame places points, bounces or
 formats floats shows up here byte for byte. The expected values live in
 `tests/data/svg_golden.json` and `tests/data/pentagon_svg_golden.json`. A
 change that alters these drawings on purpose re-records both files with
