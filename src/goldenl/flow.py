@@ -1,23 +1,29 @@
 """Exact straight-line flow on the golden L.
 
-The flow moves in a fixed direction from the closed first quadrant, so every
-crossing leaves through a right or top boundary edge and re-enters through the
-glued left or bottom edge. All intersections, comparisons, and closure checks
-are exact; a trajectory ends either by returning to its start point or by
-running into the cone point.
+The flow moves in a fixed direction v from the closed first quadrant. The L
+is a down-set of the first quadrant, so each line in direction v meets it in
+one chord, from a left or bottom edge to a right or top edge, and the
+transverse coordinate h = v x p = v.x*p.y - v.y*p.x is constant along the
+chord and names it. A trajectory is a walk on h, an interval exchange on a
+transversal, and no step builds a point:
 
-Each step is decided by rule, not by search. The exit is the first wall
-ahead whose span holds the crossing. The orbit closes strictly inside a
-segment exactly when a later step hits the first wall hit again; a start on a
-glued edge comes back as a re-entry point one step earlier. _kernel_next and
-trace_direction give the reasons.
+- Walked from (phi^2, 0) to (0, phi^2), the exit boundary runs through walls
+  b, d, a and c, and h never decreases along it. So a chord leaves through
+  the wall whose span of h holds its h, found by two sign tests against the
+  corners where walls meet. A wall parallel to v spans one h and is never hit.
+- A crossing re-enters through the glued twin of its wall, a fixed
+  translation back, so it adds the wall's constant v x back to h.
+- The orbit runs into the cone point exactly when h is that of a corner where
+  two walls meet. The axis runs along an edge, from midpoints 5 and 1, start
+  on the h of an end corner.
+- The flow is invertible off the cone point and h names the chord, so the
+  orbit closes exactly when h comes back to its start value. A start at its
+  chord's lower end (midpoints 1 and 5 lie on glued edges) is that re-entry
+  point; any other start is met strictly inside one more segment.
 
-The only divisions the flow ever performs are by the direction coordinates,
-so once the start point is scaled to integer Z[phi] coordinates every wall
-hit stays integral after a further scaling by the coordinate norms. The
-tracer exploits that: it runs entirely on machine-integer pairs (a, b)
-meaning a + b*phi. A trajectory keeps those integer points; neither the
-oracle nor the render path ever converts them to fraction segments.
+With the start points scaled by 2 and the direction cleared to integer pairs,
+h is an integer pair (a, b) meaning a + b*phi. A trajectory keeps the walk and
+replays its integer points on first read; the oracle never reads them.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
+from operator import add, mul, sub
 
 from .classify import Classification
 from .errors import CapExceededError, StructuralViolationError
@@ -72,23 +79,17 @@ def _check_direction(v: GoldenVector) -> None:
         raise ValueError(f"flow direction must lie in the closed first quadrant: {v}")
 
 
-# Integer kernel. Pairs (a, b) are a + b*phi; points are 4-tuples
-# (xa, xb, ya, yb). All kernel lengths carry one fixed scale factor, chosen
-# in _kernel_setup so that every wall hit is integral.
+# Integer points. Pairs (a, b) are a + b*phi; points are 4-tuples
+# (xa, xb, ya, yb), each integer divided by one fixed scale.
 
 Point = tuple[int, int, int, int]
 
 
-def _int_pair(x: GoldenNumber, scale: int) -> tuple[int, int]:
-    a = x.a * scale
-    b = x.b * scale
-    if a.denominator != 1 or b.denominator != 1:
-        raise ValueError(f"{x} is not integral at scale {scale}")
-    return int(a), int(b)
-
-
 def _int_point(p: GoldenVector, scale: int) -> Point:
-    return _int_pair(p.x, scale) + _int_pair(p.y, scale)
+    coords = p.x.a * scale, p.x.b * scale, p.y.a * scale, p.y.b * scale
+    if any(c.denominator != 1 for c in coords):
+        raise ValueError(f"{p} is not integral at scale {scale}")
+    return tuple(map(int, coords))
 
 
 def _from_point(point: Point, scale: int) -> GoldenVector:
@@ -96,115 +97,70 @@ def _from_point(point: Point, scale: int) -> GoldenVector:
     return GoldenVector(GoldenNumber(xa, xb), GoldenNumber(ya, yb))
 
 
-def _wall_row(ident) -> tuple:
-    """An exit edge (the right or top target of a gluing) at scale 2, the
-    denominator of the start points: (vertical, coord, lo, hi, back_x, back_y)
-    with the translation back to the glued left or bottom twin."""
-    p, q = ident.target
-    vertical = p.x == q.x
-    coord, lo, hi = (p.x, p.y, q.y) if vertical else (p.y, p.x, q.x)
-    back = -ident.translation
-    return (vertical, *(_int_pair(x, 2) for x in (coord, lo, hi, back.x, back.y)))
+def _h(v: Point, p: Point) -> tuple[int, int]:
+    """The transverse coordinate v x p of an integer point."""
+    xa, xb = golden_mul(v[0], v[1], p[2], p[3])
+    ya, yb = golden_mul(v[2], v[3], p[0], p[1])
+    return xa - ya, xb - yb
 
 
-_EXITS2 = tuple(_wall_row(ident) for ident in GOLDEN_L.identifications)
-_CORNERS2 = tuple(_int_point(p, 2) for p in CONE_POINTS)
+# The exit boundary: the L's vertices 2 to 6, counterclockwise from (phi^2, 0)
+# to (0, phi^2), and the walls between them, b, d, a and c, each with the
+# translation back to its glued twin on the axis x = 0 or y = 0. Wall k runs
+# from corner k to corner k + 1. A walk byte is an index into _EXITS, or _END
+# for a last segment that ends at the start or the cone point.
+_STAIR = GOLDEN_L.vertices[2:7]
+_EXITS = tuple(
+    (ident.target[0].x == ident.target[1].x, _int_point(-ident.translation, 2))
+    for name in "bdac"
+    for ident in GOLDEN_L.identifications
+    if ident.name == name
+)
+_END = len(_EXITS)
+_STAIR2 = tuple(_int_point(p, 2) for p in _STAIR)
+_STARTS2 = {label: _int_point(weierstrass_point(label), 2) for label in WEIERSTRASS_LABELS}
+_BACK_COLUMNS = tuple(zip(*(back for _, back in _EXITS)))
+# Midpoints 1 and 5 lie on glued edges, so they are the lower end of their
+# chord in every direction but the one along their edge, an edge run.
+_ON_GLUED_EDGE = (1, 5)
 
 
-def _kernel_setup(v: GoldenVector):
-    """Scale tables for a trace: point scale, direction pairs, wall rows, corners.
+@lru_cache(maxsize=64)
+def _direction_table(v: GoldenVector) -> tuple:
+    """What every trace in direction v shares, with h at scale 2: the point
+    scale; the h of the corners where walls meet, _STAIR[1:4]; per exit wall,
+    what crossing it adds to h and how to replay it; per midpoint, its h and
+    the _STAIR index of the corner an edge run from it ends at, or None.
+    Raises ValueError for a direction outside the closed first quadrant.
 
-    The direction is cleared to integer pairs; points, walls, and corners are
-    scaled by 2 times the lcm of the direction coordinate norms, which makes
-    every wall-hit division below come out exact. The wall rows carry their span
-    bounds premultiplied by the direction coordinate the span test scales by.
+    Points are scaled by 2 times the lcm of the direction coordinate norms.
+    Chord h re-enters at y = h / v.x on x = 0 or at x = h / -v.y on y = 0;
+    multiplying by the divisor's conjugate and by the integer scale / (2 *
+    norm) makes that exact. The wall hit is the re-entry point minus the
+    translation back.
     """
-    vxa, vxb, vya, vyb = cleared(v)
+    _check_direction(v)
+    direction = vxa, vxb, vya, vyb = cleared(v)
     norm_x = vxa * vxa + vxa * vxb - vxb * vxb
     norm_y = vya * vya + vya * vyb - vyb * vyb
     factor = lcm(abs(norm_x) or 1, abs(norm_y) or 1)
-    walls = []
-    for vertical, coord, lo, hi, back_x, back_y in _EXITS2:
-        span_va, span_vb = (vxa, vxb) if vertical else (vya, vyb)
-        if not (span_va or span_vb):
-            continue
-        walls.append(
-            (
-                vertical,
-                (coord[0] * factor, coord[1] * factor),
-                golden_mul(lo[0] * factor, lo[1] * factor, span_va, span_vb),
-                golden_mul(hi[0] * factor, hi[1] * factor, span_va, span_vb),
-                (back_x[0] * factor, back_x[1] * factor),
-                (back_y[0] * factor, back_y[1] * factor),
-            )
-        )
-    corners = frozenset(
-        (xa * factor, xb * factor, ya * factor, yb * factor) for xa, xb, ya, yb in _CORNERS2
-    )
-    return 2 * factor, (vxa, vxb, vya, vyb), tuple(walls), corners, norm_x, norm_y
+    rows, deltas = [], []
+    for vertical, back in _EXITS:
+        (da, db), norm = ((vxa, vxb), norm_x) if vertical else ((-vya, -vyb), norm_y)
+        q = factor // norm if norm else 0  # a wall the flow runs parallel to is never crossed
+        rows.append((vertical, (q * (da + db), -q * db), tuple(c * factor for c in back)))
+        deltas.append(_h(direction, back))
+    stair = [_h(direction, p) for p in _STAIR2]
+    ends = {stair[0]: 0, stair[4]: 4}
+    starts = {label: (h := _h(direction, p), ends.get(h)) for label, p in _STARTS2.items()}
+    return 2 * factor, tuple(stair[1:4]), tuple(deltas), tuple(rows), starts
 
 
-def _exact_div(pair: tuple[int, int], n: int) -> tuple[int, int]:
-    qa, ra = divmod(pair[0], n)
-    qb, rb = divmod(pair[1], n)
-    if ra or rb:
-        raise StructuralViolationError("wall hit left the integer lattice")
-    return qa, qb
-
-
-def _kernel_next(point, direction, walls, norm_x, norm_y):
-    """One flow step on integer coordinates.
-
-    Returns (hit, reentry): the first wall hit ahead and the glued re-entry
-    point.
-
-    The first wall that lies ahead and whose span holds the crossing is the
-    exit; no hit times are compared. The L is a closed staircase, a down-set of
-    the first quadrant, so the segment from a point of the L to any hit on a
-    right or top edge stays in the L, and a ray whose coordinates never
-    decrease cannot come back once it has left through such an edge. Two walls
-    can therefore both hold the crossing only at a shared endpoint, (phi, phi),
-    (phi^2, phi) or (phi, phi^2); all three are cone points, both walls give
-    the same hit there, and the trace ends. The one exception would be an axis
-    ray along the line x = phi or y = phi, which spans two walls of its axis;
-    no trace runs there, because an axis flow keeps its cross coordinate and
-    the midpoints' coordinates are 0, phi/2 and phi + 1/2.
-    """
-    pxa, pxb, pya, pyb = point
-    vxa, vxb, vya, vyb = direction
-    for vertical, coord, span_lo, span_hi, back_x, back_y in walls:
-        if vertical:
-            ra, rb = coord[0] - pxa, coord[1] - pxb
-            if golden_sign(ra, rb) <= 0:
-                continue
-            # Coordinate along the wall, scaled by v.x: p.y*v.x + reach*v.y.
-            sa, sb = golden_mul(pya, pyb, vxa, vxb)
-            ta, tb = golden_mul(ra, rb, vya, vyb)
-        else:
-            ra, rb = coord[0] - pya, coord[1] - pyb
-            if golden_sign(ra, rb) <= 0:
-                continue
-            sa, sb = golden_mul(pxa, pxb, vya, vyb)
-            ta, tb = golden_mul(ra, rb, vxa, vxb)
-        oa, ob = sa + ta, sb + tb
-        if golden_sign(oa - span_lo[0], ob - span_lo[1]) < 0:
-            continue
-        if golden_sign(span_hi[0] - oa, span_hi[1] - ob) < 0:
-            continue
-        if vertical:
-            hit_y = _exact_div(golden_mul(oa, ob, vxa + vxb, -vxb), norm_x)
-            hit = (coord[0], coord[1], hit_y[0], hit_y[1])
-        else:
-            hit_x = _exact_div(golden_mul(oa, ob, vya + vyb, -vyb), norm_y)
-            hit = (hit_x[0], hit_x[1], coord[0], coord[1])
-        reentry = (
-            hit[0] + back_x[0],
-            hit[1] + back_x[1],
-            hit[2] + back_y[0],
-            hit[3] + back_y[1],
-        )
-        return hit, reentry
-    raise StructuralViolationError("no exit wall ahead of the flow")
+def _reentry(row: tuple, ha: int, hb: int) -> Point:
+    """Where chord h enters the L through the glued twin of a row's wall."""
+    vertical, (ma, mb), _ = row
+    ua, ub = golden_mul(ha, hb, ma, mb)
+    return (0, 0, ua, ub) if vertical else (ua, ub, 0, 0)
 
 
 class Outcome(Enum):
@@ -216,20 +172,41 @@ class Outcome(Enum):
 class Trajectory:
     """A maximal flow orbit from a Weierstrass point in one direction.
 
-    `points` holds the kernel's (begin, end) integer points (xa, xb, ya, yb),
-    each integer divided by the shared `scale`; every library path reads them.
-    `segments`, for callers who want GoldenVector pairs, is built and cached
-    on first access.
+    `walk` has one byte per segment: the index in _EXITS of the wall its end
+    crosses, or _END for a last segment that ends at the start or the cone
+    point. Outcome, holonomy and cone point come from the walk alone.
+    `points`, each segment's (begin, end) integer points (xa, xb, ya, yb) with
+    every integer divided by `scale`, is replayed from the walk on first read
+    and cached; every library path that draws or checks a trajectory reads it.
+    `segments`, the same as GoldenVector pairs, is built from it on first read.
     """
 
     start_label: int
     start: GoldenVector
     direction: GoldenVector
-    points: tuple[tuple[Point, Point], ...]
+    walk: bytes
     scale: int
     outcome: Outcome
     holonomy: GoldenVector
     cone_point: GoldenVector | None
+
+    @cached_property
+    def points(self) -> tuple[tuple[Point, Point], ...]:
+        _, _, deltas, rows, starts = _direction_table(self.direction)
+        (ha, hb), _ = starts[self.start_label]
+        begin = _int_point(self.start, self.scale)
+        points = []
+        for wall in self.walk:
+            if wall == _END:  # always the last byte
+                end = self.start if self.cone_point is None else self.cone_point
+                points.append((begin, _int_point(end, self.scale)))
+                break
+            da, db = deltas[wall]
+            ha, hb = ha + da, hb + db
+            reentry = _reentry(rows[wall], ha, hb)
+            points.append((begin, tuple(map(sub, reentry, rows[wall][2]))))
+            begin = reentry
+        return tuple(points)
 
     @cached_property
     def segments(self) -> tuple[tuple[GoldenVector, GoldenVector], ...]:
@@ -237,7 +214,7 @@ class Trajectory:
 
     @property
     def segment_count(self) -> int:
-        return len(self.points)
+        return len(self.walk)
 
     def to_json_dict(self, word: Word | None = None) -> dict:
         # Coordinates print as Fraction(a, scale) does; each distinct one is printed once.
@@ -258,62 +235,60 @@ class Trajectory:
 def trace_direction(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP) -> Trajectory:
     """Flow from Weierstrass point `label` in direction v until closure or cone hit.
 
-    Closure can land exactly on the start point at a re-entry, or strictly
-    inside a segment (the start need not sit on a glued edge); in the latter
+    Each of at most `cap` steps is one segment. Closure can land exactly on
+    the start point at a re-entry, or strictly inside a segment; in the latter
     case the last segment is truncated at the start point.
     """
-    _check_direction(v)
+    scale, breaks, deltas, rows, starts = _direction_table(v)
     start = weierstrass_point(label)
-    scale, direction, walls, corners, norm_x, norm_y = _kernel_setup(v)
-    start_point = _int_point(start, scale)
+    (h0a, h0b), cone = starts[label]
+    ha, hb = h0a, h0b
+    b2a, b2b = breaks[1]
+    walk = bytearray()
+    for _ in range(cap if cone is None else 0):
+        # Below, at or above the middle corner; then below, at or above the next.
+        k = 1 + golden_sign(ha - b2a, hb - b2b)
+        ka, kb = breaks[k]
+        t = golden_sign(ha - ka, hb - kb)
+        if not t:
+            cone = k + 1
+            break
+        wall = k + (t > 0)
+        walk.append(wall)
+        da, db = deltas[wall]
+        ha += da
+        hb += db
+        if ha == h0a and hb == h0b:
+            break
 
-    # The corner lookup of each wall hit is the whole cone test. A segment in
-    # an open first-quadrant direction has x and y strictly increasing, so it
-    # meets the boundary only at its wall hit; that holds at the reflex corner
-    # (phi, phi) too, where both adjacent walls report the same hit. Axis
-    # directions from the five midpoints run along an edge only for horizontal
-    # from 5 and vertical from 1, and both of those runs end at a corner.
-    raw_segments: list[tuple[Point, Point]] = []
-    current = start_point
-    outcome: Outcome | None = None
-    for _ in range(cap):
-        hit, reentry = _kernel_next(current, direction, walls, norm_x, norm_y)
-        if raw_segments and hit == raw_segments[0][1]:
-            # The flow is invertible off the cone point, and the run from the
-            # start to its first hit crosses no wall, so a later step reaches
-            # that hit again exactly when it passes through the start strictly
-            # inside. A start on a glued edge is met one step earlier, as the
-            # re-entry point below.
-            raw_segments.append((current, start_point))
-            outcome = Outcome.CLOSED
-            break
-        raw_segments.append((current, hit))
-        if hit in corners:
-            outcome = Outcome.HIT_CONE_POINT
-            break
-        if reentry == start_point:
-            outcome = Outcome.CLOSED
-            break
-        current = reentry
-    if outcome is None:
-        # Checked once the cap runs out, not per step: a kernel that picks a
+    # Back on the start's chord: a start on a glued edge is this re-entry
+    # point; any other is met inside one more segment, within the cap.
+    returned = bool(walk) and ha == h0a and hb == h0b
+    glued = label in _ON_GLUED_EDGE
+    if not (cone is not None and cap or returned and (glued or len(walk) < cap)):
+        # Checked once the cap runs out, not per step: a walk that takes a
         # wrong wall leaves the L and would otherwise pass for a cap overrun.
-        last = _from_point(current, scale)
+        last = _from_point(_reentry(rows[walk[-1]], ha, hb) if walk else _int_point(start, scale), scale)
         where = f"midpoint {label}, direction {v}, after {cap} steps at {last}"
         if not point_in_surface(last):
             raise StructuralViolationError(f"trajectory left the golden L: {where}")
         raise CapExceededError(f"trajectory did not terminate: {where}")
-
-    h = tuple(sum(end[i] - begin[i] for begin, end in raw_segments) for i in range(4))
+    if not (returned and glued):
+        walk.append(_END)
+    # The translations of the crossings, and from the start to a cone point.
+    counts = list(map(walk.count, range(_END)))
+    holonomy = tuple(-sum(map(mul, counts, column)) for column in _BACK_COLUMNS)
+    if cone is not None:
+        holonomy = map(sub, map(add, holonomy, _STAIR2[cone]), _STARTS2[label])
     return Trajectory(
         start_label=label,
         start=start,
         direction=v,
-        points=tuple(raw_segments),
+        walk=bytes(walk),
         scale=scale,
-        outcome=outcome,
-        holonomy=_from_point(h, scale),
-        cone_point=_from_point(hit, scale) if outcome is Outcome.HIT_CONE_POINT else None,
+        outcome=Outcome.CLOSED if returned else Outcome.HIT_CONE_POINT,
+        holonomy=_from_point(tuple(holonomy), 2),
+        cone_point=None if cone is None else _STAIR[cone],
     )
 
 
@@ -386,9 +361,7 @@ def oracle_classify(word: Word, cap: int = DEFAULT_STEP_CAP) -> dict[int, Classi
     return oracle_report(word, cap).verdicts
 
 
-_GLUING_JUMPS = tuple(
-    _int_point(t, 1) for ident in GOLDEN_L.identifications for t in (ident.translation, -ident.translation)
-)
+_GLUING_JUMPS = tuple(tuple(c // 2 * sign for c in back) for _, back in _EXITS for sign in (1, -1))
 
 
 @lru_cache(maxsize=16)

@@ -194,6 +194,22 @@ def test_flow_errors_name_the_word(capsys, tmp_path):
     assert not out_path.exists()
 
 
+def test_cap_zero_stops_at_the_start(capsys, tmp_path):
+    out_path = tmp_path / "capped.svg"
+    for argv in (
+        ("simulate", "21", "4"),
+        ("render", "21", "4", "--frame", "goldenl", "--out", str(out_path)),
+        ("render", "21", "4", "--frame", "pentagon", "--out", str(out_path)),
+    ):
+        code, _, err = run_cli(capsys, *argv, "--cap", "0")
+        assert code == 3, argv
+        assert err == (
+            "error: word 21: trajectory did not terminate: midpoint 4, direction (2 + 2*phi, 1 + 2*phi), "
+            "after 0 steps at (1/2 + phi, 1/2*phi)\n"
+        ), argv
+    assert not out_path.exists()
+
+
 def test_render_rejects_bad_size_and_stroke(capsys, tmp_path):
     out_path = tmp_path / "bad.svg"
     for frame in ("goldenl", "pentagon"):

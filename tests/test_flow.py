@@ -7,13 +7,13 @@ from itertools import product
 
 import pytest
 
+from flow_reference import reference_trace
 from goldenl import (
     CapExceededError,
     GoldenNumber,
     GoldenVector,
     Outcome,
     StructuralViolationError,
-    Trajectory,
     classify_all,
     oracle_classify,
     oracle_report,
@@ -166,6 +166,35 @@ def test_oracle_matches_permutation_classification_letter_shift_quads():
                 assert values.count(Classification.SADDLE_CONNECTION) == 1, word
 
 
+def test_oracle_matches_permutation_classification_lengths_9_and_10():
+    # 8 letter-shift quads at each of lengths 9 and 10, as above.
+    rng = random.Random(20261019)
+    for length in (9, 10):
+        for _ in range(8):
+            base = [rng.randrange(4) for _ in range(length)]
+            for shift in range(4):
+                word = tuple((k + shift) % 4 for k in base)
+                verdicts = oracle_classify(word)
+                assert verdicts == classify_all(word).verdicts, word
+                values = list(verdicts.values())
+                assert sorted(verdicts) == [1, 2, 3, 4, 5]
+                assert values.count(Classification.SHORT) == 2, word
+                assert values.count(Classification.LONG) == 2, word
+                assert values.count(Classification.SADDLE_CONNECTION) == 1, word
+
+
+def test_oracle_leaves_points_unbuilt():
+    # The oracle reads outcome and holonomy off the walk; the integer points
+    # are replayed only when read.
+    for word in ((2, 1), (1, 3, 2), (0, 3, 1, 2), (3, 2, 2, 0, 1)):
+        report = oracle_report(word)
+        for label, t in report.trajectories.items():
+            assert "points" not in vars(t), (word, label)
+        for label, t in report.trajectories.items():
+            assert t.points == trace(label, word).points, (word, label)
+            assert "points" in vars(t)
+
+
 def test_oracle_leaves_segments_unbuilt():
     for word in ((2, 1), (1, 3, 2), (0, 3, 1, 2), (3, 2, 2, 0, 1)):
         report = oracle_report(word)
@@ -194,17 +223,23 @@ def test_oracle_report_holonomy_ratio():
     assert rep.saddle_label == 1
 
 
+def _with_points(t, points, **changes):
+    """A copy of t with `changes` applied whose `points` read as given."""
+    changed = replace(t, **changes)
+    vars(changed)["points"] = points
+    return changed
+
+
 def test_trajectory_structure_forward_and_reversed():
     for label, word in ((4, (2, 1)), (2, (2, 1)), (3, (1, 3, 2))):
         t = trace(label, word)
         assert t.outcome is Outcome.CLOSED
         validate_trajectory_structure(t)
-        reversed_t = Trajectory(
-            start_label=t.start_label,
+        reversed_t = _with_points(
+            t,
+            tuple((end, begin) for begin, end in reversed(t.points)),
             start=canonicalize(t.segments[-1][1]),
             direction=-t.direction,
-            points=tuple((end, begin) for begin, end in reversed(t.points)),
-            scale=t.scale,
             outcome=Outcome.CLOSED,
             holonomy=-t.holonomy,
             cone_point=None,
@@ -220,16 +255,7 @@ def test_trajectory_structure_cone_hit():
 
 def test_trajectory_structure_rejects_corruption():
     t = trace(4, (2, 1))
-    broken = Trajectory(
-        start_label=t.start_label,
-        start=t.start,
-        direction=t.direction,
-        points=t.points[:-1],
-        scale=t.scale,
-        outcome=Outcome.CLOSED,
-        holonomy=t.holonomy,
-        cone_point=None,
-    )
+    broken = _with_points(t, t.points[:-1], outcome=Outcome.CLOSED, cone_point=None)
     with pytest.raises(StructuralViolationError):
         validate_trajectory_structure(broken)
 
@@ -237,19 +263,19 @@ def test_trajectory_structure_rejects_corruption():
 def _stretched_past_end(t):
     # One segment from the start along the direction, 100 times its first run.
     begin, end = t.points[0]
-    return replace(t, points=((begin, tuple(b + 100 * (e - b) for b, e in zip(begin, end))),))
+    return _with_points(t, ((begin, tuple(b + 100 * (e - b) for b, e in zip(begin, end))),))
 
 
 def _shifted_end(t):
     # The first segment's end moved by 1 in x: still forward, no longer parallel.
     begin, end = t.points[0]
-    return replace(t, points=((begin, (end[0] + t.scale,) + end[1:]),) + t.points[1:])
+    return _with_points(t, ((begin, (end[0] + t.scale,) + end[1:]),) + t.points[1:])
 
 
 def _extended_back(t):
     # The first segment starts one run earlier along the direction.
     begin, end = t.points[0]
-    return replace(t, points=((tuple(2 * b - e for b, e in zip(begin, end)), end),) + t.points[1:])
+    return _with_points(t, ((tuple(2 * b - e for b, e in zip(begin, end)), end),) + t.points[1:])
 
 
 def _translated_start(t):
@@ -257,33 +283,33 @@ def _translated_start(t):
     # gluing a's (phi, 0) lies in the L. The first segment alone, moved there.
     shift = (0, t.scale, 0, 0)
     begin, end = (tuple(c + d for c, d in zip(p, shift)) for p in t.points[0])
-    return replace(t, points=((begin, end),))
+    return _with_points(t, ((begin, end),))
 
 
 _CORRUPTIONS = {
     "zero-length segment": (
         (4, (2, 1)),
-        lambda t: replace(t, points=((t.points[0][0],) * 2,) + t.points[1:]),
+        lambda t: _with_points(t, ((t.points[0][0],) * 2,) + t.points[1:]),
         "does not run forward",
     ),
     "non-parallel segment": ((4, (2, 1)), _shifted_end, "does not run forward"),
     "reversed segment": (
         (4, (2, 1)),
-        lambda t: replace(t, points=(t.points[0][::-1],) + t.points[1:]),
+        lambda t: _with_points(t, (t.points[0][::-1],) + t.points[1:]),
         "does not run forward",
     ),
     "jump not a gluing": (
         (4, (2, 1)),
-        lambda t: replace(t, points=t.points[:3] + t.points[4:]),
+        lambda t: _with_points(t, t.points[:3] + t.points[4:]),
         "not a gluing translation",
     ),
-    "wrong closure end": ((4, (2, 1)), lambda t: replace(t, points=t.points[:-1]), "closed orbit ends at"),
+    "wrong closure end": ((4, (2, 1)), lambda t: _with_points(t, t.points[:-1]), "closed orbit ends at"),
     "cone outcome off the cone point": (
         (4, (2, 1)),
         lambda t: replace(t, outcome=Outcome.HIT_CONE_POINT),
         "cone-hit orbit ends at",
     ),
-    "empty points": ((4, (2, 1)), lambda t: replace(t, points=()), "no segments"),
+    "empty points": ((4, (2, 1)), lambda t: _with_points(t, ()), "no segments"),
     "closed orbit ending off the L": ((4, (2, 1)), _stretched_past_end, "closed orbit ends at"),
     "wrong first begin": ((1, (2, 1)), _extended_back, "orbit begins at"),
     "first begin at a translate, not a twin": ((3, (2, 1)), _translated_start, "orbit begins at"),
@@ -307,11 +333,30 @@ def test_trace_cap():
     assert str(word_to_vector((2, 1))) in message
 
 
+def test_trace_cap_edges():
+    # No step at all still names the start; two steps name the last re-entry.
+    with pytest.raises(CapExceededError) as excinfo:
+        trace(4, (2, 1), cap=0)
+    assert "after 0 steps at (1/2 + phi, 1/2*phi)" in str(excinfo.value)
+    with pytest.raises(CapExceededError) as excinfo:
+        trace(4, (2, 1), cap=2)
+    assert str(excinfo.value) == (
+        "trajectory did not terminate: midpoint 4, direction (2 + 2*phi, 1 + 2*phi), "
+        "after 2 steps at (0, 1/2 + 5/4*phi)"
+    )
+
+
 def test_trace_that_leaves_the_l_is_a_structural_violation(monkeypatch):
-    # Spans that reach far past every wall drop the span test, so the kernel
-    # takes a wrong wall and the trace leaves the L after its first step.
-    rows = [row[:3] + ((10**6, 0),) + row[4:] for row in flow_module._EXITS2]
-    monkeypatch.setattr(flow_module, "_EXITS2", tuple(rows))
+    # Corners moved far above every chord send each one out through wall b,
+    # so the walk takes a wrong wall and the trace leaves the L after its
+    # first step.
+    table = flow_module._direction_table
+
+    def corrupted(v):
+        scale, _, *rest = table(v)
+        return (scale, ((10**6, 0),) * 3, *rest)
+
+    monkeypatch.setattr(flow_module, "_direction_table", corrupted)
     with pytest.raises(StructuralViolationError) as excinfo:
         trace_direction(1, word_to_vector((1,)), cap=1000)
     message = str(excinfo.value)
@@ -425,3 +470,29 @@ def test_closure_is_the_first_return_to_the_start():
             if t.outcome is Outcome.CLOSED:
                 end = t.segments[-1][1]
                 assert end == t.start or canonicalize(end) == t.start, (label, v)
+
+
+def test_walk_matches_wall_search_reference():
+    # Against the wall-search kernel in tests/flow_reference.py: the same
+    # points, outcome, holonomy and cone point for every word of length <= 5,
+    # the mirrors and both axes. One step short of the orbit both overrun the
+    # cap with the same message; that is checked on all but the length-5
+    # words, which would double the reference's share of the run time.
+    shorter = _reference_directions() + [word_to_vector(w) for w in product((0, 1, 2, 3), repeat=4)]
+    shorter.append(word_to_vector(()))
+    longest = [word_to_vector(w) for w in product((0, 1, 2, 3), repeat=5)]
+    for check_cap, directions in ((True, shorter), (False, longest)):
+        for v in directions:
+            for label in WEIERSTRASS_LABELS:
+                t = trace_direction(label, v)
+                got = (t.points, t.scale, t.outcome, t.holonomy, t.cone_point)
+                assert got == reference_trace(label, v), (label, v)
+                if not check_cap:
+                    continue
+                cap = t.segment_count - 1
+                assert trace_direction(label, v, cap + 1).walk == t.walk
+                with pytest.raises(CapExceededError) as walk_error:
+                    trace_direction(label, v, cap)
+                with pytest.raises(CapExceededError) as reference_error:
+                    reference_trace(label, v, cap)
+                assert str(walk_error.value) == str(reference_error.value), (label, v)
