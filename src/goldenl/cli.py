@@ -3,6 +3,11 @@
 Exit codes: 0 success, 2 argument or input error, 3 cap exceeded, 4 internal
 structural violation. Output format and caps can also be set through the
 GOLDENL_FORMAT and GOLDENL_CAP environment variables; explicit flags win.
+
+Every subcommand needs words, classify and surface, loaded here. The flow,
+render and stats layers are imported inside the subcommands that run them,
+each by `from .x import ...`: a `from . import x` would read x off the lazy
+package and load the whole library.
 """
 
 from __future__ import annotations
@@ -13,11 +18,12 @@ import os
 import sys
 from fractions import Fraction
 
-from . import flow, render, stats
 from .classify import classify_all
 from .errors import CapExceededError, StructuralViolationError, VerticalDirectionError
 from .field import GoldenVector
-from .surface import WEIERSTRASS_LABELS, surface_description
+from .surface import (
+    DEFAULT_SIZE, DEFAULT_STROKE, FRAMES, GOLDEN_L_FRAME, WEIERSTRASS_LABELS, surface_description
+)
 from .words import (
     DEFAULT_INVERSION_CAP,
     format_word,
@@ -102,10 +108,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", parents=[capped], help="write an SVG of a trajectory")
     p.add_argument("word")
     p.add_argument("midpoint", type=int)
-    p.add_argument("--frame", choices=render.FRAMES, default=render.GOLDEN_L_FRAME)
+    p.add_argument("--frame", choices=FRAMES, default=GOLDEN_L_FRAME)
     p.add_argument("--out", required=True, help="output SVG path")
-    p.add_argument("--size", type=int, default=render.DEFAULT_SIZE)
-    p.add_argument("--stroke", type=float, default=render.DEFAULT_STROKE)
+    p.add_argument("--size", type=int, default=DEFAULT_SIZE)
+    p.add_argument("--stroke", type=float, default=DEFAULT_STROKE)
 
     p = sub.add_parser("stats", parents=[capped], help="base-word reduction statistics")
     p.add_argument("--max-n", type=int, required=True, help="table covers lengths m = 0, 2, ..., 2n")
@@ -223,17 +229,19 @@ def _cmd_reduce(args: argparse.Namespace, fmt: str) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace, fmt: str) -> int:
+    from .flow import DEFAULT_STEP_CAP, oracle_classify, trace
+
     word = parse_word(args.word)
     label = None if args.midpoint is None else _check_midpoint(args.midpoint)
-    cap = _cap_or(args, flow.DEFAULT_STEP_CAP)
+    cap = _cap_or(args, DEFAULT_STEP_CAP)
     if args.classify:
-        verdicts = flow.oracle_classify(word, cap=cap)
+        verdicts = oracle_classify(word, cap=cap)
         payload = _classification_payload(word, verdicts, None, "flow-oracle", label)
         _print_classification(payload, fmt, None)
         return 0
     if label is None:
         raise ValueError("simulate needs a midpoint label unless --classify is given")
-    trajectory = flow.trace(label, word, cap=cap)
+    trajectory = trace(label, word, cap=cap)
     if fmt == "json":
         payload = trajectory.to_json_dict(word)
         payload["schema"] = SCHEMA_TRAJECTORY
@@ -254,10 +262,13 @@ def _cmd_simulate(args: argparse.Namespace, fmt: str) -> int:
 
 
 def _cmd_render(args: argparse.Namespace, fmt: str) -> int:
+    from .flow import DEFAULT_STEP_CAP
+    from .render import render_trajectory
+
     word = parse_word(args.word)
     label = _check_midpoint(args.midpoint)
-    cap = _cap_or(args, flow.DEFAULT_STEP_CAP)
-    svg = render.render_trajectory(word, label, args.frame, args.size, args.stroke, cap)
+    cap = _cap_or(args, DEFAULT_STEP_CAP)
+    svg = render_trajectory(word, label, args.frame, args.size, args.stroke, cap)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(svg)
     segments = svg.count('<line class="trajectory"')
@@ -278,16 +289,18 @@ def _cmd_render(args: argparse.Namespace, fmt: str) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace, fmt: str) -> int:
+    from .stats import DEFAULT_ENUMERATION_LIMIT, brute_force_profile, exact_profile, monte_carlo_empty_rate
+
     if args.max_n < 0:
         raise ValueError(f"--max-n must be nonnegative, got {args.max_n}")
     if args.cap is not None and args.mode != "brute":
         raise ValueError(f"--cap applies only to --mode brute, not --mode {args.mode}")
-    limit = _cap_or(args, stats.DEFAULT_ENUMERATION_LIMIT) if args.mode == "brute" else None
+    limit = _cap_or(args, DEFAULT_ENUMERATION_LIMIT) if args.mode == "brute" else None
     lengths = [2 * n for n in range(args.max_n + 1)]
     rows: list[dict] = []
     if args.mode == "mc":
         for m in lengths:
-            est = stats.monte_carlo_empty_rate(m, samples=args.samples, seed=args.seed)
+            est = monte_carlo_empty_rate(m, samples=args.samples, seed=args.seed)
             rows.append(
                 {
                     "m": m,
@@ -303,9 +316,9 @@ def _cmd_stats(args: argparse.Namespace, fmt: str) -> int:
     else:
         for m in lengths:
             profile = (
-                stats.exact_profile(m)
+                exact_profile(m)
                 if args.mode == "exact"
-                else stats.brute_force_profile(m, limit=limit)
+                else brute_force_profile(m, limit=limit)
             )
             count = profile.counts.get(0, 0)
             probability = profile.probability(0)

@@ -175,6 +175,9 @@ class Trajectory:
     `walk` has one byte per segment: the index in _EXITS of the wall its end
     crosses, or _END for a last segment that ends at the start or the cone
     point. Outcome, holonomy and cone point come from the walk alone.
+    `_holonomy2`, the holonomy as an integer point at scale 2, is what the
+    oracle checks; a trace sets it as it walks, and a copy with another
+    holonomy derives its own.
     `points`, each segment's (begin, end) integer points (xa, xb, ya, yb) with
     every integer divided by `scale`, is replayed from the walk on first read
     and cached; every library path that draws or checks a trajectory reads it.
@@ -207,6 +210,10 @@ class Trajectory:
             points.append((begin, tuple(map(sub, reentry, rows[wall][2]))))
             begin = reentry
         return tuple(points)
+
+    @cached_property
+    def _holonomy2(self) -> Point:
+        return _int_point(self.holonomy, 2)
 
     @cached_property
     def segments(self) -> tuple[tuple[GoldenVector, GoldenVector], ...]:
@@ -279,17 +286,19 @@ def trace_direction(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP) ->
     counts = list(map(walk.count, range(_END)))
     holonomy = tuple(-sum(map(mul, counts, column)) for column in _BACK_COLUMNS)
     if cone is not None:
-        holonomy = map(sub, map(add, holonomy, _STAIR2[cone]), _STARTS2[label])
-    return Trajectory(
+        holonomy = tuple(map(sub, map(add, holonomy, _STAIR2[cone]), _STARTS2[label]))
+    trajectory = Trajectory(
         start_label=label,
         start=start,
         direction=v,
         walk=bytes(walk),
         scale=scale,
         outcome=Outcome.CLOSED if returned else Outcome.HIT_CONE_POINT,
-        holonomy=_from_point(tuple(holonomy), 2),
+        holonomy=_from_point(holonomy, 2),
         cone_point=None if cone is None else _STAIR[cone],
     )
+    vars(trajectory)["_holonomy2"] = holonomy
+    return trajectory
 
 
 def trace(label: int, word: Word, cap: int = DEFAULT_STEP_CAP) -> Trajectory:
@@ -314,42 +323,56 @@ def oracle_report_direction(v: GoldenVector, cap: int = DEFAULT_STEP_CAP) -> Ora
     Exactly one midpoint must hit the cone point; the other four must close
     with holonomies parallel to the direction, splitting two and two between
     exactly two magnitudes with ratio phi. Anything else is a structural
-    violation of the simulator or the geometry tables, never bad input.
+    violation of the simulator or the geometry tables, never bad input. The
+    checks run on integer pairs at scale 2: the holonomies and magnitudes, and
+    the direction cleared.
     """
     trajectories = {label: trace_direction(label, v, cap) for label in WEIERSTRASS_LABELS}
     saddles = [l for l, t in trajectories.items() if t.outcome is Outcome.HIT_CONE_POINT]
-    holonomies = {l: t.holonomy for l, t in trajectories.items() if t.outcome is Outcome.CLOSED}
-    if len(saddles) != 1 or len(holonomies) != 4:
+    closed = {l: t for l, t in trajectories.items() if t.outcome is Outcome.CLOSED}
+    if len(saddles) != 1 or len(closed) != 4:
         raise StructuralViolationError(
-            f"expected 4 closed orbits and 1 cone hit, got {len(holonomies)} and {len(saddles)}"
+            f"expected 4 closed orbits and 1 cone hit, got {len(closed)} and {len(saddles)}"
         )
-    vertical = v.x.is_zero
+    vxa, vxb, vya, vyb = cleared(v)
+    vertical = not (vxa or vxb)
     sizes = {}
-    for label, h in holonomies.items():
-        if not h.cross(v).is_zero:
+    for label, t in closed.items():
+        xa, xb, ya, yb = t._holonomy2
+        if golden_mul(xa, xb, vya, vyb) != golden_mul(ya, yb, vxa, vxb):
             raise StructuralViolationError(f"holonomy of midpoint {label} is not parallel to {v}")
-        sizes[label] = h.y if vertical else h.x
-    magnitudes = sorted(set(sizes.values()))
+        sizes[label] = (ya, yb) if vertical else (xa, xb)
+    magnitudes = set(sizes.values())
     if len(magnitudes) != 2:
-        raise StructuralViolationError(f"expected exactly 2 holonomy magnitudes, got {magnitudes}")
+        got = sorted(map(_half, magnitudes))
+        raise StructuralViolationError(f"expected exactly 2 holonomy magnitudes, got {got}")
     small, large = magnitudes
-    if large != small * PHI:
-        raise StructuralViolationError(f"cylinder holonomies {small}, {large} are not in ratio phi")
+    if golden_sign(large[0] - small[0], large[1] - small[1]) < 0:
+        small, large = large, small
+    if large != (small[1], small[0] + small[1]):  # small * phi
+        raise StructuralViolationError(
+            f"cylinder holonomies {_half(small)}, {_half(large)} are not in ratio phi"
+        )
     short_labels = [l for l, size in sizes.items() if size == small]
     if len(short_labels) != 2:
         raise StructuralViolationError("holonomy magnitudes do not split two and two")
     verdicts: dict[int, Classification] = {saddles[0]: Classification.SADDLE_CONNECTION}
-    for label in holonomies:
+    for label in closed:
         verdicts[label] = Classification.SHORT if label in short_labels else Classification.LONG
-    long_label = next(l for l in holonomies if l not in short_labels)
+    long_label = next(l for l in closed if l not in short_labels)
     return OracleReport(
         direction=v,
         trajectories=trajectories,
         verdicts=verdicts,
-        short_holonomy=holonomies[short_labels[0]],
-        long_holonomy=holonomies[long_label],
+        short_holonomy=closed[short_labels[0]].holonomy,
+        long_holonomy=closed[long_label].holonomy,
         saddle_label=saddles[0],
     )
+
+
+def _half(pair: tuple[int, int]) -> GoldenNumber:
+    """An integer pair at scale 2 as the number it stands for, for a message."""
+    return GoldenNumber(Fraction(pair[0], 2), Fraction(pair[1], 2))
 
 
 def oracle_report(word: Word, cap: int = DEFAULT_STEP_CAP) -> OracleReport:

@@ -14,16 +14,11 @@ from dataclasses import dataclass
 
 from .errors import StructuralViolationError
 from .field import PHI_FLOAT, cleared, golden_mul
-from .flow import DEFAULT_STEP_CAP, Outcome, Trajectory, _int_point, trace, trace_direction
-from .surface import GOLDEN_L, Rows, pentagon_transfer, weierstrass_point
+from .flow import DEFAULT_STEP_CAP, Outcome, Trajectory, _STARTS2, trace, trace_direction
+from .surface import (
+    DEFAULT_SIZE, DEFAULT_STROKE, FRAMES, GOLDEN_L, GOLDEN_L_FRAME, PENTAGON_FRAME, Rows, pentagon_transfer
+)
 from .words import Word, _apply, word_to_vector
-
-GOLDEN_L_FRAME = "goldenl"
-PENTAGON_FRAME = "pentagon"
-FRAMES = (GOLDEN_L_FRAME, PENTAGON_FRAME)
-
-DEFAULT_SIZE = 480
-DEFAULT_STROKE = 2.0
 
 # Regular pentagon with side 1, apex up, centered at the origin.
 _CIRCUMRADIUS = 1.0 / (2.0 * math.sin(math.pi / 5.0))
@@ -88,7 +83,6 @@ def _edge_of_midpoint(label: int) -> int:
 # at its midpoint, as is the table side P maps it to: 1 and 5 are gluing sources
 # a and d, and 3, 4 and 2 are the cuts C3, C1 and C2 of transported_side_events.
 _EDGE = {label: _edge_of_midpoint(label) for label in _MIDPOINT_ANGLES}
-_MIDPOINTS2 = {label: _int_point(weierstrass_point(label), 2) for label in _MIDPOINT_ANGLES}
 _RING = [p.to_floats() for p in GOLDEN_L.inscribed_pentagon]
 _SIDE_ENDS = {side: (_RING[i], _RING[i - 4]) for i, side in enumerate((5, 4, 2, 1, 3))}
 # P carries <u, w> = u^T ((1, phi/2), (phi/2, 1)) w to the table's dot product.
@@ -128,7 +122,7 @@ def _exit(hit: tuple, s: int) -> tuple[int, int]:
 def _crossing(side, leaving, turn, begin, end, v, s) -> tuple:
     """(side, leaving, turn, at the midpoint, table point) for a run crossing a side.
     It is at the midpoint exactly when the run's line passes it; the point is only drawn."""
-    wxa, wxb, wya, wyb = (c * (s // 2) for c in _MIDPOINTS2[side])
+    wxa, wxb, wya, wyb = (c * (s // 2) for c in _STARTS2[side])
     at_midpoint = golden_mul(wxa - begin[0], wxb - begin[1], v[2], v[3]) == golden_mul(
         wya - begin[2], wyb - begin[3], v[0], v[1]
     )

@@ -282,6 +282,16 @@ def pair_sector(v: tuple[int, int, int, int]) -> Sector:
     return 0
 
 
+# The two frames a trajectory is drawn in, the golden L itself and the pentagon
+# P carries it to, and a drawing's default SVG size and stroke width. They live
+# here, not in render, so the CLI can offer them without loading render.
+GOLDEN_L_FRAME = "goldenl"
+PENTAGON_FRAME = "pentagon"
+FRAMES = (GOLDEN_L_FRAME, PENTAGON_FRAME)
+DEFAULT_SIZE = 480
+DEFAULT_STROKE = 2.0
+
+
 class PentagonTransfer(NamedTuple):
     """Float change of frame from the golden L to the regular pentagon."""
 

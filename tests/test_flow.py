@@ -223,6 +223,71 @@ def test_oracle_report_holonomy_ratio():
     assert rep.saddle_label == 1
 
 
+def _oracle_with_corrupt_holonomy(monkeypatch, v, corrupt):
+    """The oracle report in direction v after corrupt(label, holonomy, report) has
+    replaced each closed trajectory's holonomy; it returns None to keep one."""
+    report = oracle_report_direction(v)
+    traced = flow_module.trace_direction
+
+    def corrupted(label, direction, cap):
+        t = traced(label, direction, cap)
+        h = corrupt(label, t.holonomy, report) if t.outcome is Outcome.CLOSED else None
+        return t if h is None else replace(t, holonomy=h)
+
+    monkeypatch.setattr(flow_module, "trace_direction", corrupted)
+    return oracle_report_direction(v)
+
+
+def _first(report, verdict):
+    return min(label for label, v in report.verdicts.items() if v is verdict)
+
+
+# Each corrupts one closed trajectory's holonomy in direction (2, 1), or the
+# vertical, whose magnitudes are read off y; the message it must raise.
+_HOLONOMY_CORRUPTIONS = {
+    "off the direction": (
+        (2, 1),
+        lambda label, h, r: h + gv(1, 0, 0, 0) if label == _first(r, Classification.LONG) else None,
+        "holonomy of midpoint 2 is not parallel to (2 + 2*phi, 1 + 2*phi)",
+    ),
+    "vertical, off the direction": (
+        None,
+        lambda label, h, r: h + gv(1, 0, 0, 0) if label == _first(r, Classification.SHORT) else None,
+        "holonomy of midpoint 4 is not parallel to (0, 1)",
+    ),
+    "a third magnitude": (
+        (2, 1),
+        lambda label, h, r: h.scaled(2) if label == _first(r, Classification.SHORT) else None,
+        "expected exactly 2 holonomy magnitudes, got "
+        "[GoldenNumber(2, 4), GoldenNumber(4, 6), GoldenNumber(4, 8)]",
+    ),
+    "vertical, a third magnitude": (
+        None,
+        lambda label, h, r: h.scaled(2) if label == _first(r, Classification.SHORT) else None,
+        "expected exactly 2 holonomy magnitudes, got "
+        "[GoldenNumber(0, 1), GoldenNumber(1, 1), GoldenNumber(0, 2)]",
+    ),
+    "a ratio other than phi": (
+        (2, 1),
+        lambda label, h, r: r.short_holonomy.scaled(2) if r.verdicts[label] is Classification.LONG else None,
+        "cylinder holonomies 2 + 4*phi, 4 + 8*phi are not in ratio phi",
+    ),
+    "a 3-1 split": (
+        (2, 1),
+        lambda label, h, r: r.short_holonomy if label == _first(r, Classification.LONG) else None,
+        "holonomy magnitudes do not split two and two",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_HOLONOMY_CORRUPTIONS))
+def test_oracle_rejects_each_holonomy_corruption(monkeypatch, case):
+    word, corrupt, message = _HOLONOMY_CORRUPTIONS[case]
+    v = VERTICAL if word is None else word_to_vector(word)
+    with pytest.raises(StructuralViolationError) as excinfo:
+        _oracle_with_corrupt_holonomy(monkeypatch, v, corrupt)
+    assert str(excinfo.value) == message
+
 def _with_points(t, points, **changes):
     """A copy of t with `changes` applied whose `points` read as given."""
     changed = replace(t, **changes)
