@@ -4,6 +4,12 @@ For a word k_1 ... k_n, the permutation tau_{k_1} * tau_{k_2} * ... * tau_{k_n}
 (rightmost factor acting first) carries each Weierstrass label to the label of
 the horizontal trajectory it unwinds to: images 1 and 2 mean the short
 cylinder, 3 and 4 the long cylinder, and 5 the saddle connection.
+
+Closed form: tau_k reflects the pentagon's side midpoints, at cyclic positions
+c in MIDPOINT_CYCLE, by c -> 2k - c (mod 5). The product sends position c to
+2A + (-1)^n * c (mod 5), where A = k_1 - k_2 + k_3 - ... is the alternating
+letter sum. Deleting a pair kk keeps A and the parity of n, so reduction to the
+base word keeps every verdict.
 """
 
 from __future__ import annotations
@@ -15,8 +21,8 @@ from .errors import VerticalDirectionError
 from .field import GoldenVector
 from .surface import (
     Axis,
+    MIDPOINT_CYCLE,
     Permutation5,
-    TAU,
     VERTICAL_RELABELING,
     WEIERSTRASS_LABELS,
     sector_of,
@@ -43,10 +49,9 @@ HORIZONTAL_VERDICTS: dict[int, Classification] = {
 def word_permutation(word: Word) -> Permutation5:
     """tau_{k_1} * tau_{k_2} * ... * tau_{k_n}, identity for the empty word."""
     _check_letters(word)
-    acc = Permutation5.identity()
-    for k in word:
-        acc = acc * TAU[k]
-    return acc
+    shift, sign = 2 * (sum(word[0::2]) - sum(word[1::2])), (-1) ** len(word)
+    position = MIDPOINT_CYCLE.index
+    return Permutation5(tuple(MIDPOINT_CYCLE[(shift + sign * position(x)) % 5] for x in WEIERSTRASS_LABELS))
 
 
 @dataclass(frozen=True)

@@ -254,4 +254,4 @@ class GoldenVector:
 def cleared(v: GoldenVector) -> tuple[int, int, int, int]:
     """The same ray as integer pairs: v times its coefficient denominators' lcm."""
     den = math.lcm(v.x.a.denominator, v.x.b.denominator, v.y.a.denominator, v.y.b.denominator)
-    return int(v.x.a * den), int(v.x.b * den), int(v.y.a * den), int(v.y.b * den)
+    return tuple(q.numerator * (den // q.denominator) for q in (v.x.a, v.x.b, v.y.a, v.y.b))

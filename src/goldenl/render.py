@@ -16,9 +16,10 @@ from .errors import StructuralViolationError
 from .field import PHI_FLOAT, cleared, golden_mul
 from .flow import DEFAULT_STEP_CAP, Outcome, Trajectory, _STARTS2, trace, trace_direction
 from .surface import (
-    DEFAULT_SIZE, DEFAULT_STROKE, FRAMES, GOLDEN_L, GOLDEN_L_FRAME, PENTAGON_FRAME, Rows, pentagon_transfer
+    DEFAULT_SIZE, DEFAULT_STROKE, FRAMES, GOLDEN_L, GOLDEN_L_FRAME, MIDPOINT_CYCLE, PENTAGON_FRAME, Rows,
+    pentagon_transfer,
 )
-from .words import Word, _apply, word_to_vector
+from .words import Word, word_to_vector
 
 # Regular pentagon with side 1, apex up, centered at the origin.
 _CIRCUMRADIUS = 1.0 / (2.0 * math.sin(math.pi / 5.0))
@@ -84,7 +85,7 @@ def _edge_of_midpoint(label: int) -> int:
 # a and d, and 3, 4 and 2 are the cuts C3, C1 and C2 of transported_side_events.
 _EDGE = {label: _edge_of_midpoint(label) for label in _MIDPOINT_ANGLES}
 _RING = [p.to_floats() for p in GOLDEN_L.inscribed_pentagon]
-_SIDE_ENDS = {side: (_RING[i], _RING[i - 4]) for i, side in enumerate((5, 4, 2, 1, 3))}
+_SIDE_ENDS = {side: (_RING[i], _RING[i - 4]) for i, side in enumerate(MIDPOINT_CYCLE)}
 # P carries <u, w> = u^T ((1, phi/2), (phi/2, 1)) w to the table's dot product.
 # Every side vector e has <e, e> = 1, so the mirror d -> 2<d, e>e - d has integer
 # rows over Z[phi]. Runs leave only by C1, e = (-1, phi), and C2, e = (-phi, 1).
@@ -131,6 +132,15 @@ def _crossing(side, leaving, turn, begin, end, v, s) -> tuple:
     (ax, ay), (cx, cy) = _SIDE_ENDS[side]
     f = ((ax - bx) * (cy - ay) - (ay - by) * (cx - ax)) / (dx * (cy - ay) - dy * (cx - ax))
     return side, leaving, turn, at_midpoint, _on_table(bx + f * dx, by + f * dy)
+
+
+def _apply(m: Rows, v: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """The matrix m applied to the integer-pair vector v = (xa, xb, ya, yb)."""
+    ((aa, ab), (ba, bb)), ((ca, cb), (da, db)) = m
+    xa, xb, ya, yb = v
+    (p, q), (r, s) = golden_mul(aa, ab, xa, xb), golden_mul(ba, bb, ya, yb)
+    (t, u), (w, z) = golden_mul(ca, cb, xa, xb), golden_mul(da, db, ya, yb)
+    return p + r, q + s, t + w, u + z
 
 
 def _outgoing(v, side: int, leaving: bool, k: int):

@@ -14,7 +14,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .field import GoldenNumber, GoldenVector, cleared, golden_mul, golden_sign
+from .field import GoldenNumber, GoldenVector, cleared, golden_sign
 
 HALF = Fraction(1, 2)
 
@@ -113,7 +113,6 @@ _WEIERSTRASS = {
     5: _gv(HALF, 1, 0, 0),          # (phi + 1/2, 0)
 }
 
-# Side midpoints of this pentagon, in cyclic order, are the points 5, 4, 2, 1, 3.
 _INSCRIBED_PENTAGON = (
     _gv(0, 1, 0, 0),
     _gv(1, 1, 0, 0),
@@ -132,6 +131,8 @@ GOLDEN_L = GoldenL(
 
 CONE_POINTS = frozenset(_VERTICES)
 WEIERSTRASS_LABELS = (1, 2, 3, 4, 5)
+# Side midpoints of the inscribed pentagon: side j joins corners j and j + 1. tau_k mirrors at side k.
+MIDPOINT_CYCLE = (5, 4, 2, 1, 3)
 
 
 def weierstrass_point(label: int) -> GoldenVector:
@@ -151,11 +152,6 @@ SIGMA: tuple[Rows, ...] = (
     (((0, 1), (0, 1)), ((1, 0), (0, 1))),  # ((phi, phi), (1, phi))
     (((0, 1), (1, 0)), ((0, 1), (0, 1))),  # ((phi, 1), (phi, phi))
     (((1, 0), (0, 0)), ((0, 1), (1, 0))),  # ((1, 0), (phi, 1))
-)
-
-# Every sigma_k has determinant 1, so its inverse is the adjugate ((d, -b), (-c, a)).
-SIGMA_INVERSE: tuple[Rows, ...] = tuple(
-    ((d, (-b[0], -b[1])), ((-c[0], -c[1]), a)) for (a, b), (c, d) in SIGMA
 )
 
 
@@ -243,8 +239,15 @@ class Axis(Enum):
 
 Sector = Union[int, Axis]
 
-# Lower slope bounds of the four sector cones: 0, 1/phi = phi - 1, 1, phi.
-_SECTOR_BOUNDS = ((0, 0), (-1, 1), (1, 0), (0, 1))
+
+def _direction_pairs(v: GoldenVector) -> tuple[int, int, int, int]:
+    """v cleared to integer pairs, checked to be a nonzero direction in the closed first quadrant."""
+    xa, xb, ya, yb = pairs = cleared(v)
+    if not (xa or xb or ya or yb):
+        raise ValueError("zero vector has no direction")
+    if golden_sign(xa, xb) < 0 or golden_sign(ya, yb) < 0:
+        raise ValueError(f"direction must lie in the closed first quadrant: {v}")
+    return pairs
 
 
 def sector_of(v: GoldenVector) -> Sector:
@@ -256,30 +259,26 @@ def sector_of(v: GoldenVector) -> Sector:
     to handle by the y = x relabeling. The cone is decided on v cleared to
     integer pairs, the same ray.
     """
-    xa, xb, ya, yb = cleared(v)
-    if not (xa or xb or ya or yb):
-        raise ValueError("zero vector has no direction")
-    if golden_sign(xa, xb) < 0 or golden_sign(ya, yb) < 0:
-        raise ValueError(f"direction must lie in the closed first quadrant: {v}")
-    return pair_sector((xa, xb, ya, yb))
+    return pair_sector(_direction_pairs(v))
 
 
 def pair_sector(v: tuple[int, int, int, int]) -> Sector:
     """sector_of on integer pairs (xa, xb, ya, yb), without its input checks.
 
     The caller guarantees a nonzero direction in the closed first quadrant.
+    Cones 3, 2, 1 start at slopes phi, 1, phi - 1, so with x > 0 the tests are
+    the signs of y - phi*x, y - x and y + x - phi*x.
     """
     xa, xb, ya, yb = v
     if not (ya or yb):
         return Axis.HORIZONTAL
     if not (xa or xb):
         return Axis.VERTICAL
-    for k in (3, 2, 1):
-        # slope >= bound, compared as y >= bound * x with x > 0
-        ba, bb = golden_mul(*_SECTOR_BOUNDS[k], xa, xb)
-        if golden_sign(ya - ba, yb - bb) >= 0:
-            return k
-    return 0
+    if golden_sign(ya - xb, yb - xa - xb) >= 0:
+        return 3
+    if golden_sign(ya - xa, yb - xb) >= 0:
+        return 2
+    return 1 if golden_sign(ya + xa - xb, yb - xa) >= 0 else 0
 
 
 # The two frames a trajectory is drawn in, the golden L itself and the pentagon

@@ -1,63 +1,73 @@
 """Tree words over the alphabet {0, 1, 2, 3} and their direction vectors.
 
 A word k_1 k_2 ... k_n names the direction sigma_{k_n} ... sigma_{k_1} (1, 0).
-Both ways between words and directions run on integer pairs (a, b) meaning
-a + b*phi, the integer rows of sigma_k; a GoldenVector appears only at the
-ends. Reduction deletes adjacent equal letters until none remain; the result
-is the base word, and classification only depends on it.
+Reduction deletes adjacent equal letters until none remain; the result is the
+base word, and classification only depends on it. Words and directions meet on
+integer pairs (a, b) meaning a + b*phi, with a GoldenVector only at the ends.
+As phi*(a + b*phi) = b + (a + b)*phi, each letter costs a few additions:
+
+    sigma_0: x += phi*y                     sigma_0^-1: x -= phi*y
+    sigma_1: x, y = phi*(x + y), x + phi*y  sigma_1^-1: x, y = phi*(x - y), phi*y - x
+    sigma_2: x, y = phi*x + y, phi*(x + y)  sigma_2^-1: x, y = phi*x - y, phi*(y - x)
+    sigma_3: y += phi*x                     sigma_3^-1: y -= phi*x
 """
 
 from __future__ import annotations
 
+from itertools import groupby
+
 from .errors import CapExceededError, VerticalDirectionError
-from .field import GoldenVector, cleared, golden_mul
-from .surface import Axis, SIGMA, SIGMA_INVERSE, Rows, pair_sector, sector_of
+from .field import GoldenVector
+from .surface import Axis, _direction_pairs, pair_sector
 
 Word = tuple[int, ...]
 
 EMPTY_WORD: Word = ()
 EMPTY_WORD_TEXT = "e"
 DEFAULT_INVERSION_CAP = 10_000
+_LETTERS = frozenset((0, 1, 2, 3))
 
 
 def parse_word(text: str) -> Word:
     """Parse a word: digits 0-3, or the single letter "e" for the empty word."""
     if text == EMPTY_WORD_TEXT:
         return EMPTY_WORD
-    if not text or any(ch not in "0123" for ch in text):
+    if not text or text.strip("0123"):
         raise ValueError(f"not a word over 0-3 (or 'e'): {text!r}")
-    return tuple(int(ch) for ch in text)
+    return tuple(map(int, text))
 
 
 def format_word(word: Word) -> str:
     _check_letters(word)
-    if not word:
-        return EMPTY_WORD_TEXT
-    return "".join(str(k) for k in word)
+    return "".join(map(str, word)) if word else EMPTY_WORD_TEXT
 
 
 def _check_letters(word: Word) -> None:
+    # A C-speed set test; a miss, an unhashable letter or an iterator falls back to the loop.
+    try:
+        if isinstance(word, (tuple, list)) and _LETTERS.issuperset(word):
+            return
+    except TypeError:
+        pass
     for k in word:
         if k not in (0, 1, 2, 3):
             raise ValueError(f"word letter out of range 0-3: {k}")
 
 
-def _apply(m: Rows, v: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
-    """The matrix m applied to the integer-pair vector v = (xa, xb, ya, yb)."""
-    ((aa, ab), (ba, bb)), ((ca, cb), (da, db)) = m
-    xa, xb, ya, yb = v
-    (p, q), (r, s) = golden_mul(aa, ab, xa, xb), golden_mul(ba, bb, ya, yb)
-    (t, u), (w, z) = golden_mul(ca, cb, xa, xb), golden_mul(da, db, ya, yb)
-    return p + r, q + s, t + w, u + z
-
-
 def word_to_vector(word: Word) -> GoldenVector:
     """Direction vector of a word: apply sigma_k to (1, 0) for each letter in order."""
     _check_letters(word)
-    v = (1, 0, 0, 0)
+    xa, xb, ya, yb = 1, 0, 0, 0
     for k in word:
-        v = _apply(SIGMA[k], v)
-    return GoldenVector.from_rationals(*v)
+        if k == 0:
+            xa, xb = xa + yb, xb + ya + yb
+        elif k == 1:
+            xa, xb, ya, yb = xb + yb, xa + xb + ya + yb, xa + yb, xb + ya + yb
+        elif k == 2:
+            xa, xb, ya, yb = xb + ya, xa + xb + yb, xb + yb, xa + xb + ya + yb
+        else:
+            ya, yb = xb + ya, xa + xb + yb
+    return GoldenVector.from_rationals(xa, xb, ya, yb)
 
 
 def vector_to_word(v: GoldenVector, cap: int = DEFAULT_INVERSION_CAP) -> Word:
@@ -67,14 +77,11 @@ def vector_to_word(v: GoldenVector, cap: int = DEFAULT_INVERSION_CAP) -> Word:
     k and pull back by sigma_k inverse. Letters come out last-first, so the
     collected sequence is reversed at the end. Vertical input has no word and
     raises VerticalDirectionError. The cap is the largest number of letters
-    allowed; a direction that needs more raises CapExceededError. The input is
-    checked once by sector_of; the peeling runs on v cleared to integer pairs,
-    which sigma_k inverse keeps in the closed first quadrant.
+    allowed; a direction that needs more raises CapExceededError.
     """
-    k = sector_of(v)
-    point = cleared(v)
+    xa, xb, ya, yb = _direction_pairs(v)
     reversed_letters: list[int] = []
-    while k is not Axis.HORIZONTAL:
+    while (k := pair_sector((xa, xb, ya, yb))) is not Axis.HORIZONTAL:
         if k is Axis.VERTICAL:
             raise VerticalDirectionError(
                 "vertical direction has no word; classify it via the y = x relabeling"
@@ -82,23 +89,22 @@ def vector_to_word(v: GoldenVector, cap: int = DEFAULT_INVERSION_CAP) -> Word:
         if len(reversed_letters) >= cap:
             raise CapExceededError(f"direction needs a word longer than {cap} letters")
         reversed_letters.append(k)
-        point = _apply(SIGMA_INVERSE[k], point)
-        k = pair_sector(point)
+        if k == 0:
+            xa, xb = xa - yb, xb - ya - yb
+        elif k == 1:
+            xa, xb, ya, yb = xb - yb, xa + xb - ya - yb, yb - xa, ya + yb - xb
+        elif k == 2:
+            xa, xb, ya, yb = xb - ya, xa + xb - yb, yb - xb, ya + yb - xa - xb
+        else:
+            ya, yb = ya - xb, yb - xa - xb
     return tuple(reversed(reversed_letters))
 
 
 def derive_once(word: Word) -> Word:
-    """One derivation pass: delete disjoint adjacent equal pairs, left to right."""
+    """One derivation pass: delete disjoint adjacent equal pairs, left to right,
+    so that a run of r equal letters keeps r % 2 of them."""
     _check_letters(word)
-    out: list[int] = []
-    i = 0
-    while i < len(word):
-        if i + 1 < len(word) and word[i] == word[i + 1]:
-            i += 2
-        else:
-            out.append(word[i])
-            i += 1
-    return tuple(out)
+    return tuple(k for k, run in groupby(word) if sum(1 for _ in run) % 2)
 
 
 def reduce_word(word: Word) -> Word:

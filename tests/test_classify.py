@@ -71,6 +71,24 @@ def test_reduction_preserves_verdicts():
         assert classify_all(word).verdicts == classify_all(reduce_word(word)).verdicts
 
 
+def alternating_sum(word):
+    return sum(k if i % 2 == 0 else -k for i, k in enumerate(word))
+
+
+def test_deleting_a_pair_keeps_alternating_sum_and_parity():
+    # The permutation depends only on A = k_1 - k_2 + k_3 - ... and the parity
+    # of n, and deleting a pair kk changes neither, so reduction keeps verdicts.
+    rng = random.Random(23)
+    for _ in range(300):
+        word = tuple(rng.randrange(4) for _ in range(rng.randint(0, 12)))
+        i, k = rng.randint(0, len(word)), rng.randrange(4)
+        longer = word[:i] + (k, k) + word[i:]
+        assert alternating_sum(longer) == alternating_sum(word)
+        assert len(longer) % 2 == len(word) % 2
+        assert word_permutation(longer) == word_permutation(word)
+        assert word_permutation(word) == word_permutation(reduce_word(longer))
+
+
 def test_leading_zeros_preserve_verdicts():
     rng = random.Random(13)
     for _ in range(50):

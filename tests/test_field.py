@@ -17,7 +17,7 @@ from goldenl import (
     ZERO,
 )
 from goldenl.field import golden_mul
-from goldenl.surface import SIGMA_INVERSE
+from words_reference import SIGMA_INVERSE
 
 
 def test_phi_squared_identity():

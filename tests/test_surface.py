@@ -25,7 +25,8 @@ from goldenl import (
     tau,
     weierstrass_point,
 )
-from goldenl.surface import CONE_POINTS, SIGMA_INVERSE
+from goldenl.surface import CONE_POINTS, MIDPOINT_CYCLE, WEIERSTRASS_LABELS
+from words_reference import SIGMA_INVERSE
 
 
 def test_vertex_count_and_cone_class():
@@ -114,6 +115,14 @@ def test_tau_cycle_structure():
         assert TAU[k].inverse() == TAU[k]
     with pytest.raises(ValueError):
         tau(-1)
+
+
+def test_tau_is_the_reflection_of_the_midpoint_cycle():
+    # tau_k(x) = 2k - x (mod 5) on the cyclic positions of the pentagon's side midpoints.
+    assert sorted(MIDPOINT_CYCLE) == list(WEIERSTRASS_LABELS)
+    for k in range(4):
+        for c, label in enumerate(MIDPOINT_CYCLE):
+            assert TAU[k](label) == MIDPOINT_CYCLE[(2 * k - c) % 5], (k, label)
 
 
 def test_permutation_composition_right_factor_first():

@@ -6,10 +6,12 @@ from itertools import product
 
 import pytest
 
+import words_reference as reference
 from goldenl import (
     CapExceededError,
     GoldenNumber,
     GoldenVector,
+    PHI,
     VerticalDirectionError,
     derive_once,
     format_word,
@@ -17,6 +19,7 @@ from goldenl import (
     parse_word,
     reduce_word,
     vector_to_word,
+    word_permutation,
     word_to_vector,
 )
 
@@ -50,6 +53,19 @@ def test_single_letter_vectors_are_sigma_first_columns():
 def test_word_letters_validated():
     with pytest.raises(ValueError):
         word_to_vector((1, 4))
+
+
+@pytest.mark.parametrize("bad", [4, -1, "1", [1]], ids=["4", "-1", "str", "unhashable"])
+def test_letter_errors_name_the_first_bad_letter(bad):
+    # The same message from every function that checks letters, whether the
+    # word is a tuple, a list or an iterator, and whatever follows the bad letter.
+    checks = (format_word, word_to_vector, derive_once, reduce_word, is_base_word, word_permutation)
+    for word in ((1, bad, 4), [0, bad, 5], (2, bad, [3])):
+        for check in checks:
+            for given in (word, iter(word)):
+                with pytest.raises(ValueError) as caught:
+                    check(given)
+                assert str(caught.value) == f"word letter out of range 0-3: {bad}", (check, word)
 
 
 def test_vector_to_word_known():
@@ -104,6 +120,49 @@ def test_direction_algebra_matches_reference_fold():
         stripped = word[next((i for i, k in enumerate(word) if k), len(word)):]
         assert vector_to_word(v.scaled(Fraction(7, 3))) == stripped, word
         assert vector_to_word(v.scaled(Fraction(1, 2))) == stripped, word
+
+
+def _stripped(word):
+    """The word without its leading zeros, which sigma_0 ignores."""
+    return word[next((i for i, k in enumerate(word) if k), len(word)):]
+
+
+def _same_error(library, reference_path, *args):
+    with pytest.raises((ValueError, CapExceededError, VerticalDirectionError)) as expected:
+        reference_path(*args)
+    with pytest.raises(expected.type) as caught:
+        library(*args)
+    assert str(caught.value) == str(expected.value), args
+
+
+def test_word_path_matches_reference():
+    # Every word of length <= 7, then long seeded words and non-integral
+    # multiples. A valid direction has one word, the word without its leading
+    # zeros; the reference peel is also run on the long words.
+    rng = random.Random(20261019)
+    long_words = [tuple(rng.randrange(4) for _ in range(rng.randint(16, 400))) for _ in range(64)]
+    for word in [w for n in range(8) for w in product((0, 1, 2, 3), repeat=n)] + long_words:
+        v = word_to_vector(word)
+        assert v == reference.word_to_vector(word), word
+        assert vector_to_word(v) == _stripped(word), word
+        assert word_permutation(word) == reference.word_permutation(word), word
+    for word in long_words:
+        v = word_to_vector(word)
+        for w in (v, v.scaled(Fraction(7, 3)), v.scaled(Fraction(1, 2))):
+            assert vector_to_word(w) == reference.vector_to_word(w) == _stripped(word), word
+    # The same errors with the same messages: the cap, vertical input, bad input.
+    for word in [(1, 2, 3), (2, 0, 3, 1, 1, 2)] + long_words[:8]:
+        v = word_to_vector(word)
+        for cap in (0, len(_stripped(word)) - 1):
+            _same_error(vector_to_word, reference.vector_to_word, v, cap)
+    for y in (GoldenNumber(1), GoldenNumber(3, 2), GoldenNumber(0, Fraction(7, 3))):
+        for cap in (0, 5):
+            _same_error(vector_to_word, reference.vector_to_word, GoldenVector(GoldenNumber(0), y), cap)
+    one, minus_one, zero = GoldenNumber(1), GoldenNumber(-1), GoldenNumber(0)
+    for x, y in ((zero, zero), (-PHI, one), (one, minus_one), (PHI - 2, one)):
+        _same_error(vector_to_word, reference.vector_to_word, GoldenVector(x, y))
+    _same_error(word_to_vector, reference.word_to_vector, (1, 2, 4))
+    _same_error(word_permutation, reference.word_permutation, (0, -1))
 
 
 def test_leading_zeros_collapse():
