@@ -14,8 +14,8 @@ base word keeps every verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import VerticalDirectionError
 from .field import GoldenVector
@@ -54,8 +54,7 @@ def word_permutation(word: Word) -> Permutation5:
     return Permutation5(tuple(MIDPOINT_CYCLE[(shift + sign * position(x)) % 5] for x in WEIERSTRASS_LABELS))
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """Verdicts for all five midpoints in one direction."""
 
     word: Word | None

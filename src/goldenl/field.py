@@ -2,13 +2,15 @@
 
 Every value is a + b*phi with rational a, b; products reduce by phi**2 = phi + 1.
 Signs and comparisons are decided exactly, so no floating point enters any
-decision made with these types.
+decision made with these types. The library decides everything on integer
+pairs (golden_sign, golden_mul); GoldenNumber and GoldenVector are the ring
+at its boundary, where directions and points come in and go out, and have no
+division.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from typing import Union
@@ -19,10 +21,11 @@ Rational = Union[int, Fraction]
 
 
 def _as_fraction(value: Rational) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+    # int first: isinstance against Fraction, an ABC, is slow on a miss.
     if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, Fraction):
+        return value
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
@@ -56,17 +59,49 @@ def golden_mul(a: Rational, b: Rational, c: Rational, d: Rational) -> tuple[Rati
     return a * c + bd, a * d + b * c + bd
 
 
+class _Frozen:
+    """Base of the immutable value types: __init__ sets each slot once with
+    object.__setattr__. Equality, hash, repr, copy and pickle read the slots
+    in order, so __init__ takes them in that order."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
 @total_ordering
-@dataclass(frozen=True, eq=False)
-class GoldenNumber:
+class GoldenNumber(_Frozen):
     """The field element a + b*phi."""
 
-    a: Fraction = Fraction(0)
-    b: Fraction = Fraction(0)
+    __slots__ = ("a", "b")
+    a: Fraction
+    b: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _as_fraction(self.a))
-        object.__setattr__(self, "b", _as_fraction(self.b))
+    def __init__(self, a: Rational = 0, b: Rational = 0) -> None:
+        object.__setattr__(self, "a", _as_fraction(a))
+        object.__setattr__(self, "b", _as_fraction(b))
 
     @classmethod
     def _coerce(cls, value: GoldenNumber | Rational) -> GoldenNumber | None:
@@ -109,32 +144,6 @@ class GoldenNumber:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: GoldenNumber | Rational) -> GoldenNumber:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other: GoldenNumber | Rational) -> GoldenNumber:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def conjugate(self) -> GoldenNumber:
-        """Image under the field automorphism phi -> 1 - phi."""
-        return GoldenNumber(self.a + self.b, -self.b)
-
-    def norm(self) -> Fraction:
-        """Product with the conjugate: a**2 + a*b - b**2, a rational."""
-        return self.a * self.a + self.a * self.b - self.b * self.b
-
-    def inverse(self) -> GoldenNumber:
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("zero has no inverse in Q[phi]")
-        return GoldenNumber((self.a + self.b) / n, -self.b / n)
-
     # exact order structure
 
     def sign(self) -> int:
@@ -167,15 +176,8 @@ class GoldenNumber:
 
     __float__ = to_float
 
-    def serialize(self) -> str:
-        return f"{_fraction_str(self.a)} + {_fraction_str(self.b)}*phi"
-
     def to_json_dict(self) -> dict[str, str]:
         return {"a": _fraction_str(self.a), "b": _fraction_str(self.b)}
-
-    @classmethod
-    def from_json_dict(cls, data: dict[str, str]) -> GoldenNumber:
-        return cls(Fraction(data["a"]), Fraction(data["b"]))
 
     def __str__(self) -> str:
         if self.b == 0:
@@ -202,12 +204,16 @@ PHI_SQUARED = GoldenNumber(1, 1)
 PHI_INVERSE = GoldenNumber(-1, 1)  # 1/phi = phi - 1
 
 
-@dataclass(frozen=True)
-class GoldenVector:
+class GoldenVector(_Frozen):
     """A column vector with GoldenNumber entries."""
 
+    __slots__ = ("x", "y")
     x: GoldenNumber
     y: GoldenNumber
+
+    def __init__(self, x: GoldenNumber, y: GoldenNumber) -> None:
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     @classmethod
     def from_rationals(cls, xa: Rational, xb: Rational, ya: Rational, yb: Rational) -> GoldenVector:
@@ -224,12 +230,6 @@ class GoldenVector:
 
     def scaled(self, factor: GoldenNumber | Rational) -> GoldenVector:
         return GoldenVector(self.x * factor, self.y * factor)
-
-    def cross(self, other: GoldenVector) -> GoldenNumber:
-        return self.x * other.y - self.y * other.x
-
-    def dot(self, other: GoldenVector) -> GoldenNumber:
-        return self.x * other.x + self.y * other.y
 
     @property
     def is_zero(self) -> bool:

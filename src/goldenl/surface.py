@@ -9,22 +9,17 @@ the side midpoints of an inscribed pentagon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .field import GoldenNumber, GoldenVector, cleared, golden_sign
+from .field import GoldenNumber, GoldenVector, _Frozen, cleared, golden_sign
 
 HALF = Fraction(1, 2)
+_gv = GoldenVector.from_rationals
 
 
-def _gv(xa, xb, ya, yb) -> GoldenVector:
-    return GoldenVector(GoldenNumber(xa, xb), GoldenNumber(ya, yb))
-
-
-@dataclass(frozen=True)
-class EdgeIdentification:
+class EdgeIdentification(NamedTuple):
     """A glued pair of parallel boundary segments: source + translation = target.
 
     Source segments lie on the left/bottom boundary and serve as the canonical
@@ -37,8 +32,7 @@ class EdgeIdentification:
     translation: GoldenVector
 
 
-@dataclass(frozen=True)
-class GoldenL:
+class GoldenL(NamedTuple):
     """Boundary vertices, identifications, and marked points of the golden L."""
 
     vertices: tuple[GoldenVector, ...]
@@ -161,19 +155,20 @@ def sigma(k: int) -> Rows:
     return SIGMA[k]
 
 
-@dataclass(frozen=True)
-class Permutation5:
+class Permutation5(_Frozen):
     """A permutation of the labels 1..5, stored as the image tuple.
 
     images[j - 1] is where label j goes. Composition is (p * q)(j) = p(q(j)),
     so the right factor acts first.
     """
 
+    __slots__ = ("images",)
     images: tuple[int, int, int, int, int]
 
-    def __post_init__(self) -> None:
-        if sorted(self.images) != [1, 2, 3, 4, 5]:
-            raise ValueError(f"not a permutation of 1..5: {self.images}")
+    def __init__(self, images: tuple[int, int, int, int, int]) -> None:
+        if sorted(images) != [1, 2, 3, 4, 5]:
+            raise ValueError(f"not a permutation of 1..5: {images}")
+        object.__setattr__(self, "images", images)
 
     @classmethod
     def identity(cls) -> Permutation5:
@@ -295,24 +290,18 @@ class PentagonTransfer(NamedTuple):
     """Float change of frame from the golden L to the regular pentagon."""
 
     matrix: tuple[tuple[float, float], tuple[float, float]]
-    inverse: tuple[tuple[float, float], tuple[float, float]]
-    cos_pi_5: GoldenNumber
 
 
 def pentagon_transfer() -> PentagonTransfer:
-    """The matrix P = ((1, cos pi/5), (0, sin pi/5)) and its inverse.
+    """The matrix P = ((1, cos pi/5), (0, sin pi/5)).
 
     cos(pi/5) = phi/2 exactly; sin(pi/5) exists only as a float, which is why
     the pentagon frame is render-only and never feeds classification.
     """
     import math
 
-    cos_exact = GoldenNumber(0, HALF)
-    c = cos_exact.to_float()
-    s = math.sin(math.pi / 5.0)
-    matrix = ((1.0, c), (0.0, s))
-    inverse = ((1.0, -c / s), (0.0, 1.0 / s))
-    return PentagonTransfer(matrix, inverse, cos_exact)
+    c = GoldenNumber(0, HALF).to_float()
+    return PentagonTransfer(((1.0, c), (0.0, math.sin(math.pi / 5.0))))
 
 
 def surface_description() -> dict:

@@ -26,6 +26,7 @@ EMPTY_WORD: Word = ()
 EMPTY_WORD_TEXT = "e"
 DEFAULT_INVERSION_CAP = 10_000
 _LETTERS = frozenset((0, 1, 2, 3))
+_INT = frozenset((int,))
 
 
 def parse_word(text: str) -> Word:
@@ -43,14 +44,16 @@ def format_word(word: Word) -> str:
 
 
 def _check_letters(word: Word) -> None:
-    # A C-speed set test; a miss, an unhashable letter or an iterator falls back to the loop.
+    # C-speed set tests: the values, then their types, since 1.0, True and
+    # Fraction(1) equal a letter without being one. A miss, an unhashable
+    # letter or an iterator falls back to the loop.
     try:
-        if isinstance(word, (tuple, list)) and _LETTERS.issuperset(word):
+        if isinstance(word, (tuple, list)) and _LETTERS.issuperset(word) and _INT.issuperset(map(type, word)):
             return
     except TypeError:
         pass
     for k in word:
-        if k not in (0, 1, 2, 3):
+        if type(k) is not int or k not in _LETTERS:
             raise ValueError(f"word letter out of range 0-3: {k}")
 
 

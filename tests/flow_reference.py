@@ -20,6 +20,24 @@ from goldenl.surface import CONE_POINTS, GOLDEN_L, weierstrass_point
 Point = tuple[int, int, int, int]
 
 
+# Q[phi] helpers for the parametric references, which solve for intersection
+# parameters in the field; the library's value types carry no division.
+
+
+def cross(u: GoldenVector, v: GoldenVector) -> GoldenNumber:
+    return u.x * v.y - u.y * v.x
+
+
+def dot(u: GoldenVector, v: GoldenVector) -> GoldenNumber:
+    return u.x * v.x + u.y * v.y
+
+
+def inverse(x: GoldenNumber) -> GoldenNumber:
+    """1 / (a + b*phi) = (a + b - b*phi) / (a**2 + a*b - b**2)."""
+    norm = x.a * x.a + x.a * x.b - x.b * x.b
+    return GoldenNumber((x.a + x.b) / norm, -x.b / norm)
+
+
 def _int_pair(x: GoldenNumber, scale: int) -> tuple[int, int]:
     a = x.a * scale
     b = x.b * scale

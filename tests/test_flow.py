@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from flow_reference import reference_trace
+from flow_reference import cross, dot, inverse, reference_trace
 from goldenl import (
     CapExceededError,
     GoldenNumber,
@@ -443,12 +443,12 @@ def _cone_on_segment_before_end(begin, end):
     """The exhaustive cone rule, in exact vector arithmetic: whether any cone
     representative lies on the segment from begin up to, not including, end."""
     step = end - begin
-    length = step.dot(step)
+    length = dot(step, step)
     for cone in CONE_POINTS:
         offset = cone - begin
-        if not offset.cross(step).is_zero:
+        if not cross(offset, step).is_zero:
             continue
-        along = offset.dot(step)
+        along = dot(offset, step)
         if along.sign() >= 0 and (length - along).sign() > 0:
             return True
     return False
@@ -484,26 +484,26 @@ def _meets_before_end(begin, end, p, q):
     step = end - begin
     edge = q - p
     w = p - begin
-    denom = step.cross(edge)
+    denom = cross(step, edge)
     if denom.is_zero:
-        if not w.cross(step).is_zero:
+        if not cross(w, step).is_zero:
             return False
-        length = step.dot(step)
-        lo, hi = sorted((w.dot(step), (q - begin).dot(step)))
+        length = dot(step, step)
+        lo, hi = sorted((dot(w, step), dot(q - begin, step)))
         return hi.sign() >= 0 and (length - lo).sign() > 0
-    inv = denom.inverse()
-    t = w.cross(edge) * inv
-    s = w.cross(step) * inv
+    inv = inverse(denom)
+    t = cross(w, edge) * inv
+    s = cross(w, step) * inv
     return t.sign() >= 0 and (1 - t).sign() > 0 and s.sign() >= 0 and (1 - s).sign() >= 0
 
 
 def _on_segment(point, begin, end):
     offset = point - begin
     step = end - begin
-    if not offset.cross(step).is_zero:
+    if not cross(offset, step).is_zero:
         return False
-    along = offset.dot(step)
-    return along.sign() >= 0 and (step.dot(step) - along).sign() >= 0
+    along = dot(offset, step)
+    return along.sign() >= 0 and (dot(step, step) - along).sign() >= 0
 
 
 def test_exit_wall_is_the_first_edge_met():

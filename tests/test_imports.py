@@ -125,13 +125,20 @@ _SUBCOMMANDS = [
 
 @pytest.mark.parametrize("argv, layers", _SUBCOMMANDS, ids=[argv[0] for argv, _ in _SUBCOMMANDS])
 def test_cli_subcommand_loads_only_its_layers(tmp_path, argv, layers):
+    # A subcommand that runs none of those layers also loads no dataclasses
+    # (and with it inspect); only what the run adds to sys.modules counts.
     argv = [a.replace("{out}", str(tmp_path / "out.svg")) for a in argv]
     code = f"""
-import contextlib, io
+import contextlib, io, json, sys
+before = set(sys.modules)
 import goldenl.cli  # `from goldenl import cli` would read cli off the package and load it all
 with contextlib.redirect_stdout(io.StringIO()):
     assert goldenl.cli.main({argv!r}) == 0
-""" + _LOADED
-    loaded = _run(code)
+added = set(sys.modules) - before
+print(json.dumps([sorted(m[8:] for m in added if m.startswith("goldenl.")), sorted(added & {{"dataclasses", "inspect"}})]))
+"""
+    loaded, heavy = _run(code)
     assert sorted(set(loaded) & {"flow", "render", "stats"}) == layers
     assert {"classify", "cli", "errors", "field", "surface", "words"} <= set(loaded)
+    if not layers:
+        assert heavy == []

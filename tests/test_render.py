@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 import pentagon_reference as reference
+from flow_reference import cross, inverse
 from goldenl import CapExceededError, GoldenNumber, GoldenVector, Outcome, trace, word_to_vector
 from goldenl.flow import trace_direction, validate_trajectory_structure
 from goldenl.render import (
@@ -168,13 +169,13 @@ def _parametric_side_events(trajectory):
         seg = end - begin
         for a, b in _INTERIOR_CUTS:
             cut = b - a
-            denom = seg.cross(cut)
+            denom = cross(seg, cut)
             if denom.is_zero:
                 continue
-            inv = denom.inverse()
+            inv = inverse(denom)
             w = a - begin
-            t = w.cross(cut) * inv
-            s = w.cross(seg) * inv
+            t = cross(w, cut) * inv
+            s = cross(w, seg) * inv
             # Intersection strictly inside both segments: t(1-t) > 0 and s(1-s) > 0.
             if (t - t * t).sign() > 0 and (s - s * s).sign() > 0:
                 events += 1

@@ -174,7 +174,6 @@ def test_sector_of_rejects_bad_input():
 
 def test_pentagon_transfer_values():
     transfer = pentagon_transfer()
-    assert transfer.cos_pi_5 == GoldenNumber(0, Fraction(1, 2))
     (p00, p01), (p10, p11) = transfer.matrix
     assert p00 == 1.0 and p10 == 0.0
     assert abs(p01 - 0.8090169943749475) < 1e-12
@@ -184,17 +183,6 @@ def test_pentagon_transfer_values():
     px, py = p00 * x + p01 * y, p10 * x + p11 * y
     assert abs(px - 8.66) < 0.01
     assert abs(py - 2.49) < 0.01
-
-
-def test_pentagon_transfer_inverse():
-    transfer = pentagon_transfer()
-    (a, b), (c, d) = transfer.matrix
-    (e, f), (g, h) = transfer.inverse
-    prod = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-    assert abs(prod[0] - 1.0) < 1e-12
-    assert abs(prod[1]) < 1e-12
-    assert abs(prod[2]) < 1e-12
-    assert abs(prod[3] - 1.0) < 1e-12
 
 
 def test_surface_description_shape():

@@ -55,10 +55,15 @@ def test_word_letters_validated():
         word_to_vector((1, 4))
 
 
-@pytest.mark.parametrize("bad", [4, -1, "1", [1]], ids=["4", "-1", "str", "unhashable"])
+@pytest.mark.parametrize(
+    "bad",
+    [4, -1, "1", [1], 1.0, True, Fraction(1)],
+    ids=["4", "-1", "str", "unhashable", "float", "bool", "fraction"],
+)
 def test_letter_errors_name_the_first_bad_letter(bad):
     # The same message from every function that checks letters, whether the
     # word is a tuple, a list or an iterator, and whatever follows the bad letter.
+    # A letter must be an int: 1.0, True and Fraction(1) equal one but are not.
     checks = (format_word, word_to_vector, derive_once, reduce_word, is_base_word, word_permutation)
     for word in ((1, bad, 4), [0, bad, 5], (2, bad, [3])):
         for check in checks:
