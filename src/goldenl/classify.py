@@ -46,12 +46,20 @@ HORIZONTAL_VERDICTS: dict[int, Classification] = {
 }
 
 
+# Every product, keyed by (2A mod 5, n mod 2): c -> 2A + (-1)^n * c on cycle positions.
+_PRODUCTS = {
+    (shift, parity): Permutation5(
+        tuple(MIDPOINT_CYCLE[(shift + (-1) ** parity * MIDPOINT_CYCLE.index(x)) % 5] for x in WEIERSTRASS_LABELS)
+    )
+    for shift in range(5)
+    for parity in (0, 1)
+}
+
+
 def word_permutation(word: Word) -> Permutation5:
     """tau_{k_1} * tau_{k_2} * ... * tau_{k_n}, identity for the empty word."""
     _check_letters(word)
-    shift, sign = 2 * (sum(word[0::2]) - sum(word[1::2])), (-1) ** len(word)
-    position = MIDPOINT_CYCLE.index
-    return Permutation5(tuple(MIDPOINT_CYCLE[(shift + sign * position(x)) % 5] for x in WEIERSTRASS_LABELS))
+    return _PRODUCTS[2 * (sum(word[0::2]) - sum(word[1::2])) % 5, len(word) % 2]
 
 
 class ClassificationReport(NamedTuple):

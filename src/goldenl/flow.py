@@ -38,7 +38,7 @@ from operator import add, mul, sub
 from .classify import Classification
 from .errors import CapExceededError, StructuralViolationError
 from .field import GoldenNumber, GoldenVector, PHI, PHI_SQUARED, cleared, golden_mul, golden_sign
-from .surface import CONE_POINTS, GOLDEN_L, WEIERSTRASS_LABELS, weierstrass_point
+from .surface import CONE_POINTS, GOLDEN_L, WEIERSTRASS_LABELS, _direction_pairs, weierstrass_point
 from .words import Word, format_word, word_to_vector
 
 DEFAULT_STEP_CAP = 1_000_000
@@ -70,13 +70,6 @@ def canonicalize(p: GoldenVector) -> GoldenVector:
         if lo.x <= p.x <= hi.x and lo.y <= p.y <= hi.y:
             return p - ident.translation
     return p
-
-
-def _check_direction(v: GoldenVector) -> None:
-    if v.is_zero:
-        raise ValueError("flow direction must be nonzero")
-    if v.x.sign() < 0 or v.y.sign() < 0:
-        raise ValueError(f"flow direction must lie in the closed first quadrant: {v}")
 
 
 # Integer points. Pairs (a, b) are a + b*phi; points are 4-tuples
@@ -139,8 +132,7 @@ def _direction_table(v: GoldenVector) -> tuple:
     norm) makes that exact. The wall hit is the re-entry point minus the
     translation back.
     """
-    _check_direction(v)
-    direction = vxa, vxb, vya, vyb = cleared(v)
+    direction = vxa, vxb, vya, vyb = _direction_pairs(v)
     norm_x = vxa * vxa + vxa * vxb - vxb * vxb
     norm_y = vya * vya + vya * vyb - vyb * vyb
     factor = lcm(abs(norm_x) or 1, abs(norm_y) or 1)

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import CapExceededError
 from .words import reduce_word
@@ -22,8 +22,7 @@ DEFAULT_ENUMERATION_LIMIT = 10
 _MC_SHARD_SIZE = 1 << 16
 
 
-@dataclass(frozen=True)
-class ReductionProfile:
+class ReductionProfile(NamedTuple):
     """counts[l] = number of length-m words whose base word has length l."""
 
     word_length: int
@@ -76,8 +75,7 @@ def brute_force_profile(m: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> Reduc
     return ReductionProfile(word_length=m, counts=counts)
 
 
-@dataclass(frozen=True)
-class MonteCarloEstimate:
+class MonteCarloEstimate(NamedTuple):
     word_length: int
     samples: int
     seed: int

@@ -14,8 +14,8 @@ from math import lcm
 
 from goldenl.errors import CapExceededError, StructuralViolationError
 from goldenl.field import GoldenNumber, GoldenVector, cleared, golden_mul, golden_sign
-from goldenl.flow import DEFAULT_STEP_CAP, Outcome, _check_direction, _from_point, point_in_surface
-from goldenl.surface import CONE_POINTS, GOLDEN_L, weierstrass_point
+from goldenl.flow import DEFAULT_STEP_CAP, Outcome, _from_point, point_in_surface
+from goldenl.surface import CONE_POINTS, GOLDEN_L, _direction_pairs, weierstrass_point
 
 Point = tuple[int, int, int, int]
 
@@ -168,7 +168,7 @@ def reference_trace(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP):
     (begin, end) integer pairs divided by `scale`; raises CapExceededError
     with the library's message when `cap` steps do not end the orbit.
     """
-    _check_direction(v)
+    _direction_pairs(v)
     start = weierstrass_point(label)
     scale, direction, walls, corners, norm_x, norm_y = _kernel_setup(v)
     start_point = _int_point(start, scale)

@@ -6,14 +6,16 @@ from itertools import product
 
 import pytest
 
+import goldenl.render as render
 import pentagon_reference as reference
 from flow_reference import cross, inverse
 from goldenl import CapExceededError, GoldenNumber, GoldenVector, Outcome, trace, word_to_vector
-from goldenl.flow import trace_direction, validate_trajectory_structure
+from goldenl.flow import DEFAULT_STEP_CAP, trace_direction, validate_trajectory_structure
 from goldenl.render import (
     PENTAGON_MIDPOINTS,
     PENTAGON_VERTICES,
     billiard_path,
+    billiard_svg,
     golden_l_svg,
     pentagon_svg,
     render_trajectory,
@@ -123,18 +125,33 @@ def test_render_path_leaves_segments_unbuilt():
 
 
 def test_pentagon_svg_contents():
-    path = billiard_path(trace(4, (2, 1)))
-    svg = pentagon_svg((2, 1), 4)
+    t = trace(4, (2, 1))
+    svg = billiard_svg(t)
     assert svg.count("<polygon") == 1
-    assert svg.count('<line class="trajectory"') == path.segment_count
+    assert svg.count('<line class="trajectory"') == billiard_path(t).segment_count
     assert svg.count('class="marked-point') == 5
+    # The word-first wrapper draws the same bytes.
+    for word in (w for n in range(3) for w in product((0, 1, 2, 3), repeat=n)):
+        for label in PENTAGON_MIDPOINTS:
+            assert billiard_svg(trace(label, word)) == pentagon_svg(word, label), (word, label)
 
 
-def test_render_trajectory_frames():
+def test_render_trajectory_frames(monkeypatch):
+    # One trace per drawing in either frame, and none for a bad frame, size or stroke.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return trace(*args)
+
+    monkeypatch.setattr(render, "trace", counted)
     assert render_trajectory((2, 1), 4, frame="goldenl").count("<polygon") == 2
     assert render_trajectory((2, 1), 4, frame="pentagon").count("<polygon") == 1
-    with pytest.raises(ValueError):
-        render_trajectory((2, 1), 4, frame="sphere")
+    assert calls == [(4, (2, 1), DEFAULT_STEP_CAP)] * 2
+    for bad in ({"frame": "sphere"}, {"size": 0}, {"stroke": 0.0}, {"frame": "pentagon", "stroke": -1.0}):
+        with pytest.raises(ValueError):
+            render_trajectory((2, 1), 4, **bad)
+    assert len(calls) == 2
 
 
 def _split_inscribed_edges():
