@@ -4,6 +4,9 @@ Exit codes: 0 success, 2 argument or input error, 3 cap exceeded, 4 internal
 structural violation. Output format and caps can also be set through the
 GOLDENL_FORMAT and GOLDENL_CAP environment variables; explicit flags win.
 
+Each subcommand returns (payload, text, csv): a function that builds the JSON
+object, the text form, and the CSV form or None; main writes it once.
+
 Every subcommand needs words, classify and surface, loaded here. The flow,
 render and stats layers are imported inside the subcommands that run them,
 each by `from .x import ...`: a `from . import x` would read x off the lazy
@@ -124,14 +127,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
-
-
-def _emit_json(obj: dict) -> None:
-    _emit(json.dumps(obj, indent=2))
+def _write(fmt: str, payload, text: str, csv: str | None) -> None:
+    """Print a subcommand's result once, in `fmt`; one without a CSV form prints its text."""
+    if fmt == "json":
+        text = json.dumps(payload(), indent=2)
+    elif fmt == "csv" and csv is not None:
+        text = csv
+    print(text)
 
 
 def _check_midpoint(label: int) -> int:
@@ -140,63 +142,49 @@ def _check_midpoint(label: int) -> int:
     return label
 
 
-def _vector_json(v: GoldenVector) -> dict:
-    return {"x": v.x.to_json_dict(), "y": v.y.to_json_dict()}
+def _vector_payload(word, v: GoldenVector):
+    return lambda: {
+        "schema": SCHEMA_VECTOR,
+        "word": format_word(word),
+        "vector": {"x": v.x.to_json_dict(), "y": v.y.to_json_dict()},
+    }
 
 
-def _classification_payload(word, verdicts, tau, method, midpoint=None) -> dict:
+def _classification_payload(word, verdicts, tau, method, midpoint=None) -> tuple:
+    """A classification's JSON payload, text and CSV; the text names tau when there is one."""
+    labels = WEIERSTRASS_LABELS if midpoint is None else (midpoint,)
+    rows = [(label, verdicts[label].value) for label in labels]
     payload: dict = {
         "schema": SCHEMA_CLASSIFICATION,
         "word": format_word(word),
         "tau": None if tau is None else list(tau.images),
         "method": method,
     }
-    if midpoint is None:
-        payload["verdicts"] = {str(l): verdicts[l].value for l in WEIERSTRASS_LABELS}
-    else:
+    if midpoint is not None:
         payload["midpoint"] = midpoint
-        payload["verdicts"] = {str(midpoint): verdicts[midpoint].value}
-    return payload
+    payload["verdicts"] = {str(label): verdict for label, verdict in rows}
+    text = [f"word: {payload['word']}"]
+    if tau is not None:
+        text.append(f"tau: {tau.cycle_string()}")
+    text += [f"midpoint {label}: {verdict}" for label, verdict in rows]
+    csv = ["midpoint,verdict"] + [f"{label},{verdict}" for label, verdict in rows]
+    return lambda: payload, "\n".join(text), "\n".join(csv)
 
 
-def _print_classification(payload: dict, fmt: str, tau_string: str | None) -> None:
-    if fmt == "json":
-        _emit_json(payload)
-    elif fmt == "csv":
-        lines = ["midpoint,verdict"]
-        lines += [f"{label},{verdict}" for label, verdict in sorted(payload["verdicts"].items())]
-        _emit("\n".join(lines))
-    else:
-        lines = [f"word: {payload['word']}"]
-        if tau_string is not None:
-            lines.append(f"tau: {tau_string}")
-        for label, verdict in sorted(payload["verdicts"].items()):
-            lines.append(f"midpoint {label}: {verdict}")
-        _emit("\n".join(lines))
-
-
-def _cmd_classify(args: argparse.Namespace, fmt: str) -> int:
+def _cmd_classify(args: argparse.Namespace) -> tuple:
     word = parse_word(args.word)
     midpoint = None if args.midpoint is None else _check_midpoint(args.midpoint)
     report = classify_all(word)
-    payload = _classification_payload(word, report.verdicts, report.tau, "algorithm", midpoint)
-    _print_classification(payload, fmt, report.tau.cycle_string())
-    return 0
+    return _classification_payload(word, report.verdicts, report.tau, "algorithm", midpoint)
 
 
-def _cmd_word2vec(args: argparse.Namespace, fmt: str) -> int:
+def _cmd_word2vec(args: argparse.Namespace) -> tuple:
     word = parse_word(args.word)
     v = word_to_vector(word)
-    if fmt == "json":
-        _emit_json({"schema": SCHEMA_VECTOR, "word": format_word(word), "vector": _vector_json(v)})
-    elif fmt == "csv":
-        _emit(",".join(v.quadruple()))
-    else:
-        _emit(f"{v.x}, {v.y}")
-    return 0
+    return _vector_payload(word, v), f"{v.x}, {v.y}", ",".join(v.quadruple())
 
 
-def _cmd_vec2word(args: argparse.Namespace, fmt: str) -> int:
+def _cmd_vec2word(args: argparse.Namespace) -> tuple:
     try:
         v = GoldenVector.from_rationals(
             Fraction(args.xa), Fraction(args.xb), Fraction(args.ya), Fraction(args.yb)
@@ -204,64 +192,48 @@ def _cmd_vec2word(args: argparse.Namespace, fmt: str) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"coefficients must be rationals like 3, -2, or 1/2: {exc}") from exc
     word = vector_to_word(v, cap=_cap_or(args, DEFAULT_INVERSION_CAP))
-    if fmt == "json":
-        _emit_json({"schema": SCHEMA_VECTOR, "word": format_word(word), "vector": _vector_json(v)})
-    else:
-        _emit(format_word(word))
-    return 0
+    return _vector_payload(word, v), format_word(word), None
 
 
-def _cmd_reduce(args: argparse.Namespace, fmt: str) -> int:
+def _cmd_reduce(args: argparse.Namespace) -> tuple:
     word = parse_word(args.word)
     base = reduce_word(word)
-    if fmt == "json":
-        _emit_json(
-            {
-                "schema": SCHEMA_REDUCTION,
-                "word": format_word(word),
-                "base_word": format_word(base),
-                "is_base_word": is_base_word(word),
-            }
-        )
-    else:
-        _emit(format_word(base))
-    return 0
+    payload = lambda: {
+        "schema": SCHEMA_REDUCTION,
+        "word": format_word(word),
+        "base_word": format_word(base),
+        "is_base_word": is_base_word(word),
+    }
+    return payload, format_word(base), None
 
 
-def _cmd_simulate(args: argparse.Namespace, fmt: str) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> tuple:
     from .flow import DEFAULT_STEP_CAP, oracle_classify, trace
 
     word = parse_word(args.word)
     label = None if args.midpoint is None else _check_midpoint(args.midpoint)
     cap = _cap_or(args, DEFAULT_STEP_CAP)
     if args.classify:
-        verdicts = oracle_classify(word, cap=cap)
-        payload = _classification_payload(word, verdicts, None, "flow-oracle", label)
-        _print_classification(payload, fmt, None)
-        return 0
+        return _classification_payload(word, oracle_classify(word, cap=cap), None, "flow-oracle", label)
     if label is None:
         raise ValueError("simulate needs a midpoint label unless --classify is given")
     trajectory = trace(label, word, cap=cap)
-    if fmt == "json":
-        payload = trajectory.to_json_dict(word)
-        payload["schema"] = SCHEMA_TRAJECTORY
-        _emit_json(payload)
-    else:
-        lines = [
-            f"word: {format_word(word)}",
-            f"midpoint: {label}",
-            f"direction: {trajectory.direction}",
-            f"outcome: {trajectory.outcome.value}",
-            f"segments: {trajectory.segment_count}",
-            f"holonomy: {trajectory.holonomy}",
-        ]
-        if trajectory.cone_point is not None:
-            lines.append(f"cone point: {trajectory.cone_point}")
-        _emit("\n".join(lines))
-    return 0
+    lines = [
+        f"word: {format_word(word)}",
+        f"midpoint: {label}",
+        f"direction: {trajectory.direction}",
+        f"outcome: {trajectory.outcome.value}",
+        f"segments: {trajectory.segment_count}",
+        f"holonomy: {trajectory.holonomy}",
+    ]
+    if trajectory.cone_point is not None:
+        lines.append(f"cone point: {trajectory.cone_point}")
+    # The JSON form alone replays the trajectory's points.
+    payload = lambda: {**trajectory.to_json_dict(word), "schema": SCHEMA_TRAJECTORY}
+    return payload, "\n".join(lines), None
 
 
-def _cmd_render(args: argparse.Namespace, fmt: str) -> int:
+def _cmd_render(args: argparse.Namespace) -> tuple:
     from .flow import DEFAULT_STEP_CAP
     from .render import render_trajectory
 
@@ -272,23 +244,18 @@ def _cmd_render(args: argparse.Namespace, fmt: str) -> int:
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(svg)
     segments = svg.count('<line class="trajectory"')
-    if fmt == "json":
-        _emit_json(
-            {
-                "schema": SCHEMA_RENDER,
-                "word": format_word(word),
-                "midpoint": label,
-                "frame": args.frame,
-                "out": args.out,
-                "segments": segments,
-            }
-        )
-    else:
-        _emit(f"wrote {args.out} ({args.frame} frame, {segments} segments)")
-    return 0
+    payload = lambda: {
+        "schema": SCHEMA_RENDER,
+        "word": format_word(word),
+        "midpoint": label,
+        "frame": args.frame,
+        "out": args.out,
+        "segments": segments,
+    }
+    return payload, f"wrote {args.out} ({args.frame} frame, {segments} segments)", None
 
 
-def _cmd_stats(args: argparse.Namespace, fmt: str) -> int:
+def _cmd_stats(args: argparse.Namespace) -> tuple:
     from .stats import DEFAULT_ENUMERATION_LIMIT, brute_force_profile, exact_profile, monte_carlo_empty_rate
 
     if args.max_n < 0:
@@ -336,28 +303,18 @@ def _cmd_stats(args: argparse.Namespace, fmt: str) -> int:
             lambda r: f"m={r['m']:>3}  count={r['count']:>12}  "
             f"probability={r['probability']}  ({r['probability_decimal']:.6g})"
         )
-    if fmt == "json":
-        _emit_json({"schema": SCHEMA_STATS, "mode": args.mode, "rows": rows})
-    elif fmt == "csv":
-        _emit("\n".join([header] + [to_csv(r) for r in rows]))
-    else:
-        _emit("\n".join(to_text(r) for r in rows))
-    return 0
+    payload = lambda: {"schema": SCHEMA_STATS, "mode": args.mode, "rows": rows}
+    return payload, "\n".join(map(to_text, rows)), "\n".join([header, *map(to_csv, rows)])
 
 
-def _cmd_surface(args: argparse.Namespace, fmt: str) -> int:
+def _cmd_surface(args: argparse.Namespace) -> tuple:
     description = surface_description()
-    if fmt == "json":
-        description = {"schema": SCHEMA_SURFACE, **description}
-        _emit_json(description)
-    else:
-        lines = [
-            f"vertices: {len(description['vertices'])}",
-            f"identifications: {', '.join(i['name'] for i in description['identifications'])}",
-            f"weierstrass points: {', '.join(sorted(description['weierstrass_points']))}",
-        ]
-        _emit("\n".join(lines))
-    return 0
+    lines = [
+        f"vertices: {len(description['vertices'])}",
+        f"identifications: {', '.join(i['name'] for i in description['identifications'])}",
+        f"weierstrass points: {', '.join(sorted(description['weierstrass_points']))}",
+    ]
+    return lambda: {"schema": SCHEMA_SURFACE, **description}, "\n".join(lines), None
 
 
 _COMMANDS = {
@@ -376,8 +333,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # Resolved first, so a bad GOLDENL_FORMAT exits 2 before render writes a file.
         fmt = args.format if args.format is not None else _env_format()
-        return _COMMANDS[args.command](args, fmt)
+        _write(fmt, *_COMMANDS[args.command](args))
+        return 0
     except (ValueError, VerticalDirectionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import StructuralViolationError
 from .field import PHI_FLOAT, cleared, golden_mul
-from .flow import DEFAULT_STEP_CAP, Outcome, Trajectory, _STARTS2, trace
+from .flow import DEFAULT_STEP_CAP, Outcome, Trajectory, _END, _STAIR, _STARTS2, trace
 from .surface import (
     DEFAULT_SIZE, DEFAULT_STROKE, FRAMES, GOLDEN_L, GOLDEN_L_FRAME, MIDPOINT_CYCLE, Rows,
     pentagon_transfer,
@@ -64,15 +64,12 @@ def transported_side_events(trajectory: Trajectory) -> int:
     and c), so each run crosses C1 or C2 once before its wall hit. Every
     re-entry lands on a boundary side (a, d) or strictly inside T3 (b, c),
     and then the next run crosses C3 once. The start is a side midpoint, and
-    passing it is one of those crossings. A trace that closes by re-entry has
-    one wall crossing per segment; one that closes strictly inside a segment,
-    at its start point, has one fewer.
+    passing it is one of those crossings. The walk counts the wall crossings.
     """
     if trajectory.outcome is not Outcome.CLOSED:
         raise ValueError("side events are defined for closed trajectories only")
-    points = trajectory.points
-    closes_mid = points[-1][1] == points[0][0]
-    return 2 * (len(points) - closes_mid)
+    walk = trajectory.walk
+    return 2 * (len(walk) - walk.count(_END))
 
 
 def _edge_of_midpoint(label: int) -> int:
@@ -97,9 +94,13 @@ _MIRRORS: dict[int, Rows] = {
 # The table's turn by 72 degrees: the mirror in side 1, e = (0, 1), then in side 4.
 _TURN: Rows = (((-1, 0), (0, -1)), ((0, 1), (0, 1)))  # ((-1, -phi), (phi, phi))
 _ROTATIONS = tuple(complex(math.cos(0.4 * math.pi * k), math.sin(0.4 * math.pi * k)) for k in range(5))
-# The cone points (phi^2, phi) and (phi, phi^2), scaled to 1, lie beyond C1 and
-# C2; a run that ends there is drawn to their mirror images in those cuts.
-_BEYOND = {(1, 1, 0, 1): (0, 0, 1, 1), (0, 1, 1, 1): (1, 1, 0, 0)}
+# (cut left, side re-entered) of a run, by its walk byte: the walls of a (x = phi)
+# and c (y = phi^2) lie beyond C2, those of b (x = phi^2) and d (y = phi) beyond C1.
+# Gluings a and d re-enter on sides 1 and 5, b and c below C3. Walls in walk order b, d, a, c.
+_LEAVES = ((4, 3), (4, 5), (2, 1), (2, 3))
+# The cone points (phi^2, phi) and (phi, phi^2) lie beyond C1 and C2; a run that
+# ends there leaves by that cut and is drawn to the cone point's mirror image in it.
+_BEYOND = {_STAIR[1]: (4, _STAIR[4]), _STAIR[3]: (2, _STAIR[0])}
 (_, _P01), (_, _P11) = pentagon_transfer().matrix
 _CENTRE = (1.0 + 3.0 * PHI_FLOAT) / 5.0
 
@@ -108,17 +109,6 @@ def _on_table(x: float, y: float) -> complex:
     """P(x - centre), for the inscribed pentagon's centre (c, c): the table point."""
     x, y = x - _CENTRE, y - _CENTRE
     return complex(x + _P01 * y, _P11 * y)
-
-
-def _exit(hit: tuple, s: int) -> tuple[int, int]:
-    """(cut left, side re-entered) of a run ending on a wall at `hit`, at scale s:
-    the walls of a (x = phi) and c (y = phi^2) lie beyond C2, those of b (x = phi^2)
-    and d (y = phi) beyond C1. Gluings a and d re-enter on sides 1 and 5, b and c below C3."""
-    if hit[0] == 0 and hit[1] == s:
-        return 2, 1
-    if hit[2] == hit[3] == s:
-        return 2, 3
-    return (4, 3) if hit[0] == hit[1] == s else (4, 5)
 
 
 def _float_point(p: tuple[int, int, int, int], s: int) -> tuple[float, float]:
@@ -184,26 +174,28 @@ def billiard_path(trajectory: Trajectory) -> BilliardPath:
     trajectory repeats, turned, until a bounce is back at the start midpoint
     with the first outgoing direction, both tested exactly.
     """
-    label, s, points = trajectory.start_label, trajectory.scale, trajectory.points
+    label, s, walk = trajectory.start_label, trajectory.scale, trajectory.walk
     v = cleared(trajectory.direction)
     outside = label in (2, 4)
     closed = trajectory.outcome is Outcome.CLOSED
-    cone = tuple(c // s for c in points[-1][1])
-    runs = list(points)
-    if closed and points[-1][1] == points[0][0]:
+    beyond = _BEYOND.get(trajectory.cone_point)
+    runs = list(zip(trajectory.points, walk))
+    if closed and walk[-1] == _END:
         # Closed strictly inside a segment: the last run ends at the start and
         # the first leaves it, so together they are one run through the start.
-        runs[0] = (runs.pop()[0], runs[0][1])
+        ((begin, _), _), ((_, end), wall) = runs.pop(), runs[0]
+        runs[0] = (begin, end), wall
     # Each run re-enters after the previous wall and leaves before its own, so
     # the start is crossing 0, or 1 from midpoints 2 and 4, of a closed orbit.
     crossings = []
-    for i, (begin, end) in enumerate(runs):
+    for i, ((begin, end), wall) in enumerate(runs):
         if i or closed:
-            left, entered = _exit(runs[i - 1][1], s)
+            left, entered = _LEAVES[runs[i - 1][1]]
             turn = 2 * (_EDGE[left] - _EDGE[entered]) % 5
             crossings.append(_crossing(entered, False, turn, begin, end, v, s))
-        if closed or i < len(runs) - 1 or cone in _BEYOND:
-            crossings.append(_crossing(_exit(end, s)[0], True, 0, begin, end, v, s))
+        if wall != _END or beyond:
+            cut = _LEAVES[wall][0] if wall != _END else beyond[0]
+            crossings.append(_crossing(cut, True, 0, begin, end, v, s))
 
     # One period or five close a closed orbit; the horizontal class takes two and a half.
     first, n, k, drawn = _outgoing(v, label, outside, 0), len(crossings), 0, []
@@ -217,8 +209,7 @@ def billiard_path(trajectory: Trajectory) -> BilliardPath:
     else:
         if closed:
             raise StructuralViolationError(f"billiard from midpoint {label} did not close in five periods")
-        xa, xb, ya, yb = _BEYOND.get(cone, cone)
-        drawn.append(_on_table(xa + xb * PHI_FLOAT, ya + yb * PHI_FLOAT) * _ROTATIONS[k])
+        drawn.append(_on_table(*(beyond[1] if beyond else trajectory.cone_point).to_floats()) * _ROTATIONS[k])
     if outside:
         axis = math.radians(2.0 * _MIDPOINT_ANGLES[label])
         drawn = [complex(math.cos(axis), math.sin(axis)) * z.conjugate() for z in drawn]

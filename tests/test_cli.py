@@ -1,14 +1,19 @@
 """CLI behavior: commands, formats, env overrides, exit codes, schemas."""
 
 import json
+import shlex
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from goldenl import cli
+from goldenl.flow import Trajectory
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture(autouse=True)
@@ -123,6 +128,27 @@ def test_simulate_trajectory_json(capsys):
     assert payload["outcome"] == "cone_point"
     assert payload["holonomy"] == ["1/2", "0/1", "0/1", "0/1"]
     assert payload["segment_count"] == len(payload["segments"])
+
+
+def test_simulate_builds_json_only_for_json(capsys, monkeypatch):
+    # Text and CSV never replay the trajectory's points; JSON builds its payload once.
+    to_json_dict, calls = Trajectory.to_json_dict, []
+
+    def refuse(self, word=None):
+        raise AssertionError("to_json_dict called outside --format json")
+
+    monkeypatch.setattr(Trajectory, "to_json_dict", refuse)
+    for fmt in ("text", "csv"):
+        code, out, err = run_cli(capsys, "simulate", "21", "4", "--format", fmt)
+        assert code == 0 and out.startswith("word: 21\nmidpoint: 4\n"), (fmt, err)
+
+    def counted(self, word=None):
+        calls.append(word)
+        return to_json_dict(self, word)
+
+    monkeypatch.setattr(Trajectory, "to_json_dict", counted)
+    assert run_json(capsys, "simulate", "21", "4", "--format", "json")["segment_count"] == 8
+    assert calls == [(2, 1)]
 
 
 def test_simulate_classify_matches_algorithm(capsys):
@@ -344,6 +370,27 @@ def test_invalid_inputs(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "classify", "21", "9")
     assert code == 2 and "1..5" in err
+
+
+def test_readme_cli_examples(capsys, monkeypatch, tmp_path):
+    # Every `goldenl ...` line of the README's CLI block runs, and the outputs it states hold.
+    readme = README.read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("goldenl ")]
+    assert len(examples) == 11
+    monkeypatch.chdir(tmp_path)
+    for argv in examples:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+    assert (tmp_path / "orbit.svg").exists()
+    prose = " ".join(readme.split())
+    assert "`word2vec 132` returns `3 + 2*phi, 2 + 4*phi`" in prose
+    assert run_cli(capsys, "word2vec", "132")[1] == "3 + 2*phi, 2 + 4*phi\n"
+    assert "`vec2word 3 2 2 4 --cap 3` prints `132`" in prose
+    assert run_cli(capsys, "vec2word", "3", "2", "2", "4", "--cap", "3")[1] == "132\n"
+    assert "`classify 21` reports midpoints 4 and 5 short, 2 and 3 long, and 1 as the saddle connection" in prose
+    _, out, _ = run_cli(capsys, "classify", "21", "--format", "csv")
+    assert out.splitlines()[1:] == ["1,saddle", "2,long", "3,long", "4,short", "5,short"]
 
 
 def test_module_entry_point():
