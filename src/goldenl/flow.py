@@ -22,8 +22,16 @@ transversal, and no step builds a point:
   point; any other start is met strictly inside one more segment.
 
 With the start points scaled by 2 and the direction cleared to integer pairs,
-h is an integer pair (a, b) meaning a + b*phi. A trajectory keeps the walk and
-replays its integer points on first read; the oracle never reads them.
+h is an integer pair (a, b) meaning a + b*phi. The kernel keeps it as (p, b)
+with p = 2a + b, so 2h = p + b*sqrt(5), and decides its two sign tests
+inline by golden_sign's rule: same signs settle it at once, mixed signs
+compare p**2 with 5*b**2. A trajectory keeps the walk and replays its integer
+points on first read; the oracle never reads them.
+
+The oracle walks each closed orbit once. The core orbit of a cylinder passes
+through two midpoints, so after a closed trace one pass over the h of its
+chords finds the other, whose walk is the same crossings rotated to start on
+its chord, with the same holonomy.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate, compress, count
 from math import gcd, lcm
 from operator import add, mul, sub
 
@@ -110,6 +119,7 @@ _EXITS = tuple(
     if ident.name == name
 )
 _END = len(_EXITS)
+_END_BYTE = bytes([_END])
 _STAIR2 = tuple(_int_point(p, 2) for p in _STAIR)
 _STARTS2 = {label: _int_point(weierstrass_point(label), 2) for label in WEIERSTRASS_LABELS}
 _BACK_COLUMNS = tuple(zip(*(back for _, back in _EXITS)))
@@ -120,11 +130,12 @@ _ON_GLUED_EDGE = (1, 5)
 
 @lru_cache(maxsize=64)
 def _direction_table(v: GoldenVector) -> tuple:
-    """What every trace in direction v shares, with h at scale 2: the point
-    scale; the h of the corners where walls meet, _STAIR[1:4]; per exit wall,
-    what crossing it adds to h and how to replay it; per midpoint, its h and
-    the _STAIR index of the corner an edge run from it ends at, or None.
-    Raises ValueError for a direction outside the closed first quadrant.
+    """What every trace in direction v shares, with h at scale 2 and in the
+    (p, b) form of _root5: the point scale; the h of the corners where walls
+    meet, _STAIR[1:4]; per exit wall, what crossing it adds to h and how to
+    replay it; per midpoint, its h and the _STAIR index of the corner an edge
+    run from it ends at, or None. Raises ValueError for a direction outside
+    the closed first quadrant.
 
     Points are scaled by 2 times the lcm of the direction coordinate norms.
     Chord h re-enters at y = h / v.x on x = 0 or at x = h / -v.y on y = 0;
@@ -142,10 +153,16 @@ def _direction_table(v: GoldenVector) -> tuple:
         q = factor // norm if norm else 0  # a wall the flow runs parallel to is never crossed
         rows.append((vertical, (q * (da + db), -q * db), tuple(c * factor for c in back)))
         deltas.append(_h(direction, back))
-    stair = [_h(direction, p) for p in _STAIR2]
+    stair = [_root5(_h(direction, p)) for p in _STAIR2]
     ends = {stair[0]: 0, stair[4]: 4}
-    starts = {label: (h := _h(direction, p), ends.get(h)) for label, p in _STARTS2.items()}
-    return 2 * factor, tuple(stair[1:4]), tuple(deltas), tuple(rows), starts
+    starts = {label: (h := _root5(_h(direction, p)), ends.get(h)) for label, p in _STARTS2.items()}
+    return 2 * factor, tuple(stair[1:4]), tuple(map(_root5, deltas)), tuple(rows), starts
+
+
+def _root5(h: tuple[int, int]) -> tuple[int, int]:
+    """h = a + b*phi as (p, b) with 2h = p + b*sqrt(5), the form golden_sign decides."""
+    a, b = h
+    return 2 * a + b, b
 
 
 def _reentry(row: tuple, ha: int, hb: int) -> Point:
@@ -188,7 +205,7 @@ class Trajectory:
     @cached_property
     def points(self) -> tuple[tuple[Point, Point], ...]:
         _, _, deltas, rows, starts = _direction_table(self.direction)
-        (ha, hb), _ = starts[self.start_label]
+        (p, b), _ = starts[self.start_label]
         begin = _int_point(self.start, self.scale)
         points = []
         for wall in self.walk:
@@ -196,9 +213,9 @@ class Trajectory:
                 end = self.start if self.cone_point is None else self.cone_point
                 points.append((begin, _int_point(end, self.scale)))
                 break
-            da, db = deltas[wall]
-            ha, hb = ha + da, hb + db
-            reentry = _reentry(rows[wall], ha, hb)
+            dp, db = deltas[wall]
+            p, b = p + dp, b + db
+            reentry = _reentry(rows[wall], (p - b) // 2, b)
             points.append((begin, tuple(map(sub, reentry, rows[wall][2]))))
             begin = reentry
         return tuple(points)
@@ -240,34 +257,42 @@ def trace_direction(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP) ->
     """
     scale, breaks, deltas, rows, starts = _direction_table(v)
     start = weierstrass_point(label)
-    (h0a, h0b), cone = starts[label]
-    ha, hb = h0a, h0b
-    b2a, b2b = breaks[1]
+    (p0, b0), cone = starts[label]
+    p, b = p0, b0
+    (p1, b1), (p2, b2), (p3, b3) = breaks
     walk = bytearray()
     for _ in range(cap if cone is None else 0):
-        # Below, at or above the middle corner; then below, at or above the next.
-        k = 1 + golden_sign(ha - b2a, hb - b2b)
-        ka, kb = breaks[k]
-        t = golden_sign(ha - ka, hb - kb)
-        if not t:
-            cone = k + 1
-            break
-        wall = k + (t > 0)
+        # Below, at or above the middle corner; then below, at or above the
+        # next. Each test is golden_sign's on 2(h - corner) = x + y*sqrt(5):
+        # it is >= 0 when x, y >= 0, or when the larger square has the plus sign.
+        x, y = p - p2, b - b2
+        if (y >= 0 or x * x > 5 * y * y) if x >= 0 else y > 0 and 5 * y * y > x * x:
+            if not (x or y):
+                cone = 2
+                break
+            wall, x, y = 2, p - p3, b - b3
+        else:
+            wall, x, y = 0, p - p1, b - b1
+        if (y >= 0 or x * x > 5 * y * y) if x >= 0 else y > 0 and 5 * y * y > x * x:
+            if not (x or y):
+                cone = wall + 1
+                break
+            wall += 1
         walk.append(wall)
-        da, db = deltas[wall]
-        ha += da
-        hb += db
-        if ha == h0a and hb == h0b:
+        dp, db = deltas[wall]
+        p += dp
+        b += db
+        if p == p0 and b == b0:
             break
 
     # Back on the start's chord: a start on a glued edge is this re-entry
     # point; any other is met inside one more segment, within the cap.
-    returned = bool(walk) and ha == h0a and hb == h0b
+    returned = bool(walk) and p == p0 and b == b0
     glued = label in _ON_GLUED_EDGE
     if not (cone is not None and cap or returned and (glued or len(walk) < cap)):
         # Checked once the cap runs out, not per step: a walk that takes a
         # wrong wall leaves the L and would otherwise pass for a cap overrun.
-        last = _from_point(_reentry(rows[walk[-1]], ha, hb) if walk else _int_point(start, scale), scale)
+        last = _from_point(_reentry(rows[walk[-1]], (p - b) // 2, b) if walk else _int_point(start, scale), scale)
         where = f"midpoint {label}, direction {v}, after {cap} steps at {last}"
         if not point_in_surface(last):
             raise StructuralViolationError(f"trajectory left the golden L: {where}")
@@ -297,6 +322,58 @@ def trace(label: int, word: Word, cap: int = DEFAULT_STEP_CAP) -> Trajectory:
     return trace_direction(label, word_to_vector(word), cap)
 
 
+def _midpoint_orbits(v: GoldenVector, cap: int) -> dict[int, Trajectory]:
+    """The trajectories from the five midpoints in direction v, by label,
+    walking each closed orbit once.
+
+    The core orbit of a cylinder passes through two midpoints, the fixed
+    points of the hyperelliptic involution inside it. A pass over the h of a
+    closed orbit's chords finds the first midpoint not yet traced that starts
+    on one of them, its twin. From chord j the twin's walk is the orbit's
+    crossings rotated to start at j, plus _END for a start inside the L, with
+    the same holonomy. A twin is derived only where the kernel's cap would
+    accept it. Any midpoint not derived is traced, to the same trajectory or
+    the same error.
+    """
+    _, _, deltas, _, starts = _direction_table(v)
+    dps, dbs = zip(*deltas)
+    orbits = {}
+    for label in WEIERSTRASS_LABELS:
+        if label in orbits:
+            continue
+        t = orbits[label] = trace_direction(label, v, cap)
+        if t.outcome is not Outcome.CLOSED:
+            continue
+        untraced = {h: m for m, (h, cone) in starts.items() if m not in orbits and cone is None}
+        crossings = t.walk.rstrip(_END_BYTE)
+        n = len(crossings)
+        # The p of each chord's h picks candidates, one cheap pass; the b of a
+        # candidate, from the crossings before it, says whether a midpoint starts there.
+        (p0, b0), _ = starts[label]
+        candidates = {p for p, _ in untraced}
+        chord_ps = accumulate(map(dps.__getitem__, crossings[:-1]), initial=p0)
+        for j in compress(count(), map(candidates.__contains__, chord_ps)):
+            counts = list(map(crossings[:j].count, range(_END)))
+            m = untraced.get((p0 + sum(map(mul, counts, dps)), b0 + sum(map(mul, counts, dbs))))
+            if m is None:
+                continue
+            glued = m in _ON_GLUED_EDGE
+            if n < cap or n == cap and glued:
+                twin = orbits[m] = Trajectory(
+                    start_label=m,
+                    start=weierstrass_point(m),
+                    direction=v,
+                    walk=crossings[j:] + crossings[:j] + (b"" if glued else _END_BYTE),
+                    scale=t.scale,
+                    outcome=Outcome.CLOSED,
+                    holonomy=t.holonomy,
+                    cone_point=None,
+                )
+                vars(twin)["_holonomy2"] = t._holonomy2
+            break
+    return {label: orbits[label] for label in WEIERSTRASS_LABELS}
+
+
 @dataclass(frozen=True)
 class OracleReport:
     """Joint result of flowing all five midpoints in one direction."""
@@ -319,7 +396,7 @@ def oracle_report_direction(v: GoldenVector, cap: int = DEFAULT_STEP_CAP) -> Ora
     checks run on integer pairs at scale 2: the holonomies and magnitudes, and
     the direction cleared.
     """
-    trajectories = {label: trace_direction(label, v, cap) for label in WEIERSTRASS_LABELS}
+    trajectories = _midpoint_orbits(v, cap)
     saddles = [l for l, t in trajectories.items() if t.outcome is Outcome.HIT_CONE_POINT]
     closed = {l: t for l, t in trajectories.items() if t.outcome is Outcome.CLOSED}
     if len(saddles) != 1 or len(closed) != 4:

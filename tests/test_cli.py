@@ -220,6 +220,17 @@ def test_flow_errors_name_the_word(capsys, tmp_path):
     assert not out_path.exists()
 
 
+def test_simulate_classify_cap_names_the_first_overrun(capsys):
+    # Midpoint 1 runs into the cone point within two steps; midpoint 2, the
+    # next in order, is the first orbit the cap cuts short.
+    code, out, err = run_cli(capsys, "simulate", "21", "--classify", "--cap", "2")
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: word 21: trajectory did not terminate: midpoint 2, direction (2 + 2*phi, 1 + 2*phi), "
+        "after 2 steps at (0, -1/4 + 3/4*phi)\n"
+    )
+
+
 def test_cap_zero_stops_at_the_start(capsys, tmp_path):
     out_path = tmp_path / "capped.svg"
     for argv in (

@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from flow_reference import cross, dot, inverse, reference_trace
+from flow_reference import cross, dot, inverse, reference_oracle, reference_trace
 from goldenl import (
     CapExceededError,
     GoldenNumber,
@@ -207,6 +207,62 @@ def test_oracle_leaves_segments_unbuilt():
             assert "segments" in vars(t)
 
 
+def _rotations(a, b):
+    """Whether two closed walks, _END dropped, are rotations of each other."""
+    a, b = a.rstrip(flow_module._END_BYTE), b.rstrip(flow_module._END_BYTE)
+    return len(a) == len(b) and b in a + a
+
+
+def test_oracle_trajectories_equal_independent_traces(monkeypatch):
+    # Every word of length <= 5 and seeded letter-shift quads of lengths 6
+    # and 7: each trajectory the oracle returns, walked or derived from its
+    # cylinder twin, equals a trace of its own, with the holonomy at scale 2
+    # set and the points unbuilt. The two midpoints of each cylinder have
+    # walks that are rotations of each other, and the oracle walks one orbit
+    # per cylinder and the saddle connection: three traces.
+    rng = random.Random(20261020)
+    words = [w for n in range(6) for w in product((0, 1, 2, 3), repeat=n)]
+    for length in (6, 7):
+        for _ in range(4):
+            base = [rng.randrange(4) for _ in range(length)]
+            words += [tuple((k + shift) % 4 for k in base) for shift in range(4)]
+    walked = []
+    traced = flow_module.trace_direction
+    monkeypatch.setattr(flow_module, "trace_direction", lambda *args: walked.append(args) or traced(*args))
+    for word in words:
+        v = word_to_vector(word)
+        walked.clear()
+        report = oracle_report_direction(v)
+        assert len(walked) == 3, word
+        for label, t in report.trajectories.items():
+            fresh = traced(label, v)
+            assert t == fresh, (word, label)
+            assert vars(t)["_holonomy2"] == vars(fresh)["_holonomy2"], (word, label)
+            assert "points" not in vars(t), (word, label)
+        for verdict in (Classification.SHORT, Classification.LONG):
+            a, b = (t.walk for label, t in report.trajectories.items() if report.verdicts[label] is verdict)
+            assert _rotations(a, b), (word, verdict)
+
+
+def test_oracle_matches_per_midpoint_reference_around_the_cap():
+    # For every word of length <= 4, at caps one below, at and one above each
+    # trajectory's segment count, the oracle and the per-midpoint reference
+    # give the same verdicts and trajectories, or raise the same error with
+    # the same message.
+    for word in (w for n in range(5) for w in product((0, 1, 2, 3), repeat=n)):
+        v = word_to_vector(word)
+        counts = {t.segment_count for t in reference_oracle(v).trajectories.values()}
+        for cap in sorted({c + d for c in counts for d in (-1, 0, 1)}):
+            outcomes = []
+            for oracle in (oracle_report_direction, reference_oracle):
+                try:
+                    report = oracle(v, cap)
+                    outcomes.append((report.verdicts, report.trajectories))
+                except (CapExceededError, StructuralViolationError) as error:
+                    outcomes.append((type(error), str(error)))
+            assert outcomes[0] == outcomes[1], (word, cap)
+
+
 def test_oracle_vertical_direction():
     assert oracle_report_direction(VERTICAL).verdicts == {
         1: Classification.SADDLE_CONNECTION,
@@ -227,14 +283,16 @@ def _oracle_with_corrupt_holonomy(monkeypatch, v, corrupt):
     """The oracle report in direction v after corrupt(label, holonomy, report) has
     replaced each closed trajectory's holonomy; it returns None to keep one."""
     report = oracle_report_direction(v)
-    traced = flow_module.trace_direction
+    orbits = flow_module._midpoint_orbits
 
-    def corrupted(label, direction, cap):
-        t = traced(label, direction, cap)
-        h = corrupt(label, t.holonomy, report) if t.outcome is Outcome.CLOSED else None
-        return t if h is None else replace(t, holonomy=h)
+    def corrupted(direction, cap):
+        changed = {}
+        for label, t in orbits(direction, cap).items():
+            h = corrupt(label, t.holonomy, report) if t.outcome is Outcome.CLOSED else None
+            changed[label] = t if h is None else replace(t, holonomy=h)
+        return changed
 
-    monkeypatch.setattr(flow_module, "trace_direction", corrupted)
+    monkeypatch.setattr(flow_module, "_midpoint_orbits", corrupted)
     return oracle_report_direction(v)
 
 
@@ -437,6 +495,24 @@ def test_trace_direction_scales_with_input():
     b = trace_direction(4, doubled)
     assert a.segments == b.segments
     assert a.holonomy == b.holonomy
+
+
+def test_walk_is_invariant_under_unit_scaling():
+    # Scaling a direction by a unit phi**k keeps every orbit, but for k < 0
+    # the chords' h get coefficients far larger than their value, so the
+    # kernel's inline sign tests mostly take the mixed-sign branch, close
+    # calls included. Every word of length <= 3, at k = -12..12.
+    inverse_phi = PHI - 1
+    for word in (w for n in range(4) for w in product((0, 1, 2, 3), repeat=n)):
+        v = word_to_vector(word)
+        want = {label: trace_direction(label, v) for label in WEIERSTRASS_LABELS}
+        for factor in (PHI, inverse_phi):
+            u = v
+            for _ in range(12):
+                u = u.scaled(factor)
+                for label, t in want.items():
+                    got = trace_direction(label, u)
+                    assert (got.walk, got.outcome, got.holonomy) == (t.walk, t.outcome, t.holonomy), (word, u, label)
 
 
 def _cone_on_segment_before_end(begin, end):
