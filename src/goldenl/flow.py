@@ -206,6 +206,9 @@ class Trajectory:
     def points(self) -> tuple[tuple[Point, Point], ...]:
         _, _, deltas, rows, starts = _direction_table(self.direction)
         (p, b), _ = starts[self.start_label]
+        # Per wall: the step of h, whether the wall is vertical, the factor m
+        # that takes h to the re-entry coordinate, and the translation back.
+        steps = [(*delta, vertical, *m, *back) for delta, (vertical, m, back) in zip(deltas, rows)]
         begin = _int_point(self.start, self.scale)
         points = []
         for wall in self.walk:
@@ -213,11 +216,18 @@ class Trajectory:
                 end = self.start if self.cone_point is None else self.cone_point
                 points.append((begin, _int_point(end, self.scale)))
                 break
-            dp, db = deltas[wall]
-            p, b = p + dp, b + db
-            reentry = _reentry(rows[wall], (p - b) // 2, b)
-            points.append((begin, tuple(map(sub, reentry, rows[wall][2]))))
-            begin = reentry
+            dp, db, vertical, ma, mb, xa, xb, ya, yb = steps[wall]
+            p += dp
+            b += db
+            # The re-entry coordinate h * m, with h = (p - b) / 2 + b*phi: _reentry inline.
+            ha, bb = (p - b) // 2, b * mb
+            ua, ub = ha * ma + bb, ha * mb + b * ma + bb
+            if vertical:
+                points.append((begin, (-xa, -xb, ua - ya, ub - yb)))
+                begin = 0, 0, ua, ub
+            else:
+                points.append((begin, (ua - xa, ub - xb, -ya, -yb)))
+                begin = ua, ub, 0, 0
         return tuple(points)
 
     @cached_property
@@ -453,7 +463,10 @@ def oracle_classify(word: Word, cap: int = DEFAULT_STEP_CAP) -> dict[int, Classi
     return oracle_report(word, cap).verdicts
 
 
-_GLUING_JUMPS = tuple(tuple(c // 2 * sign for c in back) for _, back in _EXITS for sign in (1, -1))
+@lru_cache(maxsize=16)
+def _gluing_jumps(scale: int) -> frozenset[Point]:
+    """The gluing translations, either way, as integer points at `scale`."""
+    return frozenset(tuple(c // 2 * sign * scale for c in back) for _, back in _EXITS for sign in (1, -1))
 
 
 @lru_cache(maxsize=16)
@@ -463,6 +476,13 @@ def _start_twins(start: GoldenVector) -> frozenset[GoldenVector]:
     return frozenset([start, *(p for p in shifted if point_in_surface(p) and canonicalize(p) == start)])
 
 
+@lru_cache(maxsize=64)
+def _points_at_scale(points: frozenset[GoldenVector], scale: int) -> frozenset[Point]:
+    """The integer points at `scale` among `points`; no segment ends off that grid."""
+    scaled = (tuple(c * scale for c in (p.x.a, p.x.b, p.y.a, p.y.b)) for p in points)
+    return frozenset(tuple(map(int, q)) for q in scaled if all(c.denominator == 1 for c in q))
+
+
 def validate_trajectory_structure(trajectory: Trajectory) -> None:
     """Check the wall-crossing bookkeeping of a finished trajectory's points.
 
@@ -470,6 +490,7 @@ def validate_trajectory_structure(trajectory: Trajectory) -> None:
     along the direction; consecutive segments connect by a gluing translation;
     a closed orbit ends at its start or a glued twin, a cone-hit orbit at a
     cone point. Holds for the reversal too (reversed segments, negated direction).
+    Every check compares integer points at the trajectory's scale.
     """
     points, scale, v, start = trajectory.points, trajectory.scale, trajectory.direction, trajectory.start
     if not points:
@@ -483,16 +504,17 @@ def validate_trajectory_structure(trajectory: Trajectory) -> None:
         if not parallel or golden_sign(xa + ya, xb + yb) <= 0:
             where = f"{_from_point(begin, scale)} -> {_from_point(end, scale)}"
             raise StructuralViolationError(f"segment {where} does not run forward along {v}")
-    jumps = {tuple(c * scale for c in jump) for jump in _GLUING_JUMPS}
+    jumps = _gluing_jumps(scale)
     for (_, (exa, exb, eya, eyb)), ((nxa, nxb, nya, nyb), _) in zip(points, points[1:]):
         jump = (nxa - exa, nxb - exb, nya - eya, nyb - eyb)
         if jump not in jumps:
             where = _from_point(jump, scale)
             raise StructuralViolationError(f"segments jump by {where}, not a gluing translation")
-    first, final = _from_point(points[0][0], scale), _from_point(points[-1][1], scale)
-    if first not in _start_twins(start):
-        raise StructuralViolationError(f"orbit begins at {first}, not at its start")
-    if trajectory.outcome is Outcome.CLOSED and final not in _start_twins(start):
-        raise StructuralViolationError(f"closed orbit ends at {final}, not at its start")
-    if trajectory.outcome is Outcome.HIT_CONE_POINT and final not in CONE_POINTS:
-        raise StructuralViolationError(f"cone-hit orbit ends at {final}, not a cone point")
+    first, final = points[0][0], points[-1][1]
+    twins = _points_at_scale(_start_twins(start), scale)
+    if first not in twins:
+        raise StructuralViolationError(f"orbit begins at {_from_point(first, scale)}, not at its start")
+    if trajectory.outcome is Outcome.CLOSED and final not in twins:
+        raise StructuralViolationError(f"closed orbit ends at {_from_point(final, scale)}, not at its start")
+    if trajectory.outcome is Outcome.HIT_CONE_POINT and final not in _points_at_scale(CONE_POINTS, scale):
+        raise StructuralViolationError(f"cone-hit orbit ends at {_from_point(final, scale)}, not a cone point")

@@ -3,20 +3,24 @@
 Both frames draw one exact trajectory, and coordinates only become floats at
 the last step. The golden L frame draws its segments as they are. The
 pentagon frame folds them onto the billiard table, a regular pentagon with
-side 1 (see billiard_path); every bounce, corner and closure is decided on the
-trajectory's integer points.
+side 1 (see billiard_path); every bounce, corner and closure is decided in
+integers, on the trajectory's walk, the h of its chords and its direction. Each
+frame's outline and marked points are formatted once per size and stroke,
+and a drawing's lines in one format operation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
 
 from .errors import StructuralViolationError
 from .field import PHI_FLOAT, cleared, golden_mul
-from .flow import DEFAULT_STEP_CAP, Outcome, Trajectory, _END, _STAIR, _STARTS2, trace
+from .flow import DEFAULT_STEP_CAP, Outcome, Trajectory, _END, _STAIR, _direction_table, trace
 from .surface import (
-    DEFAULT_SIZE, DEFAULT_STROKE, FRAMES, GOLDEN_L, GOLDEN_L_FRAME, MIDPOINT_CYCLE, Rows,
+    DEFAULT_SIZE, DEFAULT_STROKE, FRAMES, GOLDEN_L, GOLDEN_L_FRAME, MIDPOINT_CYCLE, PENTAGON_FRAME, Rows,
     pentagon_transfer,
 )
 # word_to_vector is bound here only because perfbench/selftest.py checks that its wrapper reaches it.
@@ -111,25 +115,22 @@ def _on_table(x: float, y: float) -> complex:
     return complex(x + _P01 * y, _P11 * y)
 
 
-def _float_point(p: tuple[int, int, int, int], s: int) -> tuple[float, float]:
-    """The integer point p at scale s as floats. Each a / s is correctly rounded,
-    like float(Fraction(a, s)), so these match GoldenVector.to_floats."""
-    xa, xb, ya, yb = p
-    return xa / s + xb / s * PHI_FLOAT, ya / s + yb / s * PHI_FLOAT
+def _float_ends(trajectory: Trajectory) -> list[float]:
+    """Every segment's begin and end as floats, flat: x1, y1, x2, y2, ... Each
+    a / s is correctly rounded, like float(Fraction(a, s)), so these match
+    GoldenVector.to_floats."""
+    s = trajectory.scale
+    # The coefficient pairs (a, b) of each coordinate a + b*phi over s, in turn.
+    pairs = [c for segment in trajectory.points for point in segment for c in point]
+    return [a / s + b / s * PHI_FLOAT for a, b in zip(pairs[0::2], pairs[1::2])]
 
 
-def _crossing(side, leaving, turn, begin, end, v, s) -> tuple:
-    """(side, leaving, turn, at the midpoint, table point) for a run crossing a side.
-    It is at the midpoint exactly when the run's line passes it; the point is only drawn."""
-    wxa, wxb, wya, wyb = (c * (s // 2) for c in _STARTS2[side])
-    at_midpoint = golden_mul(wxa - begin[0], wxb - begin[1], v[2], v[3]) == golden_mul(
-        wya - begin[2], wyb - begin[3], v[0], v[1]
-    )
-    (bx, by), (ex, ey) = _float_point(begin, s), _float_point(end, s)
+def _crossing(side: int, bx: float, by: float, ex: float, ey: float) -> complex:
+    """The table point where the run from (bx, by) to (ex, ey) crosses a side; it is only drawn."""
     dx, dy = ex - bx, ey - by
     (ax, ay), (cx, cy) = _SIDE_ENDS[side]
     f = ((ax - bx) * (cy - ay) - (ay - by) * (cx - ax)) / (dx * (cy - ay) - dy * (cx - ax))
-    return side, leaving, turn, at_midpoint, _on_table(bx + f * dx, by + f * dy)
+    return _on_table(bx + f * dx, by + f * dy)
 
 
 def _apply(m: Rows, v: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
@@ -174,28 +175,40 @@ def billiard_path(trajectory: Trajectory) -> BilliardPath:
     trajectory repeats, turned, until a bounce is back at the start midpoint
     with the first outgoing direction, both tested exactly.
     """
-    label, s, walk = trajectory.start_label, trajectory.scale, trajectory.walk
+    label, walk = trajectory.start_label, trajectory.walk
     v = cleared(trajectory.direction)
     outside = label in (2, 4)
     closed = trajectory.outcome is Outcome.CLOSED
     beyond = _BEYOND.get(trajectory.cone_point)
-    runs = list(zip(trajectory.points, walk))
+    ends = _float_ends(trajectory)
     if closed and walk[-1] == _END:
         # Closed strictly inside a segment: the last run ends at the start and
         # the first leaves it, so together they are one run through the start.
-        ((begin, _), _), ((_, end), wall) = runs.pop(), runs[0]
-        runs[0] = (begin, end), wall
+        ends[:2] = ends[-4:-2]
+        del ends[-4:]
+        walk = walk[:-1]
+    # A run lies on one chord, so it passes a side's midpoint exactly when its
+    # h, stepped along the walk from the start's, is that midpoint's.
+    _, _, deltas, _, starts = _direction_table(trajectory.direction)
+    midpoint_h = {m: h for m, (h, _) in starts.items()}
+    h = midpoint_h[label]
     # Each run re-enters after the previous wall and leaves before its own, so
     # the start is crossing 0, or 1 from midpoints 2 and 4, of a closed orbit.
-    crossings = []
-    for i, ((begin, end), wall) in enumerate(runs):
-        if i or closed:
-            left, entered = _LEAVES[runs[i - 1][1]]
+    # The first run re-enters only on a closed orbit, after its last wall.
+    crossings, previous = [], walk[-1]
+    for bx, by, ex, ey, wall in zip(ends[0::4], ends[1::4], ends[2::4], ends[3::4], walk):
+        if previous != _END:
+            left, entered = _LEAVES[previous]
             turn = 2 * (_EDGE[left] - _EDGE[entered]) % 5
-            crossings.append(_crossing(entered, False, turn, begin, end, v, s))
+            q = _crossing(entered, bx, by, ex, ey)
+            crossings.append((entered, False, turn, h == midpoint_h[entered], q))
         if wall != _END or beyond:
             cut = _LEAVES[wall][0] if wall != _END else beyond[0]
-            crossings.append(_crossing(cut, True, 0, begin, end, v, s))
+            q = _crossing(cut, bx, by, ex, ey)
+            crossings.append((cut, True, 0, h == midpoint_h[cut], q))
+        if wall != _END:
+            h = h[0] + deltas[wall][0], h[1] + deltas[wall][1]
+        previous = wall
 
     # One period or five close a closed orbit; the horizontal class takes two and a half.
     first, n, k, drawn = _outgoing(v, label, outside, 0), len(crossings), 0, []
@@ -212,7 +225,8 @@ def billiard_path(trajectory: Trajectory) -> BilliardPath:
         drawn.append(_on_table(*(beyond[1] if beyond else trajectory.cone_point).to_floats()) * _ROTATIONS[k])
     if outside:
         axis = math.radians(2.0 * _MIDPOINT_ANGLES[label])
-        drawn = [complex(math.cos(axis), math.sin(axis)) * z.conjugate() for z in drawn]
+        mirror = complex(math.cos(axis), math.sin(axis))
+        drawn = [mirror * z.conjugate() for z in drawn]
     start = PENTAGON_MIDPOINTS[label]
     points = (start, *((z.real, z.imag) for z in drawn), *((start,) if closed else ()))
     return BilliardPath(label, points, "closed" if closed else "corner")
@@ -228,59 +242,81 @@ _L_OUTLINES = (
 _L_MARKED = {label: p.to_floats() for label, p in GOLDEN_L.weierstrass.items()}
 _L_EXTENT = GOLDEN_L.vertices[2].x.to_float()
 _TABLE_OUTLINES = (("surface-outline", PENTAGON_VERTICES, 1.0),)
+# Per frame: the side of the square drawn and its upper left corner, the
+# outlines as (class, polygon, stroke factor) triples and the marked points.
+_FRAMES = {
+    GOLDEN_L_FRAME: (_L_EXTENT, 0.0, _L_EXTENT, _L_OUTLINES, _L_MARKED),
+    PENTAGON_FRAME: (2.0 * _CIRCUMRADIUS, -_CIRCUMRADIUS, _CIRCUMRADIUS, _TABLE_OUTLINES, PENTAGON_MIDPOINTS),
+}
 
 
-def _svg(extent, left, top, outlines, segments, marked, size: int, stroke: float) -> str:
-    """A size x size picture of one frame, drawn from frame coordinates: the
-    square of side `extent` with upper left corner (left, top) fills it inside
-    a 6% margin. `outlines` holds (class, polygon, stroke factor) triples,
-    `segments` the trajectory's (begin, end) pairs and `marked` label -> point."""
+@lru_cache(maxsize=16)
+def _frame(frame: str, size: int, stroke: float) -> tuple:
+    """What every size x size picture of one frame shares: the placement of
+    frame coordinates, (margin, left, top, scale), the text before the
+    trajectory's lines, the line format and the text after them. The frame's
+    square fills the picture inside a 6% margin. Raises ValueError for a size
+    below 1, a stroke that is not a positive finite number or an unknown frame."""
+    if size < 1 or not (math.isfinite(stroke) and stroke > 0):
+        raise ValueError(f"size must be at least 1 and stroke a positive finite number, got {size} and {stroke}")
+    if frame not in FRAMES:
+        raise ValueError(f"frame must be one of {FRAMES}, got {frame!r}")
+    extent, left, top, outlines, marked = _FRAMES[frame]
     margin = 0.06 * size
     scale = (size - 2.0 * margin) / extent
 
     def place(p: tuple[float, float]) -> tuple[float, float]:
         return margin + (p[0] - left) * scale, margin + (top - p[1]) * scale
 
-    parts = [
+    head = [
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:.0f}" height="{size:.0f}" '
         f'viewBox="0 0 {size:.2f} {size:.2f}">\n'
     ]
     for css_class, polygon, factor in outlines:
         coords = " ".join("{:.3f},{:.3f}".format(*place(p)) for p in polygon)
-        parts.append(
+        head.append(
             f'<polygon class="{css_class}" points="{coords}" '
             f'fill="none" stroke="#444444" stroke-width="{factor * stroke:.2f}"/>\n'
         )
-    for begin, end in segments:
-        (x1, y1), (x2, y2) = place(begin), place(end)
-        parts.append(
-            f'<line class="trajectory" x1="{x1:.3f}" y1="{y1:.3f}" x2="{x2:.3f}" y2="{y2:.3f}" '
-            f'stroke="#c02020" stroke-width="{stroke:.2f}"/>\n'
-        )
+    line = (
+        '<line class="trajectory" x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f" '
+        f'stroke="#c02020" stroke-width="{stroke:.2f}"/>\n'
+    )
+    tail = []
     for label, point in marked.items():
         cx, cy = place(point)
-        parts.append(
+        tail.append(
             f'<circle class="marked-point marked-point-{label}" cx="{cx:.3f}" cy="{cy:.3f}" '
             f'r="{2.0 * stroke:.2f}" fill="#1040a0"/>\n'
         )
-    parts.append("</svg>\n")
-    return "".join(parts)
+    tail.append("</svg>\n")
+    return (margin, left, top, scale), "".join(head), line, "".join(tail)
+
+
+def _svg(frame: str, ends: list[float], size: int, stroke: float) -> str:
+    """A size x size picture of one frame with the trajectory's lines, given as
+    one flat list x1, y1, x2, y2, ... of frame coordinates."""
+    (margin, left, top, scale), head, line, tail = _frame(frame, size, stroke)
+    placed = ends[:]
+    placed[0::2] = [margin + (x - left) * scale for x in ends[0::2]]
+    placed[1::2] = [margin + (top - y) * scale for y in ends[1::2]]
+    # Every line in one format operation; %.3f prints a float as {:.3f} does.
+    return head + line * (len(placed) // 4) % tuple(placed) + tail
 
 
 def golden_l_svg(trajectory: Trajectory, size: int = DEFAULT_SIZE, stroke: float = DEFAULT_STROKE) -> str:
-    """Draw the golden L, its marked points, and an exact trajectory."""
-    s = trajectory.scale
-    segments = ((_float_point(begin, s), _float_point(end, s)) for begin, end in trajectory.points)
-    return _svg(_L_EXTENT, 0.0, _L_EXTENT, _L_OUTLINES, segments, _L_MARKED, size, stroke)
+    """Draw the golden L, its marked points, and an exact trajectory.
+    Raises ValueError for a size below 1 or a stroke that is not a positive finite number."""
+    return _svg(GOLDEN_L_FRAME, _float_ends(trajectory), size, stroke)
 
 
 def billiard_svg(trajectory: Trajectory, size: int = DEFAULT_SIZE, stroke: float = DEFAULT_STROKE) -> str:
-    """Draw the pentagon table, its side midpoints, and a trajectory folded onto it."""
+    """Draw the pentagon table, its side midpoints, and a trajectory folded onto it.
+    Raises ValueError for a size below 1 or a stroke that is not a positive finite number."""
     points = billiard_path(trajectory).points
-    segments = zip(points, points[1:])
-    r = _CIRCUMRADIUS
-    return _svg(2.0 * r, -r, r, _TABLE_OUTLINES, segments, PENTAGON_MIDPOINTS, size, stroke)
+    ends = list(chain.from_iterable(chain.from_iterable(zip(points, points[1:]))))  # x1, y1, x2, y2, ...
+    return _svg(PENTAGON_FRAME, ends, size, stroke)
 
 
 def pentagon_svg(
@@ -303,10 +339,7 @@ def render_trajectory(
     cap: int = DEFAULT_STEP_CAP,
 ) -> str:
     """SVG for a word and midpoint in the requested frame, tracing once with at most `cap` flow steps."""
-    if size < 1 or stroke <= 0:
-        raise ValueError(f"size must be at least 1 and stroke positive, got {size} and {stroke}")
-    if frame not in FRAMES:
-        raise ValueError(f"frame must be one of {FRAMES}, got {frame!r}")
+    _frame(frame, size, stroke)  # checks the size, stroke and frame before tracing
     # Looked up per call, so a wrapper bound over either name is the one that runs.
     draw = golden_l_svg if frame == GOLDEN_L_FRAME else billiard_svg
     return draw(trace(label, word, cap), size, stroke)

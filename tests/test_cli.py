@@ -249,8 +249,9 @@ def test_cap_zero_stops_at_the_start(capsys, tmp_path):
 
 def test_render_rejects_bad_size_and_stroke(capsys, tmp_path):
     out_path = tmp_path / "bad.svg"
+    bad = [("--size", "-5"), ("--size", "0")] + [("--stroke", s) for s in ("0", "-1", "nan", "inf")]
     for frame in ("goldenl", "pentagon"):
-        for option, value in (("--size", "-5"), ("--size", "0"), ("--stroke", "0"), ("--stroke", "-1")):
+        for option, value in bad:
             code, _, err = run_cli(
                 capsys, "render", "21", "4", "--frame", frame, option, value, "--out", str(out_path)
             )

@@ -354,7 +354,8 @@ def _with_points(t, points, **changes):
 
 
 def test_trajectory_structure_forward_and_reversed():
-    for label, word in ((4, (2, 1)), (2, (2, 1)), (3, (1, 3, 2))):
+    # Midpoints 1 and 5 lie on glued edges: their reversals begin at a glued twin of the start.
+    for label, word in ((4, (2, 1)), (2, (2, 1)), (3, (1, 3, 2)), (5, (2, 1)), (1, (1, 3, 2))):
         t = trace(label, word)
         assert t.outcome is Outcome.CLOSED
         validate_trajectory_structure(t)

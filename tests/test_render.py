@@ -21,7 +21,7 @@ from goldenl.render import (
     render_trajectory,
     transported_side_events,
 )
-from goldenl.surface import GOLDEN_L, pentagon_transfer
+from goldenl.surface import DEFAULT_SIZE, DEFAULT_STROKE, GOLDEN_L, pentagon_transfer
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -136,6 +136,44 @@ def test_pentagon_svg_contents():
             assert billiard_svg(trace(label, word)) == pentagon_svg(word, label), (word, label)
 
 
+def _reference_lines(segments, extent, left, top, size=DEFAULT_SIZE, stroke=DEFAULT_STROKE):
+    """The trajectory's <line> elements as the per-line f-string writer printed
+    them: frame points placed one at a time, each line formatted on its own."""
+    margin = 0.06 * size
+    scale = (size - 2.0 * margin) / extent
+
+    def place(p):
+        return margin + (p[0] - left) * scale, margin + (top - p[1]) * scale
+
+    lines = []
+    for begin, end in segments:
+        (x1, y1), (x2, y2) = place(begin), place(end)
+        lines.append(
+            f'<line class="trajectory" x1="{x1:.3f}" y1="{y1:.3f}" x2="{x2:.3f}" y2="{y2:.3f}" '
+            f'stroke="#c02020" stroke-width="{stroke:.2f}"/>'
+        )
+    return lines
+
+
+def _trajectory_lines(svg):
+    return [line for line in svg.splitlines() if line.startswith('<line class="trajectory"')]
+
+
+def test_line_writer_matches_per_line_reference():
+    # Every word of length 4, the length the benchmark draws, from all five
+    # midpoints: both frames print exactly the reference's lines, in order.
+    extent, r = GOLDEN_L.vertices[2].x.to_float(), render._CIRCUMRADIUS
+    for word in product((0, 1, 2, 3), repeat=4):
+        for label in PENTAGON_MIDPOINTS:
+            t = trace(label, word)
+            segments = [(b.to_floats(), e.to_floats()) for b, e in t.segments]
+            expected = _reference_lines(segments, extent, 0.0, extent)
+            assert _trajectory_lines(golden_l_svg(t)) == expected, (word, label)
+            points = billiard_path(t).points
+            expected = _reference_lines(zip(points, points[1:]), 2.0 * r, -r, r)
+            assert _trajectory_lines(billiard_svg(t)) == expected, (word, label)
+
+
 def test_render_trajectory_frames(monkeypatch):
     # One trace per drawing in either frame, and none for a bad frame, size or stroke.
     calls = []
@@ -148,10 +186,24 @@ def test_render_trajectory_frames(monkeypatch):
     assert render_trajectory((2, 1), 4, frame="goldenl").count("<polygon") == 2
     assert render_trajectory((2, 1), 4, frame="pentagon").count("<polygon") == 1
     assert calls == [(4, (2, 1), DEFAULT_STEP_CAP)] * 2
-    for bad in ({"frame": "sphere"}, {"size": 0}, {"stroke": 0.0}, {"frame": "pentagon", "stroke": -1.0}):
+    bad_inputs = (
+        {"frame": "sphere"},
+        {"size": 0},
+        {"stroke": 0.0},
+        {"frame": "pentagon", "stroke": -1.0},
+        {"stroke": math.nan},
+        {"frame": "pentagon", "stroke": math.inf},
+    )
+    for bad in bad_inputs:
         with pytest.raises(ValueError):
             render_trajectory((2, 1), 4, **bad)
     assert len(calls) == 2
+    # Either drawing of a traced orbit checks its size and stroke too.
+    t = trace(4, (2, 1))
+    for draw in (golden_l_svg, billiard_svg):
+        for bad in ({"size": 0}, {"stroke": -0.0}, {"stroke": math.nan}, {"stroke": -math.inf}):
+            with pytest.raises(ValueError):
+                draw(t, **bad)
 
 
 def _split_inscribed_edges():
