@@ -161,7 +161,8 @@ class GoldenNumber(_Frozen):
         return self.a == o.a and self.b == o.b
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b))
+        # Equal to a rational, hash as it does: GoldenNumber(1) == 1.
+        return hash((self.a, self.b)) if self.b else hash(self.a)
 
     def __lt__(self, other: GoldenNumber | Rational) -> bool:
         o = self._coerce(other)

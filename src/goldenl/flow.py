@@ -25,8 +25,9 @@ With the start points scaled by 2 and the direction cleared to integer pairs,
 h is an integer pair (a, b) meaning a + b*phi. The kernel keeps it as (p, b)
 with p = 2a + b, so 2h = p + b*sqrt(5), and decides its two sign tests
 inline by golden_sign's rule: same signs settle it at once, mixed signs
-compare p**2 with 5*b**2. A trajectory keeps the walk and replays its integer
-points on first read; the oracle never reads them.
+compare p**2 with 5*b**2. A trajectory keeps the walk and its holonomy as
+integers and replays its integer points on first read; the oracle never reads
+them. Its points are checked against the L's fixed points, kept at scale 2.
 
 The oracle walks each closed orbit once. The core orbit of a cylinder passes
 through two midpoints, so after a closed trace one pass over the h of its
@@ -122,6 +123,19 @@ _END = len(_EXITS)
 _END_BYTE = bytes([_END])
 _STAIR2 = tuple(_int_point(p, 2) for p in _STAIR)
 _STARTS2 = {label: _int_point(weierstrass_point(label), 2) for label in WEIERSTRASS_LABELS}
+# What a finished orbit's points are checked against, at scale 2: per midpoint,
+# its start and the glued twins that canonicalise to it; the cone points; and
+# the gluing translations, either way.
+_TWINS2 = {
+    label: frozenset(
+        _int_point(p, 2)
+        for p in (start, *(start + ident.translation for ident in GOLDEN_L.identifications))
+        if point_in_surface(p) and canonicalize(p) == start
+    )
+    for label, start in GOLDEN_L.weierstrass.items()
+}
+_CONES2 = frozenset(_int_point(p, 2) for p in CONE_POINTS)
+_JUMPS2 = frozenset(jump for _, back in _EXITS for jump in (back, tuple(-c for c in back)))
 _BACK_COLUMNS = tuple(zip(*(back for _, back in _EXITS)))
 # Midpoints 1 and 5 lie on glued edges, so they are the lower end of their
 # chord in every direction but the one along their edge, an edge run.
@@ -184,9 +198,9 @@ class Trajectory:
     `walk` has one byte per segment: the index in _EXITS of the wall its end
     crosses, or _END for a last segment that ends at the start or the cone
     point. Outcome, holonomy and cone point come from the walk alone.
-    `_holonomy2`, the holonomy as an integer point at scale 2, is what the
-    oracle checks; a trace sets it as it walks, and a copy with another
-    holonomy derives its own.
+    The holonomy is stored as integers, `_holonomy2`, a point at scale 2,
+    which the oracle checks; `holonomy` and `start`, the GoldenVectors a
+    caller reads, are built on read.
     `points`, each segment's (begin, end) integer points (xa, xb, ya, yb) with
     every integer divided by `scale`, is replayed from the walk on first read
     and cached; every library path that draws or checks a trajectory reads it.
@@ -194,13 +208,20 @@ class Trajectory:
     """
 
     start_label: int
-    start: GoldenVector
     direction: GoldenVector
     walk: bytes
     scale: int
     outcome: Outcome
-    holonomy: GoldenVector
+    _holonomy2: Point
     cone_point: GoldenVector | None
+
+    @property
+    def start(self) -> GoldenVector:
+        return weierstrass_point(self.start_label)
+
+    @cached_property
+    def holonomy(self) -> GoldenVector:
+        return _from_point(self._holonomy2, 2)
 
     @cached_property
     def points(self) -> tuple[tuple[Point, Point], ...]:
@@ -209,12 +230,14 @@ class Trajectory:
         # Per wall: the step of h, whether the wall is vertical, the factor m
         # that takes h to the re-entry coordinate, and the translation back.
         steps = [(*delta, vertical, *m, *back) for delta, (vertical, m, back) in zip(deltas, rows)]
-        begin = _int_point(self.start, self.scale)
+        k = self.scale // 2
+        start = _STARTS2[self.start_label]
+        begin = tuple(c * k for c in start)
         points = []
         for wall in self.walk:
             if wall == _END:  # always the last byte
-                end = self.start if self.cone_point is None else self.cone_point
-                points.append((begin, _int_point(end, self.scale)))
+                end = start if self.cone_point is None else _STAIR2[_STAIR.index(self.cone_point)]
+                points.append((begin, tuple(c * k for c in end)))
                 break
             dp, db, vertical, ma, mb, xa, xb, ya, yb = steps[wall]
             p += dp
@@ -229,10 +252,6 @@ class Trajectory:
                 points.append((begin, (ua - xa, ub - xb, -ya, -yb)))
                 begin = ua, ub, 0, 0
         return tuple(points)
-
-    @cached_property
-    def _holonomy2(self) -> Point:
-        return _int_point(self.holonomy, 2)
 
     @cached_property
     def segments(self) -> tuple[tuple[GoldenVector, GoldenVector], ...]:
@@ -266,7 +285,7 @@ def trace_direction(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP) ->
     case the last segment is truncated at the start point.
     """
     scale, breaks, deltas, rows, starts = _direction_table(v)
-    start = weierstrass_point(label)
+    start = weierstrass_point(label)  # raises ValueError for a bad label
     (p0, b0), cone = starts[label]
     p, b = p0, b0
     (p1, b1), (p2, b2), (p3, b3) = breaks
@@ -302,7 +321,7 @@ def trace_direction(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP) ->
     if not (cone is not None and cap or returned and (glued or len(walk) < cap)):
         # Checked once the cap runs out, not per step: a walk that takes a
         # wrong wall leaves the L and would otherwise pass for a cap overrun.
-        last = _from_point(_reentry(rows[walk[-1]], (p - b) // 2, b) if walk else _int_point(start, scale), scale)
+        last = _from_point(_reentry(rows[walk[-1]], (p - b) // 2, b), scale) if walk else start
         where = f"midpoint {label}, direction {v}, after {cap} steps at {last}"
         if not point_in_surface(last):
             raise StructuralViolationError(f"trajectory left the golden L: {where}")
@@ -314,18 +333,15 @@ def trace_direction(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP) ->
     holonomy = tuple(-sum(map(mul, counts, column)) for column in _BACK_COLUMNS)
     if cone is not None:
         holonomy = tuple(map(sub, map(add, holonomy, _STAIR2[cone]), _STARTS2[label]))
-    trajectory = Trajectory(
+    return Trajectory(
         start_label=label,
-        start=start,
         direction=v,
         walk=bytes(walk),
         scale=scale,
         outcome=Outcome.CLOSED if returned else Outcome.HIT_CONE_POINT,
-        holonomy=_from_point(holonomy, 2),
+        _holonomy2=holonomy,
         cone_point=None if cone is None else _STAIR[cone],
     )
-    vars(trajectory)["_holonomy2"] = holonomy
-    return trajectory
 
 
 def trace(label: int, word: Word, cap: int = DEFAULT_STEP_CAP) -> Trajectory:
@@ -369,17 +385,15 @@ def _midpoint_orbits(v: GoldenVector, cap: int) -> dict[int, Trajectory]:
                 continue
             glued = m in _ON_GLUED_EDGE
             if n < cap or n == cap and glued:
-                twin = orbits[m] = Trajectory(
+                orbits[m] = Trajectory(
                     start_label=m,
-                    start=weierstrass_point(m),
                     direction=v,
                     walk=crossings[j:] + crossings[:j] + (b"" if glued else _END_BYTE),
                     scale=t.scale,
                     outcome=Outcome.CLOSED,
-                    holonomy=t.holonomy,
+                    _holonomy2=t._holonomy2,
                     cone_point=None,
                 )
-                vars(twin)["_holonomy2"] = t._holonomy2
             break
     return {label: orbits[label] for label in WEIERSTRASS_LABELS}
 
@@ -463,26 +477,6 @@ def oracle_classify(word: Word, cap: int = DEFAULT_STEP_CAP) -> dict[int, Classi
     return oracle_report(word, cap).verdicts
 
 
-@lru_cache(maxsize=16)
-def _gluing_jumps(scale: int) -> frozenset[Point]:
-    """The gluing translations, either way, as integer points at `scale`."""
-    return frozenset(tuple(c // 2 * sign * scale for c in back) for _, back in _EXITS for sign in (1, -1))
-
-
-@lru_cache(maxsize=16)
-def _start_twins(start: GoldenVector) -> frozenset[GoldenVector]:
-    """A midpoint start and its glued twins, the points of the L that canonicalise to it."""
-    shifted = (start + ident.translation for ident in GOLDEN_L.identifications)
-    return frozenset([start, *(p for p in shifted if point_in_surface(p) and canonicalize(p) == start)])
-
-
-@lru_cache(maxsize=64)
-def _points_at_scale(points: frozenset[GoldenVector], scale: int) -> frozenset[Point]:
-    """The integer points at `scale` among `points`; no segment ends off that grid."""
-    scaled = (tuple(c * scale for c in (p.x.a, p.x.b, p.y.a, p.y.b)) for p in points)
-    return frozenset(tuple(map(int, q)) for q in scaled if all(c.denominator == 1 for c in q))
-
-
 def validate_trajectory_structure(trajectory: Trajectory) -> None:
     """Check the wall-crossing bookkeeping of a finished trajectory's points.
 
@@ -492,7 +486,7 @@ def validate_trajectory_structure(trajectory: Trajectory) -> None:
     cone point. Holds for the reversal too (reversed segments, negated direction).
     Every check compares integer points at the trajectory's scale.
     """
-    points, scale, v, start = trajectory.points, trajectory.scale, trajectory.direction, trajectory.start
+    points, scale, v = trajectory.points, trajectory.scale, trajectory.direction
     if not points:
         raise StructuralViolationError("trajectory has no segments")
     vxa, vxb, vya, vyb = cleared(v)
@@ -504,17 +498,18 @@ def validate_trajectory_structure(trajectory: Trajectory) -> None:
         if not parallel or golden_sign(xa + ya, xb + yb) <= 0:
             where = f"{_from_point(begin, scale)} -> {_from_point(end, scale)}"
             raise StructuralViolationError(f"segment {where} does not run forward along {v}")
-    jumps = _gluing_jumps(scale)
+    k = scale // 2
+    jumps = {tuple(c * k for c in jump) for jump in _JUMPS2}
     for (_, (exa, exb, eya, eyb)), ((nxa, nxb, nya, nyb), _) in zip(points, points[1:]):
         jump = (nxa - exa, nxb - exb, nya - eya, nyb - eyb)
         if jump not in jumps:
             where = _from_point(jump, scale)
             raise StructuralViolationError(f"segments jump by {where}, not a gluing translation")
     first, final = points[0][0], points[-1][1]
-    twins = _points_at_scale(_start_twins(start), scale)
+    twins = {tuple(c * k for c in twin) for twin in _TWINS2[trajectory.start_label]}
     if first not in twins:
         raise StructuralViolationError(f"orbit begins at {_from_point(first, scale)}, not at its start")
     if trajectory.outcome is Outcome.CLOSED and final not in twins:
         raise StructuralViolationError(f"closed orbit ends at {_from_point(final, scale)}, not at its start")
-    if trajectory.outcome is Outcome.HIT_CONE_POINT and final not in _points_at_scale(CONE_POINTS, scale):
+    if trajectory.outcome is Outcome.HIT_CONE_POINT and final not in {tuple(c * k for c in p) for p in _CONES2}:
         raise StructuralViolationError(f"cone-hit orbit ends at {_from_point(final, scale)}, not a cone point")

@@ -168,7 +168,7 @@ class Permutation5(_Frozen):
     def __init__(self, images: tuple[int, int, int, int, int]) -> None:
         if sorted(images) != [1, 2, 3, 4, 5]:
             raise ValueError(f"not a permutation of 1..5: {images}")
-        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "images", tuple(images))
 
     @classmethod
     def identity(cls) -> Permutation5:

@@ -11,6 +11,7 @@ import jsonschema
 import pytest
 
 from goldenl import cli
+from goldenl.classify import Classification
 from goldenl.flow import Trajectory
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -403,6 +404,21 @@ def test_readme_cli_examples(capsys, monkeypatch, tmp_path):
     assert "`classify 21` reports midpoints 4 and 5 short, 2 and 3 long, and 1 as the saddle connection" in prose
     _, out, _ = run_cli(capsys, "classify", "21", "--format", "csv")
     assert out.splitlines()[1:] == ["1,saddle", "2,long", "3,long", "4,short", "5,short"]
+
+
+def test_readme_library_example():
+    # The README's Python block runs, and the results its comments state hold.
+    readme = README.read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "report.verdicts[4]            # Classification.SHORT" in block
+    assert "t.segment_count, t.holonomy   # 8, (2 + 4*phi, 2 + 3*phi)" in block
+    namespace = {}
+    exec(block, namespace)
+    report, t = namespace["report"], namespace["t"]
+    assert report.verdicts[4] is Classification.SHORT
+    assert namespace["oracle_classify"]((2, 1)) == report.verdicts
+    assert t.segment_count == 8
+    assert str(t.holonomy) == "(2 + 4*phi, 2 + 3*phi)"
 
 
 def test_module_entry_point():

@@ -101,6 +101,16 @@ def test_equality_and_hash_coercion():
     assert hash(GoldenNumber(3, 4)) == hash(GoldenNumber(Fraction(3), Fraction(4)))
 
 
+def test_rational_golden_numbers_hash_as_their_rational():
+    # Equal values hash equal, so a GoldenNumber with b = 0 and its rational
+    # find each other in a set or a dict.
+    for value in (0, 1, -7, 2**70, Fraction(1, 2), Fraction(-22, 7), Fraction(4, 2)):
+        number = GoldenNumber(value)
+        assert number == value and hash(number) == hash(value), value
+        assert value in {number} and number in {value}, value
+    assert GoldenNumber(1, 1) not in {1, 2}
+
+
 def test_float_coefficients_rejected():
     with pytest.raises(TypeError):
         GoldenNumber(0.5, 0)

@@ -216,8 +216,8 @@ def _rotations(a, b):
 def test_oracle_trajectories_equal_independent_traces(monkeypatch):
     # Every word of length <= 5 and seeded letter-shift quads of lengths 6
     # and 7: each trajectory the oracle returns, walked or derived from its
-    # cylinder twin, equals a trace of its own, with the holonomy at scale 2
-    # set and the points unbuilt. The two midpoints of each cylinder have
+    # cylinder twin, equals a trace of its own, with the same integer
+    # holonomy and the points unbuilt. The two midpoints of each cylinder have
     # walks that are rotations of each other, and the oracle walks one orbit
     # per cylinder and the saddle connection: three traces.
     rng = random.Random(20261020)
@@ -237,7 +237,7 @@ def test_oracle_trajectories_equal_independent_traces(monkeypatch):
         for label, t in report.trajectories.items():
             fresh = traced(label, v)
             assert t == fresh, (word, label)
-            assert vars(t)["_holonomy2"] == vars(fresh)["_holonomy2"], (word, label)
+            assert t._holonomy2 == fresh._holonomy2, (word, label)
             assert "points" not in vars(t), (word, label)
         for verdict in (Classification.SHORT, Classification.LONG):
             a, b = (t.walk for label, t in report.trajectories.items() if report.verdicts[label] is verdict)
@@ -289,7 +289,7 @@ def _oracle_with_corrupt_holonomy(monkeypatch, v, corrupt):
         changed = {}
         for label, t in orbits(direction, cap).items():
             h = corrupt(label, t.holonomy, report) if t.outcome is Outcome.CLOSED else None
-            changed[label] = t if h is None else replace(t, holonomy=h)
+            changed[label] = t if h is None else replace(t, _holonomy2=flow_module._int_point(h, 2))
         return changed
 
     monkeypatch.setattr(flow_module, "_midpoint_orbits", corrupted)
@@ -362,13 +362,32 @@ def test_trajectory_structure_forward_and_reversed():
         reversed_t = _with_points(
             t,
             tuple((end, begin) for begin, end in reversed(t.points)),
-            start=canonicalize(t.segments[-1][1]),
             direction=-t.direction,
             outcome=Outcome.CLOSED,
-            holonomy=-t.holonomy,
+            _holonomy2=tuple(-c for c in t._holonomy2),
             cone_point=None,
         )
         validate_trajectory_structure(reversed_t)
+
+
+def test_points_and_validation_build_no_golden_vector(monkeypatch):
+    # Every word of length <= 3 and the vertical, all five midpoints: tracing,
+    # replaying the points and validating them stay on integers, for closed and
+    # cone-hit orbits alike.
+    def forbidden(*args):
+        raise AssertionError(f"converted {args}")
+
+    monkeypatch.setattr(flow_module, "_int_point", forbidden)
+    monkeypatch.setattr(flow_module, "_from_point", forbidden)
+    directions = [word_to_vector(w) for n in range(4) for w in product((0, 1, 2, 3), repeat=n)]
+    outcomes = set()
+    for v in directions + [VERTICAL]:
+        for label in WEIERSTRASS_LABELS:
+            t = trace_direction(label, v)
+            assert t.points, (v, label)
+            validate_trajectory_structure(t)
+            outcomes.add(t.outcome)
+    assert outcomes == {Outcome.CLOSED, Outcome.HIT_CONE_POINT}
 
 
 def test_trajectory_structure_cone_hit():

@@ -201,7 +201,7 @@ def test_render_trajectory_frames(monkeypatch):
     # Either drawing of a traced orbit checks its size and stroke too.
     t = trace(4, (2, 1))
     for draw in (golden_l_svg, billiard_svg):
-        for bad in ({"size": 0}, {"stroke": -0.0}, {"stroke": math.nan}, {"stroke": -math.inf}):
+        for bad in ({"size": 0}, {"size": 2.5}, {"stroke": -0.0}, {"stroke": math.nan}, {"stroke": -math.inf}):
             with pytest.raises(ValueError):
                 draw(t, **bad)
 

@@ -136,6 +136,11 @@ def test_permutation_validity_and_calls():
     with pytest.raises(ValueError):
         Permutation5((1, 1, 2, 3, 4))
     p = Permutation5.identity()
+    # Stored as a tuple, however the images come in, so it hashes.
+    listed = Permutation5([2, 1, 3, 4, 5])
+    assert listed.images == (2, 1, 3, 4, 5)
+    assert listed == Permutation5((2, 1, 3, 4, 5)) and hash(listed) == hash(Permutation5((2, 1, 3, 4, 5)))
+    assert {listed, p} == {p, Permutation5((2, 1, 3, 4, 5))}
     assert p.cycle_string() == "()"
     assert p(3) == 3
     with pytest.raises(ValueError):
