@@ -26,6 +26,7 @@ from .surface import (
     VERTICAL_RELABELING,
     WEIERSTRASS_LABELS,
     sector_of,
+    weierstrass_point,
 )
 from .words import Word, _check_letters, format_word, vector_to_word
 
@@ -90,8 +91,7 @@ def classify_all(word: Word) -> ClassificationReport:
 
 
 def classify(word: Word, label: int) -> Classification:
-    if label not in HORIZONTAL_VERDICTS:
-        raise ValueError(f"midpoint label must be 1..5, got {label}")
+    weierstrass_point(label)  # raises ValueError for a bad label
     return HORIZONTAL_VERDICTS[word_permutation(word)(label)]
 
 

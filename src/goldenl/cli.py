@@ -25,7 +25,7 @@ from .classify import classify_all
 from .errors import CapExceededError, StructuralViolationError, VerticalDirectionError
 from .field import GoldenVector
 from .surface import (
-    DEFAULT_SIZE, DEFAULT_STROKE, FRAMES, GOLDEN_L_FRAME, WEIERSTRASS_LABELS, surface_description
+    DEFAULT_SIZE, DEFAULT_STROKE, FRAMES, GOLDEN_L_FRAME, WEIERSTRASS_LABELS, surface_description, weierstrass_point,
 )
 from .words import (
     DEFAULT_INVERSION_CAP,
@@ -137,8 +137,7 @@ def _write(fmt: str, payload, text: str, csv: str | None) -> None:
 
 
 def _check_midpoint(label: int) -> int:
-    if label not in WEIERSTRASS_LABELS:
-        raise ValueError(f"midpoint label must be 1..5, got {label}")
+    weierstrass_point(label)  # raises ValueError for a bad label
     return label
 
 

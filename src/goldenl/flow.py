@@ -25,9 +25,10 @@ With the start points scaled by 2 and the direction cleared to integer pairs,
 h is an integer pair (a, b) meaning a + b*phi. The kernel keeps it as (p, b)
 with p = 2a + b, so 2h = p + b*sqrt(5), and decides its two sign tests
 inline by golden_sign's rule: same signs settle it at once, mixed signs
-compare p**2 with 5*b**2. A trajectory keeps the walk and its holonomy as
-integers and replays its integer points on first read; the oracle never reads
-them. Its points are checked against the L's fixed points, kept at scale 2.
+compare p**2 with 5*b**2. A trajectory keeps only what its trace decides,
+the walk, the integer holonomy, the corner hit and the direction's table, and
+replays its integer points on first read; the oracle never reads them and
+keeps its verdicts. Points are checked against the L's fixed points at scale 2.
 
 The oracle walks each closed orbit once. The core orbit of a cylinder passes
 through two midpoints, so after a closed trace one pass over the h of its
@@ -37,7 +38,7 @@ its chord, with the same holonomy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -107,32 +108,32 @@ def _h(v: Point, p: Point) -> tuple[int, int]:
     return xa - ya, xb - yb
 
 
+def _between(lo: Point, p: Point, hi: Point) -> bool:
+    """lo <= p <= hi in both coordinates, for integer points with lo <= hi."""
+    d, e = tuple(map(sub, p, lo)), tuple(map(sub, hi, p))
+    # Per coordinate, p - lo and hi - p are never both negative, so their signs agree or one is 0.
+    return golden_sign(*d[:2]) * golden_sign(*e[:2]) >= 0 and golden_sign(*d[2:]) * golden_sign(*e[2:]) >= 0
+
+
 # The exit boundary: the L's vertices 2 to 6, counterclockwise from (phi^2, 0)
 # to (0, phi^2), and the walls between them, b, d, a and c, each with the
 # translation back to its glued twin on the axis x = 0 or y = 0. Wall k runs
 # from corner k to corner k + 1. A walk byte is an index into _EXITS, or _END
 # for a last segment that ends at the start or the cone point.
 _STAIR = GOLDEN_L.vertices[2:7]
-_EXITS = tuple(
-    (ident.target[0].x == ident.target[1].x, _int_point(-ident.translation, 2))
-    for name in "bdac"
-    for ident in GOLDEN_L.identifications
-    if ident.name == name
-)
+# Each gluing at scale 2, by name: its source edge's ends and its translation.
+_GLUINGS2 = {g.name: tuple(_int_point(p, 2) for p in (*g.source, g.translation)) for g in GOLDEN_L.identifications}
+_EXITS = tuple((lo[:2] == hi[:2], tuple(-c for c in move)) for lo, hi, move in map(_GLUINGS2.get, "bdac"))
 _END = len(_EXITS)
 _END_BYTE = bytes([_END])
 _STAIR2 = tuple(_int_point(p, 2) for p in _STAIR)
 _STARTS2 = {label: _int_point(weierstrass_point(label), 2) for label in WEIERSTRASS_LABELS}
 # What a finished orbit's points are checked against, at scale 2: per midpoint,
-# its start and the glued twins that canonicalise to it; the cone points; and
-# the gluing translations, either way.
+# its start and its glued twins, the start plus each gluing translation whose
+# source edge holds it; the cone points; and the gluing translations, either way.
 _TWINS2 = {
-    label: frozenset(
-        _int_point(p, 2)
-        for p in (start, *(start + ident.translation for ident in GOLDEN_L.identifications))
-        if point_in_surface(p) and canonicalize(p) == start
-    )
-    for label, start in GOLDEN_L.weierstrass.items()
+    label: frozenset([s, *(tuple(map(add, s, m)) for lo, hi, m in _GLUINGS2.values() if _between(lo, s, hi))])
+    for label, s in _STARTS2.items()
 }
 _CONES2 = frozenset(_int_point(p, 2) for p in CONE_POINTS)
 _JUMPS2 = frozenset(jump for _, back in _EXITS for jump in (back, tuple(-c for c in back)))
@@ -195,12 +196,13 @@ class Outcome(Enum):
 class Trajectory:
     """A maximal flow orbit from a Weierstrass point in one direction.
 
-    `walk` has one byte per segment: the index in _EXITS of the wall its end
-    crosses, or _END for a last segment that ends at the start or the cone
-    point. Outcome, holonomy and cone point come from the walk alone.
-    The holonomy is stored as integers, `_holonomy2`, a point at scale 2,
-    which the oracle checks; `holonomy` and `start`, the GoldenVectors a
-    caller reads, are built on read.
+    It stores what the trace decides. `walk` has one byte per segment: the
+    index in _EXITS of the wall its end crosses, or _END for a last segment
+    that ends at the start or the cone point. `_holonomy2` is the holonomy at
+    scale 2, which the oracle checks; `_cone` the _STAIR index of the corner
+    hit, or None; `_table` the direction's table, out of eq, hash and repr.
+    `scale`, `outcome`, `cone_point` and the GoldenVectors `start` and
+    `holonomy` are read off them.
     `points`, each segment's (begin, end) integer points (xa, xb, ya, yb) with
     every integer divided by `scale`, is replayed from the walk on first read
     and cached; every library path that draws or checks a trajectory reads it.
@@ -210,10 +212,21 @@ class Trajectory:
     start_label: int
     direction: GoldenVector
     walk: bytes
-    scale: int
-    outcome: Outcome
     _holonomy2: Point
-    cone_point: GoldenVector | None
+    _cone: int | None
+    _table: tuple = field(compare=False, repr=False)
+
+    @property
+    def scale(self) -> int:
+        return self._table[0]
+
+    @property
+    def outcome(self) -> Outcome:
+        return Outcome.CLOSED if self._cone is None else Outcome.HIT_CONE_POINT
+
+    @property
+    def cone_point(self) -> GoldenVector | None:
+        return None if self._cone is None else _STAIR[self._cone]
 
     @property
     def start(self) -> GoldenVector:
@@ -225,7 +238,7 @@ class Trajectory:
 
     @cached_property
     def points(self) -> tuple[tuple[Point, Point], ...]:
-        _, _, deltas, rows, starts = _direction_table(self.direction)
+        _, _, deltas, rows, starts = self._table
         (p, b), _ = starts[self.start_label]
         # Per wall: the step of h, whether the wall is vertical, the factor m
         # that takes h to the re-entry coordinate, and the translation back.
@@ -236,7 +249,7 @@ class Trajectory:
         points = []
         for wall in self.walk:
             if wall == _END:  # always the last byte
-                end = start if self.cone_point is None else _STAIR2[_STAIR.index(self.cone_point)]
+                end = start if self._cone is None else _STAIR2[self._cone]
                 points.append((begin, tuple(c * k for c in end)))
                 break
             dp, db, vertical, ma, mb, xa, xb, ya, yb = steps[wall]
@@ -284,7 +297,7 @@ def trace_direction(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP) ->
     the start point at a re-entry, or strictly inside a segment; in the latter
     case the last segment is truncated at the start point.
     """
-    scale, breaks, deltas, rows, starts = _direction_table(v)
+    table = scale, breaks, deltas, rows, starts = _direction_table(v)
     start = weierstrass_point(label)  # raises ValueError for a bad label
     (p0, b0), cone = starts[label]
     p, b = p0, b0
@@ -333,15 +346,7 @@ def trace_direction(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP) ->
     holonomy = tuple(-sum(map(mul, counts, column)) for column in _BACK_COLUMNS)
     if cone is not None:
         holonomy = tuple(map(sub, map(add, holonomy, _STAIR2[cone]), _STARTS2[label]))
-    return Trajectory(
-        start_label=label,
-        direction=v,
-        walk=bytes(walk),
-        scale=scale,
-        outcome=Outcome.CLOSED if returned else Outcome.HIT_CONE_POINT,
-        _holonomy2=holonomy,
-        cone_point=None if cone is None else _STAIR[cone],
-    )
+    return Trajectory(label, v, bytes(walk), holonomy, cone, table)
 
 
 def trace(label: int, word: Word, cap: int = DEFAULT_STEP_CAP) -> Trajectory:
@@ -361,8 +366,6 @@ def _midpoint_orbits(v: GoldenVector, cap: int) -> dict[int, Trajectory]:
     accept it. Any midpoint not derived is traced, to the same trajectory or
     the same error.
     """
-    _, _, deltas, _, starts = _direction_table(v)
-    dps, dbs = zip(*deltas)
     orbits = {}
     for label in WEIERSTRASS_LABELS:
         if label in orbits:
@@ -370,6 +373,8 @@ def _midpoint_orbits(v: GoldenVector, cap: int) -> dict[int, Trajectory]:
         t = orbits[label] = trace_direction(label, v, cap)
         if t.outcome is not Outcome.CLOSED:
             continue
+        _, _, deltas, _, starts = t._table
+        dps, dbs = zip(*deltas)
         untraced = {h: m for m, (h, cone) in starts.items() if m not in orbits and cone is None}
         crossings = t.walk.rstrip(_END_BYTE)
         n = len(crossings)
@@ -385,29 +390,32 @@ def _midpoint_orbits(v: GoldenVector, cap: int) -> dict[int, Trajectory]:
                 continue
             glued = m in _ON_GLUED_EDGE
             if n < cap or n == cap and glued:
-                orbits[m] = Trajectory(
-                    start_label=m,
-                    direction=v,
-                    walk=crossings[j:] + crossings[:j] + (b"" if glued else _END_BYTE),
-                    scale=t.scale,
-                    outcome=Outcome.CLOSED,
-                    _holonomy2=t._holonomy2,
-                    cone_point=None,
-                )
+                walk = crossings[j:] + crossings[:j] + (b"" if glued else _END_BYTE)
+                orbits[m] = Trajectory(m, v, walk, t._holonomy2, None, t._table)
             break
     return {label: orbits[label] for label in WEIERSTRASS_LABELS}
 
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Joint result of flowing all five midpoints in one direction."""
+    """Joint result of flowing all five midpoints in one direction; the saddle
+    label and the two cylinder holonomies are read off verdicts and trajectories."""
 
     direction: GoldenVector
     trajectories: dict[int, Trajectory]
     verdicts: dict[int, Classification]
-    short_holonomy: GoldenVector
-    long_holonomy: GoldenVector
-    saddle_label: int
+
+    @property
+    def saddle_label(self) -> int:
+        return next(l for l, v in self.verdicts.items() if v is Classification.SADDLE_CONNECTION)
+
+    @property
+    def short_holonomy(self) -> GoldenVector:
+        return next(self.trajectories[l].holonomy for l, v in self.verdicts.items() if v is Classification.SHORT)
+
+    @property
+    def long_holonomy(self) -> GoldenVector:
+        return next(self.trajectories[l].holonomy for l, v in self.verdicts.items() if v is Classification.LONG)
 
 
 def oracle_report_direction(v: GoldenVector, cap: int = DEFAULT_STEP_CAP) -> OracleReport:
@@ -452,15 +460,7 @@ def oracle_report_direction(v: GoldenVector, cap: int = DEFAULT_STEP_CAP) -> Ora
     verdicts: dict[int, Classification] = {saddles[0]: Classification.SADDLE_CONNECTION}
     for label in closed:
         verdicts[label] = Classification.SHORT if label in short_labels else Classification.LONG
-    long_label = next(l for l in closed if l not in short_labels)
-    return OracleReport(
-        direction=v,
-        trajectories=trajectories,
-        verdicts=verdicts,
-        short_holonomy=closed[short_labels[0]].holonomy,
-        long_holonomy=closed[long_label].holonomy,
-        saddle_label=saddles[0],
-    )
+    return OracleReport(v, trajectories, verdicts)
 
 
 def _half(pair: tuple[int, int]) -> GoldenNumber:

@@ -18,7 +18,7 @@ from itertools import chain
 
 from .errors import StructuralViolationError
 from .field import PHI_FLOAT, cleared, golden_mul
-from .flow import DEFAULT_STEP_CAP, Outcome, Trajectory, _END, _STAIR, _direction_table, trace
+from .flow import DEFAULT_STEP_CAP, Outcome, Trajectory, _END, _STAIR, trace
 from .surface import (
     DEFAULT_SIZE, DEFAULT_STROKE, FRAMES, GOLDEN_L, GOLDEN_L_FRAME, MIDPOINT_CYCLE, PENTAGON_FRAME, Rows,
     pentagon_transfer,
@@ -102,9 +102,9 @@ _ROTATIONS = tuple(complex(math.cos(0.4 * math.pi * k), math.sin(0.4 * math.pi *
 # and c (y = phi^2) lie beyond C2, those of b (x = phi^2) and d (y = phi) beyond C1.
 # Gluings a and d re-enter on sides 1 and 5, b and c below C3. Walls in walk order b, d, a, c.
 _LEAVES = ((4, 3), (4, 5), (2, 1), (2, 3))
-# The cone points (phi^2, phi) and (phi, phi^2) lie beyond C1 and C2; a run that
-# ends there leaves by that cut and is drawn to the cone point's mirror image in it.
-_BEYOND = {_STAIR[1]: (4, _STAIR[4]), _STAIR[3]: (2, _STAIR[0])}
+# The cone points _STAIR[1] and [3] lie beyond C1 and C2; a run that ends there leaves
+# by that cut and is drawn to the cone point's mirror image in it, _STAIR[4] or [0].
+_BEYOND = {1: (4, 4), 3: (2, 0)}
 (_, _P01), (_, _P11) = pentagon_transfer().matrix
 _CENTRE = (1.0 + 3.0 * PHI_FLOAT) / 5.0
 
@@ -179,7 +179,7 @@ def billiard_path(trajectory: Trajectory) -> BilliardPath:
     v = cleared(trajectory.direction)
     outside = label in (2, 4)
     closed = trajectory.outcome is Outcome.CLOSED
-    beyond = _BEYOND.get(trajectory.cone_point)
+    beyond = _BEYOND.get(trajectory._cone)
     ends = _float_ends(trajectory)
     if closed and walk[-1] == _END:
         # Closed strictly inside a segment: the last run ends at the start and
@@ -189,7 +189,7 @@ def billiard_path(trajectory: Trajectory) -> BilliardPath:
         walk = walk[:-1]
     # A run lies on one chord, so it passes a side's midpoint exactly when its
     # h, stepped along the walk from the start's, is that midpoint's.
-    _, _, deltas, _, starts = _direction_table(trajectory.direction)
+    _, _, deltas, _, starts = trajectory._table
     midpoint_h = {m: h for m, (h, _) in starts.items()}
     h = midpoint_h[label]
     # Each run re-enters after the previous wall and leaves before its own, so
@@ -222,7 +222,7 @@ def billiard_path(trajectory: Trajectory) -> BilliardPath:
     else:
         if closed:
             raise StructuralViolationError(f"billiard from midpoint {label} did not close in five periods")
-        drawn.append(_on_table(*(beyond[1] if beyond else trajectory.cone_point).to_floats()) * _ROTATIONS[k])
+        drawn.append(_on_table(*_STAIR[beyond[1] if beyond else trajectory._cone].to_floats()) * _ROTATIONS[k])
     if outside:
         axis = math.radians(2.0 * _MIDPOINT_ANGLES[label])
         mirror = complex(math.cos(axis), math.sin(axis))

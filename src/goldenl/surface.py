@@ -130,7 +130,7 @@ MIDPOINT_CYCLE = (5, 4, 2, 1, 3)
 
 
 def weierstrass_point(label: int) -> GoldenVector:
-    if label not in _WEIERSTRASS:
+    if type(label) is not int or label not in _WEIERSTRASS:
         raise ValueError(f"midpoint label must be 1..5, got {label}")
     return _WEIERSTRASS[label]
 

@@ -255,12 +255,4 @@ def reference_oracle(v: GoldenVector, cap: int = DEFAULT_STEP_CAP) -> OracleRepo
     verdicts: dict[int, Classification] = {saddles[0]: Classification.SADDLE_CONNECTION}
     for label in closed:
         verdicts[label] = Classification.SHORT if label in short_labels else Classification.LONG
-    long_label = next(l for l in closed if l not in short_labels)
-    return OracleReport(
-        direction=v,
-        trajectories=trajectories,
-        verdicts=verdicts,
-        short_holonomy=closed[short_labels[0]].holonomy,
-        long_holonomy=closed[long_label].holonomy,
-        saddle_label=saddles[0],
-    )
+    return OracleReport(v, trajectories, verdicts)

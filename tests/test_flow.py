@@ -32,6 +32,7 @@ from goldenl.flow import (
     trace_direction,
     validate_trajectory_structure,
 )
+from goldenl.render import billiard_path, golden_l_svg, transported_side_events
 
 HORIZONTAL = GoldenVector(GoldenNumber(1), GoldenNumber(0))
 VERTICAL = GoldenVector(GoldenNumber(0), GoldenNumber(1))
@@ -363,31 +364,51 @@ def test_trajectory_structure_forward_and_reversed():
             t,
             tuple((end, begin) for begin, end in reversed(t.points)),
             direction=-t.direction,
-            outcome=Outcome.CLOSED,
             _holonomy2=tuple(-c for c in t._holonomy2),
-            cone_point=None,
         )
         validate_trajectory_structure(reversed_t)
 
 
 def test_points_and_validation_build_no_golden_vector(monkeypatch):
-    # Every word of length <= 3 and the vertical, all five midpoints: tracing,
-    # replaying the points and validating them stay on integers, for closed and
-    # cone-hit orbits alike.
+    # Every word of length <= 3 and the vertical, all five midpoints: the
+    # oracle's verdicts, tracing, replaying the points and validating them stay
+    # on integers, for closed and cone-hit orbits alike. Once traced, no read
+    # of a trajectory looks its direction's table up again.
     def forbidden(*args):
-        raise AssertionError(f"converted {args}")
+        raise AssertionError(f"called with {args}")
 
-    monkeypatch.setattr(flow_module, "_int_point", forbidden)
-    monkeypatch.setattr(flow_module, "_from_point", forbidden)
     directions = [word_to_vector(w) for n in range(4) for w in product((0, 1, 2, 3), repeat=n)]
     outcomes = set()
     for v in directions + [VERTICAL]:
-        for label in WEIERSTRASS_LABELS:
-            t = trace_direction(label, v)
-            assert t.points, (v, label)
-            validate_trajectory_structure(t)
-            outcomes.add(t.outcome)
+        with monkeypatch.context() as m:
+            m.setattr(flow_module, "_int_point", forbidden)
+            m.setattr(flow_module, "_from_point", forbidden)
+            assert len(oracle_report_direction(v).verdicts) == 5, v
+            traced = [trace_direction(label, v) for label in WEIERSTRASS_LABELS]
+            m.setattr(flow_module, "_direction_table", forbidden)
+            for t in traced:
+                assert t.points, (v, t.start_label)
+                validate_trajectory_structure(t)
+                outcomes.add(t.outcome)
+        with monkeypatch.context() as m:
+            m.setattr(flow_module, "_direction_table", forbidden)
+            for t in traced:
+                t.to_json_dict()
+                golden_l_svg(t)
+                billiard_path(t)
+                if t.outcome is Outcome.CLOSED:
+                    transported_side_events(t)
     assert outcomes == {Outcome.CLOSED, Outcome.HIT_CONE_POINT}
+
+
+def test_start_twins_follow_the_canonicalize_rule():
+    # A midpoint's twins at scale 2 are exactly the points of the L that
+    # canonicalise to it: the start itself, or a translate by a gluing.
+    for label, start in GOLDEN_L.weierstrass.items():
+        shifted = (start + ident.translation for ident in GOLDEN_L.identifications)
+        twins = [start] + [p for p in shifted if point_in_surface(p) and canonicalize(p) == start]
+        assert flow_module._TWINS2[label] == {flow_module._int_point(p, 2) for p in twins}, label
+    assert [len(flow_module._TWINS2[label]) for label in WEIERSTRASS_LABELS] == [2, 1, 1, 1, 2]
 
 
 def test_trajectory_structure_cone_hit():
@@ -398,7 +419,7 @@ def test_trajectory_structure_cone_hit():
 
 def test_trajectory_structure_rejects_corruption():
     t = trace(4, (2, 1))
-    broken = _with_points(t, t.points[:-1], outcome=Outcome.CLOSED, cone_point=None)
+    broken = _with_points(t, t.points[:-1])
     with pytest.raises(StructuralViolationError):
         validate_trajectory_structure(broken)
 
@@ -449,7 +470,7 @@ _CORRUPTIONS = {
     "wrong closure end": ((4, (2, 1)), lambda t: _with_points(t, t.points[:-1]), "closed orbit ends at"),
     "cone outcome off the cone point": (
         (4, (2, 1)),
-        lambda t: replace(t, outcome=Outcome.HIT_CONE_POINT),
+        lambda t: _with_points(replace(t, _cone=1), t.points),
         "cone-hit orbit ends at",
     ),
     "empty points": ((4, (2, 1)), lambda t: _with_points(t, ()), "no segments"),

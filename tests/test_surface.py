@@ -18,11 +18,14 @@ from goldenl import (
     TAU,
     VERTICAL_RELABELING,
     ZERO,
+    classify,
     pentagon_transfer,
+    render_trajectory,
     sector_of,
     sigma,
     surface_description,
     tau,
+    trace,
     weierstrass_point,
 )
 from goldenl.surface import CONE_POINTS, MIDPOINT_CYCLE, WEIERSTRASS_LABELS
@@ -75,6 +78,20 @@ def test_weierstrass_lookup():
         weierstrass_point(0)
     with pytest.raises(ValueError):
         weierstrass_point(6)
+
+
+@pytest.mark.parametrize("label", [0, 6, 1.0, True, Fraction(1)], ids=repr)
+def test_midpoint_label_is_checked_once_and_must_be_an_int(label):
+    # 1.0, True and Fraction(1) equal label 1 without being one; every entry
+    # point rejects them, as it rejects 0 and 6, through weierstrass_point.
+    for call in (
+        lambda: weierstrass_point(label),
+        lambda: classify((2, 1), label),
+        lambda: trace(label, (2, 1)),
+        lambda: render_trajectory((2, 1), label),
+    ):
+        with pytest.raises(ValueError, match=r"^midpoint label must be 1\.\.5, got "):
+            call()
 
 
 def golden_rows(m):
