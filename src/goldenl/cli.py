@@ -119,8 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", parents=[capped], help="base-word reduction statistics")
     p.add_argument("--max-n", type=int, required=True, help="table covers lengths m = 0, 2, ..., 2n")
     p.add_argument("--mode", choices=("exact", "brute", "mc"), default="exact")
-    p.add_argument("--samples", type=int, default=100_000, help="Monte Carlo sample count per row")
-    p.add_argument("--seed", type=int, default=0, help="Monte Carlo RNG seed")
+    p.add_argument("--samples", type=int, default=None, help="Monte Carlo sample count per row (default 100000)")
+    p.add_argument("--seed", type=int, default=None, help="Monte Carlo RNG seed (default 0)")
 
     sub.add_parser("surface", parents=[common], help="JSON description of the golden L")
 
@@ -259,14 +259,17 @@ def _cmd_stats(args: argparse.Namespace) -> tuple:
 
     if args.max_n < 0:
         raise ValueError(f"--max-n must be nonnegative, got {args.max_n}")
-    if args.cap is not None and args.mode != "brute":
-        raise ValueError(f"--cap applies only to --mode brute, not --mode {args.mode}")
+    for option, value, mode in (("--cap", args.cap, "brute"), ("--samples", args.samples, "mc"),
+                                ("--seed", args.seed, "mc")):
+        if value is not None and args.mode != mode:
+            raise ValueError(f"{option} applies only to --mode {mode}, not --mode {args.mode}")
     limit = _cap_or(args, DEFAULT_ENUMERATION_LIMIT) if args.mode == "brute" else None
     lengths = [2 * n for n in range(args.max_n + 1)]
     rows: list[dict] = []
     if args.mode == "mc":
+        samples = 100_000 if args.samples is None else args.samples
         for m in lengths:
-            est = monte_carlo_empty_rate(m, samples=args.samples, seed=args.seed)
+            est = monte_carlo_empty_rate(m, samples=samples, seed=args.seed or 0)
             rows.append(
                 {
                     "m": m,

@@ -295,8 +295,11 @@ def trace_direction(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP) ->
 
     Each of at most `cap` steps is one segment. Closure can land exactly on
     the start point at a re-entry, or strictly inside a segment; in the latter
-    case the last segment is truncated at the start point.
+    case the last segment is truncated at the start point. A negative cap
+    raises ValueError.
     """
+    if cap < 0:
+        raise ValueError(f"cap must be nonnegative, got {cap}")
     table = scale, breaks, deltas, rows, starts = _direction_table(v)
     start = weierstrass_point(label)  # raises ValueError for a bad label
     (p0, b0), cone = starts[label]

@@ -3,10 +3,11 @@
 Both frames draw one exact trajectory, and coordinates only become floats at
 the last step. The golden L frame draws its segments as they are. The
 pentagon frame folds them onto the billiard table, a regular pentagon with
-side 1 (see billiard_path); every bounce, corner and closure is decided in
-integers, on the trajectory's walk, the h of its chords and its direction. Each
-frame's outline and marked points are formatted once per size and stroke,
-and a drawing's lines in one format operation.
+side 1 (see billiard_path); its bounces and corner are read off the
+trajectory's walk, and where a closed path closes follows by rule from the
+walk's turns and the direction. Each frame's outline and marked points are
+formatted once per size and stroke, and a drawing's lines in one format
+operation.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
-from .errors import StructuralViolationError
-from .field import PHI_FLOAT, cleared, golden_mul
+from .field import PHI_FLOAT
 from .flow import DEFAULT_STEP_CAP, Outcome, Trajectory, _END, _STAIR, trace
 from .surface import (
-    DEFAULT_SIZE, DEFAULT_STROKE, FRAMES, GOLDEN_L, GOLDEN_L_FRAME, MIDPOINT_CYCLE, PENTAGON_FRAME, Rows,
+    DEFAULT_SIZE, DEFAULT_STROKE, FRAMES, GOLDEN_L, GOLDEN_L_FRAME, MIDPOINT_CYCLE, PENTAGON_FRAME,
     pentagon_transfer,
 )
 # word_to_vector is bound here only because perfbench/selftest.py checks that its wrapper reaches it.
@@ -88,15 +88,6 @@ def _edge_of_midpoint(label: int) -> int:
 _EDGE = {label: _edge_of_midpoint(label) for label in _MIDPOINT_ANGLES}
 _RING = [p.to_floats() for p in GOLDEN_L.inscribed_pentagon]
 _SIDE_ENDS = {side: (_RING[i], _RING[i - 4]) for i, side in enumerate(MIDPOINT_CYCLE)}
-# P carries <u, w> = u^T ((1, phi/2), (phi/2, 1)) w to the table's dot product.
-# Every side vector e has <e, e> = 1, so the mirror d -> 2<d, e>e - d has integer
-# rows over Z[phi]. Runs leave only by C1, e = (-1, phi), and C2, e = (-phi, 1).
-_MIRRORS: dict[int, Rows] = {
-    4: (((0, -1), (0, -1)), ((1, 0), (0, 1))),  # ((-phi, -phi), (1, phi))
-    2: (((0, 1), (1, 0)), ((0, -1), (0, -1))),  # ((phi, 1), (-phi, -phi))
-}
-# The table's turn by 72 degrees: the mirror in side 1, e = (0, 1), then in side 4.
-_TURN: Rows = (((-1, 0), (0, -1)), ((0, 1), (0, 1)))  # ((-1, -phi), (phi, phi))
 _ROTATIONS = tuple(complex(math.cos(0.4 * math.pi * k), math.sin(0.4 * math.pi * k)) for k in range(5))
 # (cut left, side re-entered) of a run, by its walk byte: the walls of a (x = phi)
 # and c (y = phi^2) lie beyond C2, those of b (x = phi^2) and d (y = phi) beyond C1.
@@ -109,7 +100,7 @@ _BEYOND = {1: (4, 4), 3: (2, 0)}
 _CENTRE = (1.0 + 3.0 * PHI_FLOAT) / 5.0
 
 
-def _on_table(x: float, y: float) -> complex:
+def _on_pentagon(x: float, y: float) -> complex:
     """P(x - centre), for the inscribed pentagon's centre (c, c): the table point."""
     x, y = x - _CENTRE, y - _CENTRE
     return complex(x + _P01 * y, _P11 * y)
@@ -130,24 +121,7 @@ def _crossing(side: int, bx: float, by: float, ex: float, ey: float) -> complex:
     dx, dy = ex - bx, ey - by
     (ax, ay), (cx, cy) = _SIDE_ENDS[side]
     f = ((ax - bx) * (cy - ay) - (ay - by) * (cx - ax)) / (dx * (cy - ay) - dy * (cx - ax))
-    return _on_table(bx + f * dx, by + f * dy)
-
-
-def _apply(m: Rows, v: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
-    """The matrix m applied to the integer-pair vector v = (xa, xb, ya, yb)."""
-    ((aa, ab), (ba, bb)), ((ca, cb), (da, db)) = m
-    xa, xb, ya, yb = v
-    (p, q), (r, s) = golden_mul(aa, ab, xa, xb), golden_mul(ba, bb, ya, yb)
-    (t, u), (w, z) = golden_mul(ca, cb, xa, xb), golden_mul(da, db, ya, yb)
-    return p + r, q + s, t + w, u + z
-
-
-def _outgoing(v, side: int, leaving: bool, k: int):
-    """The table direction leaving a bounce at turn k, pulled back by P to integer pairs."""
-    d = _apply(_MIRRORS[side], v) if leaving else v
-    for _ in range(k):
-        d = _apply(_TURN, d)
-    return d
+    return _on_pentagon(bx + f * dx, by + f * dy)
 
 
 @dataclass(frozen=True)
@@ -171,12 +145,17 @@ def billiard_path(trajectory: Trajectory) -> BilliardPath:
     a side crossing, and the table turns by 2 * (edge(s) - edge(s')) steps of
     72 degrees from a run that leaves by side s to the next, which re-enters by
     s'. Midpoints 2 and 4 start on C2 and C1 heading out; mirroring their
-    picture in the table axis through the start launches them inward. A closed
-    trajectory repeats, turned, until a bounce is back at the start midpoint
-    with the first outgoing direction, both tested exactly.
+    picture in the table axis through the start launches them inward.
+
+    A closed trajectory repeats, turned, for a number of periods set by rule.
+    The table's sides lie at multiples of 36 degrees, and P maps the first
+    quadrant onto table angles 0 to 36 degrees, so only the horizontal and the
+    vertical run parallel to a side; those close after two and a half periods.
+    In any other direction no two (bounce, turn) states of one period land on
+    the same table state, so the path closes after the order of the period's
+    turn sum in Z/5: one period when it is 0 mod 5, five when it is not.
     """
-    label, walk = trajectory.start_label, trajectory.walk
-    v = cleared(trajectory.direction)
+    label, walk, v = trajectory.start_label, trajectory.walk, trajectory.direction
     outside = label in (2, 4)
     closed = trajectory.outcome is Outcome.CLOSED
     beyond = _BEYOND.get(trajectory._cone)
@@ -187,11 +166,6 @@ def billiard_path(trajectory: Trajectory) -> BilliardPath:
         ends[:2] = ends[-4:-2]
         del ends[-4:]
         walk = walk[:-1]
-    # A run lies on one chord, so it passes a side's midpoint exactly when its
-    # h, stepped along the walk from the start's, is that midpoint's.
-    _, _, deltas, _, starts = trajectory._table
-    midpoint_h = {m: h for m, (h, _) in starts.items()}
-    h = midpoint_h[label]
     # Each run re-enters after the previous wall and leaves before its own, so
     # the start is crossing 0, or 1 from midpoints 2 and 4, of a closed orbit.
     # The first run re-enters only on a closed orbit, after its last wall.
@@ -200,29 +174,22 @@ def billiard_path(trajectory: Trajectory) -> BilliardPath:
         if previous != _END:
             left, entered = _LEAVES[previous]
             turn = 2 * (_EDGE[left] - _EDGE[entered]) % 5
-            q = _crossing(entered, bx, by, ex, ey)
-            crossings.append((entered, False, turn, h == midpoint_h[entered], q))
+            crossings.append((turn, _crossing(entered, bx, by, ex, ey)))
         if wall != _END or beyond:
             cut = _LEAVES[wall][0] if wall != _END else beyond[0]
-            q = _crossing(cut, bx, by, ex, ey)
-            crossings.append((cut, True, 0, h == midpoint_h[cut], q))
-        if wall != _END:
-            h = h[0] + deltas[wall][0], h[1] + deltas[wall][1]
+            crossings.append((0, _crossing(cut, bx, by, ex, ey)))
         previous = wall
 
-    # One period or five close a closed orbit; the horizontal class takes two and a half.
-    first, n, k, drawn = _outgoing(v, label, outside, 0), len(crossings), 0, []
-    for step in range(outside + 1, outside + 5 * n + 1) if closed else range(outside, n):
-        side, leaving, turn, at_midpoint, q = crossings[step % n]
+    # A closed path's period count, in half periods; a closed walk has two crossings a run, so n is even.
+    n = len(crossings)
+    halves = 5 if v.x.is_zero or v.y.is_zero else 10 if sum(turn for turn, _ in crossings) % 5 else 2
+    k, drawn = 0, []
+    for step in range(outside + 1, outside + halves * n // 2) if closed else range(outside, n):
+        turn, q = crossings[step % n]
         k = (k + turn) % 5
-        if closed and at_midpoint and (_EDGE[side] + k) % 5 == _EDGE[label]:
-            if _outgoing(v, side, leaving, k) == first:
-                break
         drawn.append(q * _ROTATIONS[k])
-    else:
-        if closed:
-            raise StructuralViolationError(f"billiard from midpoint {label} did not close in five periods")
-        drawn.append(_on_table(*_STAIR[beyond[1] if beyond else trajectory._cone].to_floats()) * _ROTATIONS[k])
+    if not closed:
+        drawn.append(_on_pentagon(*_STAIR[beyond[1] if beyond else trajectory._cone].to_floats()) * _ROTATIONS[k])
     if outside:
         axis = math.radians(2.0 * _MIDPOINT_ANGLES[label])
         mirror = complex(math.cos(axis), math.sin(axis))
@@ -258,7 +225,7 @@ def _frame(frame: str, size: int, stroke: float) -> tuple:
     square fills the picture inside a 6% margin. Raises ValueError unless size
     is an int >= 1 and stroke a positive finite number, or for an unknown frame;
     the cache is typed, so a float size never reuses an int's entry."""
-    if not isinstance(size, int) or size < 1 or not (math.isfinite(stroke) and stroke > 0):
+    if type(size) is not int or size < 1 or not (math.isfinite(stroke) and stroke > 0):
         raise ValueError(f"size must be at least 1 and stroke a positive finite number, got {size} and {stroke}")
     if frame not in FRAMES:
         raise ValueError(f"frame must be one of {FRAMES}, got {frame!r}")

@@ -150,7 +150,7 @@ SIGMA: tuple[Rows, ...] = (
 
 
 def sigma(k: int) -> Rows:
-    if not 0 <= k <= 3:
+    if type(k) is not int or not 0 <= k <= 3:
         raise ValueError(f"generator index must be 0..3, got {k}")
     return SIGMA[k]
 
@@ -166,7 +166,7 @@ class Permutation5(_Frozen):
     images: tuple[int, int, int, int, int]
 
     def __init__(self, images: tuple[int, int, int, int, int]) -> None:
-        if sorted(images) != [1, 2, 3, 4, 5]:
+        if any(type(j) is not int for j in images) or sorted(images) != [1, 2, 3, 4, 5]:
             raise ValueError(f"not a permutation of 1..5: {images}")
         object.__setattr__(self, "images", tuple(images))
 
@@ -175,7 +175,7 @@ class Permutation5(_Frozen):
         return cls((1, 2, 3, 4, 5))
 
     def __call__(self, label: int) -> int:
-        if not 1 <= label <= 5:
+        if type(label) is not int or not 1 <= label <= 5:
             raise ValueError(f"label must be 1..5, got {label}")
         return self.images[label - 1]
 
@@ -217,7 +217,7 @@ TAU = (
 
 
 def tau(k: int) -> Permutation5:
-    if not 0 <= k <= 3:
+    if type(k) is not int or not 0 <= k <= 3:
         raise ValueError(f"generator index must be 0..3, got {k}")
     return TAU[k]
 

@@ -80,8 +80,11 @@ def vector_to_word(v: GoldenVector, cap: int = DEFAULT_INVERSION_CAP) -> Word:
     k and pull back by sigma_k inverse. Letters come out last-first, so the
     collected sequence is reversed at the end. Vertical input has no word and
     raises VerticalDirectionError. The cap is the largest number of letters
-    allowed; a direction that needs more raises CapExceededError.
+    allowed; a direction that needs more raises CapExceededError, and a
+    negative cap raises ValueError.
     """
+    if cap < 0:
+        raise ValueError(f"cap must be nonnegative, got {cap}")
     xa, xb, ya, yb = _direction_pairs(v)
     reversed_letters: list[int] = []
     while (k := pair_sector((xa, xb, ya, yb))) is not Axis.HORIZONTAL:

@@ -357,6 +357,12 @@ def test_stats_cap_only_in_brute_mode(capsys, monkeypatch):
         code, out, err = run_cli(capsys, "stats", "--max-n", "2", "--mode", mode, "--cap", "0")
         assert code == 2 and out == "", mode
         assert "--cap" in err and "--mode brute" in err, mode
+    # Likewise --seed and --samples belong to --mode mc alone.
+    for mode in ((), ("--mode", "exact"), ("--mode", "brute")):
+        for option, value in (("--seed", "3"), ("--samples", "5")):
+            code, out, err = run_cli(capsys, "stats", "--max-n", "2", *mode, option, value)
+            assert code == 2 and out == "", (mode, option)
+            assert option in err and "--mode mc" in err, (mode, option)
     code, _, err = run_cli(capsys, "stats", "--max-n", "2", "--mode", "brute", "--cap", "0")
     assert code == 3 and "limit" in err
     monkeypatch.setenv("GOLDENL_CAP", "5")

@@ -32,7 +32,7 @@ from goldenl.flow import (
     trace_direction,
     validate_trajectory_structure,
 )
-from goldenl.render import billiard_path, golden_l_svg, transported_side_events
+from goldenl.render import billiard_path, golden_l_svg, render_trajectory, transported_side_events
 
 HORIZONTAL = GoldenVector(GoldenNumber(1), GoldenNumber(0))
 VERTICAL = GoldenVector(GoldenNumber(0), GoldenNumber(1))
@@ -508,6 +508,14 @@ def test_trace_cap_edges():
         "trajectory did not terminate: midpoint 4, direction (2 + 2*phi, 1 + 2*phi), "
         "after 2 steps at (0, 1/2 + 5/4*phi)"
     )
+    # A negative cap is an input error, as on the command line, before any drawing or report.
+    for call in (
+        lambda: trace(5, (), cap=-1),
+        lambda: render_trajectory((), 5, cap=-1),
+        lambda: oracle_report((2, 1), cap=-1),
+    ):
+        with pytest.raises(ValueError, match=r"^cap must be nonnegative, got -1$"):
+            call()
 
 
 def test_trace_that_leaves_the_l_is_a_structural_violation(monkeypatch):

@@ -201,7 +201,9 @@ def test_render_trajectory_frames(monkeypatch):
     # Either drawing of a traced orbit checks its size and stroke too.
     t = trace(4, (2, 1))
     for draw in (golden_l_svg, billiard_svg):
-        for bad in ({"size": 0}, {"size": 2.5}, {"stroke": -0.0}, {"stroke": math.nan}, {"stroke": -math.inf}):
+        for bad in (
+            {"size": 0}, {"size": 2.5}, {"size": True}, {"stroke": -0.0}, {"stroke": math.nan}, {"stroke": -math.inf}
+        ):
             with pytest.raises(ValueError):
                 draw(t, **bad)
 
@@ -344,3 +346,47 @@ def test_fold_closes_length_10_orbits():
         assert path.segment_count / transported_side_events(t) in (1, 5)
         beyond_reference += path.segment_count > reference.DEFAULT_MAX_BOUNCES
     assert beyond_reference == 20
+
+
+def _side_of(q):
+    """The pentagon side at the angle of the boundary point q, and q's distance from it."""
+    i = int((math.degrees(math.atan2(q[1], q[0])) - 90.0) // 72.0) % 5
+    (ax, ay), (bx, by) = PENTAGON_VERTICES[i], PENTAGON_VERTICES[(i + 1) % 5]
+    # Sides have length 1: across the side, and past either end along it.
+    across = (bx - ax) * (q[1] - ay) - (by - ay) * (q[0] - ax)
+    along = (bx - ax) * (q[0] - ax) + (by - ay) * (q[1] - ay)
+    return i, max(abs(across), -along, along - 1.0)
+
+
+def test_fold_geometry_beyond_the_float_reference():
+    # Seeded words of lengths 8-10, checked in floats on the folded path alone.
+    # Each vertex lies on a side and reflects the run in it; at the last, the
+    # start, the last run reflected in the start side leaves along the first;
+    # and no earlier vertex is the start leaving along the first run. So the
+    # path closes where it ends and not before, however many periods it takes.
+    rng = random.Random(19)
+    words = [tuple(rng.randrange(4) for _ in range(n)) for n in (8, 9, 10) for _ in range(3)]
+    traces = [trace(label, word) for word in words for label in PENTAGON_MIDPOINTS]
+    closed = [billiard_path(t) for t in traces if t.outcome is Outcome.CLOSED]
+    assert len(closed) == 36
+
+    def near(u, w):
+        return math.hypot(u[0] - w[0], u[1] - w[1]) < 1e-7
+
+    beyond_reference = 0
+    for path in closed:
+        points, start = path.points, path.points[0]
+        runs = []
+        for (px, py), (qx, qy) in zip(points, points[1:]):
+            length = math.hypot(qx - px, qy - py)
+            runs.append(((qx - px) / length, (qy - py) / length))
+        for i, q in enumerate(points[1:], start=1):
+            side, distance = _side_of(q)
+            assert distance < 1e-9, (path.start_label, i)
+            outgoing = runs[i % len(runs)]
+            assert near(reference._reflect(runs[i - 1], side), outgoing), (path.start_label, i)
+            if i < len(runs):
+                assert not (near(q, start) and near(outgoing, runs[0])), (path.start_label, i)
+        assert _side_of(start)[0] == render._edge_of_midpoint(path.start_label)
+        beyond_reference += path.segment_count > reference.DEFAULT_MAX_BOUNCES
+    assert beyond_reference == 8

@@ -109,8 +109,10 @@ def test_sigma_tables():
         (ia, ib), (ic, id_) = golden_rows(SIGMA_INVERSE[k])
         assert a * d - b * c == ONE
         assert (a * ia + b * ic, a * ib + b * id_, c * ia + d * ic, c * ib + d * id_) == (ONE, ZERO, ZERO, ONE)
-    with pytest.raises(ValueError):
-        sigma(4)
+    # Indices are ints: True and 1.0 equal 1 without being one.
+    for bad in (4, -1, True, 1.0):
+        with pytest.raises(ValueError, match="generator index must be 0..3"):
+            sigma(bad)
 
 
 def test_sigma_columns_sit_on_their_sector_boundaries():
@@ -130,8 +132,9 @@ def test_tau_cycle_structure():
     for k in range(4):
         assert TAU[k] * TAU[k] == Permutation5.identity()
         assert TAU[k].inverse() == TAU[k]
-    with pytest.raises(ValueError):
-        tau(-1)
+    for bad in (-1, 4, True, 2.0):
+        with pytest.raises(ValueError, match="generator index must be 0..3"):
+            tau(bad)
 
 
 def test_tau_is_the_reflection_of_the_midpoint_cycle():
@@ -150,8 +153,9 @@ def test_permutation_composition_right_factor_first():
 
 
 def test_permutation_validity_and_calls():
-    with pytest.raises(ValueError):
-        Permutation5((1, 1, 2, 3, 4))
+    for bad in ((1, 1, 2, 3, 4), (True, 2, 3, 4, 5), (1.0, 2, 3, 4, 5)):
+        with pytest.raises(ValueError, match="not a permutation of 1..5"):
+            Permutation5(bad)
     p = Permutation5.identity()
     # Stored as a tuple, however the images come in, so it hashes.
     listed = Permutation5([2, 1, 3, 4, 5])
@@ -160,8 +164,9 @@ def test_permutation_validity_and_calls():
     assert {listed, p} == {p, Permutation5((2, 1, 3, 4, 5))}
     assert p.cycle_string() == "()"
     assert p(3) == 3
-    with pytest.raises(ValueError):
-        p(0)
+    for bad in (0, True, 1.0):
+        with pytest.raises(ValueError, match="label must be 1..5"):
+            p(bad)
 
 
 def test_vertical_relabeling_is_the_diagonal_flip():

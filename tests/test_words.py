@@ -197,6 +197,8 @@ def test_inversion_cap():
         vector_to_word(v, cap=2)
     # The cap is the largest number of letters allowed.
     assert vector_to_word(word_to_vector(()), cap=0) == ()
+    with pytest.raises(ValueError, match=r"^cap must be nonnegative, got -1$"):
+        vector_to_word(word_to_vector(()), cap=-1)
     for word in ((1, 3, 2), (2, 1), (3,), (1, 2, 3), (2, 0, 3, 1, 1, 2)):
         v = word_to_vector(word)
         assert vector_to_word(v, cap=len(word)) == word
