@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and the check of an int argument."""
 
 
 class CapExceededError(RuntimeError):
@@ -11,3 +11,11 @@ class StructuralViolationError(RuntimeError):
 
 class VerticalDirectionError(ValueError):
     """Raised for slope-infinity directions, which no generator word produces."""
+
+
+def _check_int(name: str, value: object, least: int | None = None) -> None:
+    """Raise ValueError for a value that is not an int (a bool, a float) or is below `least`, 0 or 1."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be {'positive' if least else 'nonnegative'}, got {value}")

@@ -47,7 +47,7 @@ from math import gcd, lcm
 from operator import add, mul, sub
 
 from .classify import Classification
-from .errors import CapExceededError, StructuralViolationError
+from .errors import CapExceededError, StructuralViolationError, _check_int
 from .field import GoldenNumber, GoldenVector, PHI, PHI_SQUARED, cleared, golden_mul, golden_sign
 from .surface import CONE_POINTS, GOLDEN_L, WEIERSTRASS_LABELS, _direction_pairs, weierstrass_point
 from .words import Word, format_word, word_to_vector
@@ -293,13 +293,12 @@ class Trajectory:
 def trace_direction(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP) -> Trajectory:
     """Flow from Weierstrass point `label` in direction v until closure or cone hit.
 
-    Each of at most `cap` steps is one segment. Closure can land exactly on
-    the start point at a re-entry, or strictly inside a segment; in the latter
-    case the last segment is truncated at the start point. A negative cap
-    raises ValueError.
+    A trace has at most `cap` segments. Closure can land exactly on the start
+    point at a re-entry, or strictly inside a segment; in the latter case the
+    last segment is truncated at the start point. A cap that is not a
+    nonnegative int raises ValueError.
     """
-    if cap < 0:
-        raise ValueError(f"cap must be nonnegative, got {cap}")
+    _check_int("cap", cap, 0)
     table = scale, breaks, deltas, rows, starts = _direction_table(v)
     start = weierstrass_point(label)  # raises ValueError for a bad label
     (p0, b0), cone = starts[label]
@@ -330,20 +329,19 @@ def trace_direction(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP) ->
         if p == p0 and b == b0:
             break
 
-    # Back on the start's chord: a start on a glued edge is this re-entry
-    # point; any other is met inside one more segment, within the cap.
-    returned = bool(walk) and p == p0 and b == b0
-    glued = label in _ON_GLUED_EDGE
-    if not (cone is not None and cap or returned and (glued or len(walk) < cap)):
-        # Checked once the cap runs out, not per step: a walk that takes a
-        # wrong wall leaves the L and would otherwise pass for a cap overrun.
-        last = _from_point(_reentry(rows[walk[-1]], (p - b) // 2, b), scale) if walk else start
+    # Back on the start's chord, a start on a glued edge is this re-entry
+    # point; any other start, or the cone point, ends one more segment, _END.
+    # So a walk that ran out of steps has more than cap segments. Checked once,
+    # not per step: a walk that takes a wrong wall leaves the L and would
+    # otherwise pass for a cap overrun.
+    if not (walk and p == p0 and b == b0 and label in _ON_GLUED_EDGE):
+        walk.append(_END)
+    if len(walk) > cap:
+        last = _from_point(_reentry(rows[walk[-2]], (p - b) // 2, b), scale) if len(walk) > 1 else start
         where = f"midpoint {label}, direction {v}, after {cap} steps at {last}"
         if not point_in_surface(last):
             raise StructuralViolationError(f"trajectory left the golden L: {where}")
         raise CapExceededError(f"trajectory did not terminate: {where}")
-    if not (returned and glued):
-        walk.append(_END)
     # The translations of the crossings, and from the start to a cone point.
     counts = list(map(walk.count, range(_END)))
     holonomy = tuple(-sum(map(mul, counts, column)) for column in _BACK_COLUMNS)
@@ -365,9 +363,9 @@ def _midpoint_orbits(v: GoldenVector, cap: int) -> dict[int, Trajectory]:
     closed orbit's chords finds the first midpoint not yet traced that starts
     on one of them, its twin. From chord j the twin's walk is the orbit's
     crossings rotated to start at j, plus _END for a start inside the L, with
-    the same holonomy. A twin is derived only where the kernel's cap would
-    accept it. Any midpoint not derived is traced, to the same trajectory or
-    the same error.
+    the same holonomy. A twin is derived only within the kernel's budget of
+    cap segments; any midpoint not derived is traced, to the same trajectory
+    or the same error.
     """
     orbits = {}
     for label in WEIERSTRASS_LABELS:
@@ -380,7 +378,6 @@ def _midpoint_orbits(v: GoldenVector, cap: int) -> dict[int, Trajectory]:
         dps, dbs = zip(*deltas)
         untraced = {h: m for m, (h, cone) in starts.items() if m not in orbits and cone is None}
         crossings = t.walk.rstrip(_END_BYTE)
-        n = len(crossings)
         # The p of each chord's h picks candidates, one cheap pass; the b of a
         # candidate, from the crossings before it, says whether a midpoint starts there.
         (p0, b0), _ = starts[label]
@@ -391,9 +388,8 @@ def _midpoint_orbits(v: GoldenVector, cap: int) -> dict[int, Trajectory]:
             m = untraced.get((p0 + sum(map(mul, counts, dps)), b0 + sum(map(mul, counts, dbs))))
             if m is None:
                 continue
-            glued = m in _ON_GLUED_EDGE
-            if n < cap or n == cap and glued:
-                walk = crossings[j:] + crossings[:j] + (b"" if glued else _END_BYTE)
+            walk = crossings[j:] + crossings[:j] + (b"" if m in _ON_GLUED_EDGE else _END_BYTE)
+            if len(walk) <= cap:
                 orbits[m] = Trajectory(m, v, walk, t._holonomy2, None, t._table)
             break
     return {label: orbits[label] for label in WEIERSTRASS_LABELS}
@@ -422,30 +418,32 @@ class OracleReport:
 
 
 def oracle_report_direction(v: GoldenVector, cap: int = DEFAULT_STEP_CAP) -> OracleReport:
-    """Classify every midpoint by flowing it, checking the cylinder structure.
+    """Classify every midpoint by flowing it, checking the cylinder structure."""
+    trajectories = _midpoint_orbits(v, cap)
+    holonomies = {l: None if t._cone is not None else t._holonomy2 for l, t in trajectories.items()}
+    return OracleReport(v, trajectories, _cylinder_verdicts(v, holonomies))
+
+
+def _cylinder_verdicts(v: GoldenVector, holonomies: dict[int, Point | None]) -> dict[int, Classification]:
+    """The verdicts from each midpoint's holonomy at scale 2, or None for a cone hit.
 
     Exactly one midpoint must hit the cone point; the other four must close
-    with holonomies parallel to the direction, splitting two and two between
-    exactly two magnitudes with ratio phi. Anything else is a structural
-    violation of the simulator or the geometry tables, never bad input. The
-    checks run on integer pairs at scale 2: the holonomies and magnitudes, and
-    the direction cleared.
+    with holonomies parallel to v, splitting two and two between exactly two
+    magnitudes with ratio phi, all decided on integer pairs. Anything else is a
+    structural violation of the simulator or the geometry tables, never bad input.
     """
-    trajectories = _midpoint_orbits(v, cap)
-    saddles = [l for l, t in trajectories.items() if t.outcome is Outcome.HIT_CONE_POINT]
-    closed = {l: t for l, t in trajectories.items() if t.outcome is Outcome.CLOSED}
+    saddles = [l for l, h in holonomies.items() if h is None]
+    closed = {l: h for l, h in holonomies.items() if h is not None}
     if len(saddles) != 1 or len(closed) != 4:
         raise StructuralViolationError(
             f"expected 4 closed orbits and 1 cone hit, got {len(closed)} and {len(saddles)}"
         )
     vxa, vxb, vya, vyb = cleared(v)
-    vertical = not (vxa or vxb)
     sizes = {}
-    for label, t in closed.items():
-        xa, xb, ya, yb = t._holonomy2
+    for label, (xa, xb, ya, yb) in closed.items():
         if golden_mul(xa, xb, vya, vyb) != golden_mul(ya, yb, vxa, vxb):
             raise StructuralViolationError(f"holonomy of midpoint {label} is not parallel to {v}")
-        sizes[label] = (ya, yb) if vertical else (xa, xb)
+        sizes[label] = (xa, xb) if vxa or vxb else (ya, yb)  # read off y for the vertical
     magnitudes = set(sizes.values())
     if len(magnitudes) != 2:
         got = sorted(map(_half, magnitudes))
@@ -454,16 +452,11 @@ def oracle_report_direction(v: GoldenVector, cap: int = DEFAULT_STEP_CAP) -> Ora
     if golden_sign(large[0] - small[0], large[1] - small[1]) < 0:
         small, large = large, small
     if large != (small[1], small[0] + small[1]):  # small * phi
-        raise StructuralViolationError(
-            f"cylinder holonomies {_half(small)}, {_half(large)} are not in ratio phi"
-        )
-    short_labels = [l for l, size in sizes.items() if size == small]
-    if len(short_labels) != 2:
+        raise StructuralViolationError(f"cylinder holonomies {_half(small)}, {_half(large)} are not in ratio phi")
+    if list(sizes.values()).count(small) != 2:
         raise StructuralViolationError("holonomy magnitudes do not split two and two")
-    verdicts: dict[int, Classification] = {saddles[0]: Classification.SADDLE_CONNECTION}
-    for label in closed:
-        verdicts[label] = Classification.SHORT if label in short_labels else Classification.LONG
-    return OracleReport(v, trajectories, verdicts)
+    cylinders = {l: Classification.SHORT if size == small else Classification.LONG for l, size in sizes.items()}
+    return {saddles[0]: Classification.SADDLE_CONNECTION, **cylinders}
 
 
 def _half(pair: tuple[int, int]) -> GoldenNumber:

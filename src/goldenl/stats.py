@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import CapExceededError
+from .errors import CapExceededError, _check_int
 from .words import reduce_word
 
 DEFAULT_ENUMERATION_LIMIT = 10
@@ -38,8 +38,7 @@ class ReductionProfile(NamedTuple):
 
 def exact_profile(m: int) -> ReductionProfile:
     """Exact base-word length distribution via the walk recurrence."""
-    if m < 0:
-        raise ValueError(f"word length must be nonnegative, got {m}")
+    _check_int("word length", m, 0)
     counts = {0: 1}
     for _ in range(m):
         step: dict[int, int] = {}
@@ -64,8 +63,8 @@ def empty_reduction_probability(m: int) -> Fraction:
 
 def brute_force_profile(m: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> ReductionProfile:
     """Enumerate all 4**m words and reduce each one. Exponential; capped."""
-    if m < 0:
-        raise ValueError(f"word length must be nonnegative, got {m}")
+    _check_int("word length", m, 0)
+    _check_int("limit", limit, 0)
     if m > limit:
         raise CapExceededError(f"enumeration of 4**{m} words exceeds the limit {limit}")
     counts: dict[int, int] = {}
@@ -97,10 +96,9 @@ def monte_carlo_empty_rate(m: int, samples: int, seed: int = 0) -> MonteCarloEst
     Sampling is sharded with one RNG per (seed, m, shard) so the result is a
     pure function of the arguments no matter how shards would be scheduled.
     """
-    if m < 0:
-        raise ValueError(f"word length must be nonnegative, got {m}")
-    if samples <= 0:
-        raise ValueError(f"sample count must be positive, got {samples}")
+    _check_int("word length", m, 0)
+    _check_int("sample count", samples, 1)
+    _check_int("seed", seed)
     hits = 0
     done = 0
     shard = 0

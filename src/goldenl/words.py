@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from itertools import groupby
 
-from .errors import CapExceededError, VerticalDirectionError
+from .errors import CapExceededError, VerticalDirectionError, _check_int
 from .field import GoldenVector
 from .surface import Axis, _direction_pairs, pair_sector
 
@@ -81,10 +81,9 @@ def vector_to_word(v: GoldenVector, cap: int = DEFAULT_INVERSION_CAP) -> Word:
     collected sequence is reversed at the end. Vertical input has no word and
     raises VerticalDirectionError. The cap is the largest number of letters
     allowed; a direction that needs more raises CapExceededError, and a
-    negative cap raises ValueError.
+    cap that is not a nonnegative int raises ValueError.
     """
-    if cap < 0:
-        raise ValueError(f"cap must be nonnegative, got {cap}")
+    _check_int("cap", cap, 0)
     xa, xb, ya, yb = _direction_pairs(v)
     reversed_letters: list[int] = []
     while (k := pair_sector((xa, xb, ya, yb))) is not Axis.HORIZONTAL:

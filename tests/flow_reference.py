@@ -9,22 +9,21 @@ integer points back to vectors and the step cap's message.
 
 `reference_oracle` is the flow oracle as it was before it shared walks
 between the two midpoints of a cylinder: it traces every midpoint with the
-library's kernel, then runs the same cylinder checks.
+library's kernel, then calls the library's cylinder checks.
 """
 
 from __future__ import annotations
 
 from math import lcm
 
-from goldenl.classify import Classification
 from goldenl.errors import CapExceededError, StructuralViolationError
 from goldenl.field import GoldenNumber, GoldenVector, cleared, golden_mul, golden_sign
 from goldenl.flow import (
     DEFAULT_STEP_CAP,
     OracleReport,
     Outcome,
+    _cylinder_verdicts,
     _from_point,
-    _half,
     point_in_surface,
     trace_direction,
 )
@@ -216,43 +215,7 @@ def reference_trace(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP):
 
 
 def reference_oracle(v: GoldenVector, cap: int = DEFAULT_STEP_CAP) -> OracleReport:
-    """Classify every midpoint by tracing each one, checking the cylinder structure.
-
-    Exactly one midpoint must hit the cone point; the other four must close
-    with holonomies parallel to the direction, splitting two and two between
-    exactly two magnitudes with ratio phi. The checks, their order and their
-    messages are the library oracle's.
-    """
+    """Classify every midpoint by tracing each one, then run the library's cylinder checks."""
     trajectories = {label: trace_direction(label, v, cap) for label in WEIERSTRASS_LABELS}
-    saddles = [l for l, t in trajectories.items() if t.outcome is Outcome.HIT_CONE_POINT]
-    closed = {l: t for l, t in trajectories.items() if t.outcome is Outcome.CLOSED}
-    if len(saddles) != 1 or len(closed) != 4:
-        raise StructuralViolationError(
-            f"expected 4 closed orbits and 1 cone hit, got {len(closed)} and {len(saddles)}"
-        )
-    vxa, vxb, vya, vyb = cleared(v)
-    vertical = not (vxa or vxb)
-    sizes = {}
-    for label, t in closed.items():
-        xa, xb, ya, yb = t._holonomy2
-        if golden_mul(xa, xb, vya, vyb) != golden_mul(ya, yb, vxa, vxb):
-            raise StructuralViolationError(f"holonomy of midpoint {label} is not parallel to {v}")
-        sizes[label] = (ya, yb) if vertical else (xa, xb)
-    magnitudes = set(sizes.values())
-    if len(magnitudes) != 2:
-        got = sorted(map(_half, magnitudes))
-        raise StructuralViolationError(f"expected exactly 2 holonomy magnitudes, got {got}")
-    small, large = magnitudes
-    if golden_sign(large[0] - small[0], large[1] - small[1]) < 0:
-        small, large = large, small
-    if large != (small[1], small[0] + small[1]):  # small * phi
-        raise StructuralViolationError(
-            f"cylinder holonomies {_half(small)}, {_half(large)} are not in ratio phi"
-        )
-    short_labels = [l for l, size in sizes.items() if size == small]
-    if len(short_labels) != 2:
-        raise StructuralViolationError("holonomy magnitudes do not split two and two")
-    verdicts: dict[int, Classification] = {saddles[0]: Classification.SADDLE_CONNECTION}
-    for label in closed:
-        verdicts[label] = Classification.SHORT if label in short_labels else Classification.LONG
-    return OracleReport(v, trajectories, verdicts)
+    holonomies = {l: None if t._cone is not None else t._holonomy2 for l, t in trajectories.items()}
+    return OracleReport(v, trajectories, _cylinder_verdicts(v, holonomies))

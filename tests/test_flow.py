@@ -148,30 +148,18 @@ def test_oracle_matches_permutation_classification_sampled():
         assert oracle_classify(word) == classify_all(word).verdicts
 
 
-def test_oracle_matches_permutation_classification_letter_shift_quads():
-    # 16 letter-shift quads (a word w and the words (w + s) mod 4 letterwise)
-    # at each of lengths 6, 7 and 8: every letter sits at every position once
-    # per quad, so each length is covered evenly.
-    rng = random.Random(20261018)
-    for length in (6, 7, 8):
-        for _ in range(16):
-            base = [rng.randrange(4) for _ in range(length)]
-            for shift in range(4):
-                word = tuple((k + shift) % 4 for k in base)
-                verdicts = oracle_classify(word)
-                assert verdicts == classify_all(word).verdicts, word
-                values = list(verdicts.values())
-                assert sorted(verdicts) == [1, 2, 3, 4, 5]
-                assert values.count(Classification.SHORT) == 2, word
-                assert values.count(Classification.LONG) == 2, word
-                assert values.count(Classification.SADDLE_CONNECTION) == 1, word
-
-
-def test_oracle_matches_permutation_classification_lengths_9_and_10():
-    # 8 letter-shift quads at each of lengths 9 and 10, as above.
-    rng = random.Random(20261019)
-    for length in (9, 10):
-        for _ in range(8):
+@pytest.mark.parametrize(
+    "seed, lengths, quads",
+    [(20261018, (6, 7, 8), 16), (20261019, (9, 10), 8)],
+    ids=["lengths 6-8", "lengths 9-10"],
+)
+def test_oracle_matches_permutation_classification_letter_shift_quads(seed, lengths, quads):
+    # `quads` letter-shift quads (a word w and the words (w + s) mod 4
+    # letterwise) at each length: every letter sits at every position once per
+    # quad, so each length is covered evenly.
+    rng = random.Random(seed)
+    for length in lengths:
+        for _ in range(quads):
             base = [rng.randrange(4) for _ in range(length)]
             for shift in range(4):
                 word = tuple((k + shift) % 4 for k in base)
@@ -220,7 +208,8 @@ def test_oracle_trajectories_equal_independent_traces(monkeypatch):
     # cylinder twin, equals a trace of its own, with the same integer
     # holonomy and the points unbuilt. The two midpoints of each cylinder have
     # walks that are rotations of each other, and the oracle walks one orbit
-    # per cylinder and the saddle connection: three traces.
+    # per cylinder and the saddle connection: three traces, also at a cap of
+    # the longest segment count, since a derived twin has the trace's budget.
     rng = random.Random(20261020)
     words = [w for n in range(6) for w in product((0, 1, 2, 3), repeat=n)]
     for length in (6, 7):
@@ -243,6 +232,9 @@ def test_oracle_trajectories_equal_independent_traces(monkeypatch):
         for verdict in (Classification.SHORT, Classification.LONG):
             a, b = (t.walk for label, t in report.trajectories.items() if report.verdicts[label] is verdict)
             assert _rotations(a, b), (word, verdict)
+        walked.clear()
+        cap = max(t.segment_count for t in report.trajectories.values())
+        assert oracle_report_direction(v, cap).trajectories == report.trajectories and len(walked) == 3, word
 
 
 def test_oracle_matches_per_midpoint_reference_around_the_cap():
@@ -280,21 +272,35 @@ def test_oracle_report_holonomy_ratio():
     assert rep.saddle_label == 1
 
 
-def _oracle_with_corrupt_holonomy(monkeypatch, v, corrupt):
-    """The oracle report in direction v after corrupt(label, holonomy, report) has
-    replaced each closed trajectory's holonomy; it returns None to keep one."""
+def _holonomies(report):
+    """The map the cylinder checks receive: label -> holonomy at scale 2, None for the cone hit."""
+    return {l: t._holonomy2 if t.outcome is Outcome.CLOSED else None for l, t in report.trajectories.items()}
+
+
+def test_cylinder_verdicts_on_label_holonomy_maps():
+    # Horizontal (the empty word) and vertical: short cylinders phi, long ones phi^2, at scale 2.
+    S, L, X = Classification.SHORT, Classification.LONG, Classification.SADDLE_CONNECTION
+    horizontal = {1: (0, 2, 0, 0), 2: (0, 2, 0, 0), 3: (2, 2, 0, 0), 4: (2, 2, 0, 0), 5: None}
+    vertical = {1: None, 2: (0, 0, 2, 2), 3: (0, 0, 2, 2), 4: (0, 0, 0, 2), 5: (0, 0, 0, 2)}
+    assert flow_module._cylinder_verdicts(HORIZONTAL, horizontal) == {1: S, 2: S, 3: L, 4: L, 5: X}
+    assert flow_module._cylinder_verdicts(VERTICAL, vertical) == {1: X, 2: L, 3: L, 4: S, 5: S}
+    assert _holonomies(oracle_report(())) == horizontal
+    assert _holonomies(oracle_report_direction(VERTICAL)) == vertical
+    with pytest.raises(StructuralViolationError, match=r"^expected 4 closed orbits and 1 cone hit, got 3 and 2$"):
+        flow_module._cylinder_verdicts(VERTICAL, {**vertical, 2: None})
+
+
+def _verdicts_with_corrupt_holonomy(v, corrupt):
+    """The cylinder checks in direction v on the oracle's holonomies after
+    corrupt(label, holonomy, report) has replaced each closed one; it returns
+    None to keep one."""
     report = oracle_report_direction(v)
-    orbits = flow_module._midpoint_orbits
-
-    def corrupted(direction, cap):
-        changed = {}
-        for label, t in orbits(direction, cap).items():
-            h = corrupt(label, t.holonomy, report) if t.outcome is Outcome.CLOSED else None
-            changed[label] = t if h is None else replace(t, _holonomy2=flow_module._int_point(h, 2))
-        return changed
-
-    monkeypatch.setattr(flow_module, "_midpoint_orbits", corrupted)
-    return oracle_report_direction(v)
+    holonomies = _holonomies(report)
+    for label, t in report.trajectories.items():
+        h = corrupt(label, t.holonomy, report) if t.outcome is Outcome.CLOSED else None
+        if h is not None:
+            holonomies[label] = flow_module._int_point(h, 2)
+    return flow_module._cylinder_verdicts(v, holonomies)
 
 
 def _first(report, verdict):
@@ -340,11 +346,11 @@ _HOLONOMY_CORRUPTIONS = {
 
 
 @pytest.mark.parametrize("case", list(_HOLONOMY_CORRUPTIONS))
-def test_oracle_rejects_each_holonomy_corruption(monkeypatch, case):
+def test_oracle_rejects_each_holonomy_corruption(case):
     word, corrupt, message = _HOLONOMY_CORRUPTIONS[case]
     v = VERTICAL if word is None else word_to_vector(word)
     with pytest.raises(StructuralViolationError) as excinfo:
-        _oracle_with_corrupt_holonomy(monkeypatch, v, corrupt)
+        _verdicts_with_corrupt_holonomy(v, corrupt)
     assert str(excinfo.value) == message
 
 def _with_points(t, points, **changes):
@@ -516,6 +522,11 @@ def test_trace_cap_edges():
     ):
         with pytest.raises(ValueError, match=r"^cap must be nonnegative, got -1$"):
             call()
+    # So is a cap that is not an int, a bool or a float among them.
+    for cap, shown in ((True, "True"), (2.0, r"2\.0")):
+        for call in (lambda: trace(4, (2, 1), cap=cap), lambda: oracle_report((2, 1), cap=cap)):
+            with pytest.raises(ValueError, match=rf"^cap must be an int, got {shown}$"):
+                call()
 
 
 def test_trace_that_leaves_the_l_is_a_structural_violation(monkeypatch):

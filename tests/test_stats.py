@@ -84,3 +84,18 @@ def test_monte_carlo_rejects_bad_samples():
         monte_carlo_empty_rate(4, 0)
     with pytest.raises(ValueError):
         monte_carlo_empty_rate(4, -5)
+
+
+
+def test_rejects_arguments_that_are_not_counts():
+    # A bool or a float is not a count, and a negative limit is bad input, not a cap exceeded.
+    for call, message in (
+        (lambda: exact_profile(True), "word length must be an int, got True"),
+        (lambda: monte_carlo_empty_rate(2, True, seed=True), "sample count must be an int, got True"),
+        (lambda: monte_carlo_empty_rate(2, 3, seed=True), "seed must be an int, got True"),
+        (lambda: monte_carlo_empty_rate(2.0, 3), "word length must be an int, got 2.0"),
+        (lambda: brute_force_profile(2, limit=-1), "limit must be nonnegative, got -1"),
+    ):
+        with pytest.raises(ValueError) as excinfo:
+            call()
+        assert str(excinfo.value) == message

@@ -199,6 +199,10 @@ def test_inversion_cap():
     assert vector_to_word(word_to_vector(()), cap=0) == ()
     with pytest.raises(ValueError, match=r"^cap must be nonnegative, got -1$"):
         vector_to_word(word_to_vector(()), cap=-1)
+    # A cap that is not an int is an input error too: a bool or a float.
+    for cap, shown in ((True, "True"), (2.0, r"2\.0")):
+        with pytest.raises(ValueError, match=rf"^cap must be an int, got {shown}$"):
+            vector_to_word(word_to_vector((1, 2, 3)), cap=cap)
     for word in ((1, 3, 2), (2, 1), (3,), (1, 2, 3), (2, 0, 3, 1, 1, 2)):
         v = word_to_vector(word)
         assert vector_to_word(v, cap=len(word)) == word
