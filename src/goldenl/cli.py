@@ -16,6 +16,7 @@ package and load the whole library.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -255,7 +256,7 @@ def _cmd_render(args: argparse.Namespace) -> tuple:
 
 
 def _cmd_stats(args: argparse.Namespace) -> tuple:
-    from .stats import DEFAULT_ENUMERATION_LIMIT, brute_force_profile, exact_profile, monte_carlo_empty_rate
+    from .stats import DEFAULT_ENUMERATION_LIMIT, _exact_profiles, brute_force_profile, monte_carlo_empty_rate
 
     if args.max_n < 0:
         raise ValueError(f"--max-n must be nonnegative, got {args.max_n}")
@@ -263,42 +264,31 @@ def _cmd_stats(args: argparse.Namespace) -> tuple:
                                 ("--seed", args.seed, "mc")):
         if value is not None and args.mode != mode:
             raise ValueError(f"{option} applies only to --mode {mode}, not --mode {args.mode}")
-    limit = _cap_or(args, DEFAULT_ENUMERATION_LIMIT) if args.mode == "brute" else None
-    lengths = [2 * n for n in range(args.max_n + 1)]
-    rows: list[dict] = []
+    lengths = range(0, 2 * args.max_n + 1, 2)
     if args.mode == "mc":
         samples = 100_000 if args.samples is None else args.samples
-        for m in lengths:
-            est = monte_carlo_empty_rate(m, samples=samples, seed=args.seed or 0)
-            rows.append(
-                {
-                    "m": m,
-                    "samples": est.samples,
-                    "estimate": est.estimate,
-                    "stderr": est.stderr,
-                    "seed": est.seed,
-                }
-            )
+        estimates = (monte_carlo_empty_rate(m, samples=samples, seed=args.seed or 0) for m in lengths)
+        rows = [
+            {"m": e.word_length, "samples": e.samples, "estimate": e.estimate, "stderr": e.stderr, "seed": e.seed}
+            for e in estimates
+        ]
         header = "m,samples,estimate,stderr,seed"
         to_csv = lambda r: f"{r['m']},{r['samples']},{r['estimate']:.8f},{r['stderr']:.8f},{r['seed']}"
         to_text = lambda r: f"m={r['m']:>3}  estimate={r['estimate']:.6f}  stderr={r['stderr']:.6f}"
     else:
-        for m in lengths:
-            profile = (
-                exact_profile(m)
-                if args.mode == "exact"
-                else brute_force_profile(m, limit=limit)
-            )
-            count = profile.counts.get(0, 0)
-            probability = profile.probability(0)
-            rows.append(
-                {
-                    "m": m,
-                    "count": str(count),
-                    "probability": f"{probability.numerator}/{probability.denominator}",
-                    "probability_decimal": float(probability),
-                }
-            )
+        if args.mode == "exact":
+            profiles = itertools.islice(_exact_profiles(), 0, None, 2)
+        else:
+            limit = _cap_or(args, DEFAULT_ENUMERATION_LIMIT)
+            over = next((m for m in lengths if m > limit), None)
+            if over is not None:  # raise its cap error before enumerating any row
+                brute_force_profile(over, limit=limit)
+            profiles = (brute_force_profile(m, limit=limit) for m in lengths)
+        rows = []
+        for m, profile in zip(lengths, profiles):
+            p = profile.probability(0)
+            rows.append({"m": m, "count": str(profile.counts.get(0, 0)),
+                         "probability": f"{p.numerator}/{p.denominator}", "probability_decimal": float(p)})
         header = "m,count,probability,probability_decimal"
         to_csv = lambda r: f"{r['m']},{r['count']},{r['probability']},{r['probability_decimal']!r}"
         to_text = (

@@ -293,10 +293,14 @@ def test_stats_brute_matches_exact(capsys):
 
 
 def test_stats_brute_cap(capsys):
-    code, _, err = run_cli(
+    # Checked before any enumeration; the message names the first length over the limit.
+    code, out, err = run_cli(
         capsys, "stats", "--max-n", "6", "--mode", "brute", "--cap", "10"
     )
-    assert code == 3 and "limit" in err
+    assert (code, out) == (3, "")
+    assert err == "error: enumeration of 4**12 words exceeds the limit 10\n"
+    code, out, err = run_cli(capsys, "stats", "--max-n", "6", "--mode", "brute", "--cap", "7")
+    assert (code, out, err) == (3, "", "error: enumeration of 4**8 words exceeds the limit 7\n")
 
 
 def test_stats_mc_deterministic(capsys):

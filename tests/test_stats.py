@@ -1,6 +1,9 @@
-"""Base-word length statistics: exact walk, brute force, Monte Carlo."""
+"""Base-word length statistics: exact walk, closed form, brute force, Monte Carlo."""
 
+import itertools
+import json
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -12,6 +15,8 @@ from goldenl import (
     exact_profile,
     monte_carlo_empty_rate,
 )
+from goldenl import cli
+from goldenl.stats import _exact_profiles
 
 
 def test_empty_reduction_counts():
@@ -30,13 +35,38 @@ def test_empty_reduction_probabilities():
     assert empty_reduction_probability(6) == Fraction(29, 512)
 
 
-def test_profile_totals_and_parity():
-    for m in range(0, 9):
-        profile = exact_profile(m)
+def test_profile_totals_and_parity(capsys):
+    # The one recurrence pass behind exact_profile and the CLI table.
+    for m, profile in enumerate(itertools.islice(_exact_profiles(), 41)):
+        assert profile.word_length == m
+        assert list(profile.counts.items()) == list(exact_profile(m).counts.items())
         assert profile.total == 4**m
         for length in profile.counts:
             assert (length - m) % 2 == 0
             assert 0 <= length <= m
+    assert cli.main(["stats", "--max-n", "40", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [(row["m"], int(row["count"])) for row in rows] == [
+        (m, count_empty_reductions(m)) for m in range(0, 81, 2)
+    ]
+
+
+def test_empty_counts_match_closed_form():
+    # McKay (1981): closed walks of length 2n on the d-regular tree, here d = 4, number
+    # sum_{j=1}^{n} j/(2n-j) * C(2n-j, n) * d^j * (d-1)^(n-j), and 1 for n = 0.
+    def closed_form(n):
+        total = int(n == 0)
+        for j in range(1, n + 1):
+            term, remainder = divmod(j * comb(2 * n - j, n) * 4**j * 3 ** (n - j), 2 * n - j)
+            assert remainder == 0, (n, j)
+            total += term
+        return total
+
+    rows = itertools.islice(_exact_profiles(), 0, 401, 2)
+    for n, profile in enumerate(rows):
+        assert profile.counts.get(0, 0) == closed_form(n), n
+    assert n == 200
+    assert count_empty_reductions(400) == closed_form(200)
 
 
 def test_exact_matches_brute_force():
