@@ -28,7 +28,7 @@ from .surface import (
     sector_of,
     weierstrass_point,
 )
-from .words import Word, _check_letters, format_word, vector_to_word
+from .words import Word, _letters, format_word, vector_to_word
 
 
 class Classification(Enum):
@@ -57,12 +57,6 @@ _PRODUCTS = {
 }
 
 
-def word_permutation(word: Word) -> Permutation5:
-    """tau_{k_1} * tau_{k_2} * ... * tau_{k_n}, identity for the empty word."""
-    _check_letters(word)
-    return _PRODUCTS[2 * (sum(word[0::2]) - sum(word[1::2])) % 5, len(word) % 2]
-
-
 class ClassificationReport(NamedTuple):
     """Verdicts for all five midpoints in one direction."""
 
@@ -85,14 +79,20 @@ class ClassificationReport(NamedTuple):
 
 
 def classify_all(word: Word) -> ClassificationReport:
-    perm = word_permutation(word)
+    word = _letters(word)
+    perm = _PRODUCTS[2 * (sum(word[0::2]) - sum(word[1::2])) % 5, len(word) % 2]
     verdicts = {label: HORIZONTAL_VERDICTS[perm(label)] for label in WEIERSTRASS_LABELS}
-    return ClassificationReport(word=tuple(word), tau=perm, verdicts=verdicts)
+    return ClassificationReport(word=word, tau=perm, verdicts=verdicts)
+
+
+def word_permutation(word: Word) -> Permutation5:
+    """tau_{k_1} * tau_{k_2} * ... * tau_{k_n}, identity for the empty word."""
+    return classify_all(word).tau
 
 
 def classify(word: Word, label: int) -> Classification:
     weierstrass_point(label)  # raises ValueError for a bad label
-    return HORIZONTAL_VERDICTS[word_permutation(word)(label)]
+    return classify_all(word).verdicts[label]
 
 
 def classify_vector(v: GoldenVector) -> ClassificationReport:

@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 
 from .classify import classify_all
-from .errors import CapExceededError, StructuralViolationError, VerticalDirectionError
+from .errors import CapExceededError, StructuralViolationError
 from .field import GoldenVector
 from .surface import (
     DEFAULT_SIZE, DEFAULT_STROKE, FRAMES, GOLDEN_L_FRAME, WEIERSTRASS_LABELS, surface_description, weierstrass_point,
@@ -329,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
         fmt = args.format if args.format is not None else _env_format()
         _write(fmt, *_COMMANDS[args.command](args))
         return 0
-    except (ValueError, VerticalDirectionError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapExceededError as exc:

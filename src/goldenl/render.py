@@ -223,10 +223,10 @@ def _frame(frame: str, size: int, stroke: float) -> tuple:
     frame coordinates, (margin, left, top, scale), the text before the
     trajectory's lines, the line format and the text after them. The frame's
     square fills the picture inside a 6% margin. Raises ValueError unless size
-    is an int >= 1 and stroke a positive finite number, or for an unknown frame;
+    is an int >= 1 and stroke a positive finite int or float, or for an unknown frame;
     the cache is typed, so a float size never reuses an int's entry."""
-    if type(size) is not int or size < 1 or not (math.isfinite(stroke) and stroke > 0):
-        raise ValueError(f"size must be at least 1 and stroke a positive finite number, got {size} and {stroke}")
+    if type(size) is not int or size < 1 or not (type(stroke) in (int, float) and math.isfinite(stroke) and stroke > 0):
+        raise ValueError(f"size must be at least 1 and stroke a positive finite number, got {size!r} and {stroke!r}")
     if frame not in FRAMES:
         raise ValueError(f"frame must be one of {FRAMES}, got {frame!r}")
     extent, left, top, outlines, marked = _FRAMES[frame]
@@ -275,13 +275,13 @@ def _svg(frame: str, ends: list[float], size: int, stroke: float) -> str:
 
 def golden_l_svg(trajectory: Trajectory, size: int = DEFAULT_SIZE, stroke: float = DEFAULT_STROKE) -> str:
     """Draw the golden L, its marked points, and an exact trajectory.
-    Raises ValueError unless size is an int >= 1 and stroke a positive finite number."""
+    Raises ValueError unless size is an int >= 1 and stroke a positive finite int or float."""
     return _svg(GOLDEN_L_FRAME, _float_ends(trajectory), size, stroke)
 
 
 def billiard_svg(trajectory: Trajectory, size: int = DEFAULT_SIZE, stroke: float = DEFAULT_STROKE) -> str:
     """Draw the pentagon table, its side midpoints, and a trajectory folded onto it.
-    Raises ValueError unless size is an int >= 1 and stroke a positive finite number."""
+    Raises ValueError unless size is an int >= 1 and stroke a positive finite int or float."""
     points = billiard_path(trajectory).points
     ends = list(chain.from_iterable(chain.from_iterable(zip(points, points[1:]))))  # x1, y1, x2, y2, ...
     return _svg(PENTAGON_FRAME, ends, size, stroke)

@@ -166,9 +166,10 @@ class Permutation5(_Frozen):
     images: tuple[int, int, int, int, int]
 
     def __init__(self, images: tuple[int, int, int, int, int]) -> None:
+        images = tuple(images)
         if any(type(j) is not int for j in images) or sorted(images) != [1, 2, 3, 4, 5]:
             raise ValueError(f"not a permutation of 1..5: {images}")
-        object.__setattr__(self, "images", tuple(images))
+        object.__setattr__(self, "images", images)
 
     @classmethod
     def identity(cls) -> Permutation5:

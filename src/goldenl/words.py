@@ -1,6 +1,8 @@
 """Tree words over the alphabet {0, 1, 2, 3} and their direction vectors.
 
 A word k_1 k_2 ... k_n names the direction sigma_{k_n} ... sigma_{k_1} (1, 0).
+It may come as a tuple, a list or any other iterable of the int letters 0-3;
+every function reads it once, as a tuple, and checks its letters there.
 Reduction deletes adjacent equal letters until none remain; the result is the
 base word, and classification only depends on it. Words and directions meet on
 integer pairs (a, b) meaning a + b*phi, with a GoldenVector only at the ends.
@@ -14,6 +16,7 @@ As phi*(a + b*phi) = b + (a + b)*phi, each letter costs a few additions:
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import groupby
 
 from .errors import CapExceededError, VerticalDirectionError, _check_int
@@ -39,29 +42,25 @@ def parse_word(text: str) -> Word:
 
 
 def format_word(word: Word) -> str:
-    _check_letters(word)
+    word = _letters(word)
     return "".join(map(str, word)) if word else EMPTY_WORD_TEXT
 
 
-def _check_letters(word: Word) -> None:
-    # C-speed set tests: the values, then their types, since 1.0, True and
-    # Fraction(1) equal a letter without being one. A miss, an unhashable
-    # letter or an iterator falls back to the loop.
-    try:
-        if isinstance(word, (tuple, list)) and _LETTERS.issuperset(word) and _INT.issuperset(map(type, word)):
-            return
-    except TypeError:
-        pass
-    for k in word:
-        if type(k) is not int or k not in _LETTERS:
-            raise ValueError(f"word letter out of range 0-3: {k}")
+def _letters(word: Iterable[int]) -> Word:
+    # Read the word once (tuple() returns a tuple as it is), then two C-speed
+    # set tests: the types first, since 1.0, True and Fraction(1) equal a
+    # letter without being one and an unhashable letter must not reach the set.
+    word = tuple(word)
+    if _INT.issuperset(map(type, word)) and _LETTERS.issuperset(word):
+        return word
+    bad = next(k for k in word if type(k) is not int or k not in _LETTERS)
+    raise ValueError(f"word letter out of range 0-3: {bad}")
 
 
 def word_to_vector(word: Word) -> GoldenVector:
     """Direction vector of a word: apply sigma_k to (1, 0) for each letter in order."""
-    _check_letters(word)
     xa, xb, ya, yb = 1, 0, 0, 0
-    for k in word:
+    for k in _letters(word):
         if k == 0:
             xa, xb = xa + yb, xb + ya + yb
         elif k == 1:
@@ -108,15 +107,13 @@ def vector_to_word(v: GoldenVector, cap: int = DEFAULT_INVERSION_CAP) -> Word:
 def derive_once(word: Word) -> Word:
     """One derivation pass: delete disjoint adjacent equal pairs, left to right,
     so that a run of r equal letters keeps r % 2 of them."""
-    _check_letters(word)
-    return tuple(k for k, run in groupby(word) if sum(1 for _ in run) % 2)
+    return tuple(k for k, run in groupby(_letters(word)) if sum(1 for _ in run) % 2)
 
 
 def reduce_word(word: Word) -> Word:
     """The base word: the fixed point of derivation, computed with one stack pass."""
-    _check_letters(word)
     stack: list[int] = []
-    for k in word:
+    for k in _letters(word):
         if stack and stack[-1] == k:
             stack.pop()
         else:
@@ -125,5 +122,5 @@ def reduce_word(word: Word) -> Word:
 
 
 def is_base_word(word: Word) -> bool:
-    _check_letters(word)
+    word = _letters(word)
     return all(word[i] != word[i + 1] for i in range(len(word) - 1))

@@ -2,6 +2,8 @@
 
 import math
 import random
+from decimal import Decimal
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -193,19 +195,30 @@ def test_render_trajectory_frames(monkeypatch):
         {"frame": "pentagon", "stroke": -1.0},
         {"stroke": math.nan},
         {"frame": "pentagon", "stroke": math.inf},
+        # A stroke must be an int or a float, as a size must be an int.
+        {"stroke": True},
+        {"frame": "pentagon", "stroke": "2"},
+        {"stroke": None},
+        {"stroke": Decimal(1)},
+        {"frame": "pentagon", "stroke": Fraction(1)},
     )
     for bad in bad_inputs:
         with pytest.raises(ValueError):
             render_trajectory((2, 1), 4, **bad)
     assert len(calls) == 2
+    with pytest.raises(ValueError, match=r"got 64 and '2'$"):
+        render_trajectory((2, 1), 4, size=64, stroke="2")
     # Either drawing of a traced orbit checks its size and stroke too.
     t = trace(4, (2, 1))
     for draw in (golden_l_svg, billiard_svg):
         for bad in (
-            {"size": 0}, {"size": 2.5}, {"size": True}, {"stroke": -0.0}, {"stroke": math.nan}, {"stroke": -math.inf}
+            {"size": 0}, {"size": 2.5}, {"size": True}, {"stroke": -0.0}, {"stroke": math.nan}, {"stroke": -math.inf},
+            {"stroke": True}, {"stroke": "2"}, {"stroke": None}, {"stroke": Decimal(1)}, {"stroke": Fraction(1)},
         ):
             with pytest.raises(ValueError):
                 draw(t, **bad)
+    # An int stroke draws as its float does.
+    assert golden_l_svg(t, stroke=2) == golden_l_svg(t, stroke=2.0)
 
 
 def _split_inscribed_edges():

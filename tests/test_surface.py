@@ -156,12 +156,15 @@ def test_permutation_validity_and_calls():
     for bad in ((1, 1, 2, 3, 4), (True, 2, 3, 4, 5), (1.0, 2, 3, 4, 5)):
         with pytest.raises(ValueError, match="not a permutation of 1..5"):
             Permutation5(bad)
+    with pytest.raises(ValueError, match=r"^not a permutation of 1\.\.5: \(1, 1, 2, 3, 4\)$"):
+        Permutation5([1, 1, 2, 3, 4])
     p = Permutation5.identity()
-    # Stored as a tuple, however the images come in, so it hashes.
-    listed = Permutation5([2, 1, 3, 4, 5])
-    assert listed.images == (2, 1, 3, 4, 5)
-    assert listed == Permutation5((2, 1, 3, 4, 5)) and hash(listed) == hash(Permutation5((2, 1, 3, 4, 5)))
-    assert {listed, p} == {p, Permutation5((2, 1, 3, 4, 5))}
+    # Stored as a tuple, however the images come in, so it hashes; they are read once.
+    for given in ([2, 1, 3, 4, 5], iter((2, 1, 3, 4, 5))):
+        listed = Permutation5(given)
+        assert listed.images == (2, 1, 3, 4, 5)
+        assert listed == Permutation5((2, 1, 3, 4, 5)) and hash(listed) == hash(Permutation5((2, 1, 3, 4, 5)))
+        assert {listed, p} == {p, Permutation5((2, 1, 3, 4, 5))}
     assert p.cycle_string() == "()"
     assert p(3) == 3
     for bad in (0, True, 1.0):

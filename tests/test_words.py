@@ -13,15 +13,22 @@ from goldenl import (
     GoldenVector,
     PHI,
     VerticalDirectionError,
+    classify,
+    classify_all,
     derive_once,
     format_word,
     is_base_word,
+    oracle_classify,
+    oracle_report,
     parse_word,
     reduce_word,
+    render_trajectory,
+    trace,
     vector_to_word,
     word_permutation,
     word_to_vector,
 )
+from goldenl.render import pentagon_svg
 
 
 def test_parse_and_format():
@@ -71,6 +78,31 @@ def test_letter_errors_name_the_first_bad_letter(bad):
                 with pytest.raises(ValueError) as caught:
                     check(given)
                 assert str(caught.value) == f"word letter out of range 0-3: {bad}", (check, word)
+
+
+def test_every_entry_point_reads_the_word_once():
+    # A tuple, a list and a one-shot iterator of the same letters give the same
+    # answer everywhere a word goes in: no function may use up an iterator in
+    # its letter check. The flow and drawing entry points get the short words.
+    rng = random.Random(20261020)
+    words = [()] + [tuple(rng.randrange(4) for _ in range(rng.randint(1, 127))) for _ in range(24)]
+    short = [()] + [tuple(rng.randrange(4) for _ in range(n)) for n in (1, 2, 3, 4)]
+    assert format_word(iter(())) == "e"
+    calls = [format_word, classify_all] + [lambda w, label=label: classify(w, label) for label in range(1, 6)]
+    flow_calls = [
+        oracle_classify,
+        oracle_report,
+        lambda w: trace(3, w),
+        lambda w: trace(4, (2, 1)).to_json_dict(w),
+        lambda w: render_trajectory(w, 2),
+        lambda w: pentagon_svg(w, 5),
+    ]
+    for entry_points, sample in ((calls, words), (flow_calls, short)):
+        for call in entry_points:
+            for word in sample:
+                expected = call(word)
+                for given in (list(word), iter(word)):
+                    assert call(given) == expected, (call, word)
 
 
 def test_vector_to_word_known():
@@ -150,7 +182,11 @@ def test_word_path_matches_reference():
         v = word_to_vector(word)
         assert v == reference.word_to_vector(word), word
         assert vector_to_word(v) == _stripped(word), word
-        assert word_permutation(word) == reference.word_permutation(word), word
+        tau = word_permutation(word)
+        assert tau == reference.word_permutation(word), word
+        # A list or a one-shot iterator of the same letters names the same direction.
+        for make in (list, iter):
+            assert (word_to_vector(make(word)), word_permutation(make(word))) == (v, tau), word
     for word in long_words:
         v = word_to_vector(word)
         for w in (v, v.scaled(Fraction(7, 3)), v.scaled(Fraction(1, 2))):
@@ -238,6 +274,8 @@ def test_reduce_is_derive_fixpoint():
                 break
             current = step
         assert current == reduce_word(word)
+        for make in (list, iter):
+            assert (reduce_word(make(word)), derive_once(make(word))) == (current, derive_once(word)), word
 
 
 def test_reduce_preserves_length_parity():
@@ -257,7 +295,8 @@ def test_reduce_idempotent_and_base():
 
 
 def test_is_base_word():
-    assert is_base_word(())
-    assert is_base_word((1, 2, 1))
-    assert not is_base_word((1, 1))
-    assert not is_base_word((2, 3, 3, 1))
+    for make in (tuple, list, iter):
+        assert is_base_word(make(()))
+        assert is_base_word(make((1, 2, 1)))
+        assert not is_base_word(make((1, 1)))
+        assert not is_base_word(make((2, 3, 3, 1)))
