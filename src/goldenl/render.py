@@ -217,18 +217,24 @@ _FRAMES = {
 }
 
 
-@lru_cache(maxsize=16, typed=True)
 def _frame(frame: str, size: int, stroke: float) -> tuple:
-    """What every size x size picture of one frame shares: the placement of
-    frame coordinates, (margin, left, top, scale), the text before the
-    trajectory's lines, the line format and the text after them. The frame's
-    square fills the picture inside a 6% margin. Raises ValueError unless size
-    is an int >= 1 and stroke a positive finite int or float, or for an unknown frame;
-    the cache is typed, so a float size never reuses an int's entry."""
+    """What every size x size picture of one frame shares (_frame_parts).
+    Raises ValueError unless size is an int >= 1 and stroke a positive finite
+    int or float, or for an unknown frame. The checks come before the cache,
+    which would raise TypeError on an unhashable argument."""
     if type(size) is not int or size < 1 or not (type(stroke) in (int, float) and math.isfinite(stroke) and stroke > 0):
         raise ValueError(f"size must be at least 1 and stroke a positive finite number, got {size!r} and {stroke!r}")
     if frame not in FRAMES:
         raise ValueError(f"frame must be one of {FRAMES}, got {frame!r}")
+    return _frame_parts(frame, size, stroke)
+
+
+@lru_cache(maxsize=16)
+def _frame_parts(frame: str, size: int, stroke: float) -> tuple:
+    """The placement of frame coordinates, (margin, left, top, scale), the text
+    before the trajectory's lines, the line format and the text after them,
+    for a size and stroke that _frame has checked. The frame's square fills
+    the picture inside a 6% margin."""
     extent, left, top, outlines, marked = _FRAMES[frame]
     margin = 0.06 * size
     scale = (size - 2.0 * margin) / extent

@@ -252,29 +252,36 @@ def sector_of(v: GoldenVector) -> Sector:
     Cone k is spanned by the columns of sigma_k; slopes on a shared boundary
     belong to the higher sector. Horizontal directions are terminal (they lie
     in no cone) and vertical ones are reported as Axis.VERTICAL for the caller
-    to handle by the y = x relabeling. The cone is decided on v cleared to
-    integer pairs, the same ray.
+    to handle by the y = x relabeling. Any other direction has x > 0 and
+    y > 0, and _pair_cone decides its cone on v cleared to integer pairs, the
+    same ray.
     """
-    return pair_sector(_direction_pairs(v))
-
-
-def pair_sector(v: tuple[int, int, int, int]) -> Sector:
-    """sector_of on integer pairs (xa, xb, ya, yb), without its input checks.
-
-    The caller guarantees a nonzero direction in the closed first quadrant.
-    Cones 3, 2, 1 start at slopes phi, 1, phi - 1, so with x > 0 the tests are
-    the signs of y - phi*x, y - x and y + x - phi*x.
-    """
-    xa, xb, ya, yb = v
+    xa, xb, ya, yb = _direction_pairs(v)
     if not (ya or yb):
         return Axis.HORIZONTAL
     if not (xa or xb):
         return Axis.VERTICAL
-    if golden_sign(ya - xb, yb - xa - xb) >= 0:
-        return 3
-    if golden_sign(ya - xa, yb - xb) >= 0:
-        return 2
-    return 1 if golden_sign(ya + xa - xb, yb - xa) >= 0 else 0
+    return _pair_cone(xa, xb, ya, yb)
+
+
+def _pair_cone(xa: int, xb: int, ya: int, yb: int) -> int:
+    """The cone 0-3 of the direction (xa + xb*phi, ya + yb*phi), given x > 0 and y > 0.
+
+    Cones 3, 2, 1 start at slopes phi, 1, phi - 1, so the tests are the signs
+    of y - phi*x, y - x and y + x - phi*x. With x > 0 each slope test implies
+    the ones below it, so the middle test goes first and a cone costs two.
+    Each is golden_sign's test, inline, on 2(a + b*phi) = p + b*sqrt(5): it
+    is >= 0 when p, b >= 0, or when the larger square has the plus sign.
+    """
+    b = yb - xb
+    p = 2 * (ya - xa) + b
+    if (b >= 0 or p * p > 5 * b * b) if p >= 0 else b > 0 and 5 * b * b > p * p:
+        b = yb - xa - xb
+        p = 2 * (ya - xb) + b
+        return 3 if ((b >= 0 or p * p > 5 * b * b) if p >= 0 else b > 0 and 5 * b * b > p * p) else 2
+    b = yb - xa
+    p = 2 * (ya + xa - xb) + b
+    return 1 if ((b >= 0 or p * p > 5 * b * b) if p >= 0 else b > 0 and 5 * b * b > p * p) else 0
 
 
 # The two frames a trajectory is drawn in, the golden L itself and the pentagon

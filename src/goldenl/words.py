@@ -6,7 +6,8 @@ every function reads it once, as a tuple, and checks its letters there.
 Reduction deletes adjacent equal letters until none remain; the result is the
 base word, and classification only depends on it. Words and directions meet on
 integer pairs (a, b) meaning a + b*phi, with a GoldenVector only at the ends.
-As phi*(a + b*phi) = b + (a + b)*phi, each letter costs a few additions:
+As phi*(a + b*phi) = b + (a + b)*phi, each letter costs a few additions;
+peeling a letter off a direction adds one exact cone test, two integer signs:
 
     sigma_0: x += phi*y                     sigma_0^-1: x -= phi*y
     sigma_1: x, y = phi*(x + y), x + phi*y  sigma_1^-1: x, y = phi*(x - y), phi*y - x
@@ -21,7 +22,7 @@ from itertools import groupby
 
 from .errors import CapExceededError, VerticalDirectionError, _check_int
 from .field import GoldenVector
-from .surface import Axis, _direction_pairs, pair_sector
+from .surface import _direction_pairs, _pair_cone
 
 Word = tuple[int, ...]
 
@@ -30,6 +31,9 @@ EMPTY_WORD_TEXT = "e"
 DEFAULT_INVERSION_CAP = 10_000
 _LETTERS = frozenset((0, 1, 2, 3))
 _INT = frozenset((int,))
+# Letters as bytes: ASCII digit <-> letter value, each way one C-speed translate.
+_FROM_DIGITS = bytes.maketrans(b"0123", bytes(range(4)))
+_TO_DIGITS = bytes.maketrans(bytes(range(4)), b"0123")
 
 
 def parse_word(text: str) -> Word:
@@ -38,12 +42,12 @@ def parse_word(text: str) -> Word:
         return EMPTY_WORD
     if not text or text.strip("0123"):
         raise ValueError(f"not a word over 0-3 (or 'e'): {text!r}")
-    return tuple(map(int, text))
+    return tuple(text.encode().translate(_FROM_DIGITS))
 
 
 def format_word(word: Word) -> str:
     word = _letters(word)
-    return "".join(map(str, word)) if word else EMPTY_WORD_TEXT
+    return bytes(word).translate(_TO_DIGITS).decode() if word else EMPTY_WORD_TEXT
 
 
 def _letters(word: Iterable[int]) -> Word:
@@ -75,24 +79,26 @@ def word_to_vector(word: Word) -> GoldenVector:
 def vector_to_word(v: GoldenVector, cap: int = DEFAULT_INVERSION_CAP) -> Word:
     """Recover the unique word without leading 0 that names the direction of v.
 
-    Greedy cone peeling: while the direction is not horizontal, find its sector
-    k and pull back by sigma_k inverse. Letters come out last-first, so the
-    collected sequence is reversed at the end. Vertical input has no word and
-    raises VerticalDirectionError. The cap is the largest number of letters
+    Greedy cone peeling: while the direction is not horizontal, find its cone
+    k with one exact integer test per letter (surface._pair_cone) and pull
+    back by sigma_k inverse. Letters come out last-first, so the collected
+    list is reversed at the end. Vertical input has no word and raises
+    VerticalDirectionError. The cap is the largest number of letters
     allowed; a direction that needs more raises CapExceededError, and a
     cap that is not a nonnegative int raises ValueError.
     """
     _check_int("cap", cap, 0)
     xa, xb, ya, yb = _direction_pairs(v)
-    reversed_letters: list[int] = []
-    while (k := pair_sector((xa, xb, ya, yb))) is not Axis.HORIZONTAL:
-        if k is Axis.VERTICAL:
+    letters: list[int] = []
+    while ya or yb:
+        if not (xa or xb):
             raise VerticalDirectionError(
                 "vertical direction has no word; classify it via the y = x relabeling"
             )
-        if len(reversed_letters) >= cap:
+        if len(letters) >= cap:
             raise CapExceededError(f"direction needs a word longer than {cap} letters")
-        reversed_letters.append(k)
+        k = _pair_cone(xa, xb, ya, yb)
+        letters.append(k)
         if k == 0:
             xa, xb = xa - yb, xb - ya - yb
         elif k == 1:
@@ -101,7 +107,8 @@ def vector_to_word(v: GoldenVector, cap: int = DEFAULT_INVERSION_CAP) -> Word:
             xa, xb, ya, yb = xb - ya, xa + xb - yb, yb - xb, ya + yb - xa - xb
         else:
             ya, yb = ya - xb, yb - xa - xb
-    return tuple(reversed(reversed_letters))
+    letters.reverse()
+    return tuple(letters)
 
 
 def derive_once(word: Word) -> Word:

@@ -201,6 +201,11 @@ def test_render_trajectory_frames(monkeypatch):
         {"stroke": None},
         {"stroke": Decimal(1)},
         {"frame": "pentagon", "stroke": Fraction(1)},
+        # Unhashable values are checked before the frame cache sees them.
+        {"stroke": [1]},
+        {"frame": "pentagon", "size": [3]},
+        {"size": {}, "stroke": {2: 1}},
+        {"frame": ["pentagon"]},
     )
     for bad in bad_inputs:
         with pytest.raises(ValueError):
@@ -214,6 +219,7 @@ def test_render_trajectory_frames(monkeypatch):
         for bad in (
             {"size": 0}, {"size": 2.5}, {"size": True}, {"stroke": -0.0}, {"stroke": math.nan}, {"stroke": -math.inf},
             {"stroke": True}, {"stroke": "2"}, {"stroke": None}, {"stroke": Decimal(1)}, {"stroke": Fraction(1)},
+            {"stroke": [1]}, {"size": [3]}, {"stroke": {}}, {"size": {3: 1}},
         ):
             with pytest.raises(ValueError):
                 draw(t, **bad)

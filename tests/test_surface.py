@@ -1,6 +1,8 @@
 """Geometry tables of the golden L: gluings, marked points, shears, sectors."""
 
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -28,8 +30,9 @@ from goldenl import (
     trace,
     weierstrass_point,
 )
-from goldenl.surface import CONE_POINTS, MIDPOINT_CYCLE, WEIERSTRASS_LABELS
-from words_reference import SIGMA_INVERSE
+from goldenl.field import golden_mul, golden_sign
+from goldenl.surface import CONE_POINTS, MIDPOINT_CYCLE, WEIERSTRASS_LABELS, _pair_cone
+from words_reference import _SECTOR_BOUNDS, SIGMA_INVERSE, sector_of_pairs
 
 
 def test_vertex_count_and_cone_class():
@@ -200,6 +203,55 @@ def test_sector_of_rejects_bad_input():
         sector_of(GoldenVector(-PHI, ONE))
     with pytest.raises(ValueError):
         sector_of(GoldenVector(ONE, GoldenNumber(-1)))
+
+
+def test_pair_cone_matches_golden_sign_statement():
+    # The inline sign rule against golden_sign on the same three tests (the
+    # reference's sector bounds). Test k is y - bound_k * x >= 0: test 2 runs
+    # first, then test 3 on cones 2-3 or test 1 on cones 0-1. Each test gets,
+    # where it runs, every sign mix of 2(a + b*phi) = p + b*sqrt(5), values a
+    # unit phi**-n off its boundary (p**2 close to 5*b**2), and exact ties:
+    # slope bound_k times multipliers with mixed-sign coefficients.
+    rng = random.Random(20261019)
+    directions = []
+
+    def positive():
+        while True:
+            x = (rng.randint(-60, 60), rng.randint(-60, 60))
+            if golden_sign(*x) > 0:
+                return x
+
+    def add(x, t, k):
+        # The direction (x, bound_k * x + t), if y > 0 and test k runs on it.
+        ba, bb = golden_mul(*_SECTOR_BOUNDS[k], *x)
+        v = (*x, ba + t[0], bb + t[1])
+        if golden_sign(v[2], v[3]) > 0 and (k == 2 or (sector_of_pairs(v) >= 2) == (k == 3)):
+            directions.append(v)
+            return True
+        return False
+
+    near = [(1, 0)]  # phi**-n = (-1)**n (F(n+1) - F(n)*phi)
+    for _ in range(40):
+        a, b = near[-1]
+        near.append((b - a, a))
+    for k in (3, 2, 1):
+        for sp, sb in product((-1, 0, 1), repeat=2):
+            hits = 0
+            while hits < 40:
+                p, b = sp * rng.randint(1, 80), sb * rng.randint(1, 80)
+                if (p - b) % 2 == 0:
+                    hits += add(positive(), ((p - b) // 2, b), k)
+        for a, b in near:
+            for t in ((a, b), (-a, -b)):
+                add(positive(), t, k)
+        for m in ((1, 0), (0, 1), (-1, 1), (2, -1), (-3, 2), (5, -3), (-8, 5), (89, -55), positive()):
+            assert add(m, (0, 0), k), (k, m)
+    for _ in range(4000):
+        v = tuple(rng.randint(-99, 99) for _ in range(4))
+        if golden_sign(v[0], v[1]) > 0 and golden_sign(v[2], v[3]) > 0:
+            directions.append(v)
+    for v in directions:
+        assert _pair_cone(*v) == sector_of_pairs(v), v
 
 
 def test_pentagon_transfer_values():

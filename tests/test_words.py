@@ -1,6 +1,7 @@
 """Word algebra: parsing, direction vectors, inversion, and reduction."""
 
 import random
+from enum import IntEnum
 from fractions import Fraction
 from itertools import product
 
@@ -37,11 +38,19 @@ def test_parse_and_format():
     assert parse_word("132") == (1, 3, 2)
     assert format_word(()) == "e"
     assert format_word((2, 1)) == "21"
-    for text in ("", "4", "12x", "E"):
+    # Digits other than ASCII 0-3 are not letters, though str.isdigit and int() take them.
+    for text in ("", "4", "12x", "E", "\uff101", "\u0661", "1\u0662", "\U0001d7ce"):
         with pytest.raises(ValueError):
             parse_word(text)
-    with pytest.raises(ValueError):
-        format_word((5,))
+    rng = random.Random(20261023)
+    for length in list(range(12)) + [rng.randint(12, 1000) for _ in range(40)] + [1000]:
+        word = tuple(rng.randrange(4) for _ in range(length))
+        assert parse_word(format_word(word)) == word
+        assert format_word(word) == ("".join(map(str, word)) or "e")
+    # A letter is an int: a bool or an IntEnum member equals one without being one.
+    for bad in (5, True, IntEnum("Letter", "ONE TWO")(2)):
+        with pytest.raises(ValueError, match="word letter out of range 0-3"):
+            format_word((1, bad))
 
 
 def test_word_to_vector_worked_examples():

@@ -49,7 +49,7 @@ def _cleared(v: GoldenVector) -> tuple[int, int, int, int]:
     return int(v.x.a * den), int(v.x.b * den), int(v.y.a * den), int(v.y.b * den)
 
 
-def pair_sector(v: tuple[int, int, int, int]):
+def sector_of_pairs(v: tuple[int, int, int, int]):
     """The sector of a nonzero closed-first-quadrant direction on integer pairs:
     the highest cone whose lower slope bound the direction reaches."""
     xa, xb, ya, yb = v
@@ -80,7 +80,7 @@ def vector_to_word(v: GoldenVector, cap: int = 10_000) -> tuple[int, ...]:
         raise ValueError("zero vector has no direction")
     if golden_sign(xa, xb) < 0 or golden_sign(ya, yb) < 0:
         raise ValueError(f"direction must lie in the closed first quadrant: {v}")
-    k = pair_sector(point)
+    k = sector_of_pairs(point)
     reversed_letters: list[int] = []
     while k is not Axis.HORIZONTAL:
         if k is Axis.VERTICAL:
@@ -91,7 +91,7 @@ def vector_to_word(v: GoldenVector, cap: int = 10_000) -> tuple[int, ...]:
             raise CapExceededError(f"direction needs a word longer than {cap} letters")
         reversed_letters.append(k)
         point = _apply(SIGMA_INVERSE[k], point)
-        k = pair_sector(point)
+        k = sector_of_pairs(point)
     return tuple(reversed(reversed_letters))
 
 
