@@ -17,7 +17,6 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import VerticalDirectionError
 from .field import GoldenVector
 from .surface import (
     Axis,
@@ -103,13 +102,7 @@ def classify_vector(v: GoldenVector) -> ClassificationReport:
     y = x, which relabels the midpoints by (1 5)(2 4) and turns the question
     back into the horizontal one.
     """
-    try:
-        word = vector_to_word(v)
-    except VerticalDirectionError:
-        assert sector_of(v) is Axis.VERTICAL
-        verdicts = {
-            label: HORIZONTAL_VERDICTS[VERTICAL_RELABELING(label)]
-            for label in WEIERSTRASS_LABELS
-        }
+    if sector_of(v) is Axis.VERTICAL:
+        verdicts = {label: HORIZONTAL_VERDICTS[VERTICAL_RELABELING(label)] for label in WEIERSTRASS_LABELS}
         return ClassificationReport(word=None, tau=None, verdicts=verdicts)
-    return classify_all(word)
+    return classify_all(vector_to_word(v))

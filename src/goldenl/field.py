@@ -221,9 +221,13 @@ class GoldenVector(_Frozen):
         return cls(GoldenNumber(xa, xb), GoldenNumber(ya, yb))
 
     def __add__(self, other: GoldenVector) -> GoldenVector:
+        if not isinstance(other, GoldenVector):
+            return NotImplemented
         return GoldenVector(self.x + other.x, self.y + other.y)
 
     def __sub__(self, other: GoldenVector) -> GoldenVector:
+        if not isinstance(other, GoldenVector):
+            return NotImplemented
         return GoldenVector(self.x - other.x, self.y - other.y)
 
     def __neg__(self) -> GoldenVector:

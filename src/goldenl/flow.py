@@ -48,7 +48,7 @@ from operator import add, mul, sub
 
 from .classify import Classification
 from .errors import CapExceededError, StructuralViolationError, _check_int
-from .field import GoldenNumber, GoldenVector, PHI, PHI_SQUARED, cleared, golden_mul, golden_sign
+from .field import GoldenNumber, GoldenVector, cleared, golden_mul, golden_sign
 from .surface import CONE_POINTS, GOLDEN_L, WEIERSTRASS_LABELS, _direction_pairs, weierstrass_point
 from .words import Word, format_word, word_to_vector
 
@@ -56,12 +56,11 @@ DEFAULT_STEP_CAP = 1_000_000
 
 
 def point_in_surface(p: GoldenVector) -> bool:
-    """Membership in the closed L-shaped polygon."""
-    x_ok = p.x.sign() >= 0
-    y_ok = p.y.sign() >= 0
-    in_wide = x_ok and y_ok and p.x <= PHI_SQUARED and p.y <= PHI
-    in_tall = x_ok and y_ok and p.x <= PHI and p.y <= PHI_SQUARED
-    return in_wide or in_tall
+    """Membership in the closed L-shaped polygon, the union of the boxes from
+    the origin to its corners (phi^2, phi) and (phi, phi^2)."""
+    if p.x.sign() < 0 or p.y.sign() < 0:
+        return False
+    return any(p.x <= c.x and p.y <= c.y for c in (GOLDEN_L.vertices[3], GOLDEN_L.vertices[5]))
 
 
 def canonicalize(p: GoldenVector) -> GoldenVector:
@@ -138,9 +137,9 @@ _TWINS2 = {
 _CONES2 = frozenset(_int_point(p, 2) for p in CONE_POINTS)
 _JUMPS2 = frozenset(jump for _, back in _EXITS for jump in (back, tuple(-c for c in back)))
 _BACK_COLUMNS = tuple(zip(*(back for _, back in _EXITS)))
-# Midpoints 1 and 5 lie on glued edges, so they are the lower end of their
-# chord in every direction but the one along their edge, an edge run.
-_ON_GLUED_EDGE = (1, 5)
+# Midpoints with a glued twin, 1 and 5, lie on glued edges, so they are the lower
+# end of their chord in every direction but the one along their edge, an edge run.
+_ON_GLUED_EDGE = tuple(label for label, twins in _TWINS2.items() if len(twins) > 1)
 
 
 @lru_cache(maxsize=64)

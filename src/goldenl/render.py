@@ -38,9 +38,13 @@ PENTAGON_VERTICES = tuple(
     for k in range(5)
 )
 
-# Side midpoints carry the same labels as the Weierstrass points: upper left 1,
-# upper right 2, lower left 3, lower right 4, bottom 5.
-_MIDPOINT_ANGLES = {1: 126.0, 2: 54.0, 3: 198.0, 4: 342.0, 5: 270.0}
+# The fold names each inscribed side by the Weierstrass point at its midpoint, and so
+# the table side P carries it onto: side j of MIDPOINT_CYCLE onto table side j + 2.
+# Table side i joins the vertices at 90 + 72i and 162 + 72i degrees, so its midpoint
+# sits at 126 + 72i: upper left 1, upper right 2, lower left 3, lower right 4, bottom
+# 5. Sides 1 and 5 are gluing sources a and d, 3, 4 and 2 the cuts C3, C1 and C2.
+_EDGE = {label: (MIDPOINT_CYCLE.index(label) + 2) % 5 for label in sorted(MIDPOINT_CYCLE)}
+_MIDPOINT_ANGLES = {label: (126.0 + 72.0 * edge) % 360.0 for label, edge in _EDGE.items()}
 PENTAGON_MIDPOINTS = {
     label: (
         _APOTHEM * math.cos(math.radians(angle)),
@@ -76,16 +80,7 @@ def transported_side_events(trajectory: Trajectory) -> int:
     return 2 * (len(walk) - walk.count(_END))
 
 
-def _edge_of_midpoint(label: int) -> int:
-    # Edge i joins the vertices at 90 + 72i and 162 + 72i degrees, so its
-    # midpoint sits at 126 + 72i.
-    return round((_MIDPOINT_ANGLES[label] - 126.0) / 72.0) % 5
-
-
-# The fold. Each side of the inscribed pentagon is named by the Weierstrass point
-# at its midpoint, as is the table side P maps it to: 1 and 5 are gluing sources
-# a and d, and 3, 4 and 2 are the cuts C3, C1 and C2 of transported_side_events.
-_EDGE = {label: _edge_of_midpoint(label) for label in _MIDPOINT_ANGLES}
+# The fold: the ends of each inscribed side by label, and the table's five turns.
 _RING = [p.to_floats() for p in GOLDEN_L.inscribed_pentagon]
 _SIDE_ENDS = {side: (_RING[i], _RING[i - 4]) for i, side in enumerate(MIDPOINT_CYCLE)}
 _ROTATIONS = tuple(complex(math.cos(0.4 * math.pi * k), math.sin(0.4 * math.pi * k)) for k in range(5))

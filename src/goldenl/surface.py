@@ -4,7 +4,9 @@ The golden L is the union of the square [0, phi]^2 with a 1 x phi rectangle on
 the right and a phi x 1 rectangle on top. Opposite boundary edges are glued by
 translation, the eight boundary vertices become a single cone point of angle
 6*pi, and the five Weierstrass points of the resulting genus-2 surface sit at
-the side midpoints of an inscribed pentagon.
+the side midpoints of an inscribed pentagon. The L is stated once, by its eight
+corners, its four gluings (source corners and translation) and the midpoint
+cycle; the gluing targets, the pentagon and its midpoints are derived from them.
 """
 
 from __future__ import annotations
@@ -72,48 +74,28 @@ _VERTICES = (
     _gv(0, 0, 0, 1),  # (0, phi)
 )
 
+# Side midpoints of the inscribed pentagon: side j joins corners j and j + 1. tau_k mirrors at side k.
+MIDPOINT_CYCLE = (5, 4, 2, 1, 3)
+
+
+def _gluing(name: str, ends: tuple[int, int], translation: GoldenVector) -> EdgeIdentification:
+    """The gluing of the source edge between two _VERTICES onto its translate."""
+    source = tuple(_VERTICES[k] for k in ends)
+    return EdgeIdentification(name, source, tuple(p + translation for p in source), translation)
+
+
 _IDENTIFICATIONS = (
-    EdgeIdentification(
-        "a",
-        source=(_gv(0, 0, 0, 1), _gv(0, 0, 1, 1)),
-        target=(_gv(0, 1, 0, 1), _gv(0, 1, 1, 1)),
-        translation=_gv(0, 1, 0, 0),
-    ),
-    EdgeIdentification(
-        "b",
-        source=(_gv(0, 0, 0, 0), _gv(0, 0, 0, 1)),
-        target=(_gv(1, 1, 0, 0), _gv(1, 1, 0, 1)),
-        translation=_gv(1, 1, 0, 0),
-    ),
-    EdgeIdentification(
-        "c",
-        source=(_gv(0, 0, 0, 0), _gv(0, 1, 0, 0)),
-        target=(_gv(0, 0, 1, 1), _gv(0, 1, 1, 1)),
-        translation=_gv(0, 0, 1, 1),
-    ),
-    EdgeIdentification(
-        "d",
-        source=(_gv(0, 1, 0, 0), _gv(1, 1, 0, 0)),
-        target=(_gv(0, 1, 0, 1), _gv(1, 1, 0, 1)),
-        translation=_gv(0, 0, 0, 1),
-    ),
+    _gluing("a", (7, 6), _gv(0, 1, 0, 0)),
+    _gluing("b", (0, 7), _gv(1, 1, 0, 0)),
+    _gluing("c", (0, 1), _gv(0, 0, 1, 1)),
+    _gluing("d", (1, 2), _gv(0, 0, 0, 1)),
 )
-
-_WEIERSTRASS = {
-    1: _gv(0, 0, HALF, 1),          # (0, phi + 1/2)
-    2: _gv(0, HALF, HALF, 1),       # (phi/2, phi + 1/2)
-    3: _gv(0, HALF, 0, HALF),       # (phi/2, phi/2)
-    4: _gv(HALF, 1, 0, HALF),       # (phi + 1/2, phi/2)
-    5: _gv(HALF, 1, 0, 0),          # (phi + 1/2, 0)
-}
-
-_INSCRIBED_PENTAGON = (
-    _gv(0, 1, 0, 0),
-    _gv(1, 1, 0, 0),
-    _gv(0, 1, 0, 1),
-    _gv(0, 0, 1, 1),
-    _gv(0, 0, 0, 1),
-)
+_INSCRIBED_PENTAGON = tuple(_VERTICES[k] for k in (1, 2, 4, 6, 7))
+# In label order 1-5, the order the surface JSON and the marked points print in.
+_WEIERSTRASS = dict(sorted(
+    (label, (_INSCRIBED_PENTAGON[j] + _INSCRIBED_PENTAGON[j - 4]).scaled(HALF))
+    for j, label in enumerate(MIDPOINT_CYCLE)
+))
 
 GOLDEN_L = GoldenL(
     vertices=_VERTICES,
@@ -125,13 +107,11 @@ GOLDEN_L = GoldenL(
 
 CONE_POINTS = frozenset(_VERTICES)
 WEIERSTRASS_LABELS = (1, 2, 3, 4, 5)
-# Side midpoints of the inscribed pentagon: side j joins corners j and j + 1. tau_k mirrors at side k.
-MIDPOINT_CYCLE = (5, 4, 2, 1, 3)
 
 
 def weierstrass_point(label: int) -> GoldenVector:
     if type(label) is not int or label not in _WEIERSTRASS:
-        raise ValueError(f"midpoint label must be 1..5, got {label}")
+        raise ValueError(f"midpoint label must be 1..5, got {label!r}")
     return _WEIERSTRASS[label]
 
 
@@ -149,10 +129,14 @@ SIGMA: tuple[Rows, ...] = (
 )
 
 
-def sigma(k: int) -> Rows:
+def _generator(table: tuple, k: int):
     if type(k) is not int or not 0 <= k <= 3:
-        raise ValueError(f"generator index must be 0..3, got {k}")
-    return SIGMA[k]
+        raise ValueError(f"generator index must be 0..3, got {k!r}")
+    return table[k]
+
+
+def sigma(k: int) -> Rows:
+    return _generator(SIGMA, k)
 
 
 class Permutation5(_Frozen):
@@ -177,7 +161,7 @@ class Permutation5(_Frozen):
 
     def __call__(self, label: int) -> int:
         if type(label) is not int or not 1 <= label <= 5:
-            raise ValueError(f"label must be 1..5, got {label}")
+            raise ValueError(f"label must be 1..5, got {label!r}")
         return self.images[label - 1]
 
     def __mul__(self, other: Permutation5) -> Permutation5:
@@ -193,18 +177,14 @@ class Permutation5(_Frozen):
         seen: set[int] = set()
         parts: list[str] = []
         for j in range(1, 6):
-            if j in seen:
-                continue
-            cycle = [j]
-            seen.add(j)
-            image = self(j)
-            while image != j:
-                cycle.append(image)
-                seen.add(image)
-                image = self(image)
+            cycle = []
+            while j not in seen:
+                seen.add(j)
+                cycle.append(j)
+                j = self.images[j - 1]
             if len(cycle) > 1:
-                parts.append("(" + " ".join(str(c) for c in cycle) + ")")
-        return "".join(parts) if parts else "()"
+                parts.append("(" + " ".join(map(str, cycle)) + ")")
+        return "".join(parts) or "()"
 
 
 # How each shear permutes the Weierstrass points:
@@ -218,9 +198,7 @@ TAU = (
 
 
 def tau(k: int) -> Permutation5:
-    if type(k) is not int or not 0 <= k <= 3:
-        raise ValueError(f"generator index must be 0..3, got {k}")
-    return TAU[k]
+    return _generator(TAU, k)
 
 
 # Reflecting the golden L across y = x swaps the vertical and horizontal

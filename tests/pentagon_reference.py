@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from goldenl.field import GoldenVector
-from goldenl.render import PENTAGON_MIDPOINTS, PENTAGON_VERTICES, _edge_of_midpoint
+from goldenl.render import PENTAGON_MIDPOINTS, PENTAGON_VERTICES, _EDGE
 from goldenl.surface import pentagon_transfer
 from goldenl.words import Word, word_to_vector
 
@@ -84,7 +84,7 @@ def billiard_path(
     d = d0
     points = [start]
     total = 0.0
-    skip_edge = label_edge = _edge_of_midpoint(label)
+    skip_edge = label_edge = _EDGE[label]
     for _ in range(max_bounces):
         hit = _next_edge_hit(p, d, skip_edge)
         if hit is None:

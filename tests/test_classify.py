@@ -1,6 +1,7 @@
 """Combinatorial classification via permutation words."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -125,13 +126,17 @@ def test_classify_vector_horizontal():
 
 
 def test_classify_vector_vertical():
-    report = classify_vector(GoldenVector(GoldenNumber(0), GoldenNumber(1)))
-    assert report.word is None
-    assert report.tau is None
-    assert report.verdicts == {
-        1: Classification.SADDLE_CONNECTION,
-        2: Classification.LONG,
-        3: Classification.LONG,
-        4: Classification.SHORT,
-        5: Classification.SHORT,
-    }
+    # Any positive multiple of (0, 1) is the vertical direction.
+    for y in (GoldenNumber(1), GoldenNumber(Fraction(7, 3))):
+        report = classify_vector(GoldenVector(GoldenNumber(0), y))
+        assert report.word is None
+        assert report.tau is None
+        assert report.verdicts == {
+            1: Classification.SADDLE_CONNECTION,
+            2: Classification.LONG,
+            3: Classification.LONG,
+            4: Classification.SHORT,
+            5: Classification.SHORT,
+        }
+    with pytest.raises(ValueError, match="^zero vector has no direction$"):
+        classify_vector(GoldenVector(GoldenNumber(0), GoldenNumber(0)))

@@ -142,6 +142,11 @@ def test_vector_operations():
     assert (v - v).is_zero
     assert v.scaled(2) == GoldenVector(GoldenNumber(0, 2), GoldenNumber(2, 0))
     assert -v == GoldenVector(-PHI, -ONE)
+    # A vector adds and subtracts only vectors; anything else is a TypeError, not an AttributeError.
+    for foreign in (1, Fraction(1, 2), (1, 2), PHI):
+        for operation in (lambda: v + foreign, lambda: v - foreign, lambda: foreign + v, lambda: foreign - v):
+            with pytest.raises(TypeError):
+                operation()
 
 
 def test_value_types_are_immutable_values():

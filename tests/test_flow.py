@@ -53,6 +53,27 @@ def test_canonicalize():
     assert not point_in_surface(gv(5, 5, 0, 0))
 
 
+def test_membership_on_a_grid_around_every_corner_and_the_notch():
+    # The closed L as stated independently: x, y >= 0, and (x <= phi^2 and y <= phi)
+    # or (x <= phi and y <= phi^2). The grid straddles 0, phi and phi^2 by 1/1000 on
+    # both axes, so it holds points just inside and outside the notch (phi, phi^2]^2.
+    eps = Fraction(1, 1000)
+    values = [GoldenNumber(0) + d for d in (-eps, 0, eps)]
+    values += [c + d for c in (PHI, PHI * PHI) for d in (-eps, 0, eps)]
+    inside = 0
+    for x, y in product(values, repeat=2):
+        expected = x >= 0 and y >= 0 and (x <= PHI * PHI and y <= PHI or x <= PHI and y <= PHI * PHI)
+        p = GoldenVector(x, y)
+        assert point_in_surface(p) == expected, p
+        if expected:
+            canonicalize(p)
+        else:
+            with pytest.raises(ValueError, match="outside the golden L"):
+                canonicalize(p)
+        inside += expected
+    assert inside == 40  # 7 x 4 + 4 x 7 - 4 x 4
+
+
 def test_advance_hits_cone():
     # The first step from midpoint 5 runs along the bottom edge into a corner.
     t = trace_direction(5, HORIZONTAL)

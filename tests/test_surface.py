@@ -1,6 +1,7 @@
 """Geometry tables of the golden L: gluings, marked points, shears, sectors."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -83,17 +84,18 @@ def test_weierstrass_lookup():
         weierstrass_point(6)
 
 
-@pytest.mark.parametrize("label", [0, 6, 1.0, True, Fraction(1)], ids=repr)
+@pytest.mark.parametrize("label", [0, 6, 1.0, True, Fraction(1), "1"], ids=repr)
 def test_midpoint_label_is_checked_once_and_must_be_an_int(label):
     # 1.0, True and Fraction(1) equal label 1 without being one; every entry
     # point rejects them, as it rejects 0 and 6, through weierstrass_point.
+    # The message shows the value as passed, so "1" does not read as label 1.
     for call in (
         lambda: weierstrass_point(label),
         lambda: classify((2, 1), label),
         lambda: trace(label, (2, 1)),
         lambda: render_trajectory((2, 1), label),
     ):
-        with pytest.raises(ValueError, match=r"^midpoint label must be 1\.\.5, got "):
+        with pytest.raises(ValueError, match=rf"^midpoint label must be 1\.\.5, got {re.escape(repr(label))}$"):
             call()
 
 
@@ -113,8 +115,8 @@ def test_sigma_tables():
         assert a * d - b * c == ONE
         assert (a * ia + b * ic, a * ib + b * id_, c * ia + d * ic, c * ib + d * id_) == (ONE, ZERO, ZERO, ONE)
     # Indices are ints: True and 1.0 equal 1 without being one.
-    for bad in (4, -1, True, 1.0):
-        with pytest.raises(ValueError, match="generator index must be 0..3"):
+    for bad in (4, -1, True, 1.0, "1"):
+        with pytest.raises(ValueError, match=rf"^generator index must be 0\.\.3, got {re.escape(repr(bad))}$"):
             sigma(bad)
 
 
@@ -135,8 +137,8 @@ def test_tau_cycle_structure():
     for k in range(4):
         assert TAU[k] * TAU[k] == Permutation5.identity()
         assert TAU[k].inverse() == TAU[k]
-    for bad in (-1, 4, True, 2.0):
-        with pytest.raises(ValueError, match="generator index must be 0..3"):
+    for bad in (-1, 4, True, 2.0, "1"):
+        with pytest.raises(ValueError, match=rf"^generator index must be 0\.\.3, got {re.escape(repr(bad))}$"):
             tau(bad)
 
 
@@ -170,8 +172,8 @@ def test_permutation_validity_and_calls():
         assert {listed, p} == {p, Permutation5((2, 1, 3, 4, 5))}
     assert p.cycle_string() == "()"
     assert p(3) == 3
-    for bad in (0, True, 1.0):
-        with pytest.raises(ValueError, match="label must be 1..5"):
+    for bad in (0, True, 1.0, "1"):
+        with pytest.raises(ValueError, match=rf"^label must be 1\.\.5, got {re.escape(repr(bad))}$"):
             p(bad)
 
 
