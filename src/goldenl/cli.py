@@ -10,14 +10,14 @@ object, the text form, and the CSV form or None; main writes it once.
 Every subcommand needs words, classify and surface, loaded here. The flow,
 render and stats layers are imported inside the subcommands that run them,
 each by `from .x import ...`: a `from . import x` would read x off the lazy
-package and load the whole library.
+package and load the whole library. `json` is imported where it is used, by
+a `--format json` run alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
 import sys
 from fractions import Fraction
@@ -131,6 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _write(fmt: str, payload, text: str, csv: str | None) -> None:
     """Print a subcommand's result once, in `fmt`; one without a CSV form prints its text."""
     if fmt == "json":
+        import json
+
         text = json.dumps(payload(), indent=2)
     elif fmt == "csv" and csv is not None:
         text = csv

@@ -38,7 +38,6 @@ its chord, with the same holonomy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -48,7 +47,7 @@ from operator import add, mul, sub
 
 from .classify import Classification
 from .errors import CapExceededError, StructuralViolationError, _check_int
-from .field import GoldenNumber, GoldenVector, cleared, golden_mul, golden_sign
+from .field import GoldenNumber, GoldenVector, _Frozen, cleared, golden_mul, golden_sign
 from .surface import CONE_POINTS, GOLDEN_L, WEIERSTRASS_LABELS, _direction_pairs, weierstrass_point
 from .words import Word, format_word, word_to_vector
 
@@ -191,9 +190,8 @@ class Outcome(Enum):
     HIT_CONE_POINT = "cone_point"
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """A maximal flow orbit from a Weierstrass point in one direction.
+class Trajectory(_Frozen):
+    """A maximal flow orbit from a Weierstrass point in one direction; a field._Frozen value.
 
     It stores what the trace decides. `walk` has one byte per segment: the
     index in _EXITS of the wall its end crosses, or _END for a last segment
@@ -206,14 +204,27 @@ class Trajectory:
     every integer divided by `scale`, is replayed from the walk on first read
     and cached; every library path that draws or checks a trajectory reads it.
     `segments`, the same as GoldenVector pairs, is built from it on first read.
+    Cached reads live in `vars(t)`, and a copy or pickle keeps them.
     """
 
-    start_label: int
-    direction: GoldenVector
-    walk: bytes
-    _holonomy2: Point
-    _cone: int | None
-    _table: tuple = field(compare=False, repr=False)
+    __slots__ = ("start_label", "direction", "walk", "_holonomy2", "_cone", "_table", "__dict__")
+
+    def __init__(
+        self, start_label: int, direction: GoldenVector, walk: bytes, _holonomy2: Point, _cone: int | None,
+        _table: tuple,
+    ) -> None:
+        object.__setattr__(self, "start_label", start_label)
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "walk", walk)
+        object.__setattr__(self, "_holonomy2", _holonomy2)
+        object.__setattr__(self, "_cone", _cone)
+        object.__setattr__(self, "_table", _table)
+
+    def _values(self) -> tuple:
+        return self.start_label, self.direction, self.walk, self._holonomy2, self._cone
+
+    def __reduce__(self) -> tuple:
+        return type(self), (*self._values(), self._table), vars(self)
 
     @property
     def scale(self) -> int:
@@ -394,14 +405,18 @@ def _midpoint_orbits(v: GoldenVector, cap: int) -> dict[int, Trajectory]:
     return {label: orbits[label] for label in WEIERSTRASS_LABELS}
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    """Joint result of flowing all five midpoints in one direction; the saddle
-    label and the two cylinder holonomies are read off verdicts and trajectories."""
+class OracleReport(_Frozen):
+    """Joint result of flowing all five midpoints in one direction, a field._Frozen value that holds dicts
+    and so has no hash; the saddle label and cylinder holonomies are read off verdicts and trajectories."""
 
-    direction: GoldenVector
-    trajectories: dict[int, Trajectory]
-    verdicts: dict[int, Classification]
+    __slots__ = ("direction", "trajectories", "verdicts")
+
+    def __init__(
+        self, direction: GoldenVector, trajectories: dict[int, Trajectory], verdicts: dict[int, Classification]
+    ) -> None:
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "trajectories", trajectories)
+        object.__setattr__(self, "verdicts", verdicts)
 
     @property
     def saddle_label(self) -> int:

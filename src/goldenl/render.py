@@ -13,11 +13,10 @@ operation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
-from .field import PHI_FLOAT
+from .field import PHI_FLOAT, _Frozen
 from .flow import DEFAULT_STEP_CAP, Outcome, Trajectory, _END, _STAIR, trace
 from .surface import (
     DEFAULT_SIZE, DEFAULT_STROKE, FRAMES, GOLDEN_L, GOLDEN_L_FRAME, MIDPOINT_CYCLE, PENTAGON_FRAME,
@@ -119,13 +118,16 @@ def _crossing(side: int, bx: float, by: float, ex: float, ey: float) -> complex:
     return _on_pentagon(bx + f * dx, by + f * dy)
 
 
-@dataclass(frozen=True)
-class BilliardPath:
-    """A billiard orbit in the unit-side regular pentagon, folded from an exact trajectory."""
+class BilliardPath(_Frozen):
+    """A billiard orbit in the unit-side regular pentagon, folded from an exact
+    trajectory, with outcome "closed" or "corner"; a field._Frozen value."""
 
-    start_label: int
-    points: tuple[tuple[float, float], ...]
-    outcome: str  # "closed" | "corner"
+    __slots__ = ("start_label", "points", "outcome")
+
+    def __init__(self, start_label: int, points: tuple[tuple[float, float], ...], outcome: str) -> None:
+        object.__setattr__(self, "start_label", start_label)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "outcome", outcome)
 
     @property
     def segment_count(self) -> int:

@@ -165,6 +165,8 @@ class Permutation5(_Frozen):
         return self.images[label - 1]
 
     def __mul__(self, other: Permutation5) -> Permutation5:
+        if not isinstance(other, Permutation5):
+            return NotImplemented
         return Permutation5(tuple(self.images[other.images[j] - 1] for j in range(5)))
 
     def inverse(self) -> Permutation5:

@@ -19,8 +19,12 @@ from goldenl import (
     Permutation5,
     SIGMA,
     TAU,
+    Trajectory,
     ZERO,
+    billiard_path,
     classify_all,
+    oracle_report,
+    trace,
 )
 from goldenl.field import golden_mul
 from words_reference import SIGMA_INVERSE
@@ -162,8 +166,19 @@ def test_value_types_are_immutable_values():
         assert value != fields
     report = classify_all((2, 1))
     assert report == classify_all((2, 1))
+    # The flow and render values, with the plain tuple of their compared fields.
+    t = trace(4, (2, 1))
+    oracle = oracle_report((2, 1))
+    path = billiard_path(t)
+    flowing = [
+        ("walk", t, (4, t.direction, t.walk, t._holonomy2, None)),
+        ("verdicts", oracle, (oracle.direction, oracle.trajectories, oracle.verdicts)),
+        ("points", path, (4, path.points, "closed")),
+    ]
+    for _, value, fields in flowing:
+        assert value != fields
     named = [(name, value) for name, value, _, _ in slotted] + [("vertices", GOLDEN_L), ("word", report)]
-    for name, value in named:
+    for name, value in named + [(name, value) for name, value, _ in flowing]:
         for attribute in (name, "extra"):
             with pytest.raises(AttributeError):
                 setattr(value, attribute, None)
@@ -172,6 +187,24 @@ def test_value_types_are_immutable_values():
         assert copy.copy(value) == value
         assert copy.deepcopy(value) == value
         assert pickle.loads(pickle.dumps(value)) == value
+    # A trajectory's direction table is out of eq, hash and repr; a report holds dicts, so it has no hash.
+    other_table = Trajectory(t.start_label, t.direction, t.walk, t._holonomy2, t._cone, ())
+    assert other_table == t and hash(other_table) == hash(t)
+    with pytest.raises(TypeError):
+        hash(oracle)
+    # Unpickled, a trajectory keeps its cached points and its table.
+    points = t.points
+    unpickled = pickle.loads(pickle.dumps(t))
+    assert vars(unpickled)["points"] == points and unpickled.points == points and unpickled.scale == t.scale
+    assert repr(t) == (
+        "Trajectory(start_label=4, direction=GoldenVector(x=GoldenNumber(2, 2), y=GoldenNumber(1, 2)), "
+        r"walk=b'\x00\x02\x03\x01\x00\x02\x03\x04', _holonomy2=(4, 8, 4, 6), _cone=None)"
+    )
+    assert repr(oracle) == (
+        f"OracleReport(direction={oracle.direction!r}, trajectories={oracle.trajectories!r}, "
+        f"verdicts={oracle.verdicts!r})"
+    )
+    assert repr(path) == f"BilliardPath(start_label=4, points={path.points!r}, outcome='closed')"
 
 
 def test_vector_quadruple():

@@ -1,7 +1,6 @@
 """Exact geodesic flow: stepping, tracing, and the flow oracle."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -375,8 +374,16 @@ def test_oracle_rejects_each_holonomy_corruption(case):
     assert str(excinfo.value) == message
 
 def _with_points(t, points, **changes):
-    """A copy of t with `changes` applied whose `points` read as given."""
-    changed = replace(t, **changes)
+    """A trajectory built from t's fields with `changes` applied whose `points` read as given."""
+    fields = {
+        "start_label": t.start_label,
+        "direction": t.direction,
+        "walk": t.walk,
+        "_holonomy2": t._holonomy2,
+        "_cone": t._cone,
+        "_table": t._table,
+    }
+    changed = flow_module.Trajectory(**{**fields, **changes})
     vars(changed)["points"] = points
     return changed
 
@@ -497,7 +504,7 @@ _CORRUPTIONS = {
     "wrong closure end": ((4, (2, 1)), lambda t: _with_points(t, t.points[:-1]), "closed orbit ends at"),
     "cone outcome off the cone point": (
         (4, (2, 1)),
-        lambda t: _with_points(replace(t, _cone=1), t.points),
+        lambda t: _with_points(t, t.points, _cone=1),
         "cone-hit orbit ends at",
     ),
     "empty points": ((4, (2, 1)), lambda t: _with_points(t, ()), "no segments"),

@@ -125,20 +125,22 @@ _SUBCOMMANDS = [
 
 @pytest.mark.parametrize("argv, layers", _SUBCOMMANDS, ids=[argv[0] for argv, _ in _SUBCOMMANDS])
 def test_cli_subcommand_loads_only_its_layers(tmp_path, argv, layers):
-    # A subcommand that runs neither flow nor render also loads no dataclasses
-    # (and with it inspect); only what the run adds to sys.modules counts.
+    # No subcommand loads dataclasses (and with it inspect), and json loads for
+    # --format json alone; only what the run adds to sys.modules counts, so the
+    # probe imports json after taking that difference.
     argv = [a.replace("{out}", str(tmp_path / "out.svg")) for a in argv]
-    code = f"""
-import contextlib, io, json, sys
+    for fmt in ("text", "csv", "json"):
+        code = f"""
+import contextlib, io, sys
 before = set(sys.modules)
 import goldenl.cli  # `from goldenl import cli` would read cli off the package and load it all
 with contextlib.redirect_stdout(io.StringIO()):
-    assert goldenl.cli.main({argv!r}) == 0
+    assert goldenl.cli.main({argv + ["--format", fmt]!r}) == 0
 added = set(sys.modules) - before
-print(json.dumps([sorted(m[8:] for m in added if m.startswith("goldenl.")), sorted(added & {{"dataclasses", "inspect"}})]))
+import json
+print(json.dumps([sorted(m[8:] for m in added if m.startswith("goldenl.")), sorted(added & {{"dataclasses", "inspect", "json"}})]))
 """
-    loaded, heavy = _run(code)
-    assert sorted(set(loaded) & {"flow", "render", "stats"}) == layers
-    assert {"classify", "cli", "errors", "field", "surface", "words"} <= set(loaded)
-    if "flow" not in layers:
-        assert heavy == []
+        loaded, heavy = _run(code)
+        assert sorted(set(loaded) & {"flow", "render", "stats"}) == layers
+        assert {"classify", "cli", "errors", "field", "surface", "words"} <= set(loaded)
+        assert heavy == (["json"] if fmt == "json" else []), fmt

@@ -175,6 +175,12 @@ def test_permutation_validity_and_calls():
     for bad in (0, True, 1.0, "1"):
         with pytest.raises(ValueError, match=rf"^label must be 1\.\.5, got {re.escape(repr(bad))}$"):
             p(bad)
+    # Composition takes permutations alone, on either side.
+    for foreign in (2, (1, 2, 3, 4, 5)):
+        with pytest.raises(TypeError):
+            TAU[0] * foreign
+        with pytest.raises(TypeError):
+            foreign * TAU[0]
 
 
 def test_vertical_relabeling_is_the_diagonal_flip():
