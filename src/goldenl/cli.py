@@ -326,7 +326,14 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A long word's coefficients pass the 4,300 digits Python converts between
+    # int and str by default. Lift that for this call and give the caller's
+    # setting back; a Python without the setter has no limit.
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    limit = sys.get_int_max_str_digits() if set_limit else 0
     try:
+        if set_limit:
+            set_limit(0)
         # Resolved first, so a bad GOLDENL_FORMAT exits 2 before render writes a file.
         fmt = args.format if args.format is not None else _env_format()
         _write(fmt, *_COMMANDS[args.command](args))
@@ -340,6 +347,9 @@ def main(argv: list[str] | None = None) -> int:
     except StructuralViolationError as exc:
         print(f"internal error: {_word_of(args)}{exc}", file=sys.stderr)
         return 4
+    finally:
+        if set_limit:
+            set_limit(limit)
 
 
 def _word_of(args: argparse.Namespace) -> str:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import total_ordering
+from operator import attrgetter
 from typing import Union
 
 PHI_FLOAT = (1.0 + math.sqrt(5.0)) / 2.0
@@ -60,25 +61,28 @@ def golden_mul(a: Rational, b: Rational, c: Rational, d: Rational) -> tuple[Rati
 
 
 class _Frozen:
-    """Base of the immutable value types: __init__ sets each slot once with
-    object.__setattr__. Equality, hash, repr, copy and pickle read the slots
-    in order, so __init__ takes them in that order."""
+    """Base of the immutable value types: __init__ sets each slot once, past
+    __setattr__. Equality, hash, repr, copy and pickle read the slots in order
+    through `_values`, one C-level getter per class, so __init__ takes them in
+    that order."""
 
     __slots__ = ()
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+    def __init_subclass__(cls) -> None:
+        if "_values" not in vars(cls):
+            get = attrgetter(*cls.__slots__)  # one name gives the bare value, not a 1-tuple
+            cls._values = property(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self._values() == other._values()  # type: ignore[attr-defined]
+        return self._values == other._values  # type: ignore[attr-defined]
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._values)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values))
         return f"{type(self).__name__}({fields})"
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -88,7 +92,7 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self) -> tuple:
-        return type(self), self._values()
+        return type(self), self._values
 
 
 @total_ordering
@@ -161,8 +165,12 @@ class GoldenNumber(_Frozen):
         return self.a == o.a and self.b == o.b
 
     def __hash__(self) -> int:
-        # Equal to a rational, hash as it does: GoldenNumber(1) == 1.
-        return hash((self.a, self.b)) if self.b else hash(self.a)
+        # Equal to a rational, hash as it does: GoldenNumber(1) == 1. Otherwise
+        # hash the integer parts, which is cheaper than Fraction.__hash__.
+        a, b = self.a.as_integer_ratio(), self.b.as_integer_ratio()
+        if b[0]:
+            return hash((a, b))
+        return hash(a[0]) if a[1] == 1 else hash(self.a)
 
     def __lt__(self, other: GoldenNumber | Rational) -> bool:
         o = self._coerce(other)
@@ -258,5 +266,8 @@ class GoldenVector(_Frozen):
 
 def cleared(v: GoldenVector) -> tuple[int, int, int, int]:
     """The same ray as integer pairs: v times its coefficient denominators' lcm."""
-    den = math.lcm(v.x.a.denominator, v.x.b.denominator, v.y.a.denominator, v.y.b.denominator)
-    return tuple(q.numerator * (den // q.denominator) for q in (v.x.a, v.x.b, v.y.a, v.y.b))
+    xa, xb, ya, yb = v.x.a, v.x.b, v.y.a, v.y.b
+    den = math.lcm(xa.denominator, xb.denominator, ya.denominator, yb.denominator)
+    if den == 1:
+        return xa.numerator, xb.numerator, ya.numerator, yb.numerator
+    return tuple(q.numerator * (den // q.denominator) for q in (xa, xb, ya, yb))

@@ -25,15 +25,17 @@ With the start points scaled by 2 and the direction cleared to integer pairs,
 h is an integer pair (a, b) meaning a + b*phi. The kernel keeps it as (p, b)
 with p = 2a + b, so 2h = p + b*sqrt(5), and decides its two sign tests
 inline by golden_sign's rule: same signs settle it at once, mixed signs
-compare p**2 with 5*b**2. A trajectory keeps only what its trace decides,
-the walk, the integer holonomy, the corner hit and the direction's table, and
-replays its integer points on first read; the oracle never reads them and
-keeps its verdicts. Points are checked against the L's fixed points at scale 2.
+compare p**2 with 5*b**2. A direction is set up once, in one cached table:
+every h a trace starts from or steps by is one integer linear map of its
+pairs, which the table also carries. A trajectory keeps only what its trace
+decides, the walk, the integer holonomy, the corner hit and the direction's
+table, and replays its integer points on first read; the oracle never reads
+them. Points are checked against the L's fixed points at scale 2.
 
 The oracle walks each closed orbit once. The core orbit of a cylinder passes
-through two midpoints, so after a closed trace one pass over the h of its
-chords finds the other, whose walk is the same crossings rotated to start on
-its chord, with the same holonomy.
+through two midpoints, halfway round from each other, so after a closed trace
+the h of its middle chords finds the other, whose walk is the same crossings
+rotated to start on its chord, with the same holonomy.
 """
 
 from __future__ import annotations
@@ -41,13 +43,12 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, compress, count
 from math import gcd, lcm
-from operator import add, mul, sub
+from operator import add, attrgetter, mul, sub
 
 from .classify import Classification
 from .errors import CapExceededError, StructuralViolationError, _check_int
-from .field import GoldenNumber, GoldenVector, _Frozen, cleared, golden_mul, golden_sign
+from .field import GoldenNumber, GoldenVector, _Frozen, golden_mul, golden_sign
 from .surface import CONE_POINTS, GOLDEN_L, WEIERSTRASS_LABELS, _direction_pairs, weierstrass_point
 from .words import Word, format_word, word_to_vector
 
@@ -99,13 +100,6 @@ def _from_point(point: Point, scale: int) -> GoldenVector:
     return GoldenVector(GoldenNumber(xa, xb), GoldenNumber(ya, yb))
 
 
-def _h(v: Point, p: Point) -> tuple[int, int]:
-    """The transverse coordinate v x p of an integer point."""
-    xa, xb = golden_mul(v[0], v[1], p[2], p[3])
-    ya, yb = golden_mul(v[2], v[3], p[0], p[1])
-    return xa - ya, xb - yb
-
-
 def _between(lo: Point, p: Point, hi: Point) -> bool:
     """lo <= p <= hi in both coordinates, for integer points with lo <= hi."""
     d, e = tuple(map(sub, p, lo)), tuple(map(sub, hi, p))
@@ -135,20 +129,28 @@ _TWINS2 = {
 }
 _CONES2 = frozenset(_int_point(p, 2) for p in CONE_POINTS)
 _JUMPS2 = frozenset(jump for _, back in _EXITS for jump in (back, tuple(-c for c in back)))
-_BACK_COLUMNS = tuple(zip(*(back for _, back in _EXITS)))
+# Per wall, what a crossing adds to the holonomy: minus its translation back.
+_MOVE_COLUMNS = tuple(zip(*(tuple(-c for c in back) for _, back in _EXITS)))
 # Midpoints with a glued twin, 1 and 5, lie on glued edges, so they are the lower
 # end of their chord in every direction but the one along their edge, an edge run.
 _ON_GLUED_EDGE = tuple(label for label, twins in _TWINS2.items() if len(twins) > 1)
 
+# h = v x p = v.x*p.y - v.y*p.x is linear in v's integer pairs (vxa, vxb, vya,
+# vyb): by golden_mul, two rows give its (p, b) form at a point (xa, xb, ya, yb).
+# One row pair per translation back, then per _STAIR corner, then per midpoint.
+_H_MAP = tuple(row for xa, xb, ya, yb in (*(back for _, back in _EXITS), *_STAIR2, *_STARTS2.values())
+               for row in ((2 * ya + yb, ya + 3 * yb, -2 * xa - xb, -xa - 3 * xb), (yb, ya + yb, -xb, -xa - xb)))
+
 
 @lru_cache(maxsize=64)
 def _direction_table(v: GoldenVector) -> tuple:
-    """What every trace in direction v shares, with h at scale 2 and in the
-    (p, b) form of _root5: the point scale; the h of the corners where walls
-    meet, _STAIR[1:4]; per exit wall, what crossing it adds to h and how to
-    replay it; per midpoint, its h and the _STAIR index of the corner an edge
-    run from it ends at, or None. Raises ValueError for a direction outside
-    the closed first quadrant.
+    """What every trace in direction v shares, from its integer pairs: the
+    point scale; the h of the corners where walls meet, _STAIR[1:4]; per exit
+    wall, what crossing it adds to h and how to replay it; per midpoint, its h
+    and the _STAIR index of the corner an edge run from it ends at, or None;
+    the pairs; and the steps of h again as two columns, p and b, by wall.
+    Every h, at scale 2 in the (p, b) form, is one row pair of _H_MAP applied
+    to the pairs. Raises ValueError for a direction outside the closed first quadrant.
 
     Points are scaled by 2 times the lcm of the direction coordinate norms.
     Chord h re-enters at y = h / v.x on x = 0 or at x = h / -v.y on y = 0;
@@ -156,33 +158,20 @@ def _direction_table(v: GoldenVector) -> tuple:
     norm) makes that exact. The wall hit is the re-entry point minus the
     translation back.
     """
-    direction = vxa, vxb, vya, vyb = _direction_pairs(v)
+    pairs = vxa, vxb, vya, vyb = _direction_pairs(v)
+    hs = iter([a * vxa + b * vxb + c * vya + d * vyb for a, b, c, d in _H_MAP])
+    h = list(zip(hs, hs))
     norm_x = vxa * vxa + vxa * vxb - vxb * vxb
     norm_y = vya * vya + vya * vyb - vyb * vyb
     factor = lcm(abs(norm_x) or 1, abs(norm_y) or 1)
-    rows, deltas = [], []
+    rows = []
     for vertical, back in _EXITS:
         (da, db), norm = ((vxa, vxb), norm_x) if vertical else ((-vya, -vyb), norm_y)
         q = factor // norm if norm else 0  # a wall the flow runs parallel to is never crossed
-        rows.append((vertical, (q * (da + db), -q * db), tuple(c * factor for c in back)))
-        deltas.append(_h(direction, back))
-    stair = [_root5(_h(direction, p)) for p in _STAIR2]
-    ends = {stair[0]: 0, stair[4]: 4}
-    starts = {label: (h := _root5(_h(direction, p)), ends.get(h)) for label, p in _STARTS2.items()}
-    return 2 * factor, tuple(stair[1:4]), tuple(map(_root5, deltas)), tuple(rows), starts
-
-
-def _root5(h: tuple[int, int]) -> tuple[int, int]:
-    """h = a + b*phi as (p, b) with 2h = p + b*sqrt(5), the form golden_sign decides."""
-    a, b = h
-    return 2 * a + b, b
-
-
-def _reentry(row: tuple, ha: int, hb: int) -> Point:
-    """Where chord h enters the L through the glued twin of a row's wall."""
-    vertical, (ma, mb), _ = row
-    ua, ub = golden_mul(ha, hb, ma, mb)
-    return (0, 0, ua, ub) if vertical else (ua, ub, 0, 0)
+        rows.append((vertical, (q * (da + db), -q * db), tuple(map(factor.__mul__, back))))
+    deltas, stair, hm = tuple(h[:4]), h[4:9], h[9:]
+    starts = dict(zip(WEIERSTRASS_LABELS, zip(hm, map({stair[0]: 0, stair[4]: 4}.get, hm))))
+    return 2 * factor, tuple(stair[1:4]), deltas, tuple(rows), starts, pairs, tuple(zip(*deltas))
 
 
 class Outcome(Enum):
@@ -213,18 +202,18 @@ class Trajectory(_Frozen):
         self, start_label: int, direction: GoldenVector, walk: bytes, _holonomy2: Point, _cone: int | None,
         _table: tuple,
     ) -> None:
-        object.__setattr__(self, "start_label", start_label)
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "walk", walk)
-        object.__setattr__(self, "_holonomy2", _holonomy2)
-        object.__setattr__(self, "_cone", _cone)
-        object.__setattr__(self, "_table", _table)
+        # The slots' own setters, bound below the class, cost half of object.__setattr__ by name.
+        _set_start_label(self, start_label)
+        _set_direction(self, direction)
+        _set_walk(self, walk)
+        _set_holonomy2(self, _holonomy2)
+        _set_cone(self, _cone)
+        _set_table(self, _table)
 
-    def _values(self) -> tuple:
-        return self.start_label, self.direction, self.walk, self._holonomy2, self._cone
+    _values = property(attrgetter("start_label", "direction", "walk", "_holonomy2", "_cone"))
 
     def __reduce__(self) -> tuple:
-        return type(self), (*self._values(), self._table), vars(self)
+        return type(self), (*self._values, self._table), vars(self)
 
     @property
     def scale(self) -> int:
@@ -248,7 +237,7 @@ class Trajectory(_Frozen):
 
     @cached_property
     def points(self) -> tuple[tuple[Point, Point], ...]:
-        _, _, deltas, rows, starts = self._table
+        _, _, deltas, rows, starts, _, _ = self._table
         (p, b), _ = starts[self.start_label]
         # Per wall: the step of h, whether the wall is vertical, the factor m
         # that takes h to the re-entry coordinate, and the translation back.
@@ -265,7 +254,7 @@ class Trajectory(_Frozen):
             dp, db, vertical, ma, mb, xa, xb, ya, yb = steps[wall]
             p += dp
             b += db
-            # The re-entry coordinate h * m, with h = (p - b) / 2 + b*phi: _reentry inline.
+            # The re-entry coordinate h * m, with h = (p - b) / 2 + b*phi, by golden_mul inline.
             ha, bb = (p - b) // 2, b * mb
             ua, ub = ha * ma + bb, ha * mb + b * ma + bb
             if vertical:
@@ -300,6 +289,11 @@ class Trajectory(_Frozen):
         }
 
 
+_set_start_label, _set_direction, _set_walk, _set_holonomy2, _set_cone, _set_table = (
+    getattr(Trajectory, name).__set__ for name in Trajectory.__slots__[:6]
+)
+
+
 def trace_direction(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP) -> Trajectory:
     """Flow from Weierstrass point `label` in direction v until closure or cone hit.
 
@@ -309,7 +303,7 @@ def trace_direction(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP) ->
     nonnegative int raises ValueError.
     """
     _check_int("cap", cap, 0)
-    table = scale, breaks, deltas, rows, starts = _direction_table(v)
+    table = scale, breaks, deltas, rows, starts, _, _ = _direction_table(v)
     start = weierstrass_point(label)  # raises ValueError for a bad label
     (p0, b0), cone = starts[label]
     p, b = p0, b0
@@ -347,14 +341,18 @@ def trace_direction(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP) ->
     if not (walk and p == p0 and b == b0 and label in _ON_GLUED_EDGE):
         walk.append(_END)
     if len(walk) > cap:
-        last = _from_point(_reentry(rows[walk[-2]], (p - b) // 2, b), scale) if len(walk) > 1 else start
+        last = start
+        if len(walk) > 1:  # where the chord h enters the L, through the glued twin of the last wall
+            vertical, (ma, mb), _ = rows[walk[-2]]
+            ua, ub = golden_mul((p - b) // 2, b, ma, mb)
+            last = _from_point((0, 0, ua, ub) if vertical else (ua, ub, 0, 0), scale)
         where = f"midpoint {label}, direction {v}, after {cap} steps at {last}"
         if not point_in_surface(last):
             raise StructuralViolationError(f"trajectory left the golden L: {where}")
         raise CapExceededError(f"trajectory did not terminate: {where}")
     # The translations of the crossings, and from the start to a cone point.
-    counts = list(map(walk.count, range(_END)))
-    holonomy = tuple(-sum(map(mul, counts, column)) for column in _BACK_COLUMNS)
+    n0, n1, n2, n3 = map(walk.count, range(_END))
+    holonomy = tuple(n0 * m0 + n1 * m1 + n2 * m2 + n3 * m3 for m0, m1, m2, m3 in _MOVE_COLUMNS)
     if cone is not None:
         holonomy = tuple(map(sub, map(add, holonomy, _STAIR2[cone]), _STARTS2[label]))
     return Trajectory(label, v, bytes(walk), holonomy, cone, table)
@@ -365,17 +363,19 @@ def trace(label: int, word: Word, cap: int = DEFAULT_STEP_CAP) -> Trajectory:
 
 
 def _midpoint_orbits(v: GoldenVector, cap: int) -> dict[int, Trajectory]:
-    """The trajectories from the five midpoints in direction v, by label,
-    walking each closed orbit once.
+    """The trajectories from the five midpoints in direction v, by label, walking each closed orbit once.
 
     The core orbit of a cylinder passes through two midpoints, the fixed
-    points of the hyperelliptic involution inside it. A pass over the h of a
-    closed orbit's chords finds the first midpoint not yet traced that starts
-    on one of them, its twin. From chord j the twin's walk is the orbit's
-    crossings rotated to start at j, plus _END for a start inside the L, with
-    the same holonomy. A twin is derived only within the kernel's budget of
-    cap segments; any midpoint not derived is traced, to the same trajectory
-    or the same error.
+    points of the hyperelliptic involution inside it. The involution turns
+    the orbit around, so the two arcs between them have the same holonomy and
+    their crossing counts differ only by the midpoints' offset: by at most
+    one, in every direction the tests sweep. So of a closed orbit's n chords
+    only j = n // 2 and (n + 1) // 2 are read, h from the crossing counts
+    before j; the first untraced midpoint that starts there is its twin, whose
+    walk is the crossings rotated to start at j, plus _END for a start inside
+    the L, with the same holonomy. A twin is derived only within cap
+    segments; any midpoint not derived is traced, to the same trajectory or
+    the same error.
     """
     orbits = {}
     for label in WEIERSTRASS_LABELS:
@@ -384,16 +384,14 @@ def _midpoint_orbits(v: GoldenVector, cap: int) -> dict[int, Trajectory]:
         t = orbits[label] = trace_direction(label, v, cap)
         if t.outcome is not Outcome.CLOSED:
             continue
-        _, _, deltas, _, starts = t._table
-        dps, dbs = zip(*deltas)
+        _, _, _, _, starts, _, (dps, dbs) = t._table
         untraced = {h: m for m, (h, cone) in starts.items() if m not in orbits and cone is None}
-        crossings = t.walk.rstrip(_END_BYTE)
-        # The p of each chord's h picks candidates, one cheap pass; the b of a
-        # candidate, from the crossings before it, says whether a midpoint starts there.
+        if not untraced:
+            continue
         (p0, b0), _ = starts[label]
-        candidates = {p for p, _ in untraced}
-        chord_ps = accumulate(map(dps.__getitem__, crossings[:-1]), initial=p0)
-        for j in compress(count(), map(candidates.__contains__, chord_ps)):
+        crossings = t.walk.rstrip(_END_BYTE)
+        n = len(crossings)
+        for j in range(n // 2, (n + 3) // 2):
             counts = list(map(crossings[:j].count, range(_END)))
             m = untraced.get((p0 + sum(map(mul, counts, dps)), b0 + sum(map(mul, counts, dbs))))
             if m is None:
@@ -435,11 +433,12 @@ def oracle_report_direction(v: GoldenVector, cap: int = DEFAULT_STEP_CAP) -> Ora
     """Classify every midpoint by flowing it, checking the cylinder structure."""
     trajectories = _midpoint_orbits(v, cap)
     holonomies = {l: None if t._cone is not None else t._holonomy2 for l, t in trajectories.items()}
-    return OracleReport(v, trajectories, _cylinder_verdicts(v, holonomies))
+    return OracleReport(v, trajectories, _cylinder_verdicts(v, trajectories[1]._table[5], holonomies))
 
 
-def _cylinder_verdicts(v: GoldenVector, holonomies: dict[int, Point | None]) -> dict[int, Classification]:
-    """The verdicts from each midpoint's holonomy at scale 2, or None for a cone hit.
+def _cylinder_verdicts(v: GoldenVector, pairs: Point, holonomies: dict[int, Point | None]) -> dict[int, Classification]:
+    """The verdicts from each midpoint's holonomy at scale 2, or None for a
+    cone hit, in direction v with integer pairs `pairs`.
 
     Exactly one midpoint must hit the cone point; the other four must close
     with holonomies parallel to v, splitting two and two between exactly two
@@ -452,7 +451,7 @@ def _cylinder_verdicts(v: GoldenVector, holonomies: dict[int, Point | None]) -> 
         raise StructuralViolationError(
             f"expected 4 closed orbits and 1 cone hit, got {len(closed)} and {len(saddles)}"
         )
-    vxa, vxb, vya, vyb = cleared(v)
+    vxa, vxb, vya, vyb = pairs
     sizes = {}
     for label, (xa, xb, ya, yb) in closed.items():
         if golden_mul(xa, xb, vya, vyb) != golden_mul(ya, yb, vxa, vxb):
@@ -499,7 +498,7 @@ def validate_trajectory_structure(trajectory: Trajectory) -> None:
     points, scale, v = trajectory.points, trajectory.scale, trajectory.direction
     if not points:
         raise StructuralViolationError("trajectory has no segments")
-    vxa, vxb, vya, vyb = cleared(v)
+    vxa, vxb, vya, vyb = trajectory._table[5]
     for begin, end in points:
         dxa, dxb, dya, dyb = end[0] - begin[0], end[1] - begin[1], end[2] - begin[2], end[3] - begin[3]
         # Parallel: step.x * v.y == step.y * v.x. Forward, hence nonzero: step . v > 0.

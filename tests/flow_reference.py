@@ -7,6 +7,10 @@ dividing out the hit point at every step. It shares with the walk only the
 surface tables, the direction check, the L membership test, the conversion of
 integer points back to vectors and the step cap's message.
 
+`reference_direction_table` builds the flow's per-direction table the way
+it stood before one linear map replaced its products: the transverse
+coordinate h = v x p by golden_mul at each fixed point.
+
 `reference_oracle` is the flow oracle as it was before it shared walks
 between the two midpoints of a cylinder: it traces every midpoint with the
 library's kernel, then calls the library's cylinder checks.
@@ -214,8 +218,41 @@ def reference_trace(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP):
     return tuple(raw_segments), scale, outcome, holonomy, cone_point
 
 
+def reference_direction_table(v: GoldenVector) -> tuple:
+    """`goldenl.flow._direction_table(v)`, field for field, with each h at
+    scale 2 in the (p, b) form 2h = p + b*sqrt(5) taken point by point."""
+    pairs = vxa, vxb, vya, vyb = _direction_pairs(v)
+
+    def h(point: Point) -> tuple[int, int]:
+        xa, xb = golden_mul(vxa, vxb, point[2], point[3])
+        ya, yb = golden_mul(vya, vyb, point[0], point[1])
+        return 2 * (xa - ya) + xb - yb, xb - yb
+
+    gluings = {ident.name: ident for ident in GOLDEN_L.identifications}
+    norm_x = vxa * vxa + vxa * vxb - vxb * vxb
+    norm_y = vya * vya + vya * vyb - vyb * vyb
+    factor = lcm(abs(norm_x) or 1, abs(norm_y) or 1)
+    deltas, rows = [], []
+    for name in "bdac":  # the exit walls, counterclockwise from (phi^2, 0)
+        ident = gluings[name]
+        back = _int_point(-ident.translation, 2)
+        vertical = ident.source[0].x == ident.source[1].x
+        # Re-entry at y = h / v.x or x = h / -v.y, with 1 / (a + b*phi) = (a + b - b*phi) / norm.
+        (da, db), norm = ((vxa, vxb), norm_x) if vertical else ((-vya, -vyb), norm_y)
+        q = factor // norm if norm else 0
+        rows.append((vertical, (q * (da + db), -q * db), tuple(c * factor for c in back)))
+        deltas.append(h(back))
+    stair = [h(_int_point(p, 2)) for p in GOLDEN_L.vertices[2:7]]
+    ends = {stair[0]: 0, stair[4]: 4}
+    starts = {}
+    for label in WEIERSTRASS_LABELS:
+        start = h(_int_point(weierstrass_point(label), 2))
+        starts[label] = (start, ends.get(start))
+    return 2 * factor, tuple(stair[1:4]), tuple(deltas), tuple(rows), starts, pairs, tuple(zip(*deltas))
+
+
 def reference_oracle(v: GoldenVector, cap: int = DEFAULT_STEP_CAP) -> OracleReport:
     """Classify every midpoint by tracing each one, then run the library's cylinder checks."""
     trajectories = {label: trace_direction(label, v, cap) for label in WEIERSTRASS_LABELS}
     holonomies = {l: None if t._cone is not None else t._holonomy2 for l, t in trajectories.items()}
-    return OracleReport(v, trajectories, _cylinder_verdicts(v, holonomies))
+    return OracleReport(v, trajectories, _cylinder_verdicts(v, cleared(v), holonomies))

@@ -110,6 +110,33 @@ def test_vec2word_errors(capsys):
     assert code == 2 and "rational" in err
 
 
+# Python converts at most 4,300 digits between int and str by default, where it
+# has the limit at all; the CLI lifts it for its call and gives it back.
+_int_digits_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+
+
+def test_cap_exit_past_the_int_digits_limit(capsys):
+    # A 10,000-letter word's coefficients run past 4,300 digits; the cap
+    # error prints its direction and still exits 3, not 2.
+    limit = _int_digits_limit()
+    code, _, err = run_cli(capsys, "simulate", "1302" * 2500, "4", "--cap", "5")
+    assert code == 3, err[:200]
+    assert "trajectory did not terminate" in err and "after 5 steps" in err
+    assert _int_digits_limit() == limit
+
+
+def test_word_round_trip_past_the_int_digits_limit(capsys):
+    word = "1302" * 3000
+    limit = _int_digits_limit()
+    code, out, err = run_cli(capsys, "word2vec", word, "--format", "csv")
+    assert code == 0, err[:200]
+    coefficients = out.strip().split(",")
+    assert max(map(len, coefficients)) > 4300
+    code, out, err = run_cli(capsys, "vec2word", *coefficients, "--cap", "12000")
+    assert (code, out.strip()) == (0, word), err[:200]
+    assert _int_digits_limit() == limit
+
+
 def test_reduce(capsys):
     code, out, _ = run_cli(capsys, "reduce", "231221")
     assert (code, out.strip()) == (0, "23")

@@ -26,6 +26,7 @@ from goldenl import (
     oracle_report,
     trace,
 )
+from goldenl import flow as flow_module
 from goldenl.field import golden_mul
 from words_reference import SIGMA_INVERSE
 
@@ -113,6 +114,36 @@ def test_rational_golden_numbers_hash_as_their_rational():
         assert number == value and hash(number) == hash(value), value
         assert value in {number} and number in {value}, value
     assert GoldenNumber(1, 1) not in {1, 2}
+
+
+def test_equal_values_built_differently_hash_equal():
+    # The hash reads integer numerators and denominators; every way of building
+    # an equal value must still land on the same hash.
+    numbers = [
+        (GoldenNumber(2), GoldenNumber(Fraction(2)), GoldenNumber(Fraction(6, 3)), ONE + ONE, PHI * PHI - PHI + 1),
+        (GoldenNumber(Fraction(1, 2)), GoldenNumber(Fraction(3, 6), 0), ONE * Fraction(1, 2)),
+        (GoldenNumber(3, -2), GoldenNumber(Fraction(3), Fraction(-4, 2)), 3 - PHI - PHI, PHI * GoldenNumber(-5, 3)),
+        (GoldenNumber(Fraction(1, 3), Fraction(2, 3)), GoldenNumber(Fraction(2, 6), Fraction(4, 6)),
+         (PHI_SQUARED + PHI) * Fraction(1, 3)),
+    ]
+    for equal in numbers:
+        assert len(set(equal)) == 1 and len(set(map(hash, equal))) == 1, equal
+    for a, b in zip(numbers, numbers[1:]):
+        assert a[0] != b[0]
+    vectors = [
+        GoldenVector(GoldenNumber(2, 2), GoldenNumber(1, 2)),
+        GoldenVector.from_rationals(Fraction(4, 2), 2, 1, Fraction(6, 3)),
+        GoldenVector(PHI_SQUARED + PHI + ONE, ONE + PHI + PHI).scaled(1),
+        GoldenVector.from_rationals(4, 4, 2, 4).scaled(Fraction(1, 2)),
+    ]
+    assert len(set(vectors)) == 1 and len(set(map(hash, vectors))) == 1
+    # So a rebuilt equal direction finds the flow's cached table.
+    table = flow_module._direction_table
+    table.cache_clear()
+    first = table(vectors[0])
+    for rebuilt in vectors[1:]:
+        assert table(rebuilt) is first
+    assert table.cache_info()[:2] == (len(vectors) - 1, 1)
 
 
 def test_float_coefficients_rejected():

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from flow_reference import cross, dot, inverse, reference_oracle, reference_trace
+from flow_reference import cross, dot, inverse, reference_direction_table, reference_oracle, reference_trace
 from goldenl import (
     CapExceededError,
     GoldenNumber,
@@ -22,7 +22,7 @@ from goldenl import (
 )
 from goldenl.surface import CONE_POINTS, GOLDEN_L, WEIERSTRASS_LABELS
 from goldenl.classify import Classification
-from goldenl.field import PHI
+from goldenl.field import PHI, cleared
 from goldenl import flow as flow_module
 from goldenl.flow import (
     canonicalize,
@@ -302,12 +302,12 @@ def test_cylinder_verdicts_on_label_holonomy_maps():
     S, L, X = Classification.SHORT, Classification.LONG, Classification.SADDLE_CONNECTION
     horizontal = {1: (0, 2, 0, 0), 2: (0, 2, 0, 0), 3: (2, 2, 0, 0), 4: (2, 2, 0, 0), 5: None}
     vertical = {1: None, 2: (0, 0, 2, 2), 3: (0, 0, 2, 2), 4: (0, 0, 0, 2), 5: (0, 0, 0, 2)}
-    assert flow_module._cylinder_verdicts(HORIZONTAL, horizontal) == {1: S, 2: S, 3: L, 4: L, 5: X}
-    assert flow_module._cylinder_verdicts(VERTICAL, vertical) == {1: X, 2: L, 3: L, 4: S, 5: S}
+    assert flow_module._cylinder_verdicts(HORIZONTAL, cleared(HORIZONTAL), horizontal) == {1: S, 2: S, 3: L, 4: L, 5: X}
+    assert flow_module._cylinder_verdicts(VERTICAL, cleared(VERTICAL), vertical) == {1: X, 2: L, 3: L, 4: S, 5: S}
     assert _holonomies(oracle_report(())) == horizontal
     assert _holonomies(oracle_report_direction(VERTICAL)) == vertical
     with pytest.raises(StructuralViolationError, match=r"^expected 4 closed orbits and 1 cone hit, got 3 and 2$"):
-        flow_module._cylinder_verdicts(VERTICAL, {**vertical, 2: None})
+        flow_module._cylinder_verdicts(VERTICAL, cleared(VERTICAL), {**vertical, 2: None})
 
 
 def _verdicts_with_corrupt_holonomy(v, corrupt):
@@ -320,7 +320,7 @@ def _verdicts_with_corrupt_holonomy(v, corrupt):
         h = corrupt(label, t.holonomy, report) if t.outcome is Outcome.CLOSED else None
         if h is not None:
             holonomies[label] = flow_module._int_point(h, 2)
-    return flow_module._cylinder_verdicts(v, holonomies)
+    return flow_module._cylinder_verdicts(v, cleared(v), holonomies)
 
 
 def _first(report, verdict):
@@ -399,6 +399,8 @@ def test_trajectory_structure_forward_and_reversed():
             tuple((end, begin) for begin, end in reversed(t.points)),
             direction=-t.direction,
             _holonomy2=tuple(-c for c in t._holonomy2),
+            # The table carries the direction's integer pairs, which validation reads.
+            _table=(*t._table[:5], tuple(-c for c in t._table[5]), *t._table[6:]),
         )
         validate_trajectory_structure(reversed_t)
 
@@ -601,6 +603,27 @@ def test_walk_is_invariant_under_unit_scaling():
                 for label, t in want.items():
                     got = trace_direction(label, u)
                     assert (got.walk, got.outcome, got.holonomy) == (t.walk, t.outcome, t.holonomy), (word, u, label)
+
+
+def test_direction_table_equals_point_by_point_reference():
+    # The table's h are one integer linear map of the direction's pairs; the
+    # reference takes golden_mul at each fixed point. Every word of length <= 5,
+    # seeded words of lengths 6-12, both axes, and the words of length <= 3 and
+    # the axes scaled by phi**k for k = -8..8. The table carries v cleared.
+    rng = random.Random(20261019)
+    words = [w for n in range(6) for w in product((0, 1, 2, 3), repeat=n)]
+    words += [tuple(rng.randrange(4) for _ in range(n)) for n in range(6, 13) for _ in range(8)]
+    directions = [word_to_vector(w) for w in words] + [HORIZONTAL, VERTICAL]
+    for v in directions[:85] + [HORIZONTAL, VERTICAL]:
+        for factor in (PHI, PHI - 1):
+            u = v
+            for _ in range(8):
+                u = u.scaled(factor)
+                directions.append(u)
+    for v in directions:
+        table = flow_module._direction_table.__wrapped__(v)
+        assert table == reference_direction_table(v), v
+        assert table[5] == cleared(v), v
 
 
 def _cone_on_segment_before_end(begin, end):
