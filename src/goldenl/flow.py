@@ -40,11 +40,13 @@ rotated to start on its chord, with the same holonomy.
 
 from __future__ import annotations
 
+import sys
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import add, attrgetter, mul, sub
+from threading import Lock
 
 from .classify import Classification
 from .errors import CapExceededError, StructuralViolationError, _check_int
@@ -72,7 +74,7 @@ def canonicalize(p: GoldenVector) -> GoldenVector:
     is lying in its bounding box.
     """
     if not point_in_surface(p):
-        raise ValueError(f"point lies outside the golden L: {p}")
+        raise ValueError(f"point lies outside the golden L: {_shown(p)}")
     if p in CONE_POINTS:
         return GOLDEN_L.vertices[0]
     for ident in GOLDEN_L.identifications:
@@ -91,7 +93,7 @@ Point = tuple[int, int, int, int]
 def _int_point(p: GoldenVector, scale: int) -> Point:
     coords = p.x.a * scale, p.x.b * scale, p.y.a * scale, p.y.b * scale
     if any(c.denominator != 1 for c in coords):
-        raise ValueError(f"{p} is not integral at scale {scale}")
+        raise ValueError(f"{_shown(p)} is not integral at scale {_shown(scale)}")
     return tuple(map(int, coords))
 
 
@@ -346,7 +348,7 @@ def trace_direction(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP) ->
             vertical, (ma, mb), _ = rows[walk[-2]]
             ua, ub = golden_mul((p - b) // 2, b, ma, mb)
             last = _from_point((0, 0, ua, ub) if vertical else (ua, ub, 0, 0), scale)
-        where = f"midpoint {label}, direction {v}, after {cap} steps at {last}"
+        where = f"midpoint {label}, direction {_shown(v)}, after {_shown(cap)} steps at {_shown(last)}"
         if not point_in_surface(last):
             raise StructuralViolationError(f"trajectory left the golden L: {where}")
         raise CapExceededError(f"trajectory did not terminate: {where}")
@@ -455,17 +457,18 @@ def _cylinder_verdicts(v: GoldenVector, pairs: Point, holonomies: dict[int, Poin
     sizes = {}
     for label, (xa, xb, ya, yb) in closed.items():
         if golden_mul(xa, xb, vya, vyb) != golden_mul(ya, yb, vxa, vxb):
-            raise StructuralViolationError(f"holonomy of midpoint {label} is not parallel to {v}")
+            raise StructuralViolationError(f"holonomy of midpoint {label} is not parallel to {_shown(v)}")
         sizes[label] = (xa, xb) if vxa or vxb else (ya, yb)  # read off y for the vertical
     magnitudes = set(sizes.values())
     if len(magnitudes) != 2:
         got = sorted(map(_half, magnitudes))
-        raise StructuralViolationError(f"expected exactly 2 holonomy magnitudes, got {got}")
+        raise StructuralViolationError(f"expected exactly 2 holonomy magnitudes, got {_shown(got)}")
     small, large = magnitudes
     if golden_sign(large[0] - small[0], large[1] - small[1]) < 0:
         small, large = large, small
     if large != (small[1], small[0] + small[1]):  # small * phi
-        raise StructuralViolationError(f"cylinder holonomies {_half(small)}, {_half(large)} are not in ratio phi")
+        pair = f"{_shown(_half(small))}, {_shown(_half(large))}"
+        raise StructuralViolationError(f"cylinder holonomies {pair} are not in ratio phi")
     if list(sizes.values()).count(small) != 2:
         raise StructuralViolationError("holonomy magnitudes do not split two and two")
     cylinders = {l: Classification.SHORT if size == small else Classification.LONG for l, size in sizes.items()}
@@ -475,6 +478,27 @@ def _cylinder_verdicts(v: GoldenVector, pairs: Point, holonomies: dict[int, Poin
 def _half(pair: tuple[int, int]) -> GoldenNumber:
     """An integer pair at scale 2 as the number it stands for, for a message."""
     return GoldenNumber(Fraction(pair[0], 2), Fraction(pair[1], 2))
+
+
+_DIGITS_LIMIT_LOCK = Lock()
+
+
+def _shown(value: object) -> str:
+    """str(value) for an error message, which must not raise in place of the
+    error it describes. A long word's coefficients pass the 4,300 digits
+    Python converts between int and str by default; then the limit is lifted
+    for the conversion and given back, under a lock, so that two threads
+    cannot leave it lifted."""
+    try:
+        return str(value)
+    except ValueError:  # past the limit, so this Python has one and its setter
+        with _DIGITS_LIMIT_LOCK:
+            limit = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+            try:
+                return str(value)
+            finally:
+                sys.set_int_max_str_digits(limit)
 
 
 def oracle_report(word: Word, cap: int = DEFAULT_STEP_CAP) -> OracleReport:
@@ -505,20 +529,20 @@ def validate_trajectory_structure(trajectory: Trajectory) -> None:
         parallel = golden_mul(dxa, dxb, vya, vyb) == golden_mul(dya, dyb, vxa, vxb)
         (xa, xb), (ya, yb) = golden_mul(dxa, dxb, vxa, vxb), golden_mul(dya, dyb, vya, vyb)
         if not parallel or golden_sign(xa + ya, xb + yb) <= 0:
-            where = f"{_from_point(begin, scale)} -> {_from_point(end, scale)}"
-            raise StructuralViolationError(f"segment {where} does not run forward along {v}")
+            where = f"{_shown(_from_point(begin, scale))} -> {_shown(_from_point(end, scale))}"
+            raise StructuralViolationError(f"segment {where} does not run forward along {_shown(v)}")
     k = scale // 2
     jumps = {tuple(c * k for c in jump) for jump in _JUMPS2}
     for (_, (exa, exb, eya, eyb)), ((nxa, nxb, nya, nyb), _) in zip(points, points[1:]):
         jump = (nxa - exa, nxb - exb, nya - eya, nyb - eyb)
         if jump not in jumps:
-            where = _from_point(jump, scale)
+            where = _shown(_from_point(jump, scale))
             raise StructuralViolationError(f"segments jump by {where}, not a gluing translation")
     first, final = points[0][0], points[-1][1]
     twins = {tuple(c * k for c in twin) for twin in _TWINS2[trajectory.start_label]}
     if first not in twins:
-        raise StructuralViolationError(f"orbit begins at {_from_point(first, scale)}, not at its start")
+        raise StructuralViolationError(f"orbit begins at {_shown(_from_point(first, scale))}, not at its start")
     if trajectory.outcome is Outcome.CLOSED and final not in twins:
-        raise StructuralViolationError(f"closed orbit ends at {_from_point(final, scale)}, not at its start")
+        raise StructuralViolationError(f"closed orbit ends at {_shown(_from_point(final, scale))}, not at its start")
     if trajectory.outcome is Outcome.HIT_CONE_POINT and final not in {tuple(c * k for c in p) for p in _CONES2}:
-        raise StructuralViolationError(f"cone-hit orbit ends at {_from_point(final, scale)}, not a cone point")
+        raise StructuralViolationError(f"cone-hit orbit ends at {_shown(_from_point(final, scale))}, not a cone point")

@@ -6,15 +6,14 @@ pentagon frame folds them onto the billiard table, a regular pentagon with
 side 1 (see billiard_path); its bounces and corner are read off the
 trajectory's walk, and where a closed path closes follows by rule from the
 walk's turns and the direction. Each frame's outline and marked points are
-formatted once per size and stroke, and a drawing's lines in one format
-operation.
+formatted once per size and stroke, the L's lines in one format operation,
+and each bounce point of the table's polyline is placed and formatted once.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import chain
 
 from .field import PHI_FLOAT, _Frozen
 from .flow import DEFAULT_STEP_CAP, Outcome, Trajectory, _END, _STAIR, trace
@@ -87,11 +86,16 @@ _ROTATIONS = tuple(complex(math.cos(0.4 * math.pi * k), math.sin(0.4 * math.pi *
 # and c (y = phi^2) lie beyond C2, those of b (x = phi^2) and d (y = phi) beyond C1.
 # Gluings a and d re-enter on sides 1 and 5, b and c below C3. Walls in walk order b, d, a, c.
 _LEAVES = ((4, 3), (4, 5), (2, 1), (2, 3))
+# (table turn, side re-entered) of the run after each wall, by its walk byte (billiard_path).
+_REENTRY = tuple((2 * (_EDGE[left] - _EDGE[entered]) % 5, entered) for left, entered in _LEAVES)
 # The cone points _STAIR[1] and [3] lie beyond C1 and C2; a run that ends there leaves
 # by that cut and is drawn to the cone point's mirror image in it, _STAIR[4] or [0].
 _BEYOND = {1: (4, 4), 3: (2, 0)}
 (_, _P01), (_, _P11) = pentagon_transfer().matrix
 _CENTRE = (1.0 + 3.0 * PHI_FLOAT) / 5.0
+# The reflections in the table axes through midpoints 2 and 4 (billiard_path).
+_AXES = {label: math.radians(2.0 * _MIDPOINT_ANGLES[label]) for label in (2, 4)}
+_MIRRORS = {label: complex(math.cos(axis), math.sin(axis)) for label, axis in _AXES.items()}
 
 
 def _on_pentagon(x: float, y: float) -> complex:
@@ -152,6 +156,12 @@ def billiard_path(trajectory: Trajectory) -> BilliardPath:
     the same table state, so the path closes after the order of the period's
     turn sum in Z/5: one period when it is 0 mod 5, five when it is not.
     """
+    drawn, closed = _fold(trajectory)
+    return BilliardPath(trajectory.start_label, tuple((z.real, z.imag) for z in drawn), "closed" if closed else "corner")
+
+
+def _fold(trajectory: Trajectory) -> tuple[list[complex], bool]:
+    """billiard_path's points as table points x + yi, and whether the path closed."""
     label, walk, v = trajectory.start_label, trajectory.walk, trajectory.direction
     outside = label in (2, 4)
     closed = trajectory.outcome is Outcome.CLOSED
@@ -169,8 +179,7 @@ def billiard_path(trajectory: Trajectory) -> BilliardPath:
     crossings, previous = [], walk[-1]
     for bx, by, ex, ey, wall in zip(ends[0::4], ends[1::4], ends[2::4], ends[3::4], walk):
         if previous != _END:
-            left, entered = _LEAVES[previous]
-            turn = 2 * (_EDGE[left] - _EDGE[entered]) % 5
+            turn, entered = _REENTRY[previous]
             crossings.append((turn, _crossing(entered, bx, by, ex, ey)))
         if wall != _END or beyond:
             cut = _LEAVES[wall][0] if wall != _END else beyond[0]
@@ -188,12 +197,10 @@ def billiard_path(trajectory: Trajectory) -> BilliardPath:
     if not closed:
         drawn.append(_on_pentagon(*_STAIR[beyond[1] if beyond else trajectory._cone].to_floats()) * _ROTATIONS[k])
     if outside:
-        axis = math.radians(2.0 * _MIDPOINT_ANGLES[label])
-        mirror = complex(math.cos(axis), math.sin(axis))
+        mirror = _MIRRORS[label]
         drawn = [mirror * z.conjugate() for z in drawn]
-    start = PENTAGON_MIDPOINTS[label]
-    points = (start, *((z.real, z.imag) for z in drawn), *((start,) if closed else ()))
-    return BilliardPath(label, points, "closed" if closed else "corner")
+    start = complex(*PENTAGON_MIDPOINTS[label])
+    return [start, *drawn, start] if closed else [start, *drawn], closed
 
 
 # SVG output
@@ -250,8 +257,9 @@ def _frame_parts(frame: str, size: int, stroke: float) -> tuple:
             f'<polygon class="{css_class}" points="{coords}" '
             f'fill="none" stroke="#444444" stroke-width="{factor * stroke:.2f}"/>\n'
         )
+    spec = "%.3f" if frame == GOLDEN_L_FRAME else "%s"  # the table's lines take formatted points (_svg)
     line = (
-        '<line class="trajectory" x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f" '
+        f'<line class="trajectory" x1="{spec}" y1="{spec}" x2="{spec}" y2="{spec}" '
         f'stroke="#c02020" stroke-width="{stroke:.2f}"/>\n'
     )
     tail = []
@@ -265,29 +273,37 @@ def _frame_parts(frame: str, size: int, stroke: float) -> tuple:
     return (margin, left, top, scale), "".join(head), line, "".join(tail)
 
 
-def _svg(frame: str, ends: list[float], size: int, stroke: float) -> str:
-    """A size x size picture of one frame with the trajectory's lines, given as
-    one flat list x1, y1, x2, y2, ... of frame coordinates."""
+def _svg(frame: str, trajectory: Trajectory, size: int, stroke: float) -> str:
+    """A size x size picture of one frame with a trajectory's lines, read after
+    _frame checks size and stroke. The L's segments share no ends; the table's
+    path is a polyline, line i from point i to i + 1, so each point is placed
+    and formatted once."""
     (margin, left, top, scale), head, line, tail = _frame(frame, size, stroke)
-    placed = ends[:]
-    placed[0::2] = [margin + (x - left) * scale for x in ends[0::2]]
-    placed[1::2] = [margin + (top - y) * scale for y in ends[1::2]]
-    # Every line in one format operation; %.3f prints a float as {:.3f} does.
-    return head + line * (len(placed) // 4) % tuple(placed) + tail
+    # %.3f prints a float as {:.3f} does.
+    if frame == GOLDEN_L_FRAME:
+        ends = _float_ends(trajectory)
+        ends[0::2] = [margin + (x - left) * scale for x in ends[0::2]]
+        ends[1::2] = [margin + (top - y) * scale for y in ends[1::2]]
+        return head + line * (len(ends) // 4) % tuple(ends) + tail
+    points = _fold(trajectory)[0]
+    m = len(points)
+    xs = ("%.3f " * m % tuple([margin + (z.real - left) * scale for z in points])).split()
+    ys = ("%.3f " * m % tuple([margin + (top - z.imag) * scale for z in points])).split()
+    ends = xs[1:] * 4  # x1, y1, x2, y2 of each line
+    ends[0::4], ends[1::4], ends[2::4], ends[3::4] = xs[:-1], ys[:-1], xs[1:], ys[1:]
+    return head + line * (m - 1) % tuple(ends) + tail
 
 
 def golden_l_svg(trajectory: Trajectory, size: int = DEFAULT_SIZE, stroke: float = DEFAULT_STROKE) -> str:
     """Draw the golden L, its marked points, and an exact trajectory.
     Raises ValueError unless size is an int >= 1 and stroke a positive finite int or float."""
-    return _svg(GOLDEN_L_FRAME, _float_ends(trajectory), size, stroke)
+    return _svg(GOLDEN_L_FRAME, trajectory, size, stroke)
 
 
 def billiard_svg(trajectory: Trajectory, size: int = DEFAULT_SIZE, stroke: float = DEFAULT_STROKE) -> str:
     """Draw the pentagon table, its side midpoints, and a trajectory folded onto it.
     Raises ValueError unless size is an int >= 1 and stroke a positive finite int or float."""
-    points = billiard_path(trajectory).points
-    ends = list(chain.from_iterable(chain.from_iterable(zip(points, points[1:]))))  # x1, y1, x2, y2, ...
-    return _svg(PENTAGON_FRAME, ends, size, stroke)
+    return _svg(PENTAGON_FRAME, trajectory, size, stroke)
 
 
 def pentagon_svg(

@@ -1,6 +1,8 @@
 """Exact geodesic flow: stepping, tracing, and the flow oracle."""
 
 import random
+import re
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -16,6 +18,7 @@ from goldenl import (
     classify_all,
     oracle_classify,
     oracle_report,
+    parse_word,
     trace,
     weierstrass_point,
     word_to_vector,
@@ -557,6 +560,24 @@ def test_trace_cap_edges():
         for call in (lambda: trace(4, (2, 1), cap=cap), lambda: oracle_report((2, 1), cap=cap)):
             with pytest.raises(ValueError, match=rf"^cap must be an int, got {shown}$"):
                 call()
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no int digits limit")
+def test_cap_error_past_the_int_digits_limit():
+    # A 10,000-letter word's coefficients run past the 4,300 digits Python
+    # converts by default; the library's message prints them and raises the
+    # cap error, and the caller's limit is the same afterwards.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        with pytest.raises(CapExceededError) as excinfo:
+            trace(4, parse_word("1302" * 2500), cap=5)
+        assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
+    finally:
+        sys.set_int_max_str_digits(limit)
+    message = str(excinfo.value)
+    assert message.startswith("trajectory did not terminate: midpoint 4, direction (") and "after 5 steps" in message
+    assert max(map(len, re.findall(r"\d+", message))) > sys.int_info.default_max_str_digits
 
 
 def test_trace_that_leaves_the_l_is_a_structural_violation(monkeypatch):

@@ -161,19 +161,53 @@ def _trajectory_lines(svg):
     return [line for line in svg.splitlines() if line.startswith('<line class="trajectory"')]
 
 
-def test_line_writer_matches_per_line_reference():
-    # Every word of length 4, the length the benchmark draws, from all five
-    # midpoints: both frames print exactly the reference's lines, in order.
+def _assert_lines_match_reference(t, size=DEFAULT_SIZE, stroke=DEFAULT_STROKE):
     extent, r = GOLDEN_L.vertices[2].x.to_float(), render._CIRCUMRADIUS
+    where = (t.start_label, str(t.direction), size, stroke)
+    segments = [(b.to_floats(), e.to_floats()) for b, e in t.segments]
+    expected = _reference_lines(segments, extent, 0.0, extent, size, stroke)
+    assert _trajectory_lines(golden_l_svg(t, size, stroke)) == expected, where
+    points = billiard_path(t).points
+    expected = _reference_lines(zip(points, points[1:]), 2.0 * r, -r, r, size, stroke)
+    assert _trajectory_lines(billiard_svg(t, size, stroke)) == expected, where
+
+
+def test_line_writer_matches_per_line_reference():
+    # Both frames print exactly the reference's lines, in order: every word of
+    # length 4, the length the benchmark draws, from all five midpoints.
     for word in product((0, 1, 2, 3), repeat=4):
         for label in PENTAGON_MIDPOINTS:
-            t = trace(label, word)
-            segments = [(b.to_floats(), e.to_floats()) for b, e in t.segments]
-            expected = _reference_lines(segments, extent, 0.0, extent)
-            assert _trajectory_lines(golden_l_svg(t)) == expected, (word, label)
-            points = billiard_path(t).points
-            expected = _reference_lines(zip(points, points[1:]), 2.0 * r, -r, r)
-            assert _trajectory_lines(billiard_svg(t)) == expected, (word, label)
+            _assert_lines_match_reference(trace(label, word))
+    # Where the golden files do not reach: both axis directions, which close
+    # after two and a half periods or run into a corner (the horizontal from
+    # midpoint 5, the vertical from 1); seeded words of lengths 5 and 6; each
+    # from all five midpoints, the mirrored 2 and 4 among them, and drawn at a
+    # small and a large size with a thin and a thick stroke as well.
+    rng = random.Random(27)
+    words = [tuple(rng.randrange(4) for _ in range(n)) for n in (5, 6) for _ in range(3)]
+    directions = [GoldenVector(GoldenNumber(1), GoldenNumber(0)), GoldenVector(GoldenNumber(0), GoldenNumber(1))]
+    directions += map(word_to_vector, words)
+    for v in directions:
+        for label in PENTAGON_MIDPOINTS:
+            t = trace_direction(label, v)
+            for size, stroke in ((DEFAULT_SIZE, DEFAULT_STROKE), (64, 0.5), (2000, 3)):
+                _assert_lines_match_reference(t, size, stroke)
+
+
+def test_bad_size_or_stroke_is_rejected_before_the_points_are_read(monkeypatch):
+    # Both frames check the size and stroke first: no float ends are read, no fold runs.
+    t = trace(2, (2, 1))
+    calls = []
+    float_ends = render._float_ends
+    monkeypatch.setattr(render, "_float_ends", lambda t: calls.append(t) or float_ends(t))
+    for draw in (golden_l_svg, billiard_svg):
+        for size, stroke in ((0, DEFAULT_STROKE), (DEFAULT_SIZE, -1.0), (2.5, DEFAULT_STROKE)):
+            with pytest.raises(ValueError, match="size must be at least 1"):
+                draw(t, size, stroke)
+    assert calls == []
+    golden_l_svg(t)
+    billiard_svg(t)
+    assert calls == [t, t]
 
 
 def test_render_trajectory_frames(monkeypatch):
