@@ -61,10 +61,12 @@ def golden_mul(a: Rational, b: Rational, c: Rational, d: Rational) -> tuple[Rati
 
 
 class _Frozen:
-    """Base of the immutable value types: __init__ sets each slot once, past
-    __setattr__. Equality, hash, repr, copy and pickle read the slots in order
-    through `_values`, one C-level getter per class, so __init__ takes them in
-    that order."""
+    """Base of the immutable value types. A subclass that defines no __init__
+    gets one that takes one value per slot, __dict__ left out, positionally in
+    slot order, and sets each through the slot's own setter, past __setattr__;
+    a wrong count raises TypeError naming the class and its slots. Equality,
+    hash, repr, copy and pickle read the slots in that order through
+    `_values`, one C-level getter per class."""
 
     __slots__ = ()
 
@@ -72,6 +74,19 @@ class _Frozen:
         if "_values" not in vars(cls):
             get = attrgetter(*cls.__slots__)  # one name gives the bare value, not a 1-tuple
             cls._values = property(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
+        if "__init__" not in vars(cls):
+            names = tuple(name for name in cls.__slots__ if name != "__dict__")
+            setters = tuple(vars(cls)[name].__set__ for name in names)
+
+            def __init__(self, *values: object) -> None:
+                if len(values) != len(setters):
+                    raise TypeError(f"{cls.__name__} takes {len(setters)} values, one per slot "
+                                    f"({', '.join(names)}), got {len(values)}")
+                for set_slot, value in zip(setters, values):
+                    set_slot(self, value)
+
+            __init__.__qualname__ = f"{cls.__qualname__}.__init__"
+            cls.__init__ = __init__
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -219,10 +234,6 @@ class GoldenVector(_Frozen):
     __slots__ = ("x", "y")
     x: GoldenNumber
     y: GoldenNumber
-
-    def __init__(self, x: GoldenNumber, y: GoldenNumber) -> None:
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
 
     @classmethod
     def from_rationals(cls, xa: Rational, xb: Rational, ya: Rational, yb: Rational) -> GoldenVector:

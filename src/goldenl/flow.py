@@ -25,12 +25,13 @@ With the start points scaled by 2 and the direction cleared to integer pairs,
 h is an integer pair (a, b) meaning a + b*phi. The kernel keeps it as (p, b)
 with p = 2a + b, so 2h = p + b*sqrt(5), and decides its two sign tests
 inline by golden_sign's rule: same signs settle it at once, mixed signs
-compare p**2 with 5*b**2. A direction is set up once, in one cached table:
-every h a trace starts from or steps by is one integer linear map of its
-pairs, which the table also carries. A trajectory keeps only what its trace
-decides, the walk, the integer holonomy, the corner hit and the direction's
-table, and replays its integer points on first read; the oracle never reads
-them. Points are checked against the L's fixed points at scale 2.
+compare p**2 with 5*b**2. A direction is set up once, in one cached table
+of what the walk reads: every h a trace starts from or steps by is one
+integer linear map of its pairs, which the table also carries. A trajectory
+keeps only what its trace decides, the walk, the integer holonomy, the corner
+hit and the direction's table. On the first read of its points it sets up
+their scale from the pairs and replays them; the oracle never reads them.
+Points are checked against the L's fixed points at scale 2.
 
 The oracle walks each closed orbit once. The core orbit of a cylinder passes
 through two midpoints, halfway round from each other, so after a closed trace
@@ -146,13 +147,25 @@ _H_MAP = tuple(row for xa, xb, ya, yb in (*(back for _, back in _EXITS), *_STAIR
 
 @lru_cache(maxsize=64)
 def _direction_table(v: GoldenVector) -> tuple:
-    """What every trace in direction v shares, from its integer pairs: the
-    point scale; the h of the corners where walls meet, _STAIR[1:4]; per exit
-    wall, what crossing it adds to h and how to replay it; per midpoint, its h
-    and the _STAIR index of the corner an edge run from it ends at, or None;
-    the pairs; and the steps of h again as two columns, p and b, by wall.
-    Every h, at scale 2 in the (p, b) form, is one row pair of _H_MAP applied
-    to the pairs. Raises ValueError for a direction outside the closed first quadrant.
+    """What every walk in direction v reads, from its integer pairs: the h of
+    the corners where walls meet, _STAIR[1:4]; per exit wall, what crossing it
+    adds to h; per midpoint, its h and the _STAIR index of the corner an edge
+    run from it ends at, or None; and the pairs. Every h, at scale 2 in the
+    (p, b) form, is one row pair of _H_MAP applied to the pairs. Raises
+    ValueError for a direction outside the closed first quadrant.
+    """
+    pairs = vxa, vxb, vya, vyb = _direction_pairs(v)
+    hs = iter([a * vxa + b * vxb + c * vya + d * vyb for a, b, c, d in _H_MAP])
+    h = list(zip(hs, hs))
+    deltas, stair, hm = tuple(h[:4]), h[4:9], h[9:]
+    starts = dict(zip(WEIERSTRASS_LABELS, zip(hm, map({stair[0]: 0, stair[4]: 4}.get, hm))))
+    return tuple(stair[1:4]), deltas, starts, pairs
+
+
+def _replay_table(pairs: Point) -> tuple[int, tuple]:
+    """The point scale of the direction with integer pairs `pairs`, and per
+    exit wall whether it is vertical, the factor that takes a chord's h to its
+    re-entry coordinate, and the translation back, at that scale.
 
     Points are scaled by 2 times the lcm of the direction coordinate norms.
     Chord h re-enters at y = h / v.x on x = 0 or at x = h / -v.y on y = 0;
@@ -160,9 +173,7 @@ def _direction_table(v: GoldenVector) -> tuple:
     norm) makes that exact. The wall hit is the re-entry point minus the
     translation back.
     """
-    pairs = vxa, vxb, vya, vyb = _direction_pairs(v)
-    hs = iter([a * vxa + b * vxb + c * vya + d * vyb for a, b, c, d in _H_MAP])
-    h = list(zip(hs, hs))
+    vxa, vxb, vya, vyb = pairs
     norm_x = vxa * vxa + vxa * vxb - vxb * vxb
     norm_y = vya * vya + vya * vyb - vyb * vyb
     factor = lcm(abs(norm_x) or 1, abs(norm_y) or 1)
@@ -171,9 +182,7 @@ def _direction_table(v: GoldenVector) -> tuple:
         (da, db), norm = ((vxa, vxb), norm_x) if vertical else ((-vya, -vyb), norm_y)
         q = factor // norm if norm else 0  # a wall the flow runs parallel to is never crossed
         rows.append((vertical, (q * (da + db), -q * db), tuple(map(factor.__mul__, back))))
-    deltas, stair, hm = tuple(h[:4]), h[4:9], h[9:]
-    starts = dict(zip(WEIERSTRASS_LABELS, zip(hm, map({stair[0]: 0, stair[4]: 4}.get, hm))))
-    return 2 * factor, tuple(stair[1:4]), deltas, tuple(rows), starts, pairs, tuple(zip(*deltas))
+    return 2 * factor, tuple(rows)
 
 
 class Outcome(Enum):
@@ -190,8 +199,8 @@ class Trajectory(_Frozen):
     scale 2, which the oracle checks; `_cone` the _STAIR index of the corner
     hit, or None; `_table` the direction's table, out of eq, hash and repr.
     `scale`, `outcome`, `cone_point` and the GoldenVectors `start` and
-    `holonomy` are read off them.
-    `points`, each segment's (begin, end) integer points (xa, xb, ya, yb) with
+    `holonomy` are read off them; `scale` and the replay rows are set up from
+    the table's pairs on first read. `points`, each segment's (begin, end) integer points (xa, xb, ya, yb) with
     every integer divided by `scale`, is replayed from the walk on first read
     and cached; every library path that draws or checks a trajectory reads it.
     `segments`, the same as GoldenVector pairs, is built from it on first read.
@@ -200,26 +209,18 @@ class Trajectory(_Frozen):
 
     __slots__ = ("start_label", "direction", "walk", "_holonomy2", "_cone", "_table", "__dict__")
 
-    def __init__(
-        self, start_label: int, direction: GoldenVector, walk: bytes, _holonomy2: Point, _cone: int | None,
-        _table: tuple,
-    ) -> None:
-        # The slots' own setters, bound below the class, cost half of object.__setattr__ by name.
-        _set_start_label(self, start_label)
-        _set_direction(self, direction)
-        _set_walk(self, walk)
-        _set_holonomy2(self, _holonomy2)
-        _set_cone(self, _cone)
-        _set_table(self, _table)
-
     _values = property(attrgetter("start_label", "direction", "walk", "_holonomy2", "_cone"))
 
     def __reduce__(self) -> tuple:
         return type(self), (*self._values, self._table), vars(self)
 
+    @cached_property
+    def _replay(self) -> tuple[int, tuple]:
+        return _replay_table(self._table[3])
+
     @property
     def scale(self) -> int:
-        return self._table[0]
+        return self._replay[0]
 
     @property
     def outcome(self) -> Outcome:
@@ -239,12 +240,13 @@ class Trajectory(_Frozen):
 
     @cached_property
     def points(self) -> tuple[tuple[Point, Point], ...]:
-        _, _, deltas, rows, starts, _, _ = self._table
+        _, deltas, starts, _ = self._table
+        scale, rows = self._replay
         (p, b), _ = starts[self.start_label]
         # Per wall: the step of h, whether the wall is vertical, the factor m
         # that takes h to the re-entry coordinate, and the translation back.
         steps = [(*delta, vertical, *m, *back) for delta, (vertical, m, back) in zip(deltas, rows)]
-        k = self.scale // 2
+        k = scale // 2
         start = _STARTS2[self.start_label]
         begin = tuple(c * k for c in start)
         points = []
@@ -291,11 +293,6 @@ class Trajectory(_Frozen):
         }
 
 
-_set_start_label, _set_direction, _set_walk, _set_holonomy2, _set_cone, _set_table = (
-    getattr(Trajectory, name).__set__ for name in Trajectory.__slots__[:6]
-)
-
-
 def trace_direction(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP) -> Trajectory:
     """Flow from Weierstrass point `label` in direction v until closure or cone hit.
 
@@ -305,7 +302,7 @@ def trace_direction(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP) ->
     nonnegative int raises ValueError.
     """
     _check_int("cap", cap, 0)
-    table = scale, breaks, deltas, rows, starts, _, _ = _direction_table(v)
+    table = breaks, deltas, starts, pairs = _direction_table(v)
     start = weierstrass_point(label)  # raises ValueError for a bad label
     (p0, b0), cone = starts[label]
     p, b = p0, b0
@@ -345,6 +342,7 @@ def trace_direction(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP) ->
     if len(walk) > cap:
         last = start
         if len(walk) > 1:  # where the chord h enters the L, through the glued twin of the last wall
+            scale, rows = _replay_table(pairs)
             vertical, (ma, mb), _ = rows[walk[-2]]
             ua, ub = golden_mul((p - b) // 2, b, ma, mb)
             last = _from_point((0, 0, ua, ub) if vertical else (ua, ub, 0, 0), scale)
@@ -386,10 +384,11 @@ def _midpoint_orbits(v: GoldenVector, cap: int) -> dict[int, Trajectory]:
         t = orbits[label] = trace_direction(label, v, cap)
         if t.outcome is not Outcome.CLOSED:
             continue
-        _, _, _, _, starts, _, (dps, dbs) = t._table
+        _, deltas, starts, _ = t._table
         untraced = {h: m for m, (h, cone) in starts.items() if m not in orbits and cone is None}
         if not untraced:
             continue
+        dps, dbs = zip(*deltas)
         (p0, b0), _ = starts[label]
         crossings = t.walk.rstrip(_END_BYTE)
         n = len(crossings)
@@ -411,13 +410,6 @@ class OracleReport(_Frozen):
 
     __slots__ = ("direction", "trajectories", "verdicts")
 
-    def __init__(
-        self, direction: GoldenVector, trajectories: dict[int, Trajectory], verdicts: dict[int, Classification]
-    ) -> None:
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "trajectories", trajectories)
-        object.__setattr__(self, "verdicts", verdicts)
-
     @property
     def saddle_label(self) -> int:
         return next(l for l, v in self.verdicts.items() if v is Classification.SADDLE_CONNECTION)
@@ -435,7 +427,7 @@ def oracle_report_direction(v: GoldenVector, cap: int = DEFAULT_STEP_CAP) -> Ora
     """Classify every midpoint by flowing it, checking the cylinder structure."""
     trajectories = _midpoint_orbits(v, cap)
     holonomies = {l: None if t._cone is not None else t._holonomy2 for l, t in trajectories.items()}
-    return OracleReport(v, trajectories, _cylinder_verdicts(v, trajectories[1]._table[5], holonomies))
+    return OracleReport(v, trajectories, _cylinder_verdicts(v, trajectories[1]._table[3], holonomies))
 
 
 def _cylinder_verdicts(v: GoldenVector, pairs: Point, holonomies: dict[int, Point | None]) -> dict[int, Classification]:
@@ -522,7 +514,7 @@ def validate_trajectory_structure(trajectory: Trajectory) -> None:
     points, scale, v = trajectory.points, trajectory.scale, trajectory.direction
     if not points:
         raise StructuralViolationError("trajectory has no segments")
-    vxa, vxb, vya, vyb = trajectory._table[5]
+    vxa, vxb, vya, vyb = trajectory._table[3]
     for begin, end in points:
         dxa, dxb, dya, dyb = end[0] - begin[0], end[1] - begin[1], end[2] - begin[2], end[3] - begin[3]
         # Parallel: step.x * v.y == step.y * v.x. Forward, hence nonzero: step . v > 0.

@@ -128,11 +128,6 @@ class BilliardPath(_Frozen):
 
     __slots__ = ("start_label", "points", "outcome")
 
-    def __init__(self, start_label: int, points: tuple[tuple[float, float], ...], outcome: str) -> None:
-        object.__setattr__(self, "start_label", start_label)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "outcome", outcome)
-
     @property
     def segment_count(self) -> int:
         return len(self.points) - 1

@@ -58,7 +58,7 @@ def _letters(word: Iterable[int]) -> Word:
     if _INT.issuperset(map(type, word)) and _LETTERS.issuperset(word):
         return word
     bad = next(k for k in word if type(k) is not int or k not in _LETTERS)
-    raise ValueError(f"word letter out of range 0-3: {bad}")
+    raise ValueError(f"word letter out of range 0-3: {bad!r}")
 
 
 def word_to_vector(word: Word) -> GoldenVector:

@@ -7,9 +7,10 @@ dividing out the hit point at every step. It shares with the walk only the
 surface tables, the direction check, the L membership test, the conversion of
 integer points back to vectors and the step cap's message.
 
-`reference_direction_table` builds the flow's per-direction table the way
-it stood before one linear map replaced its products: the transverse
-coordinate h = v x p by golden_mul at each fixed point.
+`reference_direction_table` builds the flow's per-direction table, and the
+point scale and replay rows set up from its pairs, the way they stood before
+one linear map replaced the products: the transverse coordinate h = v x p by
+golden_mul at each fixed point.
 
 `reference_oracle` is the flow oracle as it was before it shared walks
 between the two midpoints of a cylinder: it traces every midpoint with the
@@ -218,9 +219,10 @@ def reference_trace(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP):
     return tuple(raw_segments), scale, outcome, holonomy, cone_point
 
 
-def reference_direction_table(v: GoldenVector) -> tuple:
-    """`goldenl.flow._direction_table(v)`, field for field, with each h at
-    scale 2 in the (p, b) form 2h = p + b*sqrt(5) taken point by point."""
+def reference_direction_table(v: GoldenVector) -> tuple[tuple, tuple]:
+    """`goldenl.flow._direction_table(v)` and `goldenl.flow._replay_table` of
+    its pairs, field for field, with each h at scale 2 in the (p, b) form
+    2h = p + b*sqrt(5) taken point by point."""
     pairs = vxa, vxb, vya, vyb = _direction_pairs(v)
 
     def h(point: Point) -> tuple[int, int]:
@@ -248,7 +250,7 @@ def reference_direction_table(v: GoldenVector) -> tuple:
     for label in WEIERSTRASS_LABELS:
         start = h(_int_point(weierstrass_point(label), 2))
         starts[label] = (start, ends.get(start))
-    return 2 * factor, tuple(stair[1:4]), tuple(deltas), tuple(rows), starts, pairs, tuple(zip(*deltas))
+    return (tuple(stair[1:4]), tuple(deltas), starts, pairs), (2 * factor, tuple(rows))
 
 
 def reference_oracle(v: GoldenVector, cap: int = DEFAULT_STEP_CAP) -> OracleReport:

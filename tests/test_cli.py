@@ -117,12 +117,14 @@ _int_digits_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
 
 def test_cap_exit_past_the_int_digits_limit(capsys):
     # A 10,000-letter word's coefficients run past 4,300 digits; the cap
-    # error prints its direction and still exits 3, not 2.
-    limit = _int_digits_limit()
-    code, _, err = run_cli(capsys, "simulate", "1302" * 2500, "4", "--cap", "5")
-    assert code == 3, err[:200]
-    assert "trajectory did not terminate" in err and "after 5 steps" in err
-    assert _int_digits_limit() == limit
+    # error prints its direction and still exits 3, not 2, from one trace
+    # and from the oracle alike.
+    for args in (["4"], ["--classify"]):
+        limit = _int_digits_limit()
+        code, _, err = run_cli(capsys, "simulate", "1302" * 2500, *args, "--cap", "5")
+        assert code == 3, (args, err[:200])
+        assert "trajectory did not terminate" in err and "after 5 steps" in err
+        assert _int_digits_limit() == limit
 
 
 def test_word_round_trip_past_the_int_digits_limit(capsys):

@@ -223,6 +223,21 @@ def test_value_types_are_immutable_values():
     assert other_table == t and hash(other_table) == hash(t)
     with pytest.raises(TypeError):
         hash(oracle)
+    # The four types without checks are built positionally, one value per slot,
+    # and a wrong count or a keyword is a TypeError naming the class and its slots.
+    for value in (GoldenVector(PHI, ONE), t, oracle, path):
+        cls = type(value)
+        names = [name for name in cls.__slots__ if name != "__dict__"]
+        fields = [getattr(value, name) for name in names]
+        assert cls(*fields) == value
+        for given in (fields[:-1], fields + [None]):
+            with pytest.raises(TypeError) as caught:
+                cls(*given)
+            assert str(caught.value) == (
+                f"{cls.__name__} takes {len(names)} values, one per slot ({', '.join(names)}), got {len(given)}"
+            )
+        with pytest.raises(TypeError):
+            cls(*fields[:-1], **{names[-1]: fields[-1]})
     # Unpickled, a trajectory keeps its cached points and its table.
     points = t.points
     unpickled = pickle.loads(pickle.dumps(t))

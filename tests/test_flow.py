@@ -378,15 +378,7 @@ def test_oracle_rejects_each_holonomy_corruption(case):
 
 def _with_points(t, points, **changes):
     """A trajectory built from t's fields with `changes` applied whose `points` read as given."""
-    fields = {
-        "start_label": t.start_label,
-        "direction": t.direction,
-        "walk": t.walk,
-        "_holonomy2": t._holonomy2,
-        "_cone": t._cone,
-        "_table": t._table,
-    }
-    changed = flow_module.Trajectory(**{**fields, **changes})
+    changed = flow_module.Trajectory(*(changes.get(name, getattr(t, name)) for name in t.__slots__[:-1]))
     vars(changed)["points"] = points
     return changed
 
@@ -403,7 +395,7 @@ def test_trajectory_structure_forward_and_reversed():
             direction=-t.direction,
             _holonomy2=tuple(-c for c in t._holonomy2),
             # The table carries the direction's integer pairs, which validation reads.
-            _table=(*t._table[:5], tuple(-c for c in t._table[5]), *t._table[6:]),
+            _table=(*t._table[:3], tuple(-c for c in t._table[3])),
         )
         validate_trajectory_structure(reversed_t)
 
@@ -587,8 +579,8 @@ def test_trace_that_leaves_the_l_is_a_structural_violation(monkeypatch):
     table = flow_module._direction_table
 
     def corrupted(v):
-        scale, _, *rest = table(v)
-        return (scale, ((10**6, 0),) * 3, *rest)
+        _, *rest = table(v)
+        return (((10**6, 0),) * 3, *rest)
 
     monkeypatch.setattr(flow_module, "_direction_table", corrupted)
     with pytest.raises(StructuralViolationError) as excinfo:
@@ -630,7 +622,8 @@ def test_direction_table_equals_point_by_point_reference():
     # The table's h are one integer linear map of the direction's pairs; the
     # reference takes golden_mul at each fixed point. Every word of length <= 5,
     # seeded words of lengths 6-12, both axes, and the words of length <= 3 and
-    # the axes scaled by phi**k for k = -8..8. The table carries v cleared.
+    # the axes scaled by phi**k for k = -8..8. The table carries v cleared, and
+    # the point scale and replay rows are set up from it.
     rng = random.Random(20261019)
     words = [w for n in range(6) for w in product((0, 1, 2, 3), repeat=n)]
     words += [tuple(rng.randrange(4) for _ in range(n)) for n in range(6, 13) for _ in range(8)]
@@ -643,8 +636,12 @@ def test_direction_table_equals_point_by_point_reference():
                 directions.append(u)
     for v in directions:
         table = flow_module._direction_table.__wrapped__(v)
-        assert table == reference_direction_table(v), v
-        assert table[5] == cleared(v), v
+        want_table, (want_scale, want_rows) = reference_direction_table(v)
+        assert table == want_table, v
+        assert table[3] == cleared(v), v
+        scale, rows = flow_module._replay_table(table[3])
+        assert scale == want_scale, v
+        assert rows == want_rows, v
 
 
 def _cone_on_segment_before_end(begin, end):

@@ -86,7 +86,10 @@ def test_letter_errors_name_the_first_bad_letter(bad):
             for given in (word, iter(word)):
                 with pytest.raises(ValueError) as caught:
                     check(given)
-                assert str(caught.value) == f"word letter out of range 0-3: {bad}", (check, word)
+                assert str(caught.value) == f"word letter out of range 0-3: {bad!r}", (check, word)
+    # A string is not a word of digits: its letter "2" is named as a string.
+    with pytest.raises(ValueError, match=r"^word letter out of range 0-3: '2'$"):
+        classify_all("21")
 
 
 def test_every_entry_point_reads_the_word_once():
