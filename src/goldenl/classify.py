@@ -54,6 +54,10 @@ _PRODUCTS = {
     for shift in range(5)
     for parity in (0, 1)
 }
+# Each product's verdict map; a report gets its own copy.
+_VERDICTS = {
+    key: {label: HORIZONTAL_VERDICTS[perm(label)] for label in WEIERSTRASS_LABELS} for key, perm in _PRODUCTS.items()
+}
 
 
 class ClassificationReport(NamedTuple):
@@ -79,9 +83,8 @@ class ClassificationReport(NamedTuple):
 
 def classify_all(word: Word) -> ClassificationReport:
     word = _letters(word)
-    perm = _PRODUCTS[2 * (sum(word[0::2]) - sum(word[1::2])) % 5, len(word) % 2]
-    verdicts = {label: HORIZONTAL_VERDICTS[perm(label)] for label in WEIERSTRASS_LABELS}
-    return ClassificationReport(word=word, tau=perm, verdicts=verdicts)
+    key = 2 * (sum(word[0::2]) - sum(word[1::2])) % 5, len(word) % 2
+    return ClassificationReport(word, _PRODUCTS[key], _VERDICTS[key].copy())
 
 
 def word_permutation(word: Word) -> Permutation5:

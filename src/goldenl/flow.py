@@ -22,15 +22,19 @@ transversal, and no step builds a point:
   point; any other start is met strictly inside one more segment.
 
 With the start points scaled by 2 and the direction cleared to integer pairs,
-h is an integer pair (a, b) meaning a + b*phi. The kernel keeps it as (p, b)
-with p = 2a + b, so 2h = p + b*sqrt(5), and decides its two sign tests
-inline by golden_sign's rule: same signs settle it at once, mixed signs
-compare p**2 with 5*b**2. A direction is set up once, in one cached table
-of what the walk reads: every h a trace starts from or steps by is one
-integer linear map of its pairs, which the table also carries. A trajectory
-keeps only what its trace decides, the walk, the integer holonomy, the corner
-hit and the direction's table. On the first read of its points it sets up
-their scale from the pairs and replays them; the oracle never reads them.
+h is an integer pair (a, b) meaning a + b*phi, and (p, b) with p = 2a + b
+gives 2h = p + b*sqrt(5). The kernel keeps h as its offset (x, y) in that
+form from the middle corner, so the first sign test reads the state as it is
+and the second subtracts the offset of one outer corner, set up once per
+trace. Each test is decided inline by golden_sign's rule: same signs settle
+it at once, mixed signs compare the squares. Each of the four walls has its
+own branch, which appends its byte and adds its step to h. A direction is
+set up once, in one cached table of what the walk reads: every h a trace
+starts from or steps by is one integer linear map of its pairs, which the
+table also carries. A trajectory keeps only what its trace decides, the
+walk, the integer holonomy, the corner hit and the direction's table. On the
+first read of its points it sets up their scale from the pairs and replays
+them; the oracle never reads them.
 Points are checked against the L's fixed points at scale 2.
 
 The oracle walks each closed orbit once. The core orbit of a cylinder passes
@@ -46,7 +50,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
-from operator import add, attrgetter, mul, sub
+from operator import add, attrgetter, sub
 from threading import Lock
 
 from .classify import Classification
@@ -132,8 +136,6 @@ _TWINS2 = {
 }
 _CONES2 = frozenset(_int_point(p, 2) for p in CONE_POINTS)
 _JUMPS2 = frozenset(jump for _, back in _EXITS for jump in (back, tuple(-c for c in back)))
-# Per wall, what a crossing adds to the holonomy: minus its translation back.
-_MOVE_COLUMNS = tuple(zip(*(tuple(-c for c in back) for _, back in _EXITS)))
 # Midpoints with a glued twin, 1 and 5, lie on glued edges, so they are the lower
 # end of their chord in every direction but the one along their edge, an edge run.
 _ON_GLUED_EDGE = tuple(label for label, twins in _TWINS2.items() if len(twins) > 1)
@@ -305,32 +307,51 @@ def trace_direction(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP) ->
     table = breaks, deltas, starts, pairs = _direction_table(v)
     start = weierstrass_point(label)  # raises ValueError for a bad label
     (p0, b0), cone = starts[label]
-    p, b = p0, b0
+    # h is kept as its offset (x, y) from the middle corner, and the outer
+    # corners as theirs, so the first sign test reads the state as it is.
     (p1, b1), (p2, b2), (p3, b3) = breaks
+    u1, v1, u3, v3 = p1 - p2, b1 - b2, p3 - p2, b3 - b2
+    (dx0, dy0), (dx1, dy1), (dx2, dy2), (dx3, dy3) = deltas
+    x, y = x0, y0 = p0 - p2, b0 - b2
     walk = bytearray()
+    append = walk.append
     for _ in range(cap if cone is None else 0):
         # Below, at or above the middle corner; then below, at or above the
-        # next. Each test is golden_sign's on 2(h - corner) = x + y*sqrt(5):
-        # it is >= 0 when x, y >= 0, or when the larger square has the plus sign.
-        x, y = p - p2, b - b2
+        # next. Each test is golden_sign's on twice the offset from a corner,
+        # x + y*sqrt(5) from the middle one and s + t*sqrt(5) from an outer one:
+        # it is >= 0 when both parts are >= 0, or when the larger square has the plus sign.
         if (y >= 0 or x * x > 5 * y * y) if x >= 0 else y > 0 and 5 * y * y > x * x:
             if not (x or y):
                 cone = 2
                 break
-            wall, x, y = 2, p - p3, b - b3
+            s, t = x - u3, y - v3
+            if (t >= 0 or s * s > 5 * t * t) if s >= 0 else t > 0 and 5 * t * t > s * s:
+                if not (s or t):
+                    cone = 3
+                    break
+                append(3)
+                x += dx3
+                y += dy3
+            else:
+                append(2)
+                x += dx2
+                y += dy2
         else:
-            wall, x, y = 0, p - p1, b - b1
-        if (y >= 0 or x * x > 5 * y * y) if x >= 0 else y > 0 and 5 * y * y > x * x:
-            if not (x or y):
-                cone = wall + 1
-                break
-            wall += 1
-        walk.append(wall)
-        dp, db = deltas[wall]
-        p += dp
-        b += db
-        if p == p0 and b == b0:
+            s, t = x - u1, y - v1
+            if (t >= 0 or s * s > 5 * t * t) if s >= 0 else t > 0 and 5 * t * t > s * s:
+                if not (s or t):
+                    cone = 1
+                    break
+                append(1)
+                x += dx1
+                y += dy1
+            else:
+                append(0)
+                x += dx0
+                y += dy0
+        if x == x0 and y == y0:
             break
+    p, b = x + p2, y + b2
 
     # Back on the start's chord, a start on a glued edge is this re-entry
     # point; any other start, or the cone point, ends one more segment, _END.
@@ -351,8 +372,9 @@ def trace_direction(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP) ->
             raise StructuralViolationError(f"trajectory left the golden L: {where}")
         raise CapExceededError(f"trajectory did not terminate: {where}")
     # The translations of the crossings, and from the start to a cone point.
+    # Per wall at scale 2, a crossing adds (2, 2, 0, 0), (0, 0, 0, 2), (0, 2, 0, 0) or (0, 0, 2, 2).
     n0, n1, n2, n3 = map(walk.count, range(_END))
-    holonomy = tuple(n0 * m0 + n1 * m1 + n2 * m2 + n3 * m3 for m0, m1, m2, m3 in _MOVE_COLUMNS)
+    holonomy = 2 * n0, 2 * (n0 + n2), 2 * n3, 2 * (n1 + n3)
     if cone is not None:
         holonomy = tuple(map(sub, map(add, holonomy, _STAIR2[cone]), _STARTS2[label]))
     return Trajectory(label, v, bytes(walk), holonomy, cone, table)
@@ -370,12 +392,12 @@ def _midpoint_orbits(v: GoldenVector, cap: int) -> dict[int, Trajectory]:
     the orbit around, so the two arcs between them have the same holonomy and
     their crossing counts differ only by the midpoints' offset: by at most
     one, in every direction the tests sweep. So of a closed orbit's n chords
-    only j = n // 2 and (n + 1) // 2 are read, h from the crossing counts
-    before j; the first untraced midpoint that starts there is its twin, whose
-    walk is the crossings rotated to start at j, plus _END for a start inside
-    the L, with the same holonomy. A twin is derived only within cap
-    segments; any midpoint not derived is traced, to the same trajectory or
-    the same error.
+    only j = n // 2 and (n + 1) // 2 are read: h from the crossing counts
+    before n // 2, and for odd n one step more; the first untraced midpoint
+    that starts there is its twin, whose walk is the crossings rotated to
+    start at j, plus _END for a start inside the L, with the same holonomy. A
+    twin is derived only within cap segments; any midpoint not derived is
+    traced, to the same trajectory or the same error.
     """
     orbits = {}
     for label in WEIERSTRASS_LABELS:
@@ -388,19 +410,23 @@ def _midpoint_orbits(v: GoldenVector, cap: int) -> dict[int, Trajectory]:
         untraced = {h: m for m, (h, cone) in starts.items() if m not in orbits and cone is None}
         if not untraced:
             continue
-        dps, dbs = zip(*deltas)
-        (p0, b0), _ = starts[label]
+        (dp0, db0), (dp1, db1), (dp2, db2), (dp3, db3) = deltas
+        (p, b), _ = starts[label]
         crossings = t.walk.rstrip(_END_BYTE)
         n = len(crossings)
-        for j in range(n // 2, (n + 3) // 2):
-            counts = list(map(crossings[:j].count, range(_END)))
-            m = untraced.get((p0 + sum(map(mul, counts, dps)), b0 + sum(map(mul, counts, dbs))))
-            if m is None:
-                continue
+        j = n // 2
+        c0, c1, c2, c3 = [crossings.count(k, 0, j) for k in range(_END)]
+        p += c0 * dp0 + c1 * dp1 + c2 * dp2 + c3 * dp3
+        b += c0 * db0 + c1 * db1 + c2 * db2 + c3 * db3
+        m = untraced.get((p, b))
+        if m is None and n % 2:
+            dp, db = deltas[crossings[j]]
+            j += 1
+            m = untraced.get((p + dp, b + db))
+        if m is not None:
             walk = crossings[j:] + crossings[:j] + (b"" if m in _ON_GLUED_EDGE else _END_BYTE)
             if len(walk) <= cap:
                 orbits[m] = Trajectory(m, v, walk, t._holonomy2, None, t._table)
-            break
     return {label: orbits[label] for label in WEIERSTRASS_LABELS}
 
 

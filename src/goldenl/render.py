@@ -214,6 +214,10 @@ _FRAMES = {
     GOLDEN_L_FRAME: (_L_EXTENT, 0.0, _L_EXTENT, _L_OUTLINES, _L_MARKED),
     PENTAGON_FRAME: (2.0 * _CIRCUMRADIUS, -_CIRCUMRADIUS, _CIRCUMRADIUS, _TABLE_OUTLINES, PENTAGON_MIDPOINTS),
 }
+# The table's lines are formatted this many at a time (_svg): a long picture
+# is held about twice while it is joined, not four times, and every picture
+# of up to this many lines is formatted in one piece.
+_CHUNK_LINES = 8192
 
 
 def _frame(frame: str, size: int, stroke: float) -> tuple:
@@ -280,13 +284,20 @@ def _svg(frame: str, trajectory: Trajectory, size: int, stroke: float) -> str:
         ends[0::2] = [margin + (x - left) * scale for x in ends[0::2]]
         ends[1::2] = [margin + (top - y) * scale for y in ends[1::2]]
         return head + line * (len(ends) // 4) % tuple(ends) + tail
+    # The lines go in chunks of _CHUNK_LINES, each formatted from its own
+    # points and sharing its end point with the next, and are joined once.
     points = _fold(trajectory)[0]
-    m = len(points)
-    xs = ("%.3f " * m % tuple([margin + (z.real - left) * scale for z in points])).split()
-    ys = ("%.3f " * m % tuple([margin + (top - z.imag) * scale for z in points])).split()
-    ends = xs[1:] * 4  # x1, y1, x2, y2 of each line
-    ends[0::4], ends[1::4], ends[2::4], ends[3::4] = xs[:-1], ys[:-1], xs[1:], ys[1:]
-    return head + line * (m - 1) % tuple(ends) + tail
+    parts = [head]
+    for i in range(0, len(points) - 1, _CHUNK_LINES):
+        chunk = points[i:i + _CHUNK_LINES + 1]
+        m = len(chunk)
+        xs = ("%.3f " * m % tuple([margin + (z.real - left) * scale for z in chunk])).split()
+        ys = ("%.3f " * m % tuple([margin + (top - z.imag) * scale for z in chunk])).split()
+        ends = xs[1:] * 4  # x1, y1, x2, y2 of each line
+        ends[0::4], ends[1::4], ends[2::4], ends[3::4] = xs[:-1], ys[:-1], xs[1:], ys[1:]
+        parts.append(line * (m - 1) % tuple(ends))
+    parts.append(tail)
+    return "".join(parts)
 
 
 def golden_l_svg(trajectory: Trajectory, size: int = DEFAULT_SIZE, stroke: float = DEFAULT_STROKE) -> str:

@@ -48,6 +48,22 @@ def test_word_21_report():
     }
 
 
+def test_reports_do_not_share_verdict_maps():
+    # Each report owns its verdicts: clearing one changes no later report, of
+    # the same word or of another word with the same product, and clearing
+    # the empty word's changes neither its next report nor the horizontal map.
+    expected = dict(classify_all((2, 1)).verdicts)
+    for word in ((2, 1), (2, 1), (3, 3, 2, 1), (2, 0, 0, 1)):
+        report = classify_all(word)
+        assert report.tau == word_permutation((2, 1)), word
+        assert report.verdicts == expected, word
+        report.verdicts.clear()
+    assert classify((2, 1), 1) is Classification.SADDLE_CONNECTION
+    horizontal = dict(HORIZONTAL_VERDICTS)
+    classify_all(()).verdicts.clear()
+    assert classify_all(()).verdicts == HORIZONTAL_VERDICTS == horizontal
+
+
 def test_empty_word_is_horizontal():
     report = classify_all(())
     assert report.verdicts == HORIZONTAL_VERDICTS

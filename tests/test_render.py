@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
@@ -192,6 +193,25 @@ def test_line_writer_matches_per_line_reference():
             t = trace_direction(label, v)
             for size, stroke in ((DEFAULT_SIZE, DEFAULT_STROKE), (64, 0.5), (2000, 3)):
                 _assert_lines_match_reference(t, size, stroke)
+
+
+def test_long_table_picture_is_formatted_in_chunks(monkeypatch):
+    # A seeded length-9 word from midpoint 2 folds onto the table as 51,370
+    # lines, over seven chunks. The picture is the one-chunk formatting, and
+    # drawing it holds well under three times its text; formatting all the
+    # lines at once peaked near four times.
+    rng = random.Random(20261019)
+    t = trace(2, tuple(rng.randrange(4) for _ in range(9)))
+    tracemalloc.start()
+    try:
+        svg = billiard_svg(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert svg.count('<line class="trajectory"') == billiard_path(t).segment_count == 51_370
+    assert peak <= 3 * len(svg), peak / len(svg)
+    monkeypatch.setattr(render, "_CHUNK_LINES", 10**6)
+    assert billiard_svg(t) == svg
 
 
 def test_bad_size_or_stroke_is_rejected_before_the_points_are_read(monkeypatch):
