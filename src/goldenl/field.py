@@ -65,15 +65,17 @@ class _Frozen:
     gets one that takes one value per slot, __dict__ left out, positionally in
     slot order, and sets each through the slot's own setter, past __setattr__;
     a wrong count raises TypeError naming the class and its slots. Equality,
-    hash, repr, copy and pickle read the slots in that order through
-    `_values`, one C-level getter per class."""
+    hash, repr, copy and pickle read the class's `_fields`, its slots unless
+    it names others, in that order through `_values`, one C-level getter per
+    class."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        if "_values" not in vars(cls):
-            get = attrgetter(*cls.__slots__)  # one name gives the bare value, not a 1-tuple
-            cls._values = property(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
+        if "_fields" not in vars(cls):
+            cls._fields = cls.__slots__
+        get = attrgetter(*cls._fields)  # one name gives the bare value, not a 1-tuple
+        cls._values = property(get if len(cls._fields) > 1 else lambda self: (get(self),))
         if "__init__" not in vars(cls):
             names = tuple(name for name in cls.__slots__ if name != "__dict__")
             setters = tuple(vars(cls)[name].__set__ for name in names)
@@ -97,7 +99,7 @@ class _Frozen:
         return hash(self._values)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values))
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values))
         return f"{type(self).__name__}({fields})"
 
     def __setattr__(self, name: str, value: object) -> None:

@@ -32,15 +32,19 @@ own branch, which appends its byte and adds its step to h. A direction is
 set up once, in one cached table of what the walk reads: every h a trace
 starts from or steps by is one integer linear map of its pairs, which the
 table also carries. A trajectory keeps only what its trace decides, the
-walk, the integer holonomy, the corner hit and the direction's table. On the
-first read of its points it sets up their scale from the pairs and replays
-them; the oracle never reads them.
+walk as far as it went, the twin, the integer holonomy, the corner hit and
+the direction's table. On the first read of its points it sets up their
+scale from the pairs and replays them; the oracle never reads them.
 Points are checked against the L's fixed points at scale 2.
 
-The oracle walks each closed orbit once. The core orbit of a cylinder passes
-through two midpoints, halfway round from each other, so after a closed trace
-the h of its middle chords finds the other, whose walk is the same crossings
-rotated to start on its chord, with the same holonomy.
+A closed orbit through a midpoint meets exactly one other, its twin, half a
+period on: the hyperelliptic involution J fixes both and turns the orbit
+around, so the arc back has the same holonomy. A trace stops on the first
+chord of another midpoint, with twice the displacement so far as its
+holonomy, and walks the rest, by the same loop from the twin's chord, on the
+first read of its walk. The oracle reads no walk, so it walks about half of
+each cylinder's core orbit, and the twin's trajectory is the same walk
+rotated to start on its chord.
 """
 
 from __future__ import annotations
@@ -48,10 +52,11 @@ from __future__ import annotations
 import sys
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, lcm
-from operator import add, attrgetter, sub
+from operator import add, sub
 from threading import Lock
+from typing import Callable
 
 from .classify import Classification
 from .errors import CapExceededError, StructuralViolationError, _check_int
@@ -134,6 +139,8 @@ _TWINS2 = {
     label: frozenset([s, *(tuple(map(add, s, m)) for lo, hi, m in _GLUINGS2.values() if _between(lo, s, hi))])
     for label, s in _STARTS2.items()
 }
+# Twice the step from one midpoint to another at scale 2, by (to, from).
+_SHIFTS2 = {(m, s): tuple(2 * (a - b) for a, b in zip(pm, ps)) for m, pm in _STARTS2.items() for s, ps in _STARTS2.items()}
 _CONES2 = frozenset(_int_point(p, 2) for p in CONE_POINTS)
 _JUMPS2 = frozenset(jump for _, back in _EXITS for jump in (back, tuple(-c for c in back)))
 # Midpoints with a glued twin, 1 and 5, lie on glued edges, so they are the lower
@@ -187,6 +194,23 @@ def _replay_table(pairs: Point) -> tuple[int, tuple]:
     return 2 * factor, tuple(rows)
 
 
+class _cached:
+    """functools.cached_property without the lock it takes on every first read
+    before Python 3.12 (about 1.1 us a read against 0.3 on Python 3.11, as
+    much as several flow steps): the value is computed on first read and kept
+    in the instance's __dict__. Two threads that read it first at once both
+    compute it, and get equal values."""
+
+    def __init__(self, func: Callable[[Trajectory], object]) -> None:
+        self.func, self.name = func, func.__name__
+
+    def __get__(self, obj: Trajectory | None, cls: type | None = None) -> object:
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 class Outcome(Enum):
     CLOSED = "closed"
     HIT_CONE_POINT = "cone_point"
@@ -197,26 +221,43 @@ class Trajectory(_Frozen):
 
     It stores what the trace decides. `walk` has one byte per segment: the
     index in _EXITS of the wall its end crosses, or _END for a last segment
-    that ends at the start or the cone point. `_holonomy2` is the holonomy at
-    scale 2, which the oracle checks; `_cone` the _STAIR index of the corner
-    hit, or None; `_table` the direction's table, out of eq, hash and repr.
-    `scale`, `outcome`, `cone_point` and the GoldenVectors `start` and
-    `holonomy` are read off them; `scale` and the replay rows are set up from
-    the table's pairs on first read. `points`, each segment's (begin, end) integer points (xa, xb, ya, yb) with
-    every integer divided by `scale`, is replayed from the walk on first read
-    and cached; every library path that draws or checks a trajectory reads it.
+    that ends at the start or the cone point. It is `_arc + _rest`: a closed
+    orbit meets one other midpoint, `_twin`, and `_arc` holds the crossings
+    up to its chord, `_rest` the rest; a cone hit has no twin, and `_arc` is
+    its whole walk. A trace that stops at its twin leaves `_rest` None, and
+    the twin the oracle derives from it leaves `_arc` None: on the first read
+    of `walk` the missing part is walked between the two chords and the
+    walk cached. `_holonomy2` is the holonomy at scale 2, which the oracle
+    checks; `_cone` the _STAIR index of the corner hit, or None; `_table` the
+    direction's table. Eq, hash and repr read `_fields`, which hold `walk`
+    and leave the other slots out. `scale`, `outcome`, `cone_point` and the
+    GoldenVectors `start` and `holonomy` are read off them; `scale` and the
+    replay rows are set up from the table's pairs on first read. `points`,
+    each segment's (begin, end) integer points (xa, xb, ya, yb) with every
+    integer divided by `scale`, is replayed from the walk on first read and
+    cached; every library path that draws or checks a trajectory reads it.
     `segments`, the same as GoldenVector pairs, is built from it on first read.
     Cached reads live in `vars(t)`, and a copy or pickle keeps them.
     """
 
-    __slots__ = ("start_label", "direction", "walk", "_holonomy2", "_cone", "_table", "__dict__")
+    __slots__ = ("start_label", "direction", "_arc", "_twin", "_rest", "_holonomy2", "_cone", "_table", "__dict__")
 
-    _values = property(attrgetter("start_label", "direction", "walk", "_holonomy2", "_cone"))
+    _fields = ("start_label", "direction", "walk", "_holonomy2", "_cone")
 
     def __reduce__(self) -> tuple:
-        return type(self), (*self._values, self._table), vars(self)
+        return type(self), tuple(getattr(self, name) for name in self.__slots__[:-1]), vars(self)
 
-    @cached_property
+    @_cached
+    def walk(self) -> bytes:
+        # Each missing part has as many crossings as the known one, give or take one.
+        arc, rest = self._arc, self._rest
+        if arc is None:
+            arc = _crossings(self._table, self.start_label, self._twin, len(rest) + 2)
+        if rest is None:
+            rest = _crossings(self._table, self._twin, self.start_label, len(arc) + 2) + _end(self.start_label)
+        return arc + rest
+
+    @_cached
     def _replay(self) -> tuple[int, tuple]:
         return _replay_table(self._table[3])
 
@@ -236,11 +277,11 @@ class Trajectory(_Frozen):
     def start(self) -> GoldenVector:
         return weierstrass_point(self.start_label)
 
-    @cached_property
+    @_cached
     def holonomy(self) -> GoldenVector:
         return _from_point(self._holonomy2, 2)
 
-    @cached_property
+    @_cached
     def points(self) -> tuple[tuple[Point, Point], ...]:
         _, deltas, starts, _ = self._table
         scale, rows = self._replay
@@ -271,7 +312,7 @@ class Trajectory(_Frozen):
                 begin = ua, ub, 0, 0
         return tuple(points)
 
-    @cached_property
+    @_cached
     def segments(self) -> tuple[tuple[GoldenVector, GoldenVector], ...]:
         return tuple((_from_point(b, self.scale), _from_point(e, self.scale)) for b, e in self.points)
 
@@ -295,27 +336,34 @@ class Trajectory(_Frozen):
         }
 
 
-def trace_direction(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP) -> Trajectory:
-    """Flow from Weierstrass point `label` in direction v until closure or cone hit.
+def _end(label: int) -> bytes:
+    """What a closed walk from midpoint `label` ends with: nothing for a start
+    on a glued edge, the re-entry point of the last crossing, else _END."""
+    return b"" if label in _ON_GLUED_EDGE else _END_BYTE
 
-    A trace has at most `cap` segments. Closure can land exactly on the start
-    point at a re-entry, or strictly inside a segment; in the latter case the
-    last segment is truncated at the start point. A cap that is not a
-    nonnegative int raises ValueError.
-    """
-    _check_int("cap", cap, 0)
-    table = breaks, deltas, starts, pairs = _direction_table(v)
-    start = weierstrass_point(label)  # raises ValueError for a bad label
-    (p0, b0), cone = starts[label]
+
+def _run(table: tuple, h: tuple[int, int], target: tuple[int, int], look: bool, cap: int) -> tuple:
+    """The step loop: from the chord h, in (p, b) form at scale 2, cross at
+    most `cap` walls until the chord `target` or the cone point. With `look`,
+    the first chord of another midpoint met is the twin's, after j
+    crossings, and the walk ends there when 2j + 2 <= cap. Returns the walk,
+    the h of its last chord, the corner hit or None, and the twin and j, or
+    None and None."""
+    breaks, deltas, starts, _ = table
     # h is kept as its offset (x, y) from the middle corner, and the outer
     # corners as theirs, so the first sign test reads the state as it is.
     (p1, b1), (p2, b2), (p3, b3) = breaks
     u1, v1, u3, v3 = p1 - p2, b1 - b2, p3 - p2, b3 - b2
     (dx0, dy0), (dx1, dy1), (dx2, dy2), (dx3, dy3) = deltas
-    x, y = x0, y0 = p0 - p2, b0 - b2
+    x, y = h[0] - p2, h[1] - b2
+    x0, y0 = target[0] - p2, target[1] - b2
+    # The first parts of the chords the walk looks for: the target's, and with look every midpoint's.
+    near = {p - p2 for (p, _), _ in starts.values()} if look else set()
+    near.add(x0)
+    cone = twin = j = None
     walk = bytearray()
     append = walk.append
-    for _ in range(cap if cone is None else 0):
+    for _ in range(cap):
         # Below, at or above the middle corner; then below, at or above the
         # next. Each test is golden_sign's on twice the offset from a corner,
         # x + y*sqrt(5) from the middle one and s + t*sqrt(5) from an outer one:
@@ -349,16 +397,64 @@ def trace_direction(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP) ->
                 append(0)
                 x += dx0
                 y += dy0
-        if x == x0 and y == y0:
-            break
-    p, b = x + p2, y + b2
+        if x in near:
+            if x == x0 and y == y0:
+                break
+            if look:  # edge runs start on a corner, on no closed orbit
+                h = x + p2, y + b2
+                for m, (hm, edge_run) in starts.items():
+                    if hm == h and edge_run is None:
+                        twin, j = m, len(walk)
+                if twin is not None and 2 * j + 2 <= cap:
+                    break
+    return walk, (x + p2, y + b2), cone, twin, j
+
+
+def _crossings(table: tuple, a: int, b: int, cap: int) -> bytes:
+    """The crossings from midpoint a's chord to midpoint b's, at most `cap`,
+    of a closed orbit through both."""
+    starts = table[2]
+    walk, h, cone, _, _ = _run(table, starts[a][0], starts[b][0], False, cap)
+    if cone is not None or h != starts[b][0]:
+        raise StructuralViolationError(f"the orbit from midpoint {a} does not reach midpoint {b} in {cap} crossings")
+    return bytes(walk)
+
+
+def trace_direction(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP) -> Trajectory:
+    """Flow from Weierstrass point `label` in direction v until closure or cone hit.
+
+    A trace has at most `cap` segments. Closure can land exactly on the start
+    point at a re-entry, or strictly inside a segment; in the latter case the
+    last segment is truncated at the start point. A cap that is not a
+    nonnegative int raises ValueError.
+
+    The walk stops at the first chord of another midpoint, the twin, after k
+    crossings if 2k + 2 <= cap, and the rest of it is walked on first read.
+    A midpoint on the start's own chord is the twin, met at closure.
+    """
+    _check_int("cap", cap, 0)
+    table = _, _, starts, pairs = _direction_table(v)
+    start = weierstrass_point(label)  # raises ValueError for a bad label
+    h0, cone = starts[label]
+    walk, (p, b), hit, met, j = _run(table, h0, h0, True, cap if cone is None else 0)
+    cone = hit if cone is None else cone
+    # The translations of the crossings, and from the start to the point the
+    # walk ends at: its twin, a cone point or itself. Per wall at scale 2, a
+    # crossing adds (2, 2, 0, 0), (0, 0, 0, 2), (0, 2, 0, 0) or (0, 0, 2, 2).
+    n0, n1, n2, n3 = map(walk.count, range(_END))
+    if met is not None and 2 * j + 2 <= cap:
+        # Stopped at the twin: J turns the orbit around, so the arc back has the same displacement.
+        da, db, dc, dd = _SHIFTS2[met, label]
+        holonomy = 4 * n0 + da, 4 * (n0 + n2) + db, 4 * n3 + dc, 4 * (n1 + n3) + dd
+        return Trajectory(label, v, bytes(walk), met, None, holonomy, None, table)
+    holonomy = 2 * n0, 2 * (n0 + n2), 2 * n3, 2 * (n1 + n3)
 
     # Back on the start's chord, a start on a glued edge is this re-entry
     # point; any other start, or the cone point, ends one more segment, _END.
     # So a walk that ran out of steps has more than cap segments. Checked once,
     # not per step: a walk that takes a wrong wall leaves the L and would
     # otherwise pass for a cap overrun.
-    if not (walk and p == p0 and b == b0 and label in _ON_GLUED_EDGE):
+    if not (walk and (p, b) == h0 and label in _ON_GLUED_EDGE):
         walk.append(_END)
     if len(walk) > cap:
         last = start
@@ -371,13 +467,12 @@ def trace_direction(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP) ->
         if not point_in_surface(last):
             raise StructuralViolationError(f"trajectory left the golden L: {where}")
         raise CapExceededError(f"trajectory did not terminate: {where}")
-    # The translations of the crossings, and from the start to a cone point.
-    # Per wall at scale 2, a crossing adds (2, 2, 0, 0), (0, 0, 0, 2), (0, 2, 0, 0) or (0, 0, 2, 2).
-    n0, n1, n2, n3 = map(walk.count, range(_END))
-    holonomy = 2 * n0, 2 * (n0 + n2), 2 * n3, 2 * (n1 + n3)
     if cone is not None:
         holonomy = tuple(map(sub, map(add, holonomy, _STAIR2[cone]), _STARTS2[label]))
-    return Trajectory(label, v, bytes(walk), holonomy, cone, table)
+        return Trajectory(label, v, bytes(walk), None, b"", holonomy, cone, table)
+    if met is None:  # a twin on the start's own chord: rotating by 0 or by the whole walk is the same
+        met, j = next((m for m, (h, _) in starts.items() if h == h0 and m != label), None), 0
+    return Trajectory(label, v, bytes(walk[:j]), met, bytes(walk[j:]), holonomy, None, table)
 
 
 def trace(label: int, word: Word, cap: int = DEFAULT_STEP_CAP) -> Trajectory:
@@ -385,48 +480,35 @@ def trace(label: int, word: Word, cap: int = DEFAULT_STEP_CAP) -> Trajectory:
 
 
 def _midpoint_orbits(v: GoldenVector, cap: int) -> dict[int, Trajectory]:
-    """The trajectories from the five midpoints in direction v, by label, walking each closed orbit once.
+    """The trajectories from the five midpoints in direction v, by label, walking half of each closed orbit.
 
     The core orbit of a cylinder passes through two midpoints, the fixed
-    points of the hyperelliptic involution inside it. The involution turns
-    the orbit around, so the two arcs between them have the same holonomy and
-    their crossing counts differ only by the midpoints' offset: by at most
-    one, in every direction the tests sweep. So of a closed orbit's n chords
-    only j = n // 2 and (n + 1) // 2 are read: h from the crossing counts
-    before n // 2, and for odd n one step more; the first untraced midpoint
-    that starts there is its twin, whose walk is the crossings rotated to
-    start at j, plus _END for a start inside the L, with the same holonomy. A
-    twin is derived only within cap segments; any midpoint not derived is
-    traced, to the same trajectory or the same error.
+    points of the hyperelliptic involution J inside it, half a period apart,
+    and a trace names the other one, its twin. J turns the orbit around, so
+    the two arcs between them have the same holonomy. The twin's walk is the
+    trace's rotated to start on its chord: the trace's rest, then its arc,
+    plus _END for a start inside the L. When the trace stopped at its twin
+    after k crossings, the rest is walked only if the twin's walk is read,
+    and both walks fit the cap: they have at most 2k + 2 segments, as the
+    arcs cross the walls equally often give or take one. (The orbit leaves
+    the square [0, phi]^2 up or right and comes back into it through the top
+    or right outer wall, in turn; J swaps those two pairs of sides and fixes
+    the other two walls.) A twin of a whole walk is derived only within cap
+    segments; any midpoint not derived is traced, to the same trajectory or
+    the same error.
     """
     orbits = {}
     for label in WEIERSTRASS_LABELS:
         if label in orbits:
             continue
         t = orbits[label] = trace_direction(label, v, cap)
-        if t.outcome is not Outcome.CLOSED:
+        m, rest = t._twin, t._rest
+        if m is None or m in orbits:
             continue
-        _, deltas, starts, _ = t._table
-        untraced = {h: m for m, (h, cone) in starts.items() if m not in orbits and cone is None}
-        if not untraced:
-            continue
-        (dp0, db0), (dp1, db1), (dp2, db2), (dp3, db3) = deltas
-        (p, b), _ = starts[label]
-        crossings = t.walk.rstrip(_END_BYTE)
-        n = len(crossings)
-        j = n // 2
-        c0, c1, c2, c3 = [crossings.count(k, 0, j) for k in range(_END)]
-        p += c0 * dp0 + c1 * dp1 + c2 * dp2 + c3 * dp3
-        b += c0 * db0 + c1 * db1 + c2 * db2 + c3 * db3
-        m = untraced.get((p, b))
-        if m is None and n % 2:
-            dp, db = deltas[crossings[j]]
-            j += 1
-            m = untraced.get((p + dp, b + db))
-        if m is not None:
-            walk = crossings[j:] + crossings[:j] + (b"" if m in _ON_GLUED_EDGE else _END_BYTE)
-            if len(walk) <= cap:
-                orbits[m] = Trajectory(m, v, walk, t._holonomy2, None, t._table)
+        arc = None if rest is None else rest.rstrip(_END_BYTE)
+        rest = t._arc + _end(m)
+        if arc is None or len(arc) + len(rest) <= cap:
+            orbits[m] = Trajectory(m, v, arc, label, rest, t._holonomy2, None, t._table)
     return {label: orbits[label] for label in WEIERSTRASS_LABELS}
 
 

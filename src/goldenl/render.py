@@ -276,26 +276,32 @@ def _svg(frame: str, trajectory: Trajectory, size: int, stroke: float) -> str:
     """A size x size picture of one frame with a trajectory's lines, read after
     _frame checks size and stroke. The L's segments share no ends; the table's
     path is a polyline, line i from point i to i + 1, so each point is placed
-    and formatted once."""
+    and formatted once. Both frames format their lines in chunks of
+    _CHUNK_LINES and join the parts once."""
     (margin, left, top, scale), head, line, tail = _frame(frame, size, stroke)
+    parts = [head]
     # %.3f prints a float as {:.3f} does.
     if frame == GOLDEN_L_FRAME:
         ends = _float_ends(trajectory)
         ends[0::2] = [margin + (x - left) * scale for x in ends[0::2]]
         ends[1::2] = [margin + (top - y) * scale for y in ends[1::2]]
-        return head + line * (len(ends) // 4) % tuple(ends) + tail
-    # The lines go in chunks of _CHUNK_LINES, each formatted from its own
-    # points and sharing its end point with the next, and are joined once.
-    points = _fold(trajectory)[0]
-    parts = [head]
-    for i in range(0, len(points) - 1, _CHUNK_LINES):
-        chunk = points[i:i + _CHUNK_LINES + 1]
-        m = len(chunk)
-        xs = ("%.3f " * m % tuple([margin + (z.real - left) * scale for z in chunk])).split()
-        ys = ("%.3f " * m % tuple([margin + (top - z.imag) * scale for z in chunk])).split()
-        ends = xs[1:] * 4  # x1, y1, x2, y2 of each line
-        ends[0::4], ends[1::4], ends[2::4], ends[3::4] = xs[:-1], ys[:-1], xs[1:], ys[1:]
-        parts.append(line * (m - 1) % tuple(ends))
+        n = len(ends) // 4
+        for i in range(0, n, _CHUNK_LINES):
+            k = min(_CHUNK_LINES, n - i)
+            parts.append(line * k % tuple(ends[4 * i:4 * (i + k)]))
+        del ends  # not held through the join
+    else:
+        # Each chunk of the table's lines is formatted from its own points,
+        # sharing its end point with the next.
+        points = _fold(trajectory)[0]
+        for i in range(0, len(points) - 1, _CHUNK_LINES):
+            chunk = points[i:i + _CHUNK_LINES + 1]
+            m = len(chunk)
+            xs = ("%.3f " * m % tuple([margin + (z.real - left) * scale for z in chunk])).split()
+            ys = ("%.3f " * m % tuple([margin + (top - z.imag) * scale for z in chunk])).split()
+            ends = xs[1:] * 4  # x1, y1, x2, y2 of each line
+            ends[0::4], ends[1::4], ends[2::4], ends[3::4] = xs[:-1], ys[:-1], xs[1:], ys[1:]
+            parts.append(line * (m - 1) % tuple(ends))
     parts.append(tail)
     return "".join(parts)
 

@@ -89,12 +89,12 @@ def vector_to_word(v: GoldenVector, cap: int = DEFAULT_INVERSION_CAP) -> Word:
     """
     _check_int("cap", cap, 0)
     xa, xb, ya, yb = _direction_pairs(v)
+    # Only the input can be vertical: each cone's upper boundary belongs to
+    # the next cone, so no pull-back lands on the vertical.
+    if not (xa or xb):
+        raise VerticalDirectionError("vertical direction has no word; classify it via the y = x relabeling")
     letters: list[int] = []
     while ya or yb:
-        if not (xa or xb):
-            raise VerticalDirectionError(
-                "vertical direction has no word; classify it via the y = x relabeling"
-            )
         if len(letters) >= cap:
             raise CapExceededError(f"direction needs a word longer than {cap} letters")
         k = _pair_cone(xa, xb, ya, yb)

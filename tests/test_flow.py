@@ -4,7 +4,8 @@ import random
 import re
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
+from operator import sub
 
 import pytest
 
@@ -173,8 +174,8 @@ def test_oracle_matches_permutation_classification_sampled():
 
 @pytest.mark.parametrize(
     "seed, lengths, quads",
-    [(20261018, (6, 7, 8), 16), (20261019, (9, 10), 8)],
-    ids=["lengths 6-8", "lengths 9-10"],
+    [(20261018, (6, 7, 8), 16), (20261019, (9, 10), 8), (20261021, (11, 12, 13), 8)],
+    ids=["lengths 6-8", "lengths 9-10", "lengths 11-13"],
 )
 def test_oracle_matches_permutation_classification_letter_shift_quads(seed, lengths, quads):
     # `quads` letter-shift quads (a word w and the words (w + s) mod 4
@@ -258,6 +259,77 @@ def test_oracle_trajectories_equal_independent_traces(monkeypatch):
         walked.clear()
         cap = max(t.segment_count for t in report.trajectories.values())
         assert oracle_report_direction(v, cap).trajectories == report.trajectories and len(walked) == 3, word
+
+
+def _first_chord(ps, bs, h):
+    """The first index i with (ps[i], bs[i]) == h, or None."""
+    i = -1
+    try:
+        while True:
+            i = ps.index(h[0], i + 1)
+            if bs[i] == h[1]:
+                return i
+    except ValueError:
+        return None
+
+
+def test_each_closed_orbit_meets_one_twin_half_a_period_away(monkeypatch):
+    # Every word of length <= 6, its mirror in y = x, and both axes, from all
+    # five midpoints. The chords a walk runs along are replayed by their h from
+    # the direction's table. A closed orbit meets exactly one other midpoint,
+    # its twin, which the trace names; a cone hit meets none. Twice the
+    # displacement from the start to the twin, over the first j crossings, is
+    # the holonomy of the whole walk, which has 2j, 2j + 1 or 2j + 2 segments,
+    # and the twin's walk at most 2j + 2; the trace stops at the twin, its arc
+    # the first j crossings. In the axis directions the twin can lie on the
+    # start's own chord, ahead of the start (j = 0) or behind it (met only at
+    # closure, j = n); both occur, and the oracle derives the twin either way.
+    # Points and translations are integers at scale 2.
+    moves = {g.name: flow_module._int_point(g.translation, 2) for g in GOLDEN_L.identifications}
+    moves = [moves[name] for name in "bdac"]  # what crossing each wall adds, in walk byte order
+    points = {label: flow_module._int_point(weierstrass_point(label), 2) for label in WEIERSTRASS_LABELS}
+    words = [word_to_vector(w) for n in range(7) for w in product((0, 1, 2, 3), repeat=n)]
+    on_start_chord = {"ahead": 0, "behind": 0}
+    for v in words + [GoldenVector(v.y, v.x) for v in words] + [HORIZONTAL, VERTICAL]:
+        for label in WEIERSTRASS_LABELS:
+            t = trace_direction(label, v)
+            _, deltas, starts, _ = t._table
+            crossings = t.walk.rstrip(flow_module._END_BYTE)
+            others = {h: m for m, (h, edge_run) in starts.items() if m != label and edge_run is None}
+            # The chords' h as two lists, (p, b) for p + b*sqrt(5); each midpoint
+            # met, by the number of crossings before its first chord.
+            chords = [list(accumulate(map([d[c] for d in deltas].__getitem__, crossings), initial=starts[label][0][c]))
+                      for c in (0, 1)]
+            met = {m: i for h, m in others.items() if (i := _first_chord(*chords, h)) is not None}
+            if t.outcome is Outcome.HIT_CONE_POINT:
+                assert met == {} and t._twin is None, (label, v)
+                continue
+            assert list(met) == [t._twin], (label, v)
+            j = met[t._twin]
+            if j:
+                assert t._rest is None and len(t._arc) == j, (label, v)
+            elif dot(weierstrass_point(t._twin) - t.start, v).sign() > 0:
+                on_start_chord["ahead"] += 1
+            else:
+                on_start_chord["behind"] += 1
+                j = len(crossings)
+            half = tuple(map(sub, points[t._twin], points[label]))
+            whole = (0, 0, 0, 0)
+            for k, move in enumerate(moves):
+                half = tuple(c + crossings.count(k, 0, j) * d for c, d in zip(half, move))
+                whole = tuple(c + crossings.count(k) * d for c, d in zip(whole, move))
+            assert tuple(2 * c for c in half) == whole == t._holonomy2, (label, v)
+            assert len(t.walk) - 2 * j in (0, 1, 2), (label, v)
+            assert len(crossings) + (t._twin not in flow_module._ON_GLUED_EDGE) <= 2 * j + 2, (label, v)
+    assert all(on_start_chord.values()), on_start_chord
+    traced = flow_module.trace_direction
+    walked = []
+    monkeypatch.setattr(flow_module, "trace_direction", lambda *args: walked.append(args) or traced(*args))
+    for v in (HORIZONTAL, VERTICAL):
+        walked.clear()
+        report = oracle_report_direction(v)
+        assert len(walked) == 3
+        assert report.trajectories == {label: traced(label, v) for label in WEIERSTRASS_LABELS}
 
 
 def test_oracle_matches_per_midpoint_reference_around_the_cap():

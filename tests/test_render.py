@@ -214,6 +214,25 @@ def test_long_table_picture_is_formatted_in_chunks(monkeypatch):
     assert billiard_svg(t) == svg
 
 
+def test_long_golden_l_picture_is_formatted_in_chunks(monkeypatch):
+    # The 12-letter word from midpoint 2 runs 31,989 segments on the L, over
+    # four chunks. With its points built, drawing it holds about two and a
+    # half times its text, and the picture is the one-chunk formatting, which
+    # peaked near three and a half times.
+    t = trace(2, (1, 3, 0, 2) * 3)
+    t.points
+    tracemalloc.start()
+    try:
+        svg = golden_l_svg(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert svg.count('<line class="trajectory"') == t.segment_count == 31_989
+    assert peak <= 2.75 * len(svg), peak / len(svg)
+    monkeypatch.setattr(render, "_CHUNK_LINES", 10**6)
+    assert golden_l_svg(t) == svg
+
+
 def test_bad_size_or_stroke_is_rejected_before_the_points_are_read(monkeypatch):
     # Both frames check the size and stroke first: no float ends are read, no fold runs.
     t = trace(2, (2, 1))
