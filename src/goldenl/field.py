@@ -65,9 +65,10 @@ class _Frozen:
     gets one that takes one value per slot, __dict__ left out, positionally in
     slot order, and sets each through the slot's own setter, past __setattr__;
     a wrong count raises TypeError naming the class and its slots. Equality,
-    hash, repr, copy and pickle read the class's `_fields`, its slots unless
-    it names others, in that order through `_values`, one C-level getter per
-    class."""
+    hash and repr read the class's `_fields`, its slots unless it names
+    others, in that order through `_values`, one C-level getter per class.
+    Copy and pickle rebuild a value from one value per slot, and keep its
+    __dict__, the values it caches, when the class has one."""
 
     __slots__ = ()
 
@@ -76,8 +77,8 @@ class _Frozen:
             cls._fields = cls.__slots__
         get = attrgetter(*cls._fields)  # one name gives the bare value, not a 1-tuple
         cls._values = property(get if len(cls._fields) > 1 else lambda self: (get(self),))
+        names = cls._slot_names = tuple(name for name in cls.__slots__ if name != "__dict__")
         if "__init__" not in vars(cls):
-            names = tuple(name for name in cls.__slots__ if name != "__dict__")
             setters = tuple(vars(cls)[name].__set__ for name in names)
 
             def __init__(self, *values: object) -> None:
@@ -109,7 +110,8 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self) -> tuple:
-        return type(self), self._values
+        values = tuple(getattr(self, name) for name in self._slot_names)  # type: ignore[attr-defined]
+        return type(self), values, getattr(self, "__dict__", None)
 
 
 @total_ordering

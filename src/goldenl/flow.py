@@ -32,19 +32,17 @@ own branch, which appends its byte and adds its step to h. A direction is
 set up once, in one cached table of what the walk reads: every h a trace
 starts from or steps by is one integer linear map of its pairs, which the
 table also carries. A trajectory keeps only what its trace decides, the
-walk as far as it went, the twin, the integer holonomy, the corner hit and
-the direction's table. On the first read of its points it sets up their
-scale from the pairs and replays them; the oracle never reads them.
-Points are checked against the L's fixed points at scale 2.
+whole walk, the integer holonomy, the corner hit and the direction's table.
+On the first read of its points it sets up their scale from the pairs and
+replays them. Points are checked against the L's fixed points at scale 2.
 
 A closed orbit through a midpoint meets exactly one other, its twin, half a
 period on: the hyperelliptic involution J fixes both and turns the orbit
-around, so the arc back has the same holonomy. A trace stops on the first
-chord of another midpoint, with twice the displacement so far as its
-holonomy, and walks the rest, by the same loop from the twin's chord, on the
-first read of its walk. The oracle reads no walk, so it walks about half of
-each cylinder's core orbit, and the twin's trajectory is the same walk
-rotated to start on its chord.
+around, so the arc back has the same holonomy. The half-walk belongs to the
+oracle, which needs only holonomies: its walk stops on the first chord of
+another midpoint and gives both twice the displacement so far, so it walks
+about half of each cylinder's core orbit and builds no trajectory. Its
+report traces the five trajectories, each whole, when they are read.
 """
 
 from __future__ import annotations
@@ -198,13 +196,14 @@ class _cached:
     """functools.cached_property without the lock it takes on every first read
     before Python 3.12 (about 1.1 us a read against 0.3 on Python 3.11, as
     much as several flow steps): the value is computed on first read and kept
-    in the instance's __dict__. Two threads that read it first at once both
+    in the instance's __dict__, for a Trajectory's replay and points and an
+    OracleReport's trajectories. Two threads that read it first at once both
     compute it, and get equal values."""
 
-    def __init__(self, func: Callable[[Trajectory], object]) -> None:
+    def __init__(self, func: Callable[[_Frozen], object]) -> None:
         self.func, self.name = func, func.__name__
 
-    def __get__(self, obj: Trajectory | None, cls: type | None = None) -> object:
+    def __get__(self, obj: _Frozen | None, cls: type | None = None) -> object:
         if obj is None:
             return self
         value = obj.__dict__[self.name] = self.func(obj)
@@ -221,41 +220,22 @@ class Trajectory(_Frozen):
 
     It stores what the trace decides. `walk` has one byte per segment: the
     index in _EXITS of the wall its end crosses, or _END for a last segment
-    that ends at the start or the cone point. It is `_arc + _rest`: a closed
-    orbit meets one other midpoint, `_twin`, and `_arc` holds the crossings
-    up to its chord, `_rest` the rest; a cone hit has no twin, and `_arc` is
-    its whole walk. A trace that stops at its twin leaves `_rest` None, and
-    the twin the oracle derives from it leaves `_arc` None: on the first read
-    of `walk` the missing part is walked between the two chords and the
-    walk cached. `_holonomy2` is the holonomy at scale 2, which the oracle
-    checks; `_cone` the _STAIR index of the corner hit, or None; `_table` the
-    direction's table. Eq, hash and repr read `_fields`, which hold `walk`
-    and leave the other slots out. `scale`, `outcome`, `cone_point` and the
-    GoldenVectors `start` and `holonomy` are read off them; `scale` and the
-    replay rows are set up from the table's pairs on first read. `points`,
-    each segment's (begin, end) integer points (xa, xb, ya, yb) with every
-    integer divided by `scale`, is replayed from the walk on first read and
-    cached; every library path that draws or checks a trajectory reads it.
-    `segments`, the same as GoldenVector pairs, is built from it on first read.
-    Cached reads live in `vars(t)`, and a copy or pickle keeps them.
+    that ends at the start or the cone point. `_holonomy2` is the holonomy at
+    scale 2; `_cone` the _STAIR index of the corner hit, or None; `_table` the
+    direction's table. Eq, hash and repr read `_fields`, which leave the
+    table out. `scale`, `outcome`, `cone_point` and the GoldenVectors `start`
+    and `holonomy` are read off them; `scale` and the replay rows are set up
+    from the table's pairs on first read. `points`, each segment's (begin,
+    end) integer points (xa, xb, ya, yb) with every integer divided by
+    `scale`, is replayed from the walk on first read and cached; every library
+    path that draws or checks a trajectory reads it. `segments`, the same as
+    GoldenVector pairs, is built from it on first read. Cached reads live in
+    `vars(t)`, and a copy or pickle keeps them.
     """
 
-    __slots__ = ("start_label", "direction", "_arc", "_twin", "_rest", "_holonomy2", "_cone", "_table", "__dict__")
+    __slots__ = ("start_label", "direction", "walk", "_holonomy2", "_cone", "_table", "__dict__")
 
     _fields = ("start_label", "direction", "walk", "_holonomy2", "_cone")
-
-    def __reduce__(self) -> tuple:
-        return type(self), tuple(getattr(self, name) for name in self.__slots__[:-1]), vars(self)
-
-    @_cached
-    def walk(self) -> bytes:
-        # Each missing part has as many crossings as the known one, give or take one.
-        arc, rest = self._arc, self._rest
-        if arc is None:
-            arc = _crossings(self._table, self.start_label, self._twin, len(rest) + 2)
-        if rest is None:
-            rest = _crossings(self._table, self._twin, self.start_label, len(arc) + 2) + _end(self.start_label)
-        return arc + rest
 
     @_cached
     def _replay(self) -> tuple[int, tuple]:
@@ -336,28 +316,21 @@ class Trajectory(_Frozen):
         }
 
 
-def _end(label: int) -> bytes:
-    """What a closed walk from midpoint `label` ends with: nothing for a start
-    on a glued edge, the re-entry point of the last crossing, else _END."""
-    return b"" if label in _ON_GLUED_EDGE else _END_BYTE
-
-
-def _run(table: tuple, h: tuple[int, int], target: tuple[int, int], look: bool, cap: int) -> tuple:
+def _run(table: tuple, h: tuple[int, int], look: bool, cap: int) -> tuple:
     """The step loop: from the chord h, in (p, b) form at scale 2, cross at
-    most `cap` walls until the chord `target` or the cone point. With `look`,
-    the first chord of another midpoint met is the twin's, after j
-    crossings, and the walk ends there when 2j + 2 <= cap. Returns the walk,
-    the h of its last chord, the corner hit or None, and the twin and j, or
-    None and None."""
+    most `cap` walls until h comes back or the cone point. With `look`, the
+    first chord of another midpoint met is the twin's, after j crossings, and
+    the walk ends there when 2j + 2 <= cap. Returns the walk, the h of its
+    last chord, the corner hit or None, and the twin and j, or None and None."""
     breaks, deltas, starts, _ = table
     # h is kept as its offset (x, y) from the middle corner, and the outer
     # corners as theirs, so the first sign test reads the state as it is.
     (p1, b1), (p2, b2), (p3, b3) = breaks
     u1, v1, u3, v3 = p1 - p2, b1 - b2, p3 - p2, b3 - b2
     (dx0, dy0), (dx1, dy1), (dx2, dy2), (dx3, dy3) = deltas
-    x, y = h[0] - p2, h[1] - b2
-    x0, y0 = target[0] - p2, target[1] - b2
-    # The first parts of the chords the walk looks for: the target's, and with look every midpoint's.
+    x0 = x = h[0] - p2
+    y0 = y = h[1] - b2
+    # The first parts of the chords the walk looks for: the start's, and with look every midpoint's.
     near = {p - p2 for (p, _), _ in starts.values()} if look else set()
     near.add(x0)
     cone = twin = j = None
@@ -410,44 +383,24 @@ def _run(table: tuple, h: tuple[int, int], target: tuple[int, int], look: bool, 
     return walk, (x + p2, y + b2), cone, twin, j
 
 
-def _crossings(table: tuple, a: int, b: int, cap: int) -> bytes:
-    """The crossings from midpoint a's chord to midpoint b's, at most `cap`,
-    of a closed orbit through both."""
-    starts = table[2]
-    walk, h, cone, _, _ = _run(table, starts[a][0], starts[b][0], False, cap)
-    if cone is not None or h != starts[b][0]:
-        raise StructuralViolationError(f"the orbit from midpoint {a} does not reach midpoint {b} in {cap} crossings")
-    return bytes(walk)
-
-
-def trace_direction(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP) -> Trajectory:
-    """Flow from Weierstrass point `label` in direction v until closure or cone hit.
-
-    A trace has at most `cap` segments. Closure can land exactly on the start
-    point at a re-entry, or strictly inside a segment; in the latter case the
-    last segment is truncated at the start point. A cap that is not a
-    nonnegative int raises ValueError.
-
-    The walk stops at the first chord of another midpoint, the twin, after k
-    crossings if 2k + 2 <= cap, and the rest of it is walked on first read.
-    A midpoint on the start's own chord is the twin, met at closure.
-    """
-    _check_int("cap", cap, 0)
-    table = _, _, starts, pairs = _direction_table(v)
+def _walk(label: int, v: GoldenVector, table: tuple, cap: int, look: bool) -> tuple:
+    """Walk from midpoint `label` in direction v, whose table is `table`, in
+    at most `cap` segments. Returns the walk, its holonomy at scale 2, the
+    corner hit or None, the twin met or None, and whether it stopped there:
+    with `look`, when 2j + 2 <= cap for the j crossings before the twin's
+    chord, and then the holonomy is the j crossings'. Any other walk past the
+    cap raises CapExceededError, or StructuralViolationError if it left the L."""
+    _, _, starts, pairs = table
     start = weierstrass_point(label)  # raises ValueError for a bad label
     h0, cone = starts[label]
-    walk, (p, b), hit, met, j = _run(table, h0, h0, True, cap if cone is None else 0)
+    walk, (p, b), hit, twin, j = _run(table, h0, look, cap if cone is None else 0)
     cone = hit if cone is None else cone
-    # The translations of the crossings, and from the start to the point the
-    # walk ends at: its twin, a cone point or itself. Per wall at scale 2, a
-    # crossing adds (2, 2, 0, 0), (0, 0, 0, 2), (0, 2, 0, 0) or (0, 0, 2, 2).
+    # The translations of the crossings. Per wall at scale 2, a crossing adds
+    # (2, 2, 0, 0), (0, 0, 0, 2), (0, 2, 0, 0) or (0, 0, 2, 2).
     n0, n1, n2, n3 = map(walk.count, range(_END))
-    if met is not None and 2 * j + 2 <= cap:
-        # Stopped at the twin: J turns the orbit around, so the arc back has the same displacement.
-        da, db, dc, dd = _SHIFTS2[met, label]
-        holonomy = 4 * n0 + da, 4 * (n0 + n2) + db, 4 * n3 + dc, 4 * (n1 + n3) + dd
-        return Trajectory(label, v, bytes(walk), met, None, holonomy, None, table)
     holonomy = 2 * n0, 2 * (n0 + n2), 2 * n3, 2 * (n1 + n3)
+    if twin is not None and 2 * j + 2 <= cap:
+        return walk, holonomy, None, twin, True
 
     # Back on the start's chord, a start on a glued edge is this re-entry
     # point; any other start, or the cone point, ends one more segment, _END.
@@ -467,56 +420,80 @@ def trace_direction(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP) ->
         if not point_in_surface(last):
             raise StructuralViolationError(f"trajectory left the golden L: {where}")
         raise CapExceededError(f"trajectory did not terminate: {where}")
-    if cone is not None:
+    if cone is not None:  # plus the step from the start to the corner hit
         holonomy = tuple(map(sub, map(add, holonomy, _STAIR2[cone]), _STARTS2[label]))
-        return Trajectory(label, v, bytes(walk), None, b"", holonomy, cone, table)
-    if met is None:  # a twin on the start's own chord: rotating by 0 or by the whole walk is the same
-        met, j = next((m for m, (h, _) in starts.items() if h == h0 and m != label), None), 0
-    return Trajectory(label, v, bytes(walk[:j]), met, bytes(walk[j:]), holonomy, None, table)
+    return walk, holonomy, cone, twin, False
+
+
+def trace_direction(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP) -> Trajectory:
+    """Flow from Weierstrass point `label` in direction v until closure or cone hit.
+
+    A trace has at most `cap` segments. Closure can land exactly on the start
+    point at a re-entry, or strictly inside a segment; in the latter case the
+    last segment is truncated at the start point. A cap that is not a
+    nonnegative int raises ValueError.
+    """
+    _check_int("cap", cap, 0)
+    table = _direction_table(v)
+    walk, holonomy, cone, _, _ = _walk(label, v, table, cap, False)
+    return Trajectory(label, v, bytes(walk), holonomy, cone, table)
 
 
 def trace(label: int, word: Word, cap: int = DEFAULT_STEP_CAP) -> Trajectory:
     return trace_direction(label, word_to_vector(word), cap)
 
 
-def _midpoint_orbits(v: GoldenVector, cap: int) -> dict[int, Trajectory]:
-    """The trajectories from the five midpoints in direction v, by label, walking half of each closed orbit.
+def _midpoint_holonomies(v: GoldenVector, table: tuple, cap: int) -> dict[int, Point | None]:
+    """The holonomies at scale 2 of the orbits from the five midpoints in
+    direction v, whose table is `table`, by label, None for a cone hit, from
+    half of each closed orbit.
 
-    The core orbit of a cylinder passes through two midpoints, the fixed
-    points of the hyperelliptic involution J inside it, half a period apart,
-    and a trace names the other one, its twin. J turns the orbit around, so
-    the two arcs between them have the same holonomy. The twin's walk is the
-    trace's rotated to start on its chord: the trace's rest, then its arc,
-    plus _END for a start inside the L. When the trace stopped at its twin
-    after k crossings, the rest is walked only if the twin's walk is read,
-    and both walks fit the cap: they have at most 2k + 2 segments, as the
-    arcs cross the walls equally often give or take one. (The orbit leaves
-    the square [0, phi]^2 up or right and comes back into it through the top
-    or right outer wall, in turn; J swaps those two pairs of sides and fixes
-    the other two walls.) A twin of a whole walk is derived only within cap
-    segments; any midpoint not derived is traced, to the same trajectory or
+    A cylinder's core orbit passes through two midpoints half a period apart,
+    the fixed points of the hyperelliptic involution J inside it, and J turns
+    the orbit around, so the two arcs between them have the same holonomy. A
+    walk stopped at its twin after k crossings gives both twice the
+    displacement so far. Both whole walks then fit the cap, with at most
+    2k + 2 segments: the arcs cross the walls equally often give or take one.
+    (The orbit leaves the square [0, phi]^2 up or right and comes back through
+    the top or right outer wall, in turn; J swaps those two pairs of sides and
+    fixes the other two walls.) In an axis direction the twin can lie on the
+    start's own chord, unmet. A twin of a whole walk is taken only if its
+    walk, the same crossings rotated to its chord plus _END for a start inside
+    the L, fits the cap; any other midpoint is walked, to the same holonomy or
     the same error.
     """
-    orbits = {}
+    starts = table[2]
+    holonomies = {}
     for label in WEIERSTRASS_LABELS:
-        if label in orbits:
+        if label in holonomies:
             continue
-        t = orbits[label] = trace_direction(label, v, cap)
-        m, rest = t._twin, t._rest
-        if m is None or m in orbits:
-            continue
-        arc = None if rest is None else rest.rstrip(_END_BYTE)
-        rest = t._arc + _end(m)
-        if arc is None or len(arc) + len(rest) <= cap:
-            orbits[m] = Trajectory(m, v, arc, label, rest, t._holonomy2, None, t._table)
-    return {label: orbits[label] for label in WEIERSTRASS_LABELS}
+        walk, holonomy, cone, twin, taken = _walk(label, v, table, cap, True)
+        if taken:  # stopped at the twin, half a period on
+            holonomy = tuple(2 * c + d for c, d in zip(holonomy, _SHIFTS2[twin, label]))
+        elif cone is not None:
+            holonomy = None
+        else:
+            if twin is None:  # on the start's own chord: rotating by 0 or by the whole walk is the same
+                twin = next((m for m, (h, _) in starts.items() if h == starts[label][0] and m != label), None)
+            taken = len(walk.rstrip(_END_BYTE)) + (twin not in _ON_GLUED_EDGE) <= cap
+        holonomies[label] = holonomy
+        if twin is not None and taken:
+            holonomies[twin] = holonomy
+    return {label: holonomies[label] for label in WEIERSTRASS_LABELS}
 
 
 class OracleReport(_Frozen):
     """Joint result of flowing all five midpoints in one direction, a field._Frozen value that holds dicts
-    and so has no hash; the saddle label and cylinder holonomies are read off verdicts and trajectories."""
+    and so has no hash. It stores the direction, the verdicts and the cap, and traces `trajectories` at
+    that cap on first read; the saddle label and cylinder holonomies are read off them."""
 
-    __slots__ = ("direction", "trajectories", "verdicts")
+    __slots__ = ("direction", "verdicts", "_cap", "__dict__")
+
+    _fields = ("direction", "trajectories", "verdicts")
+
+    @_cached
+    def trajectories(self) -> dict[int, Trajectory]:
+        return {label: trace_direction(label, self.direction, self._cap) for label in WEIERSTRASS_LABELS}
 
     @property
     def saddle_label(self) -> int:
@@ -533,9 +510,9 @@ class OracleReport(_Frozen):
 
 def oracle_report_direction(v: GoldenVector, cap: int = DEFAULT_STEP_CAP) -> OracleReport:
     """Classify every midpoint by flowing it, checking the cylinder structure."""
-    trajectories = _midpoint_orbits(v, cap)
-    holonomies = {l: None if t._cone is not None else t._holonomy2 for l, t in trajectories.items()}
-    return OracleReport(v, trajectories, _cylinder_verdicts(v, trajectories[1]._table[3], holonomies))
+    _check_int("cap", cap, 0)
+    table = _direction_table(v)
+    return OracleReport(v, _cylinder_verdicts(v, table[3], _midpoint_holonomies(v, table, cap)), cap)
 
 
 def _cylinder_verdicts(v: GoldenVector, pairs: Point, holonomies: dict[int, Point | None]) -> dict[int, Classification]:
@@ -571,8 +548,8 @@ def _cylinder_verdicts(v: GoldenVector, pairs: Point, holonomies: dict[int, Poin
         raise StructuralViolationError(f"cylinder holonomies {pair} are not in ratio phi")
     if list(sizes.values()).count(small) != 2:
         raise StructuralViolationError("holonomy magnitudes do not split two and two")
-    cylinders = {l: Classification.SHORT if size == small else Classification.LONG for l, size in sizes.items()}
-    return {saddles[0]: Classification.SADDLE_CONNECTION, **cylinders}
+    kinds = {small: Classification.SHORT, large: Classification.LONG}
+    return {l: kinds[sizes[l]] if l in sizes else Classification.SADDLE_CONNECTION for l in sorted(holonomies)}
 
 
 def _half(pair: tuple[int, int]) -> GoldenNumber:

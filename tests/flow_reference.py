@@ -257,4 +257,4 @@ def reference_oracle(v: GoldenVector, cap: int = DEFAULT_STEP_CAP) -> OracleRepo
     """Classify every midpoint by tracing each one, then run the library's cylinder checks."""
     trajectories = {label: trace_direction(label, v, cap) for label in WEIERSTRASS_LABELS}
     holonomies = {l: None if t._cone is not None else t._holonomy2 for l, t in trajectories.items()}
-    return OracleReport(v, trajectories, _cylinder_verdicts(v, cleared(v), holonomies))
+    return OracleReport(v, _cylinder_verdicts(v, cleared(v), holonomies), cap)

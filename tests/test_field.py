@@ -218,9 +218,9 @@ def test_value_types_are_immutable_values():
         assert copy.copy(value) == value
         assert copy.deepcopy(value) == value
         assert pickle.loads(pickle.dumps(value)) == value
-    # A trajectory's direction table and how its walk is split at its twin are
-    # out of eq, hash and repr; a report holds dicts, so it has no hash.
-    other_table = Trajectory(t.start_label, t.direction, t.walk, None, b"", t._holonomy2, t._cone, ())
+    # A trajectory's direction table is out of eq, hash and repr; a report
+    # holds dicts, so it has no hash.
+    other_table = Trajectory(t.start_label, t.direction, t.walk, t._holonomy2, t._cone, ())
     assert other_table == t and hash(other_table) == hash(t)
     with pytest.raises(TypeError):
         hash(oracle)

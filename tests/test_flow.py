@@ -1,5 +1,7 @@
 """Exact geodesic flow: stepping, tracing, and the flow oracle."""
 
+import copy
+import pickle
 import random
 import re
 import sys
@@ -29,6 +31,7 @@ from goldenl.classify import Classification
 from goldenl.field import PHI, cleared
 from goldenl import flow as flow_module
 from goldenl.flow import (
+    DEFAULT_STEP_CAP,
     canonicalize,
     oracle_report_direction,
     point_in_surface,
@@ -226,39 +229,92 @@ def _rotations(a, b):
     return len(a) == len(b) and b in a + a
 
 
+def _counting_walks(monkeypatch):
+    """Patch the oracle's walk helper to record `look` on each call; returns the record."""
+    walked = []
+    walk = flow_module._walk
+
+    def counted(label, v, table, cap, look):
+        walked.append(look)
+        return walk(label, v, table, cap, look)
+
+    monkeypatch.setattr(flow_module, "_walk", counted)
+    return walked
+
+
 def test_oracle_trajectories_equal_independent_traces(monkeypatch):
     # Every word of length <= 5 and seeded letter-shift quads of lengths 6
-    # and 7: each trajectory the oracle returns, walked or derived from its
-    # cylinder twin, equals a trace of its own, with the same integer
-    # holonomy and the points unbuilt. The two midpoints of each cylinder have
-    # walks that are rotations of each other, and the oracle walks one orbit
-    # per cylinder and the saddle connection: three traces, also at a cap of
-    # the longest segment count, since a derived twin has the trace's budget.
+    # and 7: the oracle walks one orbit per cylinder and the saddle
+    # connection, three walks that look for a twin. The trajectories of its
+    # report, read, each equal a trace of their own, with the same integer
+    # holonomy and the points unbuilt, also at a cap of the longest segment
+    # count, since a taken twin has the walk's budget. The two midpoints of
+    # each cylinder have walks that are rotations of each other.
     rng = random.Random(20261020)
     words = [w for n in range(6) for w in product((0, 1, 2, 3), repeat=n)]
     for length in (6, 7):
         for _ in range(4):
             base = [rng.randrange(4) for _ in range(length)]
             words += [tuple((k + shift) % 4 for k in base) for shift in range(4)]
-    walked = []
-    traced = flow_module.trace_direction
-    monkeypatch.setattr(flow_module, "trace_direction", lambda *args: walked.append(args) or traced(*args))
+    walked = _counting_walks(monkeypatch)
     for word in words:
         v = word_to_vector(word)
         walked.clear()
         report = oracle_report_direction(v)
-        assert len(walked) == 3, word
+        assert walked == [True] * 3, word
         for label, t in report.trajectories.items():
-            fresh = traced(label, v)
+            fresh = trace_direction(label, v)
             assert t == fresh, (word, label)
             assert t._holonomy2 == fresh._holonomy2, (word, label)
             assert "points" not in vars(t), (word, label)
         for verdict in (Classification.SHORT, Classification.LONG):
             a, b = (t.walk for label, t in report.trajectories.items() if report.verdicts[label] is verdict)
             assert _rotations(a, b), (word, verdict)
-        walked.clear()
         cap = max(t.segment_count for t in report.trajectories.values())
-        assert oracle_report_direction(v, cap).trajectories == report.trajectories and len(walked) == 3, word
+        walked.clear()
+        capped = oracle_report_direction(v, cap)
+        assert walked == [True] * 3, word
+        assert capped.verdicts == report.verdicts, word
+        assert capped.trajectories == {label: trace_direction(label, v, cap) for label in WEIERSTRASS_LABELS}, word
+
+
+def test_oracle_report_traces_its_trajectories_when_read(monkeypatch):
+    # The oracle builds no trajectory: with trace_direction and Trajectory
+    # patched to raise, the verdicts still come back. The first read of
+    # `trajectories` traces the five midpoints, once each, at the report's
+    # own cap; copies and pickles of a read report keep what it read.
+    def refuse(*args):
+        raise AssertionError(f"the oracle built a trajectory: {args}")
+
+    traced = flow_module.trace_direction
+    for word in ((), (2, 1), (1, 3, 2), (0, 3, 1, 2)):
+        v = word_to_vector(word)
+        longest = max(traced(label, v).segment_count for label in WEIERSTRASS_LABELS)
+        for cap in (longest, DEFAULT_STEP_CAP):
+            with monkeypatch.context() as patched:
+                patched.setattr(flow_module, "trace_direction", refuse)
+                patched.setattr(flow_module, "Trajectory", refuse)
+                report = oracle_report_direction(v, cap)
+            assert report.verdicts == classify_all(word).verdicts, (word, cap)
+            calls = []
+            with monkeypatch.context() as patched:
+                patched.setattr(flow_module, "trace_direction", lambda *args: calls.append(args) or traced(*args))
+                trajectories = report.trajectories
+                assert calls == [(label, v, cap) for label in WEIERSTRASS_LABELS], (word, cap)
+                assert trajectories == {label: traced(label, v, cap) for label in WEIERSTRASS_LABELS}
+                for kept in (copy.copy(report), copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
+                    assert vars(kept)["trajectories"] == trajectories, (word, cap)
+                    assert kept == report and kept._cap == cap, (word, cap)
+                assert report.trajectories is trajectories and len(calls) == 5, (word, cap)
+
+
+def test_oracle_verdicts_are_in_label_order():
+    # The oracle's verdict map, like classify_all's, iterates over the labels 1-5 in order.
+    for word in (w for n in range(5) for w in product((0, 1, 2, 3), repeat=n)):
+        assert list(oracle_classify(word)) == [1, 2, 3, 4, 5], word
+        assert list(classify_all(word).verdicts) == [1, 2, 3, 4, 5], word
+    for v in (HORIZONTAL, VERTICAL):
+        assert list(oracle_report_direction(v).verdicts) == [1, 2, 3, 4, 5], v
 
 
 def _first_chord(ps, bs, h):
@@ -277,23 +333,27 @@ def test_each_closed_orbit_meets_one_twin_half_a_period_away(monkeypatch):
     # Every word of length <= 6, its mirror in y = x, and both axes, from all
     # five midpoints. The chords a walk runs along are replayed by their h from
     # the direction's table. A closed orbit meets exactly one other midpoint,
-    # its twin, which the trace names; a cone hit meets none. Twice the
-    # displacement from the start to the twin, over the first j crossings, is
-    # the holonomy of the whole walk, which has 2j, 2j + 1 or 2j + 2 segments,
-    # and the twin's walk at most 2j + 2; the trace stops at the twin, its arc
-    # the first j crossings. In the axis directions the twin can lie on the
-    # start's own chord, ahead of the start (j = 0) or behind it (met only at
-    # closure, j = n); both occur, and the oracle derives the twin either way.
-    # Points and translations are integers at scale 2.
+    # its twin; a cone hit meets none. Twice the displacement from the start
+    # to the twin, over the first j crossings, is the holonomy of the whole
+    # walk, which has 2j, 2j + 1 or 2j + 2 segments, and the twin's walk at
+    # most 2j + 2. The oracle's walk names the twin and stops there, its arc
+    # the first j crossings of the whole walk and its holonomy, doubled and
+    # shifted from the start to the twin, the whole walk's. In the axis
+    # directions the twin can lie on the start's own chord, ahead of the start
+    # (j = 0) or behind it (met only at closure, j = n); both occur, the
+    # oracle's walk then meets no twin and closes, and the oracle takes the
+    # twin either way. Points and translations are integers at scale 2.
     moves = {g.name: flow_module._int_point(g.translation, 2) for g in GOLDEN_L.identifications}
     moves = [moves[name] for name in "bdac"]  # what crossing each wall adds, in walk byte order
     points = {label: flow_module._int_point(weierstrass_point(label), 2) for label in WEIERSTRASS_LABELS}
     words = [word_to_vector(w) for n in range(7) for w in product((0, 1, 2, 3), repeat=n)]
     on_start_chord = {"ahead": 0, "behind": 0}
     for v in words + [GoldenVector(v.y, v.x) for v in words] + [HORIZONTAL, VERTICAL]:
+        table = flow_module._direction_table(v)
+        _, deltas, starts, _ = table
         for label in WEIERSTRASS_LABELS:
             t = trace_direction(label, v)
-            _, deltas, starts, _ = t._table
+            arc, holonomy, cone, twin, stopped = flow_module._walk(label, v, table, DEFAULT_STEP_CAP, True)
             crossings = t.walk.rstrip(flow_module._END_BYTE)
             others = {h: m for m, (h, edge_run) in starts.items() if m != label and edge_run is None}
             # The chords' h as two lists, (p, b) for p + b*sqrt(5); each midpoint
@@ -302,34 +362,37 @@ def test_each_closed_orbit_meets_one_twin_half_a_period_away(monkeypatch):
                       for c in (0, 1)]
             met = {m: i for h, m in others.items() if (i := _first_chord(*chords, h)) is not None}
             if t.outcome is Outcome.HIT_CONE_POINT:
-                assert met == {} and t._twin is None, (label, v)
+                assert met == {} and twin is None and not stopped, (label, v)
+                assert (arc, holonomy, cone) == (t.walk, t._holonomy2, t._cone), (label, v)
                 continue
-            assert list(met) == [t._twin], (label, v)
-            j = met[t._twin]
+            assert len(met) == 1, (label, v)
+            (m, j), = met.items()
             if j:
-                assert t._rest is None and len(t._arc) == j, (label, v)
-            elif dot(weierstrass_point(t._twin) - t.start, v).sign() > 0:
-                on_start_chord["ahead"] += 1
+                assert twin == m and stopped and arc == crossings[:j], (label, v)
+                doubled = tuple(2 * c + d for c, d in zip(holonomy, flow_module._SHIFTS2[m, label]))
+                assert doubled == t._holonomy2, (label, v)
             else:
-                on_start_chord["behind"] += 1
-                j = len(crossings)
-            half = tuple(map(sub, points[t._twin], points[label]))
+                assert twin is None and not stopped and (arc, holonomy) == (t.walk, t._holonomy2), (label, v)
+                if dot(weierstrass_point(m) - t.start, v).sign() > 0:
+                    on_start_chord["ahead"] += 1
+                else:
+                    on_start_chord["behind"] += 1
+                    j = len(crossings)
+            half = tuple(map(sub, points[m], points[label]))
             whole = (0, 0, 0, 0)
             for k, move in enumerate(moves):
                 half = tuple(c + crossings.count(k, 0, j) * d for c, d in zip(half, move))
                 whole = tuple(c + crossings.count(k) * d for c, d in zip(whole, move))
             assert tuple(2 * c for c in half) == whole == t._holonomy2, (label, v)
             assert len(t.walk) - 2 * j in (0, 1, 2), (label, v)
-            assert len(crossings) + (t._twin not in flow_module._ON_GLUED_EDGE) <= 2 * j + 2, (label, v)
+            assert len(crossings) + (m not in flow_module._ON_GLUED_EDGE) <= 2 * j + 2, (label, v)
     assert all(on_start_chord.values()), on_start_chord
-    traced = flow_module.trace_direction
-    walked = []
-    monkeypatch.setattr(flow_module, "trace_direction", lambda *args: walked.append(args) or traced(*args))
+    walked = _counting_walks(monkeypatch)
     for v in (HORIZONTAL, VERTICAL):
         walked.clear()
         report = oracle_report_direction(v)
-        assert len(walked) == 3
-        assert report.trajectories == {label: traced(label, v) for label in WEIERSTRASS_LABELS}
+        assert walked == [True] * 3
+        assert report.trajectories == {label: trace_direction(label, v) for label in WEIERSTRASS_LABELS}
 
 
 def test_oracle_matches_per_midpoint_reference_around_the_cap():
