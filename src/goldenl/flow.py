@@ -40,9 +40,10 @@ A closed orbit through a midpoint meets exactly one other, its twin, half a
 period on: the hyperelliptic involution J fixes both and turns the orbit
 around, so the arc back has the same holonomy. The half-walk belongs to the
 oracle, which needs only holonomies: its walk stops on the first chord of
-another midpoint and gives both twice the displacement so far, so it walks
-about half of each cylinder's core orbit and builds no trajectory. Its
-report traces the five trajectories, each whole, when they are read.
+another midpoint while its j crossings leave 2j + 2 <= cap, and gives both
+twice the displacement so far; a midpoint not yet known is walked on its own.
+So it walks about half of each cylinder's core orbit and builds no
+trajectory. Its report traces the five trajectories, each whole, when read.
 """
 
 from __future__ import annotations
@@ -127,7 +128,6 @@ _STAIR = GOLDEN_L.vertices[2:7]
 _GLUINGS2 = {g.name: tuple(_int_point(p, 2) for p in (*g.source, g.translation)) for g in GOLDEN_L.identifications}
 _EXITS = tuple((lo[:2] == hi[:2], tuple(-c for c in move)) for lo, hi, move in map(_GLUINGS2.get, "bdac"))
 _END = len(_EXITS)
-_END_BYTE = bytes([_END])
 _STAIR2 = tuple(_int_point(p, 2) for p in _STAIR)
 _STARTS2 = {label: _int_point(weierstrass_point(label), 2) for label in WEIERSTRASS_LABELS}
 # What a finished orbit's points are checked against, at scale 2: per midpoint,
@@ -319,9 +319,9 @@ class Trajectory(_Frozen):
 def _run(table: tuple, h: tuple[int, int], look: bool, cap: int) -> tuple:
     """The step loop: from the chord h, in (p, b) form at scale 2, cross at
     most `cap` walls until h comes back or the cone point. With `look`, the
-    first chord of another midpoint met is the twin's, after j crossings, and
-    the walk ends there when 2j + 2 <= cap. Returns the walk, the h of its
-    last chord, the corner hit or None, and the twin and j, or None and None."""
+    walk also ends on the chord of another midpoint, its twin, met after j
+    crossings with 2j + 2 <= cap. Returns the walk, the h of its last chord,
+    the corner hit or None, and the twin it stopped at or None."""
     breaks, deltas, starts, _ = table
     # h is kept as its offset (x, y) from the middle corner, and the outer
     # corners as theirs, so the first sign test reads the state as it is.
@@ -333,7 +333,7 @@ def _run(table: tuple, h: tuple[int, int], look: bool, cap: int) -> tuple:
     # The first parts of the chords the walk looks for: the start's, and with look every midpoint's.
     near = {p - p2 for (p, _), _ in starts.values()} if look else set()
     near.add(x0)
-    cone = twin = j = None
+    cone = twin = None
     walk = bytearray()
     append = walk.append
     for _ in range(cap):
@@ -373,34 +373,32 @@ def _run(table: tuple, h: tuple[int, int], look: bool, cap: int) -> tuple:
         if x in near:
             if x == x0 and y == y0:
                 break
-            if look:  # edge runs start on a corner, on no closed orbit
+            if look and 2 * len(walk) + 2 <= cap:  # edge runs start on a corner, on no closed orbit
                 h = x + p2, y + b2
-                for m, (hm, edge_run) in starts.items():
-                    if hm == h and edge_run is None:
-                        twin, j = m, len(walk)
-                if twin is not None and 2 * j + 2 <= cap:
+                twin = next((m for m, (hm, edge_run) in starts.items() if hm == h and edge_run is None), None)
+                if twin is not None:
                     break
-    return walk, (x + p2, y + b2), cone, twin, j
+    return walk, (x + p2, y + b2), cone, twin
 
 
 def _walk(label: int, v: GoldenVector, table: tuple, cap: int, look: bool) -> tuple:
     """Walk from midpoint `label` in direction v, whose table is `table`, in
     at most `cap` segments. Returns the walk, its holonomy at scale 2, the
-    corner hit or None, the twin met or None, and whether it stopped there:
-    with `look`, when 2j + 2 <= cap for the j crossings before the twin's
-    chord, and then the holonomy is the j crossings'. Any other walk past the
-    cap raises CapExceededError, or StructuralViolationError if it left the L."""
+    corner hit or None, and the twin it stopped at or None: with `look`, a
+    walk stops on its twin's chord after j crossings when 2j + 2 <= cap, and
+    then the holonomy is the j crossings'. Any other walk past the cap raises
+    CapExceededError, or StructuralViolationError if it left the L."""
     _, _, starts, pairs = table
     start = weierstrass_point(label)  # raises ValueError for a bad label
     h0, cone = starts[label]
-    walk, (p, b), hit, twin, j = _run(table, h0, look, cap if cone is None else 0)
+    walk, (p, b), hit, twin = _run(table, h0, look, cap if cone is None else 0)
     cone = hit if cone is None else cone
     # The translations of the crossings. Per wall at scale 2, a crossing adds
     # (2, 2, 0, 0), (0, 0, 0, 2), (0, 2, 0, 0) or (0, 0, 2, 2).
     n0, n1, n2, n3 = map(walk.count, range(_END))
     holonomy = 2 * n0, 2 * (n0 + n2), 2 * n3, 2 * (n1 + n3)
-    if twin is not None and 2 * j + 2 <= cap:
-        return walk, holonomy, None, twin, True
+    if twin is not None:
+        return walk, holonomy, None, twin
 
     # Back on the start's chord, a start on a glued edge is this re-entry
     # point; any other start, or the cone point, ends one more segment, _END.
@@ -422,7 +420,7 @@ def _walk(label: int, v: GoldenVector, table: tuple, cap: int, look: bool) -> tu
         raise CapExceededError(f"trajectory did not terminate: {where}")
     if cone is not None:  # plus the step from the start to the corner hit
         holonomy = tuple(map(sub, map(add, holonomy, _STAIR2[cone]), _STARTS2[label]))
-    return walk, holonomy, cone, twin, False
+    return walk, holonomy, cone, None
 
 
 def trace_direction(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP) -> Trajectory:
@@ -435,7 +433,7 @@ def trace_direction(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP) ->
     """
     _check_int("cap", cap, 0)
     table = _direction_table(v)
-    walk, holonomy, cone, _, _ = _walk(label, v, table, cap, False)
+    walk, holonomy, cone, _ = _walk(label, v, table, cap, False)
     return Trajectory(label, v, bytes(walk), holonomy, cone, table)
 
 
@@ -451,34 +449,22 @@ def _midpoint_holonomies(v: GoldenVector, table: tuple, cap: int) -> dict[int, P
     A cylinder's core orbit passes through two midpoints half a period apart,
     the fixed points of the hyperelliptic involution J inside it, and J turns
     the orbit around, so the two arcs between them have the same holonomy. A
-    walk stopped at its twin after k crossings gives both twice the
+    walk stopped at its twin after j crossings gives both twice the
     displacement so far. Both whole walks then fit the cap, with at most
-    2k + 2 segments: the arcs cross the walls equally often give or take one.
+    2j + 2 segments: the arcs cross the walls equally often give or take one.
     (The orbit leaves the square [0, phi]^2 up or right and comes back through
     the top or right outer wall, in turn; J swaps those two pairs of sides and
-    fixes the other two walls.) In an axis direction the twin can lie on the
-    start's own chord, unmet. A twin of a whole walk is taken only if its
-    walk, the same crossings rotated to its chord plus _END for a start inside
-    the L, fits the cap; any other midpoint is walked, to the same holonomy or
-    the same error.
+    fixes the other two walls.) Any midpoint not yet known is walked on its
+    own, to the same holonomy or the same error.
     """
-    starts = table[2]
     holonomies = {}
     for label in WEIERSTRASS_LABELS:
         if label in holonomies:
             continue
-        walk, holonomy, cone, twin, taken = _walk(label, v, table, cap, True)
-        if taken:  # stopped at the twin, half a period on
-            holonomy = tuple(2 * c + d for c, d in zip(holonomy, _SHIFTS2[twin, label]))
-        elif cone is not None:
-            holonomy = None
-        else:
-            if twin is None:  # on the start's own chord: rotating by 0 or by the whole walk is the same
-                twin = next((m for m, (h, _) in starts.items() if h == starts[label][0] and m != label), None)
-            taken = len(walk.rstrip(_END_BYTE)) + (twin not in _ON_GLUED_EDGE) <= cap
-        holonomies[label] = holonomy
-        if twin is not None and taken:
-            holonomies[twin] = holonomy
+        _, holonomy, cone, twin = _walk(label, v, table, cap, True)
+        if twin is not None:  # stopped at the twin, half a period on
+            holonomies[twin] = holonomy = tuple(2 * c + d for c, d in zip(holonomy, _SHIFTS2[twin, label]))
+        holonomies[label] = None if cone is not None else holonomy
     return {label: holonomies[label] for label in WEIERSTRASS_LABELS}
 
 

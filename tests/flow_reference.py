@@ -4,8 +4,8 @@ The library traces a flow as a walk on its transverse coordinate
 (`goldenl.flow`). This module traces it another way, by testing every exit
 wall ahead of the current point for the one whose span holds the crossing and
 dividing out the hit point at every step. It shares with the walk only the
-surface tables, the direction check, the L membership test, the conversion of
-integer points back to vectors and the step cap's message.
+surface tables, the direction check, the conversion of integer points back to
+vectors and the step cap's message; it states the closed L itself.
 
 `reference_direction_table` builds the flow's per-direction table, and the
 point scale and replay rows set up from its pairs, the way they stood before
@@ -22,14 +22,13 @@ from __future__ import annotations
 from math import lcm
 
 from goldenl.errors import CapExceededError, StructuralViolationError
-from goldenl.field import GoldenNumber, GoldenVector, cleared, golden_mul, golden_sign
+from goldenl.field import PHI, GoldenNumber, GoldenVector, cleared, golden_mul, golden_sign
 from goldenl.flow import (
     DEFAULT_STEP_CAP,
     OracleReport,
     Outcome,
     _cylinder_verdicts,
     _from_point,
-    point_in_surface,
     trace_direction,
 )
 from goldenl.surface import CONE_POINTS, GOLDEN_L, WEIERSTRASS_LABELS, _direction_pairs, weierstrass_point
@@ -53,6 +52,13 @@ def inverse(x: GoldenNumber) -> GoldenNumber:
     """1 / (a + b*phi) = (a + b - b*phi) / (a**2 + a*b - b**2)."""
     norm = x.a * x.a + x.a * x.b - x.b * x.b
     return GoldenNumber((x.a + x.b) / norm, -x.b / norm)
+
+
+def _in_golden_l(p: GoldenVector) -> bool:
+    """Membership in the closed L: x, y >= 0, and inside the box from the
+    origin up to (phi^2, phi) or the one up to (phi, phi^2)."""
+    x, y = p.x, p.y
+    return x >= 0 and y >= 0 and (x <= PHI * PHI and y <= PHI or x <= PHI and y <= PHI * PHI)
 
 
 def _int_pair(x: GoldenNumber, scale: int) -> tuple[int, int]:
@@ -209,7 +215,7 @@ def reference_trace(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP):
     if outcome is None:
         last = _from_point(current, scale)
         where = f"midpoint {label}, direction {v}, after {cap} steps at {last}"
-        if not point_in_surface(last):
+        if not _in_golden_l(last):
             raise StructuralViolationError(f"trajectory left the golden L: {where}")
         raise CapExceededError(f"trajectory did not terminate: {where}")
 

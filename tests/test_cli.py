@@ -259,6 +259,13 @@ def test_simulate_classify_cap_names_the_first_overrun(capsys):
         "error: word 21: trajectory did not terminate: midpoint 2, direction (2 + 2*phi, 1 + 2*phi), "
         "after 2 steps at (0, -1/4 + 3/4*phi)\n"
     )
+    # In the horizontal, midpoint 2 closes in two segments on the chord of midpoint 1.
+    code, out, err = run_cli(capsys, "simulate", "e", "--classify", "--cap", "1")
+    assert (code, out) == (3, "")
+    assert err == "error: word e: trajectory did not terminate: midpoint 2, direction (1, 0), after 1 steps at (0, 1/2 + phi)\n"
+    code, out, err = run_cli(capsys, "simulate", "e", "--classify", "--cap", "2")
+    assert (code, err) == (0, "")
+    assert out == "word: e\nmidpoint 1: short\nmidpoint 2: short\nmidpoint 3: long\nmidpoint 4: long\nmidpoint 5: saddle\n"
 
 
 def test_cap_zero_stops_at_the_start(capsys, tmp_path):

@@ -225,7 +225,8 @@ def test_oracle_leaves_segments_unbuilt():
 
 def _rotations(a, b):
     """Whether two closed walks, _END dropped, are rotations of each other."""
-    a, b = a.rstrip(flow_module._END_BYTE), b.rstrip(flow_module._END_BYTE)
+    end = bytes([flow_module._END])
+    a, b = a.rstrip(end), b.rstrip(end)
     return len(a) == len(b) and b in a + a
 
 
@@ -242,14 +243,35 @@ def _counting_walks(monkeypatch):
     return walked
 
 
+def _look_walks(v, verdicts, cap):
+    """The oracle's walks in direction v at `cap`: one for the saddle
+    connection, and per cylinder one from its lower label, whose trace is
+    first on the other midpoint's chord after j crossings, the chords replayed
+    by their h; that walk stops there if 0 < j and 2j + 2 <= cap, or else the
+    other midpoint is walked too."""
+    _, deltas, starts, _ = flow_module._direction_table(v)
+    walks = 1
+    for verdict in (Classification.SHORT, Classification.LONG):
+        a, b = sorted(label for label, c in verdicts.items() if c is verdict)
+        steps = map(deltas.__getitem__, trace_direction(a, v).walk.rstrip(bytes([flow_module._END])))
+        chords = accumulate(steps, lambda h, d: (h[0] + d[0], h[1] + d[1]), initial=starts[a][0])
+        j = list(chords).index(starts[b][0])
+        walks += 1 if 0 < j and 2 * j + 2 <= cap else 2
+    return [True] * walks
+
+
 def test_oracle_trajectories_equal_independent_traces(monkeypatch):
     # Every word of length <= 5 and seeded letter-shift quads of lengths 6
     # and 7: the oracle walks one orbit per cylinder and the saddle
-    # connection, three walks that look for a twin. The trajectories of its
+    # connection, three walks that look for a twin; in the horizontal (the
+    # words of only 0s) each twin lies on its start's chord, unmet, so each
+    # midpoint is walked, five walks. At the longest segment count the
+    # oracle walks a cylinder's second midpoint too when the walk from its
+    # first one meets it too late to stop. The trajectories of its
     # report, read, each equal a trace of their own, with the same integer
     # holonomy and the points unbuilt, also at a cap of the longest segment
-    # count, since a taken twin has the walk's budget. The two midpoints of
-    # each cylinder have walks that are rotations of each other.
+    # count, since a walk stops at a twin only within the cap. The two
+    # midpoints of each cylinder have walks that are rotations of each other.
     rng = random.Random(20261020)
     words = [w for n in range(6) for w in product((0, 1, 2, 3), repeat=n)]
     for length in (6, 7):
@@ -261,7 +283,7 @@ def test_oracle_trajectories_equal_independent_traces(monkeypatch):
         v = word_to_vector(word)
         walked.clear()
         report = oracle_report_direction(v)
-        assert walked == [True] * 3, word
+        assert walked == [True] * (5 if set(word) <= {0} else 3), word
         for label, t in report.trajectories.items():
             fresh = trace_direction(label, v)
             assert t == fresh, (word, label)
@@ -271,9 +293,10 @@ def test_oracle_trajectories_equal_independent_traces(monkeypatch):
             a, b = (t.walk for label, t in report.trajectories.items() if report.verdicts[label] is verdict)
             assert _rotations(a, b), (word, verdict)
         cap = max(t.segment_count for t in report.trajectories.values())
+        walks = _look_walks(v, report.verdicts, cap)
         walked.clear()
         capped = oracle_report_direction(v, cap)
-        assert walked == [True] * 3, word
+        assert walked == walks, word
         assert capped.verdicts == report.verdicts, word
         assert capped.trajectories == {label: trace_direction(label, v, cap) for label in WEIERSTRASS_LABELS}, word
 
@@ -341,8 +364,9 @@ def test_each_closed_orbit_meets_one_twin_half_a_period_away(monkeypatch):
     # shifted from the start to the twin, the whole walk's. In the axis
     # directions the twin can lie on the start's own chord, ahead of the start
     # (j = 0) or behind it (met only at closure, j = n); both occur, the
-    # oracle's walk then meets no twin and closes, and the oracle takes the
-    # twin either way. Points and translations are integers at scale 2.
+    # oracle's walk then meets no twin and closes, and the oracle walks the
+    # twin on its own: on both axes every twin lies so, five walks. Points and
+    # translations are integers at scale 2.
     moves = {g.name: flow_module._int_point(g.translation, 2) for g in GOLDEN_L.identifications}
     moves = [moves[name] for name in "bdac"]  # what crossing each wall adds, in walk byte order
     points = {label: flow_module._int_point(weierstrass_point(label), 2) for label in WEIERSTRASS_LABELS}
@@ -353,8 +377,9 @@ def test_each_closed_orbit_meets_one_twin_half_a_period_away(monkeypatch):
         _, deltas, starts, _ = table
         for label in WEIERSTRASS_LABELS:
             t = trace_direction(label, v)
-            arc, holonomy, cone, twin, stopped = flow_module._walk(label, v, table, DEFAULT_STEP_CAP, True)
-            crossings = t.walk.rstrip(flow_module._END_BYTE)
+            arc, holonomy, cone, twin = flow_module._walk(label, v, table, DEFAULT_STEP_CAP, True)
+            stopped = twin is not None
+            crossings = t.walk.rstrip(bytes([flow_module._END]))
             others = {h: m for m, (h, edge_run) in starts.items() if m != label and edge_run is None}
             # The chords' h as two lists, (p, b) for p + b*sqrt(5); each midpoint
             # met, by the number of crossings before its first chord.
@@ -391,17 +416,17 @@ def test_each_closed_orbit_meets_one_twin_half_a_period_away(monkeypatch):
     for v in (HORIZONTAL, VERTICAL):
         walked.clear()
         report = oracle_report_direction(v)
-        assert walked == [True] * 3
+        assert walked == [True] * 5
         assert report.trajectories == {label: trace_direction(label, v) for label in WEIERSTRASS_LABELS}
 
 
 def test_oracle_matches_per_midpoint_reference_around_the_cap():
-    # For every word of length <= 4, at caps one below, at and one above each
-    # trajectory's segment count, the oracle and the per-midpoint reference
-    # give the same verdicts and trajectories, or raise the same error with
-    # the same message.
-    for word in (w for n in range(5) for w in product((0, 1, 2, 3), repeat=n)):
-        v = word_to_vector(word)
+    # For every word of length <= 4 and its mirror in y = x, the vertical
+    # among them, at caps one below, at and one above each trajectory's
+    # segment count, the oracle and the per-midpoint reference give the same
+    # verdicts and trajectories, or raise the same error with the same message.
+    words = [word_to_vector(w) for n in range(5) for w in product((0, 1, 2, 3), repeat=n)]
+    for v in words + [GoldenVector(v.y, v.x) for v in words]:
         counts = {t.segment_count for t in reference_oracle(v).trajectories.values()}
         for cap in sorted({c + d for c in counts for d in (-1, 0, 1)}):
             outcomes = []
@@ -411,7 +436,7 @@ def test_oracle_matches_per_midpoint_reference_around_the_cap():
                     outcomes.append((report.verdicts, report.trajectories))
                 except (CapExceededError, StructuralViolationError) as error:
                     outcomes.append((type(error), str(error)))
-            assert outcomes[0] == outcomes[1], (word, cap)
+            assert outcomes[0] == outcomes[1], (v, cap)
 
 
 def test_oracle_vertical_direction():
