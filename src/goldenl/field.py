@@ -184,12 +184,8 @@ class GoldenNumber(_Frozen):
         return self.a == o.a and self.b == o.b
 
     def __hash__(self) -> int:
-        # Equal to a rational, hash as it does: GoldenNumber(1) == 1. Otherwise
-        # hash the integer parts, which is cheaper than Fraction.__hash__.
-        a, b = self.a.as_integer_ratio(), self.b.as_integer_ratio()
-        if b[0]:
-            return hash((a, b))
-        return hash(a[0]) if a[1] == 1 else hash(self.a)
+        # Equal to a rational, hash as it does: GoldenNumber(1) == 1.
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
 
     def __lt__(self, other: GoldenNumber | Rational) -> bool:
         o = self._coerce(other)

@@ -29,7 +29,7 @@ and the second subtracts the offset of one outer corner, set up once per
 trace. Each test is decided inline by golden_sign's rule: same signs settle
 it at once, mixed signs compare the squares. Each of the four walls has its
 own branch, which appends its byte and adds its step to h. A direction is
-set up once, in one cached table of what the walk reads: every h a trace
+set up once per call, in one table of what the walk reads: every h a trace
 starts from or steps by is one integer linear map of its pairs, which the
 table also carries. A trajectory keeps only what its trace decides, the
 whole walk, the integer holonomy, the corner hit and the direction's table.
@@ -51,11 +51,10 @@ from __future__ import annotations
 import sys
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from math import gcd, lcm
 from operator import add, sub
 from threading import Lock
-from typing import Callable
 
 from .classify import Classification
 from .errors import CapExceededError, StructuralViolationError, _check_int
@@ -152,7 +151,6 @@ _H_MAP = tuple(row for xa, xb, ya, yb in (*(back for _, back in _EXITS), *_STAIR
                for row in ((2 * ya + yb, ya + 3 * yb, -2 * xa - xb, -xa - 3 * xb), (yb, ya + yb, -xb, -xa - xb)))
 
 
-@lru_cache(maxsize=64)
 def _direction_table(v: GoldenVector) -> tuple:
     """What every walk in direction v reads, from its integer pairs: the h of
     the corners where walls meet, _STAIR[1:4]; per exit wall, what crossing it
@@ -192,24 +190,6 @@ def _replay_table(pairs: Point) -> tuple[int, tuple]:
     return 2 * factor, tuple(rows)
 
 
-class _cached:
-    """functools.cached_property without the lock it takes on every first read
-    before Python 3.12 (about 1.1 us a read against 0.3 on Python 3.11, as
-    much as several flow steps): the value is computed on first read and kept
-    in the instance's __dict__, for a Trajectory's replay and points and an
-    OracleReport's trajectories. Two threads that read it first at once both
-    compute it, and get equal values."""
-
-    def __init__(self, func: Callable[[_Frozen], object]) -> None:
-        self.func, self.name = func, func.__name__
-
-    def __get__(self, obj: _Frozen | None, cls: type | None = None) -> object:
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
-
-
 class Outcome(Enum):
     CLOSED = "closed"
     HIT_CONE_POINT = "cone_point"
@@ -237,7 +217,7 @@ class Trajectory(_Frozen):
 
     _fields = ("start_label", "direction", "walk", "_holonomy2", "_cone")
 
-    @_cached
+    @cached_property
     def _replay(self) -> tuple[int, tuple]:
         return _replay_table(self._table[3])
 
@@ -257,11 +237,11 @@ class Trajectory(_Frozen):
     def start(self) -> GoldenVector:
         return weierstrass_point(self.start_label)
 
-    @_cached
+    @cached_property
     def holonomy(self) -> GoldenVector:
         return _from_point(self._holonomy2, 2)
 
-    @_cached
+    @cached_property
     def points(self) -> tuple[tuple[Point, Point], ...]:
         _, deltas, starts, _ = self._table
         scale, rows = self._replay
@@ -292,7 +272,7 @@ class Trajectory(_Frozen):
                 begin = ua, ub, 0, 0
         return tuple(points)
 
-    @_cached
+    @cached_property
     def segments(self) -> tuple[tuple[GoldenVector, GoldenVector], ...]:
         return tuple((_from_point(b, self.scale), _from_point(e, self.scale)) for b, e in self.points)
 
@@ -477,7 +457,7 @@ class OracleReport(_Frozen):
 
     _fields = ("direction", "trajectories", "verdicts")
 
-    @_cached
+    @cached_property
     def trajectories(self) -> dict[int, Trajectory]:
         return {label: trace_direction(label, self.direction, self._cap) for label in WEIERSTRASS_LABELS}
 

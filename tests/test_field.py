@@ -117,8 +117,8 @@ def test_rational_golden_numbers_hash_as_their_rational():
 
 
 def test_equal_values_built_differently_hash_equal():
-    # The hash reads integer numerators and denominators; every way of building
-    # an equal value must still land on the same hash.
+    # Every way of building an equal value lands on the same hash, a rational
+    # value's too, so equal values meet in a set or as a dict key.
     numbers = [
         (GoldenNumber(2), GoldenNumber(Fraction(2)), GoldenNumber(Fraction(6, 3)), ONE + ONE, PHI * PHI - PHI + 1),
         (GoldenNumber(Fraction(1, 2)), GoldenNumber(Fraction(3, 6), 0), ONE * Fraction(1, 2)),
@@ -137,13 +137,11 @@ def test_equal_values_built_differently_hash_equal():
         GoldenVector.from_rationals(4, 4, 2, 4).scaled(Fraction(1, 2)),
     ]
     assert len(set(vectors)) == 1 and len(set(map(hash, vectors))) == 1
-    # So a rebuilt equal direction finds the flow's cached table.
+    # So a rebuilt equal direction gets an equal flow table.
     table = flow_module._direction_table
-    table.cache_clear()
     first = table(vectors[0])
     for rebuilt in vectors[1:]:
-        assert table(rebuilt) is first
-    assert table.cache_info()[:2] == (len(vectors) - 1, 1)
+        assert table(rebuilt) == first
 
 
 def test_float_coefficients_rejected():

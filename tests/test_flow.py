@@ -563,20 +563,35 @@ def test_trajectory_structure_forward_and_reversed():
 def test_points_and_validation_build_no_golden_vector(monkeypatch):
     # Every word of length <= 3 and the vertical, all five midpoints: the
     # oracle's verdicts, tracing, replaying the points and validating them stay
-    # on integers, for closed and cone-hit orbits alike. Once traced, no read
-    # of a trajectory looks its direction's table up again.
+    # on integers, for closed and cone-hit orbits alike. Each trace and each
+    # oracle report builds its direction's table once, not once per walk, and
+    # the report's first read of its trajectories traces five; after that no
+    # read looks the direction's table up again.
     def forbidden(*args):
         raise AssertionError(f"called with {args}")
+
+    table = flow_module._direction_table
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return table(v)
 
     directions = [word_to_vector(w) for n in range(4) for w in product((0, 1, 2, 3), repeat=n)]
     outcomes = set()
     for v in directions + [VERTICAL]:
+        calls.clear()
         with monkeypatch.context() as m:
             m.setattr(flow_module, "_int_point", forbidden)
             m.setattr(flow_module, "_from_point", forbidden)
-            assert len(oracle_report_direction(v).verdicts) == 5, v
+            m.setattr(flow_module, "_direction_table", counted)
+            report = oracle_report_direction(v)
+            assert len(report.verdicts) == 5 and calls == [v], v
             traced = [trace_direction(label, v) for label in WEIERSTRASS_LABELS]
+            assert calls == [v] * 6, v
+            assert list(report.trajectories.values()) == traced and calls == [v] * 11, v
             m.setattr(flow_module, "_direction_table", forbidden)
+            assert list(report.trajectories.values()) == traced, v
             for t in traced:
                 assert t.points, (v, t.start_label)
                 validate_trajectory_structure(t)
@@ -795,7 +810,7 @@ def test_direction_table_equals_point_by_point_reference():
                 u = u.scaled(factor)
                 directions.append(u)
     for v in directions:
-        table = flow_module._direction_table.__wrapped__(v)
+        table = flow_module._direction_table(v)
         want_table, (want_scale, want_rows) = reference_direction_table(v)
         assert table == want_table, v
         assert table[3] == cleared(v), v
