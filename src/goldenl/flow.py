@@ -43,7 +43,8 @@ oracle, which needs only holonomies: its walk stops on the first chord of
 another midpoint while its j crossings leave 2j + 2 <= cap, and gives both
 twice the displacement so far; a midpoint not yet known is walked on its own.
 So it walks about half of each cylinder's core orbit and builds no
-trajectory. Its report traces the five trajectories, each whole, when read.
+trajectory. Its report keeps the holonomies the cylinder checks passed, and
+no read of it walks.
 """
 
 from __future__ import annotations
@@ -450,16 +451,10 @@ def _midpoint_holonomies(v: GoldenVector, table: tuple, cap: int) -> dict[int, P
 
 class OracleReport(_Frozen):
     """Joint result of flowing all five midpoints in one direction, a field._Frozen value that holds dicts
-    and so has no hash. It stores the direction, the verdicts and the cap, and traces `trajectories` at
-    that cap on first read; the saddle label and cylinder holonomies are read off them."""
+    and so has no hash: the direction, the verdicts and `_holonomies`, the map the cylinder checks passed,
+    label -> holonomy at scale 2, None for the cone hit. The saddle label and holonomies are read off them."""
 
-    __slots__ = ("direction", "verdicts", "_cap", "__dict__")
-
-    _fields = ("direction", "trajectories", "verdicts")
-
-    @cached_property
-    def trajectories(self) -> dict[int, Trajectory]:
-        return {label: trace_direction(label, self.direction, self._cap) for label in WEIERSTRASS_LABELS}
+    __slots__ = ("direction", "verdicts", "_holonomies")
 
     @property
     def saddle_label(self) -> int:
@@ -467,18 +462,19 @@ class OracleReport(_Frozen):
 
     @property
     def short_holonomy(self) -> GoldenVector:
-        return next(self.trajectories[l].holonomy for l, v in self.verdicts.items() if v is Classification.SHORT)
+        return next(_from_point(self._holonomies[l], 2) for l, v in self.verdicts.items() if v is Classification.SHORT)
 
     @property
     def long_holonomy(self) -> GoldenVector:
-        return next(self.trajectories[l].holonomy for l, v in self.verdicts.items() if v is Classification.LONG)
+        return next(_from_point(self._holonomies[l], 2) for l, v in self.verdicts.items() if v is Classification.LONG)
 
 
 def oracle_report_direction(v: GoldenVector, cap: int = DEFAULT_STEP_CAP) -> OracleReport:
     """Classify every midpoint by flowing it, checking the cylinder structure."""
     _check_int("cap", cap, 0)
     table = _direction_table(v)
-    return OracleReport(v, _cylinder_verdicts(v, table[3], _midpoint_holonomies(v, table, cap)), cap)
+    holonomies = _midpoint_holonomies(v, table, cap)
+    return OracleReport(v, _cylinder_verdicts(v, table[3], holonomies), holonomies)
 
 
 def _cylinder_verdicts(v: GoldenVector, pairs: Point, holonomies: dict[int, Point | None]) -> dict[int, Classification]:

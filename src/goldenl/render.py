@@ -6,13 +6,14 @@ pentagon frame folds them onto the billiard table, a regular pentagon with
 side 1 (see billiard_path); its bounces and corner are read off the
 trajectory's walk, and where a closed path closes follows by rule from the
 walk's turns and the direction. Each frame's outline and marked points are
-formatted once per size and stroke, the L's lines in one format operation,
-and each bounce point of the table's polyline is placed and formatted once.
+formatted once per size and stroke, both frames' lines in chunks, and each
+bounce point of the table's polyline is placed and formatted once.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 from .field import PHI_FLOAT, _Frozen
@@ -214,7 +215,7 @@ _FRAMES = {
     GOLDEN_L_FRAME: (_L_EXTENT, 0.0, _L_EXTENT, _L_OUTLINES, _L_MARKED),
     PENTAGON_FRAME: (2.0 * _CIRCUMRADIUS, -_CIRCUMRADIUS, _CIRCUMRADIUS, _TABLE_OUTLINES, PENTAGON_MIDPOINTS),
 }
-# The table's lines are formatted this many at a time (_svg): a long picture
+# Both frames' lines are formatted this many at a time (_svg): a long picture
 # is held about twice while it is joined, not four times, and every picture
 # of up to this many lines is formatted in one piece.
 _CHUNK_LINES = 8192
@@ -222,11 +223,13 @@ _CHUNK_LINES = 8192
 
 def _frame(frame: str, size: int, stroke: float) -> tuple:
     """What every size x size picture of one frame shares (_frame_parts).
-    Raises ValueError unless size is an int >= 1 and stroke a positive finite
-    int or float, or for an unknown frame. The checks come before the cache,
-    which would raise TypeError on an unhashable argument."""
-    if type(size) is not int or size < 1 or not (type(stroke) in (int, float) and math.isfinite(stroke) and stroke > 0):
-        raise ValueError(f"size must be at least 1 and stroke a positive finite number, got {size!r} and {stroke!r}")
+    Raises ValueError for an unknown frame or unless size is an int from 1 to
+    the largest float and stroke a positive int or float up to half that, so
+    every printed coordinate and width (up to twice the stroke) is finite. The
+    exact checks come before the cache, which would raise TypeError on an unhashable argument."""
+    top = sys.float_info.max  # compared exactly, so a huge int size or stroke converts to no float
+    if type(size) is not int or not 1 <= size <= top or not (type(stroke) in (int, float) and 0 < stroke <= top / 2):
+        raise ValueError(f"size must be at least 1 and stroke positive, in float range, got {size!r} and {stroke!r}")
     if frame not in FRAMES:
         raise ValueError(f"frame must be one of {FRAMES}, got {frame!r}")
     return _frame_parts(frame, size, stroke)
@@ -308,13 +311,13 @@ def _svg(frame: str, trajectory: Trajectory, size: int, stroke: float) -> str:
 
 def golden_l_svg(trajectory: Trajectory, size: int = DEFAULT_SIZE, stroke: float = DEFAULT_STROKE) -> str:
     """Draw the golden L, its marked points, and an exact trajectory.
-    Raises ValueError unless size is an int >= 1 and stroke a positive finite int or float."""
+    Raises ValueError for a size or stroke that _frame rejects."""
     return _svg(GOLDEN_L_FRAME, trajectory, size, stroke)
 
 
 def billiard_svg(trajectory: Trajectory, size: int = DEFAULT_SIZE, stroke: float = DEFAULT_STROKE) -> str:
     """Draw the pentagon table, its side midpoints, and a trajectory folded onto it.
-    Raises ValueError unless size is an int >= 1 and stroke a positive finite int or float."""
+    Raises ValueError for a size or stroke that _frame rejects."""
     return _svg(PENTAGON_FRAME, trajectory, size, stroke)
 
 

@@ -13,8 +13,9 @@ one linear map replaced the products: the transverse coordinate h = v x p by
 golden_mul at each fixed point.
 
 `reference_oracle` is the flow oracle as it was before it shared walks
-between the two midpoints of a cylinder: it traces every midpoint with the
-library's kernel, then calls the library's cylinder checks.
+between the two midpoints of a cylinder: it traces every midpoint whole with
+the library's kernel, then calls the library's cylinder checks, so its report
+holds the whole walks' holonomies where the oracle's holds the half-walks'.
 """
 
 from __future__ import annotations
@@ -263,4 +264,4 @@ def reference_oracle(v: GoldenVector, cap: int = DEFAULT_STEP_CAP) -> OracleRepo
     """Classify every midpoint by tracing each one, then run the library's cylinder checks."""
     trajectories = {label: trace_direction(label, v, cap) for label in WEIERSTRASS_LABELS}
     holonomies = {l: None if t._cone is not None else t._holonomy2 for l, t in trajectories.items()}
-    return OracleReport(v, _cylinder_verdicts(v, cleared(v), holonomies), cap)
+    return OracleReport(v, _cylinder_verdicts(v, cleared(v), holonomies), holonomies)

@@ -126,18 +126,25 @@ def test_criterion_4_oracle_equivalence(criterion_log, word_sweep):
 
 
 def test_criterion_5_cylinder_ratio(criterion_log, word_sweep):
+    # H_short and H_long come from whole traces of a short and a long
+    # midpoint, chosen by the permutation's verdicts: the oracle's report
+    # holds holonomies its own cylinder checks have already put in ratio phi.
     words, results, _ = word_sweep
     problems = []
-    off = [
-        w
-        for w, (_, report) in results.items()
-        if report.long_holonomy != report.short_holonomy.scaled(PHI)
-    ]
+    off, unequal = [], []
+    for w, (verdicts, report) in results.items():
+        short, long = (trace(min(l for l, c in verdicts.items() if c is kind), w).holonomy for kind in (SHORT, LONG))
+        if long != short.scaled(PHI):
+            off.append(w)
+        if (short, long) != (report.short_holonomy, report.long_holonomy):
+            unequal.append(w)
     if off:
         problems.append(f"{len(off)} words break H_long = phi * H_short, first {off[0]}")
+    if unequal:
+        problems.append(f"{len(unequal)} words differ from the oracle's holonomies, first {unequal[0]}")
     _record(
         criterion_log, 5, problems,
-        f"H_long = phi * H_short exactly in all {len(words)} directions",
+        f"traced H_long = phi * H_short exactly, as the oracle reports, in all {len(words)} directions",
     )
 
 

@@ -286,14 +286,16 @@ def test_cap_zero_stops_at_the_start(capsys, tmp_path):
 
 def test_render_rejects_bad_size_and_stroke(capsys, tmp_path):
     out_path = tmp_path / "bad.svg"
-    bad = [("--size", "-5"), ("--size", "0")] + [("--stroke", s) for s in ("0", "-1", "nan", "inf")]
+    # A size of 10**400 would overflow a float, and a stroke of 1e308 would print a radius of inf.
+    bad = [("--size", "-5"), ("--size", "0"), ("--size", "1" + "0" * 400)]
+    bad += [("--stroke", s) for s in ("0", "-1", "nan", "inf", "1e308")]
     for frame in ("goldenl", "pentagon"):
         for option, value in bad:
             code, _, err = run_cli(
                 capsys, "render", "21", "4", "--frame", frame, option, value, "--out", str(out_path)
             )
             assert code == 2, (frame, option, value)
-            assert "size" in err
+            assert err.startswith("error: ") and "size" in err, err
             assert not out_path.exists()
 
 

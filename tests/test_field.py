@@ -201,7 +201,7 @@ def test_value_types_are_immutable_values():
     path = billiard_path(t)
     flowing = [
         ("walk", t, (4, t.direction, t.walk, t._holonomy2, None)),
-        ("verdicts", oracle, (oracle.direction, oracle.trajectories, oracle.verdicts)),
+        ("verdicts", oracle, (oracle.direction, oracle.verdicts, oracle._holonomies)),
         ("points", path, (4, path.points, "closed")),
     ]
     for _, value, fields in flowing:
@@ -246,8 +246,8 @@ def test_value_types_are_immutable_values():
         r"walk=b'\x00\x02\x03\x01\x00\x02\x03\x04', _holonomy2=(4, 8, 4, 6), _cone=None)"
     )
     assert repr(oracle) == (
-        f"OracleReport(direction={oracle.direction!r}, trajectories={oracle.trajectories!r}, "
-        f"verdicts={oracle.verdicts!r})"
+        f"OracleReport(direction={oracle.direction!r}, verdicts={oracle.verdicts!r}, "
+        f"_holonomies={oracle._holonomies!r})"
     )
     assert repr(path) == f"BilliardPath(start_label=4, points={path.points!r}, outcome='closed')"
 

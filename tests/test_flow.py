@@ -199,30 +199,6 @@ def test_oracle_matches_permutation_classification_letter_shift_quads(seed, leng
                 assert values.count(Classification.SADDLE_CONNECTION) == 1, word
 
 
-def test_oracle_leaves_points_unbuilt():
-    # The oracle reads outcome and holonomy off the walk; the integer points
-    # are replayed only when read.
-    for word in ((2, 1), (1, 3, 2), (0, 3, 1, 2), (3, 2, 2, 0, 1)):
-        report = oracle_report(word)
-        for label, t in report.trajectories.items():
-            assert "points" not in vars(t), (word, label)
-        for label, t in report.trajectories.items():
-            assert t.points == trace(label, word).points, (word, label)
-            assert "points" in vars(t)
-
-
-def test_oracle_leaves_segments_unbuilt():
-    for word in ((2, 1), (1, 3, 2), (0, 3, 1, 2), (3, 2, 2, 0, 1)):
-        report = oracle_report(word)
-        for label, t in report.trajectories.items():
-            assert "segments" not in vars(t), (word, label)
-        for label, t in report.trajectories.items():
-            fresh = trace(label, word)
-            assert t.to_json_dict(word) == fresh.to_json_dict(word)
-            assert t.segments == fresh.segments
-            assert "segments" in vars(t)
-
-
 def _rotations(a, b):
     """Whether two closed walks, _END dropped, are rotations of each other."""
     end = bytes([flow_module._END])
@@ -260,6 +236,17 @@ def _look_walks(v, verdicts, cap):
     return [True] * walks
 
 
+def _traces(v, cap=DEFAULT_STEP_CAP):
+    """The five whole traces in direction v, by label."""
+    return {label: trace_direction(label, v, cap) for label in WEIERSTRASS_LABELS}
+
+
+def _holonomies(trajectories):
+    """The map the cylinder checks receive, from whole traces by label: the
+    holonomy at scale 2, None for the cone hit."""
+    return {l: t._holonomy2 if t.outcome is Outcome.CLOSED else None for l, t in trajectories.items()}
+
+
 def test_oracle_trajectories_equal_independent_traces(monkeypatch):
     # Every word of length <= 5 and seeded letter-shift quads of lengths 6
     # and 7: the oracle walks one orbit per cylinder and the saddle
@@ -267,11 +254,11 @@ def test_oracle_trajectories_equal_independent_traces(monkeypatch):
     # words of only 0s) each twin lies on its start's chord, unmet, so each
     # midpoint is walked, five walks. At the longest segment count the
     # oracle walks a cylinder's second midpoint too when the walk from its
-    # first one meets it too late to stop. The trajectories of its
-    # report, read, each equal a trace of their own, with the same integer
-    # holonomy and the points unbuilt, also at a cap of the longest segment
-    # count, since a walk stops at a twin only within the cap. The two
-    # midpoints of each cylinder have walks that are rotations of each other.
+    # first one meets it too late to stop. The integer holonomies its report
+    # holds equal those of five whole traces of their own, also at a cap of
+    # the longest segment count, since a walk stops at a twin only within the
+    # cap. The two midpoints of each cylinder have walks that are rotations of
+    # each other.
     rng = random.Random(20261020)
     words = [w for n in range(6) for w in product((0, 1, 2, 3), repeat=n)]
     for length in (6, 7):
@@ -284,51 +271,55 @@ def test_oracle_trajectories_equal_independent_traces(monkeypatch):
         walked.clear()
         report = oracle_report_direction(v)
         assert walked == [True] * (5 if set(word) <= {0} else 3), word
-        for label, t in report.trajectories.items():
-            fresh = trace_direction(label, v)
-            assert t == fresh, (word, label)
-            assert t._holonomy2 == fresh._holonomy2, (word, label)
-            assert "points" not in vars(t), (word, label)
+        traced = _traces(v)
+        assert report._holonomies == _holonomies(traced), word
         for verdict in (Classification.SHORT, Classification.LONG):
-            a, b = (t.walk for label, t in report.trajectories.items() if report.verdicts[label] is verdict)
+            a, b = (t.walk for label, t in traced.items() if report.verdicts[label] is verdict)
             assert _rotations(a, b), (word, verdict)
-        cap = max(t.segment_count for t in report.trajectories.values())
+        cap = max(t.segment_count for t in traced.values())
         walks = _look_walks(v, report.verdicts, cap)
         walked.clear()
         capped = oracle_report_direction(v, cap)
         assert walked == walks, word
-        assert capped.verdicts == report.verdicts, word
-        assert capped.trajectories == {label: trace_direction(label, v, cap) for label in WEIERSTRASS_LABELS}, word
+        assert capped == report, word
 
 
-def test_oracle_report_traces_its_trajectories_when_read(monkeypatch):
+def test_oracle_report_reads_walk_nothing(monkeypatch):
     # The oracle builds no trajectory: with trace_direction and Trajectory
-    # patched to raise, the verdicts still come back. The first read of
-    # `trajectories` traces the five midpoints, once each, at the report's
-    # own cap; copies and pickles of a read report keep what it read.
+    # patched to raise, the verdicts still come back. The report holds three
+    # plain slots and caches nothing, and with _walk patched to raise too, its
+    # reads, equality, repr, copies and pickles walk nothing. Its holonomies
+    # are those of whole traces from a short and a long midpoint.
     def refuse(*args):
-        raise AssertionError(f"the oracle built a trajectory: {args}")
+        raise AssertionError(f"the report walked or built a trajectory: {args}")
 
-    traced = flow_module.trace_direction
-    for word in ((), (2, 1), (1, 3, 2), (0, 3, 1, 2)):
-        v = word_to_vector(word)
-        longest = max(traced(label, v).segment_count for label in WEIERSTRASS_LABELS)
+    for word in ((), (2, 1), (1, 3, 2), (0, 3, 1, 2), None):
+        v = VERTICAL if word is None else word_to_vector(word)
+        traced = _traces(v)
+        longest = max(t.segment_count for t in traced.values())
         for cap in (longest, DEFAULT_STEP_CAP):
             with monkeypatch.context() as patched:
                 patched.setattr(flow_module, "trace_direction", refuse)
                 patched.setattr(flow_module, "Trajectory", refuse)
                 report = oracle_report_direction(v, cap)
-            assert report.verdicts == classify_all(word).verdicts, (word, cap)
-            calls = []
-            with monkeypatch.context() as patched:
-                patched.setattr(flow_module, "trace_direction", lambda *args: calls.append(args) or traced(*args))
-                trajectories = report.trajectories
-                assert calls == [(label, v, cap) for label in WEIERSTRASS_LABELS], (word, cap)
-                assert trajectories == {label: traced(label, v, cap) for label in WEIERSTRASS_LABELS}
+                again = oracle_report_direction(v, cap)
+                patched.setattr(flow_module, "_walk", refuse)
+                if word is not None:
+                    assert report.verdicts == classify_all(word).verdicts, (word, cap)
+                kinds = {c: [l for l, k in report.verdicts.items() if k is c] for c in Classification}
+                assert report.saddle_label == kinds[Classification.SADDLE_CONNECTION][0], (v, cap)
+                assert report.short_holonomy == traced[kinds[Classification.SHORT][0]].holonomy, (v, cap)
+                assert report.long_holonomy == traced[kinds[Classification.LONG][0]].holonomy, (v, cap)
+                assert report == again and report._holonomies == _holonomies(traced), (v, cap)
+                assert repr(report) == (
+                    f"OracleReport(direction={v!r}, verdicts={report.verdicts!r}, "
+                    f"_holonomies={report._holonomies!r})"
+                )
                 for kept in (copy.copy(report), copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
-                    assert vars(kept)["trajectories"] == trajectories, (word, cap)
-                    assert kept == report and kept._cap == cap, (word, cap)
-                assert report.trajectories is trajectories and len(calls) == 5, (word, cap)
+                    assert kept == report and kept.short_holonomy == report.short_holonomy, (v, cap)
+                assert not hasattr(report, "__dict__"), (v, cap)
+    assert flow_module.OracleReport.__slots__ == ("direction", "verdicts", "_holonomies")
+    assert flow_module.OracleReport._fields == flow_module.OracleReport.__slots__
 
 
 def test_oracle_verdicts_are_in_label_order():
@@ -417,23 +408,23 @@ def test_each_closed_orbit_meets_one_twin_half_a_period_away(monkeypatch):
         walked.clear()
         report = oracle_report_direction(v)
         assert walked == [True] * 5
-        assert report.trajectories == {label: trace_direction(label, v) for label in WEIERSTRASS_LABELS}
+        assert report._holonomies == _holonomies(_traces(v))
 
 
 def test_oracle_matches_per_midpoint_reference_around_the_cap():
     # For every word of length <= 4 and its mirror in y = x, the vertical
     # among them, at caps one below, at and one above each trajectory's
-    # segment count, the oracle and the per-midpoint reference give the same
-    # verdicts and trajectories, or raise the same error with the same message.
+    # segment count, the oracle and the per-midpoint reference give equal
+    # reports, the same verdicts and the same integer holonomies, half-walked
+    # and whole, or raise the same error with the same message.
     words = [word_to_vector(w) for n in range(5) for w in product((0, 1, 2, 3), repeat=n)]
     for v in words + [GoldenVector(v.y, v.x) for v in words]:
-        counts = {t.segment_count for t in reference_oracle(v).trajectories.values()}
+        counts = {t.segment_count for t in _traces(v).values()}
         for cap in sorted({c + d for c in counts for d in (-1, 0, 1)}):
             outcomes = []
             for oracle in (oracle_report_direction, reference_oracle):
                 try:
-                    report = oracle(v, cap)
-                    outcomes.append((report.verdicts, report.trajectories))
+                    outcomes.append(oracle(v, cap))
                 except (CapExceededError, StructuralViolationError) as error:
                     outcomes.append((type(error), str(error)))
             assert outcomes[0] == outcomes[1], (v, cap)
@@ -450,14 +441,14 @@ def test_oracle_vertical_direction():
 
 
 def test_oracle_report_holonomy_ratio():
+    # H_short and H_long from whole traces of a short and a long midpoint,
+    # chosen by the permutation's verdicts, not by the oracle's.
+    algebra = classify_all((2, 1))
+    short, long = (trace(_first(algebra, c), (2, 1)).holonomy for c in (Classification.SHORT, Classification.LONG))
+    assert long == short.scaled(PHI)
     rep = oracle_report((2, 1))
-    assert rep.long_holonomy == rep.short_holonomy.scaled(PHI)
+    assert (rep.short_holonomy, rep.long_holonomy) == (short, long)
     assert rep.saddle_label == 1
-
-
-def _holonomies(report):
-    """The map the cylinder checks receive: label -> holonomy at scale 2, None for the cone hit."""
-    return {l: t._holonomy2 if t.outcome is Outcome.CLOSED else None for l, t in report.trajectories.items()}
 
 
 def test_cylinder_verdicts_on_label_holonomy_maps():
@@ -467,19 +458,20 @@ def test_cylinder_verdicts_on_label_holonomy_maps():
     vertical = {1: None, 2: (0, 0, 2, 2), 3: (0, 0, 2, 2), 4: (0, 0, 0, 2), 5: (0, 0, 0, 2)}
     assert flow_module._cylinder_verdicts(HORIZONTAL, cleared(HORIZONTAL), horizontal) == {1: S, 2: S, 3: L, 4: L, 5: X}
     assert flow_module._cylinder_verdicts(VERTICAL, cleared(VERTICAL), vertical) == {1: X, 2: L, 3: L, 4: S, 5: S}
-    assert _holonomies(oracle_report(())) == horizontal
-    assert _holonomies(oracle_report_direction(VERTICAL)) == vertical
+    assert oracle_report(())._holonomies == _holonomies(_traces(HORIZONTAL)) == horizontal
+    assert oracle_report_direction(VERTICAL)._holonomies == _holonomies(_traces(VERTICAL)) == vertical
     with pytest.raises(StructuralViolationError, match=r"^expected 4 closed orbits and 1 cone hit, got 3 and 2$"):
         flow_module._cylinder_verdicts(VERTICAL, cleared(VERTICAL), {**vertical, 2: None})
 
 
 def _verdicts_with_corrupt_holonomy(v, corrupt):
-    """The cylinder checks in direction v on the oracle's holonomies after
-    corrupt(label, holonomy, report) has replaced each closed one; it returns
-    None to keep one."""
+    """The cylinder checks in direction v on the holonomies of five whole
+    traces after corrupt(label, holonomy, report), with the oracle's report,
+    has replaced each closed one; it returns None to keep one."""
     report = oracle_report_direction(v)
-    holonomies = _holonomies(report)
-    for label, t in report.trajectories.items():
+    trajectories = _traces(v)
+    holonomies = _holonomies(trajectories)
+    for label, t in trajectories.items():
         h = corrupt(label, t.holonomy, report) if t.outcome is Outcome.CLOSED else None
         if h is not None:
             holonomies[label] = flow_module._int_point(h, 2)
@@ -565,8 +557,7 @@ def test_points_and_validation_build_no_golden_vector(monkeypatch):
     # oracle's verdicts, tracing, replaying the points and validating them stay
     # on integers, for closed and cone-hit orbits alike. Each trace and each
     # oracle report builds its direction's table once, not once per walk, and
-    # the report's first read of its trajectories traces five; after that no
-    # read looks the direction's table up again.
+    # no read of a report or a trajectory looks the direction's table up again.
     def forbidden(*args):
         raise AssertionError(f"called with {args}")
 
@@ -587,18 +578,17 @@ def test_points_and_validation_build_no_golden_vector(monkeypatch):
             m.setattr(flow_module, "_direction_table", counted)
             report = oracle_report_direction(v)
             assert len(report.verdicts) == 5 and calls == [v], v
-            traced = [trace_direction(label, v) for label in WEIERSTRASS_LABELS]
+            traced = _traces(v)
             assert calls == [v] * 6, v
-            assert list(report.trajectories.values()) == traced and calls == [v] * 11, v
             m.setattr(flow_module, "_direction_table", forbidden)
-            assert list(report.trajectories.values()) == traced, v
-            for t in traced:
+            assert report._holonomies == _holonomies(traced), v
+            for t in traced.values():
                 assert t.points, (v, t.start_label)
                 validate_trajectory_structure(t)
                 outcomes.add(t.outcome)
         with monkeypatch.context() as m:
             m.setattr(flow_module, "_direction_table", forbidden)
-            for t in traced:
+            for t in traced.values():
                 t.to_json_dict()
                 golden_l_svg(t)
                 billiard_path(t)

@@ -118,12 +118,15 @@ _SUBCOMMANDS = [
     (["reduce", "2121"], []),
     (["surface"], []),
     (["simulate", "21", "4"], ["flow"]),
+    (["simulate", "21", "--classify"], ["flow"]),
     (["stats", "--max-n", "2"], ["stats"]),
     (["render", "21", "4", "--out", "{out}"], ["flow", "render"]),
 ]
 
 
-@pytest.mark.parametrize("argv, layers", _SUBCOMMANDS, ids=[argv[0] for argv, _ in _SUBCOMMANDS])
+@pytest.mark.parametrize(
+    "argv, layers", _SUBCOMMANDS, ids=[argv[0] + " --classify" * ("--classify" in argv) for argv, _ in _SUBCOMMANDS]
+)
 def test_cli_subcommand_loads_only_its_layers(tmp_path, argv, layers):
     # No subcommand loads dataclasses (and with it inspect), and json loads for
     # --format json alone; only what the run adds to sys.modules counts, so the

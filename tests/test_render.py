@@ -235,12 +235,16 @@ def test_long_golden_l_picture_is_formatted_in_chunks(monkeypatch):
 
 def test_bad_size_or_stroke_is_rejected_before_the_points_are_read(monkeypatch):
     # Both frames check the size and stroke first: no float ends are read, no fold runs.
+    # A size past the largest float overflows, and a stroke of 1e308 would
+    # print the marked points' radius, twice the stroke, as inf.
     t = trace(2, (2, 1))
     calls = []
     float_ends = render._float_ends
     monkeypatch.setattr(render, "_float_ends", lambda t: calls.append(t) or float_ends(t))
+    bad = ((0, DEFAULT_STROKE), (DEFAULT_SIZE, -1.0), (2.5, DEFAULT_STROKE))
+    bad += ((10**400, DEFAULT_STROKE), (DEFAULT_SIZE, 1e308))
     for draw in (golden_l_svg, billiard_svg):
-        for size, stroke in ((0, DEFAULT_STROKE), (DEFAULT_SIZE, -1.0), (2.5, DEFAULT_STROKE)):
+        for size, stroke in bad:
             with pytest.raises(ValueError, match="size must be at least 1"):
                 draw(t, size, stroke)
     assert calls == []
