@@ -29,12 +29,14 @@ and the second subtracts the offset of one outer corner, set up once per
 trace. Each test is decided inline by golden_sign's rule: same signs settle
 it at once, mixed signs compare the squares. Each of the four walls has its
 own branch, which appends its byte and adds its step to h. A direction is
-set up once per call, in one table of what the walk reads: every h a trace
-starts from or steps by is one integer linear map of its pairs, which the
-table also carries. A trajectory keeps only what its trace decides, the
-whole walk, the integer holonomy, the corner hit and the direction's table.
-On the first read of its points it sets up their scale from the pairs and
-replays them. Points are checked against the L's fixed points at scale 2.
+set up once per call, in one table of what the walk reads, with its pairs:
+every h a trace starts from or steps by is v x p for a fixed point p, a
+small integer combination of half steps along the axes, so it is a sum of
+the h's of those four half steps, each read off the pairs by golden_mul's
+rule. A trajectory keeps only what its trace decides, the whole walk, the
+integer holonomy, the corner hit and the direction's table. On the first
+read of its points it sets up their scale from the pairs and replays them.
+Points are checked against the L's fixed points at scale 2.
 
 A closed orbit through a midpoint meets exactly one other, its twin, half a
 period on: the hyperelliptic involution J fixes both and turns the orbit
@@ -42,6 +44,7 @@ around, so the arc back has the same holonomy. The half-walk belongs to the
 oracle, which needs only holonomies: its walk stops on the first chord of
 another midpoint while its j crossings leave 2j + 2 <= cap, and gives both
 twice the displacement so far; a midpoint not yet known is walked on its own.
+What its walks look for, the midpoints' chords, is set up once per direction.
 So it walks about half of each cylinder's core orbit and builds no
 trajectory. Its report keeps the holonomies the cylinder checks passed, and
 no read of it walks.
@@ -50,6 +53,7 @@ no read of it walks.
 from __future__ import annotations
 
 import sys
+from collections.abc import Callable
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -145,27 +149,35 @@ _JUMPS2 = frozenset(jump for _, back in _EXITS for jump in (back, tuple(-c for c
 # end of their chord in every direction but the one along their edge, an edge run.
 _ON_GLUED_EDGE = tuple(label for label, twins in _TWINS2.items() if len(twins) > 1)
 
-# h = v x p = v.x*p.y - v.y*p.x is linear in v's integer pairs (vxa, vxb, vya,
-# vyb): by golden_mul, two rows give its (p, b) form at a point (xa, xb, ya, yb).
-# One row pair per translation back, then per _STAIR corner, then per midpoint.
-_H_MAP = tuple(row for xa, xb, ya, yb in (*(back for _, back in _EXITS), *_STAIR2, *_STARTS2.values())
-               for row in ((2 * ya + yb, ya + 3 * yb, -2 * xa - xb, -xa - 3 * xb), (yb, ya + yb, -xb, -xa - xb)))
-
 
 def _direction_table(v: GoldenVector) -> tuple:
     """What every walk in direction v reads, from its integer pairs: the h of
     the corners where walls meet, _STAIR[1:4]; per exit wall, what crossing it
     adds to h; per midpoint, its h and the _STAIR index of the corner an edge
     run from it ends at, or None; and the pairs. Every h, at scale 2 in the
-    (p, b) form, is one row pair of _H_MAP applied to the pairs. Raises
-    ValueError for a direction outside the closed first quadrant.
+    (p, b) form, is v x p for a point p of _EXITS, _STAIR2 or _STARTS2, and
+    h is linear in p; each of those points is a small integer combination of
+    half steps along the axes, so the table sums their h's. Raises ValueError
+    for a direction outside the closed first quadrant.
     """
     pairs = vxa, vxb, vya, vyb = _direction_pairs(v)
-    hs = iter([a * vxa + b * vxb + c * vya + d * vyb for a, b, c, d in _H_MAP])
-    h = list(zip(hs, hs))
-    deltas, stair, hm = tuple(h[:4]), h[4:9], h[9:]
-    starts = dict(zip(WEIERSTRASS_LABELS, zip(hm, map({stair[0]: 0, stair[4]: 4}.get, hm))))
-    return tuple(stair[1:4]), deltas, starts, pairs
+    # The h of the half steps (0, 1/2), (0, phi/2), (1/2, 0) and (phi/2, 0), by golden_mul.
+    y1, y1b, yf, yfb = 2 * vxa + vxb, vxb, vxa + 3 * vxb, vxa + vxb
+    x1, x1b, xf, xfb = -2 * vya - vyb, -vyb, -vya - 3 * vyb, -vya - vyb
+    # r, t, a and c, the h of (phi^2, 0), (0, phi), (phi, 0) and (0, phi^2):
+    # _STAIR2[0] and _STAIR2[4] among them, and minus what crossing walls b,
+    # d, a and c adds, whose translations back in _EXITS they undo.
+    r, rb, t, tb = 2 * (x1 + xf), 2 * (x1b + xfb), 2 * yf, 2 * yfb
+    a, ab, c, cb = 2 * xf, 2 * xfb, 2 * (y1 + yf), 2 * (y1b + yfb)
+    # _STARTS2: midpoint 1 at (0, 1/2 + phi), 5 at (1/2 + phi, 0), 2 and 4 a
+    # half step of phi in from them, and 3 at (phi/2, phi/2).
+    m1, m1b, m5, m5b = y1 + t, y1b + tb, x1 + a, x1b + ab
+    hm = (m1, m1b), (m1 + xf, m1b + xfb), (xf + yf, xfb + yfb), (m5 + yf, m5b + yfb), (m5, m5b)
+    edge_run = {(r, rb): 0, (c, cb): 4}.get
+    starts = {label: (h, edge_run(h)) for label, h in zip(WEIERSTRASS_LABELS, hm)}
+    # _STAIR2[1:4], the corners (phi^2, phi), (phi, phi) and (phi, phi^2).
+    breaks = (r + t, rb + tb), (a + t, ab + tb), (a + c, ab + cb)
+    return breaks, ((-r, -rb), (-t, -tb), (-a, -ab), (-c, -cb)), starts, pairs
 
 
 def _replay_table(pairs: Point) -> tuple[int, tuple]:
@@ -297,13 +309,14 @@ class Trajectory(_Frozen):
         }
 
 
-def _run(table: tuple, h: tuple[int, int], look: bool, cap: int) -> tuple:
+def _run(table: tuple, h: tuple[int, int], look: tuple | None, cap: int) -> tuple:
     """The step loop: from the chord h, in (p, b) form at scale 2, cross at
     most `cap` walls until h comes back or the cone point. With `look`, the
-    walk also ends on the chord of another midpoint, its twin, met after j
-    crossings with 2j + 2 <= cap. Returns the walk, the h of its last chord,
-    the corner hit or None, and the twin it stopped at or None."""
-    breaks, deltas, starts, _ = table
+    oracle's _look(table), the walk also ends on the chord of another
+    midpoint, its twin, met after j crossings with 2j + 2 <= cap. Returns the
+    walk, the h of its last chord, the corner hit or None, and the twin it
+    stopped at or None."""
+    breaks, deltas, _, _ = table
     # h is kept as its offset (x, y) from the middle corner, and the outer
     # corners as theirs, so the first sign test reads the state as it is.
     (p1, b1), (p2, b2), (p3, b3) = breaks
@@ -311,9 +324,8 @@ def _run(table: tuple, h: tuple[int, int], look: bool, cap: int) -> tuple:
     (dx0, dy0), (dx1, dy1), (dx2, dy2), (dx3, dy3) = deltas
     x0 = x = h[0] - p2
     y0 = y = h[1] - b2
-    # The first parts of the chords the walk looks for: the start's, and with look every midpoint's.
-    near = {p - p2 for (p, _), _ in starts.values()} if look else set()
-    near.add(x0)
+    # The first parts of the chords the walk looks for: with look every midpoint's, the start's among them.
+    near, twins = look or ((x0,), None)
     cone = twin = None
     walk = bytearray()
     append = walk.append
@@ -354,21 +366,37 @@ def _run(table: tuple, h: tuple[int, int], look: bool, cap: int) -> tuple:
         if x in near:
             if x == x0 and y == y0:
                 break
-            if look and 2 * len(walk) + 2 <= cap:  # edge runs start on a corner, on no closed orbit
-                h = x + p2, y + b2
-                twin = next((m for m, (hm, edge_run) in starts.items() if hm == h and edge_run is None), None)
+            if twins and 2 * len(walk) + 2 <= cap:
+                twin = twins.get((x, y))
                 if twin is not None:
                     break
     return walk, (x + p2, y + b2), cone, twin
 
 
-def _walk(label: int, v: GoldenVector, table: tuple, cap: int, look: bool) -> tuple:
+def _look(table: tuple) -> tuple:
+    """What the oracle's walks in the direction with table `table` look for,
+    as offsets from the middle corner, like _run's h: the first parts of the
+    five midpoints' chords, and the chord of each midpoint that is no edge run
+    (edge runs start on a corner, on no closed orbit) to the first such
+    midpoint on it."""
+    breaks, _, starts, _ = table
+    p2, b2 = breaks[1]
+    near, twins = set(), {}
+    for label, ((p, b), edge_run) in starts.items():
+        near.add(p - p2)
+        if edge_run is None:
+            twins.setdefault((p - p2, b - b2), label)
+    return near, twins
+
+
+def _walk(label: int, v: GoldenVector, table: tuple, cap: int, look: tuple | None) -> tuple:
     """Walk from midpoint `label` in direction v, whose table is `table`, in
     at most `cap` segments. Returns the walk, its holonomy at scale 2, the
-    corner hit or None, and the twin it stopped at or None: with `look`, a
-    walk stops on its twin's chord after j crossings when 2j + 2 <= cap, and
-    then the holonomy is the j crossings'. Any other walk past the cap raises
-    CapExceededError, or StructuralViolationError if it left the L."""
+    corner hit or None, and the twin it stopped at or None: with `look`, the
+    oracle's _look(table), a walk stops on its twin's chord after j crossings
+    when 2j + 2 <= cap, and then the holonomy is the j crossings'. Any other
+    walk past the cap raises CapExceededError, or StructuralViolationError if
+    it left the L."""
     _, _, starts, pairs = table
     start = weierstrass_point(label)  # raises ValueError for a bad label
     h0, cone = starts[label]
@@ -414,7 +442,7 @@ def trace_direction(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP) ->
     """
     _check_int("cap", cap, 0)
     table = _direction_table(v)
-    walk, holonomy, cone, _ = _walk(label, v, table, cap, False)
+    walk, holonomy, cone, _ = _walk(label, v, table, cap, None)
     return Trajectory(label, v, bytes(walk), holonomy, cone, table)
 
 
@@ -438,13 +466,15 @@ def _midpoint_holonomies(v: GoldenVector, table: tuple, cap: int) -> dict[int, P
     fixes the other two walls.) Any midpoint not yet known is walked on its
     own, to the same holonomy or the same error.
     """
+    look = _look(table)
     holonomies = {}
     for label in WEIERSTRASS_LABELS:
         if label in holonomies:
             continue
-        _, holonomy, cone, twin = _walk(label, v, table, cap, True)
+        _, holonomy, cone, twin = _walk(label, v, table, cap, look)
         if twin is not None:  # stopped at the twin, half a period on
-            holonomies[twin] = holonomy = tuple(2 * c + d for c, d in zip(holonomy, _SHIFTS2[twin, label]))
+            (xa, xb, ya, yb), (sxa, sxb, sya, syb) = holonomy, _SHIFTS2[twin, label]
+            holonomies[twin] = holonomy = 2 * xa + sxa, 2 * xb + sxb, 2 * ya + sya, 2 * yb + syb
         holonomies[label] = None if cone is not None else holonomy
     return {label: holonomies[label] for label in WEIERSTRASS_LABELS}
 
@@ -486,16 +516,16 @@ def _cylinder_verdicts(v: GoldenVector, pairs: Point, holonomies: dict[int, Poin
     magnitudes with ratio phi, all decided on integer pairs. Anything else is a
     structural violation of the simulator or the geometry tables, never bad input.
     """
-    saddles = [l for l, h in holonomies.items() if h is None]
     closed = {l: h for l, h in holonomies.items() if h is not None}
-    if len(saddles) != 1 or len(closed) != 4:
-        raise StructuralViolationError(
-            f"expected 4 closed orbits and 1 cone hit, got {len(closed)} and {len(saddles)}"
-        )
+    saddles = len(holonomies) - len(closed)
+    if saddles != 1 or len(closed) != 4:
+        raise StructuralViolationError(f"expected 4 closed orbits and 1 cone hit, got {len(closed)} and {saddles}")
     vxa, vxb, vya, vyb = pairs
     sizes = {}
     for label, (xa, xb, ya, yb) in closed.items():
-        if golden_mul(xa, xb, vya, vyb) != golden_mul(ya, yb, vxa, vxb):
+        # Parallel: x * v.y == y * v.x, both products by golden_mul inline.
+        bd, db = xb * vyb, yb * vxb
+        if xa * vya + bd != ya * vxa + db or xa * vyb + xb * vya + bd != ya * vxb + yb * vxa + db:
             raise StructuralViolationError(f"holonomy of midpoint {label} is not parallel to {_shown(v)}")
         sizes[label] = (xa, xb) if vxa or vxb else (ya, yb)  # read off y for the vertical
     magnitudes = set(sizes.values())
@@ -522,20 +552,20 @@ def _half(pair: tuple[int, int]) -> GoldenNumber:
 _DIGITS_LIMIT_LOCK = Lock()
 
 
-def _shown(value: object) -> str:
-    """str(value) for an error message, which must not raise in place of the
-    error it describes. A long word's coefficients pass the 4,300 digits
-    Python converts between int and str by default; then the limit is lifted
-    for the conversion and given back, under a lock, so that two threads
-    cannot leave it lifted."""
+def _shown(value: object, show: Callable[[object], str] = str) -> str:
+    """show(value), str or repr, for an error message, which must not raise in
+    place of the error it describes. A long word's coefficients pass the
+    4,300 digits Python converts between int and str by default; then the
+    limit is lifted for the conversion and given back, under a lock, so that
+    two threads cannot leave it lifted."""
     try:
-        return str(value)
+        return show(value)
     except ValueError:  # past the limit, so this Python has one and its setter
         with _DIGITS_LIMIT_LOCK:
             limit = sys.get_int_max_str_digits()
             sys.set_int_max_str_digits(0)
             try:
-                return str(value)
+                return show(value)
             finally:
                 sys.set_int_max_str_digits(limit)
 

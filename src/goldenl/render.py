@@ -17,7 +17,7 @@ import sys
 from functools import lru_cache
 
 from .field import PHI_FLOAT, _Frozen
-from .flow import DEFAULT_STEP_CAP, Outcome, Trajectory, _END, _STAIR, trace
+from .flow import DEFAULT_STEP_CAP, Outcome, Trajectory, _END, _STAIR, _shown, trace
 from .surface import (
     DEFAULT_SIZE, DEFAULT_STROKE, FRAMES, GOLDEN_L, GOLDEN_L_FRAME, MIDPOINT_CYCLE, PENTAGON_FRAME,
     pentagon_transfer,
@@ -229,7 +229,8 @@ def _frame(frame: str, size: int, stroke: float) -> tuple:
     exact checks come before the cache, which would raise TypeError on an unhashable argument."""
     top = sys.float_info.max  # compared exactly, so a huge int size or stroke converts to no float
     if type(size) is not int or not 1 <= size <= top or not (type(stroke) in (int, float) and 0 < stroke <= top / 2):
-        raise ValueError(f"size must be at least 1 and stroke positive, in float range, got {size!r} and {stroke!r}")
+        got = f"{_shown(size, repr)} and {_shown(stroke, repr)}"  # a size or stroke can pass the int digits limit
+        raise ValueError(f"size must be at least 1 and stroke positive, in float range, got {got}")
     if frame not in FRAMES:
         raise ValueError(f"frame must be one of {FRAMES}, got {frame!r}")
     return _frame_parts(frame, size, stroke)

@@ -207,12 +207,13 @@ def _rotations(a, b):
 
 
 def _counting_walks(monkeypatch):
-    """Patch the oracle's walk helper to record `look` on each call; returns the record."""
+    """Patch the oracle's walk helper to record on each call whether it looks
+    for a twin, that is, has look data; returns the record."""
     walked = []
     walk = flow_module._walk
 
     def counted(label, v, table, cap, look):
-        walked.append(look)
+        walked.append(look is not None)
         return walk(label, v, table, cap, look)
 
     monkeypatch.setattr(flow_module, "_walk", counted)
@@ -366,9 +367,10 @@ def test_each_closed_orbit_meets_one_twin_half_a_period_away(monkeypatch):
     for v in words + [GoldenVector(v.y, v.x) for v in words] + [HORIZONTAL, VERTICAL]:
         table = flow_module._direction_table(v)
         _, deltas, starts, _ = table
+        look = flow_module._look(table)
         for label in WEIERSTRASS_LABELS:
             t = trace_direction(label, v)
-            arc, holonomy, cone, twin = flow_module._walk(label, v, table, DEFAULT_STEP_CAP, True)
+            arc, holonomy, cone, twin = flow_module._walk(label, v, table, DEFAULT_STEP_CAP, look)
             stopped = twin is not None
             crossings = t.walk.rstrip(bytes([flow_module._END]))
             others = {h: m for m, (h, edge_run) in starts.items() if m != label and edge_run is None}

@@ -242,7 +242,7 @@ def test_bad_size_or_stroke_is_rejected_before_the_points_are_read(monkeypatch):
     float_ends = render._float_ends
     monkeypatch.setattr(render, "_float_ends", lambda t: calls.append(t) or float_ends(t))
     bad = ((0, DEFAULT_STROKE), (DEFAULT_SIZE, -1.0), (2.5, DEFAULT_STROKE))
-    bad += ((10**400, DEFAULT_STROKE), (DEFAULT_SIZE, 1e308))
+    bad += ((10**400, DEFAULT_STROKE), (DEFAULT_SIZE, 1e308), (10**5000, DEFAULT_STROKE), (DEFAULT_SIZE, 10**5000))
     for draw in (golden_l_svg, billiard_svg):
         for size, stroke in bad:
             with pytest.raises(ValueError, match="size must be at least 1"):
