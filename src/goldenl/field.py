@@ -123,9 +123,8 @@ class GoldenNumber(_Frozen):
     b: Fraction
 
     def __init__(self, a: Rational = 0, b: Rational = 0) -> None:
-        # An int, the common case, goes straight to Fraction; a bool or anything else through _as_fraction.
-        _set_a(self, Fraction(a) if type(a) is int else _as_fraction(a))
-        _set_b(self, Fraction(b) if type(b) is int else _as_fraction(b))
+        object.__setattr__(self, "a", _as_fraction(a))
+        object.__setattr__(self, "b", _as_fraction(b))
 
     @classmethod
     def _coerce(cls, value: GoldenNumber | Rational) -> GoldenNumber | None:
@@ -221,8 +220,6 @@ class GoldenNumber(_Frozen):
     def __repr__(self) -> str:
         return f"GoldenNumber({self.a}, {self.b})"
 
-
-_set_a, _set_b = GoldenNumber.a.__set__, GoldenNumber.b.__set__  # the slots' own setters, past __setattr__
 
 ZERO = GoldenNumber(0, 0)
 ONE = GoldenNumber(1, 0)

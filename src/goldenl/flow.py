@@ -523,9 +523,7 @@ def _cylinder_verdicts(v: GoldenVector, pairs: Point, holonomies: dict[int, Poin
     vxa, vxb, vya, vyb = pairs
     sizes = {}
     for label, (xa, xb, ya, yb) in closed.items():
-        # Parallel: x * v.y == y * v.x, both products by golden_mul inline.
-        bd, db = xb * vyb, yb * vxb
-        if xa * vya + bd != ya * vxa + db or xa * vyb + xb * vya + bd != ya * vxb + yb * vxa + db:
+        if golden_mul(xa, xb, vya, vyb) != golden_mul(ya, yb, vxa, vxb):
             raise StructuralViolationError(f"holonomy of midpoint {label} is not parallel to {_shown(v)}")
         sizes[label] = (xa, xb) if vxa or vxb else (ya, yb)  # read off y for the vertical
     magnitudes = set(sizes.values())

@@ -144,18 +144,6 @@ def test_equal_values_built_differently_hash_equal():
         assert table(rebuilt) == first
 
 
-def test_coefficients_are_stored_as_fractions():
-    # An int has numerator and denominator too, so one stored raw would pass
-    # most tests; each coefficient must be a Fraction of the value given.
-    for value in (0, 7, -(2**70), True, False, Fraction(1, 2), Fraction(-6, 3)):
-        for number in (GoldenNumber(value, value), GoldenNumber(a=value, b=value)):
-            assert type(number.a) is Fraction and type(number.b) is Fraction, value
-            assert number.a == number.b == value, value
-    assert type(GoldenNumber().a) is Fraction and type(GoldenNumber().b) is Fraction
-    x = GoldenVector.from_rationals(1, True, Fraction(1, 3), -4)
-    assert {type(c) for c in (x.x.a, x.x.b, x.y.a, x.y.b)} == {Fraction}
-
-
 def test_float_coefficients_rejected():
     with pytest.raises(TypeError):
         GoldenNumber(0.5, 0)
