@@ -17,16 +17,9 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
+from .errors import VerticalDirectionError
 from .field import GoldenVector
-from .surface import (
-    Axis,
-    MIDPOINT_CYCLE,
-    Permutation5,
-    VERTICAL_RELABELING,
-    WEIERSTRASS_LABELS,
-    sector_of,
-    weierstrass_point,
-)
+from .surface import MIDPOINT_CYCLE, Permutation5, VERTICAL_RELABELING, WEIERSTRASS_LABELS, weierstrass_point
 from .words import Word, _letters, format_word, vector_to_word
 
 
@@ -105,7 +98,8 @@ def classify_vector(v: GoldenVector) -> ClassificationReport:
     y = x, which relabels the midpoints by (1 5)(2 4) and turns the question
     back into the horizontal one.
     """
-    if sector_of(v) is Axis.VERTICAL:
+    try:
+        return classify_all(vector_to_word(v))
+    except VerticalDirectionError:
         verdicts = {label: HORIZONTAL_VERDICTS[VERTICAL_RELABELING(label)] for label in WEIERSTRASS_LABELS}
         return ClassificationReport(word=None, tau=None, verdicts=verdicts)
-    return classify_all(vector_to_word(v))

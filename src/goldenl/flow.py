@@ -46,8 +46,8 @@ another midpoint while its j crossings leave 2j + 2 <= cap, and gives both
 twice the displacement so far; a midpoint not yet known is walked on its own.
 What its walks look for, the midpoints' chords, is set up once per direction.
 So it walks about half of each cylinder's core orbit and builds no
-trajectory. Its report keeps the holonomies the cylinder checks passed, and
-no read of it walks.
+trajectory. It reads a word's pairs from words._pairs, and its report keeps
+the pairs and the holonomies the cylinder checks passed; no read of it walks.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from .classify import Classification
 from .errors import CapExceededError, StructuralViolationError, _check_int
 from .field import GoldenNumber, GoldenVector, _Frozen, golden_mul, golden_sign
 from .surface import CONE_POINTS, GOLDEN_L, WEIERSTRASS_LABELS, _direction_pairs, weierstrass_point
-from .words import Word, format_word, word_to_vector
+from .words import Word, _pairs, format_word, word_to_vector
 
 DEFAULT_STEP_CAP = 1_000_000
 
@@ -150,17 +150,17 @@ _JUMPS2 = frozenset(jump for _, back in _EXITS for jump in (back, tuple(-c for c
 _ON_GLUED_EDGE = tuple(label for label, twins in _TWINS2.items() if len(twins) > 1)
 
 
-def _direction_table(v: GoldenVector) -> tuple:
-    """What every walk in direction v reads, from its integer pairs: the h of
-    the corners where walls meet, _STAIR[1:4]; per exit wall, what crossing it
-    adds to h; per midpoint, its h and the _STAIR index of the corner an edge
-    run from it ends at, or None; and the pairs. Every h, at scale 2 in the
-    (p, b) form, is v x p for a point p of _EXITS, _STAIR2 or _STARTS2, and
-    h is linear in p; each of those points is a small integer combination of
-    half steps along the axes, so the table sums their h's. Raises ValueError
-    for a direction outside the closed first quadrant.
+def _direction_table(pairs: Point) -> tuple:
+    """What every walk in the direction with integer pairs `pairs` reads: the
+    h of the corners where walls meet, _STAIR[1:4]; per exit wall, what
+    crossing it adds to h; per midpoint, its h and the _STAIR index of the
+    corner an edge run from it ends at, or None; and the pairs. Every h, at
+    scale 2 in the (p, b) form, is v x p for a point p of _EXITS, _STAIR2 or
+    _STARTS2, and h is linear in p; each of those points is a small integer
+    combination of half steps along the axes, so the table sums their h's. The
+    callers check that the pairs are a direction in the closed first quadrant.
     """
-    pairs = vxa, vxb, vya, vyb = _direction_pairs(v)
+    vxa, vxb, vya, vyb = pairs
     # The h of the half steps (0, 1/2), (0, phi/2), (1/2, 0) and (phi/2, 0), by golden_mul.
     y1, y1b, yf, yfb = 2 * vxa + vxb, vxb, vxa + 3 * vxb, vxa + vxb
     x1, x1b, xf, xfb = -2 * vya - vyb, -vyb, -vya - 3 * vyb, -vya - vyb
@@ -389,9 +389,9 @@ def _look(table: tuple) -> tuple:
     return near, twins
 
 
-def _walk(label: int, v: GoldenVector, table: tuple, cap: int, look: tuple | None) -> tuple:
-    """Walk from midpoint `label` in direction v, whose table is `table`, in
-    at most `cap` segments. Returns the walk, its holonomy at scale 2, the
+def _walk(label: int, table: tuple, cap: int, look: tuple | None) -> tuple:
+    """Walk from midpoint `label` in the direction with table `table`, in at
+    most `cap` segments. Returns the walk, its holonomy at scale 2, the
     corner hit or None, and the twin it stopped at or None: with `look`, the
     oracle's _look(table), a walk stops on its twin's chord after j crossings
     when 2j + 2 <= cap, and then the holonomy is the j crossings'. Any other
@@ -423,7 +423,7 @@ def _walk(label: int, v: GoldenVector, table: tuple, cap: int, look: tuple | Non
             vertical, (ma, mb), _ = rows[walk[-2]]
             ua, ub = golden_mul((p - b) // 2, b, ma, mb)
             last = _from_point((0, 0, ua, ub) if vertical else (ua, ub, 0, 0), scale)
-        where = f"midpoint {label}, direction {_shown(v)}, after {_shown(cap)} steps at {_shown(last)}"
+        where = f"midpoint {label}, direction {_shown(_from_point(pairs, 1))}, after {_shown(cap)} steps at {_shown(last)}"
         if not point_in_surface(last):
             raise StructuralViolationError(f"trajectory left the golden L: {where}")
         raise CapExceededError(f"trajectory did not terminate: {where}")
@@ -441,8 +441,8 @@ def trace_direction(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP) ->
     nonnegative int raises ValueError.
     """
     _check_int("cap", cap, 0)
-    table = _direction_table(v)
-    walk, holonomy, cone, _ = _walk(label, v, table, cap, None)
+    table = _direction_table(_direction_pairs(v))
+    walk, holonomy, cone, _ = _walk(label, table, cap, None)
     return Trajectory(label, v, bytes(walk), holonomy, cone, table)
 
 
@@ -450,10 +450,9 @@ def trace(label: int, word: Word, cap: int = DEFAULT_STEP_CAP) -> Trajectory:
     return trace_direction(label, word_to_vector(word), cap)
 
 
-def _midpoint_holonomies(v: GoldenVector, table: tuple, cap: int) -> dict[int, Point | None]:
-    """The holonomies at scale 2 of the orbits from the five midpoints in
-    direction v, whose table is `table`, by label, None for a cone hit, from
-    half of each closed orbit.
+def _oracle(pairs: Point, cap: int) -> OracleReport:
+    """The report in the direction with checked integer pairs `pairs`, each
+    midpoint's holonomy at scale 2 from half of each closed orbit.
 
     A cylinder's core orbit passes through two midpoints half a period apart,
     the fixed points of the hyperelliptic involution J inside it, and J turns
@@ -466,25 +465,34 @@ def _midpoint_holonomies(v: GoldenVector, table: tuple, cap: int) -> dict[int, P
     fixes the other two walls.) Any midpoint not yet known is walked on its
     own, to the same holonomy or the same error.
     """
+    _check_int("cap", cap, 0)
+    table = _direction_table(pairs)
     look = _look(table)
     holonomies = {}
     for label in WEIERSTRASS_LABELS:
         if label in holonomies:
             continue
-        _, holonomy, cone, twin = _walk(label, v, table, cap, look)
+        _, holonomy, cone, twin = _walk(label, table, cap, look)
         if twin is not None:  # stopped at the twin, half a period on
             (xa, xb, ya, yb), (sxa, sxb, sya, syb) = holonomy, _SHIFTS2[twin, label]
             holonomies[twin] = holonomy = 2 * xa + sxa, 2 * xb + sxb, 2 * ya + sya, 2 * yb + syb
         holonomies[label] = None if cone is not None else holonomy
-    return {label: holonomies[label] for label in WEIERSTRASS_LABELS}
+    holonomies = {label: holonomies[label] for label in WEIERSTRASS_LABELS}
+    return OracleReport(pairs, _cylinder_verdicts(pairs, holonomies), holonomies)
 
 
 class OracleReport(_Frozen):
     """Joint result of flowing all five midpoints in one direction, a field._Frozen value that holds dicts
-    and so has no hash: the direction, the verdicts and `_holonomies`, the map the cylinder checks passed,
-    label -> holonomy at scale 2, None for the cone hit. The saddle label and holonomies are read off them."""
+    and so has no hash: the direction's integer pairs, the verdicts and `_holonomies`, the map the cylinder
+    checks passed, label -> holonomy at scale 2, None for the cone hit. `direction` and the rest are read off them."""
 
-    __slots__ = ("direction", "verdicts", "_holonomies")
+    __slots__ = ("_pairs", "verdicts", "_holonomies")
+
+    _fields = ("direction", "verdicts", "_holonomies")
+
+    @property
+    def direction(self) -> GoldenVector:
+        return _from_point(self._pairs, 1)
 
     @property
     def saddle_label(self) -> int:
@@ -501,18 +509,15 @@ class OracleReport(_Frozen):
 
 def oracle_report_direction(v: GoldenVector, cap: int = DEFAULT_STEP_CAP) -> OracleReport:
     """Classify every midpoint by flowing it, checking the cylinder structure."""
-    _check_int("cap", cap, 0)
-    table = _direction_table(v)
-    holonomies = _midpoint_holonomies(v, table, cap)
-    return OracleReport(v, _cylinder_verdicts(v, table[3], holonomies), holonomies)
+    return _oracle(_direction_pairs(v), cap)
 
 
-def _cylinder_verdicts(v: GoldenVector, pairs: Point, holonomies: dict[int, Point | None]) -> dict[int, Classification]:
+def _cylinder_verdicts(pairs: Point, holonomies: dict[int, Point | None]) -> dict[int, Classification]:
     """The verdicts from each midpoint's holonomy at scale 2, or None for a
-    cone hit, in direction v with integer pairs `pairs`.
+    cone hit, in the direction with integer pairs `pairs`.
 
     Exactly one midpoint must hit the cone point; the other four must close
-    with holonomies parallel to v, splitting two and two between exactly two
+    with holonomies parallel to it, splitting two and two between exactly two
     magnitudes with ratio phi, all decided on integer pairs. Anything else is a
     structural violation of the simulator or the geometry tables, never bad input.
     """
@@ -524,7 +529,7 @@ def _cylinder_verdicts(v: GoldenVector, pairs: Point, holonomies: dict[int, Poin
     sizes = {}
     for label, (xa, xb, ya, yb) in closed.items():
         if golden_mul(xa, xb, vya, vyb) != golden_mul(ya, yb, vxa, vxb):
-            raise StructuralViolationError(f"holonomy of midpoint {label} is not parallel to {_shown(v)}")
+            raise StructuralViolationError(f"holonomy of midpoint {label} is not parallel to {_shown(_from_point(pairs, 1))}")
         sizes[label] = (xa, xb) if vxa or vxb else (ya, yb)  # read off y for the vertical
     magnitudes = set(sizes.values())
     if len(magnitudes) != 2:
@@ -569,7 +574,7 @@ def _shown(value: object, show: Callable[[object], str] = str) -> str:
 
 
 def oracle_report(word: Word, cap: int = DEFAULT_STEP_CAP) -> OracleReport:
-    return oracle_report_direction(word_to_vector(word), cap)
+    return _oracle(_pairs(word), cap)
 
 
 def oracle_classify(word: Word, cap: int = DEFAULT_STEP_CAP) -> dict[int, Classification]:

@@ -63,6 +63,11 @@ def _letters(word: Iterable[int]) -> Word:
 
 def word_to_vector(word: Word) -> GoldenVector:
     """Direction vector of a word: apply sigma_k to (1, 0) for each letter in order."""
+    return GoldenVector.from_rationals(*_pairs(word))
+
+
+def _pairs(word: Word) -> tuple[int, int, int, int]:
+    """word_to_vector(word) as integer pairs, in the first quadrant: each sigma_k is nonnegative."""
     xa, xb, ya, yb = 1, 0, 0, 0
     for k in _letters(word):
         if k == 0:
@@ -73,7 +78,7 @@ def word_to_vector(word: Word) -> GoldenVector:
             xa, xb, ya, yb = xb + ya, xa + xb + yb, xb + yb, xa + xb + ya + yb
         else:
             ya, yb = xb + ya, xa + xb + yb
-    return GoldenVector.from_rationals(xa, xb, ya, yb)
+    return xa, xb, ya, yb
 
 
 def vector_to_word(v: GoldenVector, cap: int = DEFAULT_INVERSION_CAP) -> Word:

@@ -227,8 +227,8 @@ def reference_trace(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP):
 
 
 def reference_direction_table(v: GoldenVector) -> tuple[tuple, tuple]:
-    """`goldenl.flow._direction_table(v)` and `goldenl.flow._replay_table` of
-    its pairs, field for field, with each h at scale 2 in the (p, b) form
+    """`goldenl.flow._direction_table` and `goldenl.flow._replay_table` of the
+    pairs of v, field for field, with each h at scale 2 in the (p, b) form
     2h = p + b*sqrt(5) taken point by point."""
     pairs = vxa, vxb, vya, vyb = _direction_pairs(v)
 
@@ -264,4 +264,5 @@ def reference_oracle(v: GoldenVector, cap: int = DEFAULT_STEP_CAP) -> OracleRepo
     """Classify every midpoint by tracing each one, then run the library's cylinder checks."""
     trajectories = {label: trace_direction(label, v, cap) for label in WEIERSTRASS_LABELS}
     holonomies = {l: None if t._cone is not None else t._holonomy2 for l, t in trajectories.items()}
-    return OracleReport(v, _cylinder_verdicts(v, cleared(v), holonomies), holonomies)
+    pairs = cleared(v)
+    return OracleReport(pairs, _cylinder_verdicts(pairs, holonomies), holonomies)

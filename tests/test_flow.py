@@ -212,9 +212,9 @@ def _counting_walks(monkeypatch):
     walked = []
     walk = flow_module._walk
 
-    def counted(label, v, table, cap, look):
+    def counted(label, table, cap, look):
         walked.append(look is not None)
-        return walk(label, v, table, cap, look)
+        return walk(label, table, cap, look)
 
     monkeypatch.setattr(flow_module, "_walk", counted)
     return walked
@@ -226,7 +226,7 @@ def _look_walks(v, verdicts, cap):
     first on the other midpoint's chord after j crossings, the chords replayed
     by their h; that walk stops there if 0 < j and 2j + 2 <= cap, or else the
     other midpoint is walked too."""
-    _, deltas, starts, _ = flow_module._direction_table(v)
+    _, deltas, starts, _ = flow_module._direction_table(cleared(v))
     walks = 1
     for verdict in (Classification.SHORT, Classification.LONG):
         a, b = sorted(label for label, c in verdicts.items() if c is verdict)
@@ -319,8 +319,30 @@ def test_oracle_report_reads_walk_nothing(monkeypatch):
                 for kept in (copy.copy(report), copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
                     assert kept == report and kept.short_holonomy == report.short_holonomy, (v, cap)
                 assert not hasattr(report, "__dict__"), (v, cap)
-    assert flow_module.OracleReport.__slots__ == ("direction", "verdicts", "_holonomies")
-    assert flow_module.OracleReport._fields == flow_module.OracleReport.__slots__
+    assert flow_module.OracleReport.__slots__ == ("_pairs", "verdicts", "_holonomies")
+    assert flow_module.OracleReport._fields == ("direction", "verdicts", "_holonomies")
+
+
+def test_both_oracle_entries_give_one_report(monkeypatch):
+    # Every word of length <= 5: the oracle on the word's pairs and on its
+    # vector give one report, whose direction, built on read, is the word's
+    # vector. On a word the oracle builds no GoldenVector: with word_to_vector,
+    # _direction_pairs and _from_point patched to raise, its verdicts still
+    # come back.
+    def refuse(*args):
+        raise AssertionError(f"the oracle built or cleared a vector: {args}")
+
+    words = [w for n in range(6) for w in product((0, 1, 2, 3), repeat=n)]
+    for word in words:
+        v = word_to_vector(word)
+        report = oracle_report(word)
+        assert report == oracle_report_direction(v) and repr(report) == repr(oracle_report_direction(v)), word
+        assert report.direction == v, word
+    with monkeypatch.context() as patched:
+        for name in ("word_to_vector", "_direction_pairs", "_from_point"):
+            patched.setattr(flow_module, name, refuse)
+        for word in words:
+            assert oracle_report(word).verdicts == classify_all(word).verdicts, word
 
 
 def test_oracle_verdicts_are_in_label_order():
@@ -365,12 +387,12 @@ def test_each_closed_orbit_meets_one_twin_half_a_period_away(monkeypatch):
     words = [word_to_vector(w) for n in range(7) for w in product((0, 1, 2, 3), repeat=n)]
     on_start_chord = {"ahead": 0, "behind": 0}
     for v in words + [GoldenVector(v.y, v.x) for v in words] + [HORIZONTAL, VERTICAL]:
-        table = flow_module._direction_table(v)
+        table = flow_module._direction_table(cleared(v))
         _, deltas, starts, _ = table
         look = flow_module._look(table)
         for label in WEIERSTRASS_LABELS:
             t = trace_direction(label, v)
-            arc, holonomy, cone, twin = flow_module._walk(label, v, table, DEFAULT_STEP_CAP, look)
+            arc, holonomy, cone, twin = flow_module._walk(label, table, DEFAULT_STEP_CAP, look)
             stopped = twin is not None
             crossings = t.walk.rstrip(bytes([flow_module._END]))
             others = {h: m for m, (h, edge_run) in starts.items() if m != label and edge_run is None}
@@ -458,12 +480,12 @@ def test_cylinder_verdicts_on_label_holonomy_maps():
     S, L, X = Classification.SHORT, Classification.LONG, Classification.SADDLE_CONNECTION
     horizontal = {1: (0, 2, 0, 0), 2: (0, 2, 0, 0), 3: (2, 2, 0, 0), 4: (2, 2, 0, 0), 5: None}
     vertical = {1: None, 2: (0, 0, 2, 2), 3: (0, 0, 2, 2), 4: (0, 0, 0, 2), 5: (0, 0, 0, 2)}
-    assert flow_module._cylinder_verdicts(HORIZONTAL, cleared(HORIZONTAL), horizontal) == {1: S, 2: S, 3: L, 4: L, 5: X}
-    assert flow_module._cylinder_verdicts(VERTICAL, cleared(VERTICAL), vertical) == {1: X, 2: L, 3: L, 4: S, 5: S}
+    assert flow_module._cylinder_verdicts(cleared(HORIZONTAL), horizontal) == {1: S, 2: S, 3: L, 4: L, 5: X}
+    assert flow_module._cylinder_verdicts(cleared(VERTICAL), vertical) == {1: X, 2: L, 3: L, 4: S, 5: S}
     assert oracle_report(())._holonomies == _holonomies(_traces(HORIZONTAL)) == horizontal
     assert oracle_report_direction(VERTICAL)._holonomies == _holonomies(_traces(VERTICAL)) == vertical
     with pytest.raises(StructuralViolationError, match=r"^expected 4 closed orbits and 1 cone hit, got 3 and 2$"):
-        flow_module._cylinder_verdicts(VERTICAL, cleared(VERTICAL), {**vertical, 2: None})
+        flow_module._cylinder_verdicts(cleared(VERTICAL), {**vertical, 2: None})
 
 
 def _verdicts_with_corrupt_holonomy(v, corrupt):
@@ -477,7 +499,7 @@ def _verdicts_with_corrupt_holonomy(v, corrupt):
         h = corrupt(label, t.holonomy, report) if t.outcome is Outcome.CLOSED else None
         if h is not None:
             holonomies[label] = flow_module._int_point(h, 2)
-    return flow_module._cylinder_verdicts(v, cleared(v), holonomies)
+    return flow_module._cylinder_verdicts(cleared(v), holonomies)
 
 
 def _first(report, verdict):
@@ -566,9 +588,9 @@ def test_points_and_validation_build_no_golden_vector(monkeypatch):
     table = flow_module._direction_table
     calls = []
 
-    def counted(v):
-        calls.append(v)
-        return table(v)
+    def counted(pairs):
+        calls.append(pairs)
+        return table(pairs)
 
     directions = [word_to_vector(w) for n in range(4) for w in product((0, 1, 2, 3), repeat=n)]
     outcomes = set()
@@ -579,9 +601,9 @@ def test_points_and_validation_build_no_golden_vector(monkeypatch):
             m.setattr(flow_module, "_from_point", forbidden)
             m.setattr(flow_module, "_direction_table", counted)
             report = oracle_report_direction(v)
-            assert len(report.verdicts) == 5 and calls == [v], v
+            assert len(report.verdicts) == 5 and calls == [cleared(v)], v
             traced = _traces(v)
-            assert calls == [v] * 6, v
+            assert calls == [cleared(v)] * 6, v
             m.setattr(flow_module, "_direction_table", forbidden)
             assert report._holonomies == _holonomies(traced), v
             for t in traced.values():
@@ -745,8 +767,8 @@ def test_trace_that_leaves_the_l_is_a_structural_violation(monkeypatch):
     # first step.
     table = flow_module._direction_table
 
-    def corrupted(v):
-        _, *rest = table(v)
+    def corrupted(pairs):
+        _, *rest = table(pairs)
         return (((10**6, 0),) * 3, *rest)
 
     monkeypatch.setattr(flow_module, "_direction_table", corrupted)
@@ -802,7 +824,7 @@ def test_direction_table_equals_point_by_point_reference():
                 u = u.scaled(factor)
                 directions.append(u)
     for v in directions:
-        table = flow_module._direction_table(v)
+        table = flow_module._direction_table(cleared(v))
         want_table, (want_scale, want_rows) = reference_direction_table(v)
         assert table == want_table, v
         assert table[3] == cleared(v), v

@@ -30,6 +30,8 @@ from goldenl import (
     word_to_vector,
 )
 from goldenl.render import pentagon_svg
+from goldenl.surface import _direction_pairs
+from goldenl.words import _pairs
 
 
 def test_parse_and_format():
@@ -100,7 +102,7 @@ def test_every_entry_point_reads_the_word_once():
     words = [()] + [tuple(rng.randrange(4) for _ in range(rng.randint(1, 127))) for _ in range(24)]
     short = [()] + [tuple(rng.randrange(4) for _ in range(n)) for n in (1, 2, 3, 4)]
     assert format_word(iter(())) == "e"
-    calls = [format_word, classify_all] + [lambda w, label=label: classify(w, label) for label in range(1, 6)]
+    calls = [format_word, classify_all, _pairs] + [lambda w, label=label: classify(w, label) for label in range(1, 6)]
     flow_calls = [
         oracle_classify,
         oracle_report,
@@ -169,6 +171,16 @@ def test_direction_algebra_matches_reference_fold():
         stripped = word[next((i for i, k in enumerate(word) if k), len(word)):]
         assert vector_to_word(v.scaled(Fraction(7, 3))) == stripped, word
         assert vector_to_word(v.scaled(Fraction(1, 2))) == stripped, word
+
+
+def test_pairs_equal_the_cleared_vector():
+    # The oracle reads a word's integer pairs straight from the letter loop;
+    # they are the pairs its vector clears back to, checked in the quadrant.
+    rng = random.Random(20261021)
+    words = [w for n in range(7) for w in product((0, 1, 2, 3), repeat=n)]
+    words += [tuple(rng.randrange(4) for _ in range(rng.randint(16, 1024))) for _ in range(48)]
+    for word in words:
+        assert _pairs(word) == _direction_pairs(word_to_vector(word)), word
 
 
 def _stripped(word):
