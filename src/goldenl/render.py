@@ -2,12 +2,14 @@
 
 Both frames draw one exact trajectory, and coordinates only become floats at
 the last step. The golden L frame draws its segments as they are. The
-pentagon frame folds them onto the billiard table, a regular pentagon with
-side 1 (see billiard_path); its bounces and corner are read off the
-trajectory's walk, and where a closed path closes follows by rule from the
-walk's turns and the direction. Each frame's outline and marked points are
-formatted once per size and stroke, both frames' lines in chunks, and each
-bounce point of the table's polyline is placed and formatted once.
+pentagon frame folds the trajectory onto the billiard table, a regular
+pentagon with side 1 (see billiard_path), from its walk alone: each run's
+chord h comes from the walk's steps, and where it bounces is one affine map
+of h per side, set up once per direction, so no point is built. Where a
+closed path closes follows by rule from the walk's turns and the direction.
+Each frame's outline and marked points are formatted once per size and
+stroke, both frames' lines in chunks, and each bounce point of the table's
+polyline is placed and formatted once.
 """
 
 from __future__ import annotations
@@ -94,6 +96,7 @@ _REENTRY = tuple((2 * (_EDGE[left] - _EDGE[entered]) % 5, entered) for left, ent
 _BEYOND = {1: (4, 4), 3: (2, 0)}
 (_, _P01), (_, _P11) = pentagon_transfer().matrix
 _CENTRE = (1.0 + 3.0 * PHI_FLOAT) / 5.0
+_SQRT5 = math.sqrt(5.0)
 # The reflections in the table axes through midpoints 2 and 4 (billiard_path).
 _AXES = {label: math.radians(2.0 * _MIDPOINT_ANGLES[label]) for label in (2, 4)}
 _MIRRORS = {label: complex(math.cos(axis), math.sin(axis)) for label, axis in _AXES.items()}
@@ -115,12 +118,18 @@ def _float_ends(trajectory: Trajectory) -> list[float]:
     return [a / s + b / s * PHI_FLOAT for a, b in zip(pairs[0::2], pairs[1::2])]
 
 
-def _crossing(side: int, bx: float, by: float, ex: float, ey: float) -> complex:
-    """The table point where the run from (bx, by) to (ex, ey) crosses a side; it is only drawn."""
-    dx, dy = ex - bx, ey - by
-    (ax, ay), (cx, cy) = _SIDE_ENDS[side]
-    f = ((ax - bx) * (cy - ay) - (ay - by) * (cx - ax)) / (dx * (cy - ay) - dy * (cx - ax))
-    return _on_pentagon(bx + f * dx, by + f * dy)
+def _side_maps(pairs: tuple[int, int, int, int], den: int) -> dict[int, tuple[complex, complex]]:
+    """Per side that v, the direction with integer pairs `pairs` over den, crosses:
+    (alpha, beta) such that the chord h = v x p meets it at the table point alpha + h * beta."""
+    vxa, vxb, vya, vyb = pairs
+    vx, vy = vxa / den + vxb / den * PHI_FLOAT, vya / den + vyb / den * PHI_FLOAT
+    maps = {}
+    for side, ((ax, ay), (cx, cy)) in _SIDE_ENDS.items():
+        # The chord meets side A -> C at A + t(C - A), t = (h - v x A) / (v x (C - A)).
+        if dv := vx * (cy - ay) - vy * (cx - ax):  # 0 for a side parallel to v, never crossed
+            d = complex(cx - ax + _P01 * (cy - ay), _P11 * (cy - ay))  # P(C - A)
+            maps[side] = _on_pentagon(ax, ay) - (vx * ay - vy * ax) / dv * d, d / dv
+    return maps
 
 
 class BilliardPath(_Frozen):
@@ -142,7 +151,9 @@ def billiard_path(trajectory: Trajectory) -> BilliardPath:
     a side crossing, and the table turns by 2 * (edge(s) - edge(s')) steps of
     72 degrees from a run that leaves by side s to the next, which re-enters by
     s'. Midpoints 2 and 4 start on C2 and C1 heading out; mirroring their
-    picture in the table axis through the start launches them inward.
+    picture in the table axis through the start launches them inward. Each
+    run lies on one chord h of the walk, and P is linear, so its crossing
+    with a side is that side's affine map of h (_side_maps).
 
     A closed trajectory repeats, turned, for a number of periods set by rule.
     The table's sides lie at multiples of 36 degrees, and P maps the first
@@ -157,41 +168,50 @@ def billiard_path(trajectory: Trajectory) -> BilliardPath:
 
 
 def _fold(trajectory: Trajectory) -> tuple[list[complex], bool]:
-    """billiard_path's points as table points x + yi, and whether the path closed."""
-    label, walk, v = trajectory.start_label, trajectory.walk, trajectory.direction
-    outside = label in (2, 4)
-    closed = trajectory.outcome is Outcome.CLOSED
-    beyond = _BEYOND.get(trajectory._cone)
-    ends = _float_ends(trajectory)
+    """billiard_path's points as table points x + yi, and whether the path
+    closed, read from the walk, the direction's table and the start label."""
+    label, walk, cone = trajectory.start_label, trajectory.walk, trajectory._cone
+    _, deltas, starts, pairs = trajectory._table
+    outside, closed, beyond = label in (2, 4), cone is None, _BEYOND.get(cone)
     if closed and walk[-1] == _END:
         # Closed strictly inside a segment: the last run ends at the start and
-        # the first leaves it, so together they are one run through the start.
-        ends[:2] = ends[-4:-2]
-        del ends[-4:]
+        # the first leaves it, so together they are one run, on the first chord.
         walk = walk[:-1]
+    # h starts on the start's chord and each wall adds its step; in the (p, b) form at scale 2 it is
+    # (p + b * sqrt 5) / 4. Past float range, v and every h are divided alike by a power of 2.
+    den = 4 << max(0, max(map(abs, pairs)).bit_length() - 960)
+    maps = _side_maps(pairs, den >> 2)
+    (p, b), _ = starts[label]
     # Each run re-enters after the previous wall and leaves before its own, so
     # the start is crossing 0, or 1 from midpoints 2 and 4, of a closed orbit.
     # The first run re-enters only on a closed orbit, after its last wall.
     crossings, previous = [], walk[-1]
-    for bx, by, ex, ey, wall in zip(ends[0::4], ends[1::4], ends[2::4], ends[3::4], walk):
+    for wall in walk:
+        h = p / den + b / den * _SQRT5
         if previous != _END:
             turn, entered = _REENTRY[previous]
-            crossings.append((turn, _crossing(entered, bx, by, ex, ey)))
-        if wall != _END or beyond:
-            cut = _LEAVES[wall][0] if wall != _END else beyond[0]
-            crossings.append((0, _crossing(cut, bx, by, ex, ey)))
+            alpha, beta = maps[entered]
+            crossings.append((turn, alpha + h * beta))
+        if wall != _END:
+            alpha, beta = maps[_LEAVES[wall][0]]
+            crossings.append((0, alpha + h * beta))
+            dp, db = deltas[wall]
+            p, b = p + dp, b + db
         previous = wall
+    if beyond:  # the last run leaves by the cut its cone point lies beyond
+        alpha, beta = maps[beyond[0]]
+        crossings.append((0, alpha + h * beta))
 
     # A closed path's period count, in half periods; a closed walk has two crossings a run, so n is even.
-    n = len(crossings)
-    halves = 5 if v.x.is_zero or v.y.is_zero else 10 if sum(turn for turn, _ in crossings) % 5 else 2
+    n, axis = len(crossings), not (pairs[0] or pairs[1]) or not (pairs[2] or pairs[3])
+    halves = 5 if axis else 10 if sum(turn for turn, _ in crossings) % 5 else 2
     k, drawn = 0, []
     for step in range(outside + 1, outside + halves * n // 2) if closed else range(outside, n):
         turn, q = crossings[step % n]
         k = (k + turn) % 5
         drawn.append(q * _ROTATIONS[k])
     if not closed:
-        drawn.append(_on_pentagon(*_STAIR[beyond[1] if beyond else trajectory._cone].to_floats()) * _ROTATIONS[k])
+        drawn.append(_on_pentagon(*_STAIR[beyond[1] if beyond else cone].to_floats()) * _ROTATIONS[k])
     if outside:
         mirror = _MIRRORS[label]
         drawn = [mirror * z.conjugate() for z in drawn]

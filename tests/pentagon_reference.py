@@ -3,8 +3,12 @@
 The library draws the pentagon frame by folding the exact golden L trajectory
 onto the table (`goldenl.render.billiard_path`). This module reaches the same
 pictures another way, by reflecting a float ray off the table's sides until it
-comes back to its start or meets a corner within a tolerance. It shares no
-code with the fold beyond the table's vertices and midpoints.
+comes back to its start or meets a corner within a tolerance. That billiard
+shares no code with the fold beyond the table's vertices and midpoints.
+
+`fold_by_segments` is a second reference for longer words, past the float
+billiard's bounce cap: the fold's own turns, period rule and mirrors, but each
+crossing found by intersecting a segment's exact ends, as floats, with a side.
 """
 
 from __future__ import annotations
@@ -12,7 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from goldenl.field import GoldenVector
+import goldenl.render as render
+from goldenl.field import PHI_FLOAT, GoldenVector
+from goldenl.flow import _END, _STAIR, Outcome, Trajectory
 from goldenl.render import PENTAGON_MIDPOINTS, PENTAGON_VERTICES, _EDGE
 from goldenl.surface import pentagon_transfer
 from goldenl.words import Word, word_to_vector
@@ -145,3 +151,51 @@ def _reflect(d: tuple[float, float], edge_index: int) -> tuple[float, float]:
 
 def _close(u: tuple[float, float], w: tuple[float, float], tolerance: float) -> bool:
     return math.hypot(u[0] - w[0], u[1] - w[1]) < tolerance
+
+
+def _crossing(side: int, begin: tuple[float, float], end: tuple[float, float]) -> complex:
+    """The table point where the run from begin to end crosses an inscribed side."""
+    (bx, by), (ex, ey) = begin, end
+    dx, dy = ex - bx, ey - by
+    (ax, ay), (cx, cy) = render._SIDE_ENDS[side]
+    f = ((ax - bx) * (cy - ay) - (ay - by) * (cx - ax)) / (dx * (cy - ay) - dy * (cx - ax))
+    return render._on_pentagon(bx + f * dx, by + f * dy)
+
+
+def fold_by_segments(t: Trajectory) -> list[tuple[float, float]]:
+    """billiard_path(t).points from the trajectory's points at its scale: each
+    run's exact ends as floats, intersected with the sides it crosses."""
+    label, walk, s = t.start_label, t.walk, t.scale
+    runs = [
+        tuple((xa / s + xb / s * PHI_FLOAT, ya / s + yb / s * PHI_FLOAT) for xa, xb, ya, yb in segment)
+        for segment in t.points
+    ]
+    outside, closed, beyond = label in (2, 4), t.outcome is Outcome.CLOSED, render._BEYOND.get(t._cone)
+    if closed and walk[-1] == _END:
+        # The last run, from the last wall to the start, and the first are one run.
+        runs[0] = (runs[-1][0], runs[0][1])
+        del runs[-1]
+        walk = walk[:-1]
+    crossings, previous = [], walk[-1]
+    for (begin, end), wall in zip(runs, walk):
+        if previous != _END:
+            turn, entered = render._REENTRY[previous]
+            crossings.append((turn, _crossing(entered, begin, end)))
+        if wall != _END or beyond:
+            cut = render._LEAVES[wall][0] if wall != _END else beyond[0]
+            crossings.append((0, _crossing(cut, begin, end)))
+        previous = wall
+    n, v = len(crossings), t.direction
+    halves = 5 if v.x.is_zero or v.y.is_zero else 10 if sum(turn for turn, _ in crossings) % 5 else 2
+    k, drawn = 0, []
+    for step in range(outside + 1, outside + halves * n // 2) if closed else range(outside, n):
+        turn, q = crossings[step % n]
+        k = (k + turn) % 5
+        drawn.append(q * render._ROTATIONS[k])
+    if not closed:
+        corner = _STAIR[beyond[1] if beyond else t._cone].to_floats()
+        drawn.append(render._on_pentagon(*corner) * render._ROTATIONS[k])
+    if outside:
+        drawn = [render._MIRRORS[label] * z.conjugate() for z in drawn]
+    start = PENTAGON_MIDPOINTS[label]
+    return [start, *((z.real, z.imag) for z in drawn), *([start] if closed else [])]

@@ -127,6 +127,17 @@ def test_render_path_leaves_segments_unbuilt():
             assert payload["segments"] == expected, (word, label)
 
 
+def test_table_picture_builds_no_points():
+    # The fold reads each run's chord from the walk: drawing the table builds
+    # no integer points and sets up no replay.
+    for word in ((2, 1), (1, 3, 2), (0, 3, 1, 2)):
+        for label in PENTAGON_MIDPOINTS:
+            t = trace(label, word)
+            billiard_path(t)
+            billiard_svg(t)
+            assert "points" not in vars(t) and "_replay" not in vars(t), (word, label)
+
+
 def test_pentagon_svg_contents():
     t = trace(4, (2, 1))
     svg = billiard_svg(t)
@@ -239,8 +250,9 @@ def test_bad_size_or_stroke_is_rejected_before_the_points_are_read(monkeypatch):
     # print the marked points' radius, twice the stroke, as inf.
     t = trace(2, (2, 1))
     calls = []
-    float_ends = render._float_ends
-    monkeypatch.setattr(render, "_float_ends", lambda t: calls.append(t) or float_ends(t))
+    for name in ("_float_ends", "_fold"):
+        spied = getattr(render, name)
+        monkeypatch.setattr(render, name, lambda t, name=name, spied=spied: calls.append((name, t)) or spied(t))
     bad = ((0, DEFAULT_STROKE), (DEFAULT_SIZE, -1.0), (2.5, DEFAULT_STROKE))
     bad += ((10**400, DEFAULT_STROKE), (DEFAULT_SIZE, 1e308), (10**5000, DEFAULT_STROKE), (DEFAULT_SIZE, 10**5000))
     for draw in (golden_l_svg, billiard_svg):
@@ -250,7 +262,7 @@ def test_bad_size_or_stroke_is_rejected_before_the_points_are_read(monkeypatch):
     assert calls == []
     golden_l_svg(t)
     billiard_svg(t)
-    assert calls == [t, t]
+    assert calls == [("_float_ends", t), ("_fold", t)]
 
 
 def test_render_trajectory_frames(monkeypatch):
@@ -442,6 +454,33 @@ def test_fold_closes_length_10_orbits():
         assert path.segment_count / transported_side_events(t) in (1, 5)
         beyond_reference += path.segment_count > reference.DEFAULT_MAX_BOUNCES
     assert beyond_reference == 20
+
+
+def test_fold_matches_segment_reference_past_the_goldens():
+    # One seeded word each of lengths 7-11, from all five midpoints: the
+    # chords give the points that intersecting each run's exact segment ends
+    # with the sides gives, as many and each within 1e-12.
+    rng = random.Random(20261020)
+    for word in [tuple(rng.randrange(4) for _ in range(n)) for n in range(7, 12)]:
+        for label in PENTAGON_MIDPOINTS:
+            t = trace(label, word)
+            points, expected = billiard_path(t).points, reference.fold_by_segments(t)
+            assert len(points) == len(expected), (word, label)
+            for i, (p, q) in enumerate(zip(points, expected)):
+                assert math.hypot(p[0] - q[0], p[1] - q[1]) < 1e-12, (word, label, i)
+
+
+def test_fold_of_a_direction_past_float_range():
+    # A direction whose pairs pass float range folds as the same ray with small pairs does.
+    for v in map(word_to_vector, ((), (2, 1), (1, 3, 0, 2))):
+        for w in (v, GoldenVector(v.y, v.x)):
+            big = GoldenVector(w.x * GoldenNumber(10**400), w.y * GoldenNumber(10**400))
+            for label in PENTAGON_MIDPOINTS:
+                path, expected = billiard_path(trace_direction(label, big)), billiard_path(trace_direction(label, w))
+                assert path.outcome == expected.outcome, (w, label)
+                assert len(path.points) == len(expected.points), (w, label)
+                for p, q in zip(path.points, expected.points):
+                    assert math.hypot(p[0] - q[0], p[1] - q[1]) < 1e-12, (w, label)
 
 
 def _side_of(q):
