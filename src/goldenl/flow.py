@@ -47,7 +47,10 @@ twice the displacement so far; a midpoint not yet known is walked on its own.
 What its walks look for, the midpoints' chords, is set up once per direction.
 So it walks about half of each cylinder's core orbit and builds no
 trajectory. It reads a word's pairs from words._pairs, and its report keeps
-the pairs and the holonomies the cylinder checks passed; no read of it walks.
+the pairs and the holonomies the cylinder check passed; no read of it walks.
+The check is in closed form: psi_w carries the horizontal cylinders onto v's,
+v = word_to_vector(w), so their holonomies are phi*v and phi^2*v, two each
+(Veech 1989). A vector is walked as given and checked against its word's.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ from .classify import Classification
 from .errors import CapExceededError, StructuralViolationError, _check_int
 from .field import GoldenNumber, GoldenVector, _Frozen, golden_mul, golden_sign
 from .surface import CONE_POINTS, GOLDEN_L, WEIERSTRASS_LABELS, _direction_pairs, weierstrass_point
-from .words import Word, _pairs, format_word, word_to_vector
+from .words import Word, _pairs, format_word, vector_to_word, word_to_vector
 
 DEFAULT_STEP_CAP = 1_000_000
 
@@ -450,9 +453,10 @@ def trace(label: int, word: Word, cap: int = DEFAULT_STEP_CAP) -> Trajectory:
     return trace_direction(label, word_to_vector(word), cap)
 
 
-def _oracle(pairs: Point, cap: int) -> OracleReport:
+def _oracle(pairs: Point, check: Point, cap: int) -> OracleReport:
     """The report in the direction with checked integer pairs `pairs`, each
-    midpoint's holonomy at scale 2 from half of each closed orbit.
+    midpoint's holonomy at scale 2 from half of each closed orbit, checked
+    against the pairs `check` of the direction's word.
 
     A cylinder's core orbit passes through two midpoints half a period apart,
     the fixed points of the hyperelliptic involution J inside it, and J turns
@@ -478,13 +482,13 @@ def _oracle(pairs: Point, cap: int) -> OracleReport:
             holonomies[twin] = holonomy = 2 * xa + sxa, 2 * xb + sxb, 2 * ya + sya, 2 * yb + syb
         holonomies[label] = None if cone is not None else holonomy
     holonomies = {label: holonomies[label] for label in WEIERSTRASS_LABELS}
-    return OracleReport(pairs, _cylinder_verdicts(pairs, holonomies), holonomies)
+    return OracleReport(pairs, _cylinder_verdicts(check, holonomies), holonomies)
 
 
 class OracleReport(_Frozen):
     """Joint result of flowing all five midpoints in one direction, a field._Frozen value that holds dicts
     and so has no hash: the direction's integer pairs, the verdicts and `_holonomies`, the map the cylinder
-    checks passed, label -> holonomy at scale 2, None for the cone hit. `direction` and the rest are read off them."""
+    check passed, label -> holonomy at scale 2, None for the cone hit. `direction` and the rest are read off them."""
 
     __slots__ = ("_pairs", "verdicts", "_holonomies")
 
@@ -508,48 +512,41 @@ class OracleReport(_Frozen):
 
 
 def oracle_report_direction(v: GoldenVector, cap: int = DEFAULT_STEP_CAP) -> OracleReport:
-    """Classify every midpoint by flowing it, checking the cylinder structure."""
-    return _oracle(_direction_pairs(v), cap)
+    """Classify every midpoint by flowing it in direction v as given, checking
+    the holonomies against the pairs of v's word's vector, on v's ray, or
+    (0, 0, 1, 0) for the vertical. A word past vector_to_word's cap raises its
+    CapExceededError before any walk."""
+    pairs = _direction_pairs(v)
+    return _oracle(pairs, _pairs(vector_to_word(v)) if pairs[0] or pairs[1] else (0, 0, 1, 0), cap)
 
 
 def _cylinder_verdicts(pairs: Point, holonomies: dict[int, Point | None]) -> dict[int, Classification]:
     """The verdicts from each midpoint's holonomy at scale 2, or None for a
-    cone hit, in the direction with integer pairs `pairs`.
+    cone hit, checked against the word's vector v with integer pairs `pairs`.
 
-    Exactly one midpoint must hit the cone point; the other four must close
-    with holonomies parallel to it, splitting two and two between exactly two
-    magnitudes with ratio phi, all decided on integer pairs. Anything else is a
-    structural violation of the simulator or the geometry tables, never bad input.
+    psi_w, the affine automorphism with derivative sigma_w, carries the
+    horizontal cylinders, holonomies phi and phi^2, onto v's (Veech 1989): one
+    midpoint hits the cone point, two close with holonomy phi*v (short) and two
+    with phi^2*v (long). Anything else is a structural violation of the
+    simulator or the geometry tables, never bad input.
     """
-    closed = {l: h for l, h in holonomies.items() if h is not None}
-    saddles = len(holonomies) - len(closed)
-    if saddles != 1 or len(closed) != 4:
-        raise StructuralViolationError(f"expected 4 closed orbits and 1 cone hit, got {len(closed)} and {saddles}")
-    vxa, vxb, vya, vyb = pairs
-    sizes = {}
-    for label, (xa, xb, ya, yb) in closed.items():
-        if golden_mul(xa, xb, vya, vyb) != golden_mul(ya, yb, vxa, vxb):
-            raise StructuralViolationError(f"holonomy of midpoint {label} is not parallel to {_shown(_from_point(pairs, 1))}")
-        sizes[label] = (xa, xb) if vxa or vxb else (ya, yb)  # read off y for the vertical
-    magnitudes = set(sizes.values())
-    if len(magnitudes) != 2:
-        got = sorted(map(_half, magnitudes))
-        raise StructuralViolationError(f"expected exactly 2 holonomy magnitudes, got {_shown(got)}")
-    small, large = magnitudes
-    if golden_sign(large[0] - small[0], large[1] - small[1]) < 0:
-        small, large = large, small
-    if large != (small[1], small[0] + small[1]):  # small * phi
-        pair = f"{_shown(_half(small))}, {_shown(_half(large))}"
-        raise StructuralViolationError(f"cylinder holonomies {pair} are not in ratio phi")
-    if list(sizes.values()).count(small) != 2:
+    saddles = list(holonomies.values()).count(None)
+    if saddles != 1 or len(holonomies) != 5:
+        got = f"{len(holonomies) - saddles} and {saddles}"
+        raise StructuralViolationError(f"expected 4 closed orbits and 1 cone hit, got {got}")
+    a, b, c, d = pairs
+    short = 2 * b, 2 * (a + b), 2 * d, 2 * (c + d)  # phi*v at scale 2, by golden_mul
+    long = short[1], short[0] + short[1], short[3], short[2] + short[3]  # phi*short
+    kinds = {short: Classification.SHORT, long: Classification.LONG, None: Classification.SADDLE_CONNECTION}
+    verdicts = {}
+    for label in sorted(holonomies):
+        verdicts[label] = kind = kinds.get(holonomies[label])
+        if kind is None:
+            h, v = _shown(_from_point(holonomies[label], 2)), _shown(_from_point(pairs, 1))
+            raise StructuralViolationError(f"holonomy {h} of midpoint {label} is neither phi*v nor phi^2*v for v = {v}")
+    if list(verdicts.values()).count(Classification.SHORT) != 2:
         raise StructuralViolationError("holonomy magnitudes do not split two and two")
-    kinds = {small: Classification.SHORT, large: Classification.LONG}
-    return {l: kinds[sizes[l]] if l in sizes else Classification.SADDLE_CONNECTION for l in sorted(holonomies)}
-
-
-def _half(pair: tuple[int, int]) -> GoldenNumber:
-    """An integer pair at scale 2 as the number it stands for, for a message."""
-    return GoldenNumber(Fraction(pair[0], 2), Fraction(pair[1], 2))
+    return verdicts
 
 
 _DIGITS_LIMIT_LOCK = Lock()
@@ -574,7 +571,8 @@ def _shown(value: object, show: Callable[[object], str] = str) -> str:
 
 
 def oracle_report(word: Word, cap: int = DEFAULT_STEP_CAP) -> OracleReport:
-    return _oracle(_pairs(word), cap)
+    pairs = _pairs(word)
+    return _oracle(pairs, pairs, cap)
 
 
 def oracle_classify(word: Word, cap: int = DEFAULT_STEP_CAP) -> dict[int, Classification]:

@@ -14,7 +14,7 @@ golden_mul at each fixed point.
 
 `reference_oracle` is the flow oracle as it was before it shared walks
 between the two midpoints of a cylinder: it traces every midpoint whole with
-the library's kernel, then calls the library's cylinder checks, so its report
+the library's kernel, then calls the library's cylinder check, so its report
 holds the whole walks' holonomies where the oracle's holds the half-walks'.
 """
 
@@ -33,6 +33,7 @@ from goldenl.flow import (
     trace_direction,
 )
 from goldenl.surface import CONE_POINTS, GOLDEN_L, WEIERSTRASS_LABELS, _direction_pairs, weierstrass_point
+from goldenl.words import _pairs, vector_to_word
 
 Point = tuple[int, int, int, int]
 
@@ -261,8 +262,10 @@ def reference_direction_table(v: GoldenVector) -> tuple[tuple, tuple]:
 
 
 def reference_oracle(v: GoldenVector, cap: int = DEFAULT_STEP_CAP) -> OracleReport:
-    """Classify every midpoint by tracing each one, then run the library's cylinder checks."""
+    """Classify every midpoint by tracing each one, then run the library's
+    cylinder check against the pairs of v's word, or (0, 0, 1, 0) for the vertical."""
     trajectories = {label: trace_direction(label, v, cap) for label in WEIERSTRASS_LABELS}
     holonomies = {l: None if t._cone is not None else t._holonomy2 for l, t in trajectories.items()}
     pairs = cleared(v)
-    return OracleReport(pairs, _cylinder_verdicts(pairs, holonomies), holonomies)
+    check = _pairs(vector_to_word(v)) if pairs[0] or pairs[1] else (0, 0, 1, 0)
+    return OracleReport(pairs, _cylinder_verdicts(check, holonomies), holonomies)

@@ -29,6 +29,7 @@ from goldenl import (
 from goldenl.surface import CONE_POINTS, GOLDEN_L, WEIERSTRASS_LABELS
 from goldenl.classify import Classification
 from goldenl.field import PHI, cleared
+from goldenl.words import _pairs
 from goldenl import flow as flow_module
 from goldenl.flow import (
     DEFAULT_STEP_CAP,
@@ -259,7 +260,7 @@ def test_oracle_trajectories_equal_independent_traces(monkeypatch):
     # holds equal those of five whole traces of their own, also at a cap of
     # the longest segment count, since a walk stops at a twin only within the
     # cap. The two midpoints of each cylinder have walks that are rotations of
-    # each other.
+    # each other, and the saddle midpoint's walk has holonomy v/2.
     rng = random.Random(20261020)
     words = [w for n in range(6) for w in product((0, 1, 2, 3), repeat=n)]
     for length in (6, 7):
@@ -274,6 +275,7 @@ def test_oracle_trajectories_equal_independent_traces(monkeypatch):
         assert walked == [True] * (5 if set(word) <= {0} else 3), word
         traced = _traces(v)
         assert report._holonomies == _holonomies(traced), word
+        assert traced[report.saddle_label]._holonomy2 == _pairs(word), word
         for verdict in (Classification.SHORT, Classification.LONG):
             a, b = (t.walk for label, t in traced.items() if report.verdicts[label] is verdict)
             assert _rotations(a, b), (word, verdict)
@@ -506,40 +508,53 @@ def _first(report, verdict):
     return min(label for label, v in report.verdicts.items() if v is verdict)
 
 
-# Each corrupts one closed trajectory's holonomy in direction (2, 1), or the
-# vertical, whose magnitudes are read off y; the message it must raise.
+# Each corrupts closed trajectories' holonomies in direction (2, 1), or the
+# vertical, whose pairs the check reads as (0, 0, 1, 0); the message it must
+# raise. The last two keep every ratio between holonomies.
 _HOLONOMY_CORRUPTIONS = {
     "off the direction": (
         (2, 1),
         lambda label, h, r: h + gv(1, 0, 0, 0) if label == _first(r, Classification.LONG) else None,
-        "holonomy of midpoint 2 is not parallel to (2 + 2*phi, 1 + 2*phi)",
+        "holonomy (5 + 6*phi, 3 + 5*phi) of midpoint 2 is neither phi*v nor phi^2*v "
+        "for v = (2 + 2*phi, 1 + 2*phi)",
     ),
     "vertical, off the direction": (
         None,
         lambda label, h, r: h + gv(1, 0, 0, 0) if label == _first(r, Classification.SHORT) else None,
-        "holonomy of midpoint 4 is not parallel to (0, 1)",
+        "holonomy (1, phi) of midpoint 4 is neither phi*v nor phi^2*v for v = (0, 1)",
     ),
     "a third magnitude": (
         (2, 1),
         lambda label, h, r: h.scaled(2) if label == _first(r, Classification.SHORT) else None,
-        "expected exactly 2 holonomy magnitudes, got "
-        "[GoldenNumber(2, 4), GoldenNumber(4, 6), GoldenNumber(4, 8)]",
+        "holonomy (4 + 8*phi, 4 + 6*phi) of midpoint 4 is neither phi*v nor phi^2*v "
+        "for v = (2 + 2*phi, 1 + 2*phi)",
     ),
     "vertical, a third magnitude": (
         None,
         lambda label, h, r: h.scaled(2) if label == _first(r, Classification.SHORT) else None,
-        "expected exactly 2 holonomy magnitudes, got "
-        "[GoldenNumber(0, 1), GoldenNumber(1, 1), GoldenNumber(0, 2)]",
+        "holonomy (0, 2*phi) of midpoint 4 is neither phi*v nor phi^2*v for v = (0, 1)",
     ),
     "a ratio other than phi": (
         (2, 1),
         lambda label, h, r: r.short_holonomy.scaled(2) if r.verdicts[label] is Classification.LONG else None,
-        "cylinder holonomies 2 + 4*phi, 4 + 8*phi are not in ratio phi",
+        "holonomy (4 + 8*phi, 4 + 6*phi) of midpoint 2 is neither phi*v nor phi^2*v "
+        "for v = (2 + 2*phi, 1 + 2*phi)",
     ),
     "a 3-1 split": (
         (2, 1),
         lambda label, h, r: r.short_holonomy if label == _first(r, Classification.LONG) else None,
         "holonomy magnitudes do not split two and two",
+    ),
+    "every closed holonomy doubled": (
+        (2, 1),
+        lambda label, h, r: h.scaled(2),
+        "holonomy (8 + 12*phi, 6 + 10*phi) of midpoint 2 is neither phi*v nor phi^2*v "
+        "for v = (2 + 2*phi, 1 + 2*phi)",
+    ),
+    "every closed holonomy times phi": (
+        None,
+        lambda label, h, r: h.scaled(PHI),
+        "holonomy (0, 1 + 2*phi) of midpoint 2 is neither phi*v nor phi^2*v for v = (0, 1)",
     ),
 }
 
@@ -779,25 +794,38 @@ def test_trace_that_leaves_the_l_is_a_structural_violation(monkeypatch):
     assert str(word_to_vector((1,))) in message
 
 
+def _same_report(u, want):
+    """Whether the oracle in direction u gives the verdicts and holonomies of the report `want`."""
+    got = oracle_report_direction(u)
+    return (got.verdicts, got._holonomies) == (want.verdicts, want._holonomies)
+
+
 def test_trace_direction_scales_with_input():
-    # The same direction at a different scale must produce the same orbit.
+    # The same direction at a different scale must produce the same orbit,
+    # and the oracle the same verdicts and holonomies: it walks the ray as
+    # given and checks the holonomies against the vector of the ray's word,
+    # or the vertical's pairs (0, 0, 1, 0).
     v = word_to_vector((2, 1))
     doubled = v.scaled(Fraction(7, 3))
     a = trace_direction(4, v)
     b = trace_direction(4, doubled)
     assert a.segments == b.segments
     assert a.holonomy == b.holonomy
+    for v, u in ((v, doubled), (VERTICAL, VERTICAL.scaled(2))):
+        assert _same_report(u, oracle_report_direction(v)), u
 
 
 def test_walk_is_invariant_under_unit_scaling():
     # Scaling a direction by a unit phi**k keeps every orbit, but for k < 0
     # the chords' h get coefficients far larger than their value, so the
     # kernel's inline sign tests mostly take the mixed-sign branch, close
-    # calls included. Every word of length <= 3, at k = -12..12.
+    # calls included. Every word of length <= 3, at k = -12..12, traced and
+    # through the oracle.
     inverse_phi = PHI - 1
     for word in (w for n in range(4) for w in product((0, 1, 2, 3), repeat=n)):
         v = word_to_vector(word)
         want = {label: trace_direction(label, v) for label in WEIERSTRASS_LABELS}
+        report = oracle_report_direction(v)
         for factor in (PHI, inverse_phi):
             u = v
             for _ in range(12):
@@ -805,6 +833,7 @@ def test_walk_is_invariant_under_unit_scaling():
                 for label, t in want.items():
                     got = trace_direction(label, u)
                     assert (got.walk, got.outcome, got.holonomy) == (t.walk, t.outcome, t.holonomy), (word, u, label)
+                assert _same_report(u, report), (word, u)
 
 
 def test_direction_table_equals_point_by_point_reference():
