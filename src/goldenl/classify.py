@@ -61,10 +61,7 @@ class ClassificationReport(NamedTuple):
     verdicts: dict[int, Classification]
 
     def counts(self) -> dict[Classification, int]:
-        out = {kind: 0 for kind in Classification}
-        for verdict in self.verdicts.values():
-            out[verdict] += 1
-        return out
+        return {kind: list(self.verdicts.values()).count(kind) for kind in Classification}
 
     def to_json_dict(self) -> dict:
         return {

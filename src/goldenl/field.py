@@ -264,12 +264,7 @@ class GoldenVector(_Frozen):
 
     def quadruple(self) -> list[str]:
         """The coefficients [x.a, x.b, y.a, y.b] as rational strings."""
-        return [
-            _fraction_str(self.x.a),
-            _fraction_str(self.x.b),
-            _fraction_str(self.y.a),
-            _fraction_str(self.y.b),
-        ]
+        return [_fraction_str(c) for c in (self.x.a, self.x.b, self.y.a, self.y.b)]
 
     def __str__(self) -> str:
         return f"({self.x}, {self.y})"

@@ -60,6 +60,7 @@ from collections.abc import Callable
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd, lcm
 from operator import add, sub
 from threading import Lock
@@ -68,7 +69,7 @@ from .classify import Classification
 from .errors import CapExceededError, StructuralViolationError, _check_int
 from .field import GoldenNumber, GoldenVector, _Frozen, golden_mul, golden_sign
 from .surface import CONE_POINTS, GOLDEN_L, WEIERSTRASS_LABELS, _direction_pairs, weierstrass_point
-from .words import Word, _pairs, format_word, vector_to_word, word_to_vector
+from .words import DEFAULT_INVERSION_CAP, Word, _pairs, _peel, format_word, word_to_vector
 
 DEFAULT_STEP_CAP = 1_000_000
 
@@ -297,17 +298,18 @@ class Trajectory(_Frozen):
         return len(self.walk)
 
     def to_json_dict(self, word: Word | None = None) -> dict:
-        # Coordinates print as Fraction(a, scale) does; each distinct one is printed once.
-        s = self.scale
-        text = {a: f"{a // (g := gcd(a, s))}/{s // g}" for a in {a for b, e in self.points for a in b + e}}
+        # Coordinates and the holonomy at the points' scale print as Fraction(a, s); each distinct one once.
+        s, points, flat = self.scale, self.points, chain.from_iterable
+        holonomy = [c * (s // 2) for c in self._holonomy2]
+        text = {a: f"{a // (g := gcd(a, s))}/{s // g}" for a in {*flat(flat(points)), *holonomy}}.__getitem__
         return {
             "word": None if word is None else format_word(word),
             "midpoint": self.start_label,
             "direction": self.direction.quadruple(),
             "outcome": self.outcome.value,
-            "segments": [{"from": [text[a] for a in b], "to": [text[a] for a in e]} for b, e in self.points],
+            "segments": [{"from": list(map(text, b)), "to": list(map(text, e))} for b, e in points],
             "segment_count": self.segment_count,
-            "holonomy": self.holonomy.quadruple(),
+            "holonomy": list(map(text, holonomy)),
             "cone_point": None if self.cone_point is None else self.cone_point.quadruple(),
         }
 
@@ -514,10 +516,10 @@ class OracleReport(_Frozen):
 def oracle_report_direction(v: GoldenVector, cap: int = DEFAULT_STEP_CAP) -> OracleReport:
     """Classify every midpoint by flowing it in direction v as given, checking
     the holonomies against the pairs of v's word's vector, on v's ray, or
-    (0, 0, 1, 0) for the vertical. A word past vector_to_word's cap raises its
-    CapExceededError before any walk."""
+    (0, 0, 1, 0) for the vertical, peeling the pairs v is cleared to once. A
+    word past vector_to_word's default cap raises its CapExceededError first."""
     pairs = _direction_pairs(v)
-    return _oracle(pairs, _pairs(vector_to_word(v)) if pairs[0] or pairs[1] else (0, 0, 1, 0), cap)
+    return _oracle(pairs, _pairs(_peel(*pairs, DEFAULT_INVERSION_CAP)) if pairs[0] or pairs[1] else (0, 0, 1, 0), cap)
 
 
 def _cylinder_verdicts(pairs: Point, holonomies: dict[int, Point | None]) -> dict[int, Classification]:
@@ -587,18 +589,19 @@ def validate_trajectory_structure(trajectory: Trajectory) -> None:
     along the direction; consecutive segments connect by a gluing translation;
     a closed orbit ends at its start or a glued twin, a cone-hit orbit at a
     cone point. Holds for the reversal too (reversed segments, negated direction).
-    Every check compares integer points at the trajectory's scale.
+    Every check compares integer points at the trajectory's scale. A parallel step t*v,
+    t in Q(phi), runs forward (t > 0) when its first nonzero coordinate has v's sign there.
     """
     points, scale, v = trajectory.points, trajectory.scale, trajectory.direction
     if not points:
         raise StructuralViolationError("trajectory has no segments")
     vxa, vxb, vya, vyb = trajectory._table[3]
+    sign = golden_sign(vxa, vxb) or golden_sign(vya, vyb)
     for begin, end in points:
         dxa, dxb, dya, dyb = end[0] - begin[0], end[1] - begin[1], end[2] - begin[2], end[3] - begin[3]
-        # Parallel: step.x * v.y == step.y * v.x. Forward, hence nonzero: step . v > 0.
-        parallel = golden_mul(dxa, dxb, vya, vyb) == golden_mul(dya, dyb, vxa, vxb)
-        (xa, xb), (ya, yb) = golden_mul(dxa, dxb, vxa, vxb), golden_mul(dya, dyb, vya, vyb)
-        if not parallel or golden_sign(xa + ya, xb + yb) <= 0:
+        # Forward, hence nonzero: v's sign. Parallel: step.x * v.y == step.y * v.x.
+        forward = (golden_sign(dxa, dxb) or golden_sign(dya, dyb)) == sign
+        if not forward or golden_mul(dxa, dxb, vya, vyb) != golden_mul(dya, dyb, vxa, vxb):
             where = f"{_shown(_from_point(begin, scale))} -> {_shown(_from_point(end, scale))}"
             raise StructuralViolationError(f"segment {where} does not run forward along {_shown(v)}")
     k = scale // 2

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from functools import lru_cache
+from itertools import chain
 
 from .field import PHI_FLOAT, _Frozen
 from .flow import DEFAULT_STEP_CAP, Outcome, Trajectory, _END, _STAIR, _shown, trace
@@ -114,7 +115,7 @@ def _float_ends(trajectory: Trajectory) -> list[float]:
     GoldenVector.to_floats."""
     s = trajectory.scale
     # The coefficient pairs (a, b) of each coordinate a + b*phi over s, in turn.
-    pairs = [c for segment in trajectory.points for point in segment for c in point]
+    pairs = list(chain.from_iterable(chain.from_iterable(trajectory.points)))
     return [a / s + b / s * PHI_FLOAT for a, b in zip(pairs[0::2], pairs[1::2])]
 
 
@@ -299,9 +300,9 @@ def _frame_parts(frame: str, size: int, stroke: float) -> tuple:
 def _svg(frame: str, trajectory: Trajectory, size: int, stroke: float) -> str:
     """A size x size picture of one frame with a trajectory's lines, read after
     _frame checks size and stroke. The L's segments share no ends; the table's
-    path is a polyline, line i from point i to i + 1, so each point is placed
-    and formatted once. Both frames format their lines in chunks of
-    _CHUNK_LINES and join the parts once."""
+    path is a polyline, line i from point i to i + 1, so each point is placed and
+    formatted once, and a chunk's lines are one join of the line's pieces and the
+    point strings. Both frames write lines in chunks of _CHUNK_LINES, joined once."""
     (margin, left, top, scale), head, line, tail = _frame(frame, size, stroke)
     parts = [head]
     # %.3f prints a float as {:.3f} does.
@@ -316,16 +317,15 @@ def _svg(frame: str, trajectory: Trajectory, size: int, stroke: float) -> str:
         del ends  # not held through the join
     else:
         # Each chunk of the table's lines is formatted from its own points,
-        # sharing its end point with the next.
-        points = _fold(trajectory)[0]
+        # sharing its end point with the next, between the line's pieces.
+        points, (a, b, c, d, e) = _fold(trajectory)[0], line.split("%s")
         for i in range(0, len(points) - 1, _CHUNK_LINES):
             chunk = points[i:i + _CHUNK_LINES + 1]
-            m = len(chunk)
-            xs = ("%.3f " * m % tuple([margin + (z.real - left) * scale for z in chunk])).split()
-            ys = ("%.3f " * m % tuple([margin + (top - z.imag) * scale for z in chunk])).split()
-            ends = xs[1:] * 4  # x1, y1, x2, y2 of each line
-            ends[0::4], ends[1::4], ends[2::4], ends[3::4] = xs[:-1], ys[:-1], xs[1:], ys[1:]
-            parts.append(line * (m - 1) % tuple(ends))
+            xs = ("%.3f " * len(chunk) % tuple([margin + (z.real - left) * scale for z in chunk])).split()
+            ys = ("%.3f " * len(chunk) % tuple([margin + (top - z.imag) * scale for z in chunk])).split()
+            text = [a, None, b, None, c, None, d, None, e] * (len(chunk) - 1)  # None for x1, y1, x2 and y2
+            text[1::9], text[3::9], text[5::9], text[7::9] = xs[:-1], ys[:-1], xs[1:], ys[1:]
+            parts.append("".join(text))
     parts.append(tail)
     return "".join(parts)
 

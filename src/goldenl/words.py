@@ -98,6 +98,11 @@ def vector_to_word(v: GoldenVector, cap: int = DEFAULT_INVERSION_CAP) -> Word:
     # the next cone, so no pull-back lands on the vertical.
     if not (xa or xb):
         raise VerticalDirectionError("vertical direction has no word; classify it via the y = x relabeling")
+    return _peel(xa, xb, ya, yb, cap)
+
+
+def _peel(xa: int, xb: int, ya: int, yb: int, cap: int) -> Word:
+    """vector_to_word's peel, on the pairs of a direction with x > 0 and y >= 0 and a checked cap."""
     letters: list[int] = []
     while ya or yb:
         if len(letters) >= cap:

@@ -28,9 +28,10 @@ from goldenl import (
 )
 from goldenl.surface import CONE_POINTS, GOLDEN_L, WEIERSTRASS_LABELS
 from goldenl.classify import Classification
-from goldenl.field import PHI, cleared
+from goldenl.field import PHI, _fraction_str, cleared
 from goldenl.words import _pairs
 from goldenl import flow as flow_module
+from goldenl import surface as surface_module
 from goldenl.flow import (
     DEFAULT_STEP_CAP,
     canonicalize,
@@ -330,7 +331,7 @@ def test_both_oracle_entries_give_one_report(monkeypatch):
     # vector give one report, whose direction, built on read, is the word's
     # vector. On a word the oracle builds no GoldenVector: with word_to_vector,
     # _direction_pairs and _from_point patched to raise, its verdicts still
-    # come back.
+    # come back. On a vector it clears the vector to pairs once, and peels them.
     def refuse(*args):
         raise AssertionError(f"the oracle built or cleared a vector: {args}")
 
@@ -338,7 +339,11 @@ def test_both_oracle_entries_give_one_report(monkeypatch):
     for word in words:
         v = word_to_vector(word)
         report = oracle_report(word)
-        assert report == oracle_report_direction(v) and repr(report) == repr(oracle_report_direction(v)), word
+        with monkeypatch.context() as patched:
+            clears = []
+            patched.setattr(surface_module, "cleared", lambda v: clears.append(v) or cleared(v))
+            direct = oracle_report_direction(v)
+        assert clears == [v] and report == direct and repr(report) == repr(direct), word
         assert report.direction == v, word
     with monkeypatch.context() as patched:
         for name in ("word_to_vector", "_direction_pairs", "_from_point"):
@@ -574,29 +579,49 @@ def _with_points(t, points, **changes):
     return changed
 
 
+def _reversed(t):
+    """t run backwards: reversed segments, negated direction and holonomy."""
+    return _with_points(
+        t,
+        tuple((end, begin) for begin, end in reversed(t.points)),
+        direction=-t.direction,
+        _holonomy2=tuple(-c for c in t._holonomy2),
+        # The table carries the direction's integer pairs, which validation reads.
+        _table=(*t._table[:3], tuple(-c for c in t._table[3])),
+    )
+
+
 def test_trajectory_structure_forward_and_reversed():
     # Midpoints 1 and 5 lie on glued edges: their reversals begin at a glued twin of the start.
     for label, word in ((4, (2, 1)), (2, (2, 1)), (3, (1, 3, 2)), (5, (2, 1)), (1, (1, 3, 2))):
         t = trace(label, word)
         assert t.outcome is Outcome.CLOSED
         validate_trajectory_structure(t)
-        reversed_t = _with_points(
-            t,
-            tuple((end, begin) for begin, end in reversed(t.points)),
-            direction=-t.direction,
-            _holonomy2=tuple(-c for c in t._holonomy2),
-            # The table carries the direction's integer pairs, which validation reads.
-            _table=(*t._table[:3], tuple(-c for c in t._table[3])),
-        )
-        validate_trajectory_structure(reversed_t)
+        validate_trajectory_structure(_reversed(t))
+
+
+def test_trajectory_structure_forward_on_the_vertical():
+    # v.x = 0 on the vertical, so a step runs forward when its y has v.y's
+    # sign: the reversal passes, a reversed or zero-length step does not.
+    traces = [trace_direction(label, VERTICAL) for label in WEIERSTRASS_LABELS]
+    closed = [t for t in traces if t.outcome is Outcome.CLOSED]
+    assert [t.start_label for t in closed] == [2, 3, 4, 5]
+    for t in closed:
+        validate_trajectory_structure(t)
+        validate_trajectory_structure(_reversed(t))
+        first, rest = t.points[0], t.points[1:]
+        for broken in ((first[::-1],) + rest, ((first[0],) * 2,) + rest):
+            with pytest.raises(StructuralViolationError, match="does not run forward"):
+                validate_trajectory_structure(_with_points(t, broken))
 
 
 def test_points_and_validation_build_no_golden_vector(monkeypatch):
     # Every word of length <= 3 and the vertical, all five midpoints: the
-    # oracle's verdicts, tracing, replaying the points and validating them stay
-    # on integers, for closed and cone-hit orbits alike. Each trace and each
-    # oracle report builds its direction's table once, not once per walk, and
-    # no read of a report or a trajectory looks the direction's table up again.
+    # oracle's verdicts, tracing, replaying the points, validating them and
+    # writing the JSON stay on integers, for closed and cone-hit orbits alike.
+    # Each trace and each oracle report builds its direction's table once, not
+    # once per walk, and no read of a report or a trajectory looks the
+    # direction's table up again.
     def forbidden(*args):
         raise AssertionError(f"called with {args}")
 
@@ -624,16 +649,32 @@ def test_points_and_validation_build_no_golden_vector(monkeypatch):
             for t in traced.values():
                 assert t.points, (v, t.start_label)
                 validate_trajectory_structure(t)
+                t.to_json_dict()
                 outcomes.add(t.outcome)
         with monkeypatch.context() as m:
             m.setattr(flow_module, "_direction_table", forbidden)
             for t in traced.values():
-                t.to_json_dict()
                 golden_l_svg(t)
                 billiard_path(t)
                 if t.outcome is Outcome.CLOSED:
                     transported_side_events(t)
     assert outcomes == {Outcome.CLOSED, Outcome.HIT_CONE_POINT}
+
+
+def test_json_text_is_the_fraction_text():
+    # Every word of length <= 3 at all five midpoints, both axes and one
+    # reversal, whose holonomy has negative numerators: each coordinate and
+    # the holonomy print from integers as their Fractions print.
+    words = [w for n in range(4) for w in product((0, 1, 2, 3), repeat=n)]
+    traces = [trace(label, w) for w in words for label in WEIERSTRASS_LABELS]
+    traces += [trace_direction(label, v) for v in (HORIZONTAL, VERTICAL) for label in WEIERSTRASS_LABELS]
+    traces.append(_reversed(trace(4, (2, 1))))
+    assert min(traces[-1]._holonomy2) < 0
+    for t in traces:
+        got = t.to_json_dict()
+        assert got["holonomy"] == t.holonomy.quadruple(), t
+        text = [[_fraction_str(Fraction(a, t.scale)) for a in p] for segment in t.points for p in segment]
+        assert [p for segment in got["segments"] for p in (segment["from"], segment["to"])] == text, t
 
 
 def test_start_twins_follow_the_canonicalize_rule():

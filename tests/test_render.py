@@ -225,6 +225,23 @@ def test_long_table_picture_is_formatted_in_chunks(monkeypatch):
     assert billiard_svg(t) == svg
 
 
+def test_table_writer_at_its_chunk_edges(monkeypatch):
+    # Chunks of 1, 2 and 3 lines give the one-chunk picture: a closed path of
+    # five periods, one of one period, a cone hit (an open polyline) and the
+    # one-line picture of `render e 5 --frame pentagon`. So do the same
+    # trajectories' pictures on the L.
+    cases = {(4, (2, 1)): 70, (1, (1, 3, 2)): 22, (1, (2, 1)): 4, (5, ()): 1}
+    paths = {case: billiard_path(trace(*case)) for case in cases}
+    assert {case: path.segment_count for case, path in paths.items()} == cases
+    assert [path.outcome for path in paths.values()] == ["closed", "closed", "corner", "corner"]
+    whole = {case: (billiard_svg(trace(*case)), golden_l_svg(trace(*case))) for case in cases}
+    assert whole[5, ()][0] == render_trajectory((), 5, "pentagon")
+    for lines in (1, 2, 3):
+        monkeypatch.setattr(render, "_CHUNK_LINES", lines)
+        for case, svgs in whole.items():
+            assert (billiard_svg(trace(*case)), golden_l_svg(trace(*case))) == svgs, (lines, case)
+
+
 def test_long_golden_l_picture_is_formatted_in_chunks(monkeypatch):
     # The 12-letter word from midpoint 2 runs 31,989 segments on the L, over
     # four chunks. With its points built, drawing it holds about two and a
