@@ -32,9 +32,8 @@ _EXPORTS = {
     "stats": ("MonteCarloEstimate", "ReductionProfile", "brute_force_profile",
               "count_empty_reductions", "empty_reduction_probability", "exact_profile",
               "monte_carlo_empty_rate"),
-    "surface": ("Axis", "GOLDEN_L", "GoldenL", "Permutation5", "SIGMA", "TAU", "VERTICAL_RELABELING",
-                "pentagon_transfer", "sector_of", "sigma", "surface_description", "tau",
-                "weierstrass_point"),
+    "surface": ("GOLDEN_L", "GoldenL", "Permutation5", "SIGMA", "TAU", "VERTICAL_RELABELING", "sigma",
+                "surface_description", "tau", "weierstrass_point"),
     "words": ("EMPTY_WORD", "derive_once", "format_word", "is_base_word", "parse_word",
               "reduce_word", "vector_to_word", "word_to_vector"),
 }  # fmt: skip

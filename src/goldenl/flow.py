@@ -605,17 +605,17 @@ def validate_trajectory_structure(trajectory: Trajectory) -> None:
             where = f"{_shown(_from_point(begin, scale))} -> {_shown(_from_point(end, scale))}"
             raise StructuralViolationError(f"segment {where} does not run forward along {_shown(v)}")
     k = scale // 2
-    jumps = {tuple(c * k for c in jump) for jump in _JUMPS2}
+    jumps = {(a * k, b * k, c * k, d * k) for a, b, c, d in _JUMPS2}
     for (_, (exa, exb, eya, eyb)), ((nxa, nxb, nya, nyb), _) in zip(points, points[1:]):
         jump = (nxa - exa, nxb - exb, nya - eya, nyb - eyb)
         if jump not in jumps:
             where = _shown(_from_point(jump, scale))
             raise StructuralViolationError(f"segments jump by {where}, not a gluing translation")
     first, final = points[0][0], points[-1][1]
-    twins = {tuple(c * k for c in twin) for twin in _TWINS2[trajectory.start_label]}
+    twins = {(a * k, b * k, c * k, d * k) for a, b, c, d in _TWINS2[trajectory.start_label]}
     if first not in twins:
         raise StructuralViolationError(f"orbit begins at {_shown(_from_point(first, scale))}, not at its start")
     if trajectory.outcome is Outcome.CLOSED and final not in twins:
         raise StructuralViolationError(f"closed orbit ends at {_shown(_from_point(final, scale))}, not at its start")
-    if trajectory.outcome is Outcome.HIT_CONE_POINT and final not in {tuple(c * k for c in p) for p in _CONES2}:
+    if trajectory.outcome is Outcome.HIT_CONE_POINT and final not in {(a * k, b * k, c * k, d * k) for a, b, c, d in _CONES2}:
         raise StructuralViolationError(f"cone-hit orbit ends at {_shown(_from_point(final, scale))}, not a cone point")

@@ -21,10 +21,7 @@ from itertools import chain
 
 from .field import PHI_FLOAT, _Frozen
 from .flow import DEFAULT_STEP_CAP, Outcome, Trajectory, _END, _STAIR, _shown, trace
-from .surface import (
-    DEFAULT_SIZE, DEFAULT_STROKE, FRAMES, GOLDEN_L, GOLDEN_L_FRAME, MIDPOINT_CYCLE, PENTAGON_FRAME,
-    pentagon_transfer,
-)
+from .surface import DEFAULT_SIZE, DEFAULT_STROKE, FRAMES, GOLDEN_L, GOLDEN_L_FRAME, MIDPOINT_CYCLE, PENTAGON_FRAME
 # word_to_vector is bound here only because perfbench/selftest.py checks that its wrapper reaches it.
 from .words import Word, word_to_vector  # noqa: F401
 
@@ -95,7 +92,9 @@ _REENTRY = tuple((2 * (_EDGE[left] - _EDGE[entered]) % 5, entered) for left, ent
 # The cone points _STAIR[1] and [3] lie beyond C1 and C2; a run that ends there leaves
 # by that cut and is drawn to the cone point's mirror image in it, _STAIR[4] or [0].
 _BEYOND = {1: (4, 4), 3: (2, 0)}
-(_, _P01), (_, _P11) = pentagon_transfer().matrix
+# The frame change P = ((1, cos pi/5), (0, sin pi/5)), with cos pi/5 = phi/2. sin pi/5 is
+# not in Q(phi), so the pentagon frame is drawn in floats and never feeds a verdict.
+_P01, _P11 = PHI_FLOAT / 2.0, math.sin(math.pi / 5.0)
 _CENTRE = (1.0 + 3.0 * PHI_FLOAT) / 5.0
 _SQRT5 = math.sqrt(5.0)
 # The reflections in the table axes through midpoints 2 and 4 (billiard_path).

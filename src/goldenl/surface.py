@@ -11,11 +11,10 @@ cycle; the gluing targets, the pentagon and its midpoints are derived from them.
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
-from .field import GoldenNumber, GoldenVector, _Frozen, cleared, golden_sign
+from .field import GoldenVector, _Frozen, cleared, golden_sign
 
 HALF = Fraction(1, 2)
 _gv = GoldenVector.from_rationals
@@ -208,14 +207,6 @@ def tau(k: int) -> Permutation5:
 VERTICAL_RELABELING = Permutation5((5, 4, 3, 2, 1))
 
 
-class Axis(Enum):
-    HORIZONTAL = "horizontal"
-    VERTICAL = "vertical"
-
-
-Sector = Union[int, Axis]
-
-
 def _direction_pairs(v: GoldenVector) -> tuple[int, int, int, int]:
     """v cleared to integer pairs, checked to be a nonzero direction in the closed first quadrant."""
     xa, xb, ya, yb = pairs = cleared(v)
@@ -226,27 +217,11 @@ def _direction_pairs(v: GoldenVector) -> tuple[int, int, int, int]:
     return pairs
 
 
-def sector_of(v: GoldenVector) -> Sector:
-    """Sector index of a direction in the closed first quadrant.
-
-    Cone k is spanned by the columns of sigma_k; slopes on a shared boundary
-    belong to the higher sector. Horizontal directions are terminal (they lie
-    in no cone) and vertical ones are reported as Axis.VERTICAL for the caller
-    to handle by the y = x relabeling. Any other direction has x > 0 and
-    y > 0, and _pair_cone decides its cone on v cleared to integer pairs, the
-    same ray.
-    """
-    xa, xb, ya, yb = _direction_pairs(v)
-    if not (ya or yb):
-        return Axis.HORIZONTAL
-    if not (xa or xb):
-        return Axis.VERTICAL
-    return _pair_cone(xa, xb, ya, yb)
-
-
 def _pair_cone(xa: int, xb: int, ya: int, yb: int) -> int:
     """The cone 0-3 of the direction (xa + xb*phi, ya + yb*phi), given x > 0 and y > 0.
 
+    Cone k is spanned by the columns of sigma_k, and a slope on a boundary two
+    cones share belongs to the higher one.
     Cones 3, 2, 1 start at slopes phi, 1, phi - 1, so the tests are the signs
     of y - phi*x, y - x and y + x - phi*x. With x > 0 each slope test implies
     the ones below it, so the middle test goes first and a cone costs two.
@@ -272,24 +247,6 @@ PENTAGON_FRAME = "pentagon"
 FRAMES = (GOLDEN_L_FRAME, PENTAGON_FRAME)
 DEFAULT_SIZE = 480
 DEFAULT_STROKE = 2.0
-
-
-class PentagonTransfer(NamedTuple):
-    """Float change of frame from the golden L to the regular pentagon."""
-
-    matrix: tuple[tuple[float, float], tuple[float, float]]
-
-
-def pentagon_transfer() -> PentagonTransfer:
-    """The matrix P = ((1, cos pi/5), (0, sin pi/5)).
-
-    cos(pi/5) = phi/2 exactly; sin(pi/5) exists only as a float, which is why
-    the pentagon frame is render-only and never feeds classification.
-    """
-    import math
-
-    c = GoldenNumber(0, HALF).to_float()
-    return PentagonTransfer(((1.0, c), (0.0, math.sin(math.pi / 5.0))))
 
 
 def surface_description() -> dict:

@@ -20,25 +20,26 @@ import goldenl.render as render
 from goldenl.field import PHI_FLOAT, GoldenVector
 from goldenl.flow import _END, _STAIR, Outcome, Trajectory
 from goldenl.render import PENTAGON_MIDPOINTS, PENTAGON_VERTICES, _EDGE
-from goldenl.surface import pentagon_transfer
 from goldenl.words import Word, word_to_vector
 
 DEFAULT_MAX_BOUNCES = 20_000
 CORNER_TOLERANCE = 1e-9
 CLOSE_TOLERANCE = 1e-7
+# The frame change P from the golden L to the table, as floats from its angle.
+PENTAGON_TRANSFER = ((1.0, math.cos(math.pi / 5.0)), (0.0, math.sin(math.pi / 5.0)))
 
 
 def pentagon_direction(word: Word) -> tuple[float, float]:
     """The float pentagon-frame image P * v of a word's direction."""
     v = word_to_vector(word)
-    (p00, p01), (p10, p11) = pentagon_transfer().matrix
+    (p00, p01), (p10, p11) = PENTAGON_TRANSFER
     x, y = v.to_floats()
     return (p00 * x + p01 * y, p10 * x + p11 * y)
 
 
 def pentagon_length(h: GoldenVector) -> float:
     """Euclidean length of P * h, the pentagon-frame image of a holonomy."""
-    (p00, p01), (p10, p11) = pentagon_transfer().matrix
+    (p00, p01), (p10, p11) = PENTAGON_TRANSFER
     x, y = h.to_floats()
     return math.hypot(p00 * x + p01 * y, p10 * x + p11 * y)
 

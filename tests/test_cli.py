@@ -1,6 +1,7 @@
 """CLI behavior: commands, formats, env overrides, exit codes, schemas."""
 
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import goldenl
 from goldenl import cli
 from goldenl.classify import Classification
 from goldenl.flow import Trajectory
@@ -467,6 +469,15 @@ def test_readme_library_example():
     assert namespace["oracle_classify"]((2, 1)) == report.verdicts
     assert t.segment_count == 8
     assert str(t.holonomy) == "(2 + 4*phi, 2 + 3*phi)"
+
+
+def test_readme_library_rows_name_every_public_name():
+    # Each public name is named, in backticks, in the Library row of its module.
+    readme = README.read_text(encoding="utf-8")
+    rows = dict(re.findall(r"^\| `goldenl\.(\w+)` \| (.*) \|$", readme, re.M))
+    missing = {module: [name for name in names if f"`{name}`" not in rows.get(module, "")]
+               for module, names in goldenl._EXPORTS.items()}
+    assert missing == dict.fromkeys(goldenl._EXPORTS, [])
 
 
 def test_module_entry_point():

@@ -4,6 +4,7 @@ Each check runs in a fresh interpreter, since the test process has long since
 loaded the whole library.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -15,16 +16,15 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 LIBRARY = ["classify", "errors", "field", "flow", "render", "stats", "surface", "words"]
 PUBLIC = [
-    "Axis", "CapExceededError", "Classification", "ClassificationReport", "EMPTY_WORD",
-    "GOLDEN_L", "GoldenL", "GoldenNumber", "GoldenVector", "HORIZONTAL_VERDICTS",
-    "MonteCarloEstimate", "ONE", "Outcome", "PHI", "PHI_INVERSE", "PHI_SQUARED",
-    "Permutation5", "ReductionProfile", "SIGMA", "StructuralViolationError", "TAU",
-    "Trajectory", "VERTICAL_RELABELING", "VerticalDirectionError", "ZERO", "billiard_path",
-    "brute_force_profile", "canonicalize", "classify", "classify_all", "classify_vector",
-    "count_empty_reductions", "derive_once", "empty_reduction_probability", "exact_profile",
-    "format_word", "is_base_word", "monte_carlo_empty_rate", "oracle_classify",
-    "oracle_report", "parse_word", "pentagon_transfer", "reduce_word", "render_trajectory",
-    "sector_of", "sigma", "surface_description", "tau", "trace", "trace_direction",
+    "CapExceededError", "Classification", "ClassificationReport", "EMPTY_WORD", "GOLDEN_L",
+    "GoldenL", "GoldenNumber", "GoldenVector", "HORIZONTAL_VERDICTS", "MonteCarloEstimate",
+    "ONE", "Outcome", "PHI", "PHI_INVERSE", "PHI_SQUARED", "Permutation5", "ReductionProfile",
+    "SIGMA", "StructuralViolationError", "TAU", "Trajectory", "VERTICAL_RELABELING",
+    "VerticalDirectionError", "ZERO", "billiard_path", "brute_force_profile", "canonicalize",
+    "classify", "classify_all", "classify_vector", "count_empty_reductions", "derive_once",
+    "empty_reduction_probability", "exact_profile", "format_word", "is_base_word",
+    "monte_carlo_empty_rate", "oracle_classify", "oracle_report", "parse_word", "reduce_word",
+    "render_trajectory", "sigma", "surface_description", "tau", "trace", "trace_direction",
     "vector_to_word", "weierstrass_point", "word_permutation", "word_to_vector",
 ]  # fmt: skip
 
@@ -147,3 +147,36 @@ print(json.dumps([sorted(m[8:] for m in added if m.startswith("goldenl.")), sort
         assert sorted(set(loaded) & {"flow", "render", "stats"}) == layers
         assert {"classify", "cli", "errors", "field", "surface", "words"} <= set(loaded)
         assert heavy == (["json"] if fmt == "json" else []), fmt
+
+
+# The imports a module may bind and never read. perfbench/selftest.py checks
+# that its span tracer's wrapper of words.word_to_vector is the one render
+# reaches, so render keeps that binding for the benchmark.
+_UNREAD_ALLOWED = {"render": {"word_to_vector"}}
+
+
+def _unread_imports(source: str) -> set[str]:
+    """The names a module's imports bind that no expression or annotation reads."""
+    tree = ast.parse(source)
+    bound = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return bound - read
+
+
+def test_every_import_is_read():
+    unread = {}
+    for path in sorted((SRC / "goldenl").glob("*.py")):
+        names = _unread_imports(path.read_text(encoding="utf-8")) - _UNREAD_ALLOWED.get(path.stem, set())
+        if names:
+            unread[path.stem] = sorted(names)
+    assert unread == {}
+
+
+def test_unread_import_scan_reads_annotations():
+    source = "from enum import Enum\nfrom typing import NamedTuple\nimport os.path\ndef f(x: NamedTuple): pass\n"
+    assert _unread_imports(source) == {"Enum", "os"}

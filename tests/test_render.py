@@ -24,7 +24,7 @@ from goldenl.render import (
     render_trajectory,
     transported_side_events,
 )
-from goldenl.surface import DEFAULT_SIZE, DEFAULT_STROKE, GOLDEN_L, pentagon_transfer
+from goldenl.surface import DEFAULT_SIZE, DEFAULT_STROKE, GOLDEN_L
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -46,6 +46,18 @@ def test_midpoints_bisect_the_sides():
         assert any(
             math.hypot(point[0] - m[0], point[1] - m[1]) < 1e-12 for m in midpoints
         )
+
+
+def test_pentagon_frame_change_values():
+    # The fold's P = ((1, phi/2), (0, sin pi/5)) is the reference's, bit for bit.
+    (p00, p01), (p10, p11) = reference.PENTAGON_TRANSFER
+    assert p00 == 1.0 and p10 == 0.0
+    assert (render._P01, render._P11) == (p01, p11) == (0.8090169943749475, 0.5877852522924731)
+    # The worked direction of the word 21: P * (2 + 2 phi, 1 + 2 phi).
+    x, y = GoldenNumber(2, 2).to_float(), GoldenNumber(1, 2).to_float()
+    px, py = p00 * x + p01 * y, p10 * x + p11 * y
+    assert abs(px - 8.66) < 0.01
+    assert abs(py - 2.49) < 0.01
 
 
 def test_word_21_corner_path_length_is_saddle_holonomy():
@@ -417,7 +429,7 @@ def _fold_directions():
 
 
 def _float_direction(v):
-    (p00, p01), (p10, p11) = pentagon_transfer().matrix
+    (p00, p01), (p10, p11) = reference.PENTAGON_TRANSFER
     x, y = v.to_floats()
     return (p00 * x + p01 * y, p10 * x + p11 * y)
 

@@ -1,4 +1,4 @@
-"""Geometry tables of the golden L: gluings, marked points, shears, sectors."""
+"""Geometry tables of the golden L: gluings, marked points, shears, and the cones the peel reads."""
 
 import random
 import re
@@ -8,7 +8,6 @@ from itertools import product
 import pytest
 
 from goldenl import (
-    Axis,
     GOLDEN_L,
     GoldenNumber,
     GoldenVector,
@@ -21,14 +20,14 @@ from goldenl import (
     TAU,
     VERTICAL_RELABELING,
     ZERO,
+    VerticalDirectionError,
     classify,
-    pentagon_transfer,
     render_trajectory,
-    sector_of,
     sigma,
     surface_description,
     tau,
     trace,
+    vector_to_word,
     weierstrass_point,
 )
 from goldenl.field import golden_mul, golden_sign
@@ -120,13 +119,23 @@ def test_sigma_tables():
             sigma(bad)
 
 
+def cone(v):
+    """v's cone as the peel reads it: (k,) for cone k, its first letter and the
+    word's last, and () for the horizontal, which lies in no cone."""
+    return vector_to_word(v)[-1:]
+
+
 def test_sigma_columns_sit_on_their_sector_boundaries():
     # Column slopes of sigma_k are the two boundary slopes of cone k, and
-    # boundaries belong to the higher sector.
+    # boundaries belong to the higher sector. The vertical has no word.
     for k in range(4):
         (a, b), (c, d) = golden_rows(SIGMA[k])
-        assert sector_of(GoldenVector(a, c)) == (Axis.HORIZONTAL if k == 0 else k)
-        assert sector_of(GoldenVector(b, d)) == (Axis.VERTICAL if k == 3 else k + 1)
+        assert cone(GoldenVector(a, c)) == ((k,) if k else ())
+        if k == 3:
+            with pytest.raises(VerticalDirectionError):
+                cone(GoldenVector(b, d))
+        else:
+            assert cone(GoldenVector(b, d)) == (k + 1,)
 
 
 def test_tau_cycle_structure():
@@ -188,29 +197,31 @@ def test_vertical_relabeling_is_the_diagonal_flip():
     assert VERTICAL_RELABELING * VERTICAL_RELABELING == Permutation5.identity()
 
 
-def test_sector_of_interior_directions():
-    assert sector_of(GoldenVector(GoldenNumber(2), ONE)) == 0         # slope 1/2
-    assert sector_of(GoldenVector(GoldenNumber(5), GoldenNumber(4))) == 1
-    assert sector_of(GoldenVector(GoldenNumber(5), GoldenNumber(6))) == 2
-    assert sector_of(GoldenVector(ONE, GoldenNumber(9))) == 3
+def test_peel_cone_of_interior_directions():
+    assert cone(GoldenVector(GoldenNumber(2), ONE)) == (0,)         # slope 1/2
+    assert cone(GoldenVector(GoldenNumber(5), GoldenNumber(4))) == (1,)
+    assert cone(GoldenVector(GoldenNumber(5), GoldenNumber(6))) == (2,)
+    assert cone(GoldenVector(ONE, GoldenNumber(9))) == (3,)
 
 
 def test_sector_boundaries_go_up():
     # Slopes exactly on a cone boundary belong to the higher sector.
-    assert sector_of(GoldenVector(PHI, ONE)) == 1          # slope 1/phi
-    assert sector_of(GoldenVector(ONE, ONE)) == 2          # slope 1
-    assert sector_of(GoldenVector(ONE, PHI)) == 3          # slope phi
-    assert sector_of(GoldenVector(ONE, ZERO)) is Axis.HORIZONTAL
-    assert sector_of(GoldenVector(ZERO, ONE)) is Axis.VERTICAL
+    assert cone(GoldenVector(PHI, ONE)) == (1,)          # slope 1/phi
+    assert cone(GoldenVector(ONE, ONE)) == (2,)          # slope 1
+    assert cone(GoldenVector(ONE, PHI)) == (3,)          # slope phi
+    assert vector_to_word(GoldenVector(ONE, ZERO)) == ()
+    with pytest.raises(VerticalDirectionError):
+        vector_to_word(GoldenVector(ZERO, ONE))
 
 
-def test_sector_of_rejects_bad_input():
-    with pytest.raises(ValueError):
-        sector_of(GoldenVector(ZERO, ZERO))
-    with pytest.raises(ValueError):
-        sector_of(GoldenVector(-PHI, ONE))
-    with pytest.raises(ValueError):
-        sector_of(GoldenVector(ONE, GoldenNumber(-1)))
+def test_peel_rejects_bad_input():
+    # Zero, and each coordinate out of the quadrant.
+    with pytest.raises(ValueError, match="^zero vector has no direction$"):
+        vector_to_word(GoldenVector(ZERO, ZERO))
+    with pytest.raises(ValueError, match="^direction must lie in the closed first quadrant"):
+        vector_to_word(GoldenVector(-PHI, ONE))
+    with pytest.raises(ValueError, match="^direction must lie in the closed first quadrant"):
+        vector_to_word(GoldenVector(ONE, GoldenNumber(-1)))
 
 
 def test_pair_cone_matches_golden_sign_statement():
@@ -260,19 +271,6 @@ def test_pair_cone_matches_golden_sign_statement():
             directions.append(v)
     for v in directions:
         assert _pair_cone(*v) == sector_of_pairs(v), v
-
-
-def test_pentagon_transfer_values():
-    transfer = pentagon_transfer()
-    (p00, p01), (p10, p11) = transfer.matrix
-    assert p00 == 1.0 and p10 == 0.0
-    assert abs(p01 - 0.8090169943749475) < 1e-12
-    assert abs(p11 - 0.5877852522924731) < 1e-12
-    # The worked direction of the word 21: P * (2 + 2 phi, 1 + 2 phi).
-    x, y = GoldenNumber(2, 2).to_float(), GoldenNumber(1, 2).to_float()
-    px, py = p00 * x + p01 * y, p10 * x + p11 * y
-    assert abs(px - 8.66) < 0.01
-    assert abs(py - 2.49) < 0.01
 
 
 def test_surface_description_shape():

@@ -7,7 +7,8 @@ the same work the general way: full 2x2 matrix products over Z[phi] from the
 SIGMA table and its adjugates, sector bounds multiplied out with golden_mul,
 the direction cleared by multiplying Fractions, and the per-letter product of
 the TAU table. It shares with the library only those tables, Permutation5,
-golden_mul and golden_sign, and the error types and messages.
+golden_mul and golden_sign, and the error types and messages; it marks the
+horizontal and the vertical with its own HORIZONTAL and VERTICAL.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from math import lcm
 
 from goldenl.errors import CapExceededError, VerticalDirectionError
 from goldenl.field import GoldenVector, golden_mul, golden_sign
-from goldenl.surface import SIGMA, TAU, Axis, Permutation5, Rows
+from goldenl.surface import SIGMA, TAU, Permutation5, Rows
 
 # Every sigma_k has determinant 1, so its inverse is the adjugate ((d, -b), (-c, a)).
 SIGMA_INVERSE: tuple[Rows, ...] = tuple(
@@ -27,6 +28,10 @@ SIGMA_INVERSE: tuple[Rows, ...] = tuple(
 _SECTOR_BOUNDS = ((0, 0), (-1, 1), (1, 0), (0, 1))
 
 _LETTERS = (0, 1, 2, 3)
+
+# sector_of_pairs's answers for the two axes, which lie in no cone.
+HORIZONTAL = "horizontal"
+VERTICAL = "vertical"
 
 
 def _check_letters(word) -> None:
@@ -54,9 +59,9 @@ def sector_of_pairs(v: tuple[int, int, int, int]):
     the highest cone whose lower slope bound the direction reaches."""
     xa, xb, ya, yb = v
     if not (ya or yb):
-        return Axis.HORIZONTAL
+        return HORIZONTAL
     if not (xa or xb):
-        return Axis.VERTICAL
+        return VERTICAL
     for k in (3, 2, 1):
         # slope >= bound, compared as y >= bound * x with x > 0
         ba, bb = golden_mul(*_SECTOR_BOUNDS[k], xa, xb)
@@ -82,8 +87,8 @@ def vector_to_word(v: GoldenVector, cap: int = 10_000) -> tuple[int, ...]:
         raise ValueError(f"direction must lie in the closed first quadrant: {v}")
     k = sector_of_pairs(point)
     reversed_letters: list[int] = []
-    while k is not Axis.HORIZONTAL:
-        if k is Axis.VERTICAL:
+    while k != HORIZONTAL:
+        if k == VERTICAL:
             raise VerticalDirectionError(
                 "vertical direction has no word; classify it via the y = x relabeling"
             )
