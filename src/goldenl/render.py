@@ -2,14 +2,16 @@
 
 Both frames draw one exact trajectory, and coordinates only become floats at
 the last step. The golden L frame draws its segments as they are. The
-pentagon frame folds the trajectory onto the billiard table, a regular
-pentagon with side 1 (see billiard_path), from its walk alone: each run's
-chord h comes from the walk's steps, and where it bounces is one affine map
-of h per side, set up once per direction, so no point is built. Where a
-closed path closes follows by rule from the walk's turns and the direction.
-Each frame's outline and marked points are formatted once per size and
-stroke, both frames' lines in chunks, and each bounce point of the table's
-polyline is placed and formatted once.
+pentagon frame's billiard table, a regular pentagon with side 1, is the image
+of the L's inscribed pentagon under one linear map P, which only _on_pentagon
+states: the table's vertices, side midpoints and mirrors are P's images of the
+L's points. The trajectory folds onto the table (see billiard_path) from its
+walk alone: each run's chord h comes from the walk's steps, and where it
+bounces is one affine map of h per side, set up once per direction, so no
+point is built. Where a closed path closes follows by rule from the walk's
+turns and the direction. Each frame's outline and marked points are formatted
+once per size and stroke, both frames' lines in chunks, and each bounce point
+of the table's polyline is placed and formatted once.
 """
 
 from __future__ import annotations
@@ -25,32 +27,29 @@ from .surface import DEFAULT_SIZE, DEFAULT_STROKE, FRAMES, GOLDEN_L, GOLDEN_L_FR
 # word_to_vector is bound here only because perfbench/selftest.py checks that its wrapper reaches it.
 from .words import Word, word_to_vector  # noqa: F401
 
-# Regular pentagon with side 1, apex up, centered at the origin.
-_CIRCUMRADIUS = 1.0 / (2.0 * math.sin(math.pi / 5.0))
-_APOTHEM = 1.0 / (2.0 * math.tan(math.pi / 5.0))
+# P = ((1, cos pi/5), (0, sin pi/5)), with cos pi/5 = phi/2, carries the inscribed pentagon onto the table, apex up
+# and centred at the origin. sin pi/5 is not in Q(phi), so the table is drawn in floats and never feeds a verdict.
+_P01, _P11 = PHI_FLOAT / 2.0, math.sin(math.pi / 5.0)
+_CENTRE = (1.0 + 3.0 * PHI_FLOAT) / 5.0
 
-PENTAGON_VERTICES = tuple(
-    (
-        _CIRCUMRADIUS * math.cos(math.radians(90.0 + 72.0 * k)),
-        _CIRCUMRADIUS * math.sin(math.radians(90.0 + 72.0 * k)),
-    )
-    for k in range(5)
-)
 
-# The fold names each inscribed side by the Weierstrass point at its midpoint, and so
-# the table side P carries it onto: side j of MIDPOINT_CYCLE onto table side j + 2.
-# Table side i joins the vertices at 90 + 72i and 162 + 72i degrees, so its midpoint
-# sits at 126 + 72i: upper left 1, upper right 2, lower left 3, lower right 4, bottom
-# 5. Sides 1 and 5 are gluing sources a and d, 3, 4 and 2 the cuts C3, C1 and C2.
+def _on_pentagon(x: float, y: float) -> complex:
+    """P(x - centre), for the inscribed pentagon's centre (c, c): the table point."""
+    x, y = x - _CENTRE, y - _CENTRE
+    return complex(x + _P01 * y, _P11 * y)
+
+
+# The table is P's image of the L: its vertices the inscribed ring's, apex first, its midpoints the L's marked points.
+_RING = [p.to_floats() for p in GOLDEN_L.inscribed_pentagon]
+PENTAGON_VERTICES = tuple((z.real, z.imag) for z in (_on_pentagon(*_RING[(k + 3) % 5]) for k in range(5)))
+_CIRCUMRADIUS = PENTAGON_VERTICES[0][1]
+_L_MARKED = {label: p.to_floats() for label, p in GOLDEN_L.weierstrass.items()}
+PENTAGON_MIDPOINTS = {k: (z.real, z.imag) for k, z in zip(_L_MARKED, (_on_pentagon(*p) for p in _L_MARKED.values()))}
+
+# The fold names each inscribed side by the Weierstrass point at its midpoint, and so the table side P carries it
+# onto: side j of MIDPOINT_CYCLE onto table side j + 2, from vertex j + 2 to j + 3. By label: upper left 1, upper right
+# 2, lower left 3, lower right 4, bottom 5. Sides 1 and 5 are gluing sources a and d, 3, 4 and 2 the cuts C3, C1 and C2.
 _EDGE = {label: (MIDPOINT_CYCLE.index(label) + 2) % 5 for label in sorted(MIDPOINT_CYCLE)}
-_MIDPOINT_ANGLES = {label: (126.0 + 72.0 * edge) % 360.0 for label, edge in _EDGE.items()}
-PENTAGON_MIDPOINTS = {
-    label: (
-        _APOTHEM * math.cos(math.radians(angle)),
-        _APOTHEM * math.sin(math.radians(angle)),
-    )
-    for label, angle in _MIDPOINT_ANGLES.items()
-}
 
 
 def transported_side_events(trajectory: Trajectory) -> int:
@@ -79,9 +78,10 @@ def transported_side_events(trajectory: Trajectory) -> int:
     return 2 * (len(walk) - walk.count(_END))
 
 
-# The fold: the ends of each inscribed side by label, and the table's five turns.
-_RING = [p.to_floats() for p in GOLDEN_L.inscribed_pentagon]
-_SIDE_ENDS = {side: (_RING[i], _RING[i - 4]) for i, side in enumerate(MIDPOINT_CYCLE)}
+# The fold: the ends of each inscribed side by label, in the L and on the table, and the table's five turns.
+_SIDE_ENDS = {
+    side: (a, c, _on_pentagon(*a), _on_pentagon(*c)) for side, a, c in zip(MIDPOINT_CYCLE, _RING, _RING[1:] + _RING[:1])
+}
 _ROTATIONS = tuple(complex(math.cos(0.4 * math.pi * k), math.sin(0.4 * math.pi * k)) for k in range(5))
 # (cut left, side re-entered) of a run, by its walk byte: the walls of a (x = phi)
 # and c (y = phi^2) lie beyond C2, those of b (x = phi^2) and d (y = phi) beyond C1.
@@ -92,20 +92,9 @@ _REENTRY = tuple((2 * (_EDGE[left] - _EDGE[entered]) % 5, entered) for left, ent
 # The cone points _STAIR[1] and [3] lie beyond C1 and C2; a run that ends there leaves
 # by that cut and is drawn to the cone point's mirror image in it, _STAIR[4] or [0].
 _BEYOND = {1: (4, 4), 3: (2, 0)}
-# The frame change P = ((1, cos pi/5), (0, sin pi/5)), with cos pi/5 = phi/2. sin pi/5 is
-# not in Q(phi), so the pentagon frame is drawn in floats and never feeds a verdict.
-_P01, _P11 = PHI_FLOAT / 2.0, math.sin(math.pi / 5.0)
-_CENTRE = (1.0 + 3.0 * PHI_FLOAT) / 5.0
 _SQRT5 = math.sqrt(5.0)
-# The reflections in the table axes through midpoints 2 and 4 (billiard_path).
-_AXES = {label: math.radians(2.0 * _MIDPOINT_ANGLES[label]) for label in (2, 4)}
-_MIRRORS = {label: complex(math.cos(axis), math.sin(axis)) for label, axis in _AXES.items()}
-
-
-def _on_pentagon(x: float, y: float) -> complex:
-    """P(x - centre), for the inscribed pentagon's centre (c, c): the table point."""
-    x, y = x - _CENTRE, y - _CENTRE
-    return complex(x + _P01 * y, _P11 * y)
+# The reflections in the table axes through midpoints 2 and 4 (billiard_path): u / conj(u) for the midpoint u.
+_MIRRORS = {label: complex(x, y) / complex(x, -y) for label, (x, y) in PENTAGON_MIDPOINTS.items() if label in (2, 4)}
 
 
 def _float_ends(trajectory: Trajectory) -> list[float]:
@@ -124,11 +113,11 @@ def _side_maps(pairs: tuple[int, int, int, int], den: int) -> dict[int, tuple[co
     vxa, vxb, vya, vyb = pairs
     vx, vy = vxa / den + vxb / den * PHI_FLOAT, vya / den + vyb / den * PHI_FLOAT
     maps = {}
-    for side, ((ax, ay), (cx, cy)) in _SIDE_ENDS.items():
+    for side, ((ax, ay), (cx, cy), a, c) in _SIDE_ENDS.items():
         # The chord meets side A -> C at A + t(C - A), t = (h - v x A) / (v x (C - A)).
         if dv := vx * (cy - ay) - vy * (cx - ax):  # 0 for a side parallel to v, never crossed
-            d = complex(cx - ax + _P01 * (cy - ay), _P11 * (cy - ay))  # P(C - A)
-            maps[side] = _on_pentagon(ax, ay) - (vx * ay - vy * ax) / dv * d, d / dv
+            d = c - a  # P(C - A)
+            maps[side] = a - (vx * ay - vy * ax) / dv * d, d / dv
     return maps
 
 
@@ -221,12 +210,11 @@ def _fold(trajectory: Trajectory) -> tuple[list[complex], bool]:
 
 # SVG output
 
-# The golden L frame's fixed parts as floats: outline, inscribed pentagon, marked points, extent phi^2.
+# The golden L frame's fixed parts as floats: outline, inscribed pentagon, marked points (_L_MARKED), extent phi^2.
 _L_OUTLINES = (
     ("surface-outline", [v.to_floats() for v in GOLDEN_L.vertices], 1.0),
     ("inscribed-pentagon", _RING, 0.5),
 )
-_L_MARKED = {label: p.to_floats() for label, p in GOLDEN_L.weierstrass.items()}
 _L_EXTENT = GOLDEN_L.vertices[2].x.to_float()
 _TABLE_OUTLINES = (("surface-outline", PENTAGON_VERTICES, 1.0),)
 # Per frame: the side of the square drawn and its upper left corner, the
@@ -348,8 +336,8 @@ def pentagon_svg(
     stroke: float = DEFAULT_STROKE,
     cap: int = DEFAULT_STEP_CAP,
 ) -> str:
-    """billiard_svg for a word traced from one labeled midpoint with at most `cap` flow steps."""
-    return billiard_svg(trace(label, word, cap), size, stroke)
+    """render_trajectory in the pentagon frame: a word traced from a labeled midpoint with at most `cap` flow steps."""
+    return render_trajectory(word, label, PENTAGON_FRAME, size, stroke, cap)
 
 
 def render_trajectory(

@@ -4,7 +4,8 @@ The library draws the pentagon frame by folding the exact golden L trajectory
 onto the table (`goldenl.render.billiard_path`). This module reaches the same
 pictures another way, by reflecting a float ray off the table's sides until it
 comes back to its start or meets a corner within a tolerance. That billiard
-shares no code with the fold beyond the table's vertices and midpoints.
+shares no code with the fold: it states the regular pentagon by its angles,
+where the library draws the table as P's image of the golden L.
 
 `fold_by_segments` is a second reference for longer words, past the float
 billiard's bounce cap: the fold's own turns, period rule and mirrors, but each
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import goldenl.render as render
 from goldenl.field import PHI_FLOAT, GoldenVector
 from goldenl.flow import _END, _STAIR, Outcome, Trajectory
-from goldenl.render import PENTAGON_MIDPOINTS, PENTAGON_VERTICES, _EDGE
+from goldenl.render import _EDGE
 from goldenl.words import Word, word_to_vector
 
 DEFAULT_MAX_BOUNCES = 20_000
@@ -27,6 +28,18 @@ CORNER_TOLERANCE = 1e-9
 CLOSE_TOLERANCE = 1e-7
 # The frame change P from the golden L to the table, as floats from its angle.
 PENTAGON_TRANSFER = ((1.0, math.cos(math.pi / 5.0)), (0.0, math.sin(math.pi / 5.0)))
+# The regular pentagon with side 1, apex up, centred at the origin: vertex k at 90 + 72k
+# degrees, and the midpoint of side i, from vertex i to i + 1, at 126 + 72i; label's side is _EDGE[label].
+CIRCUMRADIUS = 1.0 / (2.0 * math.sin(math.pi / 5.0))
+APOTHEM = 1.0 / (2.0 * math.tan(math.pi / 5.0))
+PENTAGON_VERTICES = tuple(
+    (CIRCUMRADIUS * math.cos(math.radians(90.0 + 72.0 * k)), CIRCUMRADIUS * math.sin(math.radians(90.0 + 72.0 * k)))
+    for k in range(5)
+)
+PENTAGON_MIDPOINTS = {
+    label: (APOTHEM * math.cos(math.radians(angle)), APOTHEM * math.sin(math.radians(angle)))
+    for label, angle in ((label, 126.0 + 72.0 * edge) for label, edge in _EDGE.items())
+}
 
 
 def pentagon_direction(word: Word) -> tuple[float, float]:
@@ -158,7 +171,7 @@ def _crossing(side: int, begin: tuple[float, float], end: tuple[float, float]) -
     """The table point where the run from begin to end crosses an inscribed side."""
     (bx, by), (ex, ey) = begin, end
     dx, dy = ex - bx, ey - by
-    (ax, ay), (cx, cy) = render._SIDE_ENDS[side]
+    (ax, ay), (cx, cy) = render._SIDE_ENDS[side][:2]
     f = ((ax - bx) * (cy - ay) - (ay - by) * (cx - ax)) / (dx * (cy - ay) - dy * (cx - ax))
     return render._on_pentagon(bx + f * dx, by + f * dy)
 

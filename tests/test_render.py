@@ -30,22 +30,48 @@ PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 
 def test_pentagon_has_unit_sides():
-    for i in range(5):
-        a = PENTAGON_VERTICES[i]
-        b = PENTAGON_VERTICES[(i + 1) % 5]
-        assert math.hypot(b[0] - a[0], b[1] - a[1]) == pytest.approx(1.0)
+    # The reference's pentagon, stated by its angles, and the library's, P's image of the
+    # inscribed ring: unit sides, and the same vertices in the same order, apex first.
+    for vertices in (reference.PENTAGON_VERTICES, PENTAGON_VERTICES):
+        assert len(vertices) == 5
+        for i in range(5):
+            a = vertices[i]
+            b = vertices[(i + 1) % 5]
+            assert math.hypot(b[0] - a[0], b[1] - a[1]) == pytest.approx(1.0)
+    for p, q in zip(PENTAGON_VERTICES, reference.PENTAGON_VERTICES):
+        assert math.hypot(p[0] - q[0], p[1] - q[1]) < 1e-12, (p, q)
+    assert abs(render._CIRCUMRADIUS - reference.CIRCUMRADIUS) < 1e-12
 
 
 def test_midpoints_bisect_the_sides():
-    midpoints = set()
-    for i in range(5):
-        a = PENTAGON_VERTICES[i]
-        b = PENTAGON_VERTICES[(i + 1) % 5]
-        midpoints.add(((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0))
-    for point in PENTAGON_MIDPOINTS.values():
-        assert any(
-            math.hypot(point[0] - m[0], point[1] - m[1]) < 1e-12 for m in midpoints
-        )
+    tables = (reference.PENTAGON_VERTICES, reference.PENTAGON_MIDPOINTS), (PENTAGON_VERTICES, PENTAGON_MIDPOINTS)
+    for vertices, marked in tables:
+        midpoints = set()
+        for i in range(5):
+            a = vertices[i]
+            b = vertices[(i + 1) % 5]
+            midpoints.add(((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0))
+        for point in marked.values():
+            assert any(
+                math.hypot(point[0] - m[0], point[1] - m[1]) < 1e-12 for m in midpoints
+            )
+    # The library's midpoints, P's images of the L's marked points, are the reference's, label by label.
+    assert list(PENTAGON_MIDPOINTS) == list(reference.PENTAGON_MIDPOINTS) == [1, 2, 3, 4, 5]
+    for label, (x, y) in PENTAGON_MIDPOINTS.items():
+        rx, ry = reference.PENTAGON_MIDPOINTS[label]
+        assert math.hypot(x - rx, y - ry) < 1e-12, label
+    # The fold's mirrors z -> m * conj(z), in the axes through midpoints 2 and 4, are
+    # reflections: each fixes its midpoint and carries the vertices onto themselves.
+    assert sorted(render._MIRRORS) == [2, 4]
+    vertices = [complex(*v) for v in reference.PENTAGON_VERTICES]
+    for label, mirror in render._MIRRORS.items():
+        u = complex(*reference.PENTAGON_MIDPOINTS[label])
+        assert abs(abs(mirror) - 1.0) < 1e-12, label
+        assert abs(mirror * u.conjugate() - u) < 1e-12, label
+        images = [mirror * v.conjugate() for v in vertices]
+        nearest = [min(range(5), key=lambda j: abs(w - vertices[j])) for w in images]
+        assert sorted(nearest) == list(range(5)), label
+        assert all(abs(w - vertices[j]) < 1e-12 for w, j in zip(images, nearest)), label
 
 
 def test_pentagon_frame_change_values():
@@ -295,7 +321,8 @@ def test_bad_size_or_stroke_is_rejected_before_the_points_are_read(monkeypatch):
 
 
 def test_render_trajectory_frames(monkeypatch):
-    # One trace per drawing in either frame, and none for a bad frame, size or stroke.
+    # One trace per drawing in either frame, and none for a bad frame, size or stroke,
+    # through render_trajectory or pentagon_svg.
     calls = []
 
     def counted(*args):
@@ -305,7 +332,8 @@ def test_render_trajectory_frames(monkeypatch):
     monkeypatch.setattr(render, "trace", counted)
     assert render_trajectory((2, 1), 4, frame="goldenl").count("<polygon") == 2
     assert render_trajectory((2, 1), 4, frame="pentagon").count("<polygon") == 1
-    assert calls == [(4, (2, 1), DEFAULT_STEP_CAP)] * 2
+    assert pentagon_svg((2, 1), 4).count("<polygon") == 1
+    assert calls == [(4, (2, 1), DEFAULT_STEP_CAP)] * 3
     bad_inputs = (
         {"frame": "sphere"},
         {"size": 0},
@@ -328,7 +356,10 @@ def test_render_trajectory_frames(monkeypatch):
     for bad in bad_inputs:
         with pytest.raises(ValueError):
             render_trajectory((2, 1), 4, **bad)
-    assert len(calls) == 2
+        if "frame" not in bad:  # pentagon_svg draws the table only
+            with pytest.raises(ValueError):
+                pentagon_svg((2, 1), 4, **bad)
+    assert len(calls) == 3
     with pytest.raises(ValueError, match=r"got 64 and '2'$"):
         render_trajectory((2, 1), 4, size=64, stroke="2")
     # Either drawing of a traced orbit checks its size and stroke too.
