@@ -41,11 +41,12 @@ Points are checked against the L's fixed points at scale 2.
 A closed orbit through a midpoint meets exactly one other, its twin, half a
 period on: the hyperelliptic involution J fixes both and turns the orbit
 around, so the arc back has the same holonomy. The half-walk belongs to the
-oracle, which needs only holonomies: its walk stops on the first chord of
-another midpoint while its j crossings leave 2j + 2 <= cap, and gives both
-twice the displacement so far; a midpoint not yet known is walked on its own.
-What its walks look for, the midpoints' chords, is set up once per direction.
-So it walks about half of each cylinder's core orbit and builds no
+oracle, which needs only holonomies and steps the kernel itself: its walk
+stops on the first chord of another midpoint while its j crossings leave
+2j + 2 <= cap, and gives both twice the displacement so far; a midpoint not
+yet known is walked on its own, and a walk into the cone point builds no
+holonomy. What its walks look for, the midpoints' chords, is set up once per
+direction. So it walks about half of each cylinder's core orbit and builds no
 trajectory. It reads a word's pairs from words._pairs, and its report keeps
 the pairs and the holonomies the cylinder check passed; no read of it walks.
 The check is in closed form: psi_w carries the horizontal cylinders onto v's,
@@ -394,47 +395,55 @@ def _look(table: tuple) -> tuple:
     return near, twins
 
 
-def _walk(label: int, table: tuple, cap: int, look: tuple | None) -> tuple:
-    """Walk from midpoint `label` in the direction with table `table`, in at
-    most `cap` segments. Returns the walk, its holonomy at scale 2, the
-    corner hit or None, and the twin it stopped at or None: with `look`, the
-    oracle's _look(table), a walk stops on its twin's chord after j crossings
-    when 2j + 2 <= cap, and then the holonomy is the j crossings'. Any other
-    walk past the cap raises CapExceededError, or StructuralViolationError if
-    it left the L."""
+def _finish(walk: bytearray, h: tuple[int, int], h0: tuple[int, int], label: int, pairs: Point, cap: int) -> None:
+    """End a walk from midpoint `label`, whose chord is h0, that _run ended
+    on the chord h without a twin stop, in the direction with integer pairs
+    `pairs`. Append _END when one more segment ends it; then, past `cap`
+    segments, raise CapExceededError, or StructuralViolationError if the walk
+    left the L.
+
+    Back on the start's chord, a start on a glued edge is this re-entry point;
+    any other start, or the cone point, ends one more segment. So a walk that
+    ran out of steps has more than cap segments. Checked once, not per step: a
+    walk that takes a wrong wall leaves the L and would otherwise pass for a
+    cap overrun.
+    """
+    if not (walk and h == h0 and label in _ON_GLUED_EDGE):
+        walk.append(_END)
+    if len(walk) <= cap:
+        return
+    last = weierstrass_point(label)
+    if len(walk) > 1:  # where the chord h enters the L, through the glued twin of the last wall
+        p, b = h
+        scale, rows = _replay_table(pairs)
+        vertical, (ma, mb), _ = rows[walk[-2]]
+        ua, ub = golden_mul((p - b) // 2, b, ma, mb)
+        last = _from_point((0, 0, ua, ub) if vertical else (ua, ub, 0, 0), scale)
+    where = f"midpoint {label}, direction {_shown(_from_point(pairs, 1))}, after {_shown(cap)} steps at {_shown(last)}"
+    if not point_in_surface(last):
+        raise StructuralViolationError(f"trajectory left the golden L: {where}")
+    raise CapExceededError(f"trajectory did not terminate: {where}")
+
+
+def _walk(label: int, table: tuple, cap: int) -> tuple:
+    """The trace's walk: the whole orbit from midpoint `label` in the
+    direction with table `table`, in at most `cap` segments, ended by
+    _finish. Returns the walk, its holonomy at scale 2 and the corner hit or
+    None. The oracle does not walk through here: it steps _run itself, and
+    builds no holonomy for the cone hit."""
     _, _, starts, pairs = table
-    start = weierstrass_point(label)  # raises ValueError for a bad label
+    weierstrass_point(label)  # raises ValueError for a bad label
     h0, cone = starts[label]
-    walk, (p, b), hit, twin = _run(table, h0, look, cap if cone is None else 0)
-    cone = hit if cone is None else cone
+    walk, h, hit, _ = _run(table, h0, None, cap if cone is None else 0)
+    _finish(walk, h, h0, label, pairs, cap)
     # The translations of the crossings. Per wall at scale 2, a crossing adds
     # (2, 2, 0, 0), (0, 0, 0, 2), (0, 2, 0, 0) or (0, 0, 2, 2).
-    n0, n1, n2, n3 = map(walk.count, range(_END))
+    n0, n1, n2, n3 = walk.count(0), walk.count(1), walk.count(2), walk.count(3)
     holonomy = 2 * n0, 2 * (n0 + n2), 2 * n3, 2 * (n1 + n3)
-    if twin is not None:
-        return walk, holonomy, None, twin
-
-    # Back on the start's chord, a start on a glued edge is this re-entry
-    # point; any other start, or the cone point, ends one more segment, _END.
-    # So a walk that ran out of steps has more than cap segments. Checked once,
-    # not per step: a walk that takes a wrong wall leaves the L and would
-    # otherwise pass for a cap overrun.
-    if not (walk and (p, b) == h0 and label in _ON_GLUED_EDGE):
-        walk.append(_END)
-    if len(walk) > cap:
-        last = start
-        if len(walk) > 1:  # where the chord h enters the L, through the glued twin of the last wall
-            scale, rows = _replay_table(pairs)
-            vertical, (ma, mb), _ = rows[walk[-2]]
-            ua, ub = golden_mul((p - b) // 2, b, ma, mb)
-            last = _from_point((0, 0, ua, ub) if vertical else (ua, ub, 0, 0), scale)
-        where = f"midpoint {label}, direction {_shown(_from_point(pairs, 1))}, after {_shown(cap)} steps at {_shown(last)}"
-        if not point_in_surface(last):
-            raise StructuralViolationError(f"trajectory left the golden L: {where}")
-        raise CapExceededError(f"trajectory did not terminate: {where}")
+    cone = hit if cone is None else cone
     if cone is not None:  # plus the step from the start to the corner hit
         holonomy = tuple(map(sub, map(add, holonomy, _STAIR2[cone]), _STARTS2[label]))
-    return walk, holonomy, cone, None
+    return walk, holonomy, cone
 
 
 def trace_direction(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP) -> Trajectory:
@@ -447,7 +456,7 @@ def trace_direction(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP) ->
     """
     _check_int("cap", cap, 0)
     table = _direction_table(_direction_pairs(v))
-    walk, holonomy, cone, _ = _walk(label, table, cap, None)
+    walk, holonomy, cone = _walk(label, table, cap)
     return Trajectory(label, v, bytes(walk), holonomy, cone, table)
 
 
@@ -470,19 +479,34 @@ def _oracle(pairs: Point, check: Point, cap: int) -> OracleReport:
     the top or right outer wall, in turn; J swaps those two pairs of sides and
     fixes the other two walls.) Any midpoint not yet known is walked on its
     own, to the same holonomy or the same error.
+
+    It steps the kernel _run itself and reads holonomies off the wall counts
+    n by _walk's rule, 2n for (2n0, 2(n0 + n2), 2n3, 2(n1 + n3)): 4n plus
+    twice the step from the start to the twin for both midpoints of a twin
+    stop, 2n for a closed walk, and None, no holonomy built, for the cone hit.
+    A walk that stops at no twin ends by _finish, as the trace's does.
     """
     _check_int("cap", cap, 0)
     table = _direction_table(pairs)
     look = _look(table)
+    starts = table[2]
     holonomies = {}
     for label in WEIERSTRASS_LABELS:
         if label in holonomies:
             continue
-        _, holonomy, cone, twin = _walk(label, table, cap, look)
+        h0, edge_run = starts[label]
+        walk, h, hit, twin = _run(table, h0, look, cap if edge_run is None else 0)
         if twin is not None:  # stopped at the twin, half a period on
-            (xa, xb, ya, yb), (sxa, sxb, sya, syb) = holonomy, _SHIFTS2[twin, label]
-            holonomies[twin] = holonomy = 2 * xa + sxa, 2 * xb + sxb, 2 * ya + sya, 2 * yb + syb
-        holonomies[label] = None if cone is not None else holonomy
+            n0, n1, n2, n3 = walk.count(0), walk.count(1), walk.count(2), walk.count(3)
+            s0, s1, s2, s3 = _SHIFTS2[twin, label]
+            holonomies[twin] = holonomies[label] = 4 * n0 + s0, 4 * (n0 + n2) + s1, 4 * n3 + s2, 4 * (n1 + n3) + s3
+            continue
+        _finish(walk, h, h0, label, pairs, cap)
+        if hit is None and edge_run is None:
+            n0, n1, n2, n3 = walk.count(0), walk.count(1), walk.count(2), walk.count(3)
+            holonomies[label] = 2 * n0, 2 * (n0 + n2), 2 * n3, 2 * (n1 + n3)
+        else:
+            holonomies[label] = None
     holonomies = {label: holonomies[label] for label in WEIERSTRASS_LABELS}
     return OracleReport(pairs, _cylinder_verdicts(check, holonomies), holonomies)
 
@@ -522,31 +546,36 @@ def oracle_report_direction(v: GoldenVector, cap: int = DEFAULT_STEP_CAP) -> Ora
     return _oracle(pairs, _pairs(_peel(*pairs, DEFAULT_INVERSION_CAP)) if pairs[0] or pairs[1] else (0, 0, 1, 0), cap)
 
 
+# The three verdicts, read once: on Python 3.11 each read of an Enum member off its class costs about 0.1 us.
+_SHORT, _LONG, _SADDLE = Classification.SHORT, Classification.LONG, Classification.SADDLE_CONNECTION
+
+
 def _cylinder_verdicts(pairs: Point, holonomies: dict[int, Point | None]) -> dict[int, Classification]:
     """The verdicts from each midpoint's holonomy at scale 2, or None for a
-    cone hit, checked against the word's vector v with integer pairs `pairs`.
+    cone hit, checked against the word's vector v with integer pairs `pairs`;
+    the oracle steps the kernel itself and builds no holonomy for the cone hit.
 
     psi_w, the affine automorphism with derivative sigma_w, carries the
     horizontal cylinders, holonomies phi and phi^2, onto v's (Veech 1989): one
     midpoint hits the cone point, two close with holonomy phi*v (short) and two
     with phi^2*v (long). Anything else is a structural violation of the
-    simulator or the geometry tables, never bad input.
+    simulator or the geometry tables, never bad input. One lookup per label
+    gives its verdict, None for neither, and the checks read the verdicts.
     """
-    saddles = list(holonomies.values()).count(None)
-    if saddles != 1 or len(holonomies) != 5:
-        got = f"{len(holonomies) - saddles} and {saddles}"
-        raise StructuralViolationError(f"expected 4 closed orbits and 1 cone hit, got {got}")
     a, b, c, d = pairs
     short = 2 * b, 2 * (a + b), 2 * d, 2 * (c + d)  # phi*v at scale 2, by golden_mul
     long = short[1], short[0] + short[1], short[3], short[2] + short[3]  # phi*short
-    kinds = {short: Classification.SHORT, long: Classification.LONG, None: Classification.SADDLE_CONNECTION}
-    verdicts = {}
-    for label in sorted(holonomies):
-        verdicts[label] = kind = kinds.get(holonomies[label])
-        if kind is None:
-            h, v = _shown(_from_point(holonomies[label], 2)), _shown(_from_point(pairs, 1))
-            raise StructuralViolationError(f"holonomy {h} of midpoint {label} is neither phi*v nor phi^2*v for v = {v}")
-    if list(verdicts.values()).count(Classification.SHORT) != 2:
+    kinds = {short: _SHORT, long: _LONG, None: _SADDLE}
+    verdicts = {label: kinds.get(holonomies[label]) for label in sorted(holonomies)}
+    got = list(verdicts.values())
+    saddles = got.count(_SADDLE)
+    if saddles != 1 or len(got) != 5:
+        raise StructuralViolationError(f"expected 4 closed orbits and 1 cone hit, got {len(got) - saddles} and {saddles}")
+    if None in got:
+        label = next(label for label, kind in verdicts.items() if kind is None)
+        h, v = _shown(_from_point(holonomies[label], 2)), _shown(_from_point(pairs, 1))
+        raise StructuralViolationError(f"holonomy {h} of midpoint {label} is neither phi*v nor phi^2*v for v = {v}")
+    if got.count(_SHORT) != 2:
         raise StructuralViolationError("holonomy magnitudes do not split two and two")
     return verdicts
 

@@ -13,6 +13,7 @@ import pytest
 
 import goldenl
 from goldenl import cli
+from goldenl import flow as flow_module
 from goldenl.classify import Classification
 from goldenl.flow import Trajectory
 
@@ -270,6 +271,21 @@ def test_simulate_classify_cap_names_the_first_overrun(capsys):
     assert out == "word: e\nmidpoint 1: short\nmidpoint 2: short\nmidpoint 3: long\nmidpoint 4: long\nmidpoint 5: saddle\n"
 
 
+def test_flow_that_leaves_the_l_exits_4(capsys, monkeypatch):
+    # Corners moved far above every chord send each one out through wall b,
+    # so the walk from midpoint 1 leaves the L: a structural violation, exit
+    # 4, through the oracle and through one trace alike.
+    table = flow_module._direction_table
+    monkeypatch.setattr(flow_module, "_direction_table", lambda pairs: (((10**6, 0),) * 3, *table(pairs)[1:]))
+    for argv in (("simulate", "1", "--classify"), ("simulate", "1", "1")):
+        code, out, err = run_cli(capsys, *argv, "--cap", "1000")
+        assert (code, out) == (4, ""), argv
+        assert err == (
+            "internal error: word 1: trajectory left the golden L: midpoint 1, direction (phi, 1), "
+            "after 1000 steps at (0, 1/2 + 1001*phi)\n"
+        ), argv
+
+
 def test_cap_zero_stops_at_the_start(capsys, tmp_path):
     out_path = tmp_path / "capped.svg"
     for argv in (
@@ -341,6 +357,10 @@ def test_stats_brute_cap(capsys):
     assert err == "error: enumeration of 4**12 words exceeds the limit 10\n"
     code, out, err = run_cli(capsys, "stats", "--max-n", "6", "--mode", "brute", "--cap", "7")
     assert (code, out, err) == (3, "", "error: enumeration of 4**8 words exceeds the limit 7\n")
+
+
+def test_stats_negative_max_n_is_an_input_error(capsys):
+    assert run_cli(capsys, "stats", "--max-n", "-1") == (2, "", "error: --max-n must be nonnegative, got -1\n")
 
 
 def test_stats_mc_deterministic(capsys):

@@ -209,16 +209,17 @@ def _rotations(a, b):
 
 
 def _counting_walks(monkeypatch):
-    """Patch the oracle's walk helper to record on each call whether it looks
-    for a twin, that is, has look data; returns the record."""
+    """Patch the flow kernel, which the oracle steps itself, to record on each
+    call whether it looks for a twin, that is, has look data; returns the
+    record."""
     walked = []
-    walk = flow_module._walk
+    run = flow_module._run
 
-    def counted(label, table, cap, look):
+    def counted(table, h, look, cap):
         walked.append(look is not None)
-        return walk(label, table, cap, look)
+        return run(table, h, look, cap)
 
-    monkeypatch.setattr(flow_module, "_walk", counted)
+    monkeypatch.setattr(flow_module, "_run", counted)
     return walked
 
 
@@ -291,9 +292,9 @@ def test_oracle_trajectories_equal_independent_traces(monkeypatch):
 def test_oracle_report_reads_walk_nothing(monkeypatch):
     # The oracle builds no trajectory: with trace_direction and Trajectory
     # patched to raise, the verdicts still come back. The report holds three
-    # plain slots and caches nothing, and with _walk patched to raise too, its
-    # reads, equality, repr, copies and pickles walk nothing. Its holonomies
-    # are those of whole traces from a short and a long midpoint.
+    # plain slots and caches nothing, and with the kernel _run patched to
+    # raise too, its reads, equality, repr, copies and pickles walk nothing.
+    # Its holonomies are those of whole traces from a short and a long midpoint.
     def refuse(*args):
         raise AssertionError(f"the report walked or built a trajectory: {args}")
 
@@ -307,7 +308,7 @@ def test_oracle_report_reads_walk_nothing(monkeypatch):
                 patched.setattr(flow_module, "Trajectory", refuse)
                 report = oracle_report_direction(v, cap)
                 again = oracle_report_direction(v, cap)
-                patched.setattr(flow_module, "_walk", refuse)
+                patched.setattr(flow_module, "_run", refuse)
                 if word is not None:
                     assert report.verdicts == classify_all(word).verdicts, (word, cap)
                 kinds = {c: [l for l, k in report.verdicts.items() if k is c] for c in Classification}
@@ -380,14 +381,17 @@ def test_each_closed_orbit_meets_one_twin_half_a_period_away(monkeypatch):
     # its twin; a cone hit meets none. Twice the displacement from the start
     # to the twin, over the first j crossings, is the holonomy of the whole
     # walk, which has 2j, 2j + 1 or 2j + 2 segments, and the twin's walk at
-    # most 2j + 2. The oracle's walk names the twin and stops there, its arc
-    # the first j crossings of the whole walk and its holonomy, doubled and
-    # shifted from the start to the twin, the whole walk's. In the axis
+    # most 2j + 2. The oracle's walk, a step of the kernel _run with its look
+    # data, names the twin and stops there, its arc the first j crossings of
+    # the whole walk, and the arc's displacement, doubled and shifted from the
+    # start to the twin, is the whole walk's holonomy. A walk that stops at no
+    # twin, ended as the oracle ends it, is the whole walk. In the axis
     # directions the twin can lie on the start's own chord, ahead of the start
     # (j = 0) or behind it (met only at closure, j = n); both occur, the
     # oracle's walk then meets no twin and closes, and the oracle walks the
-    # twin on its own: on both axes every twin lies so, five walks. Points and
-    # translations are integers at scale 2.
+    # twin on its own: on both axes every twin lies so, five walks. The whole
+    # walk is the trace's, from _walk. Points and translations are integers at
+    # scale 2.
     moves = {g.name: flow_module._int_point(g.translation, 2) for g in GOLDEN_L.identifications}
     moves = [moves[name] for name in "bdac"]  # what crossing each wall adds, in walk byte order
     points = {label: flow_module._int_point(weierstrass_point(label), 2) for label in WEIERSTRASS_LABELS}
@@ -395,43 +399,47 @@ def test_each_closed_orbit_meets_one_twin_half_a_period_away(monkeypatch):
     on_start_chord = {"ahead": 0, "behind": 0}
     for v in words + [GoldenVector(v.y, v.x) for v in words] + [HORIZONTAL, VERTICAL]:
         table = flow_module._direction_table(cleared(v))
-        _, deltas, starts, _ = table
+        _, deltas, starts, pairs = table
         look = flow_module._look(table)
         for label in WEIERSTRASS_LABELS:
-            t = trace_direction(label, v)
-            arc, holonomy, cone, twin = flow_module._walk(label, table, DEFAULT_STEP_CAP, look)
-            stopped = twin is not None
-            crossings = t.walk.rstrip(bytes([flow_module._END]))
+            walk, holonomy, cone = flow_module._walk(label, table, DEFAULT_STEP_CAP)
+            h0, edge_corner = starts[label]
+            arc, last, hit, twin = flow_module._run(table, h0, look, DEFAULT_STEP_CAP if edge_corner is None else 0)
+            if twin is None:
+                flow_module._finish(arc, last, h0, label, pairs, DEFAULT_STEP_CAP)
+            crossings = walk.rstrip(bytes([flow_module._END]))
             others = {h: m for m, (h, edge_run) in starts.items() if m != label and edge_run is None}
             # The chords' h as two lists, (p, b) for p + b*sqrt(5); each midpoint
             # met, by the number of crossings before its first chord.
             chords = [list(accumulate(map([d[c] for d in deltas].__getitem__, crossings), initial=starts[label][0][c]))
                       for c in (0, 1)]
             met = {m: i for h, m in others.items() if (i := _first_chord(*chords, h)) is not None}
-            if t.outcome is Outcome.HIT_CONE_POINT:
-                assert met == {} and twin is None and not stopped, (label, v)
-                assert (arc, holonomy, cone) == (t.walk, t._holonomy2, t._cone), (label, v)
+            if cone is not None:
+                assert met == {} and twin is None, (label, v)
+                assert (arc, hit if edge_corner is None else edge_corner) == (walk, cone), (label, v)
                 continue
             assert len(met) == 1, (label, v)
             (m, j), = met.items()
             if j:
-                assert twin == m and stopped and arc == crossings[:j], (label, v)
-                doubled = tuple(2 * c + d for c, d in zip(holonomy, flow_module._SHIFTS2[m, label]))
-                assert doubled == t._holonomy2, (label, v)
+                assert twin == m and arc == crossings[:j], (label, v)
             else:
-                assert twin is None and not stopped and (arc, holonomy) == (t.walk, t._holonomy2), (label, v)
-                if dot(weierstrass_point(m) - t.start, v).sign() > 0:
+                assert twin is None and arc == walk, (label, v)
+                if dot(weierstrass_point(m) - weierstrass_point(label), v).sign() > 0:
                     on_start_chord["ahead"] += 1
                 else:
                     on_start_chord["behind"] += 1
                     j = len(crossings)
             half = tuple(map(sub, points[m], points[label]))
-            whole = (0, 0, 0, 0)
+            whole = displaced = (0, 0, 0, 0)
             for k, move in enumerate(moves):
                 half = tuple(c + crossings.count(k, 0, j) * d for c, d in zip(half, move))
                 whole = tuple(c + crossings.count(k) * d for c, d in zip(whole, move))
-            assert tuple(2 * c for c in half) == whole == t._holonomy2, (label, v)
-            assert len(t.walk) - 2 * j in (0, 1, 2), (label, v)
+                displaced = tuple(c + arc.count(k) * d for c, d in zip(displaced, move))
+            assert tuple(2 * c for c in half) == whole == holonomy, (label, v)
+            if twin is not None:
+                doubled = tuple(2 * c + d for c, d in zip(displaced, flow_module._SHIFTS2[m, label]))
+                assert doubled == holonomy, (label, v)
+            assert len(walk) - 2 * j in (0, 1, 2), (label, v)
             assert len(crossings) + (m not in flow_module._ON_GLUED_EDGE) <= 2 * j + 2, (label, v)
     assert all(on_start_chord.values()), on_start_chord
     walked = _counting_walks(monkeypatch)
@@ -833,6 +841,19 @@ def test_trace_that_leaves_the_l_is_a_structural_violation(monkeypatch):
     message = str(excinfo.value)
     assert "midpoint 1" in message and "1000 steps" in message
     assert str(word_to_vector((1,))) in message
+
+
+def test_oracle_that_leaves_the_l_is_a_structural_violation(monkeypatch):
+    # The corrupted corners of the trace test above, under the oracle: its
+    # walk from midpoint 1 runs to the cap out through wall b, the same as
+    # the trace's, and _finish finds it outside the L.
+    table = flow_module._direction_table
+    monkeypatch.setattr(flow_module, "_direction_table", lambda pairs: (((10**6, 0),) * 3, *table(pairs)[1:]))
+    with pytest.raises(StructuralViolationError) as excinfo:
+        oracle_report((1,), cap=1000)
+    assert str(excinfo.value) == (
+        "trajectory left the golden L: midpoint 1, direction (phi, 1), after 1000 steps at (0, 1/2 + 1001*phi)"
+    )
 
 
 def _same_report(u, want):

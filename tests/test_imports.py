@@ -67,6 +67,17 @@ print(json.dumps(out))
     assert _run(code) == {name: LIBRARY for name in PUBLIC}
 
 
+def test_dir_loads_the_whole_library_and_lists_every_public_name():
+    code = f"""
+import json, sys
+import goldenl
+names = dir(goldenl)
+loaded = sorted(m[8:] for m in sys.modules if m.startswith("goldenl."))
+print(json.dumps([loaded, [name for name in {PUBLIC!r} if name not in names]]))
+"""
+    assert _run(code) == [LIBRARY, []]
+
+
 def test_star_import_binds_every_public_name():
     code = """
 import json
