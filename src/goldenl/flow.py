@@ -25,16 +25,16 @@ With the start points scaled by 2 and the direction cleared to integer pairs,
 h is an integer pair (a, b) meaning a + b*phi, and (p, b) with p = 2a + b
 gives 2h = p + b*sqrt(5). The kernel keeps h as its offset (x, y) in that
 form from the middle corner, so the first sign test reads the state as it is
-and the second subtracts the offset of one outer corner, set up once per
-trace. Each test is decided inline by golden_sign's rule: same signs settle
-it at once, mixed signs compare the squares. Each of the four walls has its
-own branch, which appends its byte and adds its step to h. A direction is
-set up once per call, in one table of what the walk reads, with its pairs:
-every h a trace starts from or steps by is v x p for a fixed point p, a
-small integer combination of half steps along the axes, so it is a sum of
+and the second subtracts the offset of one outer corner. Each test is
+decided inline by golden_sign's rule: same signs settle it at once, mixed
+signs compare the squares. Each of the four walls has its own branch, which
+appends its byte and adds its step to h. A direction is set up once per
+call, in one frame of such offsets in the form the kernel reads, with its
+pairs: every h a trace starts from or steps by is v x p for a fixed point p,
+a small integer combination of half steps along the axes, so it is a sum of
 the h's of those four half steps, each read off the pairs by golden_mul's
 rule. A trajectory keeps only what its trace decides, the whole walk, the
-integer holonomy, the corner hit and the direction's table. On the first
+integer holonomy, the corner hit and the direction's frame. On the first
 read of its points it sets up their scale from the pairs and replays them.
 Points are checked against the L's fixed points at scale 2.
 
@@ -45,8 +45,9 @@ oracle, which needs only holonomies and steps the kernel itself: its walk
 stops on the first chord of another midpoint while its j crossings leave
 2j + 2 <= cap, and gives both twice the displacement so far; a midpoint not
 yet known is walked on its own, and a walk into the cone point builds no
-holonomy. What its walks look for, the midpoints' chords, is set up once per
-direction. So it walks about half of each cylinder's core orbit and builds no
+holonomy. What its walks look for, the midpoints' chords, is in the frame
+too, so a walk only unpacks it, and each verdict is read as its holonomy
+comes. So it walks about half of each cylinder's core orbit and builds no
 trajectory. It reads a word's pairs from words._pairs, and its report keeps
 the pairs and the holonomies the cylinder check passed; no read of it walks.
 The check is in closed form: psi_w carries the horizontal cylinders onto v's,
@@ -156,14 +157,16 @@ _ON_GLUED_EDGE = tuple(label for label, twins in _TWINS2.items() if len(twins) >
 
 
 def _direction_table(pairs: Point) -> tuple:
-    """What every walk in the direction with integer pairs `pairs` reads: the
-    h of the corners where walls meet, _STAIR[1:4]; per exit wall, what
-    crossing it adds to h; per midpoint, its h and the _STAIR index of the
-    corner an edge run from it ends at, or None; and the pairs. Every h, at
-    scale 2 in the (p, b) form, is v x p for a point p of _EXITS, _STAIR2 or
-    _STARTS2, and h is linear in p; each of those points is a small integer
-    combination of half steps along the axes, so the table sums their h's. The
-    callers check that the pairs are a direction in the closed first quadrant.
+    """The frame of the direction with integer pairs `pairs`, set up once in
+    the form the kernel _run reads: the h of the middle corner of _STAIR[1:4];
+    the offsets from it of the outer two; per exit wall, what crossing it adds
+    to h; per midpoint, its chord's offset and the _STAIR index of the corner
+    an edge run from it ends at, or None; the oracle's look data, the first
+    parts of the five offsets and each chord of a midpoint that is no edge run
+    to the lowest such label on it; and the pairs. Every h, at scale 2 in the
+    (p, b) form, is v x p for a point p of _EXITS, _STAIR2 or _STARTS2, a small
+    integer combination of half steps along the axes, so the frame sums their
+    h's. The callers check that the pairs are a direction in the first quadrant.
     """
     vxa, vxb, vya, vyb = pairs
     # The h of the half steps (0, 1/2), (0, phi/2), (1/2, 0) and (phi/2, 0), by golden_mul.
@@ -171,18 +174,25 @@ def _direction_table(pairs: Point) -> tuple:
     x1, x1b, xf, xfb = -2 * vya - vyb, -vyb, -vya - 3 * vyb, -vya - vyb
     # r, t, a and c, the h of (phi^2, 0), (0, phi), (phi, 0) and (0, phi^2):
     # _STAIR2[0] and _STAIR2[4] among them, and minus what crossing walls b,
-    # d, a and c adds, whose translations back in _EXITS they undo.
+    # d, a and c adds, whose translations back in _EXITS they undo. The
+    # corners of _STAIR2[1:4] are r + t, a + t (the middle one) and a + c.
     r, rb, t, tb = 2 * (x1 + xf), 2 * (x1b + xfb), 2 * yf, 2 * yfb
     a, ab, c, cb = 2 * xf, 2 * xfb, 2 * (y1 + yf), 2 * (y1b + yfb)
-    # _STARTS2: midpoint 1 at (0, 1/2 + phi), 5 at (1/2 + phi, 0), 2 and 4 a
-    # half step of phi in from them, and 3 at (phi/2, phi/2).
-    m1, m1b, m5, m5b = y1 + t, y1b + tb, x1 + a, x1b + ab
-    hm = (m1, m1b), (m1 + xf, m1b + xfb), (xf + yf, xfb + yfb), (m5 + yf, m5b + yfb), (m5, m5b)
-    edge_run = {(r, rb): 0, (c, cb): 4}.get
-    starts = {label: (h, edge_run(h)) for label, h in zip(WEIERSTRASS_LABELS, hm)}
-    # _STAIR2[1:4], the corners (phi^2, phi), (phi, phi) and (phi, phi^2).
-    breaks = (r + t, rb + tb), (a + t, ab + tb), (a + c, ab + cb)
-    return breaks, ((-r, -rb), (-t, -tb), (-a, -ab), (-c, -cb)), starts, pairs
+    # _STARTS2 less the middle corner: midpoint 1 at (0, 1/2 + phi), 5 at
+    # (1/2 + phi, 0), 2 and 4 a half step of phi in from them, and 3 at
+    # (phi/2, phi/2). Only on the vertical (y1 = 0) is midpoint 1 on a corner's
+    # chord, c's along the edge x = 0, and only on the horizontal 5, on r's.
+    o1, o5 = (y1 - a, y1b - ab), (x1 - t, x1b - tb)
+    o2, o3, o4 = (o1[0] + xf, o1[1] + xfb), (-xf - yf, -xfb - yfb), (o5[0] + yf, o5[1] + yfb)
+    e1, e5 = None if y1 or y1b else 4, None if x1 or x1b else 0
+    starts = {1: (o1, e1), 2: (o2, None), 3: (o3, None), 4: (o4, None), 5: (o5, e5)}
+    # A display keeps the last value of a repeated key, the lowest label; an edge holds no other midpoint.
+    twins = {o5: 5, o4: 4, o3: 3, o2: 2, o1: 1}
+    if e1 is not None or e5 is not None:  # an edge run starts on a corner, on no closed orbit
+        del twins[o5 if e1 is None else o1]
+    near = {o1[0], o2[0], o3[0], o4[0], o5[0]}
+    steps = (-r, -rb), (-t, -tb), (-a, -ab), (-c, -cb)
+    return (a + t, ab + tb), (r - a, rb - ab, c - t, cb - tb), steps, starts, near, twins, pairs
 
 
 def _replay_table(pairs: Point) -> tuple[int, tuple]:
@@ -237,7 +247,7 @@ class Trajectory(_Frozen):
 
     @cached_property
     def _replay(self) -> tuple[int, tuple]:
-        return _replay_table(self._table[3])
+        return _replay_table(self._table[-1])
 
     @property
     def scale(self) -> int:
@@ -261,9 +271,9 @@ class Trajectory(_Frozen):
 
     @cached_property
     def points(self) -> tuple[tuple[Point, Point], ...]:
-        _, deltas, starts, _ = self._table
+        corner, _, deltas, starts, _, _, _ = self._table
         scale, rows = self._replay
-        (p, b), _ = starts[self.start_label]
+        p, b = map(add, starts[self.start_label][0], corner)
         # Per wall: the step of h, whether the wall is vertical, the factor m
         # that takes h to the re-entry coordinate, and the translation back.
         steps = [(*delta, vertical, *m, *back) for delta, (vertical, m, back) in zip(deltas, rows)]
@@ -315,23 +325,19 @@ class Trajectory(_Frozen):
         }
 
 
-def _run(table: tuple, h: tuple[int, int], look: tuple | None, cap: int) -> tuple:
-    """The step loop: from the chord h, in (p, b) form at scale 2, cross at
-    most `cap` walls until h comes back or the cone point. With `look`, the
-    oracle's _look(table), the walk also ends on the chord of another
-    midpoint, its twin, met after j crossings with 2j + 2 <= cap. Returns the
-    walk, the h of its last chord, the corner hit or None, and the twin it
-    stopped at or None."""
-    breaks, deltas, _, _ = table
+def _run(table: tuple, h: tuple[int, int], look: bool, cap: int) -> tuple:
+    """The step loop: from the chord h, an offset from the middle corner in
+    (p, b) form at scale 2, cross at most `cap` walls until h comes back or
+    the cone point. With `look`, the oracle's walk also ends on another
+    midpoint's chord, its twin's, met after j crossings with 2j + 2 <= cap.
+    It only unpacks the frame `table`. Returns the walk, the offset of its
+    last chord, the corner hit or None, and the twin it stopped at or None."""
     # h is kept as its offset (x, y) from the middle corner, and the outer
     # corners as theirs, so the first sign test reads the state as it is.
-    (p1, b1), (p2, b2), (p3, b3) = breaks
-    u1, v1, u3, v3 = p1 - p2, b1 - b2, p3 - p2, b3 - b2
-    (dx0, dy0), (dx1, dy1), (dx2, dy2), (dx3, dy3) = deltas
-    x0 = x = h[0] - p2
-    y0 = y = h[1] - b2
-    # The first parts of the chords the walk looks for: with look every midpoint's, the start's among them.
-    near, twins = look or ((x0,), None)
+    _, (u1, v1, u3, v3), ((dx0, dy0), (dx1, dy1), (dx2, dy2), (dx3, dy3)), _, near, twins, _ = table
+    x0, y0 = x, y = h
+    if not look:  # a trace looks only for its start's chord
+        near, twins = (x0,), None
     cone = twin = None
     walk = bytearray()
     append = walk.append
@@ -376,29 +382,13 @@ def _run(table: tuple, h: tuple[int, int], look: tuple | None, cap: int) -> tupl
                 twin = twins.get((x, y))
                 if twin is not None:
                     break
-    return walk, (x + p2, y + b2), cone, twin
+    return walk, (x, y), cone, twin
 
 
-def _look(table: tuple) -> tuple:
-    """What the oracle's walks in the direction with table `table` look for,
-    as offsets from the middle corner, like _run's h: the first parts of the
-    five midpoints' chords, and the chord of each midpoint that is no edge run
-    (edge runs start on a corner, on no closed orbit) to the first such
-    midpoint on it."""
-    breaks, _, starts, _ = table
-    p2, b2 = breaks[1]
-    near, twins = set(), {}
-    for label, ((p, b), edge_run) in starts.items():
-        near.add(p - p2)
-        if edge_run is None:
-            twins.setdefault((p - p2, b - b2), label)
-    return near, twins
-
-
-def _finish(walk: bytearray, h: tuple[int, int], h0: tuple[int, int], label: int, pairs: Point, cap: int) -> None:
+def _finish(walk: bytearray, h: tuple[int, int], h0: tuple[int, int], label: int, table: tuple, cap: int) -> None:
     """End a walk from midpoint `label`, whose chord is h0, that _run ended
-    on the chord h without a twin stop, in the direction with integer pairs
-    `pairs`. Append _END when one more segment ends it; then, past `cap`
+    on the chord h without a twin stop, both offsets in the direction's frame
+    `table`. Append _END when one more segment ends it; then, past `cap`
     segments, raise CapExceededError, or StructuralViolationError if the walk
     left the L.
 
@@ -414,12 +404,12 @@ def _finish(walk: bytearray, h: tuple[int, int], h0: tuple[int, int], label: int
         return
     last = weierstrass_point(label)
     if len(walk) > 1:  # where the chord h enters the L, through the glued twin of the last wall
-        p, b = h
-        scale, rows = _replay_table(pairs)
+        p, b = map(add, h, table[0])
+        scale, rows = _replay_table(table[-1])
         vertical, (ma, mb), _ = rows[walk[-2]]
         ua, ub = golden_mul((p - b) // 2, b, ma, mb)
         last = _from_point((0, 0, ua, ub) if vertical else (ua, ub, 0, 0), scale)
-    where = f"midpoint {label}, direction {_shown(_from_point(pairs, 1))}, after {_shown(cap)} steps at {_shown(last)}"
+    where = f"midpoint {label}, direction {_shown(_from_point(table[-1], 1))}, after {_shown(cap)} steps at {_shown(last)}"
     if not point_in_surface(last):
         raise StructuralViolationError(f"trajectory left the golden L: {where}")
     raise CapExceededError(f"trajectory did not terminate: {where}")
@@ -427,15 +417,14 @@ def _finish(walk: bytearray, h: tuple[int, int], h0: tuple[int, int], label: int
 
 def _walk(label: int, table: tuple, cap: int) -> tuple:
     """The trace's walk: the whole orbit from midpoint `label` in the
-    direction with table `table`, in at most `cap` segments, ended by
+    direction with frame `table`, in at most `cap` segments, ended by
     _finish. Returns the walk, its holonomy at scale 2 and the corner hit or
     None. The oracle does not walk through here: it steps _run itself, and
     builds no holonomy for the cone hit."""
-    _, _, starts, pairs = table
     weierstrass_point(label)  # raises ValueError for a bad label
-    h0, cone = starts[label]
-    walk, h, hit, _ = _run(table, h0, None, cap if cone is None else 0)
-    _finish(walk, h, h0, label, pairs, cap)
+    h0, cone = table[3][label]
+    walk, h, hit, _ = _run(table, h0, False, cap if cone is None else 0)
+    _finish(walk, h, h0, label, table, cap)
     # The translations of the crossings. Per wall at scale 2, a crossing adds
     # (2, 2, 0, 0), (0, 0, 0, 2), (0, 2, 0, 0) or (0, 0, 2, 2).
     n0, n1, n2, n3 = walk.count(0), walk.count(1), walk.count(2), walk.count(3)
@@ -480,35 +469,39 @@ def _oracle(pairs: Point, check: Point, cap: int) -> OracleReport:
     fixes the other two walls.) Any midpoint not yet known is walked on its
     own, to the same holonomy or the same error.
 
-    It steps the kernel _run itself and reads holonomies off the wall counts
-    n by _walk's rule, 2n for (2n0, 2(n0 + n2), 2n3, 2(n1 + n3)): 4n plus
-    twice the step from the start to the twin for both midpoints of a twin
-    stop, 2n for a closed walk, and None, no holonomy built, for the cone hit.
-    A walk that stops at no twin ends by _finish, as the trace's does.
+    It sets the direction's frame up once, look data included, and steps the
+    kernel _run on it itself. In one pass over the labels in order it walks
+    each midpoint not yet known and reads holonomies off the wall counts n by
+    _walk's rule, 2n for (2n0, 2(n0 + n2), 2n3, 2(n1 + n3)): 4n plus twice the
+    step from the start to the twin for both midpoints of a twin stop, 2n for
+    a closed walk, and None, no holonomy built, for the cone hit. A walk that
+    stops at no twin ends by _finish, as the trace's does. Verdicts that are
+    not one cone hit, two short and two long go to _cylinder_verdicts, which
+    raises its error.
     """
     _check_int("cap", cap, 0)
     table = _direction_table(pairs)
-    look = _look(table)
-    starts = table[2]
-    holonomies = {}
+    starts, kind = table[3], _verdict_of(check)
+    known, holonomies, verdicts = {}, {}, {}
     for label in WEIERSTRASS_LABELS:
-        if label in holonomies:
-            continue
-        h0, edge_run = starts[label]
-        walk, h, hit, twin = _run(table, h0, look, cap if edge_run is None else 0)
-        if twin is not None:  # stopped at the twin, half a period on
-            n0, n1, n2, n3 = walk.count(0), walk.count(1), walk.count(2), walk.count(3)
-            s0, s1, s2, s3 = _SHIFTS2[twin, label]
-            holonomies[twin] = holonomies[label] = 4 * n0 + s0, 4 * (n0 + n2) + s1, 4 * n3 + s2, 4 * (n1 + n3) + s3
-            continue
-        _finish(walk, h, h0, label, pairs, cap)
-        if hit is None and edge_run is None:
-            n0, n1, n2, n3 = walk.count(0), walk.count(1), walk.count(2), walk.count(3)
-            holonomies[label] = 2 * n0, 2 * (n0 + n2), 2 * n3, 2 * (n1 + n3)
-        else:
-            holonomies[label] = None
-    holonomies = {label: holonomies[label] for label in WEIERSTRASS_LABELS}
-    return OracleReport(pairs, _cylinder_verdicts(check, holonomies), holonomies)
+        if label not in known:  # else met by an earlier walk's twin stop
+            h0, edge_run = starts[label]
+            walk, h, hit, twin = _run(table, h0, True, cap if edge_run is None else 0)
+            if twin is not None:  # stopped at the twin, half a period on
+                n0, n1, n2, n3 = walk.count(0), walk.count(1), walk.count(2), walk.count(3)
+                s0, s1, s2, s3 = _SHIFTS2[twin, label]
+                known[twin] = known[label] = 4 * n0 + s0, 4 * (n0 + n2) + s1, 4 * n3 + s2, 4 * (n1 + n3) + s3
+            else:
+                _finish(walk, h, h0, label, table, cap)
+                if hit is None and edge_run is None:  # else the cone hit, no holonomy built
+                    n0, n1, n2, n3 = walk.count(0), walk.count(1), walk.count(2), walk.count(3)
+                    known[label] = 2 * n0, 2 * (n0 + n2), 2 * n3, 2 * (n1 + n3)
+        holonomies[label] = holonomy = known.get(label)
+        verdicts[label] = kind(holonomy)
+    got = list(verdicts.values())
+    if got.count(_SADDLE) != 1 or None in got or got.count(_SHORT) != 2:
+        _cylinder_verdicts(check, holonomies)
+    return OracleReport(pairs, verdicts, holonomies)
 
 
 class OracleReport(_Frozen):
@@ -550,10 +543,19 @@ def oracle_report_direction(v: GoldenVector, cap: int = DEFAULT_STEP_CAP) -> Ora
 _SHORT, _LONG, _SADDLE = Classification.SHORT, Classification.LONG, Classification.SADDLE_CONNECTION
 
 
+def _verdict_of(pairs: Point) -> Callable[[Point | None], Classification | None]:
+    """The verdict of a holonomy at scale 2, or None for a cone hit, against
+    the word's vector v with integer pairs `pairs`, or None for neither."""
+    a, b, c, d = pairs
+    short = 2 * b, 2 * (a + b), 2 * d, 2 * (c + d)  # phi*v at scale 2, by golden_mul
+    long = short[1], short[0] + short[1], short[3], short[2] + short[3]  # phi*short
+    return {short: _SHORT, long: _LONG, None: _SADDLE}.get
+
+
 def _cylinder_verdicts(pairs: Point, holonomies: dict[int, Point | None]) -> dict[int, Classification]:
     """The verdicts from each midpoint's holonomy at scale 2, or None for a
-    cone hit, checked against the word's vector v with integer pairs `pairs`;
-    the oracle steps the kernel itself and builds no holonomy for the cone hit.
+    cone hit, in label order, checked against the word's vector v with
+    integer pairs `pairs`; the oracle builds no holonomy for the cone hit.
 
     psi_w, the affine automorphism with derivative sigma_w, carries the
     horizontal cylinders, holonomies phi and phi^2, onto v's (Veech 1989): one
@@ -562,11 +564,8 @@ def _cylinder_verdicts(pairs: Point, holonomies: dict[int, Point | None]) -> dic
     simulator or the geometry tables, never bad input. One lookup per label
     gives its verdict, None for neither, and the checks read the verdicts.
     """
-    a, b, c, d = pairs
-    short = 2 * b, 2 * (a + b), 2 * d, 2 * (c + d)  # phi*v at scale 2, by golden_mul
-    long = short[1], short[0] + short[1], short[3], short[2] + short[3]  # phi*short
-    kinds = {short: _SHORT, long: _LONG, None: _SADDLE}
-    verdicts = {label: kinds.get(holonomies[label]) for label in sorted(holonomies)}
+    kind = _verdict_of(pairs)
+    verdicts = {label: kind(h) for label, h in holonomies.items()}
     got = list(verdicts.values())
     saddles = got.count(_SADDLE)
     if saddles != 1 or len(got) != 5:
@@ -624,7 +623,7 @@ def validate_trajectory_structure(trajectory: Trajectory) -> None:
     points, scale, v = trajectory.points, trajectory.scale, trajectory.direction
     if not points:
         raise StructuralViolationError("trajectory has no segments")
-    vxa, vxb, vya, vyb = trajectory._table[3]
+    vxa, vxb, vya, vyb = trajectory._table[-1]
     sign = golden_sign(vxa, vxb) or golden_sign(vya, vyb)
     for begin, end in points:
         dxa, dxb, dya, dyb = end[0] - begin[0], end[1] - begin[1], end[2] - begin[2], end[3] - begin[3]

@@ -160,7 +160,7 @@ def _fold(trajectory: Trajectory) -> tuple[list[complex], bool]:
     """billiard_path's points as table points x + yi, and whether the path
     closed, read from the walk, the direction's table and the start label."""
     label, walk, cone = trajectory.start_label, trajectory.walk, trajectory._cone
-    _, deltas, starts, pairs = trajectory._table
+    (p2, b2), _, deltas, starts, _, _, pairs = trajectory._table
     outside, closed, beyond = label in (2, 4), cone is None, _BEYOND.get(cone)
     if closed and walk[-1] == _END:
         # Closed strictly inside a segment: the last run ends at the start and
@@ -170,7 +170,8 @@ def _fold(trajectory: Trajectory) -> tuple[list[complex], bool]:
     # (p + b * sqrt 5) / 4. Past float range, v and every h are divided alike by a power of 2.
     den = 4 << max(0, max(map(abs, pairs)).bit_length() - 960)
     maps = _side_maps(pairs, den >> 2)
-    (p, b), _ = starts[label]
+    (x, y), _ = starts[label]
+    p, b = x + p2, y + b2
     # Each run re-enters after the previous wall and leaves before its own, so
     # the start is crossing 0, or 1 from midpoints 2 and 4, of a closed orbit.
     # The first run re-enters only on a closed orbit, after its last wall.

@@ -227,10 +227,13 @@ def reference_trace(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP):
     return tuple(raw_segments), scale, outcome, holonomy, cone_point
 
 
-def reference_direction_table(v: GoldenVector) -> tuple[tuple, tuple]:
+def reference_direction_table(v: GoldenVector, corners: tuple | None = None) -> tuple[tuple, tuple]:
     """`goldenl.flow._direction_table` and `goldenl.flow._replay_table` of the
     pairs of v, field for field, with each h at scale 2 in the (p, b) form
-    2h = p + b*sqrt(5) taken point by point."""
+    2h = p + b*sqrt(5) taken point by point, then made an offset from the
+    middle corner, and the look data gathered midpoint by midpoint. With
+    `corners`, the h of the three corners where walls meet are those given
+    in place of their own, a corrupted frame."""
     pairs = vxa, vxb, vya, vyb = _direction_pairs(v)
 
     def h(point: Point) -> tuple[int, int]:
@@ -253,12 +256,28 @@ def reference_direction_table(v: GoldenVector) -> tuple[tuple, tuple]:
         rows.append((vertical, (q * (da + db), -q * db), tuple(c * factor for c in back)))
         deltas.append(h(back))
     stair = [h(_int_point(p, 2)) for p in GOLDEN_L.vertices[2:7]]
+    low, middle, high = stair[1:4] if corners is None else corners
+
+    def offset(h: tuple[int, int]) -> tuple[int, int]:
+        return h[0] - middle[0], h[1] - middle[1]
+
     ends = {stair[0]: 0, stair[4]: 4}
-    starts = {}
+    starts, near, twins = {}, set(), {}
     for label in WEIERSTRASS_LABELS:
         start = h(_int_point(weierstrass_point(label), 2))
-        starts[label] = (start, ends.get(start))
-    return (tuple(stair[1:4]), tuple(deltas), starts, pairs), (2 * factor, tuple(rows))
+        starts[label] = (offset(start), ends.get(start))
+        near.add(offset(start)[0])
+        if ends.get(start) is None:  # an edge run starts on a corner, on no closed orbit
+            twins.setdefault(offset(start), label)
+    frame = middle, (*offset(low), *offset(high)), tuple(deltas), starts, near, twins, pairs
+    return frame, (2 * factor, tuple(rows))
+
+
+def corners_above_every_chord(pairs: Point) -> tuple:
+    """The frame of the direction with integer pairs `pairs`, its three
+    corners moved to h = 10**6, far above every chord: each walk then leaves
+    through wall b at every step, and so leaves the L."""
+    return reference_direction_table(_from_point(pairs, 1), ((10**6, 0),) * 3)[0]
 
 
 def reference_oracle(v: GoldenVector, cap: int = DEFAULT_STEP_CAP) -> OracleReport:

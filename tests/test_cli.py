@@ -12,6 +12,7 @@ import jsonschema
 import pytest
 
 import goldenl
+from flow_reference import corners_above_every_chord
 from goldenl import cli
 from goldenl import flow as flow_module
 from goldenl.classify import Classification
@@ -275,8 +276,7 @@ def test_flow_that_leaves_the_l_exits_4(capsys, monkeypatch):
     # Corners moved far above every chord send each one out through wall b,
     # so the walk from midpoint 1 leaves the L: a structural violation, exit
     # 4, through the oracle and through one trace alike.
-    table = flow_module._direction_table
-    monkeypatch.setattr(flow_module, "_direction_table", lambda pairs: (((10**6, 0),) * 3, *table(pairs)[1:]))
+    monkeypatch.setattr(flow_module, "_direction_table", corners_above_every_chord)
     for argv in (("simulate", "1", "--classify"), ("simulate", "1", "1")):
         code, out, err = run_cli(capsys, *argv, "--cap", "1000")
         assert (code, out) == (4, ""), argv

@@ -11,7 +11,15 @@ from operator import sub
 
 import pytest
 
-from flow_reference import cross, dot, inverse, reference_direction_table, reference_oracle, reference_trace
+from flow_reference import (
+    corners_above_every_chord,
+    cross,
+    dot,
+    inverse,
+    reference_direction_table,
+    reference_oracle,
+    reference_trace,
+)
 from goldenl import (
     CapExceededError,
     GoldenNumber,
@@ -210,13 +218,13 @@ def _rotations(a, b):
 
 def _counting_walks(monkeypatch):
     """Patch the flow kernel, which the oracle steps itself, to record on each
-    call whether it looks for a twin, that is, has look data; returns the
-    record."""
+    call whether it looks for a twin, that is, reads the frame's look data;
+    returns the record."""
     walked = []
     run = flow_module._run
 
     def counted(table, h, look, cap):
-        walked.append(look is not None)
+        walked.append(look)
         return run(table, h, look, cap)
 
     monkeypatch.setattr(flow_module, "_run", counted)
@@ -229,7 +237,7 @@ def _look_walks(v, verdicts, cap):
     first on the other midpoint's chord after j crossings, the chords replayed
     by their h; that walk stops there if 0 < j and 2j + 2 <= cap, or else the
     other midpoint is walked too."""
-    _, deltas, starts, _ = flow_module._direction_table(cleared(v))
+    _, _, deltas, starts, _, _, _ = flow_module._direction_table(cleared(v))
     walks = 1
     for verdict in (Classification.SHORT, Classification.LONG):
         a, b = sorted(label for label, c in verdicts.items() if c is verdict)
@@ -377,21 +385,21 @@ def _first_chord(ps, bs, h):
 def test_each_closed_orbit_meets_one_twin_half_a_period_away(monkeypatch):
     # Every word of length <= 6, its mirror in y = x, and both axes, from all
     # five midpoints. The chords a walk runs along are replayed by their h from
-    # the direction's table. A closed orbit meets exactly one other midpoint,
+    # the direction's frame. A closed orbit meets exactly one other midpoint,
     # its twin; a cone hit meets none. Twice the displacement from the start
     # to the twin, over the first j crossings, is the holonomy of the whole
     # walk, which has 2j, 2j + 1 or 2j + 2 segments, and the twin's walk at
-    # most 2j + 2. The oracle's walk, a step of the kernel _run with its look
-    # data, names the twin and stops there, its arc the first j crossings of
-    # the whole walk, and the arc's displacement, doubled and shifted from the
-    # start to the twin, is the whole walk's holonomy. A walk that stops at no
-    # twin, ended as the oracle ends it, is the whole walk. In the axis
-    # directions the twin can lie on the start's own chord, ahead of the start
-    # (j = 0) or behind it (met only at closure, j = n); both occur, the
-    # oracle's walk then meets no twin and closes, and the oracle walks the
-    # twin on its own: on both axes every twin lies so, five walks. The whole
-    # walk is the trace's, from _walk. Points and translations are integers at
-    # scale 2.
+    # most 2j + 2. The oracle's walk, a step of the kernel _run reading the
+    # frame's look data, names the twin and stops there, its arc the first j
+    # crossings of the whole walk, and the arc's displacement, doubled and
+    # shifted from the start to the twin, is the whole walk's holonomy. A walk
+    # that stops at no twin, ended as the oracle ends it, is the whole walk.
+    # In the axis directions the twin can lie on the start's own chord, ahead
+    # of the start (j = 0) or behind it (met only at closure, j = n); both
+    # occur, the oracle's walk then meets no twin and closes, and the oracle
+    # walks the twin on its own: on both axes every twin lies so, five walks.
+    # The whole walk is the trace's, from _walk. Points and translations are
+    # integers at scale 2.
     moves = {g.name: flow_module._int_point(g.translation, 2) for g in GOLDEN_L.identifications}
     moves = [moves[name] for name in "bdac"]  # what crossing each wall adds, in walk byte order
     points = {label: flow_module._int_point(weierstrass_point(label), 2) for label in WEIERSTRASS_LABELS}
@@ -399,14 +407,13 @@ def test_each_closed_orbit_meets_one_twin_half_a_period_away(monkeypatch):
     on_start_chord = {"ahead": 0, "behind": 0}
     for v in words + [GoldenVector(v.y, v.x) for v in words] + [HORIZONTAL, VERTICAL]:
         table = flow_module._direction_table(cleared(v))
-        _, deltas, starts, pairs = table
-        look = flow_module._look(table)
+        _, _, deltas, starts, _, _, _ = table
         for label in WEIERSTRASS_LABELS:
             walk, holonomy, cone = flow_module._walk(label, table, DEFAULT_STEP_CAP)
             h0, edge_corner = starts[label]
-            arc, last, hit, twin = flow_module._run(table, h0, look, DEFAULT_STEP_CAP if edge_corner is None else 0)
+            arc, last, hit, twin = flow_module._run(table, h0, True, DEFAULT_STEP_CAP if edge_corner is None else 0)
             if twin is None:
-                flow_module._finish(arc, last, h0, label, pairs, DEFAULT_STEP_CAP)
+                flow_module._finish(arc, last, h0, label, table, DEFAULT_STEP_CAP)
             crossings = walk.rstrip(bytes([flow_module._END]))
             others = {h: m for m, (h, edge_run) in starts.items() if m != label and edge_run is None}
             # The chords' h as two lists, (p, b) for p + b*sqrt(5); each midpoint
@@ -595,7 +602,7 @@ def _reversed(t):
         direction=-t.direction,
         _holonomy2=tuple(-c for c in t._holonomy2),
         # The table carries the direction's integer pairs, which validation reads.
-        _table=(*t._table[:3], tuple(-c for c in t._table[3])),
+        _table=(*t._table[:-1], tuple(-c for c in t._table[-1])),
     )
 
 
@@ -829,13 +836,7 @@ def test_trace_that_leaves_the_l_is_a_structural_violation(monkeypatch):
     # Corners moved far above every chord send each one out through wall b,
     # so the walk takes a wrong wall and the trace leaves the L after its
     # first step.
-    table = flow_module._direction_table
-
-    def corrupted(pairs):
-        _, *rest = table(pairs)
-        return (((10**6, 0),) * 3, *rest)
-
-    monkeypatch.setattr(flow_module, "_direction_table", corrupted)
+    monkeypatch.setattr(flow_module, "_direction_table", corners_above_every_chord)
     with pytest.raises(StructuralViolationError) as excinfo:
         trace_direction(1, word_to_vector((1,)), cap=1000)
     message = str(excinfo.value)
@@ -847,8 +848,7 @@ def test_oracle_that_leaves_the_l_is_a_structural_violation(monkeypatch):
     # The corrupted corners of the trace test above, under the oracle: its
     # walk from midpoint 1 runs to the cap out through wall b, the same as
     # the trace's, and _finish finds it outside the L.
-    table = flow_module._direction_table
-    monkeypatch.setattr(flow_module, "_direction_table", lambda pairs: (((10**6, 0),) * 3, *table(pairs)[1:]))
+    monkeypatch.setattr(flow_module, "_direction_table", corners_above_every_chord)
     with pytest.raises(StructuralViolationError) as excinfo:
         oracle_report((1,), cap=1000)
     assert str(excinfo.value) == (
@@ -899,11 +899,16 @@ def test_walk_is_invariant_under_unit_scaling():
 
 
 def test_direction_table_equals_point_by_point_reference():
-    # The table's h are one integer linear map of the direction's pairs; the
-    # reference takes golden_mul at each fixed point. Every word of length <= 5,
-    # seeded words of lengths 6-12, both axes, and the words of length <= 3 and
-    # the axes scaled by phi**k for k = -8..8. The table carries v cleared, and
-    # the point scale and replay rows are set up from it.
+    # The frame's h are one integer linear map of the direction's pairs; the
+    # reference takes golden_mul at each fixed point, makes each an offset
+    # from the middle corner and gathers the look data midpoint by midpoint.
+    # Every word of length <= 5, seeded words of lengths 6-12, both axes, and
+    # the words of length <= 3 and the axes scaled by phi**k for k = -8..8.
+    # The frame equals the reference: the middle corner, the outer corners'
+    # offsets, the steps, the chords' offsets and edge runs, and the look
+    # data, which are the first parts of the five offsets and each offset of a
+    # midpoint that is no edge run to the lowest such label on it. The frame
+    # carries v cleared, and the point scale and replay rows are set up from it.
     rng = random.Random(20261019)
     words = [w for n in range(6) for w in product((0, 1, 2, 3), repeat=n)]
     words += [tuple(rng.randrange(4) for _ in range(n)) for n in range(6, 13) for _ in range(8)]
@@ -918,8 +923,12 @@ def test_direction_table_equals_point_by_point_reference():
         table = flow_module._direction_table(cleared(v))
         want_table, (want_scale, want_rows) = reference_direction_table(v)
         assert table == want_table, v
-        assert table[3] == cleared(v), v
-        scale, rows = flow_module._replay_table(table[3])
+        _, _, _, starts, near, twins, pairs = table
+        assert near == {h[0] for h, _ in starts.values()}, v
+        runs = {h for h, edge_run in starts.values() if edge_run is None}
+        assert twins == {h: min(l for l, g in starts.items() if g == (h, None)) for h in runs}, v
+        assert pairs == cleared(v), v
+        scale, rows = flow_module._replay_table(pairs)
         assert scale == want_scale, v
         assert rows == want_rows, v
 
