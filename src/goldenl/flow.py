@@ -46,7 +46,7 @@ stops on the first chord of another midpoint while its j crossings leave
 2j + 2 <= cap, and gives both twice the displacement so far; a midpoint not
 yet known is walked on its own, and a walk into the cone point builds no
 holonomy. What its walks look for, the midpoints' chords, is in the frame
-too, so a walk only unpacks it, and each verdict is read as its holonomy
+too, so a walk only unpacks it, and it counts each verdict as its holonomy
 comes. So it walks about half of each cylinder's core orbit and builds no
 trajectory. It reads a word's pairs from words._pairs, and its report keeps
 the pairs and the holonomies the cylinder check passed; no read of it walks.
@@ -475,14 +475,14 @@ def _oracle(pairs: Point, check: Point, cap: int) -> OracleReport:
     _walk's rule, 2n for (2n0, 2(n0 + n2), 2n3, 2(n1 + n3)): 4n plus twice the
     step from the start to the twin for both midpoints of a twin stop, 2n for
     a closed walk, and None, no holonomy built, for the cone hit. A walk that
-    stops at no twin ends by _finish, as the trace's does. Verdicts that are
-    not one cone hit, two short and two long go to _cylinder_verdicts, which
-    raises its error.
+    stops at no twin ends by _finish, as the trace's does. It counts each
+    verdict as its holonomy comes, against _closed_forms' two; a tally other
+    than one saddle, two short and two long goes to _cylinder_verdicts to raise.
     """
     _check_int("cap", cap, 0)
     table = _direction_table(pairs)
-    starts, kind = table[3], _verdict_of(check)
-    known, holonomies, verdicts = {}, {}, {}
+    starts, (short, long) = table[3], _closed_forms(check)
+    known, holonomies, verdicts, shorts, longs, saddles = {}, {}, {}, 0, 0, 0
     for label in WEIERSTRASS_LABELS:
         if label not in known:  # else met by an earlier walk's twin stop
             h0, edge_run = starts[label]
@@ -497,9 +497,13 @@ def _oracle(pairs: Point, check: Point, cap: int) -> OracleReport:
                     n0, n1, n2, n3 = walk.count(0), walk.count(1), walk.count(2), walk.count(3)
                     known[label] = 2 * n0, 2 * (n0 + n2), 2 * n3, 2 * (n1 + n3)
         holonomies[label] = holonomy = known.get(label)
-        verdicts[label] = kind(holonomy)
-    got = list(verdicts.values())
-    if got.count(_SADDLE) != 1 or None in got or got.count(_SHORT) != 2:
+        if holonomy is None:
+            verdicts[label], saddles = _SADDLE, saddles + 1
+        elif holonomy == short:
+            verdicts[label], shorts = _SHORT, shorts + 1
+        elif holonomy == long:
+            verdicts[label], longs = _LONG, longs + 1
+    if saddles != 1 or shorts != 2 or longs != 2:
         _cylinder_verdicts(check, holonomies)
     return OracleReport(pairs, verdicts, holonomies)
 
@@ -543,13 +547,11 @@ def oracle_report_direction(v: GoldenVector, cap: int = DEFAULT_STEP_CAP) -> Ora
 _SHORT, _LONG, _SADDLE = Classification.SHORT, Classification.LONG, Classification.SADDLE_CONNECTION
 
 
-def _verdict_of(pairs: Point) -> Callable[[Point | None], Classification | None]:
-    """The verdict of a holonomy at scale 2, or None for a cone hit, against
-    the word's vector v with integer pairs `pairs`, or None for neither."""
+def _closed_forms(pairs: Point) -> tuple[Point, Point]:
+    """The cylinder holonomies phi*v (short) and phi^2*v (long) at scale 2, for v with integer pairs `pairs`."""
     a, b, c, d = pairs
-    short = 2 * b, 2 * (a + b), 2 * d, 2 * (c + d)  # phi*v at scale 2, by golden_mul
-    long = short[1], short[0] + short[1], short[3], short[2] + short[3]  # phi*short
-    return {short: _SHORT, long: _LONG, None: _SADDLE}.get
+    short = 2 * b, 2 * (a + b), 2 * d, 2 * (c + d)  # by golden_mul
+    return short, (short[1], short[0] + short[1], short[3], short[2] + short[3])  # phi*short
 
 
 def _cylinder_verdicts(pairs: Point, holonomies: dict[int, Point | None]) -> dict[int, Classification]:
@@ -564,7 +566,8 @@ def _cylinder_verdicts(pairs: Point, holonomies: dict[int, Point | None]) -> dic
     simulator or the geometry tables, never bad input. One lookup per label
     gives its verdict, None for neither, and the checks read the verdicts.
     """
-    kind = _verdict_of(pairs)
+    short, long = _closed_forms(pairs)
+    kind = {short: _SHORT, long: _LONG, None: _SADDLE}.get
     verdicts = {label: kind(h) for label, h in holonomies.items()}
     got = list(verdicts.values())
     saddles = got.count(_SADDLE)

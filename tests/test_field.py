@@ -27,7 +27,7 @@ from goldenl import (
     trace,
 )
 from goldenl import flow as flow_module
-from goldenl.field import golden_mul
+from goldenl.field import _Frozen, golden_mul
 from goldenl.surface import _direction_pairs
 from words_reference import SIGMA_INVERSE
 
@@ -183,13 +183,29 @@ def test_vector_operations():
                 operation()
 
 
+class _OneSlot(_Frozen):
+    """One slot, the fewest a _Frozen type can have."""
+
+    __slots__ = ("only",)
+
+
+class _SevenSlots(_Frozen):
+    """One more slot than the most a library value type has."""
+
+    __slots__ = ("a", "b", "c", "d", "e", "f", "g")
+
+
 def test_value_types_are_immutable_values():
-    # The three types with arithmetic or an invariant: a field name, the value,
-    # an equal twin built another way, and the plain tuple of its fields.
+    # The three types with arithmetic or an invariant and the two test types
+    # at the ends of the slot-count range: a field name, the value, an equal
+    # twin built another way, and the plain tuple of its fields.
+    one, seven = _OneSlot(1), _SevenSlots(*range(7))
     slotted = [
         ("a", GoldenNumber(Fraction(1, 2), 3), GoldenNumber(Fraction(2, 4), Fraction(3)), (Fraction(1, 2), 3)),
         ("x", GoldenVector(PHI, ONE), GoldenVector.from_rationals(0, 1, 1, 0), (PHI, ONE)),
         ("images", TAU[1], Permutation5((3, 5, 1, 4, 2)), ((3, 5, 1, 4, 2),)),
+        ("only", one, _OneSlot(Fraction(1)), (1,)),
+        ("g", seven, _SevenSlots(*map(Fraction, range(7))), tuple(range(7))),
     ]
     for _, value, twin, fields in slotted:
         assert value == twin and hash(value) == hash(twin)
@@ -223,21 +239,34 @@ def test_value_types_are_immutable_values():
     assert other_table == t and hash(other_table) == hash(t)
     with pytest.raises(TypeError):
         hash(oracle)
-    # The four types without checks are built positionally, one value per slot,
-    # and a wrong count or a keyword is a TypeError naming the class and its slots.
-    for value in (GoldenVector(PHI, ONE), t, oracle, path):
+    # The four types without checks, and the two test types, are built
+    # positionally, one value per slot; a wrong count is a TypeError naming
+    # the class and its slots, and a keyword one naming its __init__.
+    for value in (GoldenVector(PHI, ONE), t, oracle, path, one, seven):
         cls = type(value)
         names = [name for name in cls.__slots__ if name != "__dict__"]
         fields = [getattr(value, name) for name in names]
-        assert cls(*fields) == value
+        assert cls(*fields) == value and cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
         for given in (fields[:-1], fields + [None]):
             with pytest.raises(TypeError) as caught:
                 cls(*given)
             assert str(caught.value) == (
                 f"{cls.__name__} takes {len(names)} values, one per slot ({', '.join(names)}), got {len(given)}"
             )
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError) as caught:
             cls(*fields[:-1], **{names[-1]: fields[-1]})
+        assert str(caught.value) == f"{cls.__qualname__}.__init__() got an unexpected keyword argument '{names[-1]}'"
+    assert [seven.a, seven.d, seven.g] == [0, 3, 6] and one.only == 1
+    for build, message in (
+        (lambda: _OneSlot(), "_OneSlot takes 1 values, one per slot (only), got 0"),
+        (lambda: _OneSlot(1, 2), "_OneSlot takes 1 values, one per slot (only), got 2"),
+        (lambda: _OneSlot(only=1), "_OneSlot.__init__() got an unexpected keyword argument 'only'"),
+        (lambda: _SevenSlots(*range(6)), "_SevenSlots takes 7 values, one per slot (a, b, c, d, e, f, g), got 6"),
+        (lambda: _SevenSlots(*range(6), g=6), "_SevenSlots.__init__() got an unexpected keyword argument 'g'"),
+    ):
+        with pytest.raises(TypeError) as caught:
+            build()
+        assert str(caught.value) == message
     # Unpickled, a trajectory keeps its cached points and its table.
     points = t.points
     unpickled = pickle.loads(pickle.dumps(t))

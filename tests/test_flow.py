@@ -898,6 +898,81 @@ def test_walk_is_invariant_under_unit_scaling():
                 assert _same_report(u, report), (word, u)
 
 
+def test_each_oracle_holonomy_is_its_whole_trace_at_scaled_directions():
+    # The twin rule: the oracle's walk stops at another midpoint only on that
+    # midpoint's own chord, both parts of its h equal. Scaling a direction by
+    # phi**k or by 2 changes its pairs, and so every h, but no orbit. For every
+    # word of length <= 4, as given and scaled by phi, phi^2, phi^3 and 2, each
+    # midpoint's holonomy in the oracle's report is its whole trace's, and it
+    # has none exactly when its trace hits the cone point.
+    for word in (w for n in range(5) for w in product((0, 1, 2, 3), repeat=n)):
+        v = word_to_vector(word)
+        for u in (v, v.scaled(PHI), v.scaled(PHI * PHI), v.scaled(PHI * PHI * PHI), v.scaled(2)):
+            holonomies = oracle_report_direction(u)._holonomies
+            for label, t in _traces(u).items():
+                cone = t.outcome is Outcome.HIT_CONE_POINT
+                assert holonomies[label] == (None if cone else t._holonomy2), (word, u, label)
+
+
+def _unit_scaled(pairs, k):
+    """Integer pairs (xa, xb, ya, yb) times phi**k: phi takes a + b*phi to
+    b + (a + b)*phi, and 1/phi = phi - 1 takes it to (b - a) + a*phi."""
+    xa, xb, ya, yb = pairs
+    for _ in range(abs(k)):
+        xa, xb, ya, yb = (xb, xa + xb, yb, ya + yb) if k > 0 else (xb - xa, xa, yb - ya, ya)
+    return xa, xb, ya, yb
+
+
+def test_oracle_agrees_with_whole_traces_where_midpoint_chords_share_a_first_part():
+    # A chord's h is (p, b) for p + b*sqrt(5); the kernel tests p against the
+    # first parts of the midpoints' chords before the whole pair. The search:
+    # every word of length <= 6 with no leading 0 at phi**k, k = -4..4, for a
+    # frame in which two midpoint chords share p but differ in b. It finds 246
+    # such frames, all at k = -4..-2, where the pairs' coefficients grow past
+    # their value; the shortest word is 1, at phi**-3 and phi**-2, where its
+    # pairs are (-1, 1, 2, -1) and midpoints 1 and 3 have (-3, 3) and (-3, 1).
+    # In each, the oracle's holonomies and verdicts are those of whole traces.
+    found = []
+    for word in (w for n in range(7) for w in product((0, 1, 2, 3), repeat=n) if w[:1] != (0,)):
+        for k in range(-4, 5):
+            pairs = _unit_scaled(_pairs(word), k)
+            _, _, _, starts, near, _, _ = flow_module._direction_table(pairs)
+            if len(near) < len({h for h, _ in starts.values()}):
+                found.append((word, k, pairs))
+    assert len(found) == 246 and {k for _, k, _ in found} == {-4, -3, -2}
+    assert found[:2] == [((1,), -3, (2, -1, -3, 2)), ((1,), -2, (-1, 1, 2, -1))]
+    starts = flow_module._direction_table(found[1][2])[3]
+    assert (starts[1][0], starts[3][0]) == ((-3, 3), (-3, 1))
+    for word, k, pairs in found:
+        u = gv(*pairs)
+        report = oracle_report_direction(u)
+        assert report._holonomies == _holonomies(_traces(u)), (word, k)
+        assert report.verdicts == classify_all(word).verdicts, (word, k)
+
+
+def test_oracle_sends_any_other_tally_to_the_cylinder_check(monkeypatch):
+    # The oracle counts its short, long and saddle verdicts as the holonomies
+    # come, and a tally other than one saddle, two short and two long goes to
+    # _cylinder_verdicts, which raises. Checked against another word's
+    # vector, no closed holonomy is either closed form. A kernel that loses
+    # its cone hit closes every walk, and no midpoint is a saddle.
+    with pytest.raises(StructuralViolationError) as excinfo:
+        flow_module._oracle(_pairs((2, 1)), _pairs((1, 2)), DEFAULT_STEP_CAP)
+    assert str(excinfo.value) == (
+        "holonomy (4 + 6*phi, 3 + 5*phi) of midpoint 2 is neither phi*v nor phi^2*v for v = (2 + phi, 1 + 2*phi)"
+    )
+    run = flow_module._run
+
+    def no_cone(table, h, look, cap):
+        walk, last, _, twin = run(table, h, look, cap)
+        return walk, last, None, twin
+
+    monkeypatch.setattr(flow_module, "_run", no_cone)
+    for word in ((1,), (2, 1), (1, 3, 2), (0, 3, 1, 2)):
+        with pytest.raises(StructuralViolationError, match=r"^expected 4 closed orbits and 1 cone hit, got 5 and 0$"):
+            oracle_report(word)
+
+
 def test_direction_table_equals_point_by_point_reference():
     # The frame's h are one integer linear map of the direction's pairs; the
     # reference takes golden_mul at each fixed point, makes each an offset
