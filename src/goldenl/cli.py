@@ -11,7 +11,7 @@ Every subcommand needs words, classify and surface, loaded here. The flow,
 render and stats layers are imported inside the subcommands that run them,
 each by `from .x import ...`: a `from . import x` would read x off the lazy
 package and load the whole library. `json` is imported where it is used, by
-a `--format json` run alone.
+a `--format json` run alone, and `fractions` by vec2word and stats alone.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import argparse
 import itertools
 import os
 import sys
-from fractions import Fraction
 
 from .classify import classify_all
 from .errors import CapExceededError, StructuralViolationError
@@ -92,10 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("word")
 
     p = sub.add_parser("vec2word", parents=[capped], help="word of an exact direction vector")
-    p.add_argument("xa", help="rational part of x")
-    p.add_argument("xb", help="phi coefficient of x")
-    p.add_argument("ya", help="rational part of y")
-    p.add_argument("yb", help="phi coefficient of y")
+    for axis in "xy":
+        p.add_argument(f"{axis}a", help=f"rational part of {axis}")
+        p.add_argument(f"{axis}b", help=f"phi coefficient of {axis}")
 
     p = sub.add_parser("reduce", parents=[common], help="base word of a word")
     p.add_argument("word")
@@ -187,10 +185,10 @@ def _cmd_word2vec(args: argparse.Namespace) -> tuple:
 
 
 def _cmd_vec2word(args: argparse.Namespace) -> tuple:
+    from fractions import Fraction
+
     try:
-        v = GoldenVector.from_rationals(
-            Fraction(args.xa), Fraction(args.xb), Fraction(args.ya), Fraction(args.yb)
-        )
+        v = GoldenVector.from_rationals(*map(Fraction, (args.xa, args.xb, args.ya, args.yb)))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"coefficients must be rationals like 3, -2, or 1/2: {exc}") from exc
     word = vector_to_word(v, cap=_cap_or(args, DEFAULT_INVERSION_CAP))

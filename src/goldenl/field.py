@@ -5,41 +5,36 @@ Signs and comparisons are decided exactly, so no floating point enters any
 decision made with these types. The library decides everything on integer
 pairs (golden_sign, golden_mul); GoldenNumber and GoldenVector are the ring
 at its boundary, where directions and points come in and go out, and have no
-division.
+division. A GoldenNumber holds integers too, (a + b*phi) / d in lowest terms:
+`fractions` loads only when a caller reads a coefficient, which is a Fraction.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+import sys
 from functools import total_ordering
 from operator import attrgetter
-from typing import Union
 
 PHI_FLOAT = (1.0 + math.sqrt(5.0)) / 2.0
-
-Rational = Union[int, Fraction]
-
-
-def _as_fraction(value: Rational) -> Fraction:
-    # int first: isinstance against Fraction, an ABC, is slow on a miss.
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, Fraction):
-        return value
-    raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
+_MODULUS, _INF = sys.hash_info.modulus, sys.hash_info.inf
 
 
-def _fraction_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
+def _is_rational(value: object) -> bool:
+    """Whether value is an int or a Fraction. No Fraction exists before `fractions` loads, so this loads nothing."""
+    return isinstance(value, int) or isinstance(value, getattr(sys.modules.get("fractions"), "Fraction", ()))
 
 
-# Coefficient-level arithmetic on pairs (a, b) meaning a + b*phi. Exact on
-# int and on Fraction coefficients alike; GoldenNumber, the direction algebra
-# and the integer flow kernel share it.
+def _lowest(n: int, d: int) -> tuple[int, int]:
+    g = math.gcd(n, d)
+    return n // g, d // g
 
 
-def golden_sign(a: Rational, b: Rational) -> int:
+# Coefficient-level arithmetic on integer pairs (a, b) meaning a + b*phi;
+# GoldenNumber, the direction algebra and the integer flow kernel share it.
+
+
+def golden_sign(a: int, b: int) -> int:
     """Exact sign of a + b*phi, in {-1, 0, 1}.
 
     Writes 2*(a + b*phi) = p + b*sqrt(5) with p = 2a + b. Same-sign p, b
@@ -54,7 +49,7 @@ def golden_sign(a: Rational, b: Rational) -> int:
     return 1 if (p * p > 5 * b * b) == (p > 0) else -1
 
 
-def golden_mul(a: Rational, b: Rational, c: Rational, d: Rational) -> tuple[Rational, Rational]:
+def golden_mul(a: int, b: int, c: int, d: int) -> tuple[int, int]:
     """Coefficients of (a + b*phi)(c + d*phi) = ac + bd + (ad + bc + bd)*phi."""
     bd = b * d
     return a * c + bd, a * d + b * c + bd
@@ -113,54 +108,59 @@ class _Frozen:
 
 @total_ordering
 class GoldenNumber(_Frozen):
-    """The field element a + b*phi."""
+    """The field element a + b*phi, for int or Fraction a and b, which read
+    back as Fractions. It holds integers, _v = (a*d, b*d, d) for the least
+    d > 0 that makes them so: one form per value, which equality compares."""
 
-    __slots__ = ("a", "b")
-    a: Fraction
-    b: Fraction
+    __slots__ = ("_v",)
 
-    def __init__(self, a: Rational = 0, b: Rational = 0) -> None:
-        object.__setattr__(self, "a", _as_fraction(a))
-        object.__setattr__(self, "b", _as_fraction(b))
+    def __init__(self, a: int | Fraction = 0, b: int | Fraction = 0) -> None:
+        if not (_is_rational(a) and _is_rational(b)):
+            raise TypeError(f"expected int or Fraction, got {type(b if _is_rational(a) else a).__name__}")
+        q, s = a.denominator, b.denominator
+        d = q if q == s else math.lcm(q, s)
+        object.__setattr__(self, "_v", (a.numerator * (d // q), b.numerator * (d // s), d))
 
-    @classmethod
-    def _coerce(cls, value: GoldenNumber | Rational) -> GoldenNumber | None:
+    a = property(lambda self: _fraction(*self._v[::2]), doc="The rational coefficient, a Fraction.")
+    b = property(lambda self: _fraction(*self._v[1:]), doc="The coefficient of phi, a Fraction.")
+
+    @staticmethod
+    def _coerce(value: GoldenNumber | int | Fraction) -> GoldenNumber | None:
         if isinstance(value, GoldenNumber):
             return value
-        if isinstance(value, (int, Fraction)):
-            return cls(_as_fraction(value))
-        return None
+        return _golden(value.numerator, 0, value.denominator) if _is_rational(value) else None
+
+    def __reduce__(self) -> tuple:
+        return _golden, self._v
 
     # ring structure
 
-    def __add__(self, other: GoldenNumber | Rational) -> GoldenNumber:
+    def __add__(self, other: GoldenNumber | int | Fraction) -> GoldenNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GoldenNumber(self.a + o.a, self.b + o.b)
+        (a, b, d), (c, e, f) = self._v, o._v
+        return _golden(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
-    def __sub__(self, other: GoldenNumber | Rational) -> GoldenNumber:
+    def __sub__(self, other: GoldenNumber | int | Fraction) -> GoldenNumber:
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GoldenNumber(self.a - o.a, self.b - o.b)
+        return NotImplemented if o is None else self + -o
 
-    def __rsub__(self, other: GoldenNumber | Rational) -> GoldenNumber:
+    def __rsub__(self, other: GoldenNumber | int | Fraction) -> GoldenNumber:
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return NotImplemented if o is None else o + -self
 
     def __neg__(self) -> GoldenNumber:
-        return GoldenNumber(-self.a, -self.b)
+        return _golden(-self._v[0], -self._v[1], self._v[2])
 
-    def __mul__(self, other: GoldenNumber | Rational) -> GoldenNumber:
+    def __mul__(self, other: GoldenNumber | int | Fraction) -> GoldenNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GoldenNumber(*golden_mul(self.a, self.b, o.a, o.b))
+        (a, b, d), (c, e, f) = self._v, o._v
+        return _golden(*golden_mul(a, b, c, e), d * f)
 
     __rmul__ = __mul__
 
@@ -168,54 +168,63 @@ class GoldenNumber(_Frozen):
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, 1}; see golden_sign."""
-        return golden_sign(self.a, self.b)
+        return golden_sign(*self._v[:2])
 
     @property
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return self._v[:2] == (0, 0)
 
     def __eq__(self, other: object) -> bool:
         o = self._coerce(other)  # type: ignore[arg-type]
-        if o is None:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
+        return NotImplemented if o is None else self._v == o._v
 
     def __hash__(self) -> int:
-        # Equal to a rational, hash as it does: GoldenNumber(1) == 1.
-        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
+        # Equal to a rational, hash as it does: GoldenNumber(1) == 1. Python hashes n/d in lowest terms
+        # as the int n times d's inverse modulo sys.hash_info.modulus, or as +-sys.hash_info.inf if none.
+        a, b, d = self._v
+        ha, hb = (hash(n * pow(e, -1, _MODULUS)) if e % _MODULUS else _INF if n > 0 else -_INF
+                  for n, e in (_lowest(a, d), _lowest(b, d)))
+        return ha if b == 0 else hash((ha, hb))
 
-    def __lt__(self, other: GoldenNumber | Rational) -> bool:
+    def __lt__(self, other: GoldenNumber | int | Fraction) -> bool:
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() < 0
+        return NotImplemented if o is None else (self - o).sign() < 0
 
     # conversions
 
     def to_float(self) -> float:
-        return float(self.a) + float(self.b) * PHI_FLOAT
+        a, b, d = self._v  # a / d is correctly rounded, as float() of a Fraction is
+        return a / d + b / d * PHI_FLOAT
 
     __float__ = to_float
 
     def to_json_dict(self) -> dict[str, str]:
-        return {"a": _fraction_str(self.a), "b": _fraction_str(self.b)}
+        a, b, d = self._v
+        return {"a": "%d/%d" % _lowest(a, d), "b": "%d/%d" % _lowest(b, d)}
 
     def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a)
-        if self.b == 1:
-            phi_part = "phi"
-        elif self.b == -1:
-            phi_part = "-phi"
-        else:
-            phi_part = f"{self.b}*phi"
-        if self.a == 0:
-            return phi_part
-        joiner = "-" if self.b < 0 else "+"
-        return f"{self.a} {joiner} {phi_part.lstrip('-')}"
+        a, b, d = self._v
+        a_text, b_text = (text.removesuffix("/1") for text in self.to_json_dict().values())
+        if b == 0:
+            return a_text
+        phi_part = "phi" if b == d else "-phi" if b == -d else f"{b_text}*phi"
+        return phi_part if a == 0 else f"{a_text} {'-' if b < 0 else '+'} {phi_part.lstrip('-')}"
 
     def __repr__(self) -> str:
-        return f"GoldenNumber({self.a}, {self.b})"
+        return "GoldenNumber({}, {})".format(*(text.removesuffix("/1") for text in self.to_json_dict().values()))
+
+
+def _golden(a: int, b: int, d: int = 1) -> GoldenNumber:
+    """The GoldenNumber (a + b*phi) / d, for integers with d > 0."""
+    g = 1 if d == 1 else math.gcd(d, a, b)
+    number = object.__new__(GoldenNumber)
+    object.__setattr__(number, "_v", (a // g, b // g, d // g))
+    return number
+
+
+def _fraction(n: int, d: int) -> Fraction:
+    from fractions import Fraction  # loaded by the first read of a coefficient
+    return Fraction(n, d)
 
 
 ZERO = GoldenNumber(0, 0)
@@ -233,7 +242,7 @@ class GoldenVector(_Frozen):
     y: GoldenNumber
 
     @classmethod
-    def from_rationals(cls, xa: Rational, xb: Rational, ya: Rational, yb: Rational) -> GoldenVector:
+    def from_rationals(cls, xa: int | Fraction, xb: int | Fraction, ya: int | Fraction, yb: int | Fraction) -> GoldenVector:
         return cls(GoldenNumber(xa, xb), GoldenNumber(ya, yb))
 
     def __add__(self, other: GoldenVector) -> GoldenVector:
@@ -249,7 +258,7 @@ class GoldenVector(_Frozen):
     def __neg__(self) -> GoldenVector:
         return GoldenVector(-self.x, -self.y)
 
-    def scaled(self, factor: GoldenNumber | Rational) -> GoldenVector:
+    def scaled(self, factor: GoldenNumber | int | Fraction) -> GoldenVector:
         return GoldenVector(self.x * factor, self.y * factor)
 
     @property
@@ -261,7 +270,7 @@ class GoldenVector(_Frozen):
 
     def quadruple(self) -> list[str]:
         """The coefficients [x.a, x.b, y.a, y.b] as rational strings."""
-        return [_fraction_str(c) for c in (self.x.a, self.x.b, self.y.a, self.y.b)]
+        return [*self.x.to_json_dict().values(), *self.y.to_json_dict().values()]
 
     def __str__(self) -> str:
         return f"({self.x}, {self.y})"
@@ -269,8 +278,11 @@ class GoldenVector(_Frozen):
 
 def cleared(v: GoldenVector) -> tuple[int, int, int, int]:
     """The same ray as integer pairs: v times its coefficient denominators' lcm."""
-    xa, xb, ya, yb = v.x.a, v.x.b, v.y.a, v.y.b
-    den = math.lcm(xa.denominator, xb.denominator, ya.denominator, yb.denominator)
-    if den == 1:
-        return xa.numerator, xb.numerator, ya.numerator, yb.numerator
-    return tuple(q.numerator * (den // q.denominator) for q in (xa, xb, ya, yb))
+    (xa, xb, xd), (ya, yb, yd) = v.x._v, v.y._v
+    den = xd if xd == yd else math.lcm(xd, yd)
+    return xa * (den // xd), xb * (den // xd), ya * (den // yd), yb * (den // yd)
+
+
+def _from_point(point: tuple[int, int, int, int], scale: int) -> GoldenVector:
+    """The vector of the integer pairs `point` over scale > 0, cleared's inverse."""
+    return GoldenVector(_golden(*point[:2], scale), _golden(*point[2:], scale))

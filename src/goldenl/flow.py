@@ -60,16 +60,15 @@ from __future__ import annotations
 import sys
 from collections.abc import Callable
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import gcd, lcm
+from math import lcm
 from operator import add, sub
 from threading import Lock
 
 from .classify import Classification
 from .errors import CapExceededError, StructuralViolationError, _check_int
-from .field import GoldenNumber, GoldenVector, _Frozen, golden_mul, golden_sign
+from .field import GoldenVector, _Frozen, _from_point, _lowest, golden_mul, golden_sign
 from .surface import CONE_POINTS, GOLDEN_L, WEIERSTRASS_LABELS, _direction_pairs, weierstrass_point
 from .words import DEFAULT_INVERSION_CAP, Word, _pairs, _peel, format_word, word_to_vector
 
@@ -110,15 +109,10 @@ Point = tuple[int, int, int, int]
 
 
 def _int_point(p: GoldenVector, scale: int) -> Point:
-    coords = p.x.a * scale, p.x.b * scale, p.y.a * scale, p.y.b * scale
-    if any(c.denominator != 1 for c in coords):
+    (xa, xb, xd), (ya, yb, yd) = p.x._v, p.y._v  # each (a + b*phi) / d in lowest terms
+    if scale % xd or scale % yd:
         raise ValueError(f"{_shown(p)} is not integral at scale {_shown(scale)}")
-    return tuple(map(int, coords))
-
-
-def _from_point(point: Point, scale: int) -> GoldenVector:
-    xa, xb, ya, yb = (Fraction(c, scale) for c in point)
-    return GoldenVector(GoldenNumber(xa, xb), GoldenNumber(ya, yb))
+    return xa * (scale // xd), xb * (scale // xd), ya * (scale // yd), yb * (scale // yd)
 
 
 def _between(lo: Point, p: Point, hi: Point) -> bool:
@@ -312,7 +306,7 @@ class Trajectory(_Frozen):
         # Coordinates and the holonomy at the points' scale print as Fraction(a, s); each distinct one once.
         s, points, flat = self.scale, self.points, chain.from_iterable
         holonomy = [c * (s // 2) for c in self._holonomy2]
-        text = {a: f"{a // (g := gcd(a, s))}/{s // g}" for a in {*flat(flat(points)), *holonomy}}.__getitem__
+        text = {a: "%d/%d" % _lowest(a, s) for a in {*flat(flat(points)), *holonomy}}.__getitem__
         return {
             "word": None if word is None else format_word(word),
             "midpoint": self.start_label,

@@ -11,12 +11,10 @@ cycle; the gluing targets, the pentagon and its midpoints are derived from them.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
-from .field import GoldenVector, _Frozen, cleared, golden_sign
+from .field import GoldenVector, _Frozen, _from_point, cleared, golden_sign
 
-HALF = Fraction(1, 2)
 _gv = GoldenVector.from_rationals
 
 
@@ -54,9 +52,7 @@ class GoldenL(NamedTuple):
                 }
                 for ident in self.identifications
             ],
-            "weierstrass_points": {
-                str(label): point.quadruple() for label, point in self.weierstrass.items()
-            },
+            "weierstrass_points": {str(label): point.quadruple() for label, point in self.weierstrass.items()},
             "cone_points": [v.quadruple() for v in self.cone_representatives],
             "inscribed_pentagon": [v.quadruple() for v in self.inscribed_pentagon],
         }
@@ -90,9 +86,9 @@ _IDENTIFICATIONS = (
     _gluing("d", (1, 2), _gv(0, 0, 0, 1)),
 )
 _INSCRIBED_PENTAGON = tuple(_VERTICES[k] for k in (1, 2, 4, 6, 7))
-# In label order 1-5, the order the surface JSON and the marked points print in.
+# In label order 1-5, as the surface JSON and the marked points print; each is its side's ends summed, over 2.
 _WEIERSTRASS = dict(sorted(
-    (label, (_INSCRIBED_PENTAGON[j] + _INSCRIBED_PENTAGON[j - 4]).scaled(HALF))
+    (label, _from_point(cleared(_INSCRIBED_PENTAGON[j] + _INSCRIBED_PENTAGON[j - 4]), 2))
     for j, label in enumerate(MIDPOINT_CYCLE)
 ))
 

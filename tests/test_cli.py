@@ -114,6 +114,31 @@ def test_vec2word_errors(capsys):
     assert code == 2 and "rational" in err
 
 
+def test_vec2word_rational_grammar(capsys):
+    # vec2word parses each coefficient as Fraction(text) does: an integer, a
+    # ratio, a decimal or an exponent, blanks around it allowed. Words and
+    # messages as recorded before the parse moved into the subcommand.
+    for argv, word in [
+        (("3", "1", "0", "1"), "210"),
+        (("-2", "2", "1", "0"), "21"),
+        (("1/2", "1", "0", "1"), "11"),
+        (("0.5", "1", "0", "1"), "11"),
+        (("1e2", "1", "0", "1"), "2001303333330100000000000000000000000000000000000000"),
+        ((" 7 ", "1", "0", "1"), "2303000"),
+        (("1", "0", "1e2", "1"), "20102333332233333333333333333333333333333333333333333333333333333333333333"),
+    ]:
+        assert run_cli(capsys, "vec2word", *argv) == (0, word + "\n", ""), argv
+    for text, reason in [
+        ("1/0", "Fraction(1, 0)"),
+        ("nan", "Invalid literal for Fraction: 'nan'"),
+        ("inf", "Invalid literal for Fraction: 'inf'"),
+        ("x", "Invalid literal for Fraction: 'x'"),
+    ]:
+        message = f"error: coefficients must be rationals like 3, -2, or 1/2: {reason}\n"
+        assert run_cli(capsys, "vec2word", text, "1", "0", "1") == (2, "", message), text
+        assert run_cli(capsys, "vec2word", "1", "0", "1", text) == (2, "", message), text
+
+
 # Python converts at most 4,300 digits between int and str by default, where it
 # has the limit at all; the CLI lifts it for its call and gives it back.
 _int_digits_limit = getattr(sys, "get_int_max_str_digits", lambda: None)

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import sys
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ from goldenl import (
     trace,
 )
 from goldenl import flow as flow_module
-from goldenl.field import _Frozen, golden_mul
+from goldenl.field import PHI_FLOAT, _Frozen, golden_mul
 from goldenl.surface import _direction_pairs
 from words_reference import SIGMA_INVERSE
 
@@ -308,3 +309,79 @@ def test_matrix_determinants_and_inverse():
         assert row_product(m_inv, m) == identity
     # sigma_1 = ((phi, phi), (1, phi)) has inverse ((phi, -phi), (-1, phi)).
     assert SIGMA_INVERSE[1] == (((0, 1), (0, -1)), ((-1, 0), (0, 1)))
+
+
+_MODULUS = sys.hash_info.modulus
+
+
+def _reference_sign(a, b):
+    """Exact sign of a + b*phi for Fraction a and b: 2(a + b*phi) = p + b*sqrt(5)."""
+    p = 2 * a + b
+    if p * b >= 0:
+        return (p > 0 or b > 0) - (p < 0 or b < 0)
+    return 1 if (p * p > 5 * b * b) == (p > 0) else -1
+
+
+def _fraction_pair_reference(a, b):
+    """What GoldenNumber(a, b) showed when it held its coefficients as a pair of Fractions."""
+    if b == 0:
+        text = str(a)
+    else:
+        phi_part = "phi" if b == 1 else "-phi" if b == -1 else f"{b}*phi"
+        text = phi_part if a == 0 else f"{a} {'-' if b < 0 else '+'} {phi_part.lstrip('-')}"
+    return {
+        "hash": hash(a) if b == 0 else hash((a, b)),
+        "str": text,
+        "repr": f"GoldenNumber({a}, {b})",
+        "json": {"a": f"{a.numerator}/{a.denominator}", "b": f"{b.numerator}/{b.denominator}"},
+        "float": float(a) + float(b) * PHI_FLOAT,
+        "sign": _reference_sign(a, b),
+    }
+
+
+def test_integer_golden_number_matches_the_fraction_pair_reference():
+    # A GoldenNumber holds integers over one denominator; everything it shows
+    # must read as it did from a pair of Fractions, over mixed denominators,
+    # negative values, zero beside a non-1 denominator, numerators near 2**70
+    # and denominators that are multiples of the hash modulus.
+    rng = random.Random(46)
+    fixed = [
+        0, 1, -1, 2**70 + 1, -(2**70) + 3, Fraction(1, 2), Fraction(1, 3), Fraction(-5, 6),
+        Fraction(2**70 + 1, 3), Fraction(1, _MODULUS), Fraction(-3, 2 * _MODULUS), Fraction(_MODULUS + 2, 7 * _MODULUS),
+    ]
+    drawn = [
+        Fraction(rng.randint(-(2**72), 2**72), rng.choice([1, 2, 3, 6, 10**9 + 7, _MODULUS, 2 * _MODULUS]))
+        for _ in range(40)
+    ]
+    pairs = [(a, b) for a in fixed for b in fixed] + [(rng.choice(drawn), rng.choice(drawn)) for _ in range(200)]
+    numbers = []
+    for a, b in pairs:
+        x, ref = GoldenNumber(a, b), _fraction_pair_reference(Fraction(a), Fraction(b))
+        numbers.append((x, Fraction(a), Fraction(b)))
+        assert x == GoldenNumber(Fraction(a), Fraction(b)), (a, b)
+        assert type(x.a) is Fraction and type(x.b) is Fraction and (x.a, x.b) == (a, b), (a, b)
+        assert hash(x) == ref["hash"], (a, b)
+        assert (str(x), repr(x), x.to_json_dict()) == (ref["str"], ref["repr"], ref["json"]), (a, b)
+        assert x.to_float() == ref["float"] and x.sign() == ref["sign"], (a, b)
+        if b == 0:
+            assert x == a and hash(x) == hash(a) and x in {a}, a
+        for copied in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(copied) is GoldenNumber and copied == x and hash(copied) == hash(x) and repr(copied) == repr(x)
+    # The hash's infinite case: a denominator in lowest terms that is a multiple of the modulus.
+    infinite = {hash(x) for x, a, b in numbers if b == 0 and a.denominator % _MODULUS == 0}
+    assert infinite == {sys.hash_info.inf, -sys.hash_info.inf}
+    for (x, a, b), (y, c, d) in zip(numbers, rng.sample(numbers, len(numbers))):
+        assert (x == y) == ((a, b) == (c, d)) and (x < y) == (_reference_sign(a - c, b - d) < 0), (a, b, c, d)
+        assert x + y == GoldenNumber(a + c, b + d) and x - y == GoldenNumber(a - c, b - d), (a, b, c, d)
+        assert x * y == GoldenNumber(a * c + b * d, a * d + b * c + b * d), (a, b, c, d)
+        quadruple = GoldenVector(x, y).quadruple()
+        assert quadruple == [*_fraction_pair_reference(a, b)["json"].values(), *_fraction_pair_reference(c, d)["json"].values()]
+
+
+def test_golden_number_rejects_other_coefficient_types():
+    # Only an int or a Fraction is a coefficient, in either place; the first bad one is named.
+    for bad in (0.5, Decimal("0.5"), "1", None):
+        for args in ((bad,), (bad, 0), (0, bad), (Fraction(1, 2), bad), (bad, "x")):
+            with pytest.raises(TypeError) as caught:
+                GoldenNumber(*args)
+            assert str(caught.value) == f"expected int or Fraction, got {type(bad).__name__}", args

@@ -36,7 +36,7 @@ from goldenl import (
 )
 from goldenl.surface import CONE_POINTS, GOLDEN_L, WEIERSTRASS_LABELS
 from goldenl.classify import Classification
-from goldenl.field import PHI, _fraction_str, cleared
+from goldenl.field import PHI, cleared
 from goldenl.words import _pairs
 from goldenl import flow as flow_module
 from goldenl import surface as surface_module
@@ -688,7 +688,8 @@ def test_json_text_is_the_fraction_text():
     for t in traces:
         got = t.to_json_dict()
         assert got["holonomy"] == t.holonomy.quadruple(), t
-        text = [[_fraction_str(Fraction(a, t.scale)) for a in p] for segment in t.points for p in segment]
+        fractions = [[Fraction(a, t.scale) for a in p] for segment in t.points for p in segment]
+        text = [[f"{q.numerator}/{q.denominator}" for q in point] for point in fractions]
         assert [p for segment in got["segments"] for p in (segment["from"], segment["to"])] == text, t
 
 

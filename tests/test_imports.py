@@ -132,15 +132,21 @@ _SUBCOMMANDS = [
     (["simulate", "21", "--classify"], ["flow"]),
     (["stats", "--max-n", "2"], ["stats"]),
     (["render", "21", "4", "--out", "{out}"], ["flow", "render"]),
+    (["render", "21", "4", "--frame", "pentagon", "--out", "{out}"], ["flow", "render"]),
 ]
+# The subcommands that read rationals, and so load fractions and with it decimal and numbers.
+_RATIONAL = {"stats", "vec2word"}
 
 
 @pytest.mark.parametrize(
-    "argv, layers", _SUBCOMMANDS, ids=[argv[0] + " --classify" * ("--classify" in argv) for argv, _ in _SUBCOMMANDS]
+    "argv, layers",
+    _SUBCOMMANDS,
+    ids=[argv[0] + " --classify" * ("--classify" in argv) + " pentagon" * ("pentagon" in argv) for argv, _ in _SUBCOMMANDS],
 )
 def test_cli_subcommand_loads_only_its_layers(tmp_path, argv, layers):
-    # No subcommand loads dataclasses (and with it inspect), and json loads for
-    # --format json alone; only what the run adds to sys.modules counts, so the
+    # No subcommand loads dataclasses (and with it inspect), json loads for
+    # --format json alone, and fractions for the subcommands that read
+    # rationals alone; only what the run adds to sys.modules counts, so the
     # probe imports json after taking that difference.
     argv = [a.replace("{out}", str(tmp_path / "out.svg")) for a in argv]
     for fmt in ("text", "csv", "json"):
@@ -152,12 +158,32 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert goldenl.cli.main({argv + ["--format", fmt]!r}) == 0
 added = set(sys.modules) - before
 import json
-print(json.dumps([sorted(m[8:] for m in added if m.startswith("goldenl.")), sorted(added & {{"dataclasses", "inspect", "json"}})]))
+print(json.dumps([sorted(m[8:] for m in added if m.startswith("goldenl.")), sorted(added & {{"dataclasses", "inspect", "json"}}),
+                  sorted(added & {{"fractions", "decimal", "numbers"}})]))
 """
-        loaded, heavy = _run(code)
+        loaded, heavy, rational = _run(code)
         assert sorted(set(loaded) & {"flow", "render", "stats"}) == layers
         assert {"classify", "cli", "errors", "field", "surface", "words"} <= set(loaded)
         assert heavy == (["json"] if fmt == "json" else []), fmt
+        if argv[0] in _RATIONAL:
+            assert "fractions" in rational, fmt
+        else:
+            assert rational == [], fmt
+
+
+def test_golden_numbers_load_fractions_only_when_a_coefficient_is_read():
+    # A GoldenNumber holds integers: building, comparing, hashing and printing
+    # one loads no fractions. Reading a coefficient loads it and gives a Fraction.
+    code = """
+import json, sys
+from goldenl.field import PHI, GoldenNumber, GoldenVector
+x = (GoldenNumber(3, -2) + 1) * PHI
+values = [x < PHI, hash(x), str(x), repr(x), x.to_json_dict(), GoldenVector(x, PHI).quadruple(), x.to_float()]
+before = "fractions" in sys.modules
+a = x.a
+print(json.dumps([before, type(a).__module__, type(a).__name__, str(a), "fractions" in sys.modules]))
+"""
+    assert _run(code) == [False, "fractions", "Fraction", "-2", True]
 
 
 # The imports a module may bind and never read. perfbench/selftest.py checks
