@@ -213,28 +213,6 @@ def _direction_pairs(v: GoldenVector) -> tuple[int, int, int, int]:
     return pairs
 
 
-def _pair_cone(xa: int, xb: int, ya: int, yb: int) -> int:
-    """The cone 0-3 of the direction (xa + xb*phi, ya + yb*phi), given x > 0 and y > 0.
-
-    Cone k is spanned by the columns of sigma_k, and a slope on a boundary two
-    cones share belongs to the higher one.
-    Cones 3, 2, 1 start at slopes phi, 1, phi - 1, so the tests are the signs
-    of y - phi*x, y - x and y + x - phi*x. With x > 0 each slope test implies
-    the ones below it, so the middle test goes first and a cone costs two.
-    Each is golden_sign's test, inline, on 2(a + b*phi) = p + b*sqrt(5): it
-    is >= 0 when p, b >= 0, or when the larger square has the plus sign.
-    """
-    b = yb - xb
-    p = 2 * (ya - xa) + b
-    if (b >= 0 or p * p > 5 * b * b) if p >= 0 else b > 0 and 5 * b * b > p * p:
-        b = yb - xa - xb
-        p = 2 * (ya - xb) + b
-        return 3 if ((b >= 0 or p * p > 5 * b * b) if p >= 0 else b > 0 and 5 * b * b > p * p) else 2
-    b = yb - xa
-    p = 2 * (ya + xa - xb) + b
-    return 1 if ((b >= 0 or p * p > 5 * b * b) if p >= 0 else b > 0 and 5 * b * b > p * p) else 0
-
-
 # The two frames a trajectory is drawn in, the golden L itself and the pentagon
 # P carries it to, and a drawing's default SVG size and stroke width. They live
 # here, not in render, so the CLI can offer them without loading render.

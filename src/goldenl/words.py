@@ -21,8 +21,8 @@ from collections.abc import Iterable
 from itertools import groupby
 
 from .errors import CapExceededError, VerticalDirectionError, _check_int
-from .field import GoldenVector
-from .surface import _direction_pairs, _pair_cone
+from .field import GoldenVector, _from_point
+from .surface import _direction_pairs
 
 Word = tuple[int, ...]
 
@@ -63,7 +63,7 @@ def _letters(word: Iterable[int]) -> Word:
 
 def word_to_vector(word: Word) -> GoldenVector:
     """Direction vector of a word: apply sigma_k to (1, 0) for each letter in order."""
-    return GoldenVector.from_rationals(*_pairs(word))
+    return _from_point(_pairs(word), 1)
 
 
 def _pairs(word: Word) -> tuple[int, int, int, int]:
@@ -85,7 +85,7 @@ def vector_to_word(v: GoldenVector, cap: int = DEFAULT_INVERSION_CAP) -> Word:
     """Recover the unique word without leading 0 that names the direction of v.
 
     Greedy cone peeling: while the direction is not horizontal, find its cone
-    k with one exact integer test per letter (surface._pair_cone) and pull
+    k with one exact integer test, inline in _peel's letter loop, and pull
     back by sigma_k inverse. Letters come out last-first, so the collected
     list is reversed at the end. Vertical input has no word and raises
     VerticalDirectionError. The cap is the largest number of letters
@@ -102,23 +102,45 @@ def vector_to_word(v: GoldenVector, cap: int = DEFAULT_INVERSION_CAP) -> Word:
 
 
 def _peel(xa: int, xb: int, ya: int, yb: int, cap: int) -> Word:
-    """vector_to_word's peel, on the pairs of a direction with x > 0 and y >= 0 and a checked cap."""
+    """vector_to_word's peel, on the pairs of a direction with x > 0 and y >= 0 and a checked cap.
+
+    Each letter is the cone 0-3 of the direction (x, y), y > 0: cone k is
+    spanned by the columns of sigma_k, and a slope on a boundary two cones
+    share belongs to the higher one. Cones 3, 2, 1 start at slopes phi, 1,
+    phi - 1, so the tests are the signs of y - phi*x, y - x and y + x - phi*x.
+    With x > 0 each slope test implies the ones below it, so the middle test
+    goes first and a cone costs two. Each is golden_sign's test, inline, on
+    2(a + b*phi) = p + b*sqrt(5): it is >= 0 when p, b >= 0, or when the
+    larger square has the plus sign.
+    """
     letters: list[int] = []
-    while ya or yb:
-        if len(letters) >= cap:
-            raise CapExceededError(f"direction needs a word longer than {cap} letters")
-        k = _pair_cone(xa, xb, ya, yb)
-        letters.append(k)
-        if k == 0:
-            xa, xb = xa - yb, xb - ya - yb
-        elif k == 1:
-            xa, xb, ya, yb = xb - yb, xa + xb - ya - yb, yb - xa, ya + yb - xb
-        elif k == 2:
-            xa, xb, ya, yb = xb - ya, xa + xb - yb, yb - xb, ya + yb - xa - xb
+    append = letters.append
+    for _ in range(cap):
+        if not (ya or yb):
+            break
+        b = yb - xb
+        p = 2 * (ya - xa) + b
+        if (b >= 0 or p * p > 5 * b * b) if p >= 0 else b > 0 and 5 * b * b > p * p:
+            b = yb - xa - xb
+            p = 2 * (ya - xb) + b
+            if (b >= 0 or p * p > 5 * b * b) if p >= 0 else b > 0 and 5 * b * b > p * p:
+                append(3)
+                ya, yb = ya - xb, yb - xa - xb
+            else:
+                append(2)
+                xa, xb, ya, yb = xb - ya, xa + xb - yb, yb - xb, ya + yb - xa - xb
         else:
-            ya, yb = ya - xb, yb - xa - xb
-    letters.reverse()
-    return tuple(letters)
+            b = yb - xa
+            p = 2 * (ya + xa - xb) + b
+            if (b >= 0 or p * p > 5 * b * b) if p >= 0 else b > 0 and 5 * b * b > p * p:
+                append(1)
+                xa, xb, ya, yb = xb - yb, xa + xb - ya - yb, yb - xa, ya + yb - xb
+            else:
+                append(0)
+                xa, xb = xa - yb, xb - ya - yb
+    if ya or yb:
+        raise CapExceededError(f"direction needs a word longer than {cap} letters")
+    return tuple(reversed(letters))
 
 
 def derive_once(word: Word) -> Word:

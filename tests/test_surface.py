@@ -31,7 +31,8 @@ from goldenl import (
     weierstrass_point,
 )
 from goldenl.field import golden_mul, golden_sign
-from goldenl.surface import CONE_POINTS, MIDPOINT_CYCLE, WEIERSTRASS_LABELS, _pair_cone
+from goldenl.surface import CONE_POINTS, MIDPOINT_CYCLE, WEIERSTRASS_LABELS
+from goldenl.words import _pairs, _peel
 from words_reference import _SECTOR_BOUNDS, SIGMA_INVERSE, sector_of_pairs
 
 
@@ -260,9 +261,11 @@ def test_pair_cone_matches_golden_sign_statement():
                 p, b = sp * rng.randint(1, 80), sb * rng.randint(1, 80)
                 if (p - b) % 2 == 0:
                     hits += add(positive(), ((p - b) // 2, b), k)
-        for a, b in near:
+        for n, (a, b) in enumerate(near):
             for t in ((a, b), (-a, -b)):
-                add(positive(), t, k)
+                # Past n = 8, x times phi**(8 - n) puts the direction about phi**-8 off the bound.
+                x = positive()
+                add(golden_mul(*x, *golden_mul(13, 21, a, b)) if n > 8 else x, t, k)
         for m in ((1, 0), (0, 1), (-1, 1), (2, -1), (-3, 2), (5, -3), (-8, 5), (89, -55), positive()):
             assert add(m, (0, 0), k), (k, m)
     for _ in range(4000):
@@ -270,7 +273,10 @@ def test_pair_cone_matches_golden_sign_statement():
         if golden_sign(v[0], v[1]) > 0 and golden_sign(v[2], v[3]) > 0:
             directions.append(v)
     for v in directions:
-        assert _pair_cone(*v) == sector_of_pairs(v), v
+        word = _peel(*v, 100_000)
+        assert word[-1] == sector_of_pairs(v), v
+        xa, xb, ya, yb = _pairs(word)
+        assert golden_mul(xa, xb, *v[2:]) == golden_mul(ya, yb, *v[:2]), v
 
 
 def test_surface_description_shape():

@@ -230,6 +230,28 @@ def test_word_path_matches_reference():
     _same_error(word_permutation, reference.word_permutation, (0, -1))
 
 
+def test_cone_edge_words_match_reference():
+    # Runs of one letter and alternations sit on or near the cone edges the
+    # peel's sign tests tell apart; seeded long words mix every cone.
+    rng = random.Random(20261020)
+    words = [
+        word
+        for n in (500, 2000)
+        for word in ((3,) * n, (1,) + (0,) * (n - 1), (2,) * n, (1,) * n, (1, 2) * (n // 2), (1, 3) * (n // 2))
+    ]
+    words += [tuple(rng.randrange(4) for _ in range(rng.randint(1000, 2000))) for _ in range(8)]
+    for word in words:
+        v = word_to_vector(word)
+        assert v == reference.word_to_vector(word), word[:8]
+        assert vector_to_word(v) == reference.vector_to_word(v) == _stripped(word), word[:8]
+    # The cap is the largest number of letters allowed, at these lengths too.
+    for word in words[:6:2] + words[-2:]:
+        v = word_to_vector(word)
+        n = len(_stripped(word))
+        assert vector_to_word(v, n) == _stripped(word), word[:8]
+        _same_error(vector_to_word, reference.vector_to_word, v, n - 1)
+
+
 def test_leading_zeros_collapse():
     # sigma_0 fixes (1, 0), so leading zeros do not change the direction.
     assert word_to_vector((0, 2, 1)) == word_to_vector((2, 1))
