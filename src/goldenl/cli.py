@@ -7,11 +7,12 @@ GOLDENL_FORMAT and GOLDENL_CAP environment variables; explicit flags win.
 Each subcommand returns (payload, text, csv): a function that builds the JSON
 object, the text form, and the CSV form or None; main writes it once.
 
-Every subcommand needs words, classify and surface, loaded here. The flow,
-render and stats layers are imported inside the subcommands that run them,
-each by `from .x import ...`: a `from . import x` would read x off the lazy
-package and load the whole library. `json` is imported where it is used, by
-a `--format json` run alone, and `fractions` by vec2word and stats alone.
+A launch builds the parser of the subcommand it names alone. words and field
+load here; classify, surface, flow, render and stats load where they run, each
+by `from .x import ...` (a `from . import x` would read x off the lazy package
+and load the whole library), so word2vec, vec2word, reduce and stats load
+neither classify nor surface. `json` is imported where it is used, by a
+`--format json` run alone, and `fractions` by vec2word and stats alone.
 """
 
 from __future__ import annotations
@@ -21,12 +22,8 @@ import itertools
 import os
 import sys
 
-from .classify import classify_all
 from .errors import CapExceededError, StructuralViolationError
 from .field import GoldenVector
-from .surface import (
-    DEFAULT_SIZE, DEFAULT_STROKE, FRAMES, GOLDEN_L_FRAME, WEIERSTRASS_LABELS, surface_description, weierstrass_point,
-)
 from .words import (
     DEFAULT_INVERSION_CAP,
     format_word,
@@ -71,7 +68,9 @@ def _cap_or(args: argparse.Namespace, default: int | None) -> int | None:
     return cap
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Given a subcommand's name, its parser alone, whose metavar names all eight
+    so the usage line reads as the full parser's; otherwise all eight."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default=None, help="output format")
     capped = argparse.ArgumentParser(add_help=False, parents=[common])
@@ -81,47 +80,53 @@ def build_parser() -> argparse.ArgumentParser:
         prog="goldenl",
         description="Classify and simulate golden L directions named by words over 0-3.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    single = command in _COMMANDS
+    sub = parser.add_subparsers(dest="command", required=True, metavar=f"{{{','.join(_COMMANDS)}}}" if single else None)
 
-    p = sub.add_parser("classify", parents=[common], help="verdicts for the five midpoints")
-    p.add_argument("word")
-    p.add_argument("midpoint", nargs="?", type=int, default=None)
+    def add(name: str, parent: argparse.ArgumentParser, summary: str) -> argparse.ArgumentParser | None:
+        return sub.add_parser(name, parents=[parent], help=summary) if not single or name == command else None
 
-    p = sub.add_parser("word2vec", parents=[common], help="direction vector of a word")
-    p.add_argument("word")
+    if p := add("classify", common, "verdicts for the five midpoints"):
+        p.add_argument("word")
+        p.add_argument("midpoint", nargs="?", type=int, default=None)
 
-    p = sub.add_parser("vec2word", parents=[capped], help="word of an exact direction vector")
-    for axis in "xy":
-        p.add_argument(f"{axis}a", help=f"rational part of {axis}")
-        p.add_argument(f"{axis}b", help=f"phi coefficient of {axis}")
+    if p := add("word2vec", common, "direction vector of a word"):
+        p.add_argument("word")
 
-    p = sub.add_parser("reduce", parents=[common], help="base word of a word")
-    p.add_argument("word")
+    if p := add("vec2word", capped, "word of an exact direction vector"):
+        for axis in "xy":
+            p.add_argument(f"{axis}a", help=f"rational part of {axis}")
+            p.add_argument(f"{axis}b", help=f"phi coefficient of {axis}")
 
-    p = sub.add_parser("simulate", parents=[capped], help="exact flow from a midpoint")
-    p.add_argument("word")
-    p.add_argument("midpoint", nargs="?", type=int, default=None)
-    p.add_argument(
-        "--classify",
-        action="store_true",
-        help="flow all five midpoints and report verdicts instead of one trajectory",
-    )
+    if p := add("reduce", common, "base word of a word"):
+        p.add_argument("word")
 
-    p = sub.add_parser("render", parents=[capped], help="write an SVG of a trajectory")
-    p.add_argument("word")
-    p.add_argument("midpoint", type=int)
-    p.add_argument("--frame", choices=FRAMES, default=GOLDEN_L_FRAME)
-    p.add_argument("--out", required=True, help="output SVG path")
-    p.add_argument("--size", type=int, default=DEFAULT_SIZE)
-    p.add_argument("--stroke", type=float, default=DEFAULT_STROKE)
+    if p := add("simulate", capped, "exact flow from a midpoint"):
+        p.add_argument("word")
+        p.add_argument("midpoint", nargs="?", type=int, default=None)
+        p.add_argument(
+            "--classify",
+            action="store_true",
+            help="flow all five midpoints and report verdicts instead of one trajectory",
+        )
 
-    p = sub.add_parser("stats", parents=[capped], help="base-word reduction statistics")
-    p.add_argument("--max-n", type=int, required=True, help="table covers lengths m = 0, 2, ..., 2n")
-    p.add_argument("--mode", choices=("exact", "brute", "mc"), default="exact")
-    p.add_argument("--samples", type=int, default=None, help="Monte Carlo sample count per row (default 100000)")
-    p.add_argument("--seed", type=int, default=None, help="Monte Carlo RNG seed (default 0)")
+    if p := add("render", capped, "write an SVG of a trajectory"):
+        from .surface import DEFAULT_SIZE, DEFAULT_STROKE, FRAMES, GOLDEN_L_FRAME
 
-    sub.add_parser("surface", parents=[common], help="JSON description of the golden L")
+        p.add_argument("word")
+        p.add_argument("midpoint", type=int)
+        p.add_argument("--frame", choices=FRAMES, default=GOLDEN_L_FRAME)
+        p.add_argument("--out", required=True, help="output SVG path")
+        p.add_argument("--size", type=int, default=DEFAULT_SIZE)
+        p.add_argument("--stroke", type=float, default=DEFAULT_STROKE)
+
+    if p := add("stats", capped, "base-word reduction statistics"):
+        p.add_argument("--max-n", type=int, required=True, help="table covers lengths m = 0, 2, ..., 2n")
+        p.add_argument("--mode", choices=("exact", "brute", "mc"), default="exact")
+        p.add_argument("--samples", type=int, default=None, help="Monte Carlo sample count per row (default 100000)")
+        p.add_argument("--seed", type=int, default=None, help="Monte Carlo RNG seed (default 0)")
+
+    add("surface", common, "JSON description of the golden L")
 
     return parser
 
@@ -138,6 +143,8 @@ def _write(fmt: str, payload, text: str, csv: str | None) -> None:
 
 
 def _check_midpoint(label: int) -> int:
+    from .surface import weierstrass_point
+
     weierstrass_point(label)  # raises ValueError for a bad label
     return label
 
@@ -152,6 +159,8 @@ def _vector_payload(word, v: GoldenVector):
 
 def _classification_payload(word, verdicts, tau, method, midpoint=None) -> tuple:
     """A classification's JSON payload, text and CSV; the text names tau when there is one."""
+    from .surface import WEIERSTRASS_LABELS
+
     labels = WEIERSTRASS_LABELS if midpoint is None else (midpoint,)
     rows = [(label, verdicts[label].value) for label in labels]
     payload: dict = {
@@ -172,6 +181,8 @@ def _classification_payload(word, verdicts, tau, method, midpoint=None) -> tuple
 
 
 def _cmd_classify(args: argparse.Namespace) -> tuple:
+    from .classify import classify_all
+
     word = parse_word(args.word)
     midpoint = None if args.midpoint is None else _check_midpoint(args.midpoint)
     report = classify_all(word)
@@ -300,6 +311,8 @@ def _cmd_stats(args: argparse.Namespace) -> tuple:
 
 
 def _cmd_surface(args: argparse.Namespace) -> tuple:
+    from .surface import surface_description
+
     description = surface_description()
     lines = [
         f"vertices: {len(description['vertices'])}",
@@ -322,8 +335,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     # A long word's coefficients pass the 4,300 digits Python converts between
     # int and str by default. Lift that for this call and give the caller's
     # setting back; a Python without the setter has no limit.

@@ -69,8 +69,8 @@ from threading import Lock
 from .classify import Classification
 from .errors import CapExceededError, StructuralViolationError, _check_int
 from .field import GoldenVector, _Frozen, _from_point, _lowest, golden_mul, golden_sign
-from .surface import CONE_POINTS, GOLDEN_L, WEIERSTRASS_LABELS, _direction_pairs, weierstrass_point
-from .words import DEFAULT_INVERSION_CAP, Word, _pairs, _peel, format_word, word_to_vector
+from .surface import CONE_POINTS, GOLDEN_L, WEIERSTRASS_LABELS, weierstrass_point
+from .words import DEFAULT_INVERSION_CAP, Word, _direction_pairs, _pairs, _peel, format_word, word_to_vector
 
 DEFAULT_STEP_CAP = 1_000_000
 

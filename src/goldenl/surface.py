@@ -7,13 +7,14 @@ translation, the eight boundary vertices become a single cone point of angle
 the side midpoints of an inscribed pentagon. The L is stated once, by its eight
 corners, its four gluings (source corners and translation) and the midpoint
 cycle; the gluing targets, the pentagon and its midpoints are derived from them.
+The check that a vector is a direction the flow accepts lives in words.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .field import GoldenVector, _Frozen, _from_point, cleared, golden_sign
+from .field import GoldenVector, _Frozen, _from_point, cleared
 
 _gv = GoldenVector.from_rationals
 
@@ -201,16 +202,6 @@ def tau(k: int) -> Permutation5:
 # Reflecting the golden L across y = x swaps the vertical and horizontal
 # directions and relabels the Weierstrass points by (1 5)(2 4).
 VERTICAL_RELABELING = Permutation5((5, 4, 3, 2, 1))
-
-
-def _direction_pairs(v: GoldenVector) -> tuple[int, int, int, int]:
-    """v cleared to integer pairs, checked to be a nonzero direction in the closed first quadrant."""
-    xa, xb, ya, yb = pairs = cleared(v)
-    if not (xa or xb or ya or yb):
-        raise ValueError("zero vector has no direction")
-    if golden_sign(xa, xb) < 0 or golden_sign(ya, yb) < 0:
-        raise ValueError(f"direction must lie in the closed first quadrant: {v}")
-    return pairs
 
 
 # The two frames a trajectory is drawn in, the golden L itself and the pentagon

@@ -6,6 +6,7 @@ every function reads it once, as a tuple, and checks its letters there.
 Reduction deletes adjacent equal letters until none remain; the result is the
 base word, and classification only depends on it. Words and directions meet on
 integer pairs (a, b) meaning a + b*phi, with a GoldenVector only at the ends.
+The direction check for vector_to_word and the flow lives here, not in surface.
 As phi*(a + b*phi) = b + (a + b)*phi, each letter costs a few additions;
 peeling a letter off a direction adds one exact cone test, two integer signs:
 
@@ -21,8 +22,7 @@ from collections.abc import Iterable
 from itertools import groupby
 
 from .errors import CapExceededError, VerticalDirectionError, _check_int
-from .field import GoldenVector, _from_point
-from .surface import _direction_pairs
+from .field import GoldenVector, _from_point, cleared, golden_sign
 
 Word = tuple[int, ...]
 
@@ -99,6 +99,16 @@ def vector_to_word(v: GoldenVector, cap: int = DEFAULT_INVERSION_CAP) -> Word:
     if not (xa or xb):
         raise VerticalDirectionError("vertical direction has no word; classify it via the y = x relabeling")
     return _peel(xa, xb, ya, yb, cap)
+
+
+def _direction_pairs(v: GoldenVector) -> tuple[int, int, int, int]:
+    """v cleared to integer pairs, checked to be a nonzero direction in the closed first quadrant."""
+    xa, xb, ya, yb = pairs = cleared(v)
+    if not (xa or xb or ya or yb):
+        raise ValueError("zero vector has no direction")
+    if golden_sign(xa, xb) < 0 or golden_sign(ya, yb) < 0:
+        raise ValueError(f"direction must lie in the closed first quadrant: {v}")
+    return pairs
 
 
 def _peel(xa: int, xb: int, ya: int, yb: int, cap: int) -> Word:

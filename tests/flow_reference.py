@@ -32,8 +32,8 @@ from goldenl.flow import (
     _from_point,
     trace_direction,
 )
-from goldenl.surface import CONE_POINTS, GOLDEN_L, WEIERSTRASS_LABELS, _direction_pairs, weierstrass_point
-from goldenl.words import _pairs, vector_to_word
+from goldenl.surface import CONE_POINTS, GOLDEN_L, WEIERSTRASS_LABELS, weierstrass_point
+from goldenl.words import _direction_pairs, _pairs, vector_to_word
 
 Point = tuple[int, int, int, int]
 

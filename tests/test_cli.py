@@ -480,6 +480,69 @@ def test_invalid_inputs(capsys):
     assert code == 2 and "1..5" in err
 
 
+# Each subcommand's argv that parses: every positional, and the options its parser requires.
+_PARSES = {
+    "classify": ["21", "3"],
+    "word2vec": ["21"],
+    "vec2word": ["3", "2", "2", "4"],
+    "reduce": ["21"],
+    "simulate": ["21", "4"],
+    "render": ["21", "4", "--out", "f"],
+    "stats": ["--max-n", "2"],
+    "surface": [],
+}
+_CAPPED = ("vec2word", "simulate", "render", "stats")
+
+
+class _Parsed(Exception):
+    """Raised in place of running a subcommand, with the Namespace main parsed."""
+
+
+def _parse_outcome(capsys, parse, argv):
+    """(exit code, stdout, stderr, Namespace) of one parse; the code is None when it parses."""
+    try:
+        code, namespace = None, parse(list(argv))
+    except SystemExit as exc:
+        code, namespace = exc.code, None
+    except _Parsed as exc:
+        code, namespace = None, exc.args[0]
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, namespace
+
+
+def test_one_parser_behaves_as_all_eight(capsys, monkeypatch):
+    # main builds the parser of the subcommand argv names alone. Its help,
+    # usage and error texts, exit codes and parsed arguments are those of the
+    # full parser, which builds all eight for any other argv.
+    from test_cli_golden import CASES
+
+    def parsed(args):
+        raise _Parsed(args)
+
+    for name in cli._COMMANDS:
+        monkeypatch.setitem(cli._COMMANDS, name, parsed)
+    argvs = [[], ["-h"], ["bogus"], ["--format", "json", "classify", "21"], *map(list, CASES)]
+    for name, args in _PARSES.items():
+        argvs += [
+            [name, "-h"],
+            [name, "--bogus"] if name == "surface" else [name],
+            [name, *args, "--format", "xml"],
+            [name, *args, "extra"],
+            *([[name, *args, "--cap", "x"]] if name in _CAPPED else []),
+        ]
+    argvs.append(["render", "21", "4", "--out", "f", "--frame", "x"])
+    for argv in argvs:
+        assert _parse_outcome(capsys, cli.main, argv) == _parse_outcome(capsys, cli.build_parser().parse_args, argv), argv
+    # The full parser names the command's argument as it always has, in the errors a single one never prints.
+    assert "error: the following arguments are required: command\n" in _parse_outcome(capsys, cli.main, [])[2]
+    assert "error: argument command: invalid choice: 'bogus'" in _parse_outcome(capsys, cli.main, ["bogus"])[2]
+    usage = "usage: goldenl [-h] {classify,word2vec,vec2word,reduce,simulate,render,stats,surface} ..."
+    assert " ".join(_parse_outcome(capsys, cli.main, ["reduce", "21", "extra"])[2].split()).startswith(usage)
+    for name in cli._COMMANDS:
+        (commands,) = [a.choices for a in cli.build_parser(name)._actions if a.dest == "command"]
+        assert list(commands) == [name]
+
+
 def test_readme_cli_examples(capsys, monkeypatch, tmp_path):
     # Every `goldenl ...` line of the README's CLI block runs, and the outputs it states hold.
     readme = README.read_text(encoding="utf-8")

@@ -29,7 +29,7 @@ from goldenl import (
 )
 from goldenl import flow as flow_module
 from goldenl.field import PHI_FLOAT, _Frozen, golden_mul
-from goldenl.surface import _direction_pairs
+from goldenl.words import _direction_pairs
 from words_reference import SIGMA_INVERSE
 
 

@@ -39,7 +39,7 @@ from goldenl.classify import Classification
 from goldenl.field import PHI, cleared
 from goldenl.words import _pairs
 from goldenl import flow as flow_module
-from goldenl import surface as surface_module
+from goldenl import words as words_module
 from goldenl.flow import (
     DEFAULT_STEP_CAP,
     canonicalize,
@@ -350,7 +350,7 @@ def test_both_oracle_entries_give_one_report(monkeypatch):
         report = oracle_report(word)
         with monkeypatch.context() as patched:
             clears = []
-            patched.setattr(surface_module, "cleared", lambda v: clears.append(v) or cleared(v))
+            patched.setattr(words_module, "cleared", lambda v: clears.append(v) or cleared(v))
             direct = oracle_report_direction(v)
         assert clears == [v] and report == direct and repr(report) == repr(direct), word
         assert report.direction == v, word

@@ -93,9 +93,9 @@ print(json.dumps(sorted(set(namespace) - {"__builtins__"})))
 
 
 def test_classify_names_the_function_after_its_submodule_loads():
-    # The CLI imports submodule goldenl.classify before any public name is read.
+    # The CLI's classify subcommand imports submodule goldenl.classify before any public name is read.
     code = """
-import json, goldenl.cli
+import json, goldenl.classify
 from goldenl import classify
 print(json.dumps(classify((2, 1), 1).value))
 """
@@ -121,19 +121,20 @@ print(json.dumps([errors, goldenl.trace]))
     assert _run(code) == [[message, message], None]
 
 
-# Each subcommand, and which of flow, render and stats it loads.
+# Each subcommand, and which of classify, flow, render, stats and surface it loads.
 _SUBCOMMANDS = [
-    (["classify", "21"], []),
+    (["classify", "21"], ["classify", "surface"]),
     (["word2vec", "21"], []),
     (["vec2word", "2", "2", "1", "2"], []),
     (["reduce", "2121"], []),
-    (["surface"], []),
-    (["simulate", "21", "4"], ["flow"]),
-    (["simulate", "21", "--classify"], ["flow"]),
+    (["surface"], ["surface"]),
+    (["simulate", "21", "4"], ["classify", "flow", "surface"]),
+    (["simulate", "21", "--classify"], ["classify", "flow", "surface"]),
     (["stats", "--max-n", "2"], ["stats"]),
-    (["render", "21", "4", "--out", "{out}"], ["flow", "render"]),
-    (["render", "21", "4", "--frame", "pentagon", "--out", "{out}"], ["flow", "render"]),
+    (["render", "21", "4", "--out", "{out}"], ["classify", "flow", "render", "surface"]),
+    (["render", "21", "4", "--frame", "pentagon", "--out", "{out}"], ["classify", "flow", "render", "surface"]),
 ]
+_LAYERS = {"classify", "flow", "render", "stats", "surface"}
 # The subcommands that read rationals, and so load fractions and with it decimal and numbers.
 _RATIONAL = {"stats", "vec2word"}
 
@@ -162,8 +163,8 @@ print(json.dumps([sorted(m[8:] for m in added if m.startswith("goldenl.")), sort
                   sorted(added & {{"fractions", "decimal", "numbers"}})]))
 """
         loaded, heavy, rational = _run(code)
-        assert sorted(set(loaded) & {"flow", "render", "stats"}) == layers
-        assert {"classify", "cli", "errors", "field", "surface", "words"} <= set(loaded)
+        assert sorted(set(loaded) & _LAYERS) == layers
+        assert {"cli", "errors", "field", "words"} <= set(loaded)
         assert heavy == (["json"] if fmt == "json" else []), fmt
         if argv[0] in _RATIONAL:
             assert "fractions" in rational, fmt

@@ -30,8 +30,7 @@ from goldenl import (
     word_to_vector,
 )
 from goldenl.render import pentagon_svg
-from goldenl.surface import _direction_pairs
-from goldenl.words import _pairs
+from goldenl.words import _direction_pairs, _pairs
 
 
 def test_parse_and_format():
