@@ -22,8 +22,7 @@ from types import ModuleType
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "classify": ("Classification", "ClassificationReport", "HORIZONTAL_VERDICTS", "classify",
-                 "classify_all", "classify_vector", "word_permutation"),
+    "classify": ("ClassificationReport", "classify", "classify_all", "classify_vector", "word_permutation"),
     "errors": ("CapExceededError", "StructuralViolationError", "VerticalDirectionError"),
     "field": ("GoldenNumber", "GoldenVector", "ONE", "PHI", "PHI_INVERSE", "PHI_SQUARED", "ZERO"),
     "flow": ("Outcome", "Trajectory", "canonicalize", "oracle_classify", "oracle_report", "trace",
@@ -32,8 +31,8 @@ _EXPORTS = {
     "stats": ("MonteCarloEstimate", "ReductionProfile", "brute_force_profile",
               "count_empty_reductions", "empty_reduction_probability", "exact_profile",
               "monte_carlo_empty_rate"),
-    "surface": ("GOLDEN_L", "GoldenL", "Permutation5", "SIGMA", "TAU", "VERTICAL_RELABELING", "sigma",
-                "surface_description", "tau", "weierstrass_point"),
+    "surface": ("Classification", "GOLDEN_L", "GoldenL", "HORIZONTAL_VERDICTS", "Permutation5", "SIGMA", "TAU",
+                "VERTICAL_RELABELING", "sigma", "surface_description", "tau", "weierstrass_point"),
     "words": ("EMPTY_WORD", "derive_once", "format_word", "is_base_word", "parse_word",
               "reduce_word", "vector_to_word", "word_to_vector"),
 }  # fmt: skip

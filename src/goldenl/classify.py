@@ -9,34 +9,26 @@ Closed form: tau_k reflects the pentagon's side midpoints, at cyclic positions
 c in MIDPOINT_CYCLE, by c -> 2k - c (mod 5). The product sends position c to
 2A + (-1)^n * c (mod 5), where A = k_1 - k_2 + k_3 - ... is the alternating
 letter sum. Deleting a pair kk keeps A and the parity of n, so reduction to the
-base word keeps every verdict.
+base word keeps every verdict. The verdicts are surface's, so the flow oracle
+that checks this module reads them without loading it.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import NamedTuple
 
 from .errors import VerticalDirectionError
 from .field import GoldenVector
-from .surface import MIDPOINT_CYCLE, Permutation5, VERTICAL_RELABELING, WEIERSTRASS_LABELS, weierstrass_point
+from .surface import (
+    HORIZONTAL_VERDICTS,
+    MIDPOINT_CYCLE,
+    VERTICAL_RELABELING,
+    WEIERSTRASS_LABELS,
+    Classification,
+    Permutation5,
+    weierstrass_point,
+)
 from .words import Word, _letters, format_word, vector_to_word
-
-
-class Classification(Enum):
-    SHORT = "short"
-    LONG = "long"
-    SADDLE_CONNECTION = "saddle"
-
-
-# Verdicts in the horizontal direction itself (the empty word).
-HORIZONTAL_VERDICTS: dict[int, Classification] = {
-    1: Classification.SHORT,
-    2: Classification.SHORT,
-    3: Classification.LONG,
-    4: Classification.LONG,
-    5: Classification.SADDLE_CONNECTION,
-}
 
 
 # Every product, keyed by (2A mod 5, n mod 2): c -> 2A + (-1)^n * c on cycle positions.

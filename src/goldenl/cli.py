@@ -11,7 +11,8 @@ A launch builds the parser of the subcommand it names alone. words and field
 load here; classify, surface, flow, render and stats load where they run, each
 by `from .x import ...` (a `from . import x` would read x off the lazy package
 and load the whole library), so word2vec, vec2word, reduce and stats load
-neither classify nor surface. `json` is imported where it is used, by a
+neither classify nor surface, and simulate and render load surface but not
+classify. `json` is imported where it is used, by a
 `--format json` run alone, and `fractions` by vec2word and stats alone.
 """
 

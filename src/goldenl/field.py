@@ -57,13 +57,13 @@ def golden_mul(a: int, b: int, c: int, d: int) -> tuple[int, int]:
 
 class _Frozen:
     """Base of the immutable value types. A subclass that defines no __init__
-    gets one, written out once as namedtuple's is, that takes one value per
-    slot, __dict__ left out, positionally in slot order: it checks the count,
-    unpacks once and calls each slot's setter once, past __setattr__; a wrong
-    count raises TypeError naming the class and its slots. Equality, hash and
-    repr read the class's `_fields`, its slots unless it names others, in that
-    order through `_values`, one C-level getter per class. Copy and pickle
-    rebuild a value from one value per slot, keeping any cached __dict__."""
+    gets one that takes one value per slot, __dict__ left out, positionally in
+    slot order, and sets each through the slot's own setter, past __setattr__;
+    a wrong count raises TypeError naming the class and its slots. Equality,
+    hash and repr read the class's `_fields`, its slots unless it names
+    others, in that order through `_values`, one C-level getter per class.
+    Copy and pickle rebuild a value from one value per slot, and keep its
+    __dict__, the values it caches, when the class has one."""
 
     __slots__ = ()
 
@@ -74,14 +74,17 @@ class _Frozen:
         cls._values = property(get if len(cls._fields) > 1 else lambda self: (get(self),))
         names = cls._slot_names = tuple(name for name in cls.__slots__ if name != "__dict__")
         if "__init__" not in vars(cls):
-            scope = {"__name__": cls.__module__, **{f"set{i}": vars(cls)[n].__set__ for i, n in enumerate(names)}}
-            scope["wrong"] = f"{cls.__name__} takes {len(names)} values, one per slot ({', '.join(names)}), got "
-            lines = [f"if len(values) != {len(names)}:", "    raise TypeError(wrong + str(len(values)))"]
-            lines.append("(" + "".join(f"v{i}, " for i in range(len(names))) + ") = values")
-            lines += [f"set{i}(self, v{i})" for i in range(len(names))]
-            exec("def __init__(self, *values):\n    " + "\n    ".join(lines), scope)
-            cls.__init__ = scope["__init__"]
-            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+            setters = tuple(vars(cls)[name].__set__ for name in names)
+
+            def __init__(self, *values: object) -> None:
+                if len(values) != len(setters):
+                    raise TypeError(f"{cls.__name__} takes {len(setters)} values, one per slot "
+                                    f"({', '.join(names)}), got {len(values)}")
+                for set_slot, value in zip(setters, values):
+                    set_slot(self, value)
+
+            __init__.__qualname__ = f"{cls.__qualname__}.__init__"
+            cls.__init__ = __init__
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):

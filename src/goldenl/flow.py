@@ -66,10 +66,9 @@ from math import lcm
 from operator import add, sub
 from threading import Lock
 
-from .classify import Classification
 from .errors import CapExceededError, StructuralViolationError, _check_int
 from .field import GoldenVector, _Frozen, _from_point, _lowest, golden_mul, golden_sign
-from .surface import CONE_POINTS, GOLDEN_L, WEIERSTRASS_LABELS, weierstrass_point
+from .surface import CONE_POINTS, GOLDEN_L, MIDPOINT_CYCLE, WEIERSTRASS_LABELS, Classification, weierstrass_point
 from .words import DEFAULT_INVERSION_CAP, Word, _direction_pairs, _pairs, _peel, format_word, word_to_vector
 
 DEFAULT_STEP_CAP = 1_000_000
@@ -133,6 +132,16 @@ _GLUINGS2 = {g.name: tuple(_int_point(p, 2) for p in (*g.source, g.translation))
 _EXITS = tuple((lo[:2] == hi[:2], tuple(-c for c in move)) for lo, hi, move in map(_GLUINGS2.get, "bdac"))
 _END = len(_EXITS)
 _STAIR2 = tuple(_int_point(p, 2) for p in _STAIR)
+# Per walk byte, (cut left, side re-entered) of a run, each inscribed pentagon side named by its midpoint: 1 and 5
+# lie on gluing sources a and d, 4, 2 and 3 are the cuts C1, C2 and C3. The walls of a (x = phi) and c (y = phi^2)
+# lie beyond C2, those of b and d beyond C1; gluings a and d re-enter on sides 1 and 5, b and c below C3.
+_LEAVES = ((4, 3), (4, 5), (2, 1), (2, 3))
+# Per walk byte, (turn, side re-entered) of the run after that wall: the billiard table turns by 2 * (cycle
+# position of the cut left - that of the side re-entered) steps of 72 degrees (render.billiard_path).
+_REENTRY = tuple((2 * (MIDPOINT_CYCLE.index(cut) - MIDPOINT_CYCLE.index(side)) % 5, side) for cut, side in _LEAVES)
+# The cone points _STAIR[1] and [3] lie beyond C1 and C2; a run that ends there leaves
+# by that cut and is drawn to the cone point's mirror image in it, _STAIR[4] or [0].
+_BEYOND = {1: (4, 4), 3: (2, 0)}
 _STARTS2 = {label: _int_point(weierstrass_point(label), 2) for label in WEIERSTRASS_LABELS}
 # What a finished orbit's points are checked against, at scale 2: per midpoint,
 # its start and its glued twins, the start plus each gluing translation whose

@@ -1,17 +1,18 @@
 """SVG rendering of trajectories, in the golden L frame or the pentagon frame.
 
 Both frames draw one exact trajectory, and coordinates only become floats at
-the last step. The golden L frame draws its segments as they are. The
-pentagon frame's billiard table, a regular pentagon with side 1, is the image
-of the L's inscribed pentagon under one linear map P, which only _on_pentagon
-states: the table's vertices, side midpoints and mirrors are P's images of the
-L's points. The trajectory folds onto the table (see billiard_path) from its
-walk alone: each run's chord h comes from the walk's steps, and where it
-bounces is one affine map of h per side, set up once per direction, so no
-point is built. Where a closed path closes follows by rule from the walk's
-turns and the direction. Each frame's outline and marked points are formatted
-once per size and stroke, both frames' lines in chunks, and each bounce point
-of the table's polyline is placed and formatted once.
+the last step. The golden L frame draws its segments as they are. The pentagon
+frame's billiard table, a regular pentagon with side 1, is the image of the L's
+inscribed pentagon under one linear map P, which only _on_pentagon states: the
+table's vertices, side midpoints and mirrors are P's images of the L's points.
+The trajectory folds onto the table (see billiard_path) from its walk alone:
+flow, which owns the walk's encoding, states the sides each byte's run leaves
+and re-enters by, and the turn; each run's chord h comes from the walk's steps,
+and where it bounces is one affine map of h per side, set up once per
+direction, so no point is built. Where a closed path closes follows by rule
+from the walk's turns and the direction. Each frame's outline and marked points
+are formatted once per size and stroke, both frames' lines in chunks, and each
+bounce point of the table's polyline is placed and formatted once.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import lru_cache
 from itertools import chain
 
 from .field import PHI_FLOAT, _Frozen
-from .flow import DEFAULT_STEP_CAP, Outcome, Trajectory, _END, _STAIR, _shown, trace
+from .flow import DEFAULT_STEP_CAP, Outcome, Trajectory, _BEYOND, _END, _LEAVES, _REENTRY, _STAIR, _shown, trace
 from .surface import DEFAULT_SIZE, DEFAULT_STROKE, FRAMES, GOLDEN_L, GOLDEN_L_FRAME, MIDPOINT_CYCLE, PENTAGON_FRAME
 # word_to_vector is bound here only because perfbench/selftest.py checks that its wrapper reaches it.
 from .words import Word, word_to_vector  # noqa: F401
@@ -48,7 +49,7 @@ PENTAGON_MIDPOINTS = {k: (z.real, z.imag) for k, z in zip(_L_MARKED, (_on_pentag
 
 # The fold names each inscribed side by the Weierstrass point at its midpoint, and so the table side P carries it
 # onto: side j of MIDPOINT_CYCLE onto table side j + 2, from vertex j + 2 to j + 3. By label: upper left 1, upper right
-# 2, lower left 3, lower right 4, bottom 5. Sides 1 and 5 are gluing sources a and d, 3, 4 and 2 the cuts C3, C1 and C2.
+# 2, lower left 3, lower right 4, bottom 5. The +2 cancels in a turn, so flow's _REENTRY reads MIDPOINT_CYCLE.
 _EDGE = {label: (MIDPOINT_CYCLE.index(label) + 2) % 5 for label in sorted(MIDPOINT_CYCLE)}
 
 
@@ -83,15 +84,6 @@ _SIDE_ENDS = {
     side: (a, c, _on_pentagon(*a), _on_pentagon(*c)) for side, a, c in zip(MIDPOINT_CYCLE, _RING, _RING[1:] + _RING[:1])
 }
 _ROTATIONS = tuple(complex(math.cos(0.4 * math.pi * k), math.sin(0.4 * math.pi * k)) for k in range(5))
-# (cut left, side re-entered) of a run, by its walk byte: the walls of a (x = phi)
-# and c (y = phi^2) lie beyond C2, those of b (x = phi^2) and d (y = phi) beyond C1.
-# Gluings a and d re-enter on sides 1 and 5, b and c below C3. Walls in walk order b, d, a, c.
-_LEAVES = ((4, 3), (4, 5), (2, 1), (2, 3))
-# (table turn, side re-entered) of the run after each wall, by its walk byte (billiard_path).
-_REENTRY = tuple((2 * (_EDGE[left] - _EDGE[entered]) % 5, entered) for left, entered in _LEAVES)
-# The cone points _STAIR[1] and [3] lie beyond C1 and C2; a run that ends there leaves
-# by that cut and is drawn to the cone point's mirror image in it, _STAIR[4] or [0].
-_BEYOND = {1: (4, 4), 3: (2, 0)}
 _SQRT5 = math.sqrt(5.0)
 # The reflections in the table axes through midpoints 2 and 4 (billiard_path): u / conj(u) for the midpoint u.
 _MIRRORS = {label: complex(x, y) / complex(x, -y) for label, (x, y) in PENTAGON_MIDPOINTS.items() if label in (2, 4)}

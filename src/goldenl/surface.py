@@ -7,11 +7,14 @@ translation, the eight boundary vertices become a single cone point of angle
 the side midpoints of an inscribed pentagon. The L is stated once, by its eight
 corners, its four gluings (source corners and translation) and the midpoint
 cycle; the gluing targets, the pentagon and its midpoints are derived from them.
-The check that a vector is a direction the flow accepts lives in words.
+The check that a vector is a direction the flow accepts lives in words. The
+verdicts live here, so classify and the flow oracle that checks it read them
+and neither loads the other.
 """
 
 from __future__ import annotations
 
+from enum import Enum
 from typing import NamedTuple
 
 from .field import GoldenVector, _Frozen, _from_point, cleared
@@ -103,6 +106,22 @@ GOLDEN_L = GoldenL(
 
 CONE_POINTS = frozenset(_VERTICES)
 WEIERSTRASS_LABELS = (1, 2, 3, 4, 5)
+
+
+class Classification(Enum):
+    SHORT = "short"
+    LONG = "long"
+    SADDLE_CONNECTION = "saddle"
+
+
+# Verdicts in the horizontal direction itself (the empty word).
+HORIZONTAL_VERDICTS: dict[int, Classification] = {
+    1: Classification.SHORT,
+    2: Classification.SHORT,
+    3: Classification.LONG,
+    4: Classification.LONG,
+    5: Classification.SADDLE_CONNECTION,
+}
 
 
 def weierstrass_point(label: int) -> GoldenVector:

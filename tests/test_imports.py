@@ -102,6 +102,32 @@ print(json.dumps(classify((2, 1), 1).value))
     assert _run(code) == "saddle"
 
 
+@pytest.mark.parametrize("module", ["flow", "render"])
+def test_the_oracle_and_the_renderer_load_no_classify(module):
+    # The flow oracle checks the tau algorithm, so neither it nor the renderer on top of it loads that algorithm.
+    assert "classify" not in _run(f"import goldenl.{module}" + _LOADED)
+
+
+def test_verdicts_have_one_owner_under_every_spelling():
+    code = """
+import json, sys
+import goldenl, goldenl.classify, goldenl.surface
+from goldenl.classify import Classification, HORIZONTAL_VERDICTS
+classify = sys.modules["goldenl.classify"]
+print(json.dumps([goldenl.Classification is classify.Classification is Classification is goldenl.surface.Classification,
+                  goldenl.HORIZONTAL_VERDICTS is HORIZONTAL_VERDICTS is goldenl.surface.HORIZONTAL_VERDICTS]))
+"""
+    assert _run(code) == [True, True]
+
+
+def test_walk_turns_read_on_cycle_positions_match_the_table_sides():
+    # flow states each turn on MIDPOINT_CYCLE positions, the renderer numbers the table's sides by _EDGE; the
+    # +2 that _EDGE adds cancels in a difference.
+    from goldenl import flow, render
+
+    assert flow._REENTRY == tuple((2 * (render._EDGE[l] - render._EDGE[e]) % 5, e) for l, e in flow._LEAVES)
+
+
 def test_unknown_name_raises_attribute_error_naming_it():
     # Also after the library has loaded, when a miss must leave patched names alone.
     code = """
@@ -128,11 +154,11 @@ _SUBCOMMANDS = [
     (["vec2word", "2", "2", "1", "2"], []),
     (["reduce", "2121"], []),
     (["surface"], ["surface"]),
-    (["simulate", "21", "4"], ["classify", "flow", "surface"]),
-    (["simulate", "21", "--classify"], ["classify", "flow", "surface"]),
+    (["simulate", "21", "4"], ["flow", "surface"]),
+    (["simulate", "21", "--classify"], ["flow", "surface"]),
     (["stats", "--max-n", "2"], ["stats"]),
-    (["render", "21", "4", "--out", "{out}"], ["classify", "flow", "render", "surface"]),
-    (["render", "21", "4", "--frame", "pentagon", "--out", "{out}"], ["classify", "flow", "render", "surface"]),
+    (["render", "21", "4", "--out", "{out}"], ["flow", "render", "surface"]),
+    (["render", "21", "4", "--frame", "pentagon", "--out", "{out}"], ["flow", "render", "surface"]),
 ]
 _LAYERS = {"classify", "flow", "render", "stats", "surface"}
 # The subcommands that read rationals, and so load fractions and with it decimal and numbers.
