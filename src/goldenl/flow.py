@@ -41,15 +41,15 @@ Points are checked against the L's fixed points at scale 2.
 A closed orbit through a midpoint meets exactly one other, its twin, half a
 period on: the hyperelliptic involution J fixes both and turns the orbit
 around, so the arc back has the same holonomy. The half-walk belongs to the
-oracle, which needs only holonomies and steps the kernel itself: its walk
-stops on the first chord of another midpoint while its j crossings leave
-2j + 2 <= cap, and gives both twice the displacement so far; a midpoint not
-yet known is walked on its own, and a walk into the cone point builds no
-holonomy. What its walks look for, the midpoints' chords, is in the frame
-too, so a walk only unpacks it, and it counts each verdict as its holonomy
-comes. So it walks about half of each cylinder's core orbit and builds no
-trajectory. It reads a word's pairs from words._pairs, and its report keeps
-the pairs and the holonomies the cylinder check passed; no read of it walks.
+oracle, which needs only holonomies and steps the kernel itself: a walk that
+stops on its twin's chord gives both midpoints twice the displacement so far
+(its cap rule is _oracle's), a midpoint not yet known is walked on its own,
+and a walk into the cone point builds no holonomy. What its walks look for,
+the midpoints' chords, is in the frame too, so a walk only unpacks it. So it
+walks about half of each cylinder's core orbit and builds no trajectory. It
+reads a word's pairs from words._pairs. Its walks only collect holonomies;
+_cylinder_verdicts, the one check, decides every report's verdicts, and the
+report keeps the pairs and the holonomies it passed; no read of it walks.
 The check is in closed form: psi_w carries the horizontal cylinders onto v's,
 v = word_to_vector(w), so their holonomies are phi*v and phi^2*v, two each
 (Veech 1989). A vector is walked as given and checked against its word's.
@@ -457,20 +457,18 @@ def trace(label: int, word: Word, cap: int = DEFAULT_STEP_CAP) -> Trajectory:
 
 
 def _oracle(pairs: Point, check: Point, cap: int) -> OracleReport:
-    """The report in the direction with checked integer pairs `pairs`, each
-    midpoint's holonomy at scale 2 from half of each closed orbit, checked
-    against the pairs `check` of the direction's word.
+    """The report in the direction with checked integer pairs `pairs`: each
+    midpoint's holonomy at scale 2 from half of each closed orbit, and the
+    verdicts that _cylinder_verdicts, the one check, gives them against the
+    pairs `check` of the direction's word.
 
-    A cylinder's core orbit passes through two midpoints half a period apart,
-    the fixed points of the hyperelliptic involution J inside it, and J turns
-    the orbit around, so the two arcs between them have the same holonomy. A
-    walk stopped at its twin after j crossings gives both twice the
-    displacement so far. Both whole walks then fit the cap, with at most
-    2j + 2 segments: the arcs cross the walls equally often give or take one.
-    (The orbit leaves the square [0, phi]^2 up or right and comes back through
-    the top or right outer wall, in turn; J swaps those two pairs of sides and
-    fixes the other two walls.) Any midpoint not yet known is walked on its
-    own, to the same holonomy or the same error.
+    A walk stops on the chord of its twin, the other midpoint of its orbit,
+    only after j crossings with 2j + 2 <= cap. Both whole walks then fit the
+    cap, with at most 2j + 2 segments: the arcs cross the walls equally often
+    give or take one. (The orbit leaves the square [0, phi]^2 up or right and
+    comes back through the top or right outer wall, in turn; J swaps those two
+    pairs of sides and fixes the other two walls.) Any midpoint not yet known
+    is walked on its own, to the same holonomy or the same error.
 
     It sets the direction's frame up once, look data included, and steps the
     kernel _run on it itself. In one pass over the labels in order it walks
@@ -478,14 +476,11 @@ def _oracle(pairs: Point, check: Point, cap: int) -> OracleReport:
     _walk's rule, 2n for (2n0, 2(n0 + n2), 2n3, 2(n1 + n3)): 4n plus twice the
     step from the start to the twin for both midpoints of a twin stop, 2n for
     a closed walk, and None, no holonomy built, for the cone hit. A walk that
-    stops at no twin ends by _finish, as the trace's does. It counts each
-    verdict as its holonomy comes, against _closed_forms' two; a tally other
-    than one saddle, two short and two long goes to _cylinder_verdicts to raise.
+    stops at no twin ends by _finish, as the trace's does.
     """
     _check_int("cap", cap, 0)
     table = _direction_table(pairs)
-    starts, (short, long) = table[3], _closed_forms(check)
-    known, holonomies, verdicts, shorts, longs, saddles = {}, {}, {}, 0, 0, 0
+    starts, known, holonomies = table[3], {}, {}
     for label in WEIERSTRASS_LABELS:
         if label not in known:  # else met by an earlier walk's twin stop
             h0, edge_run = starts[label]
@@ -499,16 +494,8 @@ def _oracle(pairs: Point, check: Point, cap: int) -> OracleReport:
                 if hit is None and edge_run is None:  # else the cone hit, no holonomy built
                     n0, n1, n2, n3 = walk.count(0), walk.count(1), walk.count(2), walk.count(3)
                     known[label] = 2 * n0, 2 * (n0 + n2), 2 * n3, 2 * (n1 + n3)
-        holonomies[label] = holonomy = known.get(label)
-        if holonomy is None:
-            verdicts[label], saddles = _SADDLE, saddles + 1
-        elif holonomy == short:
-            verdicts[label], shorts = _SHORT, shorts + 1
-        elif holonomy == long:
-            verdicts[label], longs = _LONG, longs + 1
-    if saddles != 1 or shorts != 2 or longs != 2:
-        _cylinder_verdicts(check, holonomies)
-    return OracleReport(pairs, verdicts, holonomies)
+        holonomies[label] = known.get(label)
+    return OracleReport(pairs, _cylinder_verdicts(check, holonomies), holonomies)
 
 
 class OracleReport(_Frozen):
@@ -566,21 +553,30 @@ def _cylinder_verdicts(pairs: Point, holonomies: dict[int, Point | None]) -> dic
     horizontal cylinders, holonomies phi and phi^2, onto v's (Veech 1989): one
     midpoint hits the cone point, two close with holonomy phi*v (short) and two
     with phi^2*v (long). Anything else is a structural violation of the
-    simulator or the geometry tables, never bad input. One lookup per label
-    gives its verdict, None for neither, and the checks read the verdicts.
+    simulator or the geometry tables, never bad input. One pass compares each
+    holonomy with the two closed forms, in label order; then it raises on a
+    count other than four closed and one cone hit, on the first label whose
+    holonomy is neither form, and on a split other than two and two, in that
+    order. It is the one rule from holonomy to verdict: every OracleReport's
+    verdicts are what it returns.
     """
     short, long = _closed_forms(pairs)
-    kind = {short: _SHORT, long: _LONG, None: _SADDLE}.get
-    verdicts = {label: kind(h) for label, h in holonomies.items()}
-    got = list(verdicts.values())
-    saddles = got.count(_SADDLE)
-    if saddles != 1 or len(got) != 5:
-        raise StructuralViolationError(f"expected 4 closed orbits and 1 cone hit, got {len(got) - saddles} and {saddles}")
-    if None in got:
-        label = next(label for label, kind in verdicts.items() if kind is None)
-        h, v = _shown(_from_point(holonomies[label], 2)), _shown(_from_point(pairs, 1))
-        raise StructuralViolationError(f"holonomy {h} of midpoint {label} is neither phi*v nor phi^2*v for v = {v}")
-    if got.count(_SHORT) != 2:
+    verdicts, saddles, shorts, neither = {}, 0, 0, None
+    for label, h in holonomies.items():
+        if h is None:
+            verdicts[label], saddles = _SADDLE, saddles + 1
+        elif h == short:
+            verdicts[label], shorts = _SHORT, shorts + 1
+        elif h == long:
+            verdicts[label] = _LONG
+        elif neither is None:
+            neither = label
+    if saddles != 1 or len(holonomies) != 5:
+        raise StructuralViolationError(f"expected 4 closed orbits and 1 cone hit, got {len(holonomies) - saddles} and {saddles}")
+    if neither is not None:
+        h, v = _shown(_from_point(holonomies[neither], 2)), _shown(_from_point(pairs, 1))
+        raise StructuralViolationError(f"holonomy {h} of midpoint {neither} is neither phi*v nor phi^2*v for v = {v}")
+    if shorts != 2:
         raise StructuralViolationError("holonomy magnitudes do not split two and two")
     return verdicts
 

@@ -47,11 +47,6 @@ _CIRCUMRADIUS = PENTAGON_VERTICES[0][1]
 _L_MARKED = {label: p.to_floats() for label, p in GOLDEN_L.weierstrass.items()}
 PENTAGON_MIDPOINTS = {k: (z.real, z.imag) for k, z in zip(_L_MARKED, (_on_pentagon(*p) for p in _L_MARKED.values()))}
 
-# The fold names each inscribed side by the Weierstrass point at its midpoint, and so the table side P carries it
-# onto: side j of MIDPOINT_CYCLE onto table side j + 2, from vertex j + 2 to j + 3. By label: upper left 1, upper right
-# 2, lower left 3, lower right 4, bottom 5. The +2 cancels in a turn, so flow's _REENTRY reads MIDPOINT_CYCLE.
-_EDGE = {label: (MIDPOINT_CYCLE.index(label) + 2) % 5 for label in sorted(MIDPOINT_CYCLE)}
-
 
 def transported_side_events(trajectory: Trajectory) -> int:
     """Pentagon-side crossings of one period of a closed trajectory.
@@ -79,7 +74,8 @@ def transported_side_events(trajectory: Trajectory) -> int:
     return 2 * (len(walk) - walk.count(_END))
 
 
-# The fold: the ends of each inscribed side by label, in the L and on the table, and the table's five turns.
+# The fold names each inscribed side by the Weierstrass point at its midpoint: the ends of each side by label, in
+# the L and on the table, and the table's five turns.
 _SIDE_ENDS = {
     side: (a, c, _on_pentagon(*a), _on_pentagon(*c)) for side, a, c in zip(MIDPOINT_CYCLE, _RING, _RING[1:] + _RING[:1])
 }

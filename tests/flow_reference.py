@@ -14,8 +14,9 @@ golden_mul at each fixed point.
 
 `reference_oracle` is the flow oracle as it was before it shared walks
 between the two midpoints of a cylinder: it traces every midpoint whole with
-the library's kernel, then calls the library's cylinder check, so its report
-holds the whole walks' holonomies where the oracle's holds the half-walks'.
+the library's kernel, so its report holds the whole walks' holonomies where
+the oracle's holds the half-walks'. It decides the verdicts itself, on the
+GoldenVector holonomies, without the library's cylinder check.
 """
 
 from __future__ import annotations
@@ -23,17 +24,10 @@ from __future__ import annotations
 from math import lcm
 
 from goldenl.errors import CapExceededError, StructuralViolationError
-from goldenl.field import PHI, GoldenNumber, GoldenVector, cleared, golden_mul, golden_sign
-from goldenl.flow import (
-    DEFAULT_STEP_CAP,
-    OracleReport,
-    Outcome,
-    _cylinder_verdicts,
-    _from_point,
-    trace_direction,
-)
-from goldenl.surface import CONE_POINTS, GOLDEN_L, WEIERSTRASS_LABELS, weierstrass_point
-from goldenl.words import _direction_pairs, _pairs, vector_to_word
+from goldenl.field import ONE, PHI, PHI_SQUARED, ZERO, GoldenNumber, GoldenVector, cleared, golden_mul, golden_sign
+from goldenl.flow import DEFAULT_STEP_CAP, OracleReport, Outcome, _from_point, trace_direction
+from goldenl.surface import CONE_POINTS, GOLDEN_L, WEIERSTRASS_LABELS, Classification, weierstrass_point
+from goldenl.words import _direction_pairs, vector_to_word, word_to_vector
 
 Point = tuple[int, int, int, int]
 
@@ -281,10 +275,24 @@ def corners_above_every_chord(pairs: Point) -> tuple:
 
 
 def reference_oracle(v: GoldenVector, cap: int = DEFAULT_STEP_CAP) -> OracleReport:
-    """Classify every midpoint by tracing each one, then run the library's
-    cylinder check against the pairs of v's word, or (0, 0, 1, 0) for the vertical."""
+    """Classify every midpoint by tracing each one whole: the cone hit is the
+    saddle connection, and a closed orbit is short when its holonomy is phi*w
+    and long when it is phi^2*w, for w the vector of v's word, or (0, 1) for
+    the vertical. Anything but one cone hit and the rest two and two raises."""
     trajectories = {label: trace_direction(label, v, cap) for label in WEIERSTRASS_LABELS}
-    holonomies = {l: None if t._cone is not None else t._holonomy2 for l, t in trajectories.items()}
     pairs = cleared(v)
-    check = _pairs(vector_to_word(v)) if pairs[0] or pairs[1] else (0, 0, 1, 0)
-    return OracleReport(pairs, _cylinder_verdicts(check, holonomies), holonomies)
+    w = word_to_vector(vector_to_word(v)) if pairs[0] or pairs[1] else GoldenVector(ZERO, ONE)
+    short, long, saddle = Classification.SHORT, Classification.LONG, Classification.SADDLE_CONNECTION
+    verdicts = {}
+    for label, t in trajectories.items():
+        if t.outcome is Outcome.HIT_CONE_POINT:
+            verdicts[label] = saddle
+        elif t.holonomy == w.scaled(PHI):
+            verdicts[label] = short
+        elif t.holonomy == w.scaled(PHI_SQUARED):
+            verdicts[label] = long
+    got = list(verdicts.values())
+    if [got.count(c) for c in (saddle, short, long)] != [1, 2, 2]:
+        raise StructuralViolationError(f"midpoints {verdicts} are not one cone hit, two short and two long")
+    holonomies = {l: None if t.outcome is Outcome.HIT_CONE_POINT else t._holonomy2 for l, t in trajectories.items()}
+    return OracleReport(pairs, verdicts, holonomies)

@@ -20,12 +20,17 @@ from dataclasses import dataclass
 import goldenl.render as render
 from goldenl.field import PHI_FLOAT, GoldenVector
 from goldenl.flow import _END, _STAIR, Outcome, Trajectory
-from goldenl.render import _EDGE
+from goldenl.surface import MIDPOINT_CYCLE
 from goldenl.words import Word, word_to_vector
 
 DEFAULT_MAX_BOUNCES = 20_000
 CORNER_TOLERANCE = 1e-9
 CLOSE_TOLERANCE = 1e-7
+# The table side of each midpoint. The library's fold names each inscribed side by the Weierstrass point at its
+# midpoint, and P carries side j of MIDPOINT_CYCLE onto table side j + 2, from vertex j + 2 to j + 3. By label: upper
+# left 1, upper right 2, lower left 3, lower right 4, bottom 5. The +2 cancels in a turn, so flow's _REENTRY reads
+# MIDPOINT_CYCLE.
+_EDGE = {label: (MIDPOINT_CYCLE.index(label) + 2) % 5 for label in sorted(MIDPOINT_CYCLE)}
 # The frame change P from the golden L to the table, as floats from its angle.
 PENTAGON_TRANSFER = ((1.0, math.cos(math.pi / 5.0)), (0.0, math.sin(math.pi / 5.0)))
 # The regular pentagon with side 1, apex up, centred at the origin: vertex k at 90 + 72k

@@ -952,11 +952,10 @@ def test_oracle_agrees_with_whole_traces_where_midpoint_chords_share_a_first_par
 
 
 def test_oracle_sends_any_other_tally_to_the_cylinder_check(monkeypatch):
-    # The oracle counts its short, long and saddle verdicts as the holonomies
-    # come, and a tally other than one saddle, two short and two long goes to
-    # _cylinder_verdicts, which raises. Checked against another word's
-    # vector, no closed holonomy is either closed form. A kernel that loses
-    # its cone hit closes every walk, and no midpoint is a saddle.
+    # The oracle's verdicts come from _cylinder_verdicts, which raises on
+    # anything but one saddle, two short and two long. Checked against another
+    # word's vector, no closed holonomy is either closed form. A kernel that
+    # loses its cone hit closes every walk, and no midpoint is a saddle.
     with pytest.raises(StructuralViolationError) as excinfo:
         flow_module._oracle(_pairs((2, 1)), _pairs((1, 2)), DEFAULT_STEP_CAP)
     assert str(excinfo.value) == (
@@ -972,6 +971,28 @@ def test_oracle_sends_any_other_tally_to_the_cylinder_check(monkeypatch):
     for word in ((1,), (2, 1), (1, 3, 2), (0, 3, 1, 2)):
         with pytest.raises(StructuralViolationError, match=r"^expected 4 closed orbits and 1 cone hit, got 5 and 0$"):
             oracle_report(word)
+
+
+def test_every_report_makes_exactly_one_cylinder_check(monkeypatch):
+    # _cylinder_verdicts is the one rule from holonomy to verdict: each report
+    # calls it once, on its own holonomies in label order, and keeps what it returns.
+    calls = []
+    check = flow_module._cylinder_verdicts
+
+    def recorded(pairs, holonomies):
+        calls.append((list(holonomies.items()), check(pairs, holonomies)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(flow_module, "_cylinder_verdicts", recorded)
+    words = [w for n in range(4) for w in product((0, 1, 2, 3), repeat=n)]
+    runs = [(oracle_report, w) for w in words] + [(oracle_report_direction, v) for v in (HORIZONTAL, VERTICAL)]
+    for oracle, arg in runs:
+        calls.clear()
+        report = oracle(arg)
+        assert len(calls) == 1, arg
+        holonomies, verdicts = calls[0]
+        assert holonomies == list(report._holonomies.items()) and [l for l, _ in holonomies] == [1, 2, 3, 4, 5], arg
+        assert verdicts is report.verdicts, arg
 
 
 def test_direction_table_equals_point_by_point_reference():

@@ -121,11 +121,12 @@ print(json.dumps([goldenl.Classification is classify.Classification is Classific
 
 
 def test_walk_turns_read_on_cycle_positions_match_the_table_sides():
-    # flow states each turn on MIDPOINT_CYCLE positions, the renderer numbers the table's sides by _EDGE; the
-    # +2 that _EDGE adds cancels in a difference.
-    from goldenl import flow, render
+    # flow states each turn on MIDPOINT_CYCLE positions, the pentagon reference numbers the table's sides by
+    # _EDGE; the +2 that _EDGE adds cancels in a difference.
+    from goldenl import flow
+    from pentagon_reference import _EDGE
 
-    assert flow._REENTRY == tuple((2 * (render._EDGE[l] - render._EDGE[e]) % 5, e) for l, e in flow._LEAVES)
+    assert flow._REENTRY == tuple((2 * (_EDGE[l] - _EDGE[e]) % 5, e) for l, e in flow._LEAVES)
 
 
 def test_unknown_name_raises_attribute_error_naming_it():
@@ -238,6 +239,37 @@ def test_every_import_is_read():
         names = _unread_imports(path.read_text(encoding="utf-8")) - _UNREAD_ALLOWED.get(path.stem, set())
         if names:
             unread[path.stem] = sorted(names)
+    assert unread == {}
+
+
+def _private_bindings(tree: ast.Module) -> set[str]:
+    """The private names, dunders aside, that a module's top-level statements bind."""
+    bound, todo = set(), list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        for target in getattr(node, "targets", [getattr(node, "target", None)]):
+            if target is not None:
+                bound.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
+        todo += [*getattr(node, "body", []), *getattr(node, "orelse", []), *getattr(node, "finalbody", [])]
+    return {name for name in bound if name.startswith("_") and not name.endswith("__")}
+
+
+def test_every_private_module_name_is_read():
+    # A private name that a module binds at top level and no library code
+    # reads, as a name or an attribute, is dead or belongs to its only reader.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted((SRC / "goldenl").glob("*.py"))}
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) or isinstance(node, ast.Attribute)
+    }
+    unread = {stem: sorted(names) for stem, tree in trees.items() if (names := _private_bindings(tree) - read)}
     assert unread == {}
 
 

@@ -582,6 +582,6 @@ def test_fold_geometry_beyond_the_float_reference():
             assert near(reference._reflect(runs[i - 1], side), outgoing), (path.start_label, i)
             if i < len(runs):
                 assert not (near(q, start) and near(outgoing, runs[0])), (path.start_label, i)
-        assert _side_of(start)[0] == render._EDGE[path.start_label]
+        assert _side_of(start)[0] == reference._EDGE[path.start_label]
         beyond_reference += path.segment_count > reference.DEFAULT_MAX_BOUNCES
     assert beyond_reference == 8
