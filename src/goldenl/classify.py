@@ -22,10 +22,10 @@ from .field import GoldenVector
 from .surface import (
     HORIZONTAL_VERDICTS,
     MIDPOINT_CYCLE,
-    VERTICAL_RELABELING,
     WEIERSTRASS_LABELS,
     Classification,
     Permutation5,
+    _parity_verdicts,
     weierstrass_point,
 )
 from .words import Word, _letters, format_word, vector_to_word
@@ -83,12 +83,12 @@ def classify_vector(v: GoldenVector) -> ClassificationReport:
     """Classify an exact direction vector.
 
     Horizontal and general directions go through the word machinery. The
-    vertical direction has no word; it is classified by reflecting across
-    y = x, which relabels the midpoints by (1 5)(2 4) and turns the question
-    back into the horizontal one.
+    vertical direction has no word; its verdicts follow from (0, 1) mod 2 by
+    the rule that gives the horizontal's from (1, 0): the saddle is the
+    midpoint whose class is the direction's, the short pair's classes sum to
+    phi times it.
     """
     try:
         return classify_all(vector_to_word(v))
     except VerticalDirectionError:
-        verdicts = {label: HORIZONTAL_VERDICTS[VERTICAL_RELABELING(label)] for label in WEIERSTRASS_LABELS}
-        return ClassificationReport(word=None, tau=None, verdicts=verdicts)
+        return ClassificationReport(word=None, tau=None, verdicts=_parity_verdicts((0, 0, 1, 0)))

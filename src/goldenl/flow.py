@@ -68,7 +68,7 @@ from threading import Lock
 
 from .errors import CapExceededError, StructuralViolationError, _check_int
 from .field import GoldenVector, _Frozen, _from_point, _lowest, golden_mul, golden_sign
-from .surface import CONE_POINTS, GOLDEN_L, MIDPOINT_CYCLE, WEIERSTRASS_LABELS, Classification, weierstrass_point
+from .surface import _MIDPOINTS2, CONE_POINTS, GOLDEN_L, MIDPOINT_CYCLE, Classification, weierstrass_point
 from .words import DEFAULT_INVERSION_CAP, Word, _direction_pairs, _pairs, _peel, format_word, word_to_vector
 
 DEFAULT_STEP_CAP = 1_000_000
@@ -142,16 +142,15 @@ _REENTRY = tuple((2 * (MIDPOINT_CYCLE.index(cut) - MIDPOINT_CYCLE.index(side)) %
 # The cone points _STAIR[1] and [3] lie beyond C1 and C2; a run that ends there leaves
 # by that cut and is drawn to the cone point's mirror image in it, _STAIR[4] or [0].
 _BEYOND = {1: (4, 4), 3: (2, 0)}
-_STARTS2 = {label: _int_point(weierstrass_point(label), 2) for label in WEIERSTRASS_LABELS}
 # What a finished orbit's points are checked against, at scale 2: per midpoint,
 # its start and its glued twins, the start plus each gluing translation whose
 # source edge holds it; the cone points; and the gluing translations, either way.
 _TWINS2 = {
     label: frozenset([s, *(tuple(map(add, s, m)) for lo, hi, m in _GLUINGS2.values() if _between(lo, s, hi))])
-    for label, s in _STARTS2.items()
+    for label, s in _MIDPOINTS2.items()
 }
 # Twice the step from one midpoint to another at scale 2, by (to, from).
-_SHIFTS2 = {(m, s): tuple(2 * (a - b) for a, b in zip(pm, ps)) for m, pm in _STARTS2.items() for s, ps in _STARTS2.items()}
+_SHIFTS2 = {(m, s): tuple(2 * (a - b) for a, b in zip(_MIDPOINTS2[m], _MIDPOINTS2[s])) for m in _MIDPOINTS2 for s in _MIDPOINTS2}
 _CONES2 = frozenset(_int_point(p, 2) for p in CONE_POINTS)
 _JUMPS2 = frozenset(jump for _, back in _EXITS for jump in (back, tuple(-c for c in back)))
 # Midpoints with a glued twin, 1 and 5, lie on glued edges, so they are the lower
@@ -167,7 +166,7 @@ def _direction_table(pairs: Point) -> tuple:
     an edge run from it ends at, or None; the oracle's look data, the first
     parts of the five offsets and each chord of a midpoint that is no edge run
     to the lowest such label on it; and the pairs. Every h, at scale 2 in the
-    (p, b) form, is v x p for a point p of _EXITS, _STAIR2 or _STARTS2, a small
+    (p, b) form, is v x p for a point p of _EXITS, _STAIR2 or _MIDPOINTS2, a small
     integer combination of half steps along the axes, so the frame sums their
     h's. The callers check that the pairs are a direction in the first quadrant.
     """
@@ -181,7 +180,7 @@ def _direction_table(pairs: Point) -> tuple:
     # corners of _STAIR2[1:4] are r + t, a + t (the middle one) and a + c.
     r, rb, t, tb = 2 * (x1 + xf), 2 * (x1b + xfb), 2 * yf, 2 * yfb
     a, ab, c, cb = 2 * xf, 2 * xfb, 2 * (y1 + yf), 2 * (y1b + yfb)
-    # _STARTS2 less the middle corner: midpoint 1 at (0, 1/2 + phi), 5 at
+    # _MIDPOINTS2 less the middle corner: midpoint 1 at (0, 1/2 + phi), 5 at
     # (1/2 + phi, 0), 2 and 4 a half step of phi in from them, and 3 at
     # (phi/2, phi/2). Only on the vertical (y1 = 0) is midpoint 1 on a corner's
     # chord, c's along the edge x = 0, and only on the horizontal 5, on r's.
@@ -281,7 +280,7 @@ class Trajectory(_Frozen):
         # that takes h to the re-entry coordinate, and the translation back.
         steps = [(*delta, vertical, *m, *back) for delta, (vertical, m, back) in zip(deltas, rows)]
         k = scale // 2
-        start = _STARTS2[self.start_label]
+        start = _MIDPOINTS2[self.start_label]
         begin = tuple(c * k for c in start)
         points = []
         for wall in self.walk:
@@ -434,7 +433,7 @@ def _walk(label: int, table: tuple, cap: int) -> tuple:
     holonomy = 2 * n0, 2 * (n0 + n2), 2 * n3, 2 * (n1 + n3)
     cone = hit if cone is None else cone
     if cone is not None:  # plus the step from the start to the corner hit
-        holonomy = tuple(map(sub, map(add, holonomy, _STAIR2[cone]), _STARTS2[label]))
+        holonomy = tuple(map(sub, map(add, holonomy, _STAIR2[cone]), _MIDPOINTS2[label]))
     return walk, holonomy, cone
 
 
@@ -481,7 +480,7 @@ def _oracle(pairs: Point, check: Point, cap: int) -> OracleReport:
     _check_int("cap", cap, 0)
     table = _direction_table(pairs)
     starts, known, holonomies = table[3], {}, {}
-    for label in WEIERSTRASS_LABELS:
+    for label in starts:
         if label not in known:  # else met by an earlier walk's twin stop
             h0, edge_run = starts[label]
             walk, h, hit, twin = _run(table, h0, True, cap if edge_run is None else 0)

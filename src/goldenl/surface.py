@@ -7,6 +7,8 @@ translation, the eight boundary vertices become a single cone point of angle
 the side midpoints of an inscribed pentagon. The L is stated once, by its eight
 corners, its four gluings (source corners and translation) and the midpoint
 cycle; the gluing targets, the pentagon and its midpoints are derived from them.
+The midpoints at scale 2, mod 2, are one point on each line of (Z[phi]/2)^2:
+TAU, the horizontal verdicts and the y = x relabeling are read off them.
 The check that a vector is a direction the flow accepts lives in words. The
 verdicts live here, so classify and the flow oracle that checks it read them
 and neither loads the other.
@@ -17,7 +19,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .field import GoldenVector, _Frozen, _from_point, cleared
+from .field import GoldenVector, _Frozen, _from_point, cleared, golden_mul
 
 _gv = GoldenVector.from_rationals
 
@@ -90,11 +92,13 @@ _IDENTIFICATIONS = (
     _gluing("d", (1, 2), _gv(0, 0, 0, 1)),
 )
 _INSCRIBED_PENTAGON = tuple(_VERTICES[k] for k in (1, 2, 4, 6, 7))
-# In label order 1-5, as the surface JSON and the marked points print; each is its side's ends summed, over 2.
-_WEIERSTRASS = dict(sorted(
-    (label, _from_point(cleared(_INSCRIBED_PENTAGON[j] + _INSCRIBED_PENTAGON[j - 4]), 2))
-    for j, label in enumerate(MIDPOINT_CYCLE)
+# The midpoints at scale 2, each its side's ends summed, in label order 1-5, as the surface JSON and the marked
+# points print. Each midpoint by its class mod 2, in F_4^2 = (Z[phi]/2)^2, where phi takes (a, b) to (b, a + b).
+_MIDPOINTS2 = dict(sorted(
+    (label, cleared(_INSCRIBED_PENTAGON[j] + _INSCRIBED_PENTAGON[j - 4])) for j, label in enumerate(MIDPOINT_CYCLE)
 ))
+_WEIERSTRASS = {label: _from_point(p, 2) for label, p in _MIDPOINTS2.items()}
+_CLASSES = {tuple(c % 2 for c in p): label for label, p in _MIDPOINTS2.items()}
 
 GOLDEN_L = GoldenL(
     vertices=_VERTICES,
@@ -114,14 +118,21 @@ class Classification(Enum):
     SADDLE_CONNECTION = "saddle"
 
 
+def _parity_verdicts(pairs: tuple[int, int, int, int]) -> dict[int, Classification]:
+    """The verdicts in the direction of integer pairs that are a midpoint's class mod 2, as a word's and an axis's
+    are: that midpoint is the saddle, the two whose classes sum to phi * pairs are short, the other two long."""
+    xa, xb, ya, yb = pairs
+    saddle, phi_v = (xa % 2, xb % 2, ya % 2, yb % 2), (xb, xa + xb, yb, ya + yb)
+    return {
+        label: Classification.SADDLE_CONNECTION if c == saddle
+        else Classification.SHORT if tuple((a + b) % 2 for a, b in zip(c, phi_v)) in _CLASSES
+        else Classification.LONG
+        for c, label in _CLASSES.items()
+    }
+
+
 # Verdicts in the horizontal direction itself (the empty word).
-HORIZONTAL_VERDICTS: dict[int, Classification] = {
-    1: Classification.SHORT,
-    2: Classification.SHORT,
-    3: Classification.LONG,
-    4: Classification.LONG,
-    5: Classification.SADDLE_CONNECTION,
-}
+HORIZONTAL_VERDICTS: dict[int, Classification] = _parity_verdicts((1, 0, 0, 0))
 
 
 def weierstrass_point(label: int) -> GoldenVector:
@@ -204,14 +215,18 @@ class Permutation5(_Frozen):
         return "".join(parts) or "()"
 
 
-# How each shear permutes the Weierstrass points:
+def _relabeling(rows: Rows) -> Permutation5:
+    """The permutation of the labels that the matrix `rows` mod 2 makes of the midpoints' classes: a row (a, b)
+    takes the class (x, y) to a * x + b * y."""
+    return Permutation5(tuple(
+        _CLASSES[tuple((p + q) % 2 for a, b in rows for p, q in zip(golden_mul(*a, *c[:2]), golden_mul(*b, *c[2:])))]
+        for c in _CLASSES
+    ))
+
+
+# How each shear permutes the Weierstrass points, sigma_k mod 2 on their classes:
 # tau_0 = (1 2)(3 4), tau_1 = (1 3)(2 5), tau_2 = (1 4)(3 5), tau_3 = (2 3)(4 5).
-TAU = (
-    Permutation5((2, 1, 4, 3, 5)),
-    Permutation5((3, 5, 1, 4, 2)),
-    Permutation5((4, 2, 5, 1, 3)),
-    Permutation5((1, 3, 2, 5, 4)),
-)
+TAU = tuple(map(_relabeling, SIGMA))
 
 
 def tau(k: int) -> Permutation5:
@@ -219,8 +234,8 @@ def tau(k: int) -> Permutation5:
 
 
 # Reflecting the golden L across y = x swaps the vertical and horizontal
-# directions and relabels the Weierstrass points by (1 5)(2 4).
-VERTICAL_RELABELING = Permutation5((5, 4, 3, 2, 1))
+# directions, and x and y on the classes: it relabels the Weierstrass points by (1 5)(2 4).
+VERTICAL_RELABELING = _relabeling((((0, 0), (1, 0)), ((1, 0), (0, 0))))
 
 
 # The two frames a trajectory is drawn in, the golden L itself and the pentagon

@@ -34,7 +34,7 @@ from goldenl import (
     weierstrass_point,
     word_to_vector,
 )
-from goldenl.surface import CONE_POINTS, GOLDEN_L, WEIERSTRASS_LABELS
+from goldenl.surface import CONE_POINTS, GOLDEN_L, WEIERSTRASS_LABELS, _parity_verdicts
 from goldenl.classify import Classification
 from goldenl.field import PHI, cleared
 from goldenl.words import _pairs
@@ -207,6 +207,18 @@ def test_oracle_matches_permutation_classification_letter_shift_quads(seed, leng
                 assert values.count(Classification.SHORT) == 2, word
                 assert values.count(Classification.LONG) == 2, word
                 assert values.count(Classification.SADDLE_CONNECTION) == 1, word
+
+
+def test_parity_verdicts_match_the_closed_form_past_the_oracle():
+    # The verdicts read off the direction's pairs mod 2 agree with the paper's closed form on every word of up to 6
+    # letters and on seeded words of 1,000 and 10,000 letters, far past where the oracle walks, and with the oracle
+    # on the vertical, which has no word.
+    rng = random.Random(51)
+    words = [word for n in range(7) for word in product(range(4), repeat=n)]
+    words += [tuple(rng.randrange(4) for _ in range(n)) for n in (1000, 10000) for _ in range(3)]
+    for word in words:
+        assert _parity_verdicts(_pairs(word)) == classify_all(word).verdicts, word
+    assert _parity_verdicts((0, 0, 1, 0)) == oracle_report_direction(VERTICAL).verdicts
 
 
 def _rotations(a, b):
