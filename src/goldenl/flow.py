@@ -36,7 +36,9 @@ the h's of those four half steps, each read off the pairs by golden_mul's
 rule. A trajectory keeps only what its trace decides, the whole walk, the
 integer holonomy, the corner hit and the direction's frame. On the first
 read of its points it sets up their scale from the pairs and replays them.
-Points are checked against the L's fixed points at scale 2.
+The L's corners and gluings are surface's integers doubled to scale 2, and
+every point, a trace's or a caller's, is checked against them on integers:
+GoldenNumbers are only cleared on the way in and built on the way out.
 
 A closed orbit through a midpoint meets exactly one other, its twin, half a
 period on: the hyperelliptic involution J fixes both and turns the orbit
@@ -67,8 +69,8 @@ from operator import add, sub
 from threading import Lock
 
 from .errors import CapExceededError, StructuralViolationError, _check_int
-from .field import GoldenVector, _Frozen, _from_point, _lowest, golden_mul, golden_sign
-from .surface import _MIDPOINTS2, CONE_POINTS, GOLDEN_L, MIDPOINT_CYCLE, Classification, weierstrass_point
+from .field import GoldenVector, _Frozen, _from_point, _lowest, cleared, golden_mul, golden_sign
+from .surface import _CORNERS, _GLUINGS, _MIDPOINTS2, GOLDEN_L, MIDPOINT_CYCLE, Classification, weierstrass_point
 from .words import DEFAULT_INVERSION_CAP, Word, _direction_pairs, _pairs, _peel, format_word, word_to_vector
 
 DEFAULT_STEP_CAP = 1_000_000
@@ -77,41 +79,23 @@ DEFAULT_STEP_CAP = 1_000_000
 def point_in_surface(p: GoldenVector) -> bool:
     """Membership in the closed L-shaped polygon, the union of the boxes from
     the origin to its corners (phi^2, phi) and (phi, phi^2)."""
-    if p.x.sign() < 0 or p.y.sign() < 0:
-        return False
-    return any(p.x <= c.x and p.y <= c.y for c in (GOLDEN_L.vertices[3], GOLDEN_L.vertices[5]))
+    return _canonical(cleared(p), lcm(p.x._v[2], p.y._v[2])) is not None
 
 
 def canonicalize(p: GoldenVector) -> GoldenVector:
-    """Canonical representative of a surface point.
-
-    Points on a glued right/top edge map to their left/bottom twin; all cone
-    point representatives map to the origin, the distinguished one. Target
-    edges are axis-aligned with lo <= hi in both coordinates, so lying on one
-    is lying in its bounding box.
-    """
-    if not point_in_surface(p):
+    """Canonical representative of a surface point: a point on a glued right/top edge maps to its left/bottom
+    twin, and every cone point representative to the origin, the distinguished one."""
+    scale = lcm(p.x._v[2], p.y._v[2])
+    q = _canonical(cleared(p), scale)
+    if q is None:
         raise ValueError(f"point lies outside the golden L: {_shown(p)}")
-    if p in CONE_POINTS:
-        return GOLDEN_L.vertices[0]
-    for ident in GOLDEN_L.identifications:
-        lo, hi = ident.target
-        if lo.x <= p.x <= hi.x and lo.y <= p.y <= hi.y:
-            return p - ident.translation
-    return p
+    return _from_point(q, 2 * scale)
 
 
 # Integer points. Pairs (a, b) are a + b*phi; points are 4-tuples
 # (xa, xb, ya, yb), each integer divided by one fixed scale.
 
 Point = tuple[int, int, int, int]
-
-
-def _int_point(p: GoldenVector, scale: int) -> Point:
-    (xa, xb, xd), (ya, yb, yd) = p.x._v, p.y._v  # each (a + b*phi) / d in lowest terms
-    if scale % xd or scale % yd:
-        raise ValueError(f"{_shown(p)} is not integral at scale {_shown(scale)}")
-    return xa * (scale // xd), xb * (scale // xd), ya * (scale // yd), yb * (scale // yd)
 
 
 def _between(lo: Point, p: Point, hi: Point) -> bool:
@@ -121,17 +105,34 @@ def _between(lo: Point, p: Point, hi: Point) -> bool:
     return golden_sign(*d[:2]) * golden_sign(*e[:2]) >= 0 and golden_sign(*d[2:]) * golden_sign(*e[2:]) >= 0
 
 
+def _canonical(q: Point, scale: int) -> Point | None:
+    """The one membership test: None if the integer point q over `scale` is outside the L, else canonicalize's
+    representative of it at scale 2 * scale, against the L's points at scale 2 times `scale`. A point lies on a
+    gluing's target edge when its translate back lies on the source edge, axis-aligned with lo <= hi, so in its box."""
+    p, at = tuple(2 * c for c in q), scale.__mul__
+    if not any(_between((0, 0, 0, 0), p, tuple(map(at, corner))) for corner in _STAIR2[1:4:2]):
+        return None
+    if any(p == tuple(map(at, cone)) for cone in _CONES2):
+        return 0, 0, 0, 0
+    for lo, hi, move in _GLUINGS2.values():
+        back = tuple(map(sub, p, map(at, move)))
+        if _between(tuple(map(at, lo)), back, tuple(map(at, hi))):
+            return back
+    return p
+
+
+# surface's integer statement of the L, doubled to scale 2: its corners, all the cone point, and each gluing
+# by name, its source edge's ends and its translation.
+_CONES2 = tuple(tuple(2 * c for c in corner) for corner in _CORNERS)
+_GLUINGS2 = {name: (_CONES2[i], _CONES2[j], tuple(2 * c for c in move)) for name, (i, j), move in _GLUINGS}
 # The exit boundary: the L's vertices 2 to 6, counterclockwise from (phi^2, 0)
 # to (0, phi^2), and the walls between them, b, d, a and c, each with the
 # translation back to its glued twin on the axis x = 0 or y = 0. Wall k runs
 # from corner k to corner k + 1. A walk byte is an index into _EXITS, or _END
 # for a last segment that ends at the start or the cone point.
-_STAIR = GOLDEN_L.vertices[2:7]
-# Each gluing at scale 2, by name: its source edge's ends and its translation.
-_GLUINGS2 = {g.name: tuple(_int_point(p, 2) for p in (*g.source, g.translation)) for g in GOLDEN_L.identifications}
+_STAIR, _STAIR2 = GOLDEN_L.vertices[2:7], _CONES2[2:7]
 _EXITS = tuple((lo[:2] == hi[:2], tuple(-c for c in move)) for lo, hi, move in map(_GLUINGS2.get, "bdac"))
 _END = len(_EXITS)
-_STAIR2 = tuple(_int_point(p, 2) for p in _STAIR)
 # Per walk byte, (cut left, side re-entered) of a run, each inscribed pentagon side named by its midpoint: 1 and 5
 # lie on gluing sources a and d, 4, 2 and 3 are the cuts C1, C2 and C3. The walls of a (x = phi) and c (y = phi^2)
 # lie beyond C2, those of b and d beyond C1; gluings a and d re-enter on sides 1 and 5, b and c below C3.
@@ -151,7 +152,6 @@ _TWINS2 = {
 }
 # Twice the step from one midpoint to another at scale 2, by (to, from).
 _SHIFTS2 = {(m, s): tuple(2 * (a - b) for a, b in zip(_MIDPOINTS2[m], _MIDPOINTS2[s])) for m in _MIDPOINTS2 for s in _MIDPOINTS2}
-_CONES2 = frozenset(_int_point(p, 2) for p in CONE_POINTS)
 _JUMPS2 = frozenset(jump for _, back in _EXITS for jump in (back, tuple(-c for c in back)))
 # Midpoints with a glued twin, 1 and 5, lie on glued edges, so they are the lower
 # end of their chord in every direction but the one along their edge, an edge run.
@@ -404,15 +404,16 @@ def _finish(walk: bytearray, h: tuple[int, int], h0: tuple[int, int], label: int
         walk.append(_END)
     if len(walk) <= cap:
         return
-    last = weierstrass_point(label)
+    last, scale = _MIDPOINTS2[label], 2
     if len(walk) > 1:  # where the chord h enters the L, through the glued twin of the last wall
         p, b = map(add, h, table[0])
         scale, rows = _replay_table(table[-1])
         vertical, (ma, mb), _ = rows[walk[-2]]
         ua, ub = golden_mul((p - b) // 2, b, ma, mb)
-        last = _from_point((0, 0, ua, ub) if vertical else (ua, ub, 0, 0), scale)
-    where = f"midpoint {label}, direction {_shown(_from_point(table[-1], 1))}, after {_shown(cap)} steps at {_shown(last)}"
-    if not point_in_surface(last):
+        last = (0, 0, ua, ub) if vertical else (ua, ub, 0, 0)
+    at = _shown(_from_point(last, scale))
+    where = f"midpoint {label}, direction {_shown(_from_point(table[-1], 1))}, after {_shown(cap)} steps at {at}"
+    if _canonical(last, scale) is None:
         raise StructuralViolationError(f"trajectory left the golden L: {where}")
     raise CapExceededError(f"trajectory did not terminate: {where}")
 

@@ -4,9 +4,10 @@ The golden L is the union of the square [0, phi]^2 with a 1 x phi rectangle on
 the right and a phi x 1 rectangle on top. Opposite boundary edges are glued by
 translation, the eight boundary vertices become a single cone point of angle
 6*pi, and the five Weierstrass points of the resulting genus-2 surface sit at
-the side midpoints of an inscribed pentagon. The L is stated once, by its eight
-corners, its four gluings (source corners and translation) and the midpoint
-cycle; the gluing targets, the pentagon and its midpoints are derived from them.
+the side midpoints of an inscribed pentagon. The L is stated once, in integers,
+by its eight corners, its four gluings (source corners and translation) and the
+midpoint cycle; its GoldenVectors, the gluing targets, the pentagon and its
+midpoints are derived from them, and flow reads the integers themselves.
 The midpoints at scale 2, mod 2, are one point on each line of (Z[phi]/2)^2:
 TAU, the horizontal verdicts and the y = x relabeling are read off them.
 The check that a vector is a direction the flow accepts lives in words. The
@@ -17,11 +18,10 @@ and neither loads the other.
 from __future__ import annotations
 
 from enum import Enum
+from operator import add
 from typing import NamedTuple
 
-from .field import GoldenVector, _Frozen, _from_point, cleared, golden_mul
-
-_gv = GoldenVector.from_rationals
+from .field import GoldenVector, _Frozen, _from_point, golden_mul
 
 
 class EdgeIdentification(NamedTuple):
@@ -64,38 +64,34 @@ class GoldenL(NamedTuple):
         }
 
 
-_VERTICES = (
-    _gv(0, 0, 0, 0),
-    _gv(0, 1, 0, 0),  # (phi, 0)
-    _gv(1, 1, 0, 0),  # (phi^2, 0)
-    _gv(1, 1, 0, 1),  # (phi^2, phi)
-    _gv(0, 1, 0, 1),  # (phi, phi)
-    _gv(0, 1, 1, 1),  # (phi, phi^2)
-    _gv(0, 0, 1, 1),  # (0, phi^2)
-    _gv(0, 0, 0, 1),  # (0, phi)
+# The L in integers, a point (xa, xb, ya, yb) being (xa + xb*phi, ya + yb*phi): its eight corners, counterclockwise
+# from the origin, and its four gluings, each its name, the corners its source edge joins and its translation.
+_CORNERS = (
+    (0, 0, 0, 0),
+    (0, 1, 0, 0),  # (phi, 0)
+    (1, 1, 0, 0),  # (phi^2, 0)
+    (1, 1, 0, 1),  # (phi^2, phi)
+    (0, 1, 0, 1),  # (phi, phi)
+    (0, 1, 1, 1),  # (phi, phi^2)
+    (0, 0, 1, 1),  # (0, phi^2)
+    (0, 0, 0, 1),  # (0, phi)
 )
-
+_GLUINGS = (("a", (7, 6), (0, 1, 0, 0)), ("b", (0, 7), (1, 1, 0, 0)), ("c", (0, 1), (0, 0, 1, 1)), ("d", (1, 2), (0, 0, 0, 1)))
 # Side midpoints of the inscribed pentagon: side j joins corners j and j + 1. tau_k mirrors at side k.
 MIDPOINT_CYCLE = (5, 4, 2, 1, 3)
 
-
-def _gluing(name: str, ends: tuple[int, int], translation: GoldenVector) -> EdgeIdentification:
-    """The gluing of the source edge between two _VERTICES onto its translate."""
-    source = tuple(_VERTICES[k] for k in ends)
-    return EdgeIdentification(name, source, tuple(p + translation for p in source), translation)
-
-
-_IDENTIFICATIONS = (
-    _gluing("a", (7, 6), _gv(0, 1, 0, 0)),
-    _gluing("b", (0, 7), _gv(1, 1, 0, 0)),
-    _gluing("c", (0, 1), _gv(0, 0, 1, 1)),
-    _gluing("d", (1, 2), _gv(0, 0, 0, 1)),
+_VERTICES = tuple(_from_point(p, 1) for p in _CORNERS)
+_IDENTIFICATIONS = tuple(
+    EdgeIdentification(name, tuple(_VERTICES[k] for k in ends),
+                       tuple(_from_point(tuple(map(add, _CORNERS[k], move)), 1) for k in ends), _from_point(move, 1))
+    for name, ends, move in _GLUINGS
 )
-_INSCRIBED_PENTAGON = tuple(_VERTICES[k] for k in (1, 2, 4, 6, 7))
+_PENTAGON_CORNERS = (1, 2, 4, 6, 7)
+_INSCRIBED_PENTAGON = tuple(_VERTICES[k] for k in _PENTAGON_CORNERS)
 # The midpoints at scale 2, each its side's ends summed, in label order 1-5, as the surface JSON and the marked
 # points print. Each midpoint by its class mod 2, in F_4^2 = (Z[phi]/2)^2, where phi takes (a, b) to (b, a + b).
 _MIDPOINTS2 = dict(sorted(
-    (label, cleared(_INSCRIBED_PENTAGON[j] + _INSCRIBED_PENTAGON[j - 4])) for j, label in enumerate(MIDPOINT_CYCLE)
+    (label, tuple(map(add, *(_CORNERS[_PENTAGON_CORNERS[k]] for k in (j, j - 4))))) for j, label in enumerate(MIDPOINT_CYCLE)
 ))
 _WEIERSTRASS = {label: _from_point(p, 2) for label, p in _MIDPOINTS2.items()}
 _CLASSES = {tuple(c % 2 for c in p): label for label, p in _MIDPOINTS2.items()}
@@ -120,9 +116,12 @@ class Classification(Enum):
 
 def _parity_verdicts(pairs: tuple[int, int, int, int]) -> dict[int, Classification]:
     """The verdicts in the direction of integer pairs that are a midpoint's class mod 2, as a word's and an axis's
-    are: that midpoint is the saddle, the two whose classes sum to phi * pairs are short, the other two long."""
+    are: that midpoint is the saddle, the two whose classes sum to phi * pairs are short, the other two long.
+    Pairs that are no midpoint's class raise ValueError."""
     xa, xb, ya, yb = pairs
     saddle, phi_v = (xa % 2, xb % 2, ya % 2, yb % 2), (xb, xa + xb, yb, ya + yb)
+    if saddle not in _CLASSES:
+        raise ValueError(f"pairs {pairs} are no midpoint's class mod 2")
     return {
         label: Classification.SADDLE_CONNECTION if c == saddle
         else Classification.SHORT if tuple((a + b) % 2 for a, b in zip(c, phi_v)) in _CLASSES

@@ -12,6 +12,10 @@ point scale and replay rows set up from its pairs, the way they stood before
 one linear map replaced the products: the transverse coordinate h = v x p by
 golden_mul at each fixed point.
 
+`reference_point_in_surface` and `reference_canonicalize` are the
+library's membership test and canonical representative as they were stated
+on GoldenVectors, before both read one integer test.
+
 `reference_oracle` is the flow oracle as it was before it shared walks
 between the two midpoints of a cylinder: it traces every midpoint whole with
 the library's kernel, so its report holds the whole walks' holonomies where
@@ -25,7 +29,7 @@ from math import lcm
 
 from goldenl.errors import CapExceededError, StructuralViolationError
 from goldenl.field import ONE, PHI, PHI_SQUARED, ZERO, GoldenNumber, GoldenVector, cleared, golden_mul, golden_sign
-from goldenl.flow import DEFAULT_STEP_CAP, OracleReport, Outcome, _from_point, trace_direction
+from goldenl.flow import DEFAULT_STEP_CAP, OracleReport, Outcome, _from_point, _shown, trace_direction
 from goldenl.surface import CONE_POINTS, GOLDEN_L, WEIERSTRASS_LABELS, Classification, weierstrass_point
 from goldenl.words import _direction_pairs, vector_to_word, word_to_vector
 
@@ -50,11 +54,31 @@ def inverse(x: GoldenNumber) -> GoldenNumber:
     return GoldenNumber((x.a + x.b) / norm, -x.b / norm)
 
 
-def _in_golden_l(p: GoldenVector) -> bool:
-    """Membership in the closed L: x, y >= 0, and inside the box from the
-    origin up to (phi^2, phi) or the one up to (phi, phi^2)."""
-    x, y = p.x, p.y
-    return x >= 0 and y >= 0 and (x <= PHI * PHI and y <= PHI or x <= PHI and y <= PHI * PHI)
+def reference_point_in_surface(p: GoldenVector) -> bool:
+    """Membership in the closed L-shaped polygon, the union of the boxes from
+    the origin to its corners (phi^2, phi) and (phi, phi^2)."""
+    if p.x.sign() < 0 or p.y.sign() < 0:
+        return False
+    return any(p.x <= c.x and p.y <= c.y for c in (GOLDEN_L.vertices[3], GOLDEN_L.vertices[5]))
+
+
+def reference_canonicalize(p: GoldenVector) -> GoldenVector:
+    """Canonical representative of a surface point.
+
+    Points on a glued right/top edge map to their left/bottom twin; all cone
+    point representatives map to the origin, the distinguished one. Target
+    edges are axis-aligned with lo <= hi in both coordinates, so lying on one
+    is lying in its bounding box.
+    """
+    if not reference_point_in_surface(p):
+        raise ValueError(f"point lies outside the golden L: {_shown(p)}")
+    if p in CONE_POINTS:
+        return GOLDEN_L.vertices[0]
+    for ident in GOLDEN_L.identifications:
+        lo, hi = ident.target
+        if lo.x <= p.x <= hi.x and lo.y <= p.y <= hi.y:
+            return p - ident.translation
+    return p
 
 
 def _int_pair(x: GoldenNumber, scale: int) -> tuple[int, int]:
@@ -211,7 +235,7 @@ def reference_trace(label: int, v: GoldenVector, cap: int = DEFAULT_STEP_CAP):
     if outcome is None:
         last = _from_point(current, scale)
         where = f"midpoint {label}, direction {v}, after {cap} steps at {last}"
-        if not _in_golden_l(last):
+        if not reference_point_in_surface(last):
             raise StructuralViolationError(f"trajectory left the golden L: {where}")
         raise CapExceededError(f"trajectory did not terminate: {where}")
 

@@ -12,12 +12,15 @@ from operator import sub
 import pytest
 
 from flow_reference import (
+    _int_point,
     corners_above_every_chord,
     cross,
     dot,
     inverse,
+    reference_canonicalize,
     reference_direction_table,
     reference_oracle,
+    reference_point_in_surface,
     reference_trace,
 )
 from goldenl import (
@@ -88,6 +91,70 @@ def test_membership_on_a_grid_around_every_corner_and_the_notch():
                 canonicalize(p)
         inside += expected
     assert inside == 40  # 7 x 4 + 4 x 7 - 4 x 4
+
+
+def test_integer_membership_matches_the_golden_vector_reference():
+    # point_in_surface and canonicalize against their GoldenVector statements, on
+    # the corners, the midpoints and their glued translates, points of every
+    # gluing's source and target edge, points 1/1000 either side of each
+    # boundary line and of the notch, and seeded points with denominators up to
+    # 72: equal results, and the same ValueError text outside the L.
+    rng = random.Random(52)
+    midpoints = list(GOLDEN_L.weierstrass.values())
+    moves = [g.translation for g in GOLDEN_L.identifications]
+    points = [*GOLDEN_L.vertices, *midpoints, *(m + t for m in midpoints for t in moves)]
+    points += [m - t for m in midpoints for t in moves]
+    for lo, hi in (ends for g in GOLDEN_L.identifications for ends in (g.source, g.target)):
+        steps = [Fraction(0), Fraction(1), Fraction(1, 2)]
+        steps += [Fraction(rng.randint(0, d), d) for d in range(1, 13) for _ in range(4)]
+        points += [lo + (hi - lo).scaled(t) for t in steps]
+    eps = Fraction(1, 1000)
+    near = [GoldenNumber(0) + d for d in (-eps, 0, eps)] + [c + d for c in (PHI, PHI * PHI) for d in (-eps, 0, eps)]
+    across = near + [PHI * Fraction(1, 2), PHI + Fraction(1, 2)]
+    across += [GoldenNumber(Fraction(rng.randint(-10, 280), 100)) for _ in range(20)]
+    points += [GoldenVector(x, y) for c in near for u in across for x, y in ((c, u), (u, c))]
+
+    def seeded() -> GoldenNumber:
+        b, d = Fraction(rng.randint(-144, 144), rng.randint(1, 72)), rng.randint(1, 72)
+        return GoldenNumber(Fraction(round((rng.uniform(-0.3, 2.9) - float(b) * 1.618033988749895) * d), d), b)
+
+    points += [GoldenVector(seeded(), seeded()) for _ in range(6000)]
+
+    def result(canonical, p):
+        try:
+            return canonical(p)
+        except ValueError as error:
+            return str(error)
+
+    inside = 0
+    for p in points:
+        assert point_in_surface(p) is reference_point_in_surface(p), p
+        assert result(canonicalize, p) == result(reference_canonicalize, p), p
+        inside += point_in_surface(p)
+    assert 2000 < inside < len(points) - 2000, (inside, len(points))
+
+
+def test_flow_does_no_golden_number_arithmetic(monkeypatch):
+    # flow clears a GoldenVector to integers on the way in and builds one on the
+    # way out, and adds, negates, multiplies or compares no GoldenNumber between:
+    # not in a trace, its JSON or its validation, not in the oracle, not in the
+    # membership test, and not in the message of a walk that runs past its cap.
+    def forbidden(*args):
+        raise AssertionError(f"GoldenNumber arithmetic on {args}")
+
+    points = [gv(1, 1, Fraction(1, 2), 0), gv(0, 1, 0, 0), gv(Fraction(1, 3), 0, Fraction(1, 3), 0), gv(5, 5, 0, 0)]
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__", "__lt__"):
+        monkeypatch.setattr(GoldenNumber, name, forbidden)
+    for t in (trace(4, (2, 1)), trace(1, (2, 1)), trace_direction(3, VERTICAL)):
+        t.to_json_dict((2, 1))
+        validate_trajectory_structure(t)
+    assert oracle_report((2, 1)).verdicts == oracle_report_direction(word_to_vector((2, 1))).verdicts
+    assert [point_in_surface(p) for p in points] == [True, True, True, False]
+    assert [canonicalize(p) for p in points[:3]] == [gv(0, 0, Fraction(1, 2), 0), gv(0, 0, 0, 0), points[2]]
+    with pytest.raises(ValueError, match="outside the golden L"):
+        canonicalize(points[3])
+    with pytest.raises(CapExceededError, match="after 1 steps at"):
+        trace(1, (2, 1, 3, 0, 2), cap=1)
 
 
 def test_advance_hits_cone():
@@ -219,6 +286,14 @@ def test_parity_verdicts_match_the_closed_form_past_the_oracle():
     for word in words:
         assert _parity_verdicts(_pairs(word)) == classify_all(word).verdicts, word
     assert _parity_verdicts((0, 0, 1, 0)) == oracle_report_direction(VERTICAL).verdicts
+
+
+def test_parity_verdicts_reject_pairs_that_are_no_midpoints_class():
+    # The horizontal times phi, times phi^2 and times 2: each reads as no midpoint's class mod 2, so the rule
+    # has no saddle to name and raises, where it once answered five verdicts silently.
+    for pairs in ((0, 1, 0, 0), (1, 1, 0, 0), (2, 0, 0, 0)):
+        with pytest.raises(ValueError, match=re.escape(f"pairs {pairs} are no midpoint's class mod 2")):
+            _parity_verdicts(pairs)
 
 
 def _rotations(a, b):
@@ -412,9 +487,9 @@ def test_each_closed_orbit_meets_one_twin_half_a_period_away(monkeypatch):
     # walks the twin on its own: on both axes every twin lies so, five walks.
     # The whole walk is the trace's, from _walk. Points and translations are
     # integers at scale 2.
-    moves = {g.name: flow_module._int_point(g.translation, 2) for g in GOLDEN_L.identifications}
+    moves = {g.name: _int_point(g.translation, 2) for g in GOLDEN_L.identifications}
     moves = [moves[name] for name in "bdac"]  # what crossing each wall adds, in walk byte order
-    points = {label: flow_module._int_point(weierstrass_point(label), 2) for label in WEIERSTRASS_LABELS}
+    points = {label: _int_point(weierstrass_point(label), 2) for label in WEIERSTRASS_LABELS}
     words = [word_to_vector(w) for n in range(7) for w in product((0, 1, 2, 3), repeat=n)]
     on_start_chord = {"ahead": 0, "behind": 0}
     for v in words + [GoldenVector(v.y, v.x) for v in words] + [HORIZONTAL, VERTICAL]:
@@ -532,7 +607,7 @@ def _verdicts_with_corrupt_holonomy(v, corrupt):
     for label, t in trajectories.items():
         h = corrupt(label, t.holonomy, report) if t.outcome is Outcome.CLOSED else None
         if h is not None:
-            holonomies[label] = flow_module._int_point(h, 2)
+            holonomies[label] = _int_point(h, 2)
     return flow_module._cylinder_verdicts(cleared(v), holonomies)
 
 
@@ -664,7 +739,6 @@ def test_points_and_validation_build_no_golden_vector(monkeypatch):
     for v in directions + [VERTICAL]:
         calls.clear()
         with monkeypatch.context() as m:
-            m.setattr(flow_module, "_int_point", forbidden)
             m.setattr(flow_module, "_from_point", forbidden)
             m.setattr(flow_module, "_direction_table", counted)
             report = oracle_report_direction(v)
@@ -711,7 +785,7 @@ def test_start_twins_follow_the_canonicalize_rule():
     for label, start in GOLDEN_L.weierstrass.items():
         shifted = (start + ident.translation for ident in GOLDEN_L.identifications)
         twins = [start] + [p for p in shifted if point_in_surface(p) and canonicalize(p) == start]
-        assert flow_module._TWINS2[label] == {flow_module._int_point(p, 2) for p in twins}, label
+        assert flow_module._TWINS2[label] == {_int_point(p, 2) for p in twins}, label
     assert [len(flow_module._TWINS2[label]) for label in WEIERSTRASS_LABELS] == [2, 1, 1, 1, 2]
 
 
