@@ -47,7 +47,7 @@ oracle, which needs only holonomies and steps the kernel itself: a walk that
 stops on its twin's chord gives both midpoints twice the displacement so far
 (its cap rule is _oracle's), a midpoint not yet known is walked on its own,
 and a walk into the cone point builds no holonomy. What its walks look for,
-the midpoints' chords, is in the frame too, so a walk only unpacks it. So it
+the midpoints' chords, it reads off the frame once per direction. So it
 walks about half of each cylinder's core orbit and builds no trajectory. It
 reads a word's pairs from words._pairs. Its walks only collect holonomies;
 _cylinder_verdicts, the one check, decides every report's verdicts, and the
@@ -70,7 +70,7 @@ from threading import Lock
 
 from .errors import CapExceededError, StructuralViolationError, _check_int
 from .field import GoldenVector, _Frozen, _from_point, _lowest, cleared, golden_mul, golden_sign
-from .surface import _CORNERS, _GLUINGS, _MIDPOINTS2, GOLDEN_L, MIDPOINT_CYCLE, Classification, weierstrass_point
+from .surface import _CORNERS, _GLUINGS, _MIDPOINTS2, MIDPOINT_CYCLE, Classification, weierstrass_point
 from .words import DEFAULT_INVERSION_CAP, Word, _direction_pairs, _pairs, _peel, format_word, word_to_vector
 
 DEFAULT_STEP_CAP = 1_000_000
@@ -130,7 +130,7 @@ _GLUINGS2 = {name: (_CONES2[i], _CONES2[j], tuple(2 * c for c in move)) for name
 # translation back to its glued twin on the axis x = 0 or y = 0. Wall k runs
 # from corner k to corner k + 1. A walk byte is an index into _EXITS, or _END
 # for a last segment that ends at the start or the cone point.
-_STAIR, _STAIR2 = GOLDEN_L.vertices[2:7], _CONES2[2:7]
+_STAIR2 = _CONES2[2:7]
 _EXITS = tuple((lo[:2] == hi[:2], tuple(-c for c in move)) for lo, hi, move in map(_GLUINGS2.get, "bdac"))
 _END = len(_EXITS)
 # Per walk byte, (cut left, side re-entered) of a run, each inscribed pentagon side named by its midpoint: 1 and 5
@@ -140,8 +140,8 @@ _LEAVES = ((4, 3), (4, 5), (2, 1), (2, 3))
 # Per walk byte, (turn, side re-entered) of the run after that wall: the billiard table turns by 2 * (cycle
 # position of the cut left - that of the side re-entered) steps of 72 degrees (render.billiard_path).
 _REENTRY = tuple((2 * (MIDPOINT_CYCLE.index(cut) - MIDPOINT_CYCLE.index(side)) % 5, side) for cut, side in _LEAVES)
-# The cone points _STAIR[1] and [3] lie beyond C1 and C2; a run that ends there leaves
-# by that cut and is drawn to the cone point's mirror image in it, _STAIR[4] or [0].
+# The cone points _STAIR2[1] and [3] lie beyond C1 and C2; a run that ends there leaves
+# by that cut and is drawn to the cone point's mirror image in it, _STAIR2[4] or [0].
 _BEYOND = {1: (4, 4), 3: (2, 0)}
 # What a finished orbit's points are checked against, at scale 2: per midpoint,
 # its start and its glued twins, the start plus each gluing translation whose
@@ -160,15 +160,14 @@ _ON_GLUED_EDGE = tuple(label for label, twins in _TWINS2.items() if len(twins) >
 
 def _direction_table(pairs: Point) -> tuple:
     """The frame of the direction with integer pairs `pairs`, set up once in
-    the form the kernel _run reads: the h of the middle corner of _STAIR[1:4];
+    the form the kernel _run reads: the h of the middle corner of _STAIR2[1:4];
     the offsets from it of the outer two; per exit wall, what crossing it adds
-    to h; per midpoint, its chord's offset and the _STAIR index of the corner
-    an edge run from it ends at, or None; the oracle's look data, the first
-    parts of the five offsets and each chord of a midpoint that is no edge run
-    to the lowest such label on it; and the pairs. Every h, at scale 2 in the
-    (p, b) form, is v x p for a point p of _EXITS, _STAIR2 or _MIDPOINTS2, a small
-    integer combination of half steps along the axes, so the frame sums their
-    h's. The callers check that the pairs are a direction in the first quadrant.
+    to h; per midpoint, its chord's offset and the _STAIR2 index of the corner
+    an edge run from it ends at, or None; and the pairs. Every h, at scale 2
+    in the (p, b) form, is v x p for a point p of _EXITS, _STAIR2 or
+    _MIDPOINTS2, a small integer combination of half steps along the axes, so
+    the frame sums their h's. The callers check that the pairs are a direction
+    in the first quadrant.
     """
     vxa, vxb, vya, vyb = pairs
     # The h of the half steps (0, 1/2), (0, phi/2), (1/2, 0) and (phi/2, 0), by golden_mul.
@@ -188,13 +187,8 @@ def _direction_table(pairs: Point) -> tuple:
     o2, o3, o4 = (o1[0] + xf, o1[1] + xfb), (-xf - yf, -xfb - yfb), (o5[0] + yf, o5[1] + yfb)
     e1, e5 = None if y1 or y1b else 4, None if x1 or x1b else 0
     starts = {1: (o1, e1), 2: (o2, None), 3: (o3, None), 4: (o4, None), 5: (o5, e5)}
-    # A display keeps the last value of a repeated key, the lowest label; an edge holds no other midpoint.
-    twins = {o5: 5, o4: 4, o3: 3, o2: 2, o1: 1}
-    if e1 is not None or e5 is not None:  # an edge run starts on a corner, on no closed orbit
-        del twins[o5 if e1 is None else o1]
-    near = {o1[0], o2[0], o3[0], o4[0], o5[0]}
     steps = (-r, -rb), (-t, -tb), (-a, -ab), (-c, -cb)
-    return (a + t, ab + tb), (r - a, rb - ab, c - t, cb - tb), steps, starts, near, twins, pairs
+    return (a + t, ab + tb), (r - a, rb - ab, c - t, cb - tb), steps, starts, pairs
 
 
 def _replay_table(pairs: Point) -> tuple[int, tuple]:
@@ -231,10 +225,10 @@ class Trajectory(_Frozen):
     It stores what the trace decides. `walk` has one byte per segment: the
     index in _EXITS of the wall its end crosses, or _END for a last segment
     that ends at the start or the cone point. `_holonomy2` is the holonomy at
-    scale 2; `_cone` the _STAIR index of the corner hit, or None; `_table` the
+    scale 2; `_cone` the _STAIR2 index of the corner hit, or None; `_table` the
     direction's table. Eq, hash and repr read `_fields`, which leave the
-    table out. `scale`, `outcome`, `cone_point` and the GoldenVectors `start`
-    and `holonomy` are read off them; `scale` and the replay rows are set up
+    table out. `scale`, `outcome` and the GoldenVectors `start`, `holonomy`
+    and `cone_point` are read off them; `scale` and the replay rows are set up
     from the table's pairs on first read. `points`, each segment's (begin,
     end) integer points (xa, xb, ya, yb) with every integer divided by
     `scale`, is replayed from the walk on first read and cached; every library
@@ -259,9 +253,9 @@ class Trajectory(_Frozen):
     def outcome(self) -> Outcome:
         return Outcome.CLOSED if self._cone is None else Outcome.HIT_CONE_POINT
 
-    @property
+    @cached_property
     def cone_point(self) -> GoldenVector | None:
-        return None if self._cone is None else _STAIR[self._cone]
+        return None if self._cone is None else _from_point(_STAIR2[self._cone], 2)
 
     @property
     def start(self) -> GoldenVector:
@@ -273,7 +267,7 @@ class Trajectory(_Frozen):
 
     @cached_property
     def points(self) -> tuple[tuple[Point, Point], ...]:
-        corner, _, deltas, starts, _, _, _ = self._table
+        corner, _, deltas, starts, _ = self._table
         scale, rows = self._replay
         p, b = map(add, starts[self.start_label][0], corner)
         # Per wall: the step of h, whether the wall is vertical, the factor m
@@ -323,23 +317,23 @@ class Trajectory(_Frozen):
             "segments": [{"from": list(map(text, b)), "to": list(map(text, e))} for b, e in points],
             "segment_count": self.segment_count,
             "holonomy": list(map(text, holonomy)),
-            "cone_point": None if self.cone_point is None else self.cone_point.quadruple(),
+            "cone_point": None if self._cone is None else list(map(text, points[-1][1])),  # where a cone hit ends
         }
 
 
-def _run(table: tuple, h: tuple[int, int], look: bool, cap: int) -> tuple:
+def _run(table: tuple, h: tuple[int, int], twins: tuple | None, cap: int) -> tuple:
     """The step loop: from the chord h, an offset from the middle corner in
     (p, b) form at scale 2, cross at most `cap` walls until h comes back or
-    the cone point. With `look`, the oracle's walk also ends on another
-    midpoint's chord, its twin's, met after j crossings with 2j + 2 <= cap.
-    It only unpacks the frame `table`. Returns the walk, the offset of its
-    last chord, the corner hit or None, and the twin it stopped at or None."""
+    the cone point. With the oracle's twin table `twins`, (near, chords), the
+    walk also ends on another midpoint's chord, its twin's, met after j
+    crossings with 2j + 2 <= cap; a trace passes None. It only unpacks the
+    frame `table`. Returns the walk, the offset of its last chord, the corner
+    hit or None, and the twin it stopped at or None."""
     # h is kept as its offset (x, y) from the middle corner, and the outer
     # corners as theirs, so the first sign test reads the state as it is.
-    _, (u1, v1, u3, v3), ((dx0, dy0), (dx1, dy1), (dx2, dy2), (dx3, dy3)), _, near, twins, _ = table
+    _, (u1, v1, u3, v3), ((dx0, dy0), (dx1, dy1), (dx2, dy2), (dx3, dy3)), _, _ = table
     x0, y0 = x, y = h
-    if not look:  # a trace looks only for its start's chord
-        near, twins = (x0,), None
+    near, twins = twins or ((x0,), None)  # a trace looks only for its start's chord
     cone = twin = None
     walk = bytearray()
     append = walk.append
@@ -426,7 +420,7 @@ def _walk(label: int, table: tuple, cap: int) -> tuple:
     builds no holonomy for the cone hit."""
     weierstrass_point(label)  # raises ValueError for a bad label
     h0, cone = table[3][label]
-    walk, h, hit, _ = _run(table, h0, False, cap if cone is None else 0)
+    walk, h, hit, _ = _run(table, h0, None, cap if cone is None else 0)
     _finish(walk, h, h0, label, table, cap)
     # The translations of the crossings. Per wall at scale 2, a crossing adds
     # (2, 2, 0, 0), (0, 0, 0, 2), (0, 2, 0, 0) or (0, 0, 2, 2).
@@ -470,9 +464,11 @@ def _oracle(pairs: Point, check: Point, cap: int) -> OracleReport:
     pairs of sides and fixes the other two walls.) Any midpoint not yet known
     is walked on its own, to the same holonomy or the same error.
 
-    It sets the direction's frame up once, look data included, and steps the
-    kernel _run on it itself. In one pass over the labels in order it walks
-    each midpoint not yet known and reads holonomies off the wall counts n by
+    It sets the direction's frame up once, and the twin table from the frame's
+    starts: the first parts of the five chords, and each chord of a midpoint
+    that is no edge run to the lowest such label on it. It steps the kernel
+    _run on them itself. In one pass over the labels in order it walks each
+    midpoint not yet known and reads holonomies off the wall counts n by
     _walk's rule, 2n for (2n0, 2(n0 + n2), 2n3, 2(n1 + n3)): 4n plus twice the
     step from the start to the twin for both midpoints of a twin stop, 2n for
     a closed walk, and None, no holonomy built, for the cone hit. A walk that
@@ -481,10 +477,16 @@ def _oracle(pairs: Point, check: Point, cap: int) -> OracleReport:
     _check_int("cap", cap, 0)
     table = _direction_table(pairs)
     starts, known, holonomies = table[3], {}, {}
+    (o1, e1), (o2, _), (o3, _), (o4, _), (o5, e5) = starts.values()
+    # A display keeps the last value of a repeated key, the lowest label; an edge holds no other midpoint.
+    chords = {o5: 5, o4: 4, o3: 3, o2: 2, o1: 1}
+    if e1 is not None or e5 is not None:  # an edge run starts on a corner, on no closed orbit
+        del chords[o5 if e1 is None else o1]
+    twins = {o1[0], o2[0], o3[0], o4[0], o5[0]}, chords
     for label in starts:
         if label not in known:  # else met by an earlier walk's twin stop
             h0, edge_run = starts[label]
-            walk, h, hit, twin = _run(table, h0, True, cap if edge_run is None else 0)
+            walk, h, hit, twin = _run(table, h0, twins, cap if edge_run is None else 0)
             if twin is not None:  # stopped at the twin, half a period on
                 n0, n1, n2, n3 = walk.count(0), walk.count(1), walk.count(2), walk.count(3)
                 s0, s1, s2, s3 = _SHIFTS2[twin, label]

@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import chain
 
 from .field import PHI_FLOAT, _Frozen
-from .flow import DEFAULT_STEP_CAP, Outcome, Trajectory, _BEYOND, _END, _LEAVES, _REENTRY, _STAIR, _shown, trace
+from .flow import DEFAULT_STEP_CAP, Outcome, Trajectory, _BEYOND, _END, _LEAVES, _REENTRY, _shown, trace
 from .surface import DEFAULT_SIZE, DEFAULT_STROKE, FRAMES, GOLDEN_L, GOLDEN_L_FRAME, MIDPOINT_CYCLE, PENTAGON_FRAME
 # word_to_vector is bound here only because perfbench/selftest.py checks that its wrapper reaches it.
 from .words import Word, word_to_vector  # noqa: F401
@@ -148,7 +148,7 @@ def _fold(trajectory: Trajectory) -> tuple[list[complex], bool]:
     """billiard_path's points as table points x + yi, and whether the path
     closed, read from the walk, the direction's table and the start label."""
     label, walk, cone = trajectory.start_label, trajectory.walk, trajectory._cone
-    (p2, b2), _, deltas, starts, _, _, pairs = trajectory._table
+    (p2, b2), _, deltas, starts, pairs = trajectory._table
     outside, closed, beyond = label in (2, 4), cone is None, _BEYOND.get(cone)
     if closed and walk[-1] == _END:
         # Closed strictly inside a segment: the last run ends at the start and
@@ -189,7 +189,7 @@ def _fold(trajectory: Trajectory) -> tuple[list[complex], bool]:
         k = (k + turn) % 5
         drawn.append(q * _ROTATIONS[k])
     if not closed:
-        drawn.append(_on_pentagon(*_STAIR[beyond[1] if beyond else cone].to_floats()) * _ROTATIONS[k])
+        drawn.append(_on_pentagon(*GOLDEN_L.vertices[2 + (beyond[1] if beyond else cone)].to_floats()) * _ROTATIONS[k])
     if outside:
         mirror = _MIRRORS[label]
         drawn = [mirror * z.conjugate() for z in drawn]

@@ -43,7 +43,6 @@ class GoldenL(NamedTuple):
     vertices: tuple[GoldenVector, ...]
     identifications: tuple[EdgeIdentification, ...]
     weierstrass: dict[int, GoldenVector]
-    cone_representatives: tuple[GoldenVector, ...]
     inscribed_pentagon: tuple[GoldenVector, ...]
 
     def to_json_dict(self) -> dict:
@@ -59,7 +58,7 @@ class GoldenL(NamedTuple):
                 for ident in self.identifications
             ],
             "weierstrass_points": {str(label): point.quadruple() for label, point in self.weierstrass.items()},
-            "cone_points": [v.quadruple() for v in self.cone_representatives],
+            "cone_points": [v.quadruple() for v in self.vertices],
             "inscribed_pentagon": [v.quadruple() for v in self.inscribed_pentagon],
         }
 
@@ -100,11 +99,9 @@ GOLDEN_L = GoldenL(
     vertices=_VERTICES,
     identifications=_IDENTIFICATIONS,
     weierstrass=_WEIERSTRASS,
-    cone_representatives=_VERTICES,
     inscribed_pentagon=_INSCRIBED_PENTAGON,
 )
 
-CONE_POINTS = frozenset(_VERTICES)
 WEIERSTRASS_LABELS = (1, 2, 3, 4, 5)
 
 

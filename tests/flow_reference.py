@@ -10,7 +10,8 @@ vectors and the step cap's message; it states the closed L itself.
 `reference_direction_table` builds the flow's per-direction table, and the
 point scale and replay rows set up from its pairs, the way they stood before
 one linear map replaced the products: the transverse coordinate h = v x p by
-golden_mul at each fixed point.
+golden_mul at each fixed point. `reference_twin_table` gathers the oracle's
+twin table from a frame's starts midpoint by midpoint.
 
 `reference_point_in_surface` and `reference_canonicalize` are the
 library's membership test and canonical representative as they were stated
@@ -30,7 +31,7 @@ from math import lcm
 from goldenl.errors import CapExceededError, StructuralViolationError
 from goldenl.field import ONE, PHI, PHI_SQUARED, ZERO, GoldenNumber, GoldenVector, cleared, golden_mul, golden_sign
 from goldenl.flow import DEFAULT_STEP_CAP, OracleReport, Outcome, _from_point, _shown, trace_direction
-from goldenl.surface import CONE_POINTS, GOLDEN_L, WEIERSTRASS_LABELS, Classification, weierstrass_point
+from goldenl.surface import GOLDEN_L, WEIERSTRASS_LABELS, Classification, weierstrass_point
 from goldenl.words import _direction_pairs, vector_to_word, word_to_vector
 
 Point = tuple[int, int, int, int]
@@ -72,7 +73,7 @@ def reference_canonicalize(p: GoldenVector) -> GoldenVector:
     """
     if not reference_point_in_surface(p):
         raise ValueError(f"point lies outside the golden L: {_shown(p)}")
-    if p in CONE_POINTS:
+    if p in GOLDEN_L.vertices:
         return GOLDEN_L.vertices[0]
     for ident in GOLDEN_L.identifications:
         lo, hi = ident.target
@@ -105,7 +106,7 @@ def _wall_row(ident) -> tuple:
 
 
 _EXITS2 = tuple(_wall_row(ident) for ident in GOLDEN_L.identifications)
-_CORNERS2 = tuple(_int_point(p, 2) for p in CONE_POINTS)
+_CORNERS2 = tuple(_int_point(p, 2) for p in GOLDEN_L.vertices)
 
 
 def _kernel_setup(v: GoldenVector):
@@ -249,9 +250,8 @@ def reference_direction_table(v: GoldenVector, corners: tuple | None = None) -> 
     """`goldenl.flow._direction_table` and `goldenl.flow._replay_table` of the
     pairs of v, field for field, with each h at scale 2 in the (p, b) form
     2h = p + b*sqrt(5) taken point by point, then made an offset from the
-    middle corner, and the look data gathered midpoint by midpoint. With
-    `corners`, the h of the three corners where walls meet are those given
-    in place of their own, a corrupted frame."""
+    middle corner. With `corners`, the h of the three corners where walls
+    meet are those given in place of their own, a corrupted frame."""
     pairs = vxa, vxb, vya, vyb = _direction_pairs(v)
 
     def h(point: Point) -> tuple[int, int]:
@@ -280,15 +280,25 @@ def reference_direction_table(v: GoldenVector, corners: tuple | None = None) -> 
         return h[0] - middle[0], h[1] - middle[1]
 
     ends = {stair[0]: 0, stair[4]: 4}
-    starts, near, twins = {}, set(), {}
+    starts = {}
     for label in WEIERSTRASS_LABELS:
         start = h(_int_point(weierstrass_point(label), 2))
         starts[label] = (offset(start), ends.get(start))
-        near.add(offset(start)[0])
-        if ends.get(start) is None:  # an edge run starts on a corner, on no closed orbit
-            twins.setdefault(offset(start), label)
-    frame = middle, (*offset(low), *offset(high)), tuple(deltas), starts, near, twins, pairs
+    frame = middle, (*offset(low), *offset(high)), tuple(deltas), starts, pairs
     return frame, (2 * factor, tuple(rows))
+
+
+def reference_twin_table(starts: dict) -> tuple[set, dict]:
+    """The twin table `goldenl.flow._oracle` passes its walks, from a frame's
+    `starts`, gathered midpoint by midpoint: the first parts of the five
+    chords' offsets, and each chord of a midpoint that is no edge run to the
+    lowest such label on it."""
+    near, twins = set(), {}
+    for label, (offset, edge_run) in starts.items():
+        near.add(offset[0])
+        if edge_run is None:  # an edge run starts on a corner, on no closed orbit
+            twins.setdefault(offset, label)
+    return near, twins
 
 
 def corners_above_every_chord(pairs: Point) -> tuple:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import goldenl.render as render
 from goldenl.field import PHI_FLOAT, GoldenVector
-from goldenl.flow import _END, _STAIR, Outcome, Trajectory
-from goldenl.surface import MIDPOINT_CYCLE
+from goldenl.flow import _END, Outcome, Trajectory
+from goldenl.surface import GOLDEN_L, MIDPOINT_CYCLE
 from goldenl.words import Word, word_to_vector
 
 DEFAULT_MAX_BOUNCES = 20_000
@@ -212,7 +212,7 @@ def fold_by_segments(t: Trajectory) -> list[tuple[float, float]]:
         k = (k + turn) % 5
         drawn.append(q * render._ROTATIONS[k])
     if not closed:
-        corner = _STAIR[beyond[1] if beyond else t._cone].to_floats()
+        corner = GOLDEN_L.vertices[2 + (beyond[1] if beyond else t._cone)].to_floats()
         drawn.append(render._on_pentagon(*corner) * render._ROTATIONS[k])
     if outside:
         drawn = [render._MIRRORS[label] * z.conjugate() for z in drawn]

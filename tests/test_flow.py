@@ -22,6 +22,7 @@ from flow_reference import (
     reference_oracle,
     reference_point_in_surface,
     reference_trace,
+    reference_twin_table,
 )
 from goldenl import (
     CapExceededError,
@@ -37,7 +38,7 @@ from goldenl import (
     weierstrass_point,
     word_to_vector,
 )
-from goldenl.surface import CONE_POINTS, GOLDEN_L, WEIERSTRASS_LABELS, _parity_verdicts
+from goldenl.surface import GOLDEN_L, WEIERSTRASS_LABELS, _parity_verdicts
 from goldenl.classify import Classification
 from goldenl.field import PHI, cleared
 from goldenl.words import _pairs
@@ -305,17 +306,22 @@ def _rotations(a, b):
 
 def _counting_walks(monkeypatch):
     """Patch the flow kernel, which the oracle steps itself, to record on each
-    call whether it looks for a twin, that is, reads the frame's look data;
+    call the twin table it looks for, None for a walk that looks for none;
     returns the record."""
     walked = []
     run = flow_module._run
 
-    def counted(table, h, look, cap):
-        walked.append(look)
-        return run(table, h, look, cap)
+    def counted(table, h, twins, cap):
+        walked.append(twins)
+        return run(table, h, twins, cap)
 
     monkeypatch.setattr(flow_module, "_run", counted)
     return walked
+
+
+def _twin_table(v):
+    """The reference twin table of direction v, from its frame's starts."""
+    return reference_twin_table(flow_module._direction_table(cleared(v))[3])
 
 
 def _look_walks(v, verdicts, cap):
@@ -323,8 +329,8 @@ def _look_walks(v, verdicts, cap):
     connection, and per cylinder one from its lower label, whose trace is
     first on the other midpoint's chord after j crossings, the chords replayed
     by their h; that walk stops there if 0 < j and 2j + 2 <= cap, or else the
-    other midpoint is walked too."""
-    _, _, deltas, starts, _, _, _ = flow_module._direction_table(cleared(v))
+    other midpoint is walked too. Each walk looks for the twin table."""
+    _, _, deltas, starts, _ = flow_module._direction_table(cleared(v))
     walks = 1
     for verdict in (Classification.SHORT, Classification.LONG):
         a, b = sorted(label for label, c in verdicts.items() if c is verdict)
@@ -332,7 +338,7 @@ def _look_walks(v, verdicts, cap):
         chords = accumulate(steps, lambda h, d: (h[0] + d[0], h[1] + d[1]), initial=starts[a][0])
         j = list(chords).index(starts[b][0])
         walks += 1 if 0 < j and 2 * j + 2 <= cap else 2
-    return [True] * walks
+    return [reference_twin_table(starts)] * walks
 
 
 def _traces(v, cap=DEFAULT_STEP_CAP):
@@ -369,7 +375,7 @@ def test_oracle_trajectories_equal_independent_traces(monkeypatch):
         v = word_to_vector(word)
         walked.clear()
         report = oracle_report_direction(v)
-        assert walked == [True] * (5 if set(word) <= {0} else 3), word
+        assert walked == [_twin_table(v)] * (5 if set(word) <= {0} else 3), word
         traced = _traces(v)
         assert report._holonomies == _holonomies(traced), word
         assert traced[report.saddle_label]._holonomy2 == _pairs(word), word
@@ -477,7 +483,7 @@ def test_each_closed_orbit_meets_one_twin_half_a_period_away(monkeypatch):
     # to the twin, over the first j crossings, is the holonomy of the whole
     # walk, which has 2j, 2j + 1 or 2j + 2 segments, and the twin's walk at
     # most 2j + 2. The oracle's walk, a step of the kernel _run reading the
-    # frame's look data, names the twin and stops there, its arc the first j
+    # twin table, names the twin and stops there, its arc the first j
     # crossings of the whole walk, and the arc's displacement, doubled and
     # shifted from the start to the twin, is the whole walk's holonomy. A walk
     # that stops at no twin, ended as the oracle ends it, is the whole walk.
@@ -494,11 +500,12 @@ def test_each_closed_orbit_meets_one_twin_half_a_period_away(monkeypatch):
     on_start_chord = {"ahead": 0, "behind": 0}
     for v in words + [GoldenVector(v.y, v.x) for v in words] + [HORIZONTAL, VERTICAL]:
         table = flow_module._direction_table(cleared(v))
-        _, _, deltas, starts, _, _, _ = table
+        _, _, deltas, starts, _ = table
+        twins = reference_twin_table(starts)
         for label in WEIERSTRASS_LABELS:
             walk, holonomy, cone = flow_module._walk(label, table, DEFAULT_STEP_CAP)
             h0, edge_corner = starts[label]
-            arc, last, hit, twin = flow_module._run(table, h0, True, DEFAULT_STEP_CAP if edge_corner is None else 0)
+            arc, last, hit, twin = flow_module._run(table, h0, twins, DEFAULT_STEP_CAP if edge_corner is None else 0)
             if twin is None:
                 flow_module._finish(arc, last, h0, label, table, DEFAULT_STEP_CAP)
             crossings = walk.rstrip(bytes([flow_module._END]))
@@ -540,7 +547,7 @@ def test_each_closed_orbit_meets_one_twin_half_a_period_away(monkeypatch):
     for v in (HORIZONTAL, VERTICAL):
         walked.clear()
         report = oracle_report_direction(v)
-        assert walked == [True] * 5
+        assert walked == [_twin_table(v)] * 5
         assert report._holonomies == _holonomies(_traces(v))
 
 
@@ -1023,8 +1030,8 @@ def test_oracle_agrees_with_whole_traces_where_midpoint_chords_share_a_first_par
     for word in (w for n in range(7) for w in product((0, 1, 2, 3), repeat=n) if w[:1] != (0,)):
         for k in range(-4, 5):
             pairs = _unit_scaled(_pairs(word), k)
-            _, _, _, starts, near, _, _ = flow_module._direction_table(pairs)
-            if len(near) < len({h for h, _ in starts.values()}):
+            starts = flow_module._direction_table(pairs)[3]
+            if len({h[0] for h, _ in starts.values()}) < len({h for h, _ in starts.values()}):
                 found.append((word, k, pairs))
     assert len(found) == 246 and {k for _, k, _ in found} == {-4, -3, -2}
     assert found[:2] == [((1,), -3, (2, -1, -3, 2)), ((1,), -2, (-1, 1, 2, -1))]
@@ -1049,8 +1056,8 @@ def test_oracle_sends_any_other_tally_to_the_cylinder_check(monkeypatch):
     )
     run = flow_module._run
 
-    def no_cone(table, h, look, cap):
-        walk, last, _, twin = run(table, h, look, cap)
+    def no_cone(table, h, twins, cap):
+        walk, last, _, twin = run(table, h, twins, cap)
         return walk, last, None, twin
 
     monkeypatch.setattr(flow_module, "_run", no_cone)
@@ -1081,17 +1088,18 @@ def test_every_report_makes_exactly_one_cylinder_check(monkeypatch):
         assert verdicts is report.verdicts, arg
 
 
-def test_direction_table_equals_point_by_point_reference():
+def test_direction_table_equals_point_by_point_reference(monkeypatch):
     # The frame's h are one integer linear map of the direction's pairs; the
-    # reference takes golden_mul at each fixed point, makes each an offset
-    # from the middle corner and gathers the look data midpoint by midpoint.
-    # Every word of length <= 5, seeded words of lengths 6-12, both axes, and
-    # the words of length <= 3 and the axes scaled by phi**k for k = -8..8.
-    # The frame equals the reference: the middle corner, the outer corners'
-    # offsets, the steps, the chords' offsets and edge runs, and the look
-    # data, which are the first parts of the five offsets and each offset of a
-    # midpoint that is no edge run to the lowest such label on it. The frame
-    # carries v cleared, and the point scale and replay rows are set up from it.
+    # reference takes golden_mul at each fixed point and makes each an offset
+    # from the middle corner. Every word of length <= 5, seeded words of
+    # lengths 6-12, both axes, and the words of length <= 3 and the axes
+    # scaled by phi**k for k = -8..8. The frame equals the reference: the
+    # middle corner, the outer corners' offsets, the steps, the chords'
+    # offsets and edge runs, and v cleared; the point scale and replay rows
+    # are set up from it. Every walk of the oracle looks for the twin table
+    # the reference gathers from the frame's starts midpoint by midpoint: the
+    # first parts of the five offsets, and each offset of a midpoint that is
+    # no edge run to the lowest such label on it.
     rng = random.Random(20261019)
     words = [w for n in range(6) for w in product((0, 1, 2, 3), repeat=n)]
     words += [tuple(rng.randrange(4) for _ in range(n)) for n in range(6, 13) for _ in range(8)]
@@ -1102,14 +1110,19 @@ def test_direction_table_equals_point_by_point_reference():
             for _ in range(8):
                 u = u.scaled(factor)
                 directions.append(u)
+    walked = _counting_walks(monkeypatch)
     for v in directions:
         table = flow_module._direction_table(cleared(v))
         want_table, (want_scale, want_rows) = reference_direction_table(v)
         assert table == want_table, v
-        _, _, _, starts, near, twins, pairs = table
+        _, _, _, starts, pairs = table
+        near, twins = reference_twin_table(starts)
         assert near == {h[0] for h, _ in starts.values()}, v
         runs = {h for h, edge_run in starts.values() if edge_run is None}
         assert twins == {h: min(l for l, g in starts.items() if g == (h, None)) for h in runs}, v
+        walked.clear()
+        oracle_report_direction(v)
+        assert walked and walked == [(near, twins)] * len(walked), v
         assert pairs == cleared(v), v
         scale, rows = flow_module._replay_table(pairs)
         assert scale == want_scale, v
@@ -1121,7 +1134,7 @@ def _cone_on_segment_before_end(begin, end):
     representative lies on the segment from begin up to, not including, end."""
     step = end - begin
     length = dot(step, step)
-    for cone in CONE_POINTS:
+    for cone in GOLDEN_L.vertices:
         offset = cone - begin
         if not cross(offset, step).is_zero:
             continue
@@ -1140,7 +1153,7 @@ def test_corner_lookup_matches_exhaustive_cone_scan():
             for begin, end in t.segments:
                 assert not _cone_on_segment_before_end(begin, end), (label, v, begin, end)
             final = t.segments[-1][1]
-            assert (final in CONE_POINTS) == (t.outcome is Outcome.HIT_CONE_POINT), (label, v)
+            assert (final in GOLDEN_L.vertices) == (t.outcome is Outcome.HIT_CONE_POINT), (label, v)
             assert t.cone_point == (final if t.outcome is Outcome.HIT_CONE_POINT else None)
 
 

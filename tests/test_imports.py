@@ -129,6 +129,22 @@ def test_walk_turns_read_on_cycle_positions_match_the_table_sides():
     assert flow._REENTRY == tuple((2 * (_EDGE[l] - _EDGE[e]) % 5, e) for l, e in flow._LEAVES)
 
 
+def test_flow_binds_the_l_only_in_integers():
+    # flow reads surface's integer statement of the L: it binds no GOLDEN_L, and no GoldenVector at module level,
+    # on its own or among the elements of a tuple, set or dict, keys and values.
+    from goldenl import flow
+    from goldenl.field import GoldenVector
+
+    def elements(value):
+        if isinstance(value, dict):
+            return [*value, *value.values()]
+        return list(value) if isinstance(value, (tuple, set, frozenset)) else [value]
+
+    assert not hasattr(flow, "GOLDEN_L")
+    bound = {name: sum(isinstance(e, GoldenVector) for e in elements(value)) for name, value in vars(flow).items()}
+    assert {name: count for name, count in bound.items() if count} == {}
+
+
 def test_unknown_name_raises_attribute_error_naming_it():
     # Also after the library has loaded, when a miss must leave patched names alone.
     code = """

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 from fractions import Fraction
 from math import comb
 
@@ -14,6 +15,7 @@ from goldenl import (
     empty_reduction_probability,
     exact_profile,
     monte_carlo_empty_rate,
+    reduce_word,
 )
 from goldenl import cli
 from goldenl.stats import _exact_profiles
@@ -101,6 +103,20 @@ def test_monte_carlo_near_exact():
     estimate = monte_carlo_empty_rate(4, 20000, seed=3)
     exact = float(empty_reduction_probability(4))
     assert abs(estimate.estimate - exact) < 4 * max(estimate.stderr, 1e-9)
+
+
+def test_monte_carlo_reseeds_at_each_shard():
+    # The default 100,000 samples of `stats --mode mc` span two shards of 65,536, each drawn from its own
+    # Random(f"{seed}:{m}:{shard}"). Here the hits are counted over those streams, m letters a sample reduced
+    # by reduce_word, one sample into the second shard and one into the third.
+    m, seed = 2, 5
+    for samples in (65_537, 131_073):
+        hits = 0
+        for shard, done in enumerate(range(0, samples, 65_536)):
+            rng = random.Random(f"{seed}:{m}:{shard}")
+            for _ in range(min(65_536, samples - done)):
+                hits += not reduce_word(tuple(rng.randrange(4) for _ in range(m)))
+        assert monte_carlo_empty_rate(m, samples, seed).hits == hits, samples
 
 
 def test_monte_carlo_trivial_length():

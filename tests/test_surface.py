@@ -31,15 +31,15 @@ from goldenl import (
     weierstrass_point,
 )
 from goldenl.field import golden_mul, golden_sign
-from goldenl.surface import CONE_POINTS, MIDPOINT_CYCLE, WEIERSTRASS_LABELS
+from goldenl.surface import MIDPOINT_CYCLE, WEIERSTRASS_LABELS
 from goldenl.words import _pairs, _peel
 from words_reference import _SECTOR_BOUNDS, SIGMA_INVERSE, sector_of_pairs
 
 
 def test_vertex_count_and_cone_class():
-    assert len(GOLDEN_L.vertices) == 8
-    assert CONE_POINTS == frozenset(GOLDEN_L.vertices)
-    assert GOLDEN_L.cone_representatives == GOLDEN_L.vertices
+    # The eight corners are the cone point's representatives, each listed once.
+    assert len(GOLDEN_L.vertices) == len(frozenset(GOLDEN_L.vertices)) == 8
+    assert surface_description()["cone_points"] == surface_description()["vertices"]
 
 
 def test_identifications_are_parallel_translations():
@@ -57,7 +57,7 @@ def test_identifications_are_parallel_translations():
 def test_identification_endpoints_are_cone_points():
     for ident in GOLDEN_L.identifications:
         for p in (*ident.source, *ident.target):
-            assert p in CONE_POINTS
+            assert p in frozenset(GOLDEN_L.vertices)
 
 
 def test_weierstrass_points_are_inscribed_pentagon_midpoints():
@@ -72,7 +72,7 @@ def test_weierstrass_points_are_inscribed_pentagon_midpoints():
 
 def test_inscribed_pentagon_vertices_are_cone_points():
     for v in GOLDEN_L.inscribed_pentagon:
-        assert v in CONE_POINTS
+        assert v in frozenset(GOLDEN_L.vertices)
 
 
 def test_weierstrass_lookup():
