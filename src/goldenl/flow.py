@@ -60,7 +60,7 @@ v = word_to_vector(w), so their holonomies are phi*v and phi^2*v, two each
 from __future__ import annotations
 
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from enum import Enum
 from functools import cached_property
 from itertools import chain
@@ -231,10 +231,10 @@ class Trajectory(_Frozen):
     and `cone_point` are read off them; `scale` and the replay rows are set up
     from the table's pairs on first read. `points`, each segment's (begin,
     end) integer points (xa, xb, ya, yb) with every integer divided by
-    `scale`, is replayed from the walk on first read and cached; every library
-    path that draws or checks a trajectory reads it. `segments`, the same as
-    GoldenVector pairs, is built from it on first read. Cached reads live in
-    `vars(t)`, and a copy or pickle keeps them.
+    `scale`, is replayed from the walk on first read and cached; the L picture
+    and the checks read it, and the table's fold reads runs(). `segments`, the
+    same as GoldenVector pairs, is built from it on first read. Cached reads
+    live in `vars(t)`, and a copy or pickle keeps them.
     """
 
     __slots__ = ("start_label", "direction", "walk", "_holonomy2", "_cone", "_table", "__dict__")
@@ -303,6 +303,25 @@ class Trajectory(_Frozen):
     @property
     def segment_count(self) -> int:
         return len(self.walk)
+
+    def runs(self) -> Iterator[tuple[int, int | None, int | None, int, int]]:
+        """One period's runs between the inscribed pentagon's sides, each (turn, entered, left, p, b): the table's
+        turn into it, the sides, named by their midpoints, it re-enters by after the previous wall and leaves by
+        before its own, None for one it does not cross, and its chord h = (p + b*sqrt(5)) / 4 at scale 2. A closed
+        orbit's first run re-enters after its last wall; a run into _STAIR2[1] or [3] leaves by the cut beyond it."""
+        corner, _, deltas, starts, _ = self._table
+        walk, cone, (p, b) = self.walk, self._cone, map(add, starts[self.start_label][0], corner)
+        if walk[-1] == _END:  # closed inside a segment, whose last run and first are one, or a cone hit's run (below)
+            walk = walk[:-1]
+        turn, entered = (0, None) if cone is not None else _REENTRY[walk[-1]]
+        # Per wall: the side its run leaves by; the step of h and the turn and side into the next run.
+        lefts, rows = [cut for cut, _ in _LEAVES], [(*step, *reentry) for step, reentry in zip(deltas, _REENTRY)]
+        for wall in walk:
+            yield turn, entered, lefts[wall], p, b
+            dp, db, turn, entered = rows[wall]
+            p, b = p + dp, b + db
+        if cone is not None:  # the cone hit's run leaves by the cut beyond its cone point, if there is one
+            yield turn, entered, _BEYOND.get(cone, (None,))[0], p, b
 
     def to_json_dict(self, word: Word | None = None) -> dict:
         # Coordinates and the holonomy at the points' scale print as Fraction(a, s); each distinct one once.

@@ -5,14 +5,13 @@ the last step. The golden L frame draws its segments as they are. The pentagon
 frame's billiard table, a regular pentagon with side 1, is the image of the L's
 inscribed pentagon under one linear map P, which only _on_pentagon states: the
 table's vertices, side midpoints and mirrors are P's images of the L's points.
-The trajectory folds onto the table (see billiard_path) from its walk alone:
-flow, which owns the walk's encoding, states the sides each byte's run leaves
-and re-enters by, and the turn; each run's chord h comes from the walk's steps,
-and where it bounces is one affine map of h per side, set up once per
-direction, so no point is built. Where a closed path closes follows by rule
-from the walk's turns and the direction. Each frame's outline and marked points
-are formatted once per size and stroke, both frames' lines in chunks, and each
-bounce point of the table's polyline is placed and formatted once.
+The trajectory folds onto the table (see billiard_path) from its runs alone
+(Trajectory.runs): each run's sides, turn and chord h, which meets a side at
+one affine map of h per side, set up once per direction, so no point is
+built. Where a closed path closes follows by rule from the turns and the
+direction. Each frame's outline and marked points are formatted once per
+size and stroke, both frames' lines in chunks, and each bounce point of the
+table's polyline is placed and formatted once.
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ import sys
 from functools import lru_cache
 from itertools import chain
 
-from .field import PHI_FLOAT, _Frozen
-from .flow import DEFAULT_STEP_CAP, Outcome, Trajectory, _BEYOND, _END, _LEAVES, _REENTRY, _shown, trace
+from .field import PHI_FLOAT, _Frozen, cleared
+from .flow import DEFAULT_STEP_CAP, Outcome, Trajectory, _BEYOND, _END, _shown, trace
 from .surface import DEFAULT_SIZE, DEFAULT_STROKE, FRAMES, GOLDEN_L, GOLDEN_L_FRAME, MIDPOINT_CYCLE, PENTAGON_FRAME
 # word_to_vector is bound here only because perfbench/selftest.py checks that its wrapper reaches it.
 from .words import Word, word_to_vector  # noqa: F401
@@ -129,8 +128,8 @@ def billiard_path(trajectory: Trajectory) -> BilliardPath:
     72 degrees from a run that leaves by side s to the next, which re-enters by
     s'. Midpoints 2 and 4 start on C2 and C1 heading out; mirroring their
     picture in the table axis through the start launches them inward. Each
-    run lies on one chord h of the walk, and P is linear, so its crossing
-    with a side is that side's affine map of h (_side_maps).
+    run lies on one chord h (Trajectory.runs), and P is linear, so its
+    crossing with a side is that side's affine map of h (_side_maps).
 
     A closed trajectory repeats, turned, for a number of periods set by rule.
     The table's sides lie at multiples of 36 degrees, and P maps the first
@@ -146,43 +145,25 @@ def billiard_path(trajectory: Trajectory) -> BilliardPath:
 
 def _fold(trajectory: Trajectory) -> tuple[list[complex], bool]:
     """billiard_path's points as table points x + yi, and whether the path
-    closed, read from the walk, the direction's table and the start label."""
-    label, walk, cone = trajectory.start_label, trajectory.walk, trajectory._cone
-    (p2, b2), _, deltas, starts, pairs = trajectory._table
+    closed, read from the runs (Trajectory.runs), the direction and the start label."""
+    label, cone, pairs = trajectory.start_label, trajectory._cone, cleared(trajectory.direction)
     outside, closed, beyond = label in (2, 4), cone is None, _BEYOND.get(cone)
-    if closed and walk[-1] == _END:
-        # Closed strictly inside a segment: the last run ends at the start and
-        # the first leaves it, so together they are one run, on the first chord.
-        walk = walk[:-1]
-    # h starts on the start's chord and each wall adds its step; in the (p, b) form at scale 2 it is
-    # (p + b * sqrt 5) / 4. Past float range, v and every h are divided alike by a power of 2.
-    den = 4 << max(0, max(map(abs, pairs)).bit_length() - 960)
-    maps = _side_maps(pairs, den >> 2)
-    (x, y), _ = starts[label]
-    p, b = x + p2, y + b2
-    # Each run re-enters after the previous wall and leaves before its own, so
-    # the start is crossing 0, or 1 from midpoints 2 and 4, of a closed orbit.
-    # The first run re-enters only on a closed orbit, after its last wall.
-    crossings, previous = [], walk[-1]
-    for wall in walk:
-        h = p / den + b / den * _SQRT5
-        if previous != _END:
-            turn, entered = _REENTRY[previous]
+    den = 4 << max(0, max(map(abs, pairs)).bit_length() - 960)  # past float range, v and every h divide alike by 2^k
+    # The start is crossing 0, or 1 from midpoints 2 and 4, of a closed orbit.
+    maps, crossings, turns = _side_maps(pairs, den >> 2), [], 0
+    append = crossings.append
+    for turn, entered, left, p, b in trajectory.runs():
+        h, turns = p / den + b / den * _SQRT5, turns + turn
+        if entered is not None:
             alpha, beta = maps[entered]
-            crossings.append((turn, alpha + h * beta))
-        if wall != _END:
-            alpha, beta = maps[_LEAVES[wall][0]]
-            crossings.append((0, alpha + h * beta))
-            dp, db = deltas[wall]
-            p, b = p + dp, b + db
-        previous = wall
-    if beyond:  # the last run leaves by the cut its cone point lies beyond
-        alpha, beta = maps[beyond[0]]
-        crossings.append((0, alpha + h * beta))
+            append((turn, alpha + h * beta))
+        if left is not None:
+            alpha, beta = maps[left]
+            append((0, alpha + h * beta))
 
     # A closed path's period count, in half periods; a closed walk has two crossings a run, so n is even.
     n, axis = len(crossings), not (pairs[0] or pairs[1]) or not (pairs[2] or pairs[3])
-    halves = 5 if axis else 10 if sum(turn for turn, _ in crossings) % 5 else 2
+    halves = 5 if axis else 10 if turns % 5 else 2
     k, drawn = 0, []
     for step in range(outside + 1, outside + halves * n // 2) if closed else range(outside, n):
         turn, q = crossings[step % n]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import goldenl.render as render
 from goldenl.field import PHI_FLOAT, GoldenVector
-from goldenl.flow import _END, Outcome, Trajectory
+from goldenl.flow import _BEYOND, _END, _LEAVES, _REENTRY, Outcome, Trajectory
 from goldenl.surface import GOLDEN_L, MIDPOINT_CYCLE
 from goldenl.words import Word, word_to_vector
 
@@ -189,7 +189,7 @@ def fold_by_segments(t: Trajectory) -> list[tuple[float, float]]:
         tuple((xa / s + xb / s * PHI_FLOAT, ya / s + yb / s * PHI_FLOAT) for xa, xb, ya, yb in segment)
         for segment in t.points
     ]
-    outside, closed, beyond = label in (2, 4), t.outcome is Outcome.CLOSED, render._BEYOND.get(t._cone)
+    outside, closed, beyond = label in (2, 4), t.outcome is Outcome.CLOSED, _BEYOND.get(t._cone)
     if closed and walk[-1] == _END:
         # The last run, from the last wall to the start, and the first are one run.
         runs[0] = (runs[-1][0], runs[0][1])
@@ -198,10 +198,10 @@ def fold_by_segments(t: Trajectory) -> list[tuple[float, float]]:
     crossings, previous = [], walk[-1]
     for (begin, end), wall in zip(runs, walk):
         if previous != _END:
-            turn, entered = render._REENTRY[previous]
+            turn, entered = _REENTRY[previous]
             crossings.append((turn, _crossing(entered, begin, end)))
         if wall != _END or beyond:
-            cut = render._LEAVES[wall][0] if wall != _END else beyond[0]
+            cut = _LEAVES[wall][0] if wall != _END else beyond[0]
             crossings.append((0, _crossing(cut, begin, end)))
         previous = wall
     n, v = len(crossings), t.direction

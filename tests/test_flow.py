@@ -289,6 +289,30 @@ def test_parity_verdicts_match_the_closed_form_past_the_oracle():
     assert _parity_verdicts((0, 0, 1, 0)) == oracle_report_direction(VERTICAL).verdicts
 
 
+def test_runs_obey_the_closing_law():
+    # The closing law on every word of 1-5 letters with no leading 0, at its four closed midpoints: one period's turns
+    # sum, mod 5, to 3a + 4b + 2c + d on the short cylinder and to 4a + 2b + c + 3d on the long one, for the word's
+    # pairs (a, b, c, d). The long sum is 3 times the short one mod 5, so both paths close after the same number of
+    # periods. The sides the runs cross are the predicted side events.
+    short, long, checked = Classification.SHORT, Classification.LONG, 0
+    for word in (w for n in range(1, 6) for w in product(range(4), repeat=n) if w[0]):
+        a, b, c, d = pairs = _pairs(word)
+        law = {short: (3 * a + 4 * b + 2 * c + d) % 5, long: (4 * a + 2 * b + c + 3 * d) % 5}
+        sums = {short: set(), long: set()}
+        for label, verdict in _parity_verdicts(pairs).items():
+            if verdict in law:
+                t = trace(label, word)
+                runs = list(t.runs())
+                turns = sum(turn for turn, *_ in runs) % 5
+                assert turns == law[verdict], (word, label, verdict)
+                sums[verdict].add(turns)
+                sides = sum((entered is not None) + (left is not None) for _, entered, left, _, _ in runs)
+                assert sides == transported_side_events(t), (word, label)
+                checked += 1
+        assert sums[long] == {3 * s % 5 for s in sums[short]}, word
+    assert checked == 4 * 1023
+
+
 def test_parity_verdicts_reject_pairs_that_are_no_midpoints_class():
     # The horizontal times phi, times phi^2 and times 2: each reads as no midpoint's class mod 2, so the rule
     # has no saddle to name and raises, where it once answered five verdicts silently.

@@ -129,6 +129,17 @@ def test_walk_turns_read_on_cycle_positions_match_the_table_sides():
     assert flow._REENTRY == tuple((2 * (_EDGE[l] - _EDGE[e]) % 5, e) for l, e in flow._LEAVES)
 
 
+def test_render_leaves_the_walk_decoding_to_flow():
+    # Flow alone turns a walk into pentagon sides (Trajectory.runs): render reads no trajectory's `_table`, the
+    # direction frame, and binds or reads neither of the walk's side tables, _LEAVES and _REENTRY.
+    tree = ast.parse((SRC / "goldenl" / "render.py").read_text(encoding="utf-8"))
+    nodes = list(ast.walk(tree))
+    names = {alias.asname or alias.name for node in nodes if isinstance(node, ast.ImportFrom) for alias in node.names}
+    names |= {node.id for node in nodes if isinstance(node, ast.Name)}
+    names |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    assert names & {"_table", "_LEAVES", "_REENTRY"} == set()
+
+
 def test_flow_binds_the_l_only_in_integers():
     # flow reads surface's integer statement of the L: it binds no GOLDEN_L, and no GoldenVector at module level,
     # on its own or among the elements of a tuple, set or dict, keys and values.
