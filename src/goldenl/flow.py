@@ -43,18 +43,18 @@ GoldenNumbers are only cleared on the way in and built on the way out.
 A closed orbit through a midpoint meets exactly one other, its twin, half a
 period on: the hyperelliptic involution J fixes both and turns the orbit
 around, so the arc back has the same holonomy. The half-walk belongs to the
-oracle, which needs only holonomies and steps the kernel itself: a walk that
-stops on its twin's chord gives both midpoints twice the displacement so far
-(its cap rule is _oracle's), a midpoint not yet known is walked on its own,
-and a walk into the cone point builds no holonomy. What its walks look for,
-the midpoints' chords, it reads off the frame once per direction. So it
-walks about half of each cylinder's core orbit and builds no trajectory. It
-reads a word's pairs from words._pairs. Its walks only collect holonomies;
-_cylinder_verdicts, the one check, decides every report's verdicts, and the
-report keeps the pairs and the holonomies it passed; no read of it walks.
-The check is in closed form: psi_w carries the horizontal cylinders onto v's,
-v = word_to_vector(w), so their holonomies are phi*v and phi^2*v, two each
-(Veech 1989). A vector is walked as given and checked against its word's.
+oracle, which needs only holonomies: its own kernel, _look, only counts each
+wall's crossings. A walk that stops on its twin's chord gives both midpoints
+twice the displacement so far (its cap rule is _oracle's), a midpoint not yet
+known is walked on its own, and a walk into the cone point builds no holonomy.
+What its walks look for, the midpoints' chords, it reads off the frame once
+per direction. So it walks about half of each cylinder's core orbit and builds
+no trajectory. It reads a word's pairs from words._pairs. _cylinder_verdicts,
+the one check, decides every report's verdicts, and the report keeps the pairs
+and the holonomies it passed; no read of it walks. The check is in closed
+form: psi_w carries the horizontal cylinders onto v's, v = word_to_vector(w),
+so their holonomies are phi*v and phi^2*v, two each (Veech 1989). A vector is
+walked as given and checked against its word's.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ _ON_GLUED_EDGE = tuple(label for label, twins in _TWINS2.items() if len(twins) >
 
 def _direction_table(pairs: Point) -> tuple:
     """The frame of the direction with integer pairs `pairs`, set up once in
-    the form the kernel _run reads: the h of the middle corner of _STAIR2[1:4];
+    the form the kernels read: the h of the middle corner of _STAIR2[1:4];
     the offsets from it of the outer two; per exit wall, what crossing it adds
     to h; per midpoint, its chord's offset and the _STAIR2 index of the corner
     an edge run from it ends at, or None; and the pairs. Every h, at scale 2
@@ -340,20 +340,16 @@ class Trajectory(_Frozen):
         }
 
 
-def _run(table: tuple, h: tuple[int, int], twins: tuple | None, cap: int) -> tuple:
-    """The step loop: from the chord h, an offset from the middle corner in
-    (p, b) form at scale 2, cross at most `cap` walls until h comes back or
-    the cone point. With the oracle's twin table `twins`, (near, chords), the
-    walk also ends on another midpoint's chord, its twin's, met after j
-    crossings with 2j + 2 <= cap; a trace passes None. It only unpacks the
-    frame `table`. Returns the walk, the offset of its last chord, the corner
-    hit or None, and the twin it stopped at or None."""
+def _run(table: tuple, h: tuple[int, int], cap: int) -> tuple:
+    """The trace's kernel: from the chord h, an offset from the middle corner
+    in (p, b) form at scale 2, record each wall crossed, at most `cap`, until h
+    comes back or the cone point. It only unpacks the frame `table`. Returns
+    the walk, the offset of its last chord and the corner hit or None."""
     # h is kept as its offset (x, y) from the middle corner, and the outer
     # corners as theirs, so the first sign test reads the state as it is.
     _, (u1, v1, u3, v3), ((dx0, dy0), (dx1, dy1), (dx2, dy2), (dx3, dy3)), _, _ = table
     x0, y0 = x, y = h
-    near, twins = twins or ((x0,), None)  # a trace looks only for its start's chord
-    cone = twin = None
+    cone = None
     walk = bytearray()
     append = walk.append
     for _ in range(cap):
@@ -390,38 +386,83 @@ def _run(table: tuple, h: tuple[int, int], twins: tuple | None, cap: int) -> tup
                 append(0)
                 x += dx0
                 y += dy0
+        if x == x0 and y == y0:
+            break
+    return walk, (x, y), cone
+
+
+def _look(table: tuple, h: tuple[int, int], twins: tuple, cap: int) -> tuple:
+    """The oracle's kernel: _run's walk, by the same sign tests, counting each
+    wall's crossings, that also ends on another midpoint's chord, its twin's,
+    met after j crossings with 2j + 2 <= cap. `twins` is the oracle's twin
+    table: the first parts of the chords, tested first, and each chord's
+    label. Returns the four counts, the offset of its last chord, the corner
+    hit or None, and the twin it stopped at or None."""
+    _, (u1, v1, u3, v3), ((dx0, dy0), (dx1, dy1), (dx2, dy2), (dx3, dy3)), _, _ = table
+    near, twins = twins
+    x0, y0 = x, y = h
+    n0 = n1 = n2 = n3 = 0
+    cone = twin = None
+    for j in range(1, cap + 1):  # j crossings once this one is counted
+        if (y >= 0 or x * x > 5 * y * y) if x >= 0 else y > 0 and 5 * y * y > x * x:
+            if not (x or y):
+                cone = 2
+                break
+            s, t = x - u3, y - v3
+            if (t >= 0 or s * s > 5 * t * t) if s >= 0 else t > 0 and 5 * t * t > s * s:
+                if not (s or t):
+                    cone = 3
+                    break
+                n3 += 1
+                x += dx3
+                y += dy3
+            else:
+                n2 += 1
+                x += dx2
+                y += dy2
+        else:
+            s, t = x - u1, y - v1
+            if (t >= 0 or s * s > 5 * t * t) if s >= 0 else t > 0 and 5 * t * t > s * s:
+                if not (s or t):
+                    cone = 1
+                    break
+                n1 += 1
+                x += dx1
+                y += dy1
+            else:
+                n0 += 1
+                x += dx0
+                y += dy0
         if x in near:
             if x == x0 and y == y0:
                 break
-            if twins and 2 * len(walk) + 2 <= cap:
+            if 2 * j + 2 <= cap:
                 twin = twins.get((x, y))
                 if twin is not None:
                     break
-    return walk, (x, y), cone, twin
+    return (n0, n1, n2, n3), (x, y), cone, twin
 
 
-def _finish(walk: bytearray, h: tuple[int, int], h0: tuple[int, int], label: int, table: tuple, cap: int) -> None:
-    """End a walk from midpoint `label`, whose chord is h0, that _run ended
-    on the chord h without a twin stop, both offsets in the direction's frame
-    `table`. Append _END when one more segment ends it; then, past `cap`
-    segments, raise CapExceededError, or StructuralViolationError if the walk
-    left the L.
+def _finish(n: int, h: tuple[int, int], h0: tuple[int, int], label: int, table: tuple, cap: int) -> bool:
+    """Whether one more segment ends a walk of n crossings from midpoint
+    `label`, chord h0, that a kernel ended on the chord h without a twin stop,
+    both offsets in the frame `table`; past `cap` segments, raise
+    CapExceededError, or StructuralViolationError if the walk left the L.
 
     Back on the start's chord, a start on a glued edge is this re-entry point;
     any other start, or the cone point, ends one more segment. So a walk that
     ran out of steps has more than cap segments. Checked once, not per step: a
     walk that takes a wrong wall leaves the L and would otherwise pass for a
-    cap overrun.
+    cap overrun. Past the cap, _run replays the walk to find its last wall.
     """
-    if not (walk and h == h0 and label in _ON_GLUED_EDGE):
-        walk.append(_END)
-    if len(walk) <= cap:
-        return
+    end = not (n and h == h0 and label in _ON_GLUED_EDGE)
+    if n + end <= cap:
+        return end
     last, scale = _MIDPOINTS2[label], 2
-    if len(walk) > 1:  # where the chord h enters the L, through the glued twin of the last wall
+    if n:  # where the chord h enters the L, through the glued twin of the last wall
         p, b = map(add, h, table[0])
         scale, rows = _replay_table(table[-1])
-        vertical, (ma, mb), _ = rows[walk[-2]]
+        vertical, (ma, mb), _ = rows[_run(table, h0, n)[0][-1]]
         ua, ub = golden_mul((p - b) // 2, b, ma, mb)
         last = (0, 0, ua, ub) if vertical else (ua, ub, 0, 0)
     at = _shown(_from_point(last, scale))
@@ -433,14 +474,15 @@ def _finish(walk: bytearray, h: tuple[int, int], h0: tuple[int, int], label: int
 
 def _walk(label: int, table: tuple, cap: int) -> tuple:
     """The trace's walk: the whole orbit from midpoint `label` in the
-    direction with frame `table`, in at most `cap` segments, ended by
+    direction with frame `table`, in at most `cap` segments, by _run and
     _finish. Returns the walk, its holonomy at scale 2 and the corner hit or
-    None. The oracle does not walk through here: it steps _run itself, and
-    builds no holonomy for the cone hit."""
+    None. The oracle steps _look instead, and builds no holonomy for the cone
+    hit."""
     weierstrass_point(label)  # raises ValueError for a bad label
     h0, cone = table[3][label]
-    walk, h, hit, _ = _run(table, h0, None, cap if cone is None else 0)
-    _finish(walk, h, h0, label, table, cap)
+    walk, h, hit = _run(table, h0, cap if cone is None else 0)
+    if _finish(len(walk), h, h0, label, table, cap):
+        walk.append(_END)
     # The translations of the crossings. Per wall at scale 2, a crossing adds
     # (2, 2, 0, 0), (0, 0, 0, 2), (0, 2, 0, 0) or (0, 0, 2, 2).
     n0, n1, n2, n3 = walk.count(0), walk.count(1), walk.count(2), walk.count(3)
@@ -485,13 +527,13 @@ def _oracle(pairs: Point, check: Point, cap: int) -> OracleReport:
 
     It sets the direction's frame up once, and the twin table from the frame's
     starts: the first parts of the five chords, and each chord of a midpoint
-    that is no edge run to the lowest such label on it. It steps the kernel
-    _run on them itself. In one pass over the labels in order it walks each
-    midpoint not yet known and reads holonomies off the wall counts n by
+    that is no edge run to the lowest such label on it. It steps the counting
+    kernel _look on them itself. In one pass over the labels in order it walks
+    each midpoint not yet known and reads holonomies off the wall counts n by
     _walk's rule, 2n for (2n0, 2(n0 + n2), 2n3, 2(n1 + n3)): 4n plus twice the
     step from the start to the twin for both midpoints of a twin stop, 2n for
     a closed walk, and None, no holonomy built, for the cone hit. A walk that
-    stops at no twin ends by _finish, as the trace's does.
+    stops at no twin is checked by _finish, as the trace's is.
     """
     _check_int("cap", cap, 0)
     table = _direction_table(pairs)
@@ -505,15 +547,13 @@ def _oracle(pairs: Point, check: Point, cap: int) -> OracleReport:
     for label in starts:
         if label not in known:  # else met by an earlier walk's twin stop
             h0, edge_run = starts[label]
-            walk, h, hit, twin = _run(table, h0, twins, cap if edge_run is None else 0)
+            (n0, n1, n2, n3), h, hit, twin = _look(table, h0, twins, cap if edge_run is None else 0)
             if twin is not None:  # stopped at the twin, half a period on
-                n0, n1, n2, n3 = walk.count(0), walk.count(1), walk.count(2), walk.count(3)
                 s0, s1, s2, s3 = _SHIFTS2[twin, label]
                 known[twin] = known[label] = 4 * n0 + s0, 4 * (n0 + n2) + s1, 4 * n3 + s2, 4 * (n1 + n3) + s3
             else:
-                _finish(walk, h, h0, label, table, cap)
+                _finish(n0 + n1 + n2 + n3, h, h0, label, table, cap)
                 if hit is None and edge_run is None:  # else the cone hit, no holonomy built
-                    n0, n1, n2, n3 = walk.count(0), walk.count(1), walk.count(2), walk.count(3)
                     known[label] = 2 * n0, 2 * (n0 + n2), 2 * n3, 2 * (n1 + n3)
         holonomies[label] = known.get(label)
     return OracleReport(pairs, _cylinder_verdicts(check, holonomies), holonomies)

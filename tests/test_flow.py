@@ -329,17 +329,16 @@ def _rotations(a, b):
 
 
 def _counting_walks(monkeypatch):
-    """Patch the flow kernel, which the oracle steps itself, to record on each
-    call the twin table it looks for, None for a walk that looks for none;
-    returns the record."""
+    """Patch the oracle's kernel _look, which the oracle steps itself, to
+    record on each call the twin table it looks for; returns the record."""
     walked = []
-    run = flow_module._run
+    look = flow_module._look
 
     def counted(table, h, twins, cap):
         walked.append(twins)
-        return run(table, h, twins, cap)
+        return look(table, h, twins, cap)
 
-    monkeypatch.setattr(flow_module, "_run", counted)
+    monkeypatch.setattr(flow_module, "_look", counted)
     return walked
 
 
@@ -417,8 +416,9 @@ def test_oracle_trajectories_equal_independent_traces(monkeypatch):
 def test_oracle_report_reads_walk_nothing(monkeypatch):
     # The oracle builds no trajectory: with trace_direction and Trajectory
     # patched to raise, the verdicts still come back. The report holds three
-    # plain slots and caches nothing, and with the kernel _run patched to
-    # raise too, its reads, equality, repr, copies and pickles walk nothing.
+    # plain slots and caches nothing, and with both kernels, _run and _look,
+    # patched to raise too, its reads, equality, repr, copies and pickles walk
+    # nothing.
     # Its holonomies are those of whole traces from a short and a long midpoint.
     def refuse(*args):
         raise AssertionError(f"the report walked or built a trajectory: {args}")
@@ -434,6 +434,7 @@ def test_oracle_report_reads_walk_nothing(monkeypatch):
                 report = oracle_report_direction(v, cap)
                 again = oracle_report_direction(v, cap)
                 patched.setattr(flow_module, "_run", refuse)
+                patched.setattr(flow_module, "_look", refuse)
                 if word is not None:
                     assert report.verdicts == classify_all(word).verdicts, (word, cap)
                 kinds = {c: [l for l, k in report.verdicts.items() if k is c] for c in Classification}
@@ -506,11 +507,14 @@ def test_each_closed_orbit_meets_one_twin_half_a_period_away(monkeypatch):
     # its twin; a cone hit meets none. Twice the displacement from the start
     # to the twin, over the first j crossings, is the holonomy of the whole
     # walk, which has 2j, 2j + 1 or 2j + 2 segments, and the twin's walk at
-    # most 2j + 2. The oracle's walk, a step of the kernel _run reading the
-    # twin table, names the twin and stops there, its arc the first j
-    # crossings of the whole walk, and the arc's displacement, doubled and
-    # shifted from the start to the twin, is the whole walk's holonomy. A walk
-    # that stops at no twin, ended as the oracle ends it, is the whole walk.
+    # most 2j + 2. The oracle's walk, a step of its kernel _look reading the
+    # twin table, names the twin and stops there: its wall counts are those of
+    # the first j crossings of the whole walk, its end chord the one replayed
+    # after them, and its displacement, doubled and shifted from the start to
+    # the twin, is the whole walk's holonomy. A walk that stops at no twin has
+    # the whole walk's counts and end chord, and _finish, ending it as the
+    # oracle does, says one more segment ends it exactly when the whole walk
+    # ends in _END.
     # In the axis directions the twin can lie on the start's own chord, ahead
     # of the start (j = 0) or behind it (met only at closure, j = n); both
     # occur, the oracle's walk then meets no twin and closes, and the oracle
@@ -529,10 +533,13 @@ def test_each_closed_orbit_meets_one_twin_half_a_period_away(monkeypatch):
         for label in WEIERSTRASS_LABELS:
             walk, holonomy, cone = flow_module._walk(label, table, DEFAULT_STEP_CAP)
             h0, edge_corner = starts[label]
-            arc, last, hit, twin = flow_module._run(table, h0, twins, DEFAULT_STEP_CAP if edge_corner is None else 0)
+            cap = DEFAULT_STEP_CAP if edge_corner is None else 0
+            counts, last, hit, twin = flow_module._look(table, h0, twins, cap)
             if twin is None:
-                flow_module._finish(arc, last, h0, label, table, DEFAULT_STEP_CAP)
+                ended = flow_module._finish(sum(counts), last, h0, label, table, DEFAULT_STEP_CAP)
+                assert ended == (walk[-1] == flow_module._END), (label, v)
             crossings = walk.rstrip(bytes([flow_module._END]))
+            whole_counts = tuple(map(crossings.count, range(4)))
             others = {h: m for m, (h, edge_run) in starts.items() if m != label and edge_run is None}
             # The chords' h as two lists, (p, b) for p + b*sqrt(5); each midpoint
             # met, by the number of crossings before its first chord.
@@ -541,14 +548,17 @@ def test_each_closed_orbit_meets_one_twin_half_a_period_away(monkeypatch):
             met = {m: i for h, m in others.items() if (i := _first_chord(*chords, h)) is not None}
             if cone is not None:
                 assert met == {} and twin is None, (label, v)
-                assert (arc, hit if edge_corner is None else edge_corner) == (walk, cone), (label, v)
+                assert (counts, hit if edge_corner is None else edge_corner) == (whole_counts, cone), (label, v)
+                assert last == (chords[0][-1], chords[1][-1]), (label, v)
                 continue
             assert len(met) == 1, (label, v)
             (m, j), = met.items()
             if j:
-                assert twin == m and arc == crossings[:j], (label, v)
+                assert twin == m and counts == tuple(crossings.count(k, 0, j) for k in range(4)), (label, v)
+                assert last == (chords[0][j], chords[1][j]), (label, v)
             else:
-                assert twin is None and arc == walk, (label, v)
+                assert twin is None and counts == whole_counts, (label, v)
+                assert last == (chords[0][-1], chords[1][-1]), (label, v)
                 if dot(weierstrass_point(m) - weierstrass_point(label), v).sign() > 0:
                     on_start_chord["ahead"] += 1
                 else:
@@ -559,7 +569,7 @@ def test_each_closed_orbit_meets_one_twin_half_a_period_away(monkeypatch):
             for k, move in enumerate(moves):
                 half = tuple(c + crossings.count(k, 0, j) * d for c, d in zip(half, move))
                 whole = tuple(c + crossings.count(k) * d for c, d in zip(whole, move))
-                displaced = tuple(c + arc.count(k) * d for c, d in zip(displaced, move))
+                displaced = tuple(c + counts[k] * d for c, d in zip(displaced, move))
             assert tuple(2 * c for c in half) == whole == holonomy, (label, v)
             if twin is not None:
                 doubled = tuple(2 * c + d for c, d in zip(displaced, flow_module._SHIFTS2[m, label]))
@@ -573,6 +583,22 @@ def test_each_closed_orbit_meets_one_twin_half_a_period_away(monkeypatch):
         report = oracle_report_direction(v)
         assert walked == [_twin_table(v)] * 5
         assert report._holonomies == _holonomies(_traces(v))
+
+
+def test_look_walk_counts_the_trace_walk():
+    # Every word of length <= 6, its mirror in y = x, and both axes, from all
+    # five midpoints: the oracle's kernel _look, given a twin table that holds
+    # only its start's chord, walks the trace kernel _run's walk. Its four
+    # wall counts are those of _run's walk, and it ends on the same chord at
+    # the same corner, or none, with no twin met.
+    words = [word_to_vector(w) for n in range(7) for w in product((0, 1, 2, 3), repeat=n)]
+    for v in words + [GoldenVector(v.y, v.x) for v in words] + [HORIZONTAL, VERTICAL]:
+        table = flow_module._direction_table(cleared(v))
+        for label, (h0, edge_run) in table[3].items():
+            cap = DEFAULT_STEP_CAP if edge_run is None else 0
+            walk, last, cone = flow_module._run(table, h0, cap)
+            counts = tuple(map(walk.count, range(4)))
+            assert flow_module._look(table, h0, ({h0[0]}, {h0: label}), cap) == (counts, last, cone, None), (label, v)
 
 
 def test_oracle_matches_per_midpoint_reference_around_the_cap():
@@ -1078,13 +1104,13 @@ def test_oracle_sends_any_other_tally_to_the_cylinder_check(monkeypatch):
     assert str(excinfo.value) == (
         "holonomy (4 + 6*phi, 3 + 5*phi) of midpoint 2 is neither phi*v nor phi^2*v for v = (2 + phi, 1 + 2*phi)"
     )
-    run = flow_module._run
+    look = flow_module._look
 
     def no_cone(table, h, twins, cap):
-        walk, last, _, twin = run(table, h, twins, cap)
-        return walk, last, None, twin
+        counts, last, _, twin = look(table, h, twins, cap)
+        return counts, last, None, twin
 
-    monkeypatch.setattr(flow_module, "_run", no_cone)
+    monkeypatch.setattr(flow_module, "_look", no_cone)
     for word in ((1,), (2, 1), (1, 3, 2), (0, 3, 1, 2)):
         with pytest.raises(StructuralViolationError, match=r"^expected 4 closed orbits and 1 cone hit, got 5 and 0$"):
             oracle_report(word)
